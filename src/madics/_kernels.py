@@ -1,131 +1,99 @@
 """Exhaustive codeword scans.
 
-The hot loop of every distance computation enumerates all q**k
-message vectors and finds the minimum Hamming weight of msg @ G mod q.
-Two interchangeable implementations are provided:
+Every distance computation histograms the Hamming weights of all words
+h + l, where h runs over the rows of a "high" table and l over the rows
+of a "low" table.  With entries in [0, q), h + l vanishes mod q exactly
+where h equals -l mod q, so the weight of h + l is the Hamming distance
+from h to the negated low row.  ``_distance_counts`` is the one kernel:
+it compares blocks of high rows with the whole negated low table, at
+most BLOCK_BYTES of comparisons at a time, and folds the distances into
+counts with bincount.  Its two callers:
 
-    scan_njit    compiled odometer walk, one row-add per digit change
-    scan_numpy   chunked matrix products over blocks of message indices
+    scan         field code: the high and low tables hold every word
+                 spanned by the upper and the lower half of G's rows
+    scan_union   ring code: a ring word's support is the union of its
+                 CRT component supports; the high rows are ORs of the
+                 first components' 0/1 support tables, gathered per
+                 block, and the low table is the last component's.  As
+                 0/1 entries mod 3, h + l is nonzero exactly on h | l.
 
-Both enumerate messages in base-q counting order (coefficient 0 is the
-least significant digit), return the same (min_weight, counts) pair,
-and count the zero message in counts[0].  ``scan`` picks the compiled
-path unless numba is unavailable or MADICS_NO_NUMBA is set to a
-nonempty value other than "0".
+Tables are sized by q**ceil(k/2) words (field) or by each component's
+word count (ring), never by the total word or tuple count.  counts[0]
+includes the zero word.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-from .errors import BackendUnavailable
-
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via MADICS_NO_NUMBA
-    HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+BLOCK_BYTES = 1 << 20
 
 
-def numba_disabled_by_env():
-    flag = os.environ.get("MADICS_NO_NUMBA", "")
-    return flag not in ("", "0")
-
-
-@_njit(cache=True)
-def _odometer_scan(gmat, q, counts):
-    k, n = gmat.shape
-    msg = np.zeros(k, np.int64)
-    word = np.zeros(n, np.int64)
-    total = 1
-    for _ in range(k):
-        total *= q
-    best = n + 1
-    counts[0] += 1
-    for _ in range(total - 1):
-        # rolling a digit from q-1 to 0 adds the row once, mod q
-        i = 0
-        while msg[i] == q - 1:
-            msg[i] = 0
-            for t in range(n):
-                word[t] = (word[t] + gmat[i, t]) % q
-            i += 1
-        msg[i] += 1
-        for t in range(n):
-            word[t] = (word[t] + gmat[i, t]) % q
-        w = 0
-        for t in range(n):
-            if word[t] != 0:
-                w += 1
-        counts[w] += 1
-        if w < best:
-            best = w
-    return best
-
-
-def scan_njit(gmat, q):
-    """Compiled scan; returns (min nonzero-message weight, counts)."""
-    gmat = np.ascontiguousarray(gmat, dtype=np.int64)
-    counts = np.zeros(gmat.shape[1] + 1, dtype=np.int64)
-    best = _odometer_scan(gmat, q, counts)
-    return int(best), counts
-
-
-def scan_numpy(gmat, q, chunk=1 << 13):
-    """Pure-numpy scan; same contract and enumeration order as scan_njit."""
-    gmat = np.ascontiguousarray(gmat, dtype=np.int64)
-    k, n = gmat.shape
+def _distance_counts(high, n_high, low):
+    """counts[w] = number of pairs (i, j), i < n_high, at Hamming
+    distance w, between high row i and low row j.  high(start, stop)
+    returns high rows start..stop-1."""
+    n = low.shape[1]
+    step = max(1, BLOCK_BYTES // low.nbytes)
+    wtype = np.min_scalar_type(n)
     counts = np.zeros(n + 1, dtype=np.int64)
-    counts[0] += 1
-    total = q**k
-    best = n + 1
-    powers = q ** np.arange(k, dtype=np.int64)
-    for start in range(1, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = (idx[:, None] // powers[None, :]) % q
-        words = (msgs @ gmat) % q
-        ws = np.count_nonzero(words, axis=1)
-        counts += np.bincount(ws, minlength=n + 1)
-        blockmin = int(ws.min())
-        if blockmin < best:
-            best = blockmin
-    return best, counts
+    for start in range(0, n_high, step):
+        block = high(start, min(start + step, n_high))
+        dist = (block[:, None, :] != low[None, :, :]).sum(axis=2, dtype=wtype)
+        counts += np.bincount(dist.ravel(), minlength=n + 1)
+    return counts
 
 
-def scan(gmat, q, use_numba=None):
-    """Dispatch to the compiled or numpy scan.
-
-    use_numba=None honors MADICS_NO_NUMBA and numba availability;
-    True/False force a path (True raises BackendUnavailable, a
-    MadicError, if numba is missing).
-    """
-    if use_numba is None:
-        use_numba = HAVE_NUMBA and not numba_disabled_by_env()
-    if use_numba:
-        if not HAVE_NUMBA:
-            raise BackendUnavailable("numba requested but not importable")
-        return scan_njit(gmat, q)
-    return scan_numpy(gmat, q)
+def _words(gmat, q):
+    """All q**k words spanned by gmat's k rows mod q, one per table row."""
+    n = gmat.shape[1]
+    gmat = np.asarray(gmat, dtype=np.int64) % q
+    dtype = np.min_scalar_type(q - 1)
+    digits = np.arange(q, dtype=np.int64)[:, None, None]
+    table = np.zeros((1, n), dtype=dtype)
+    for row in gmat:
+        table = ((table + digits * row) % q).astype(dtype).reshape(-1, n)
+    return table
 
 
-def codeword_support_table(gmat, q):
-    """All q**k codewords as a 0/1 support matrix, rows in the same
-    base-q counting order as the scans.  Used by the ring cross-check,
-    which needs supports rather than weights."""
-    gmat = np.ascontiguousarray(gmat, dtype=np.int64)
-    k, n = gmat.shape
-    total = q**k
-    powers = q ** np.arange(k, dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    msgs = (idx[:, None] // powers[None, :]) % q
-    words = (msgs @ gmat) % q
-    return (words != 0).astype(np.uint8)
+def min_weight(counts):
+    """Least weight of a nonzero message: 0 when one maps to the zero
+    word (counts[0] > 1), else the least w >= 1 with counts[w] > 0 (0
+    when there is none)."""
+    live = np.flatnonzero(counts[1:])
+    if counts[0] > 1 or not live.size:
+        return 0
+    return int(live[0]) + 1
+
+
+def scan(gmat, q):
+    """Weight distribution of all q**k messages of the k x n matrix
+    gmat; returns (min_weight(counts), counts)."""
+    half = (len(gmat) + 1) // 2
+    low = (q - _words(gmat[:half], q)) % q
+    high = _words(gmat[half:], q)
+    counts = _distance_counts(lambda a, b: high[a:b], len(high), low)
+    return min_weight(counts), counts
+
+
+def scan_union(gmats, q):
+    """Weight distribution of the unions of supports, one word from each
+    matrix's code, over every tuple of messages; returns
+    (min_weight(counts), counts)."""
+    supports = [(_words(g, q) != 0).astype(np.uint8) for g in gmats]
+    *high_tables, last = supports
+    low = 2 * last
+
+    def high(start, stop):
+        idx = np.arange(start, stop, dtype=np.int64)
+        rows = np.zeros((stop - start, last.shape[1]), dtype=np.uint8)
+        for table in reversed(high_tables):
+            idx, digit = np.divmod(idx, len(table))
+            rows |= table[digit]
+        return rows
+
+    n_high = math.prod(len(t) for t in high_tables)
+    counts = _distance_counts(high, n_high, low)
+    return min_weight(counts), counts

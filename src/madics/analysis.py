@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import TooLarge
+from .errors import BackendUnavailable, TooLarge
 
 DEFAULT_CAP = 1 << 24
 
@@ -59,8 +59,16 @@ def generator_matrix(code):
     return mat
 
 
+def _kernel_only(use_numba):
+    # perfbench/layers.py still passes use_numba=None positionally
+    if use_numba:
+        raise BackendUnavailable(
+            "only the numpy scan kernel exists; pass use_numba=None")
+
+
 def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
     """Exact distance of a field code by full message enumeration."""
+    _kernel_only(use_numba)
     n, k, q = code.p, code.dimension, code.q
     if k == 0:
         dist = (1,) + (0,) * n
@@ -70,16 +78,16 @@ def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
         raise TooLarge(
             f"enumerating {q}^{k} = {total} codewords exceeds the cap {cap}; "
             "raise the cap to proceed")
-    best, counts = _kernels.scan(generator_matrix(code), q, use_numba)
-    return DistanceReport(n, k, int(best), "exhaustive", total,
+    best, counts = _kernels.scan(generator_matrix(code), q)
+    return DistanceReport(n, k, best, "exhaustive", total,
                           tuple(int(c) for c in counts))
 
 
-def weight_enumerator(code, cap=DEFAULT_CAP, use_numba=None):
+def weight_enumerator(code, cap=DEFAULT_CAP):
     """A_0..A_n as a tuple; exhaustive for either kind of code."""
     if hasattr(code, "components"):
         return min_distance_ring_exhaustive(code, cap).weight_distribution
-    return min_distance_field(code, cap, use_numba).weight_distribution
+    return min_distance_field(code, cap).weight_distribution
 
 
 def _component_sizes(code):
@@ -89,7 +97,8 @@ def _component_sizes(code):
 
 def min_distance_ring(code, cap=DEFAULT_CAP, use_numba=None):
     """Exact ring distance as the minimum over CRT component distances."""
-    reports = [min_distance_field(c, cap, use_numba) for c in code.components]
+    _kernel_only(use_numba)
+    reports = [min_distance_field(c, cap) for c in code.components]
     ranks = tuple(r.k for r in reports)
     dmins = tuple(r.d_min for r in reports)
     live = [d for d in dmins if d > 0]
@@ -104,9 +113,7 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
     """Exact ring distance by enumerating every component-message tuple.
 
     The support of a ring word is the union of the component supports,
-    so weights are computed on 0/1 support tables folded across
-    components.  Row order is the mixed-radix counting order over the
-    component message indices, leftmost component most significant.
+    so the kernel folds 0/1 support tables across components.
     """
     n, q = code.p, code.ring.q
     total = math.prod(_component_sizes(code))
@@ -114,20 +121,8 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
         raise TooLarge(
             f"enumerating {total} component-message tuples exceeds the cap "
             f"{cap}; raise the cap to proceed")
-    combined = None
-    for comp in code.components:
-        if comp.dimension == 0:
-            table = np.zeros((1, n), dtype=np.uint8)
-        else:
-            table = _kernels.codeword_support_table(generator_matrix(comp), q)
-        if combined is None:
-            combined = table
-        else:
-            combined = (combined[:, None, :] | table[None, :, :]).reshape(-1, n)
-    weights = combined.sum(axis=1, dtype=np.int64)
-    counts = np.bincount(weights, minlength=n + 1)
-    nonzero = weights[weights > 0]
-    d = int(nonzero.min()) if nonzero.size else 0
+    d, counts = _kernels.scan_union(
+        [generator_matrix(c) for c in code.components], q)
     ranks = tuple(c.dimension for c in code.components)
     return DistanceReport(n, sum(ranks), d, "exhaustive", total,
                           tuple(int(c) for c in counts),

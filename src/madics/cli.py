@@ -29,8 +29,6 @@ from .ringalg import format_ring_poly, make_ring
 from .ring_codes import RingCode, ring_code, ring_mu_chain
 from .verify import run_verification
 
-_BACKENDS = {"auto": None, "numba": True, "numpy": False}
-
 
 def _slots(text):
     try:
@@ -184,23 +182,48 @@ def cmd_ring_code(args):
     return payload, lines
 
 
+def _exported_params(doc):
+    """The code object and params of an export document, or MadicError
+    naming what is malformed."""
+    code_doc = doc.get("code", doc) if isinstance(doc, dict) else None
+    params = code_doc.get("params") if isinstance(code_doc, dict) else None
+    if not isinstance(params, dict) or "generator" not in code_doc:
+        raise MadicError("not an exported code: expected an object with "
+                         "'params' and 'generator'")
+    ints = ("p", "m", "b", "a", "q") + (
+        ("s",) if "slots" in params else ("index",))
+    missing = [key for key in ints + ("family",) if key not in params]
+    if missing:
+        raise MadicError(f"exported params lack {', '.join(missing)}")
+    slots = params.get("slots", [])
+    if not (all(isinstance(params[key], int) for key in ints)
+            and isinstance(params.get("alpha_exp", 1), int)
+            and isinstance(params["family"], str)
+            and isinstance(slots, list)
+            and all(isinstance(x, int) for x in slots)):
+        raise MadicError("exported params have the wrong types: integers, "
+                         "a family name and a list of integer slots")
+    return code_doc, params
+
+
 def _load_exported(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    code_doc = doc.get("code", doc)
-    p = code_doc["params"]
+    code_doc, p = _exported_params(doc)
     system = build_residue_system(p["p"], p["m"], p["b"], p["a"])
     ctx = make_prime_field(p["q"])
     if "slots" in p:
         ring = make_ring(ctx, p["s"])
         code = ring_code(ring, system, p["family"], tuple(p["slots"]),
                          p.get("alpha_exp", 1))
-        stored = tuple(tuple(c) for c in code_doc["generator"])
+        rebuilt = [list(c) for c in code.generator]
     else:
+        if not 0 <= p["index"] < system.m:
+            raise MadicError(f"index must lie in [0, {system.m})")
         codes = family_codes(system, ctx, p["family"], p.get("alpha_exp", 1))
         code = codes[p["index"]]
-        stored = tuple(code_doc["generator"])
-    if stored != code.generator:
+        rebuilt = list(code.generator)
+    if code_doc["generator"] != rebuilt:
         raise MadicError(
             "stored generator does not match the one rebuilt from the "
             "exported parameters; file edited or truncated?")
@@ -218,16 +241,15 @@ def _distance_target(args):
 
 
 def _analyze(code, args):
-    use_numba = _BACKENDS[args.backend]
     if isinstance(code, RingCode):
         if args.method == "exhaustive":
             return min_distance_ring_exhaustive(code, args.cap), None
-        report = min_distance_ring(code, args.cap, use_numba)
+        report = min_distance_ring(code, args.cap)
         if args.method == "both":
             cross = min_distance_ring_exhaustive(code, args.cap)
             return report, cross
         return report, None
-    return min_distance_field(code, args.cap, use_numba), None
+    return min_distance_field(code, args.cap), None
 
 
 def cmd_distance(args):
@@ -353,8 +375,6 @@ def _add_analysis_flags(sub):
                      default="component-min",
                      help="ring distance method (field codes always "
                      "enumerate exhaustively)")
-    sub.add_argument("--backend", choices=sorted(_BACKENDS), default="auto",
-                     help="codeword-scan kernel selection")
 
 
 def build_parser():

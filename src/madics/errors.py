@@ -70,5 +70,5 @@ class TooLarge(MadicError):
 
 
 class BackendUnavailable(MadicError):
-    """A codeword-scan backend was requested explicitly but cannot be
-    loaded (the compiled path when numba is not importable)."""
+    """A codeword-scan backend other than the numpy kernel was requested
+    (a truthy use_numba argument; that backend no longer exists)."""

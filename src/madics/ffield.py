@@ -191,7 +191,9 @@ class FieldCtx:
             return f"FieldCtx(GF({self.q}))"
         return f"FieldCtx(GF({self.q}^{self.t}), modulus={poly.format_poly(self.modulus)})"
 
-def _smallest_primitive_root(q):
+
+def smallest_primitive_root(q):
+    """Least primitive root mod the prime q (1 for q = 2)."""
     if q == 2:
         return 1
     primes = list(factorize(q - 1))
@@ -206,7 +208,7 @@ def make_prime_field(q):
     """GF(q) for prime q; primitive element = smallest primitive root."""
     if not is_prime(q):
         raise NonPrimeModulus(f"{q} is not prime")
-    return FieldCtx(q, 1, (0, 1), _smallest_primitive_root(q))
+    return FieldCtx(q, 1, (0, 1), smallest_primitive_root(q))
 
 
 def _is_irreducible(base, f, t):
@@ -241,8 +243,9 @@ def _build_extension(q, t):
         return make_prime_field(q)
     base = make_prime_field(q)
     modulus = None
-    # lexicographically smallest: compare (c_0, ..., c_{t-1}) left to right
-    for lower in product(range(q), repeat=t):
+    # lexicographically smallest: compare (c_0, ..., c_{t-1}) left to right;
+    # t > 1 here, so c_0 = 0 would make x a factor and is skipped
+    for lower in product(range(1, q), *[range(q)] * (t - 1)):
         cand = poly.trim(base, lower + (1,))
         if _is_irreducible(base, cand, t):
             modulus = cand

@@ -19,6 +19,7 @@ import re
 
 from .errors import (
     BothZero,
+    NonPrimeModulus,
     NonUnitLeadingCoefficient,
     NotADivisor,
     NotCoprime,
@@ -261,12 +262,12 @@ def factor_xp_minus_1(ctx, p):
     field GF(q^t), t = ord_p(q).  Returned in order of smallest coset
     element, so the x - 1 factor comes first.
     """
-    from .ffield import make_extension, make_prime_field
+    from .ffield import is_prime, make_extension, make_prime_field
 
     if ctx.t != 1:
         raise NonPrimeModulus("factoring x**p - 1 requires a prime base field")
     q = ctx.q
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NonPrimeModulus(f"code length {p} must be prime")
     if p == q:
         raise NotCoprime("code length must be coprime to the characteristic")
@@ -291,16 +292,6 @@ def factor_xp_minus_1(ctx, p):
         raise AssertionError("factor product check failed")
     return factors
 
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 # ---------------- text format ----------------
 

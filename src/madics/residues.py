@@ -20,17 +20,7 @@ from .errors import (
     NotCoprime,
     NotPrimitiveRoot,
 )
-from .ffield import factorize, is_prime
-
-
-def smallest_primitive_root(p):
-    if p == 2:
-        return 1
-    primes = list(factorize(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in primes):
-            return g
-    raise AssertionError(f"no primitive root mod {p}")
+from .ffield import factorize, is_prime, smallest_primitive_root
 
 
 def _is_primitive_root(b, p):

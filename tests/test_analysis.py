@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madics import poly
 from madics.analysis import (
+    DEFAULT_CAP,
     generator_matrix,
     griesmer_check,
     min_distance_field,
@@ -13,12 +15,13 @@ from madics.analysis import (
     min_distance_ring_exhaustive,
     weight_enumerator,
 )
-from madics.errors import TooLarge
+from madics.errors import BackendUnavailable, TooLarge
 from madics.ffield import make_extension, make_prime_field
 from madics.field_codes import CyclicCode, family_codes
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
 from madics.ring_codes import ring_code, ring_even_like_i, ring_mu_chain
+from oracle import scan_union
 
 rng = random.Random(0xD157)
 F3 = make_prime_field(3)
@@ -173,3 +176,53 @@ def test_griesmer_rejects_degenerate():
         griesmer_check(13, 0, 9, 3)
     with pytest.raises(ValueError):
         griesmer_check(13, 3, 0, 3)
+
+
+def test_benchmark_call_shape():
+    # perfbench/layers.py passes the cap and use_numba=None positionally
+    field_code = family_codes(SYS134, F3, "even-I")[0]
+    rc = ring_even_like_i(make_ring(F3, 3), SYS134, (1, 2, 3))
+    assert min_distance_field(field_code, DEFAULT_CAP, None).d_min == 9
+    assert min_distance_ring(rc, DEFAULT_CAP, None).d_min == 9
+    assert min_distance_field(field_code, DEFAULT_CAP, False).d_min == 9
+    assert min_distance_ring(rc, DEFAULT_CAP, False).d_min == 9
+    with pytest.raises(BackendUnavailable):
+        min_distance_field(field_code, DEFAULT_CAP, True)
+    with pytest.raises(BackendUnavailable):
+        min_distance_ring(rc, DEFAULT_CAP, True)
+
+
+def _family_dims(p, m):
+    e = (p - 1) // m
+    return {"even-I": e, "odd-I": p - e, "even-II": p - 1 - e,
+            "odd-II": e + 1}
+
+
+# (q, p, m) with q an m-adic residue mod p and a small splitting field;
+# every (s, family) whose tuple count stays at most 2**17
+RING_CASES = [
+    (q, p, m, s, family)
+    for q, p, m in ((2, 7, 2), (3, 11, 2), (3, 13, 2), (3, 13, 4),
+                    (5, 13, 3), (2, 17, 2), (7, 19, 3), (7, 19, 6),
+                    (2, 31, 3), (2, 31, 6), (5, 31, 5), (5, 31, 10))
+    for s in range(2, q + 1) if (q - 1) % (s - 1) == 0
+    for family, k in _family_dims(p, m).items() if q ** (k * s) <= 1 << 17
+]
+
+
+@st.composite
+def ring_cases(draw):
+    q, p, m, s, family = draw(st.sampled_from(RING_CASES))
+    slots = draw(st.lists(st.integers(0, m - 1), min_size=s, max_size=s))
+    system = build_residue_system(p, m)
+    return ring_code(make_ring(make_prime_field(q), s), system, family, slots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_cases())
+def test_ring_exhaustive_matches_oracle_property(code):
+    rep = min_distance_ring_exhaustive(code)
+    d, counts = scan_union([generator_matrix(c) for c in code.components],
+                           code.ring.q)
+    assert rep.weight_distribution == tuple(int(c) for c in counts)
+    assert rep.d_min == d == min_distance_ring(code).d_min

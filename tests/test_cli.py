@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from madics import _kernels
 from madics.cli import main
 
 
@@ -119,15 +118,16 @@ def test_distance_cap_exit_2(capsys):
     assert "TooLarge" in err
 
 
-def test_distance_numba_backend_without_numba_exit_1(capsys, monkeypatch):
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-    code, out, err = run_cli(capsys, "distance", "--q", "3", "--p", "13",
-                             "--m", "4", "--family", "even-I", "--index", "0",
-                             "--backend", "numba")
-    assert code == 1
-    assert out == ""
-    assert err.splitlines() == [
-        "error: BackendUnavailable: numba requested but not importable"]
+def test_distance_numba_backend_without_numba_exit_1(capsys):
+    # there is no --backend option: asking for the numba backend is a
+    # usage error, exit 1 with nothing on stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--q", "3", "--p", "13", "--m", "4",
+              "--family", "even-I", "--index", "0", "--backend", "numba"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --backend numba" in captured.err
 
 
 def test_distance_needs_source(capsys):
@@ -175,6 +175,49 @@ def test_export_tamper_detected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "distance", "--from", str(path))
     assert code == 1
     assert "does not match" in err
+
+
+def _drop(key):
+    def edit(doc):
+        del doc["code"]["params"][key]
+        return doc
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc["code"]["params"][key] = value
+        return doc
+    return edit
+
+
+def _ring_without_s(doc):
+    doc["code"]["params"]["slots"] = [0, 1, 2]
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: {"code": {"generator": doc["code"]["generator"]}},
+    lambda doc: [doc],
+    lambda doc: {"code": {"params": [3, 13], "generator": [1]}},
+    _ring_without_s,
+    _set("index", 9),
+    _drop("q"),
+    _set("p", "13"),
+    _set("slots", "0,1"),
+], ids=["no-params", "top-level-list", "params-not-dict", "slots-without-s",
+        "index-out-of-range", "missing-q", "p-not-int", "slots-not-list"])
+def test_malformed_export_exit_1(tmp_path, capsys, edit):
+    path = tmp_path / "code.json"
+    run_cli(capsys, "export", "--q", "3", "--p", "13", "--m", "4",
+            "--family", "even-I", "--index", "0", "--skip-distance",
+            "--out", str(path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, out, err = run_cli(capsys, "distance", "--from", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: MadicError: ")
 
 
 def test_griesmer_verb(capsys):

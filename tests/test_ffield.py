@@ -1,9 +1,11 @@
 """Field context tests: prime fields, extensions, orders and inverses."""
 
 import random
+from itertools import product
 
 import pytest
 
+from madics import ffield, poly
 from madics.errors import NonPrimeModulus
 from madics.ffield import FieldCtx, is_prime, make_extension, make_prime_field
 
@@ -91,3 +93,27 @@ def test_pow_matches_repeated_mul():
     for e in range(12):
         assert ext.pow(a, e) == acc
         acc = ext.mul(acc, a)
+
+
+def test_gf3_11_pinned():
+    # the values the full search (c_0 = 0 candidates included) finds,
+    # which takes about 100 s for this field
+    ext = make_extension(3, 11)
+    assert ext.modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1)
+    assert ext.primitive_element == 118098
+    assert ext.to_vec(ext.primitive_element) == (0,) * 10 + (2,)
+
+
+def full_modulus_search(q, t):
+    """The smallest monic irreducible, c_0 = 0 candidates included."""
+    base = make_prime_field(q)
+    for lower in product(range(q), repeat=t):
+        cand = poly.trim(base, lower + (1,))
+        if ffield._is_irreducible(base, cand, t):
+            return cand
+
+
+@pytest.mark.parametrize("q,t", [(2, 8), (2, 9), (3, 6), (5, 4), (5, 5),
+                                 (7, 3)])
+def test_modulus_search_skips_only_reducibles(q, t):
+    assert ffield._build_extension(q, t).modulus == full_modulus_search(q, t)

@@ -1,58 +1,42 @@
-"""Codeword-scan kernel tests: compiled and vectorized paths agree."""
+"""The codeword-scan kernel against the slow oracles in oracle.py."""
 
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madics import _kernels
-from madics._kernels import (
-    HAVE_NUMBA,
-    codeword_support_table,
-    numba_disabled_by_env,
-    scan,
-    scan_njit,
-    scan_numpy,
-)
-from madics.errors import BackendUnavailable, MadicError
+from madics._kernels import min_weight, scan, scan_union
+from oracle import scan_numpy, scan_union as scan_union_oracle
 
 rng = random.Random(0xCAFE)
 
 
 def rand_gmat(k, n, q):
     return np.array([[rng.randrange(q) for _ in range(n)] for _ in range(k)],
-                    dtype=np.int64)
+                    dtype=np.int64).reshape(k, n)
+
+
+def systematic_gmat(k, n, q):
+    """A random full-rank k x n matrix [I | A]."""
+    gmat = rand_gmat(k, n, q)
+    gmat[:, :k] = np.eye(k, dtype=np.int64)
+    return gmat
+
+
+def assert_same(got, ref):
+    assert got[0] == ref[0]
+    assert np.array_equal(got[1], ref[1])
 
 
 @pytest.mark.parametrize("q,k,n", [(2, 5, 9), (3, 4, 13), (5, 3, 11),
                                    (7, 3, 19), (3, 7, 13)])
 def test_backends_agree(q, k, n):
     gmat = rand_gmat(k, n, q)
-    best_np, counts_np = scan_numpy(gmat, q)
-    assert counts_np.sum() == q ** k
-    assert counts_np[0] >= 1  # zero message
-    if HAVE_NUMBA:
-        best_nj, counts_nj = scan_njit(gmat, q)
-        assert best_nj == best_np
-        assert np.array_equal(counts_nj, counts_np)
-
-
-def test_scan_dispatch_default():
-    gmat = rand_gmat(3, 13, 3)
-    best, counts = scan(gmat, 3)
-    ref_best, ref_counts = scan_numpy(gmat, 3)
-    assert best == ref_best and np.array_equal(counts, ref_counts)
-
-
-def test_scan_numpy_chunking():
-    # chunk boundary smaller than the message count exercises the loop
-    gmat = rand_gmat(6, 13, 3)
-    a = scan_numpy(gmat, 3, chunk=7)
-    b = scan_numpy(gmat, 3, chunk=1 << 13)
-    assert a[0] == b[0] and np.array_equal(a[1], b[1])
+    got = scan(gmat, q)
+    assert got[1].sum() == q ** k
+    assert_same(got, scan_numpy(gmat, q))
 
 
 def test_known_code_distance():
@@ -65,79 +49,67 @@ def test_known_code_distance():
     system = build_residue_system(13, 4, a=7)
     code = family_codes(system, make_prime_field(3), "even-I")[0]
     gmat = generator_matrix(code)
-    best_np, _ = scan_numpy(gmat, 3)
-    assert best_np == 9
-    if HAVE_NUMBA:
-        assert scan_njit(gmat, 3)[0] == 9
+    assert scan(gmat, 3)[0] == scan_numpy(gmat, 3)[0] == 9
 
 
-def test_support_table_matches_scan_order():
-    gmat = rand_gmat(4, 13, 3)
-    table = codeword_support_table(gmat, 3)
-    assert table.shape == (3 ** 4, 13)
-    assert table.dtype == np.uint8
-    # row index encodes the message in base q, coefficient 0 least
-    # significant; recompute a few rows directly
-    for idx in (0, 1, 5, 42, 80):
-        msg = [(idx // 3 ** i) % 3 for i in range(4)]
-        word = np.array(msg, dtype=np.int64) @ gmat % 3
-        assert np.array_equal(table[idx], (word != 0).astype(np.uint8))
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_rank_deficient_generator(q):
+    # a repeated row and a zero row: some nonzero message maps to 0
+    gmat = rand_gmat(4, 11, q)
+    gmat[3] = gmat[0]
+    got = scan(gmat, q)
+    assert got[0] == 0 and got[1][0] > 1
+    assert_same(got, scan_numpy(gmat, q))
+    zero_row = np.vstack([rand_gmat(2, 11, q), np.zeros((1, 11), np.int64)])
+    assert_same(scan(zero_row, q), scan_numpy(zero_row, q))
 
 
-def test_numba_available_here(monkeypatch):
-    # numba is an optional extra: where it imports, the compiled path
-    # must be live and be the default scan
-    pytest.importorskip("numba")
-    assert HAVE_NUMBA
-    monkeypatch.delenv("MADICS_NO_NUMBA", raising=False)
-    calls = []
-    compiled = _kernels.scan_njit
-
-    def spy(gmat, q):
-        calls.append(q)
-        return compiled(gmat, q)
-
-    monkeypatch.setattr(_kernels, "scan_njit", spy)
-    gmat = np.eye(3, 13, dtype=np.int64) + np.eye(3, 13, 5, dtype=np.int64)
-    best, counts = scan(gmat, 3)
-    assert calls == [3] and best == 2
-    ref_best, ref_counts = scan_numpy(gmat, 3)
-    assert best == ref_best and np.array_equal(counts, ref_counts)
+def test_scan_block_boundary(monkeypatch):
+    # blocks of a few high rows, not dividing the high row count
+    gmat = rand_gmat(7, 13, 3)
+    ref = scan_numpy(gmat, 3)
+    low_bytes = 3 ** 4 * 13
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 5 * low_bytes + 1)
+    assert_same(scan(gmat, 3), ref)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+    assert_same(scan(gmat, 3), ref)
 
 
-def test_scan_numba_request_without_numba(monkeypatch):
-    gmat = rand_gmat(3, 13, 3)
-    ref_best, ref_counts = scan_numpy(gmat, 3)
-    if HAVE_NUMBA:
-        best, _ = scan(gmat, 3, use_numba=True)
-        assert best == ref_best
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-    # an explicit request for the compiled path is a validation error...
-    with pytest.raises(BackendUnavailable) as exc:
-        scan(gmat, 3, use_numba=True)
-    assert isinstance(exc.value, MadicError)
-    # ...while the default quietly falls back to numpy
-    best, counts = scan(gmat, 3)
-    assert best == ref_best and np.array_equal(counts, ref_counts)
+def test_scan_union_matches_oracle(monkeypatch):
+    gmats = [systematic_gmat(k, 13, 3) for k in (3, 2, 4)]
+    ref = scan_union_oracle(gmats, 3)
+    assert_same(scan_union(gmats, 3), ref)
+    assert ref[1].sum() == 3 ** 9
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 7 * 3 ** 4 * 13)
+    assert_same(scan_union(gmats, 3), ref)
 
 
-def test_env_flag_disables_numba():
-    prog = (
-        "import numpy as np\n"
-        "from madics import _kernels\n"
-        "assert _kernels.numba_disabled_by_env()\n"
-        "gmat = np.arange(12, dtype=np.int64).reshape(3, 4) % 3\n"
-        "best, counts = _kernels.scan(gmat, 3)\n"
-        "ref = _kernels.scan_numpy(gmat, 3)\n"
-        "assert best == ref[0] and (counts == ref[1]).all()\n"
-        "print('numpy-path-ok')\n"
-    )
-    env = dict(os.environ, MADICS_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", prog], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "numpy-path-ok" in out.stdout
+def test_scan_union_zero_component():
+    gmats = [np.zeros((0, 11), np.int64), systematic_gmat(3, 11, 5)]
+    got = scan_union(gmats, 5)
+    assert_same(got, scan_union_oracle(gmats, 5))
+    assert_same(got, scan(gmats[1], 5))
 
 
-def test_env_flag_off_here():
-    assert not numba_disabled_by_env() or os.environ.get("MADICS_NO_NUMBA")
+def test_min_weight():
+    assert min_weight(np.array([1, 0, 0, 3, 5])) == 3
+    assert min_weight(np.array([2, 0, 0, 3, 5])) == 0
+    assert min_weight(np.array([1, 0, 0])) == 0
+
+
+@st.composite
+def field_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    # k <= 7 and at most q**k <= 20000 words, so the oracle stays fast
+    k = draw(st.integers(1, max(j for j in range(1, 8) if q**j <= 20000)))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=k, max_size=k))
+    return q, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_cases())
+def test_scan_matches_oracle_property(case):
+    q, gmat = case
+    assert_same(scan(gmat, q), scan_numpy(gmat, q))

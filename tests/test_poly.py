@@ -5,7 +5,7 @@ import random
 import pytest
 
 from madics import poly
-from madics.errors import BothZero, NotADivisor, ZeroCode
+from madics.errors import BothZero, NonPrimeModulus, NotADivisor, ZeroCode
 from madics.ffield import make_extension, make_prime_field
 
 rng = random.Random(0x9017)
@@ -115,6 +115,8 @@ def test_factor_xp_minus_1():
         for f in factors:
             prod = poly.mul(ctx, prod, f)
         assert prod == poly.xn_minus_1(ctx, p)
+    with pytest.raises(NonPrimeModulus):
+        poly.factor_xp_minus_1(make_prime_field(3), 15)
 
 
 def test_idempotent_of_cyclic_properties():
