@@ -47,7 +47,6 @@ from .ringalg import (
     RingCtx,
     all_ones_ring,
     format_ring_poly,
-    lift_poly,
     make_ring,
     ring_poly_combine,
     ring_poly_component,
@@ -79,7 +78,7 @@ __all__ = [
     "family_codes", "odd_like_i", "odd_like_ii", "splitting_field",
     "IDENTITY_NAMES", "IdentityOutcome", "check_identities",
     "ResidueSystem", "build_residue_system", "mu_exponents", "mu_poly",
-    "RingCtx", "all_ones_ring", "format_ring_poly", "lift_poly", "make_ring",
+    "RingCtx", "all_ones_ring", "format_ring_poly", "make_ring",
     "ring_poly_combine", "ring_poly_component",
     "RingCode", "chain_step_poly", "component_consistency", "ring_code",
     "ring_even_like_i", "ring_even_like_ii", "ring_mu_chain",

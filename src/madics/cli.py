@@ -47,14 +47,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolved_params(args, system, ctx=None, ring=None):
+def _resolved_params(system, ctx=None, ring=None, alpha_exp=1):
     out = {"p": system.p, "m": system.m, "b": system.b, "a": system.a,
            "a_class_index": system.a_class_index}
     if ctx is not None:
         ext, alpha = splitting_field(ctx.q, system.p)
         out.update({
             "q": ctx.q,
-            "alpha_exp": getattr(args, "alpha_exp", 1),
+            "alpha_exp": alpha_exp,
             "splitting_field_degree": ext.t,
             "splitting_field_modulus": list(ext.modulus),
             "alpha": int(alpha),
@@ -120,7 +120,7 @@ def _ring_code_json(code, params, report=None):
 
 def cmd_classes(args):
     system = build_residue_system(args.p, args.m, args.b, args.a)
-    params = _resolved_params(args, system)
+    params = _resolved_params(system)
     payload = {"command": "classes", "parameters": params,
                "classes": [list(c) for c in system.classes]}
     lines = _params_lines(params)
@@ -140,7 +140,7 @@ def _build_field(args):
 
 def cmd_field_code(args):
     system, ctx, code = _build_field(args)
-    params = _resolved_params(args, system, ctx)
+    params = _resolved_params(system, ctx, alpha_exp=args.alpha_exp)
     payload = {"command": "field-code", "parameters": params,
                "code": _field_code_json(code, params)}
     lines = _params_lines(params)
@@ -160,7 +160,7 @@ def _build_ring(args):
 
 def cmd_ring_code(args):
     system, ring, code = _build_ring(args)
-    params = _resolved_params(args, system, ring.field, ring)
+    params = _resolved_params(system, ring.field, ring, args.alpha_exp)
     payload = {"command": "ring-code", "parameters": params,
                "code": _ring_code_json(code, params)}
     lines = _params_lines(params)
@@ -212,32 +212,34 @@ def _load_exported(path):
     code_doc, p = _exported_params(doc)
     system = build_residue_system(p["p"], p["m"], p["b"], p["a"])
     ctx = make_prime_field(p["q"])
+    alpha_exp = p.get("alpha_exp", 1)
     if "slots" in p:
         ring = make_ring(ctx, p["s"])
         code = ring_code(ring, system, p["family"], tuple(p["slots"]),
-                         p.get("alpha_exp", 1))
+                         alpha_exp)
         rebuilt = [list(c) for c in code.generator]
     else:
         if not 0 <= p["index"] < system.m:
             raise MadicError(f"index must lie in [0, {system.m})")
-        codes = family_codes(system, ctx, p["family"], p.get("alpha_exp", 1))
+        codes = family_codes(system, ctx, p["family"], alpha_exp)
         code = codes[p["index"]]
         rebuilt = list(code.generator)
     if code_doc["generator"] != rebuilt:
         raise MadicError(
             "stored generator does not match the one rebuilt from the "
             "exported parameters; file edited or truncated?")
-    return system, code
+    return system, code, alpha_exp
 
 
 def _distance_target(args):
+    """(system, code, alpha_exp) from an export document or the flags."""
     if args.from_file:
         return _load_exported(args.from_file)
     if args.slots is not None:
-        system, ring, code = _build_ring(args)
-        return system, code
-    system, ctx, code = _build_field(args)
-    return system, code
+        system, _, code = _build_ring(args)
+    else:
+        system, _, code = _build_field(args)
+    return system, code, args.alpha_exp
 
 
 def _analyze(code, args):
@@ -253,12 +255,13 @@ def _analyze(code, args):
 
 
 def cmd_distance(args):
-    system, code = _distance_target(args)
+    system, code, alpha_exp = _distance_target(args)
     if isinstance(code, RingCode):
-        params = _resolved_params(args, system, code.ring.field, code.ring)
+        params = _resolved_params(system, code.ring.field, code.ring,
+                                  alpha_exp)
         code_json = _ring_code_json(code, params)
     else:
-        params = _resolved_params(args, system, code.ctx)
+        params = _resolved_params(system, code.ctx, alpha_exp=alpha_exp)
         code_json = _field_code_json(code, params)
     report, cross = _analyze(code, args)
     payload = {"command": "distance", "parameters": params,
@@ -297,15 +300,16 @@ def cmd_griesmer(args):
 
 
 def cmd_export(args):
-    system, code = _distance_target(args)
+    system, code, alpha_exp = _distance_target(args)
     report = None
     if not args.skip_distance:
         report, _ = _analyze(code, args)
     if isinstance(code, RingCode):
-        params = _resolved_params(args, system, code.ring.field, code.ring)
+        params = _resolved_params(system, code.ring.field, code.ring,
+                                  alpha_exp)
         code_json = _ring_code_json(code, params, report)
     else:
-        params = _resolved_params(args, system, code.ctx)
+        params = _resolved_params(system, code.ctx, alpha_exp=alpha_exp)
         code_json = _field_code_json(code, params, report)
     payload = {"command": "export", "parameters": params, "code": code_json}
     text = json.dumps(payload, indent=2)

@@ -148,6 +148,8 @@ class FieldCtx:
 
     def pow(self, a, e):
         """a**e by square and multiply; e may be any nonnegative int."""
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
         result = self.one
         a %= self.size
         while e > 0:

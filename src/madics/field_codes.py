@@ -75,12 +75,46 @@ def splitting_field(q, p):
 
 
 @functools.lru_cache(maxsize=None)
+def coset_factors(q, p):
+    """The irreducible factors of x**p - 1 over GF(q), by exponent.
+
+    Each q-cyclotomic coset C mod p gives the factor
+    prod_{k in C} (x - alpha^k), built once in the splitting field and
+    descended to F_q ints.  Returns a tuple whose entry k is the factor
+    of the coset holding k, so the coset {0} maps to x - 1 and the
+    members of one coset share one tuple.
+    """
+    ext, alpha = _pth_root_setup(q, p)
+    roots = [ext.one]
+    for _ in range(p - 1):
+        roots.append(ext.mul(roots[-1], alpha))
+    ctx = make_prime_field(q)
+    factor_of = [None] * p
+    check = (ctx.one,)
+    for coset in poly.cyclotomic_cosets(q, p):
+        prod = (ext.one,)
+        for k in coset:
+            prod = poly.mul(ext, prod, (ext.neg(roots[k]), ext.one))
+        if any(c >= q for c in prod):
+            raise AssertionError("coset product did not descend to F_q")
+        factor = tuple(int(c) for c in prod)
+        for k in coset:
+            factor_of[k] = factor
+        check = poly.mul(ctx, check, factor)
+    if check != poly.xn_minus_1(ctx, p):
+        raise AssertionError("coset factors do not multiply to x**p - 1")
+    return tuple(factor_of)
+
+
+@functools.lru_cache(maxsize=None)
 def _class_products(system, q, alpha_exp):
-    """ghat_i = prod_{k in Q_i} (x - alpha^(u*k)) descended to F_q ints.
+    """ghat_i = prod_{k in Q_i} (x - alpha^(u*k)) over F_q.
 
     alpha_exp = u selects which primitive p-th root anchors the
     class-to-factor labeling; u must be coprime to p.  Labelings for
-    different u differ by a rotation of the class index.
+    different u differ by a rotation of the class index.  Since q lies
+    in Q_0, u*Q_i is a union of q-cyclotomic cosets, and ghat_i is the
+    product of their coset factors.
     """
     p = system.p
     if q % p == 0:
@@ -91,16 +125,14 @@ def _class_products(system, q, alpha_exp):
             "class products do not descend to the base field")
     if alpha_exp % p == 0:
         raise NotCoprime("alpha_exp must be coprime to p")
-    ext, alpha = _pth_root_setup(q, p)
-    root = ext.pow(alpha, alpha_exp)
+    factor_of = coset_factors(q, p)
+    ctx = make_prime_field(q)
     ghats = []
     for cls in system.classes:
-        prod = (ext.one,)
-        for k in cls:
-            prod = poly.mul(ext, prod, (ext.neg(ext.pow(root, k)), ext.one))
-        if any(c >= q for c in prod):
-            raise AssertionError("class product did not descend to F_q")
-        ghats.append(tuple(int(c) for c in prod))
+        prod = (ctx.one,)
+        for factor in dict.fromkeys(factor_of[alpha_exp * k % p] for k in cls):
+            prod = poly.mul(ctx, prod, factor)
+        ghats.append(prod)
     return tuple(ghats)
 
 

@@ -11,6 +11,10 @@ domain exposes ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul``,
 satisfy this.  Coefficients are plain hashable values (ints over a
 field, tuples over the ring), so polynomials stay cheap to copy,
 compare and store.
+
+The module also holds the q-cyclotomic cosets mod p; the factors of
+x**p - 1 they index need the splitting field and are built in
+field_codes.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import re
 
 from .errors import (
     BothZero,
-    NonPrimeModulus,
     NonUnitLeadingCoefficient,
     NotADivisor,
     NotCoprime,
@@ -251,46 +254,6 @@ def cyclotomic_cosets(q, p):
         cosets.append(tuple(sorted(coset)))
     cosets.sort(key=lambda c: c[0])
     return cosets
-
-
-def factor_xp_minus_1(ctx, p):
-    """Irreducible factors of x**p - 1 over the prime field ctx.
-
-    Factors correspond to the q-cyclotomic cosets mod p: the coset {0}
-    gives x - 1, and each other coset C gives prod_{k in C} (x - alpha^k)
-    with alpha a fixed primitive p-th root of unity in the splitting
-    field GF(q^t), t = ord_p(q).  Returned in order of smallest coset
-    element, so the x - 1 factor comes first.
-    """
-    from .ffield import is_prime, make_extension, make_prime_field
-
-    if ctx.t != 1:
-        raise NonPrimeModulus("factoring x**p - 1 requires a prime base field")
-    q = ctx.q
-    if not is_prime(p):
-        raise NonPrimeModulus(f"code length {p} must be prime")
-    if p == q:
-        raise NotCoprime("code length must be coprime to the characteristic")
-
-    t = make_prime_field(p).multiplicative_order(q % p)
-    ext = make_extension(q, t)
-    alpha = ext.pow(ext.primitive_element, (ext.size - 1) // p)
-    factors = []
-    for coset in cyclotomic_cosets(q, p):
-        prod = constant(ext, ext.one)
-        for k in coset:
-            prod = mul(ext, prod, (ext.neg(ext.pow(alpha, k)), ext.one))
-        # coefficients of a coset product lie in the base field
-        for c in prod:
-            if c >= q:
-                raise AssertionError("coset product did not descend to F_q")
-        factors.append(tuple(int(c) for c in prod))
-    check = constant(ctx, ctx.one)
-    for f in factors:
-        check = mul(ctx, check, f)
-    if check != xn_minus_1(ctx, p):
-        raise AssertionError("factor product check failed")
-    return factors
 
 
 # ---------------- text format ----------------

@@ -38,7 +38,6 @@ from .residues import ResidueSystem, mu_poly
 from .ringalg import (
     RingCtx,
     all_ones_ring,
-    lift_poly,
     ring_poly_combine,
     ring_poly_component,
 )

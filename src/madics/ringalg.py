@@ -169,11 +169,6 @@ def _validate_ring(ring):
 
 # ---------------- polynomials over R ----------------
 
-def lift_poly(ring, coeffs):
-    """Embed an F_q polynomial into R[x] coefficientwise."""
-    return poly.trim(ring, (ring.from_scalar(c) for c in coeffs))
-
-
 def ring_poly_component(ring, rp, k):
     """k-th CRT component of a polynomial over R, as an F_q polynomial."""
     pt = ring.crt_points[k]

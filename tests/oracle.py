@@ -1,14 +1,25 @@
-"""Slow reference scans, the test oracles of madics._kernels.
+"""Slow references that the fast paths of madics are tested against.
 
-scan_numpy expands each block of message indices into base-q digits
-and multiplies by G.  scan_union builds the full 0/1 support table of
-every component and ORs it across all tuples.  Neither splits G or
-compares against negated words as the kernel does.  Both return
-(d_min, counts) with the zero word in counts[0], but scan_union holds
-every tuple in memory at once, so keep its inputs small.
+check_identities_vbasis evaluates the identity suite directly in the
+v-basis of R = F_q[v]/(v^s - v), with no CRT split;
+madics.identities.check_identities, which works on the CRT components,
+must agree with it on every outcome.
+
+The scans are the oracles of madics._kernels.  scan_numpy expands
+each block of message indices into base-q digits and multiplies by G.
+scan_union builds the full 0/1 support table of every component and
+ORs it across all tuples.  Neither splits G or compares against
+negated words as the kernel does.  Both return (d_min, counts) with
+the zero word in counts[0], but scan_union holds every tuple in memory
+at once, so keep its inputs small.
 """
 
 import numpy as np
+
+from madics import poly
+from madics.identities import IDENTITY_NAMES, IdentityOutcome
+from madics.ring_codes import chain_step_poly, ring_code, ring_mu_chain
+from madics.ringalg import all_ones_ring, format_ring_poly
 
 
 def scan_numpy(gmat, q, chunk=1 << 13):
@@ -50,3 +61,126 @@ def scan_union(gmats, q):
     counts = np.bincount(weights, minlength=n + 1)
     nonzero = weights[weights > 0]
     return (int(nonzero.min()) if nonzero.size else 0), counts
+
+
+def _eq(ring, p, a, b):
+    return poly.mod_xn_minus_1(ring, a, p) == poly.mod_xn_minus_1(ring, b, p)
+
+
+def check_identities_vbasis(ring, system, base_slots=None, a=None,
+                            alpha_exp=1):
+    """The identity suite evaluated in the v-basis over R, the oracle of
+    madics.identities.check_identities; returns {name: IdentityOutcome}."""
+    p, m, s = system.p, system.m, ring.s
+    if base_slots is None:
+        base_slots = tuple(i % m for i in range(s))
+    if a is None:
+        a = system.a
+
+    base = ring_code(ring, system, "even-I", base_slots, alpha_exp)
+    orbit = ring_mu_chain(base, a)
+    es = [c.idempotent for c in orbit]
+    eps = [ring_code(ring, system, "odd-I", c.slots, alpha_exp).idempotent
+           for c in orbit]
+    ds = [ring_code(ring, system, "even-II", c.slots, alpha_exp).idempotent
+          for c in orbit]
+    dps = [ring_code(ring, system, "odd-II", c.slots, alpha_exp).idempotent
+           for c in orbit]
+
+    one = (ring.one,)
+    zero = poly.ZERO
+    h = all_ones_ring(ring, p)
+    one_minus_h = poly.sub(ring, one, h)
+
+    def mm(x, y):
+        return poly.mul_mod(ring, x, y, p)
+
+    def sq_ok(polys):
+        return all(_eq(ring, p, mm(e, e), e) for e in polys)
+
+    def chain_ok(polys):
+        n = len(polys)
+        return all(
+            _eq(ring, p, poly.trim(ring, chain_step_poly(p, a, polys[r])),
+                     polys[(r + 1) % n])
+            for r in range(n))
+
+    def total(polys):
+        acc = zero
+        for e in polys:
+            acc = poly.add(ring, acc, e)
+        return poly.mod_xn_minus_1(ring, acc, p)
+
+    def product(polys):
+        acc = one
+        for e in polys:
+            acc = mm(acc, e)
+        return acc
+
+    out = {}
+
+    def record(name, holds, computed=(), expected=()):
+        out[name] = IdentityOutcome(
+            name, holds,
+            format_ring_poly(ring, computed) if not holds else "",
+            format_ring_poly(ring, expected) if not holds else "")
+
+    record("E_idempotent", sq_ok(es))
+    mu_es = [poly.trim(ring, chain_step_poly(p, a, e)) for e in es]
+    record("mu_E_idempotent", sq_ok(mu_es))
+    record("orbit_closes",
+           _eq(ring, p, poly.trim(ring, chain_step_poly(p, a, es[-1])),
+                    es[0]))
+
+    prod_zero = all(
+        _eq(ring, p, mm(es[r], es[t]), zero)
+        for r in range(len(es)) for t in range(r + 1, len(es)))
+    record("E_products_zero", prod_zero)
+
+    e_sum = total(es)
+    record("E_sum_is_1_minus_h", _eq(ring, p, e_sum, one_minus_h),
+           e_sum, one_minus_h)
+
+    record("Ep_idempotent", sq_ok(eps))
+    record("Ep_mu_chain", chain_ok(eps))
+    pair_ok = all(
+        _eq(ring, p,
+                 poly.sub(ring, poly.add(ring, eps[r], eps[t]),
+                          mm(eps[r], eps[t])),
+                 one)
+        for r in range(len(eps)) for t in range(r + 1, len(eps)))
+    record("Ep_pair_identity", pair_ok)
+    ep_prod = product(eps)
+    record("Ep_product_is_h", _eq(ring, p, ep_prod, h), ep_prod, h)
+
+    record("D_idempotent", sq_ok(ds), mm(ds[0], ds[0]), ds[0])
+    record("D_mu_chain", chain_ok(ds))
+    d_pair_ok = all(
+        _eq(ring, p,
+                 poly.sub(ring, poly.add(ring, ds[r], ds[t]),
+                          mm(ds[r], ds[t])),
+                 one_minus_h)
+        for r in range(len(ds)) for t in range(r + 1, len(ds)))
+    sample_pair = poly.sub(ring, poly.add(ring, ds[0], ds[1 % len(ds)]),
+                           mm(ds[0], ds[1 % len(ds)]))
+    record("D_pair_identity", d_pair_ok, sample_pair, one_minus_h)
+    d_prod = product(ds)
+    record("D_product_zero", _eq(ring, p, d_prod, zero), d_prod, zero)
+
+    record("Dp_idempotent", sq_ok(dps), mm(dps[0], dps[0]), dps[0])
+    record("Dp_mu_chain", chain_ok(dps))
+    dp_pair_ok = all(
+        _eq(ring, p, mm(dps[r], dps[t]), h)
+        for r in range(len(dps)) for t in range(r + 1, len(dps)))
+    record("Dp_pair_is_h", dp_pair_ok, mm(dps[0], dps[1 % len(dps)]), h)
+    dp_sum = total(dps)
+    dp_expected = poly.mod_xn_minus_1(
+        ring,
+        poly.sub(ring, one,
+                 poly.scale(ring, ring.from_scalar(s - 1), h)),
+        p)
+    record("Dp_sum_identity", _eq(ring, p, dp_sum, dp_expected),
+           dp_sum, dp_expected)
+
+    assert set(out) == set(IDENTITY_NAMES)
+    return out

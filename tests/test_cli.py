@@ -164,6 +164,38 @@ def test_export_field_round_trip(tmp_path, capsys):
     assert doc["code"]["distance_report"]["d_min"] == 15
 
 
+@pytest.mark.parametrize("source", (
+    ("--index", "0"), ("--s", "3", "--slots", "0,1,2")))
+def test_reexport_keeps_alpha_exp(tmp_path, capsys, source):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    code, _, _ = run_cli(capsys, "export", "--q", "3", "--p", "13",
+                         "--m", "4", "--family", "odd-I", *source,
+                         "--alpha-exp", "2", "--skip-distance",
+                         "--out", str(first))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "export", "--from", str(first),
+                         "--skip-distance", "--out", str(second))
+    assert code == 0
+    doc = json.loads(second.read_text())
+    assert doc == json.loads(first.read_text())
+    assert doc["parameters"]["alpha_exp"] == 2
+    code, out, _ = run_json(capsys, "distance", "--from", str(second))
+    assert code == 0
+    assert out["parameters"]["alpha_exp"] == 2
+    assert out["code"]["generator"] == doc["code"]["generator"]
+
+
+def test_negative_alpha_exp_field_code(capsys):
+    args = ("field-code", "--q", "3", "--p", "13", "--m", "4",
+            "--family", "odd-I", "--index", "0", "--alpha-exp")
+    code, neg, _ = run_json(capsys, *args, "-1")
+    assert code == 0
+    code, pos, _ = run_json(capsys, *args, "12")
+    assert code == 0
+    assert neg["code"]["generator"] == pos["code"]["generator"]
+    assert neg["code"]["idempotent"] == pos["code"]["idempotent"]
+
+
 def test_export_tamper_detected(tmp_path, capsys):
     path = tmp_path / "code.json"
     run_cli(capsys, "export", "--q", "3", "--p", "13", "--m", "4",

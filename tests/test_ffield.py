@@ -95,6 +95,12 @@ def test_pow_matches_repeated_mul():
         acc = ext.mul(acc, a)
 
 
+def test_pow_rejects_negative_exponent():
+    for ctx in (make_prime_field(13), make_extension(5, 2)):
+        with pytest.raises(ValueError):
+            ctx.pow(ctx.primitive_element, -1)
+
+
 def test_gf3_11_pinned():
     # the values the full search (c_0 = 0 candidates included) finds,
     # which takes about 100 s for this field

@@ -1,11 +1,20 @@
 """Field code family tests with frozen reference generators."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madics import poly
-from madics.errors import QNotResidue
+from madics.analysis import weight_enumerator
+from madics.errors import NonPrimeModulus, QNotResidue
 from madics.ffield import make_prime_field
-from madics.field_codes import FAMILIES, all_ones_h, family_codes, splitting_field
+from madics.field_codes import (
+    FAMILIES,
+    _class_products,
+    all_ones_h,
+    coset_factors,
+    family_codes,
+    splitting_field,
+)
 from madics.residues import build_residue_system
 
 F3 = make_prime_field(3)
@@ -125,6 +134,89 @@ def test_alpha_exp_rotates_labels():
         relabeled = {c.generator
                      for c in family_codes(system, F3, "even-I", u)}
         assert relabeled == base
+
+
+def test_negative_alpha_exp_is_reduced_mod_p():
+    # u = -1 and u = p - 1 name the same root alpha^(p-1)
+    system = build_residue_system(13, 4)
+    for fam in FAMILIES:
+        assert family_codes(system, F3, fam, -1) == \
+            family_codes(system, F3, fam, 12)
+
+
+def test_coset_factors_multiply_to_xp_minus_1():
+    for q, p in ((3, 13), (7, 19), (2, 7)):
+        ctx = make_prime_field(q)
+        factor_of = coset_factors(q, p)
+        assert factor_of[0] == (ctx.neg(ctx.one), ctx.one)
+        for coset in poly.cyclotomic_cosets(q, p):
+            assert len({factor_of[k] for k in coset}) == 1
+        prod = poly.constant(ctx, ctx.one)
+        for f in dict.fromkeys(factor_of):
+            prod = poly.mul(ctx, prod, f)
+        assert prod == poly.xn_minus_1(ctx, p)
+    with pytest.raises(NonPrimeModulus):
+        coset_factors(3, 15)
+
+
+@pytest.mark.parametrize("q,p,m", (
+    (2, 7, 2), (3, 13, 4), (3, 13, 2), (7, 19, 6), (2, 23, 2), (3, 11, 2),
+    (2, 31, 3), (5, 11, 2), (2, 73, 8), (2, 89, 8), (2, 127, 9)))
+def test_class_products_match_direct_roots(q, p, m):
+    # ghat_i = prod_{k in u*Q_i} (x - alpha^k), multiplied out in GF(q^t)
+    system = build_residue_system(p, m)
+    ext, alpha = splitting_field(q, p)
+    for u in (1, 2, 3, -1):
+        direct = []
+        for cls in system.classes:
+            prod = (ext.one,)
+            for k in cls:
+                root = ext.pow(alpha, u * k % p)
+                prod = poly.mul(ext, prod, (ext.neg(root), ext.one))
+            direct.append(prod)
+        assert _class_products(system, q, u) == tuple(direct)
+
+
+def _family_dims(p, m):
+    e = (p - 1) // m
+    return {"even-I": e, "odd-I": p - e, "even-II": p - 1 - e,
+            "odd-II": e + 1}
+
+
+# (q, p, m, family) with q an m-adic residue mod p, a splitting field of
+# at most 2**16 elements and q**k <= 2**14 words in the family's codes
+FIELD_CASES = [
+    (q, p, m, family)
+    for q in (2, 3, 5, 7)
+    for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 73) if p != q
+    if q ** make_prime_field(p).multiplicative_order(q % p) <= 1 << 16
+    for m in range(2, p) if (p - 1) % m == 0
+    and build_residue_system(p, m).is_madic_residue(q % p)
+    for family, k in _family_dims(p, m).items() if q ** k <= 1 << 14
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELD_CASES))
+def test_family_idempotents_generate_property(case):
+    q, p, m, family = case
+    ctx = make_prime_field(q)
+    xp1 = poly.xn_minus_1(ctx, p)
+    for c in family_codes(build_residue_system(p, m), ctx, family):
+        assert poly.mul_mod(ctx, c.idempotent, c.idempotent, p) == \
+            c.idempotent
+        assert poly.associates(ctx, poly.gcd(ctx, c.idempotent, xp1),
+                               c.generator)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELD_CASES))
+def test_family_weight_distributions_agree_property(case):
+    # the m codes of a family are equivalent under the multipliers mu_b
+    q, p, m, family = case
+    codes = family_codes(build_residue_system(p, m), make_prime_field(q),
+                         family)
+    assert len({weight_enumerator(c) for c in codes}) == 1
 
 
 def test_idempotents_supported_on_classes():

@@ -7,13 +7,18 @@ class-II sum identity fails on every valid grid instance (its true
 value is 1 + (L - p^-1) h for orbit length L, not 1 - (s-1) h).
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madics.errors import QNotResidue
 from madics.ffield import make_prime_field
 from madics.identities import IDENTITY_NAMES, check_identities
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
+from madics.verify import IDENTITY_GRID
+from oracle import check_identities_vbasis
 
 P_DEPENDENT = {
     "E_sum_is_1_minus_h",
@@ -108,3 +113,47 @@ def test_outcomes_cover_all_names():
     assert set(outcomes) == set(IDENTITY_NAMES)
     for name, o in outcomes.items():
         assert o.name == name
+
+
+@pytest.mark.parametrize("alpha_exp", (1, 2))
+@pytest.mark.parametrize("q,p,m,s", IDENTITY_GRID + ((7, 19, 3, 3),))
+def test_suite_matches_vbasis_oracle(q, p, m, s, alpha_exp):
+    system = build_residue_system(p, m)
+    ring = make_ring(make_prime_field(q), s)
+    if not system.is_madic_residue(q % p):
+        for suite in (check_identities, check_identities_vbasis):
+            with pytest.raises(QNotResidue):
+                suite(ring, system, alpha_exp=alpha_exp)
+        return
+    assert check_identities(ring, system, alpha_exp=alpha_exp) == \
+        check_identities_vbasis(ring, system, alpha_exp=alpha_exp)
+
+
+# (q, p, m, s) with q an m-adic residue mod p, p small enough that the
+# v-basis oracle stays cheap
+SUITE_CASES = [
+    (q, p, m, s)
+    for q in (2, 3, 5, 7)
+    for p in (5, 7, 11, 13, 17, 19) if p != q
+    for m in range(2, 7) if (p - 1) % m == 0
+    and build_residue_system(p, m).is_madic_residue(q % p)
+    for s in range(2, q + 1) if (q - 1) % (s - 1) == 0
+]
+
+
+@st.composite
+def suite_inputs(draw):
+    q, p, m, s = draw(st.sampled_from(SUITE_CASES))
+    system = build_residue_system(p, m)
+    slots = tuple(draw(st.lists(st.integers(0, m - 1), min_size=s,
+                                max_size=s)))
+    a = draw(st.sampled_from(
+        [x for x in range(1, p) if math.gcd(system.class_of(x), m) == 1]))
+    alpha_exp = draw(st.integers(-p, 2 * p).filter(lambda u: u % p))
+    return make_ring(make_prime_field(q), s), system, slots, a, alpha_exp
+
+
+@settings(max_examples=25, deadline=None)
+@given(suite_inputs())
+def test_suite_matches_vbasis_oracle_property(inputs):
+    assert check_identities(*inputs) == check_identities_vbasis(*inputs)

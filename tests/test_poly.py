@@ -5,8 +5,9 @@ import random
 import pytest
 
 from madics import poly
-from madics.errors import BothZero, NonPrimeModulus, NotADivisor, ZeroCode
+from madics.errors import BothZero, NotADivisor, ZeroCode
 from madics.ffield import make_extension, make_prime_field
+from madics.field_codes import coset_factors
 
 rng = random.Random(0x9017)
 F3 = make_prime_field(3)
@@ -107,23 +108,11 @@ def test_cyclotomic_cosets_partition():
             assert (3 * x) % 13 in c
 
 
-def test_factor_xp_minus_1():
-    for q, p in ((3, 13), (7, 19), (2, 7)):
-        ctx = make_prime_field(q)
-        factors = poly.factor_xp_minus_1(ctx, p)
-        prod = poly.constant(ctx, ctx.one)
-        for f in factors:
-            prod = poly.mul(ctx, prod, f)
-        assert prod == poly.xn_minus_1(ctx, p)
-    with pytest.raises(NonPrimeModulus):
-        poly.factor_xp_minus_1(make_prime_field(3), 15)
-
-
 def test_idempotent_of_cyclic_properties():
     ctx = F3
     p = 13
     xp1 = poly.xn_minus_1(ctx, p)
-    factors = poly.factor_xp_minus_1(ctx, p)
+    factors = list(dict.fromkeys(coset_factors(3, p)))
     # products of factor subsets give every nontrivial divisor shape
     for i in range(len(factors)):
         g = poly.constant(ctx, ctx.one)
