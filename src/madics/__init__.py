@@ -34,18 +34,13 @@ from .field_codes import (
     FAMILIES,
     CyclicCode,
     all_ones_h,
-    even_like_i,
-    even_like_ii,
     family_codes,
-    odd_like_i,
-    odd_like_ii,
     splitting_field,
 )
 from .identities import IDENTITY_NAMES, IdentityOutcome, check_identities
 from .residues import ResidueSystem, build_residue_system, mu_exponents, mu_poly
 from .ringalg import (
     RingCtx,
-    all_ones_ring,
     format_ring_poly,
     make_ring,
     ring_poly_combine,
@@ -56,11 +51,7 @@ from .ring_codes import (
     chain_step_poly,
     component_consistency,
     ring_code,
-    ring_even_like_i,
-    ring_even_like_ii,
     ring_mu_chain,
-    ring_odd_like_i,
-    ring_odd_like_ii,
 )
 from .verify import VerifyReport, run_verification
 
@@ -74,15 +65,13 @@ __all__ = [
     "MultiplierNotCyclic", "NonPrimeModulus", "NotCoprime",
     "NotPrimitiveRoot", "QNotResidue", "TooLarge", "ZeroCode",
     "FieldCtx", "make_extension", "make_prime_field",
-    "FAMILIES", "CyclicCode", "all_ones_h", "even_like_i", "even_like_ii",
-    "family_codes", "odd_like_i", "odd_like_ii", "splitting_field",
+    "FAMILIES", "CyclicCode", "all_ones_h", "family_codes", "splitting_field",
     "IDENTITY_NAMES", "IdentityOutcome", "check_identities",
     "ResidueSystem", "build_residue_system", "mu_exponents", "mu_poly",
-    "RingCtx", "all_ones_ring", "format_ring_poly", "make_ring",
+    "RingCtx", "format_ring_poly", "make_ring",
     "ring_poly_combine", "ring_poly_component",
     "RingCode", "chain_step_poly", "component_consistency", "ring_code",
-    "ring_even_like_i", "ring_even_like_ii", "ring_mu_chain",
-    "ring_odd_like_i", "ring_odd_like_ii",
+    "ring_mu_chain",
     "VerifyReport", "run_verification",
     "__version__",
 ]

@@ -254,18 +254,21 @@ def _analyze(code, args):
     return min_distance_field(code, args.cap), None
 
 
-def cmd_distance(args):
-    system, code, alpha_exp = _distance_target(args)
+def _code_payload(system, code, alpha_exp, report=None):
+    """Resolved params and the JSON form of a field or ring code."""
     if isinstance(code, RingCode):
         params = _resolved_params(system, code.ring.field, code.ring,
                                   alpha_exp)
-        code_json = _ring_code_json(code, params)
-    else:
-        params = _resolved_params(system, code.ctx, alpha_exp=alpha_exp)
-        code_json = _field_code_json(code, params)
+        return params, _ring_code_json(code, params, report)
+    params = _resolved_params(system, code.ctx, alpha_exp=alpha_exp)
+    return params, _field_code_json(code, params, report)
+
+
+def cmd_distance(args):
+    system, code, alpha_exp = _distance_target(args)
     report, cross = _analyze(code, args)
-    payload = {"command": "distance", "parameters": params,
-               "code": dict(code_json, distance_report=_report_json(report))}
+    params, code_json = _code_payload(system, code, alpha_exp, report)
+    payload = {"command": "distance", "parameters": params, "code": code_json}
     lines = _params_lines(params)
     lines.append(f"[{report.n}, {report.k}] d_min = {report.d_min} "
                  f"({report.method}, {report.enumerated} codewords "
@@ -304,13 +307,7 @@ def cmd_export(args):
     report = None
     if not args.skip_distance:
         report, _ = _analyze(code, args)
-    if isinstance(code, RingCode):
-        params = _resolved_params(system, code.ring.field, code.ring,
-                                  alpha_exp)
-        code_json = _ring_code_json(code, params, report)
-    else:
-        params = _resolved_params(system, code.ctx, alpha_exp=alpha_exp)
-        code_json = _field_code_json(code, params, report)
+    params, code_json = _code_payload(system, code, alpha_exp, report)
     payload = {"command": "export", "parameters": params, "code": code_json}
     text = json.dumps(payload, indent=2)
     if args.out:
@@ -371,6 +368,20 @@ def _add_field_flags(sub, required=True):
                      help="exponent of the pinned p-th root anchoring class 0")
 
 
+def _add_code_source_flags(sub, from_help):
+    """The flags that name a field or ring code, or the export document
+    to load it from, and the distance analysis flags."""
+    src = sub.add_argument_group("code source")
+    src.add_argument("--from", dest="from_file", default=None,
+                     metavar="FILE", help=from_help)
+    _add_system_flags(src, required=False)
+    _add_field_flags(src, required=False)
+    src.add_argument("--index", type=int, default=None)
+    src.add_argument("--s", type=int, default=None)
+    src.add_argument("--slots", type=_slots, default=None)
+    _add_analysis_flags(sub)
+
+
 def _add_analysis_flags(sub):
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
                      help="maximum enumeration size")
@@ -414,15 +425,7 @@ def build_parser():
     sp.set_defaults(func=cmd_ring_code)
 
     sp = subs.add_parser("distance", help="exact minimum distance")
-    src = sp.add_argument_group("code source")
-    src.add_argument("--from", dest="from_file", default=None,
-                     metavar="FILE", help="re-analyze an exported JSON code")
-    _add_system_flags(sp, required=False)
-    _add_field_flags(sp, required=False)
-    sp.add_argument("--index", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--slots", type=_slots, default=None)
-    _add_analysis_flags(sp)
+    _add_code_source_flags(sp, "re-analyze an exported JSON code")
     _add_common(sp)
     sp.set_defaults(func=cmd_distance)
 
@@ -442,18 +445,11 @@ def build_parser():
     sp.set_defaults(func=cmd_verify_paper)
 
     sp = subs.add_parser("export", help="emit a code as a JSON document")
-    sp.add_argument("--from", dest="from_file", default=None,
-                    metavar="FILE", help="re-export a previously exported code")
-    _add_system_flags(sp, required=False)
-    _add_field_flags(sp, required=False)
-    sp.add_argument("--index", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--slots", type=_slots, default=None)
+    _add_code_source_flags(sp, "re-export a previously exported code")
     sp.add_argument("--skip-distance", action="store_true",
                     help="omit the distance report")
     sp.add_argument("--out", default=None, metavar="FILE",
                     help="write to a file instead of stdout")
-    _add_analysis_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_export)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from . import poly
 from .errors import NotCoprime, QNotResidue
 from .ffield import FieldCtx, make_extension, make_prime_field
-from .residues import ResidueSystem
 
 FAMILIES = ("even-I", "odd-I", "even-II", "odd-II")
 
@@ -136,60 +135,29 @@ def _class_products(system, q, alpha_exp):
     return tuple(ghats)
 
 
-def _codes(system, ctx, family, gens):
-    out = []
-    for i, g in enumerate(gens):
-        e = poly.idempotent_of_cyclic(ctx, g, system.p)
-        out.append(CyclicCode(ctx, system.p, family, i, g, e))
-    return tuple(out)
-
-
-def even_like_i(system, ctx, alpha_exp=1):
-    """The m even-like class-I codes <g_i>, g_i = (x**p - 1)/ghat_i."""
-    xp1 = poly.xn_minus_1(ctx, system.p)
-    ghats = _class_products(system, ctx.q, alpha_exp)
-    gens = [poly.div_exact(ctx, xp1, gh) for gh in ghats]
-    return _codes(system, ctx, "even-I", gens)
-
-
-def odd_like_i(system, ctx, alpha_exp=1):
-    """The m odd-like class-I codes <ghat_i>."""
-    ghats = _class_products(system, ctx.q, alpha_exp)
-    return _codes(system, ctx, "odd-I", ghats)
-
-
-def even_like_ii(system, ctx, alpha_exp=1):
-    """The m even-like class-II codes <h_i>, h_i = (x - 1)*ghat_i."""
-    x_minus_1 = (ctx.neg(ctx.one), ctx.one)
-    ghats = _class_products(system, ctx.q, alpha_exp)
-    gens = [poly.mul(ctx, x_minus_1, gh) for gh in ghats]
-    return _codes(system, ctx, "even-II", gens)
-
-
-def odd_like_ii(system, ctx, alpha_exp=1):
-    """The m odd-like class-II codes <hhat_i>, hhat_i = g_i/(x - 1)."""
-    x_minus_1 = (ctx.neg(ctx.one), ctx.one)
-    xp1 = poly.xn_minus_1(ctx, system.p)
-    ghats = _class_products(system, ctx.q, alpha_exp)
-    gens = []
-    for gh in ghats:
-        g = poly.div_exact(ctx, xp1, gh)
-        # x - 1 divides every even-like class-I generator
-        gens.append(poly.div_exact(ctx, g, x_minus_1))
-    return _codes(system, ctx, "odd-II", gens)
-
-
-_BUILDERS = {
-    "even-I": even_like_i,
-    "odd-I": odd_like_i,
-    "even-II": even_like_ii,
-    "odd-II": odd_like_ii,
-}
-
-
 @functools.lru_cache(maxsize=None)
 def family_codes(system, ctx, family, alpha_exp=1):
-    """All m codes of one family, cached per (system, ctx, labeling)."""
-    if family not in _BUILDERS:
+    """All m codes of one family, cached per (system, ctx, labeling).
+
+    Each generator comes from the class product ghat_i as in the table
+    above; x - 1 divides every even-like class-I generator, so the
+    odd-like class-II division is exact.
+    """
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return _BUILDERS[family](system, ctx, alpha_exp)
+    p = system.p
+    xp1 = poly.xn_minus_1(ctx, p)
+    x_minus_1 = (ctx.neg(ctx.one), ctx.one)
+    codes = []
+    for i, ghat in enumerate(_class_products(system, ctx.q, alpha_exp)):
+        if family == "even-I":
+            g = poly.div_exact(ctx, xp1, ghat)
+        elif family == "odd-I":
+            g = ghat
+        elif family == "even-II":
+            g = poly.mul(ctx, x_minus_1, ghat)
+        else:  # odd-II
+            g = poly.div_exact(ctx, poly.div_exact(ctx, xp1, ghat), x_minus_1)
+        e = poly.idempotent_of_cyclic(ctx, g, p)
+        codes.append(CyclicCode(ctx, p, family, i, g, e))
+    return tuple(codes)

@@ -17,11 +17,10 @@ Some of these hold only under arithmetic side conditions on (q, p)
 (notably p = 1 mod q); the suite evaluates each one exactly and reports
 what it finds instead of assuming.
 
-The suite runs over F_q on the s CRT components: each stored defining
-element is split once, and the split is checked by recombining the
-components into the stored element.  Products, sums, chain steps and
-comparisons then act per component, and the v-basis form is rebuilt
-only to display a refuted identity's two sides.
+The suite runs over F_q on the s CRT components each ring code
+carries (``RingCode.elements``): products, sums, chain steps and
+comparisons act per component, and the v-basis form is built only to
+display a refuted identity's two sides.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from . import poly
 from .field_codes import all_ones_h
 from .ring_codes import chain_step_poly, ring_code, ring_mu_chain
-from .ringalg import format_ring_poly, ring_poly_combine, ring_poly_component
+from .ringalg import format_ring_poly, ring_poly_combine
 
 IDENTITY_NAMES = (
     "E_idempotent",
@@ -72,19 +71,11 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     if a is None:
         a = system.a
 
-    def components(code):
-        comps = tuple(ring_poly_component(ring, code.idempotent, k)
-                      for k in range(s))
-        if ring_poly_combine(ring, comps) != code.idempotent:
-            raise AssertionError(
-                "CRT components do not recombine to the stored element")
-        return comps
-
     base = ring_code(ring, system, "even-I", base_slots, alpha_exp)
     orbit = ring_mu_chain(base, a)
-    es = [components(c) for c in orbit]
+    es = [c.elements for c in orbit]
     eps, ds, dps = (
-        [components(ring_code(ring, system, family, c.slots, alpha_exp))
+        [ring_code(ring, system, family, c.slots, alpha_exp).elements
          for c in orbit]
         for family in ("odd-I", "even-II", "odd-II"))
 

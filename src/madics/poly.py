@@ -7,10 +7,13 @@ NEG_DEGREE (minus infinity), never -1.
 
 Every operation takes the coefficient domain as its first argument.  A
 domain exposes ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul``,
-``inv`` and ``is_unit`` on coefficient values; both FieldCtx and RingCtx
-satisfy this.  Coefficients are plain hashable values (ints over a
-field, tuples over the ring), so polynomials stay cheap to copy,
-compare and store.
+``inv`` and ``is_unit`` on coefficient values, as FieldCtx does.
+RingCtx is not a full domain: it has no ``inv`` or ``is_unit``, so over
+R only the ring operations (trim, add, sub, neg, scale, mul and the
+reductions mod x**n - 1) apply; ringalg.ring_poly_combine trims over R,
+and the v-basis test oracle uses the rest.  Coefficients are plain
+hashable values (ints over a field, tuples over the ring), so
+polynomials stay cheap to copy, compare and store.
 
 The module also holds the q-cyclotomic cosets mod p; the factors of
 x**p - 1 they index need the splitting field and are built in

@@ -5,7 +5,8 @@ index m in the multiplicative group, and Q_i = b**i * Q_0 for a
 primitive root b are its cosets: a partition of {1, ..., p-1} into m
 classes of size (p - 1)/m.  The multiplier mu_a : i -> a*i mod p
 permutes exponents; when the class index j of a is coprime to m it
-cyclically shifts the classes, Q_i -> Q_{i+j}.
+cyclically shifts the classes, Q_i -> Q_{i+j}.  On polynomials it
+acts on F_q coefficients only; ring codes apply it per CRT component.
 """
 
 from __future__ import annotations
@@ -102,30 +103,16 @@ def mu_exponents(p, a, exps):
 
 
 def mu_poly(p, a, coeffs):
-    """Apply mu_a to a polynomial of degree < p: the coefficient at
+    """Apply mu_a to an F_q polynomial of degree < p: the coefficient at
     exponent i moves to exponent a*i mod p.  Position 0 is fixed.
-    Works for any coefficient domain (the values are just relocated).
     """
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"multiplier {a} is not coprime to {p}")
     if len(coeffs) > p:
         raise ValueError("polynomial degree must be < p")
-    out = [None] * p
-    zero_like = None
+    out = [0] * p
     for i, c in enumerate(coeffs):
         out[a * i % p] = c
-        zero_like = c
-    if zero_like is None:
-        return ()
-    zero = _zero_of(zero_like)
-    filled = [zero if c is None else c for c in out]
-    while filled and filled[-1] == zero:
-        filled.pop()
-    return tuple(filled)
-
-
-def _zero_of(coeff):
-    # int coefficients over a field, tuples over the ring
-    if isinstance(coeff, tuple):
-        return (0,) * len(coeff)
-    return 0
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)

@@ -1,21 +1,24 @@
 """m-adic residue codes over R = F_q[v]/(v**s - v).
 
-An even-like class-I code over R is built from a slot assignment
-(i_0, ..., i_{s-1}) of class indices: its idempotent is
+A ring code is built from a slot assignment (i_0, ..., i_{s-1}) of
+class indices.  Through the CRT it splits into s independent field
+codes, one per slot, and the ring layer works on those components
+only: slot k carries the F_q defining element
 
-    E = eta_0 * e_{i_0} + ... + eta_{s-1} * e_{i_{s-1}}
+    even-like class I   e_{i_k}
+    odd-like class I    1 - e_{i_k}
+    even-like class II  1 - h - e_{i_k}
+    odd-like class II   h + e_{i_k}
 
-with e_i the field even-like class-I idempotents.  Through the CRT the
-code splits into s independent field codes, one per slot.  The derived
-families transform the idempotent:
+with e_i the field even-like class-I idempotents and h the all-ones
+polynomial, and the component code of the same family.  The v-basis
+forms over R, the defining element
 
-    odd-like class I    E' = 1 - E
-    even-like class II  D  = 1 - h - E
-    odd-like class II   D' = h + E
+    E = eta_0 * (slot-0 element) + ... + eta_{s-1} * (slot-(s-1) element)
 
-with h the all-ones polynomial.  The reported generator over R is the
-slotwise CRT combination of the component generators, zero-padded to
-the widest component.
+and the generator (component generators combined the same way,
+zero-padded to the widest component), are built once from the
+components, for storage, display and export.
 
 The multiplier mu_a sends the exponent set Q_r to Q_{r+j}, with j the
 class index of a.  On polynomial coefficients the chain therefore
@@ -33,25 +36,22 @@ from dataclasses import dataclass
 
 from . import poly
 from .errors import BadSlotIndex, MultiplierNotCyclic, NotCoprime
-from .field_codes import FAMILIES, CyclicCode, family_codes
+from .field_codes import FAMILIES, all_ones_h, family_codes
 from .residues import ResidueSystem, mu_poly
-from .ringalg import (
-    RingCtx,
-    all_ones_ring,
-    ring_poly_combine,
-    ring_poly_component,
-)
+from .ringalg import RingCtx, ring_poly_combine
 
 
 @dataclass(frozen=True)
 class RingCode:
-    """A code over R with its defining element, combined generator and
-    the s field component codes.
+    """A code over R: its s component defining elements over F_q, the
+    v-basis defining element and generator combined from them, and the
+    s field component codes.
 
-    ``idempotent`` holds the family's defining element (E, 1-E, 1-h-E
-    or h+E).  For class-II even-like codes this element is a true
-    idempotent exactly when p = 1 mod q; the verification suite checks
-    and reports this rather than hiding it.
+    ``elements[k]`` is the family's defining element on slot k (e, 1-e,
+    1-h-e or h+e) and ``idempotent`` is their CRT combination.  For
+    class-II codes this element is a true idempotent exactly when
+    p = 1 mod q; the verification suite checks and reports this rather
+    than hiding it.
     """
 
     ring: RingCtx
@@ -59,6 +59,7 @@ class RingCode:
     family: str
     slots: tuple
     alpha_exp: int
+    elements: tuple
     idempotent: tuple
     generator: tuple
     components: tuple
@@ -70,11 +71,6 @@ class RingCode:
     @property
     def component_ranks(self):
         return tuple(c.dimension for c in self.components)
-
-
-def _even_idempotents(system, ctx, alpha_exp):
-    return tuple(c.idempotent for c in
-                 family_codes(system, ctx, "even-I", alpha_exp))
 
 
 def ring_code(ring, system, family, slots, alpha_exp=1):
@@ -89,49 +85,31 @@ def ring_code(ring, system, family, slots, alpha_exp=1):
         raise BadSlotIndex(f"slot indices must lie in [0, {system.m})")
 
     ctx = ring.field
-    p = system.p
-    evens = _even_idempotents(system, ctx, alpha_exp)
-    e_combined = ring_poly_combine(ring, [evens[i] for i in slots])
-
-    one = (ring.one,)
-    h = all_ones_ring(ring, p)
-    if family == "even-I":
-        element = e_combined
-    elif family == "odd-I":
-        element = poly.sub(ring, one, e_combined)
-    elif family == "even-II":
-        element = poly.sub(ring, poly.sub(ring, one, h), e_combined)
-    else:  # odd-II
-        element = poly.add(ring, h, e_combined)
+    evens = family_codes(system, ctx, "even-I", alpha_exp)
+    one = (ctx.one,)
+    h = all_ones_h(system.p)
+    elements = []
+    for i in slots:
+        e = evens[i].idempotent
+        if family == "even-I":
+            elements.append(e)
+        elif family == "odd-I":
+            elements.append(poly.sub(ctx, one, e))
+        elif family == "even-II":
+            elements.append(poly.sub(ctx, poly.sub(ctx, one, h), e))
+        else:  # odd-II
+            elements.append(poly.add(ctx, h, e))
 
     comps = family_codes(system, ctx, family, alpha_exp)
     components = tuple(comps[i] for i in slots)
-    generator = ring_poly_combine(ring, [c.generator for c in components])
-    return RingCode(ring, system, family, slots, alpha_exp,
-                    element, generator, components)
-
-
-def ring_even_like_i(ring, system, slots, alpha_exp=1):
-    return ring_code(ring, system, "even-I", slots, alpha_exp)
-
-
-def ring_odd_like_i(code):
-    """Odd-like class-I companion of an even-like class-I code."""
-    return ring_code(code.ring, code.system, "odd-I", code.slots, code.alpha_exp)
-
-
-def ring_even_like_ii(code):
-    """Even-like class-II code with defining element D = 1 - h - E."""
-    return ring_code(code.ring, code.system, "even-II", code.slots, code.alpha_exp)
-
-
-def ring_odd_like_ii(code):
-    """Odd-like class-II code with defining element D' = h + E."""
-    return ring_code(code.ring, code.system, "odd-II", code.slots, code.alpha_exp)
+    return RingCode(ring, system, family, slots, alpha_exp, tuple(elements),
+                    ring_poly_combine(ring, elements),
+                    ring_poly_combine(ring, [c.generator for c in components]),
+                    components)
 
 
 def chain_step_poly(p, a, coeffs):
-    """One multiplier step on coefficients: exponent a*i contributes to
+    """One multiplier step on an F_q polynomial: exponent a*i moves to
     exponent i, the inverse of the exponent-set action.  This is the
     relocation that moves the code built on Q_r to the one built on
     Q_{r+j}."""
@@ -143,8 +121,9 @@ def ring_mu_chain(code, a=None):
 
     Each step shifts every slot index by the class index j of a; the
     orbit has length m/gcd(j, m), which is m when mu_a cyclically
-    permutes the classes (gcd(j, m) = 1).  Each returned code's
-    idempotent equals the chain step applied to the previous one.
+    permutes the classes (gcd(j, m) = 1).  On every component, each
+    returned code's defining element equals the chain step applied to
+    the previous one.
     """
     system = code.system
     if a is None:
@@ -161,22 +140,22 @@ def ring_mu_chain(code, a=None):
     for _ in range(length - 1):
         slots = tuple((i + j) % system.m for i in slots)
         nxt = ring_code(code.ring, system, code.family, slots, code.alpha_exp)
-        moved = chain_step_poly(system.p, a, orbit[-1].idempotent)
-        if poly.trim(code.ring, moved) != nxt.idempotent:
+        moved = tuple(chain_step_poly(system.p, a, e)
+                      for e in orbit[-1].elements)
+        if moved != nxt.elements:
             raise AssertionError("mu step does not match the shifted slots")
         orbit.append(nxt)
     return orbit
 
 
 def component_consistency(code):
-    """Per slot: does the CRT component of the defining element generate
-    the same ideal as the stored component generator?"""
-    ring, p = code.ring, code.p
-    ctx = ring.field
+    """Per slot: does the component defining element generate the same
+    ideal as the stored component generator?"""
+    p = code.p
+    ctx = code.ring.field
     xp1 = poly.xn_minus_1(ctx, p)
     out = []
-    for k, comp_code in enumerate(code.components):
-        elem = ring_poly_component(ring, code.idempotent, k)
+    for elem, comp_code in zip(code.elements, code.components):
         if not elem:
             out.append(len(comp_code.generator) - 1 == p)
             continue

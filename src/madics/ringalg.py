@@ -13,8 +13,10 @@ for j = 0, ..., s-2.  Evaluation of v at the points
 evaluates to 1 at point k and 0 at the others.  All identities are
 validated at construction time.
 
-A RingCtx satisfies the same coefficient-domain protocol as FieldCtx,
-so the generic polynomial module works over R unchanged.
+Ring codes are built and checked on their CRT components over F_q;
+polynomials over R are formed from components only by
+ring_poly_combine, split by ring_poly_component and shown by
+format_ring_poly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from .ffield import FieldCtx
 
 
 class RingCtx:
-    """F_q[v]/(v**s - v) with pinned zeta, idempotents and CRT points."""
+    """F_q[v]/(v**s - v) with pinned zeta, idempotents and CRT points.
+
+    Element arithmetic is add, sub, neg, mul and from_scalar:
+    make_ring's self-check uses add and mul, and the v-basis test
+    oracle runs the generic polynomial module's ring operations on the
+    rest.  There is no inv or is_unit, so division and gcds over R are
+    not available.
+    """
 
     __slots__ = ("field", "s", "zeta", "eta", "crt_points", "zero", "one")
 
@@ -98,13 +107,6 @@ class RingCtx:
                 for i, c in enumerate(eta):
                     out[i] = (out[i] + val * c) % q
         return tuple(out)
-
-    def is_unit(self, a):
-        return all(c != 0 for c in self.crt(a))
-
-    def inv(self, a):
-        f = self.field
-        return self.crt_inv(tuple(f.inv(c) for c in self.crt(a)))
 
     # -- identity --------------------------------------------------------
 
@@ -184,11 +186,6 @@ def ring_poly_combine(ring, components):
         vals = tuple(c[i] if i < len(c) else 0 for c in components)
         out.append(ring.crt_inv(vals))
     return poly.trim(ring, out)
-
-
-def all_ones_ring(ring, p):
-    """h = 1 + x + ... + x**(p-1) over R."""
-    return (ring.one,) * p
 
 
 def format_ring_poly(ring, rp, var="x"):

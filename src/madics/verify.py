@@ -26,7 +26,7 @@ from .field_codes import family_codes
 from .identities import IDENTITY_NAMES, check_identities
 from .residues import build_residue_system
 from .ringalg import format_ring_poly, make_ring, ring_poly_component
-from .ring_codes import component_consistency, ring_code, ring_even_like_i, ring_mu_chain
+from .ring_codes import component_consistency, ring_code, ring_mu_chain
 
 # reference transcriptions, coefficients ascending
 
@@ -209,7 +209,8 @@ def _check_ring_example(checks, errata, cap):
     if rotation is None:
         return
 
-    base = ring_even_like_i(ring, system, tuple(rotation[i] for i in (0, 1, 2)))
+    base = ring_code(ring, system, "even-I",
+                     tuple(rotation[i] for i in (0, 1, 2)))
     chain = ring_mu_chain(base, REF_CHAIN_MULTIPLIER)
     inv = {v: k for k, v in enumerate(rotation)}
     walked = tuple(tuple(inv[i] for i in c.slots) for c in chain)

@@ -1,8 +1,9 @@
 """Slow references that the fast paths of madics are tested against.
 
 check_identities_vbasis evaluates the identity suite directly in the
-v-basis of R = F_q[v]/(v^s - v), with no CRT split;
-madics.identities.check_identities, which works on the CRT components,
+v-basis of R = F_q[v]/(v^s - v), on the stored idempotents and with
+its own chain step, so it uses none of the ring codes' CRT components;
+madics.identities.check_identities, which works on the components,
 must agree with it on every outcome.
 
 The scans are the oracles of madics._kernels.  scan_numpy expands
@@ -18,8 +19,8 @@ import numpy as np
 
 from madics import poly
 from madics.identities import IDENTITY_NAMES, IdentityOutcome
-from madics.ring_codes import chain_step_poly, ring_code, ring_mu_chain
-from madics.ringalg import all_ones_ring, format_ring_poly
+from madics.ring_codes import ring_code, ring_mu_chain
+from madics.ringalg import format_ring_poly
 
 
 def scan_numpy(gmat, q, chunk=1 << 13):
@@ -67,10 +68,20 @@ def _eq(ring, p, a, b):
     return poly.mod_xn_minus_1(ring, a, p) == poly.mod_xn_minus_1(ring, b, p)
 
 
+def _step_vbasis(ring, p, a, coeffs):
+    """One chain step over R: the coefficient at exponent a*i moves to
+    exponent i."""
+    padded = tuple(coeffs) + (ring.zero,) * (p - len(coeffs))
+    return poly.trim(ring, (padded[a * i % p] for i in range(p)))
+
+
 def check_identities_vbasis(ring, system, base_slots=None, a=None,
                             alpha_exp=1):
     """The identity suite evaluated in the v-basis over R, the oracle of
-    madics.identities.check_identities; returns {name: IdentityOutcome}."""
+    madics.identities.check_identities; returns {name: IdentityOutcome}.
+
+    h is the all-ones polynomial over R, built here as (ring.one,) * p.
+    """
     p, m, s = system.p, system.m, ring.s
     if base_slots is None:
         base_slots = tuple(i % m for i in range(s))
@@ -89,7 +100,7 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
 
     one = (ring.one,)
     zero = poly.ZERO
-    h = all_ones_ring(ring, p)
+    h = (ring.one,) * p
     one_minus_h = poly.sub(ring, one, h)
 
     def mm(x, y):
@@ -101,8 +112,8 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
     def chain_ok(polys):
         n = len(polys)
         return all(
-            _eq(ring, p, poly.trim(ring, chain_step_poly(p, a, polys[r])),
-                     polys[(r + 1) % n])
+            _eq(ring, p, _step_vbasis(ring, p, a, polys[r]),
+                polys[(r + 1) % n])
             for r in range(n))
 
     def total(polys):
@@ -126,11 +137,10 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
             format_ring_poly(ring, expected) if not holds else "")
 
     record("E_idempotent", sq_ok(es))
-    mu_es = [poly.trim(ring, chain_step_poly(p, a, e)) for e in es]
+    mu_es = [_step_vbasis(ring, p, a, e) for e in es]
     record("mu_E_idempotent", sq_ok(mu_es))
     record("orbit_closes",
-           _eq(ring, p, poly.trim(ring, chain_step_poly(p, a, es[-1])),
-                    es[0]))
+           _eq(ring, p, _step_vbasis(ring, p, a, es[-1]), es[0]))
 
     prod_zero = all(
         _eq(ring, p, mm(es[r], es[t]), zero)

@@ -30,7 +30,7 @@ from madics.field_codes import FAMILIES, family_codes
 from madics.identities import IDENTITY_NAMES, check_identities
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
-from madics.ring_codes import ring_code, ring_even_like_i, ring_mu_chain
+from madics.ring_codes import ring_code, ring_mu_chain
 from madics.verify import (
     REF_G0_Q3_S3,
     REF_GENERATORS_Q7_P19_M6,
@@ -98,7 +98,8 @@ def test_criterion_2_eta():
 def test_criterion_2_chain_slots():
     system, ctx, ring, ours, printed = _ring_example_setup()
     rotation = tuple(ours.index(e) for e in printed)
-    base = ring_even_like_i(ring, system, tuple(rotation[i] for i in (0, 1, 2)))
+    base = ring_code(ring, system, "even-I",
+                     tuple(rotation[i] for i in (0, 1, 2)))
     chain = ring_mu_chain(base, 7)
     inv = {v: k for k, v in enumerate(rotation)}
     walked = tuple(tuple(inv[i] for i in c.slots) for c in chain)
@@ -146,7 +147,8 @@ def _with_x2(coeffs, c):
 def test_criterion_2_g0_coefficients():
     system, ctx, ring, ours, printed = _ring_example_setup()
     rotation = tuple(ours.index(e) for e in printed)
-    base = ring_even_like_i(ring, system, tuple(rotation[i] for i in (0, 1, 2)))
+    base = ring_code(ring, system, "even-I",
+                     tuple(rotation[i] for i in (0, 1, 2)))
     g0 = base.generator
 
     # the transcription is the print; only its x^2 coefficient is wrong
@@ -187,7 +189,8 @@ def test_criterion_3_distance_and_bound():
     printed = tuple(_combo_poly(system, combo)
                     for combo in REF_IDEMPOTENT_COMBOS_Q3_P13_M4)
     rotation = tuple(ours.index(e) for e in printed)
-    base = ring_even_like_i(ring, system, tuple(rotation[i] for i in (0, 1, 2)))
+    base = ring_code(ring, system, "even-I",
+                     tuple(rotation[i] for i in (0, 1, 2)))
     rep = min_distance_ring(base)
     cross = min_distance_ring_exhaustive(base)
     bound, attained = griesmer_check(13, 3, 9, 3)

@@ -20,7 +20,7 @@ from madics.ffield import make_extension, make_prime_field
 from madics.field_codes import CyclicCode, family_codes
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
-from madics.ring_codes import ring_code, ring_even_like_i, ring_mu_chain
+from madics.ring_codes import ring_code, ring_mu_chain
 from oracle import scan_union
 
 rng = random.Random(0xD157)
@@ -85,7 +85,7 @@ def test_generator_matrix_rejects_extension_fields():
 
 
 def test_ring_distance_component_min_equals_exhaustive():
-    base = ring_even_like_i(make_ring(F3, 3), SYS134, (1, 2, 3))
+    base = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     for code in ring_mu_chain(base, 7):
         rep = min_distance_ring(code)
         cross = min_distance_ring_exhaustive(code)
@@ -97,7 +97,7 @@ def test_ring_distance_component_min_equals_exhaustive():
 def test_ring_distance_s2():
     ring = make_ring(F3, 2)
     sys2 = build_residue_system(13, 2)
-    even = ring_even_like_i(ring, sys2, (0, 1))
+    even = ring_code(ring, sys2, "even-I", (0, 1))
     rep = min_distance_ring(even)
     cross = min_distance_ring_exhaustive(even)
     assert rep.d_min == cross.d_min == 6
@@ -107,13 +107,13 @@ def test_ring_distance_s2():
 
 
 def test_ring_exhaustive_cap():
-    base = ring_even_like_i(make_ring(F3, 3), SYS134, (1, 2, 3))
+    base = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     with pytest.raises(TooLarge):
         min_distance_ring_exhaustive(base, cap=100)
 
 
 def test_ring_common_rank():
-    base = ring_even_like_i(make_ring(F3, 3), SYS134, (1, 2, 3))
+    base = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     rep = min_distance_ring(base)
     assert rep.k == 3 and rep.component_ranks == (3, 3, 3)
     mixed = ring_code(make_ring(F3, 3), SYS134, "even-I", (0, 0, 1))
@@ -132,7 +132,7 @@ def test_weight_enumerator_dispatch():
     field_code = family_codes(SYS134, F3, "even-I")[0]
     wd = weight_enumerator(field_code)
     assert wd[0] == 1 and sum(wd) == 3 ** 3
-    rc = ring_even_like_i(make_ring(F3, 3), SYS134, (1, 2, 3))
+    rc = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     wr = weight_enumerator(rc)
     assert wr[0] == 1 and sum(wr) == 3 ** 9
 
@@ -181,7 +181,7 @@ def test_griesmer_rejects_degenerate():
 def test_benchmark_call_shape():
     # perfbench/layers.py passes the cap and use_numba=None positionally
     field_code = family_codes(SYS134, F3, "even-I")[0]
-    rc = ring_even_like_i(make_ring(F3, 3), SYS134, (1, 2, 3))
+    rc = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     assert min_distance_field(field_code, DEFAULT_CAP, None).d_min == 9
     assert min_distance_ring(rc, DEFAULT_CAP, None).d_min == 9
     assert min_distance_field(field_code, DEFAULT_CAP, False).d_min == 9

@@ -7,7 +7,7 @@ import pytest
 
 from madics import ffield, poly
 from madics.errors import NonPrimeModulus
-from madics.ffield import FieldCtx, is_prime, make_extension, make_prime_field
+from madics.ffield import is_prime, make_extension, make_prime_field
 
 rng = random.Random(0xF1E1D)
 
