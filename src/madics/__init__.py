@@ -14,7 +14,6 @@ from .analysis import (
     min_distance_field,
     min_distance_ring,
     min_distance_ring_exhaustive,
-    weight_enumerator,
 )
 from .errors import (
     BadSlotIndex,
@@ -38,7 +37,7 @@ from .field_codes import (
     splitting_field,
 )
 from .identities import IDENTITY_NAMES, IdentityOutcome, check_identities
-from .residues import ResidueSystem, build_residue_system, mu_exponents, mu_poly
+from .residues import ResidueSystem, build_residue_system, mu_poly
 from .ringalg import (
     RingCtx,
     format_ring_poly,
@@ -60,14 +59,13 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_CAP", "DistanceReport", "generator_matrix", "griesmer_check",
     "min_distance_field", "min_distance_ring", "min_distance_ring_exhaustive",
-    "weight_enumerator",
     "BadSlotIndex", "IncompatibleS", "InvalidM", "MadicError",
     "MultiplierNotCyclic", "NonPrimeModulus", "NotCoprime",
     "NotPrimitiveRoot", "QNotResidue", "TooLarge", "ZeroCode",
     "FieldCtx", "make_extension", "make_prime_field",
     "FAMILIES", "CyclicCode", "all_ones_h", "family_codes", "splitting_field",
     "IDENTITY_NAMES", "IdentityOutcome", "check_identities",
-    "ResidueSystem", "build_residue_system", "mu_exponents", "mu_poly",
+    "ResidueSystem", "build_residue_system", "mu_poly",
     "RingCtx", "format_ring_poly", "make_ring",
     "ring_poly_combine", "ring_poly_component",
     "RingCode", "chain_step_poly", "component_consistency", "ring_code",

@@ -1,4 +1,4 @@
-"""Exact minimum distances, weight enumerators and Griesmer checks.
+"""Exact minimum distances, weight distributions and Griesmer checks.
 
 Field codes are measured by exhaustive enumeration of all q**k
 messages (k <= 24ish; the cap keeps the cost contract explicit).  Ring
@@ -81,13 +81,6 @@ def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
     best, counts = _kernels.scan(generator_matrix(code), q)
     return DistanceReport(n, k, best, "exhaustive", total,
                           tuple(int(c) for c in counts))
-
-
-def weight_enumerator(code, cap=DEFAULT_CAP):
-    """A_0..A_n as a tuple; exhaustive for either kind of code."""
-    if hasattr(code, "components"):
-        return min_distance_ring_exhaustive(code, cap).weight_distribution
-    return min_distance_field(code, cap).weight_distribution
 
 
 def _component_sizes(code):

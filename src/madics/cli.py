@@ -129,8 +129,16 @@ def cmd_classes(args):
     return payload, lines
 
 
-def _build_field(args):
+def _code_system(args):
+    """The residue system of the code flags.  Reduces args.alpha_exp mod
+    p, so equal labelings share one cached build and echo one value."""
     system = build_residue_system(args.p, args.m, args.b, args.a)
+    args.alpha_exp %= system.p
+    return system
+
+
+def _build_field(args):
+    system = _code_system(args)
     ctx = make_prime_field(args.q)
     codes = family_codes(system, ctx, args.family, args.alpha_exp)
     if not 0 <= args.index < system.m:
@@ -152,7 +160,7 @@ def cmd_field_code(args):
 
 
 def _build_ring(args):
-    system = build_residue_system(args.p, args.m, args.b, args.a)
+    system = _code_system(args)
     ring = make_ring(make_prime_field(args.q), args.s)
     code = ring_code(ring, system, args.family, args.slots, args.alpha_exp)
     return system, ring, code
@@ -212,7 +220,7 @@ def _load_exported(path):
     code_doc, p = _exported_params(doc)
     system = build_residue_system(p["p"], p["m"], p["b"], p["a"])
     ctx = make_prime_field(p["q"])
-    alpha_exp = p.get("alpha_exp", 1)
+    alpha_exp = p.get("alpha_exp", 1) % system.p
     if "slots" in p:
         ring = make_ring(ctx, p["s"])
         code = ring_code(ring, system, p["family"], tuple(p["slots"]),

@@ -20,7 +20,8 @@ class FieldTooLarge(MadicError):
 
 
 class NonUnitLeadingCoefficient(MadicError):
-    """Polynomial division by a divisor whose leading coefficient is not a unit."""
+    """Polynomial division by the zero polynomial, whose leading
+    coefficient is no unit; over a field every other divisor has one."""
 
 
 class BothZero(MadicError):

@@ -164,9 +164,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.size - 2)
 
-    def is_unit(self, a):
-        return a != 0
-
     def multiplicative_order(self, a):
         """Least e > 0 with a**e = 1, by descending through divisors of
         the group order."""

@@ -46,12 +46,6 @@ class CyclicCode:
     def dimension(self):
         return self.p - (len(self.generator) - 1)
 
-    def contains(self, word):
-        """Membership test: the word polynomial must be a multiple of
-        the generator mod x**p - 1."""
-        w = poly.mod_xn_minus_1(self.ctx, tuple(word), self.p)
-        return poly.divides(self.ctx, self.generator, w)
-
 
 def all_ones_h(p):
     """h = 1 + x + ... + x**(p-1), the all-ones polynomial."""

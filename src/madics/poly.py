@@ -1,19 +1,16 @@
-"""Polynomial arithmetic over an arbitrary coefficient domain.
+"""Polynomial arithmetic over a finite field.
 
 A polynomial is a tuple of coefficient values in ascending degree with
 trailing zeros trimmed, so equal polynomials compare equal as tuples.
 The zero polynomial is the empty tuple and its degree is the sentinel
 NEG_DEGREE (minus infinity), never -1.
 
-Every operation takes the coefficient domain as its first argument.  A
-domain exposes ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul``,
-``inv`` and ``is_unit`` on coefficient values, as FieldCtx does.
-RingCtx is not a full domain: it has no ``inv`` or ``is_unit``, so over
-R only the ring operations (trim, add, sub, neg, scale, mul and the
-reductions mod x**n - 1) apply; ringalg.ring_poly_combine trims over R,
-and the v-basis test oracle uses the rest.  Coefficients are plain
-hashable values (ints over a field, tuples over the ring), so
-polynomials stay cheap to copy, compare and store.
+Every operation takes the coefficient field as its first argument: a
+FieldCtx, prime or extension, whose ``zero``, ``one``, ``add``,
+``sub``, ``neg``, ``mul`` and ``inv`` act on coefficient values.
+Coefficients are plain ints, so polynomials stay cheap to copy,
+compare and store.  Polynomials over R = F_q[v]/(v**s - v) are not
+handled here: ringalg builds them from their F_q components.
 
 The module also holds the q-cyclotomic cosets mod p; the factors of
 x**p - 1 they index need the splitting field and are built in
@@ -21,8 +18,6 @@ field_codes.
 """
 
 from __future__ import annotations
-
-import re
 
 from .errors import (
     BothZero,
@@ -51,15 +46,6 @@ def degree(a):
 
 def constant(dom, c):
     return () if c == dom.zero else (c,)
-
-
-def monomial(dom, k, c=None):
-    """c * x**k (c defaults to one)."""
-    if c is None:
-        c = dom.one
-    if c == dom.zero:
-        return ZERO
-    return (dom.zero,) * k + (c,)
 
 
 def xn_minus_1(dom, n):
@@ -103,18 +89,10 @@ def mul(dom, a, b):
 
 
 def divmod_poly(dom, a, b):
-    """Quotient and remainder of a by b.
-
-    The leading coefficient of b must be a unit in the domain; over a
-    field this only excludes b = 0.
-    """
+    """Quotient and remainder of a by b; b must not be zero."""
     if not b:
         raise NonUnitLeadingCoefficient("division by the zero polynomial")
-    lead = b[-1]
-    if not dom.is_unit(lead):
-        raise NonUnitLeadingCoefficient(
-            f"leading coefficient {lead!r} is not a unit")
-    lead_inv = dom.inv(lead)
+    lead_inv = dom.inv(b[-1])
     rem = list(a)
     db = len(b) - 1
     if len(rem) - 1 < db:
@@ -170,7 +148,7 @@ def powmod(dom, base, e, f):
 
 
 def eval_poly(dom, a, x):
-    """Evaluate at a domain value by Horner's rule."""
+    """Evaluate at a field value by Horner's rule."""
     acc = dom.zero
     for c in reversed(a):
         acc = dom.add(dom.mul(acc, x), c)
@@ -189,7 +167,7 @@ def monic(dom, a):
 def gcd_ext(dom, a, b):
     """Monic gcd g of a and b plus Bezout cofactors (g, u, w), u*a + w*b = g.
 
-    Requires a field domain.  Raises BothZero when a = b = 0.
+    Raises BothZero when a = b = 0.
     """
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
@@ -212,7 +190,7 @@ def gcd(dom, a, b):
 
 
 def associates(dom, a, b):
-    """True when a and b agree up to a unit scalar (field domains)."""
+    """True when a and b agree up to a unit scalar."""
     if not a or not b:
         return a == b
     return monic(dom, a) == monic(dom, b)
@@ -260,39 +238,6 @@ def cyclotomic_cosets(q, p):
 
 
 # ---------------- text format ----------------
-
-_TERM_RE = re.compile(r"^(?:(\d+)(?:\*)?)?(x(?:\^(\d+))?)?$")
-
-
-def parse_poly(text, q):
-    """Parse ``1+2*x+x^3`` style text into a coefficient tuple mod q.
-
-    Terms are joined by '+'; each term is ``c``, ``c*x^k``, ``c*x``,
-    ``x^k`` or ``x``.  Whitespace is ignored everywhere.
-    """
-    compact = re.sub(r"\s+", "", text)
-    if not compact:
-        raise ValueError("empty polynomial text")
-    coeffs = {}
-    for term in compact.split("+"):
-        m = _TERM_RE.match(term)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise ValueError(f"bad polynomial term: {term!r}")
-        c = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(2) is None:
-            k = 0
-        elif m.group(3) is not None:
-            k = int(m.group(3))
-        else:
-            k = 1
-        coeffs[k] = (coeffs.get(k, 0) + c) % q
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
 
 def format_poly(a, var="x"):
     """Ascending-degree text, omitting zero terms and unit coefficients."""

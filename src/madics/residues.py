@@ -95,13 +95,6 @@ def build_residue_system(p, m, b=None, a=None):
     return ResidueSystem(p, m, b, a, j, tuple(classes), class_of)
 
 
-def mu_exponents(p, a, exps):
-    """Image of an exponent set under mu_a: {a*i mod p}."""
-    if math.gcd(a, p) != 1:
-        raise NotCoprime(f"multiplier {a} is not coprime to {p}")
-    return tuple(sorted(a * i % p for i in exps))
-
-
 def mu_poly(p, a, coeffs):
     """Apply mu_a to an F_q polynomial of degree < p: the coefficient at
     exponent i moves to exponent a*i mod p.  Position 0 is fixed.

@@ -17,8 +17,10 @@ forms over R, the defining element
     E = eta_0 * (slot-0 element) + ... + eta_{s-1} * (slot-(s-1) element)
 
 and the generator (component generators combined the same way,
-zero-padded to the widest component), are built once from the
-components, for storage, display and export.
+zero-padded to the widest component), are output formats: a RingCode
+builds each from its components the first time it is read, for
+display and export.  Construction, chains, consistency checks and the
+identity suite never build them.
 
 The multiplier mu_a sends the exponent set Q_r to Q_{r+j}, with j the
 class index of a.  On polynomial coefficients the chain therefore
@@ -31,6 +33,7 @@ the required gcd(j, m) = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +46,9 @@ from .ringalg import RingCtx, ring_poly_combine
 
 @dataclass(frozen=True)
 class RingCode:
-    """A code over R: its s component defining elements over F_q, the
-    v-basis defining element and generator combined from them, and the
-    s field component codes.
+    """A code over R: its s component defining elements over F_q and
+    its s field component codes, with the v-basis defining element and
+    generator combined from them on first read.
 
     ``elements[k]`` is the family's defining element on slot k (e, 1-e,
     1-h-e or h+e) and ``idempotent`` is their CRT combination.  For
@@ -60,9 +63,16 @@ class RingCode:
     slots: tuple
     alpha_exp: int
     elements: tuple
-    idempotent: tuple
-    generator: tuple
     components: tuple
+
+    @functools.cached_property
+    def idempotent(self):
+        return ring_poly_combine(self.ring, self.elements)
+
+    @functools.cached_property
+    def generator(self):
+        return ring_poly_combine(self.ring,
+                                 [c.generator for c in self.components])
 
     @property
     def p(self):
@@ -74,7 +84,11 @@ class RingCode:
 
 
 def ring_code(ring, system, family, slots, alpha_exp=1):
-    """Build one ring code family member for a slot assignment."""
+    """Build one ring code family member for a slot assignment.
+
+    alpha_exp is reduced mod p first, so equal labelings share one
+    cached family build and the code stores the reduced value.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     slots = tuple(slots)
@@ -84,6 +98,7 @@ def ring_code(ring, system, family, slots, alpha_exp=1):
     if any(i < 0 or i >= system.m for i in slots):
         raise BadSlotIndex(f"slot indices must lie in [0, {system.m})")
 
+    alpha_exp %= system.p
     ctx = ring.field
     evens = family_codes(system, ctx, "even-I", alpha_exp)
     one = (ctx.one,)
@@ -103,8 +118,6 @@ def ring_code(ring, system, family, slots, alpha_exp=1):
     comps = family_codes(system, ctx, family, alpha_exp)
     components = tuple(comps[i] for i in slots)
     return RingCode(ring, system, family, slots, alpha_exp, tuple(elements),
-                    ring_poly_combine(ring, elements),
-                    ring_poly_combine(ring, [c.generator for c in components]),
                     components)
 
 

@@ -1,5 +1,12 @@
 """Slow references that the fast paths of madics are tested against.
 
+VBasisRing is R = F_q[v]/(v^s - v) with element arithmetic in the
+v-basis (coefficients of 1, v, ..., v^(s-1)), which madics itself does
+without: it computes on the CRT components and keeps the v-basis as an
+output format.  VBasisRing has the field operations that madics.poly
+uses except ``inv``, so the ring operations of madics.poly (trim, add,
+sub, neg, scale, mul and the reductions mod x^n - 1) run over it.
+
 check_identities_vbasis evaluates the identity suite directly in the
 v-basis of R = F_q[v]/(v^s - v), on the stored idempotents and with
 its own chain step, so it uses none of the ring codes' CRT components;
@@ -20,7 +27,46 @@ import numpy as np
 from madics import poly
 from madics.identities import IDENTITY_NAMES, IdentityOutcome
 from madics.ring_codes import ring_code, ring_mu_chain
-from madics.ringalg import format_ring_poly
+from madics.ringalg import RingCtx, format_ring_poly
+
+
+class VBasisRing(RingCtx):
+    """A ring context with v-basis element arithmetic, for tests."""
+
+    def __init__(self, ring):
+        super().__init__(ring.field, ring.s, ring.zeta, ring.eta,
+                         ring.crt_points)
+
+    def from_scalar(self, c):
+        return (c % self.q,) + (0,) * (self.s - 1)
+
+    def add(self, a, b):
+        q = self.q
+        return tuple((x + y) % q for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        q = self.q
+        return tuple((x - y) % q for x, y in zip(a, b))
+
+    def neg(self, a):
+        q = self.q
+        return tuple(-x % q for x in a)
+
+    def mul(self, a, b):
+        # convolution with the fold v**e -> v**((e-1) mod (s-1) + 1)
+        q, s = self.q, self.s
+        out = [0] * s
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            for j, y in enumerate(b):
+                if not y:
+                    continue
+                e = i + j
+                if e >= s:
+                    e = (e - 1) % (s - 1) + 1
+                out[e] = (out[e] + x * y) % q
+        return tuple(out)
 
 
 def scan_numpy(gmat, q, chunk=1 << 13):
@@ -82,6 +128,7 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
 
     h is the all-ones polynomial over R, built here as (ring.one,) * p.
     """
+    ring = VBasisRing(ring)
     p, m, s = system.p, system.m, ring.s
     if base_slots is None:
         base_slots = tuple(i % m for i in range(s))

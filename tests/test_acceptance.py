@@ -38,6 +38,7 @@ from madics.verify import (
     run_verification,
     _combo_poly,
 )
+from oracle import VBasisRing
 
 GRID = ((3, 13, 4, 3), (7, 19, 6, 3), (7, 19, 3, 4), (3, 13, 2, 2),
         (5, 11, 5, 5))
@@ -293,7 +294,7 @@ def test_criterion_4_identity_suite():
             continue  # (5,11,5,5): q not in Q_0, outside the valid set
         checked += 1
         here = f"(q={q},p={p},m={m},s={s})"
-        ring = make_ring(make_prime_field(q), s)
+        ring = VBasisRing(make_ring(make_prime_field(q), s))
         outcomes = check_identities(ring, system)
         orbit = ring_mu_chain(
             ring_code(ring, system, "even-I",

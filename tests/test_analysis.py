@@ -13,7 +13,6 @@ from madics.analysis import (
     min_distance_field,
     min_distance_ring,
     min_distance_ring_exhaustive,
-    weight_enumerator,
 )
 from madics.errors import BackendUnavailable, TooLarge
 from madics.ffield import make_extension, make_prime_field
@@ -126,15 +125,6 @@ def test_weight_enumerator_invariant_on_mu_orbit():
         dists = {min_distance_field(c).weight_distribution
                  for c in family_codes(SYS134, F3, fam)}
         assert len(dists) == 1
-
-
-def test_weight_enumerator_dispatch():
-    field_code = family_codes(SYS134, F3, "even-I")[0]
-    wd = weight_enumerator(field_code)
-    assert wd[0] == 1 and sum(wd) == 3 ** 3
-    rc = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
-    wr = weight_enumerator(rc)
-    assert wr[0] == 1 and sum(wr) == 3 ** 9
 
 
 def test_singleton_bound():

@@ -194,6 +194,36 @@ def test_negative_alpha_exp_field_code(capsys):
     assert code == 0
     assert neg["code"]["generator"] == pos["code"]["generator"]
     assert neg["code"]["idempotent"] == pos["code"]["idempotent"]
+    # the labeling is reduced mod p before it is used or echoed
+    assert neg == pos
+    assert pos["parameters"]["alpha_exp"] == 12
+    code, _, err = run_cli(capsys, *args, "26")
+    assert code == 1
+    assert "NotCoprime" in err
+
+
+def test_alpha_exp_reduced_in_ring_code_and_exports(tmp_path, capsys):
+    ring_args = ("ring-code", "--q", "3", "--p", "13", "--m", "4",
+                 "--family", "even-II", "--s", "3", "--slots", "0,1,2",
+                 "--alpha-exp")
+    code, neg, _ = run_json(capsys, *ring_args, "-11")
+    assert code == 0
+    code, pos, _ = run_json(capsys, *ring_args, "2")
+    assert code == 0
+    assert neg == pos and pos["parameters"]["alpha_exp"] == 2
+    path = tmp_path / "code.json"
+    code, _, _ = run_cli(capsys, "export", "--q", "3", "--p", "13",
+                         "--m", "4", "--family", "odd-I", "--index", "1",
+                         "--alpha-exp", "15", "--skip-distance",
+                         "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert doc["parameters"]["alpha_exp"] == 2
+    doc["parameters"]["alpha_exp"] = doc["code"]["params"]["alpha_exp"] = 28
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_json(capsys, "distance", "--from", str(path))
+    assert code == 0
+    assert out["parameters"]["alpha_exp"] == 2
 
 
 def test_export_tamper_detected(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Import hygiene of the package and the tests, checked with the stdlib
-ast module: every imported name is used, and every name the package
-exports exists."""
+"""Import and dead-code hygiene of the package and the tests, checked
+with the stdlib ast module: every imported name is used, every name the
+package exports exists, and every function, class and method of the
+package is referenced inside the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,8 @@ import pytest
 import madics
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "madics").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "madics").glob("*.py"))
+FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree):
@@ -57,3 +59,40 @@ def test_package_exports_exist():
     missing = [name for name in madics.__all__ if not hasattr(madics, name)]
     assert not missing
     assert len(set(madics.__all__)) == len(madics.__all__)
+
+
+def _overrides_stdlib(module, cls_name, name):
+    """True when a base class outside madics defines the method, so a
+    caller outside the package (argparse, say) may invoke it."""
+    cls = getattr(importlib.import_module(f"madics.{module}"), cls_name)
+    return any(name in vars(base) for base in cls.__mro__[1:]
+               if not base.__module__.startswith("madics"))
+
+
+def test_every_definition_is_referenced():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert trees
+    defs = (ast.FunctionDef, ast.ClassDef)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, defs) and node.name not in referenced:
+                dead.append(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                name = getattr(item, "name", "__")
+                if (isinstance(item, ast.FunctionDef)
+                        and not name.startswith("__")
+                        and name not in referenced
+                        and not _overrides_stdlib(module, node.name, name)):
+                    dead.append(f"{module}.{node.name}.{name}")
+    assert not dead, f"defined but never referenced in src/madics: {dead}"

@@ -3,22 +3,25 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from madics import poly
+from madics import poly, ring_codes
 from madics.analysis import min_distance_ring_exhaustive
 from madics.errors import BadSlotIndex, MultiplierNotCyclic, NotCoprime
 from madics.ffield import make_prime_field
 from madics.field_codes import FAMILIES, family_codes
+from madics.identities import check_identities
 from madics.residues import build_residue_system
-from madics.ringalg import make_ring, ring_poly_component
+from madics.ringalg import make_ring, ring_poly_combine, ring_poly_component
 from madics.ring_codes import (
     chain_step_poly,
     component_consistency,
     ring_code,
     ring_mu_chain,
 )
+from oracle import VBasisRing
 
 SYS134 = build_residue_system(13, 4, a=7)
 R33 = make_ring(make_prime_field(3), 3)
+V33 = VBasisRing(R33)
 
 
 def test_defining_elements_by_family():
@@ -26,13 +29,13 @@ def test_defining_elements_by_family():
     base, odd1, even2, odd2 = (ring_code(R33, SYS134, fam, (1, 2, 3))
                                for fam in ("even-I", "odd-I", "even-II",
                                            "odd-II"))
-    one = (R33.one,)
-    h = (R33.one,) * 13
-    assert odd1.idempotent == poly.trim(R33, poly.sub(R33, one, base.idempotent))
+    one = (V33.one,)
+    h = (V33.one,) * 13
+    assert odd1.idempotent == poly.trim(V33, poly.sub(V33, one, base.idempotent))
     assert even2.idempotent == poly.trim(
-        R33, poly.sub(R33, poly.sub(R33, one, h), base.idempotent))
+        V33, poly.sub(V33, poly.sub(V33, one, h), base.idempotent))
     assert odd2.idempotent == poly.trim(
-        R33, poly.add(R33, h, base.idempotent))
+        V33, poly.add(V33, h, base.idempotent))
 
 
 def test_components_follow_slots():
@@ -54,7 +57,7 @@ def test_repeated_slots_lift_field_code():
     # equal CRT components interpolate to scalar (v-free) coefficients
     code = ring_code(R33, SYS134, "even-I", (0, 0, 0))
     g = family_codes(SYS134, R33.field, "even-I")[0].generator
-    lifted = tuple(R33.from_scalar(c) for c in g)
+    lifted = tuple(V33.from_scalar(c) for c in g)
     assert code.generator == lifted
 
 
@@ -70,8 +73,8 @@ def test_ring_idempotents_are_idempotent():
     for fam in ("even-I", "odd-I", "even-II", "odd-II"):
         code = ring_code(R33, SYS134, fam, (1, 2, 3))
         sq = poly.mod_xn_minus_1(
-            R33, poly.mul(R33, code.idempotent, code.idempotent), 13)
-        assert sq == poly.mod_xn_minus_1(R33, code.idempotent, 13)
+            V33, poly.mul(V33, code.idempotent, code.idempotent), 13)
+        assert sq == poly.mod_xn_minus_1(V33, code.idempotent, 13)
 
 
 def test_chain_step_poly_is_inverse_relocation():
@@ -141,6 +144,32 @@ def test_component_consistency_p_not_1_mod_q():
         elt = ring_poly_component(ring73, bad.idempotent, k)
         ideal = poly.gcd(ctx, elt, xp1)
         assert poly.associates(ctx, ideal, odd1[i].generator)
+
+
+def test_v_basis_forms_built_on_first_read(monkeypatch):
+    # construction, chains, consistency checks and the identity suite
+    # work on the components and never combine the v-basis forms
+    calls = []
+
+    def spy(ring, components):
+        calls.append(len(components))
+        return ring_poly_combine(ring, components)
+
+    monkeypatch.setattr(ring_codes, "ring_poly_combine", spy)
+    sys63 = build_residue_system(19, 6)
+    ring73 = make_ring(make_prime_field(7), 3)
+    check_identities(ring73, sys63)
+    for family in FAMILIES:
+        for code in ring_mu_chain(ring_code(ring73, sys63, family,
+                                            (0, 1, 2))):
+            component_consistency(code)
+    assert calls == []
+    code = ring_code(ring73, sys63, "odd-II", (0, 1, 2))
+    assert code.idempotent == code.idempotent
+    assert len(calls) == 1
+    assert code.generator == ring_poly_combine(
+        ring73, [c.generator for c in code.components])
+    assert len(calls) == 2
 
 
 def test_component_ranks():

@@ -8,14 +8,19 @@ from madics import poly
 from madics.errors import IncompatibleS
 from madics.ffield import make_prime_field
 from madics.ringalg import (
+    RingCtx,
+    _validate_ring,
     format_ring_poly,
     make_ring,
     ring_poly_combine,
     ring_poly_component,
 )
+from oracle import VBasisRing
 
 rng = random.Random(0x51A6)
 R33 = make_ring(make_prime_field(3), 3)
+V33 = VBasisRing(R33)
+VALID = ((3, 2), (3, 3), (7, 3), (7, 4), (7, 7), (5, 5), (11, 3))
 
 
 def rand_elt(ring):
@@ -30,9 +35,23 @@ def test_incompatible_s():
 
 
 def test_valid_rings():
-    for q, s in ((3, 2), (3, 3), (7, 3), (7, 4), (7, 7), (5, 5), (11, 3)):
+    for q, s in VALID:
         ring = make_ring(make_prime_field(q), s)
         assert ring.s == s and ring.q == q
+
+
+def test_validate_ring_rejects_swapped_eta():
+    eta = (R33.eta[1], R33.eta[0]) + R33.eta[2:]
+    bad = RingCtx(R33.field, 3, R33.zeta, eta, R33.crt_points)
+    with pytest.raises(AssertionError, match="CRT components"):
+        _validate_ring(bad)
+
+
+def test_validate_ring_rejects_repeated_point():
+    points = (R33.crt_points[0],) * 2 + R33.crt_points[2:]
+    bad = RingCtx(R33.field, 3, R33.zeta, R33.eta, points)
+    with pytest.raises(AssertionError, match="roots of v"):
+        _validate_ring(bad)
 
 
 def test_zeta_order():
@@ -47,15 +66,14 @@ def test_eta_frozen_q3_s3():
 
 
 def test_eta_orthogonal_idempotents():
-    for q, s in ((3, 3), (7, 4), (5, 5)):
-        ring = make_ring(make_prime_field(q), s)
-        total = ring.zero_elt if hasattr(ring, "zero_elt") else \
-            tuple([0] * s)
+    for q, s in VALID:
+        ring = VBasisRing(make_ring(make_prime_field(q), s))
+        total = ring.zero
         for i, ei in enumerate(ring.eta):
             assert ring.mul(ei, ei) == ei
             for k, ek in enumerate(ring.eta):
                 if k != i:
-                    assert ring.mul(ei, ek) == tuple([0] * s)
+                    assert ring.mul(ei, ek) == ring.zero
             total = ring.add(total, ei)
         assert total == ring.one
 
@@ -72,8 +90,8 @@ def test_crt_is_ring_homomorphism():
     for _ in range(60):
         a, b = rand_elt(R33), rand_elt(R33)
         va, vb = R33.crt(a), R33.crt(b)
-        prod = R33.crt(R33.mul(a, b))
-        add = R33.crt(R33.add(a, b))
+        prod = R33.crt(V33.mul(a, b))
+        add = R33.crt(V33.add(a, b))
         for k in range(R33.s):
             assert prod[k] == R33.field.mul(va[k], vb[k])
             assert add[k] == R33.field.add(va[k], vb[k])
@@ -91,13 +109,13 @@ def test_v_satisfies_relation():
     v = tuple([0, 1] + [0] * (R33.s - 2))
     acc = v
     for _ in range(R33.s - 1):
-        acc = R33.mul(acc, v)
+        acc = V33.mul(acc, v)
     assert acc == v
 
 
 def test_lift_component_combine_round_trip():
     coeffs = tuple(rng.randrange(3) for _ in range(13))
-    lifted = poly.trim(R33, (R33.from_scalar(c) for c in coeffs))
+    lifted = poly.trim(V33, (V33.from_scalar(c) for c in coeffs))
     for k in range(3):
         assert ring_poly_component(R33, lifted, k) == poly.trim(
             make_prime_field(3), coeffs)
