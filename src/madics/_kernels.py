@@ -1,25 +1,30 @@
-"""Exhaustive codeword scans.
+"""Exhaustive codeword scans on packed bit planes.
 
-Every distance computation histograms the Hamming weights of all words
-h + l, where h runs over the rows of a "high" table and l over the rows
-of a "low" table.  With entries in [0, q), h + l vanishes mod q exactly
-where h equals -l mod q, so the weight of h + l is the Hamming distance
-from h to the negated low row.  ``_distance_counts`` is the one kernel:
-it compares blocks of high rows with the whole negated low table, at
-most BLOCK_BYTES of comparisons at a time, and folds the distances into
-counts with bincount.  Its two callers:
+Every scan histograms one weight over all pairs (h, l), h a row of a
+"high" table and l a row of a "low" table.  Rows are stored as bit
+planes (plane b holds bit b of every entry), each packed into
+ceil(n/64) uint64 words.  ``_distance_counts`` is the one kernel: for a
+block of high rows against the whole low table it ORs op(h_b, l_b) over
+the planes, counts set bits with ``np.bitwise_count`` and folds the
+weights into counts with bincount.  Its callers differ only in the
+planes and in op:
 
-    scan         field code: the high and low tables hold every word
-                 spanned by the upper and the lower half of G's rows
+    scan         field code: the tables hold every word spanned by the
+                 upper and the lower half of G's rows, so each codeword
+                 is one h + l.  The low words are a linear code, which
+                 negation permutes, so the weights of all h + l are the
+                 distances of all pairs h, l: op = XOR on the
+                 (q-1).bit_length() planes of the binary digits.
     scan_union   ring code: a ring word's support is the union of its
-                 CRT component supports; the high rows are ORs of the
-                 first components' 0/1 support tables, gathered per
-                 block, and the low table is the last component's.  As
-                 0/1 entries mod 3, h + l is nonzero exactly on h | l.
+                 CRT component supports, so op = OR on one plane of 0/1
+                 supports.  High rows are ORs of the first components'
+                 supports, gathered per block; the low table is the
+                 last component's.
 
-Tables are sized by q**ceil(k/2) words (field) or by each component's
-word count (ring), never by the total word or tuple count.  counts[0]
-includes the zero word.
+A block's largest temporary, pairs x words per plane x 8 bytes, is kept
+to BLOCK_BYTES (one high row at least).  Tables are sized by
+q**ceil(k/2) words (field) or each component's word count (ring), never
+by the total word or tuple count.  counts[0] includes the zero word.
 """
 
 from __future__ import annotations
@@ -28,20 +33,34 @@ import math
 
 import numpy as np
 
-BLOCK_BYTES = 1 << 20
+BLOCK_BYTES = 1 << 18
 
 
-def _distance_counts(high, n_high, low):
-    """counts[w] = number of pairs (i, j), i < n_high, at Hamming
-    distance w, between high row i and low row j.  high(start, stop)
-    returns high rows start..stop-1."""
-    n = low.shape[1]
-    step = max(1, BLOCK_BYTES // low.nbytes)
+def _planes(table, bits):
+    """Planes b < bits of a table, plane b holding bit b of each entry,
+    each row packed into ceil(n/64) uint64 words: (bits, rows, words)."""
+    rows, n = table.shape
+    packed = np.zeros((bits, rows, -(-n // 64) * 8), dtype=np.uint8)
+    for b in range(bits):
+        packed[b, :, :-(-n // 8)] = np.packbits(table >> b & 1, axis=1)
+    return packed.view(np.uint64)
+
+
+def _distance_counts(high, n_high, low, n, op):
+    """counts[w] = number of pairs (i, j), i < n_high, where the OR over
+    planes of op(high row i, low row j) has w set bits.  low has shape
+    (planes, rows, words); high(start, stop) returns high rows
+    start..stop-1 in the same layout."""
+    planes, n_low, width = low.shape
+    step = max(1, BLOCK_BYTES // (n_low * width * 8))
     wtype = np.min_scalar_type(n)
     counts = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, n_high, step):
-        block = high(start, min(start + step, n_high))
-        dist = (block[:, None, :] != low[None, :, :]).sum(axis=2, dtype=wtype)
+        block = high(start, min(start + step, n_high))[:, :, None]
+        diff = op(block[0], low[0])
+        for b in range(1, planes):
+            diff |= op(block[b], low[b])
+        dist = np.bitwise_count(diff).sum(axis=2, dtype=wtype)
         counts += np.bincount(dist.ravel(), minlength=n + 1)
     return counts
 
@@ -72,9 +91,11 @@ def scan(gmat, q):
     """Weight distribution of all q**k messages of the k x n matrix
     gmat; returns (min_weight(counts), counts)."""
     half = (len(gmat) + 1) // 2
-    low = (q - _words(gmat[:half], q)) % q
-    high = _words(gmat[half:], q)
-    counts = _distance_counts(lambda a, b: high[a:b], len(high), low)
+    bits = (q - 1).bit_length()
+    low = _planes(_words(gmat[:half], q), bits)
+    high = _planes(_words(gmat[half:], q), bits)
+    counts = _distance_counts(lambda a, b: high[:, a:b], high.shape[1], low,
+                              gmat.shape[1], np.bitwise_xor)
     return min_weight(counts), counts
 
 
@@ -82,18 +103,18 @@ def scan_union(gmats, q):
     """Weight distribution of the unions of supports, one word from each
     matrix's code, over every tuple of messages; returns
     (min_weight(counts), counts)."""
-    supports = [(_words(g, q) != 0).astype(np.uint8) for g in gmats]
-    *high_tables, last = supports
-    low = 2 * last
+    *high_tables, last = [_planes(np.minimum(_words(g, q), 1), 1)[0]
+                          for g in gmats]
 
     def high(start, stop):
         idx = np.arange(start, stop, dtype=np.int64)
-        rows = np.zeros((stop - start, last.shape[1]), dtype=np.uint8)
+        rows = np.zeros((1, stop - start, last.shape[1]), dtype=np.uint64)
         for table in reversed(high_tables):
             idx, digit = np.divmod(idx, len(table))
-            rows |= table[digit]
+            rows[0] |= table[digit]
         return rows
 
     n_high = math.prod(len(t) for t in high_tables)
-    counts = _distance_counts(high, n_high, low)
+    counts = _distance_counts(high, n_high, last[None], gmats[-1].shape[1],
+                              np.bitwise_or)
     return min_weight(counts), counts

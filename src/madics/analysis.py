@@ -1,7 +1,9 @@
 """Exact minimum distances, weight distributions and Griesmer checks.
 
 Field codes are measured by exhaustive enumeration of all q**k
-messages (k <= 24ish; the cap keeps the cost contract explicit).  Ring
+messages, refused with TooLarge unless q**k <= cap (default
+DEFAULT_CAP = 2**24; the exhaustive ring method holds its tuple count,
+the product of the component word counts, to the same cap).  Ring
 codes are measured two ways: the component-min method takes the
 minimum of the CRT component distances, which is exact because a ring
 codeword's support is the union of its component supports and the

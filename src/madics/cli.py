@@ -464,10 +464,10 @@ def build_parser():
     return parser
 
 
-def _validate_source(args):
-    if not hasattr(args, "from_file"):
-        return
-    if args.from_file:
+def _validate_args(args):
+    if getattr(args, "cap", 1) < 1:
+        raise MadicError(f"--cap must be a positive integer, got {args.cap}")
+    if not hasattr(args, "from_file") or args.from_file:
         return
     for name in ("p", "m", "q", "family"):
         if getattr(args, name, None) is None:
@@ -484,7 +484,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate_source(args)
+        _validate_args(args)
         payload, lines = args.func(args)
     except TooLarge as exc:
         print(f"error: TooLarge: {exc}", file=sys.stderr)

@@ -16,10 +16,10 @@ must agree with it on every outcome.
 The scans are the oracles of madics._kernels.  scan_numpy expands
 each block of message indices into base-q digits and multiplies by G.
 scan_union builds the full 0/1 support table of every component and
-ORs it across all tuples.  Neither splits G or compares against
-negated words as the kernel does.  Both return (d_min, counts) with
-the zero word in counts[0], but scan_union holds every tuple in memory
-at once, so keep its inputs small.
+ORs it across all tuples.  Neither splits G or packs words into bit
+planes as the kernel does.  Both return (d_min, counts) with the zero
+word in counts[0], but scan_union holds every tuple in memory at once,
+so keep its inputs small.
 """
 
 import numpy as np

@@ -118,6 +118,20 @@ def test_distance_cap_exit_2(capsys):
     assert "TooLarge" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("verb", [
+    ("distance", "--q", "3", "--p", "13", "--m", "4", "--family", "even-I",
+     "--index", "0"),
+    ("verify-paper",)], ids=["distance", "verify-paper"])
+def test_nonpositive_cap_exit_1(capsys, verb, cap):
+    # a nonpositive cap is malformed input (exit 1), not a cap hit (exit 2)
+    code, out, err = run_cli(capsys, *verb, "--cap", cap)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: MadicError: --cap must be a positive integer, "
+                   f"got {cap}\n")
+
+
 def test_distance_numba_backend_without_numba_exit_1(capsys):
     # there is no --backend option: asking for the numba backend is a
     # usage error, exit 1 with nothing on stdout

@@ -64,15 +64,23 @@ def test_rank_deficient_generator(q):
     assert_same(scan(zero_row, q), scan_numpy(zero_row, q))
 
 
+def block_bytes(rows, n_low, n):
+    """BLOCK_BYTES that gives blocks of rows high rows against n_low low
+    rows of n entries, each plane packed into ceil(n/64) words."""
+    return rows * n_low * -(-n // 64) * 8
+
+
 def test_scan_block_boundary(monkeypatch):
-    # blocks of a few high rows, not dividing the high row count
-    gmat = rand_gmat(7, 13, 3)
-    ref = scan_numpy(gmat, 3)
-    low_bytes = 3 ** 4 * 13
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 5 * low_bytes + 1)
-    assert_same(scan(gmat, 3), ref)
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
-    assert_same(scan(gmat, 3), ref)
+    # 27 high rows in blocks of 5 (not dividing 27), and of one row, with
+    # one, two and three words per plane
+    for n in (13, 70, 130):
+        gmat = rand_gmat(7, n, 3)
+        ref = scan_numpy(gmat, 3)
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES",
+                            block_bytes(5, 3 ** 4, n) + 1)
+        assert_same(scan(gmat, 3), ref)
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+        assert_same(scan(gmat, 3), ref)
 
 
 def test_scan_union_matches_oracle(monkeypatch):
@@ -80,8 +88,23 @@ def test_scan_union_matches_oracle(monkeypatch):
     ref = scan_union_oracle(gmats, 3)
     assert_same(scan_union(gmats, 3), ref)
     assert ref[1].sum() == 3 ** 9
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 7 * 3 ** 4 * 13)
+    # 3^3 * 3^2 = 243 high rows in blocks of 7 (not dividing 243), and of one
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes(7, 3 ** 4, 13))
     assert_same(scan_union(gmats, 3), ref)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+    assert_same(scan_union(gmats, 3), ref)
+
+
+def test_weights_past_uint8():
+    # n = 300 spans five words per plane; an all-ones row has weight 300,
+    # which a uint8 sum of the per-word popcounts would wrap
+    gmat = rand_gmat(5, 300, 2)
+    gmat[0] = 1
+    got = scan(gmat, 2)
+    assert_same(got, scan_numpy(gmat, 2))
+    assert got[1][256:].sum() > 0
+    gmats = [gmat[:2], gmat[2:]]
+    assert_same(scan_union(gmats, 2), scan_union_oracle(gmats, 2))
 
 
 def test_scan_union_zero_component():
@@ -102,10 +125,15 @@ def field_cases(draw):
     q = draw(st.sampled_from([2, 3, 5, 7]))
     # k <= 7 and at most q**k <= 20000 words, so the oracle stays fast
     k = draw(st.integers(1, max(j for j in range(1, 8) if q**j <= 20000)))
-    n = draw(st.integers(1, 40))
+    # n crosses the 64- and 128-bit word boundaries of the packed planes
+    n = draw(st.integers(1, 140))
+    return q, draw_gmat(draw, k, n, q)
+
+
+def draw_gmat(draw, k, n, q):
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
                                   max_size=n), min_size=k, max_size=k))
-    return q, np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int64).reshape(k, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,3 +141,29 @@ def field_cases(draw):
 def test_scan_matches_oracle_property(case):
     q, gmat = case
     assert_same(scan(gmat, q), scan_numpy(gmat, q))
+
+
+@st.composite
+def union_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 140))
+    # at most 4096 tuples in all, since the oracle tabulates every one
+    ks, total = [], 1
+    for _ in range(s):
+        k = draw(st.integers(0, max(j for j in range(5)
+                                    if total * q**j <= 4096)))
+        ks.append(k)
+        total *= q**k
+    return q, [draw_gmat(draw, k, n, q) for k in ks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(union_cases())
+def test_scan_union_matches_oracle_property(case):
+    q, gmats = case
+    got, ref = scan_union(gmats, q), scan_union_oracle(gmats, q)
+    assert np.array_equal(got[1], ref[1])
+    # a random matrix may be rank deficient: the kernel then reports 0,
+    # where the oracle reports the least nonzero weight
+    assert got[0] == (0 if ref[1][0] > 1 else ref[0])
