@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import BackendUnavailable, TooLarge
+from .errors import BackendUnavailable, InvalidParameter, TooLarge
 
 DEFAULT_CAP = 1 << 24
 
@@ -126,7 +126,9 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
 
 def griesmer_check(n, k, d, q):
     """Bound n >= sum ceil(d / q**i) for i < k; returns (bound, attained)."""
-    if k < 1 or d < 1:
-        raise ValueError("griesmer_check needs k >= 1 and d >= 1")
+    if n < 1 or k < 1 or d < 1 or q < 2:
+        raise InvalidParameter(
+            f"griesmer check needs n, k, d >= 1 and q >= 2, got n={n}, "
+            f"k={k}, d={d}, q={q}")
     bound = sum(-(-d // q**i) for i in range(k))
     return bound, bound == n

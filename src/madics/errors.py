@@ -66,6 +66,11 @@ class BadSlotIndex(MadicError):
     """A slot assignment references a class index outside [0, m)."""
 
 
+class InvalidParameter(MadicError, ValueError):
+    """A numeric argument lies outside its valid range, such as a
+    Griesmer check with n < 1, k < 1, d < 1 or q < 2."""
+
+
 class TooLarge(MadicError):
     """An exhaustive enumeration would exceed the configured cap."""
 

@@ -20,7 +20,8 @@ what it finds instead of assuming.
 The suite runs over F_q on the s CRT components each ring code
 carries (``RingCode.elements``): products, sums, chain steps and
 comparisons act per component, and the v-basis form is built only to
-display a refuted identity's two sides.
+display a refuted identity's two sides.  Each product is one
+packed-integer poly.mul_mod (Kronecker substitution over GF(q)).
 """
 
 from __future__ import annotations

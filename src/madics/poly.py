@@ -12,6 +12,12 @@ Coefficients are plain ints, so polynomials stay cheap to copy,
 compare and store.  Polynomials over R = F_q[v]/(v**s - v) are not
 handled here: ringalg builds them from their F_q components.
 
+mul_mod, the product mod x**n - 1, works over prime fields only
+(NonPrimeModulus otherwise).  It is a Kronecker substitution: one
+big-int product of the packed operands, folded mod x**n - 1 at the
+integer level, with byte-aligned slots wide enough for n*(q-1)**2.
+The module is pure Python and imports nothing but its errors.
+
 The module also holds the q-cyclotomic cosets mod p; the factors of
 x**p - 1 they index need the splitting field and are built in
 field_codes.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from .errors import (
     BothZero,
+    NonPrimeModulus,
     NonUnitLeadingCoefficient,
     NotADivisor,
     NotCoprime,
@@ -122,17 +129,37 @@ def divides(dom, b, a):
     return not divmod_poly(dom, a, b)[1]
 
 
-def mod_xn_minus_1(dom, a, n):
-    """Reduce mod x**n - 1 by folding exponents mod n."""
-    out = [dom.zero] * n
-    for i, c in enumerate(a):
-        if c != dom.zero:
-            out[i % n] = dom.add(out[i % n], c)
-    return trim(dom, out)
+def _pack(coeffs, width):
+    """One int holding coeffs[i] in bytes [i*width, (i+1)*width)."""
+    return int.from_bytes(
+        b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
 
 def mul_mod(dom, a, b, n):
-    return mod_xn_minus_1(dom, mul(dom, a, b), n)
+    """a*b mod x**n - 1 over a prime field, by Kronecker substitution.
+
+    Each operand becomes one int with B bits per coefficient slot; one
+    int product C holds the slots of a*b, and (C mod 2**(n*B)) +
+    (C >> n*B) adds slot i + n onto slot i, which is the fold mod
+    x**n - 1.  With len(a), len(b) <= n each folded slot is a sum of at
+    most n products of coefficients in [0, q), so it is at most
+    n*(q-1)**2; B is that bit length rounded up to whole bytes, so no
+    slot carries into the next.  The slots are reduced mod q at the end.
+    """
+    if dom.t != 1:
+        raise NonPrimeModulus(
+            f"mul_mod needs a prime field, not GF({dom.q}^{dom.t})")
+    if n < 1 or len(a) > n or len(b) > n:
+        raise ValueError(f"mul_mod needs n >= 1 and operands of length "
+                         f"<= n, got {len(a)} and {len(b)} for n = {n}")
+    q = dom.q
+    width = -(-(n * (q - 1) ** 2).bit_length() // 8)
+    bits = 8 * width
+    span = n * bits
+    prod = _pack(a, width) * _pack(b, width)
+    folded = (prod & ((1 << span) - 1)) + (prod >> span)
+    mask = (1 << bits) - 1
+    return trim(dom, [(folded >> i & mask) % q for i in range(0, span, bits)])
 
 
 def powmod(dom, base, e, f):
@@ -186,7 +213,13 @@ def gcd_ext(dom, a, b):
 
 
 def gcd(dom, a, b):
-    return gcd_ext(dom, a, b)[0]
+    """Monic gcd of a and b by the remainder loop; raises BothZero when
+    a = b = 0.  gcd_ext adds the Bezout cofactors."""
+    if not a and not b:
+        raise BothZero("gcd(0, 0) is undefined")
+    while b:
+        a, b = b, divmod_poly(dom, a, b)[1]
+    return monic(dom, a)
 
 
 def associates(dom, a, b):

@@ -5,7 +5,14 @@ v-basis (coefficients of 1, v, ..., v^(s-1)), which madics itself does
 without: it computes on the CRT components and keeps the v-basis as an
 output format.  VBasisRing has the field operations that madics.poly
 uses except ``inv``, so the ring operations of madics.poly (trim, add,
-sub, neg, scale, mul and the reductions mod x^n - 1) run over it.
+sub, neg, scale and mul) run over it.
+
+mul_mod_schoolbook is the oracle of madics.poly.mul_mod: the schoolbook
+product poly.mul folded mod x^n - 1 one coefficient at a time by
+mod_xn_minus_1.  poly.mul_mod packs coefficients into one int and so
+works over prime fields only; the v-basis references multiply over
+VBasisRing with mul_mod_schoolbook, which keeps them independent of
+that fast path.
 
 check_identities_vbasis evaluates the identity suite directly in the
 v-basis of R = F_q[v]/(v^s - v), on the stored idempotents and with
@@ -69,6 +76,20 @@ class VBasisRing(RingCtx):
         return tuple(out)
 
 
+def mod_xn_minus_1(dom, a, n):
+    """Reduce mod x**n - 1 by folding exponents mod n."""
+    out = [dom.zero] * n
+    for i, c in enumerate(a):
+        if c != dom.zero:
+            out[i % n] = dom.add(out[i % n], c)
+    return poly.trim(dom, out)
+
+
+def mul_mod_schoolbook(dom, a, b, n):
+    """a*b mod x**n - 1 by the schoolbook product, over any dom."""
+    return mod_xn_minus_1(dom, poly.mul(dom, a, b), n)
+
+
 def scan_numpy(gmat, q, chunk=1 << 13):
     gmat = np.ascontiguousarray(gmat, dtype=np.int64)
     k, n = gmat.shape
@@ -111,7 +132,7 @@ def scan_union(gmats, q):
 
 
 def _eq(ring, p, a, b):
-    return poly.mod_xn_minus_1(ring, a, p) == poly.mod_xn_minus_1(ring, b, p)
+    return mod_xn_minus_1(ring, a, p) == mod_xn_minus_1(ring, b, p)
 
 
 def _step_vbasis(ring, p, a, coeffs):
@@ -151,7 +172,7 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
     one_minus_h = poly.sub(ring, one, h)
 
     def mm(x, y):
-        return poly.mul_mod(ring, x, y, p)
+        return mul_mod_schoolbook(ring, x, y, p)
 
     def sq_ok(polys):
         return all(_eq(ring, p, mm(e, e), e) for e in polys)
@@ -167,7 +188,7 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
         acc = zero
         for e in polys:
             acc = poly.add(ring, acc, e)
-        return poly.mod_xn_minus_1(ring, acc, p)
+        return mod_xn_minus_1(ring, acc, p)
 
     def product(polys):
         acc = one
@@ -231,7 +252,7 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
         for r in range(len(dps)) for t in range(r + 1, len(dps)))
     record("Dp_pair_is_h", dp_pair_ok, mm(dps[0], dps[1 % len(dps)]), h)
     dp_sum = total(dps)
-    dp_expected = poly.mod_xn_minus_1(
+    dp_expected = mod_xn_minus_1(
         ring,
         poly.sub(ring, one,
                  poly.scale(ring, ring.from_scalar(s - 1), h)),

@@ -38,7 +38,7 @@ from madics.verify import (
     run_verification,
     _combo_poly,
 )
-from oracle import VBasisRing
+from oracle import VBasisRing, mod_xn_minus_1, mul_mod_schoolbook
 
 GRID = ((3, 13, 4, 3), (7, 19, 6, 3), (7, 19, 3, 4), (3, 13, 2, 2),
         (5, 11, 5, 5))
@@ -252,11 +252,10 @@ def _corrected_forms(ring, p, es, eps, ds, dps):
     pairs = [(r, t) for r in range(L) for t in range(r + 1, L)]
 
     def mm(x, y):
-        return poly.mul_mod(ring, x, y, p)
+        return mul_mod_schoolbook(ring, x, y, p)
 
     def eq(x, y):
-        return (poly.mod_xn_minus_1(ring, x, p)
-                == poly.mod_xn_minus_1(ring, y, p))
+        return mod_xn_minus_1(ring, x, p) == mod_xn_minus_1(ring, y, p)
 
     def total(polys):
         acc = poly.ZERO

@@ -14,7 +14,7 @@ from madics.analysis import (
     min_distance_ring,
     min_distance_ring_exhaustive,
 )
-from madics.errors import BackendUnavailable, TooLarge
+from madics.errors import BackendUnavailable, InvalidParameter, TooLarge
 from madics.ffield import make_extension, make_prime_field
 from madics.field_codes import CyclicCode, family_codes
 from madics.residues import build_residue_system
@@ -162,10 +162,12 @@ def test_griesmer_values():
 
 
 def test_griesmer_rejects_degenerate():
-    with pytest.raises(ValueError):
-        griesmer_check(13, 0, 9, 3)
-    with pytest.raises(ValueError):
-        griesmer_check(13, 3, 0, 3)
+    # InvalidParameter is a MadicError and a ValueError
+    for n, k, d, q in ((13, 0, 9, 3), (13, 3, 0, 3), (13, 3, 9, 0),
+                       (13, 3, 9, 1), (13, 3, 9, -3), (0, 3, 9, 3),
+                       (-1, 3, 9, 3)):
+        with pytest.raises(InvalidParameter, match="griesmer check needs"):
+            griesmer_check(n, k, d, q)
 
 
 def test_benchmark_call_shape():

@@ -307,6 +307,18 @@ def test_griesmer_verb(capsys):
     assert doc["bound"] == 12 and doc["attained"] is False
 
 
+@pytest.mark.parametrize("n, q", [("13", "0"), ("13", "1"), ("13", "-2"),
+                                  ("0", "3")])
+def test_griesmer_bad_q_or_n_exit_1(capsys, n, q):
+    code, out, err = run_cli(capsys, "griesmer", "--n", n, "--k", "3",
+                             "--d", "9", "--q", q)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: InvalidParameter: griesmer check needs")
+
+
 def test_verify_paper_exit_0(capsys):
     code, doc, _ = run_json(capsys, "verify-paper")
     assert code == 0

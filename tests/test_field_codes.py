@@ -16,6 +16,7 @@ from madics.field_codes import (
     splitting_field,
 )
 from madics.residues import build_residue_system
+from oracle import mod_xn_minus_1
 
 F3 = make_prime_field(3)
 F7 = make_prime_field(7)
@@ -117,7 +118,7 @@ def test_contains():
     def contains(word):
         # a codeword is a multiple of the generator mod x^p - 1
         return poly.divides(F3, code.generator,
-                            poly.mod_xn_minus_1(F3, word, code.p))
+                            mod_xn_minus_1(F3, word, code.p))
 
     assert contains(code.generator)
     shifted = (0,) + code.generator

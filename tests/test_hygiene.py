@@ -96,3 +96,16 @@ def test_every_definition_is_referenced():
                         and not _overrides_stdlib(module, node.name, name)):
                     dead.append(f"{module}.{node.name}.{name}")
     assert not dead, f"defined but never referenced in src/madics: {dead}"
+
+
+def test_poly_imports_only_errors():
+    # poly stays pure Python: no numpy and nothing else on the cold path
+    tree = ast.parse((ROOT / "src" / "madics" / "poly.py").read_text(
+        encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules <= {".errors", "__future__"}, sorted(modules)

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madics import poly
-from madics.errors import BothZero, NotADivisor, ZeroCode
+from madics.errors import BothZero, NonPrimeModulus, NotADivisor, ZeroCode
 from madics.ffield import make_extension, make_prime_field
 from madics.field_codes import coset_factors
+from oracle import mod_xn_minus_1, mul_mod_schoolbook
 
 rng = random.Random(0x9017)
 F3 = make_prime_field(3)
@@ -78,10 +80,67 @@ def test_gcd_both_zero():
         poly.gcd(F3, (), ())
 
 
+def test_gcd_matches_gcd_ext():
+    for ctx in (F3, F7):
+        for _ in range(60):
+            a, b = rand_poly(ctx, 9), rand_poly(ctx, 6)
+            if a or b:
+                assert poly.gcd(ctx, a, b) == poly.gcd_ext(ctx, a, b)[0]
+    # a shared factor, and one side zero
+    f = (1, 1)
+    assert poly.gcd(F7, poly.mul(F7, f, (2, 3)), poly.mul(F7, f, (5,))) == f
+    assert poly.gcd(F7, (), (3, 6)) == (4, 1)
+
+
 def test_mod_xn_minus_1_folds_exponents():
     a = (0, 0, 0, 0, 0, 1)  # x^5
-    assert poly.mod_xn_minus_1(F3, a, 5) == (1,)
+    assert mod_xn_minus_1(F3, a, 5) == (1,)
     assert poly.mul_mod(F3, (0, 1), (0, 0, 0, 0, 1), 5) == (1,)
+
+
+@st.composite
+def mul_mod_cases(draw):
+    q = draw(st.sampled_from((2, 3, 5, 7, 13, 31)))
+    n = draw(st.integers(1, 130))
+    coeffs = st.lists(st.integers(0, q - 1), max_size=n)
+    return make_prime_field(q), draw(coeffs), draw(coeffs), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(mul_mod_cases())
+def test_mul_mod_matches_schoolbook_property(case):
+    ctx, a, b, n = case
+    a, b = poly.trim(ctx, a), poly.trim(ctx, b)
+    assert poly.mul_mod(ctx, a, b, n) == mul_mod_schoolbook(ctx, a, b, n)
+
+
+def test_mul_mod_slot_width_worst_case():
+    # every folded slot sums n products (q-1)**2: the largest slot value
+    for q, n in ((31, 127), (2, 127)):
+        ctx = make_prime_field(q)
+        full = (q - 1,) * n
+        want = ((n * (q - 1) ** 2) % q,) * n
+        got = poly.mul_mod(ctx, full, full, n)
+        assert got == poly.trim(ctx, want)
+        assert got == mul_mod_schoolbook(ctx, full, full, n)
+
+
+def test_mul_mod_zero_and_unfolded():
+    a = rand_poly(F7, 10)
+    assert poly.mul_mod(F7, (), a, 11) == ()
+    assert poly.mul_mod(F7, a, (), 11) == ()
+    # deg(a*b) < n: no fold, the plain product
+    b = (3, 0, 5)
+    assert poly.mul_mod(F7, a, b, 13) == poly.mul(F7, a, b)
+
+
+def test_mul_mod_rejects_extension_and_long_inputs():
+    with pytest.raises(NonPrimeModulus):
+        poly.mul_mod(make_extension(3, 2), (1, 2), (3,), 5)
+    with pytest.raises(ValueError):
+        poly.mul_mod(F3, (1,) * 6, (1, 1), 5)
+    with pytest.raises(ValueError):
+        poly.mul_mod(F3, (1, 1), (1,) * 6, 5)
 
 
 def test_eval_poly():
