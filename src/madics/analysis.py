@@ -10,6 +10,10 @@ codeword's support is the union of its component supports and the
 components are independent; the exhaustive method enumerates every
 tuple of component messages and is used as a cross-check on small
 instances.
+
+numpy and the scan kernel (_kernels) are imported inside the functions
+that build a generator matrix or scan, so importing madics or its CLI
+does not load numpy; it loads on the first scan only.
 """
 
 from __future__ import annotations
@@ -17,10 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .errors import BackendUnavailable, InvalidParameter, TooLarge
+from .ffield import factorize
 
 DEFAULT_CAP = 1 << 24
 
@@ -49,6 +51,8 @@ class DistanceReport:
 
 def generator_matrix(code):
     """k x n integer matrix whose rows are x**i * g, i < k."""
+    import numpy as np
+
     ctx = code.ctx
     if ctx.t != 1:
         raise ValueError("generator_matrix expects a prime-field code")
@@ -70,6 +74,8 @@ def _kernel_only(use_numba):
 
 def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
     """Exact distance of a field code by full message enumeration."""
+    from . import _kernels
+
     _kernel_only(use_numba)
     n, k, q = code.p, code.dimension, code.q
     if k == 0:
@@ -110,6 +116,8 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
     The support of a ring word is the union of the component supports,
     so the kernel folds 0/1 support tables across components.
     """
+    from . import _kernels
+
     n, q = code.p, code.ring.q
     total = math.prod(_component_sizes(code))
     if total > cap:
@@ -125,10 +133,23 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
 
 
 def griesmer_check(n, k, d, q):
-    """Bound n >= sum ceil(d / q**i) for i < k; returns (bound, attained)."""
+    """Bound n >= sum ceil(d / q**i) for i < k; returns (bound, attained).
+
+    q must be a prime power, the order of some GF(q).  Every term with
+    q**i >= d is 1, so the sum runs explicitly only up to the first
+    such i and adds the remaining terms as their count.
+    """
     if n < 1 or k < 1 or d < 1 or q < 2:
         raise InvalidParameter(
             f"griesmer check needs n, k, d >= 1 and q >= 2, got n={n}, "
             f"k={k}, d={d}, q={q}")
-    bound = sum(-(-d // q**i) for i in range(k))
+    if len(factorize(q)) != 1:
+        raise InvalidParameter(
+            "griesmer check needs a prime power q, the order of a field; "
+            f"got q={q}")
+    bound, i, qi = 0, 0, 1
+    while i < k and qi < d:
+        bound += -(-d // qi)
+        i, qi = i + 1, qi * q
+    bound += k - i
     return bound, bound == n

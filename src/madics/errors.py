@@ -68,7 +68,7 @@ class BadSlotIndex(MadicError):
 
 class InvalidParameter(MadicError, ValueError):
     """A numeric argument lies outside its valid range, such as a
-    Griesmer check with n < 1, k < 1, d < 1 or q < 2."""
+    Griesmer check with n < 1, k < 1, d < 1 or q not a prime power."""
 
 
 class TooLarge(MadicError):

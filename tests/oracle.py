@@ -27,6 +27,9 @@ ORs it across all tuples.  Neither splits G or packs words into bit
 planes as the kernel does.  Both return (d_min, counts) with the zero
 word in counts[0], but scan_union holds every tuple in memory at once,
 so keep its inputs small.
+
+griesmer_bound_naive is the oracle of madics.analysis.griesmer_check:
+the sum of ceil(d / q**i) over every i < k, one power at a time.
 """
 
 import numpy as np
@@ -129,6 +132,10 @@ def scan_union(gmats, q):
     counts = np.bincount(weights, minlength=n + 1)
     nonzero = weights[weights > 0]
     return (int(nonzero.min()) if nonzero.size else 0), counts
+
+
+def griesmer_bound_naive(k, d, q):
+    return sum(-(-d // q**i) for i in range(k))
 
 
 def _eq(ring, p, a, b):

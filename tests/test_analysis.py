@@ -1,6 +1,7 @@
 """Distance computation and bound checks with frozen oracle values."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from madics.field_codes import CyclicCode, family_codes
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
 from madics.ring_codes import ring_code, ring_mu_chain
-from oracle import scan_union
+from oracle import griesmer_bound_naive, scan_union
 
 rng = random.Random(0xD157)
 F3 = make_prime_field(3)
@@ -165,9 +166,29 @@ def test_griesmer_rejects_degenerate():
     # InvalidParameter is a MadicError and a ValueError
     for n, k, d, q in ((13, 0, 9, 3), (13, 3, 0, 3), (13, 3, 9, 0),
                        (13, 3, 9, 1), (13, 3, 9, -3), (0, 3, 9, 3),
-                       (-1, 3, 9, 3)):
+                       (-1, 3, 9, 3), (13, 3, 9, 6), (13, 3, 9, 10),
+                       (13, 3, 9, 12), (13, 3, 9, 100)):
         with pytest.raises(InvalidParameter, match="griesmer check needs"):
             griesmer_check(n, k, d, q)
+
+
+def test_griesmer_matches_naive_sum():
+    # terms past the first q**i >= d are counted, not computed; every
+    # prime power q is accepted
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 31, 49):
+        for d in (1, 2, 3, 7, 8, 9, 10, 26, 27, 100):
+            for k in (1, 2, 3, 5, 8, 13):
+                n = griesmer_bound_naive(k, d, q)
+                for nn in (n, n + 1):
+                    assert griesmer_check(nn, k, d, q) == (n, nn == n)
+
+
+def test_griesmer_large_k_is_immediate():
+    t0 = time.perf_counter()
+    bound, attained = griesmer_check(10**6, 10**6, 9, 3)
+    assert time.perf_counter() - t0 < 0.5
+    # 9 + 3, then 10**6 - 2 terms of 1
+    assert bound == 10**6 + 10 and not attained
 
 
 def test_benchmark_call_shape():

@@ -305,10 +305,16 @@ def test_griesmer_verb(capsys):
                             "--d", "7", "--q", "3")
     assert code == 0
     assert doc["bound"] == 12 and doc["attained"] is False
+    # prime powers are field orders too
+    for q, bound in (("4", 13), ("9", 11)):
+        code, doc, _ = run_json(capsys, "griesmer", "--n", "13", "--k", "3",
+                                "--d", "9", "--q", q)
+        assert code == 0
+        assert doc["bound"] == bound
 
 
 @pytest.mark.parametrize("n, q", [("13", "0"), ("13", "1"), ("13", "-2"),
-                                  ("0", "3")])
+                                  ("0", "3"), ("13", "6")])
 def test_griesmer_bad_q_or_n_exit_1(capsys, n, q):
     code, out, err = run_cli(capsys, "griesmer", "--n", n, "--k", "3",
                              "--d", "9", "--q", q)

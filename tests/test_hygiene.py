@@ -1,10 +1,17 @@
 """Import and dead-code hygiene of the package and the tests, checked
 with the stdlib ast module: every imported name is used, every name the
 package exports exists, and every function, class and method of the
-package is referenced inside the package."""
+package is referenced inside the package.  numpy stays off the cold
+path: no module but _kernels imports it (or _kernels) at module level,
+and a fresh interpreter that imports madics or runs a verb that does
+not scan ends without numpy in sys.modules."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +116,90 @@ def test_poly_imports_only_errors():
         elif isinstance(node, ast.ImportFrom):
             modules.add("." * node.level + (node.module or ""))
     assert modules <= {".errors", "__future__"}, sorted(modules)
+
+
+def _module_level_imports(tree):
+    """Top-level module names imported outside any function body."""
+    names = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and not node.module:  # from . import x
+                names.update(a.name for a in node.names)
+            else:
+                names.add((node.module or "").split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.stem != "_kernels"],
+                         ids=lambda p: p.name)
+def test_numpy_only_imported_inside_functions(path):
+    # the scan functions of analysis import numpy and _kernels lazily;
+    # a module-level import anywhere would load numpy on every CLI call
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    heavy = _module_level_imports(tree) & {"numpy", "_kernels"}
+    assert not heavy, f"{path.name} imports {sorted(heavy)} at module level"
+
+
+_CHILD = """
+import contextlib, io, json, sys
+from madics.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "out": out.getvalue()}))
+"""
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports madics from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+
+
+def _fresh(*argv):
+    """Run madics.cli.main on argv in a fresh interpreter."""
+    proc = _python("-c", _CHILD, *argv)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_madics_leaves_numpy_unloaded():
+    _python("-c", "import sys, madics, madics.cli\n"
+                  "assert 'numpy' not in sys.modules")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classes", "--p", "13", "--m", "3", "--b", "2"),
+    ("field-code", "--q", "2", "--p", "89", "--m", "2", "--family",
+     "even-I", "--index", "0"),
+    ("ring-code", "--q", "3", "--s", "3", "--p", "13", "--m", "4", "--a",
+     "7", "--family", "even-I", "--slots", "1,2,3", "--chain"),
+    ("griesmer", "--n", "13", "--k", "3", "--d", "9", "--q", "3"),
+    ("export", "--q", "3", "--p", "13", "--m", "4", "--family", "even-I",
+     "--index", "0", "--skip-distance", "--out", None),
+], ids=lambda argv: argv[0])
+def test_cold_verbs_leave_numpy_unloaded(argv, tmp_path):
+    argv = [str(tmp_path / "code.json") if a is None else a for a in argv]
+    res = _fresh(*argv, "--output", "json")
+    assert res["code"] == 0
+    assert res["numpy"] is False
+
+
+def test_distance_loads_numpy_and_scans():
+    res = _fresh("distance", "--q", "2", "--p", "23", "--m", "2",
+                 "--family", "odd-I", "--index", "0", "--output", "json")
+    assert res["code"] == 0
+    assert res["numpy"] is True
+    rep = json.loads(res["out"])["code"]["distance_report"]
+    assert (rep["n"], rep["k"], rep["d_min"]) == (23, 12, 7)
