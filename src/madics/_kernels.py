@@ -21,6 +21,17 @@ planes and in op:
                  supports, gathered per block; the low table is the
                  last component's.
 
+Only one high message per line is scanned: the messages whose most
+significant nonzero base-q digit is 1, the rows [q**j, 2 q**j) of the
+_words order (see _lines).  Scaling a whole high message by lambda != 0
+keeps the histogram over the low side: for scan, lambda h - l =
+lambda (h - l / lambda) and l -> l / lambda permutes the low code;
+for scan_union, supports do not change.  So the line counts are
+multiplied by q - 1, and the zero high row, whose pairs op(0, l) = l
+are the low table itself for XOR and OR, is added from the low table's
+own weights.  This is exact for rank-deficient matrices too: counts[0]
+still counts every message that maps to the zero word.
+
 A block's largest temporary, pairs x words per plane x 8 bytes, is kept
 to BLOCK_BYTES (one high row at least).  Tables are sized by
 q**ceil(k/2) words (field) or each component's word count (ring), never
@@ -46,22 +57,48 @@ def _planes(table, bits):
     return packed.view(np.uint64)
 
 
-def _distance_counts(high, n_high, low, n, op):
+def _lines(n_high, q):
+    """Message indices of the lines of q**kh = n_high high messages,
+    one per line: position t is the index q**j + r, r < q**j, of the
+    t-th message whose most significant nonzero base-q digit is 1, the
+    rows [q**j, 2 q**j) of the _words order for j = 0, 1, ..., kh - 1."""
+    tops, top = [], 1
+    while top < n_high:
+        tops.append(top)
+        top *= q
+    tops = np.array(tops, dtype=np.int64)
+    firsts = np.cumsum(tops) - tops  # position of the line q**j
+
+    def lines(start, stop):
+        pos = np.arange(start, stop, dtype=np.int64)
+        j = np.searchsorted(firsts, pos, side="right") - 1
+        return tops[j] + pos - firsts[j]
+
+    return (n_high - 1) // (q - 1), lines
+
+
+def _distance_counts(high, n_high, low, n, op, q):
     """counts[w] = number of pairs (i, j), i < n_high, where the OR over
     planes of op(high row i, low row j) has w set bits.  low has shape
-    (planes, rows, words); high(start, stop) returns high rows
-    start..stop-1 in the same layout."""
+    (planes, rows, words); high(idx) returns the high rows of the
+    message indices idx in the same layout.  n_high is a power of q."""
     planes, n_low, width = low.shape
     step = max(1, BLOCK_BYTES // (n_low * width * 8))
     wtype = np.min_scalar_type(n)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, n_high, step):
-        block = high(start, min(start + step, n_high))[:, :, None]
+    n_lines, lines = _lines(n_high, q)
+    for start in range(0, n_lines, step):
+        block = high(lines(start, min(start + step, n_lines)))[:, :, None]
         diff = op(block[0], low[0])
         for b in range(1, planes):
             diff |= op(block[b], low[b])
         dist = np.bitwise_count(diff).sum(axis=2, dtype=wtype)
         counts += np.bincount(dist.ravel(), minlength=n + 1)
+    counts *= q - 1
+    # the zero high row: op(0, l) = l for XOR and OR
+    zero = np.bitwise_or.reduce(low, axis=0)
+    counts += np.bincount(np.bitwise_count(zero).sum(axis=1, dtype=wtype),
+                          minlength=n + 1)
     return counts
 
 
@@ -94,8 +131,8 @@ def scan(gmat, q):
     bits = (q - 1).bit_length()
     low = _planes(_words(gmat[:half], q), bits)
     high = _planes(_words(gmat[half:], q), bits)
-    counts = _distance_counts(lambda a, b: high[:, a:b], high.shape[1], low,
-                              gmat.shape[1], np.bitwise_xor)
+    counts = _distance_counts(lambda idx: high[:, idx], high.shape[1], low,
+                              gmat.shape[1], np.bitwise_xor, q)
     return min_weight(counts), counts
 
 
@@ -106,9 +143,8 @@ def scan_union(gmats, q):
     *high_tables, last = [_planes(np.minimum(_words(g, q), 1), 1)[0]
                           for g in gmats]
 
-    def high(start, stop):
-        idx = np.arange(start, stop, dtype=np.int64)
-        rows = np.zeros((1, stop - start, last.shape[1]), dtype=np.uint64)
+    def high(idx):
+        rows = np.zeros((1, len(idx), last.shape[1]), dtype=np.uint64)
         for table in reversed(high_tables):
             idx, digit = np.divmod(idx, len(table))
             rows[0] |= table[digit]
@@ -116,5 +152,5 @@ def scan_union(gmats, q):
 
     n_high = math.prod(len(t) for t in high_tables)
     counts = _distance_counts(high, n_high, last[None], gmats[-1].shape[1],
-                              np.bitwise_or)
+                              np.bitwise_or, q)
     return min_weight(counts), counts

@@ -1,15 +1,22 @@
 """Exact minimum distances, weight distributions and Griesmer checks.
 
-Field codes are measured by exhaustive enumeration of all q**k
-messages, refused with TooLarge unless q**k <= cap (default
-DEFAULT_CAP = 2**24; the exhaustive ring method holds its tuple count,
-the product of the component word counts, to the same cap).  Ring
-codes are measured two ways: the component-min method takes the
-minimum of the CRT component distances, which is exact because a ring
-codeword's support is the union of its component supports and the
-components are independent; the exhaustive method enumerates every
-tuple of component messages and is used as a cross-check on small
-instances.
+A field code of dimension k is measured by enumerating whichever of C
+and its dual is smaller.  When n - k >= k the scan runs over the q**k
+messages of C; when n - k < k it runs over the q**(n-k) messages of the
+dual (generated by the monic reciprocal of the check polynomial
+(x**n - 1)/g) and the MacWilliams identity turns the dual's weight
+distribution B into C's, A_w = q**-(n-k) sum_i B_i K_w(i), with the
+Krawtchouk values K_w(i) exact Python ints from their three-term
+recurrence.  Either way the counts are Python ints (past the cap A_w
+exceeds int64), and the cap (default DEFAULT_CAP = 2**24) bounds the
+words actually scanned, min(q**k, q**(n-k)): a larger scan is refused
+with TooLarge.  The exhaustive ring method holds its tuple count, the
+product of the component word counts, to the same cap.  Ring codes are
+measured two ways: the component-min method takes the minimum of the
+CRT component distances, which is exact because a ring codeword's
+support is the union of its component supports and the components are
+independent; the exhaustive method enumerates every tuple of component
+messages and is used as a cross-check on small instances.
 
 numpy and the scan kernel (_kernels) are imported inside the functions
 that build a generator matrix or scan, so importing madics or its CLI
@@ -21,8 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import poly
 from .errors import BackendUnavailable, InvalidParameter, TooLarge
-from .ffield import factorize
+from .ffield import is_prime_power
 
 DEFAULT_CAP = 1 << 24
 
@@ -34,9 +42,17 @@ class DistanceReport:
     k is the rank of the enumeration basis: the code dimension for a
     field code, the sum of component ranks for an exhaustive ring run,
     and the common component rank (or None when ranks differ) for the
-    component-min method.  weight_distribution is A_0..A_n when the
-    method enumerated every word, else None.  The zero code reports
-    d_min = 0.
+    component-min method.  weight_distribution is A_0..A_n (Python
+    ints) when the method accounts for every word, else None.  The zero
+    code reports d_min = 0.
+
+    method is "exhaustive" when the scan ran over the code itself (or,
+    for a ring code, over every tuple of component messages),
+    "macwilliams" when it ran over the dual code and A came from the
+    MacWilliams identity, and "component-min" for the minimum over the
+    CRT components.  enumerated is the number of words whose weights
+    were counted: q**k, the dual's q**(n-k), the tuple count, or the
+    sum over the components.
     """
 
     n: int
@@ -49,20 +65,48 @@ class DistanceReport:
     component_dmins: tuple | None = None
 
 
-def generator_matrix(code):
-    """k x n integer matrix whose rows are x**i * g, i < k."""
+def _shift_matrix(gen, n, k):
+    """k x n integer matrix whose rows are x**i * gen, i < k."""
     import numpy as np
 
-    ctx = code.ctx
-    if ctx.t != 1:
-        raise ValueError("generator_matrix expects a prime-field code")
-    n, gen = code.p, code.generator
-    k = code.dimension
     mat = np.zeros((k, n), dtype=np.int64)
     for i in range(k):
-        for jj, c in enumerate(gen):
-            mat[i, (i + jj) % n] = c
+        mat[i, i:i + len(gen)] = gen
     return mat
+
+
+def generator_matrix(code):
+    """k x n integer matrix whose rows are x**i * g, i < k."""
+    if code.ctx.t != 1:
+        raise ValueError("generator_matrix expects a prime-field code")
+    return _shift_matrix(code.generator, code.p, code.dimension)
+
+
+def dual_generator(code):
+    """Generator of the dual of <g>: the monic reciprocal of the check
+    polynomial (x**n - 1)/g, whose constant term is nonzero."""
+    ctx = code.ctx
+    check = poly.div_exact(ctx, poly.xn_minus_1(ctx, code.p), code.generator)
+    return poly.monic(ctx, check[::-1])
+
+
+def macwilliams(dual_counts, n, q):
+    """Weight distribution A of a linear code of length n over GF(q)
+    from the weight distribution B of its dual: A_w = sum_i B_i K_w(i)
+    / sum_i B_i, where (w + 1) K_{w+1}(i) = ((q-1)(n-w) + w - q i)
+    K_w(i) - (q-1)(n-w+1) K_{w-1}(i), K_0 = 1.  Exact in Python ints;
+    K is evaluated only at weights i with B_i != 0."""
+    acc = [0] * (n + 1)
+    for i, b in enumerate(dual_counts):
+        if not b:
+            continue
+        prev, cur = 0, 1
+        for w in range(n + 1):
+            acc[w] += b * cur
+            prev, cur = cur, (((q - 1) * (n - w) + w - q * i) * cur
+                              - (q - 1) * (n - w + 1) * prev) // (w + 1)
+    size = sum(dual_counts)
+    return tuple(a // size for a in acc)
 
 
 def _kernel_only(use_numba):
@@ -73,7 +117,8 @@ def _kernel_only(use_numba):
 
 
 def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
-    """Exact distance of a field code by full message enumeration."""
+    """Exact distance and weight distribution of a field code, by
+    enumerating the smaller of the code and its dual."""
     from . import _kernels
 
     _kernel_only(use_numba)
@@ -81,14 +126,21 @@ def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
     if k == 0:
         dist = (1,) + (0,) * n
         return DistanceReport(n, 0, 0, "exhaustive", 1, dist)
-    total = q**k
+    dual = n - k < k
+    total = q**(n - k if dual else k)
     if total > cap:
         raise TooLarge(
-            f"enumerating {q}^{k} = {total} codewords exceeds the cap {cap}; "
+            f"enumerating {total} codewords, the smaller of the code "
+            f"({q}^{k}) and its dual ({q}^{n - k}), exceeds the cap {cap}; "
             "raise the cap to proceed")
-    best, counts = _kernels.scan(generator_matrix(code), q)
-    return DistanceReport(n, k, best, "exhaustive", total,
-                          tuple(int(c) for c in counts))
+    if not dual:
+        best, counts = _kernels.scan(generator_matrix(code), q)
+        return DistanceReport(n, k, best, "exhaustive", total,
+                              tuple(int(c) for c in counts))
+    gmat = _shift_matrix(dual_generator(code), n, n - k)
+    dist = macwilliams([int(c) for c in _kernels.scan(gmat, q)[1]], n, q)
+    best = next((w for w in range(1, n + 1) if dist[w]), 0)
+    return DistanceReport(n, k, best, "macwilliams", total, dist)
 
 
 def _component_sizes(code):
@@ -143,7 +195,7 @@ def griesmer_check(n, k, d, q):
         raise InvalidParameter(
             f"griesmer check needs n, k, d >= 1 and q >= 2, got n={n}, "
             f"k={k}, d={d}, q={q}")
-    if len(factorize(q)) != 1:
+    if not is_prime_power(q):
         raise InvalidParameter(
             "griesmer check needs a prime power q, the order of a field; "
             f"got q={q}")

@@ -4,7 +4,8 @@ Verbs: classes, field-code, ring-code, distance, griesmer, verify-paper,
 export.  Every verb takes --output json|text and echoes the fully
 resolved parameters (including defaulted b, a and the pinned splitting
 field) so runs are reproducible.  Exit codes: 0 success, 1 validation
-error, 2 enumeration cap exceeded.
+error, 2 size cap exceeded (an enumeration past --cap, or p past
+residues.P_CAP).
 """
 
 from __future__ import annotations

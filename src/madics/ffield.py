@@ -25,16 +25,55 @@ from .errors import FieldTooLarge, NonPrimeModulus
 SIZE_CAP = 2 ** 31
 
 
+# No composite below 3317044064679887385961981 (about 3.3 * 10**24) is a
+# strong pseudoprime to all of the first 13 primes (Sorenson & Webster,
+# Math. Comp. 86, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n):
-    """Trial-division primality check (desk-scale inputs)."""
+    """Miller-Rabin test to the bases MR_BASES: exact below about
+    3.3 * 10**24, a strong probable-prime test above."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _iroot(n, e):
+    """Largest r with r**e <= n, for n >= 1, by integer Newton steps
+    down from a power of two above the root."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+def is_prime_power(n):
+    """True when n = r**e for a prime r and e >= 1: some integer e-th
+    root of n, e < bit length of n, is exact and prime."""
+    for e in range(1, n.bit_length()):
+        r = _iroot(n, e)
+        if r**e == n and is_prime(r):
+            return True
+    return False
 
 
 def factorize(n):

@@ -20,8 +20,15 @@ from .errors import (
     NonPrimeModulus,
     NotCoprime,
     NotPrimitiveRoot,
+    TooLarge,
 )
 from .ffield import factorize, is_prime, smallest_primitive_root
+
+# Largest p build_residue_system accepts.  A system keeps about 82 bytes
+# per residue (the class_of dict and the class tuples; 107 at the peak
+# of the build), so 2**20 residues hold about 85 MB and peak near
+# 110 MB (measured with tracemalloc at p = 1000003, CPython 3.11).
+P_CAP = 1 << 20
 
 
 def _is_primitive_root(b, p):
@@ -58,6 +65,8 @@ class ResidueSystem:
 def build_residue_system(p, m, b=None, a=None):
     """Build the class partition for (p, m) with optional overrides.
 
+    p is refused with TooLarge above P_CAP, before any residue is built.
+
     b defaults to the smallest primitive root mod p and a to the
     smallest element of Q_1.  The class index j of a must satisfy
     gcd(j, m) = 1 so that mu_a cyclically permutes the classes.
@@ -66,6 +75,10 @@ def build_residue_system(p, m, b=None, a=None):
         raise NonPrimeModulus(f"{p} is not prime")
     if m < 2 or (p - 1) % m != 0:
         raise InvalidM(f"m={m} must be >= 2 and divide p-1={p - 1}")
+    if p > P_CAP:
+        raise TooLarge(
+            f"p={p} exceeds the residue-system cap {P_CAP}: the classes "
+            f"would hold {p - 1} residues in memory")
     if b is None:
         b = smallest_primitive_root(p)
     elif not _is_primitive_root(b, p):

@@ -30,7 +30,17 @@ so keep its inputs small.
 
 griesmer_bound_naive is the oracle of madics.analysis.griesmer_check:
 the sum of ceil(d / q**i) over every i < k, one power at a time.
+
+macwilliams_naive is the oracle of madics.analysis.macwilliams: the
+same transform with each Krawtchouk value summed from its binomial
+definition instead of the three-term recurrence.
+
+is_prime_trial and is_prime_power_trial are the oracles of
+madics.ffield.is_prime (Miller-Rabin) and is_prime_power (integer
+roots): trial division up to sqrt(n), for small n only.
 """
+
+from math import comb
 
 import numpy as np
 
@@ -136,6 +146,43 @@ def scan_union(gmats, q):
 
 def griesmer_bound_naive(k, d, q):
     return sum(-(-d // q**i) for i in range(k))
+
+
+def krawtchouk(w, i, n, q):
+    """K_w(i) = sum_j (-1)**j (q-1)**(w-j) C(i, j) C(n-i, w-j)."""
+    return sum((-1)**j * (q - 1)**(w - j) * comb(i, j) * comb(n - i, w - j)
+               for j in range(w + 1))
+
+
+def macwilliams_naive(dual_counts, n, q):
+    size = sum(dual_counts)
+    return tuple(
+        sum(b * krawtchouk(w, i, n, q) for i, b in enumerate(dual_counts))
+        // size
+        for w in range(n + 1))
+
+
+def is_prime_trial(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def is_prime_power_trial(n):
+    """True when n > 1 has exactly one prime divisor."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            return n == 1
+        d += 1
+    return n > 1
 
 
 def _eq(ring, p, a, b):

@@ -4,13 +4,16 @@ import random
 import time
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from madics import poly
 from madics.analysis import (
     DEFAULT_CAP,
+    dual_generator,
     generator_matrix,
     griesmer_check,
+    macwilliams,
     min_distance_field,
     min_distance_ring,
     min_distance_ring_exhaustive,
@@ -21,7 +24,8 @@ from madics.field_codes import CyclicCode, family_codes
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
 from madics.ring_codes import ring_code, ring_mu_chain
-from oracle import griesmer_bound_naive, scan_union
+from oracle import griesmer_bound_naive, macwilliams_naive, scan_numpy
+from oracle import scan_union
 
 rng = random.Random(0xD157)
 F3 = make_prime_field(3)
@@ -191,6 +195,79 @@ def test_griesmer_large_k_is_immediate():
     assert bound == 10**6 + 10 and not attained
 
 
+def _family_dims(p, m):
+    e = (p - 1) // m
+    return {"even-I": e, "odd-I": p - e, "even-II": p - 1 - e,
+            "odd-II": e + 1}
+
+
+def test_griesmer_large_prime_q_is_immediate():
+    # a prime power test by integer roots and Miller-Rabin, no factoring
+    t0 = time.perf_counter()
+    assert griesmer_check(13, 3, 9, 100000000000031) == (11, False)
+    assert griesmer_check(13, 3, 9, (2**61 - 1) ** 2) == (11, False)
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(InvalidParameter, match="prime power"):
+        griesmer_check(13, 3, 9, (2**61 - 1) * (2**31 - 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_macwilliams_recurrence_matches_binomial_sums(q):
+    for n in (1, 2, 7, 20, 41):
+        for _ in range(5):
+            dual = [rng.randrange(4) * rng.randrange(10**rng.randrange(6))
+                    for _ in range(n + 1)]
+            dual[rng.randrange(n + 1)] += 1
+            assert macwilliams(dual, n, q) == macwilliams_naive(dual, n, q)
+
+
+def dual_matrix(code):
+    """Rows x**i * h for the dual generator h, checked against C: the
+    rows are independent (h is monic of degree k) and orthogonal to
+    every row of G."""
+    h, n, k = dual_generator(code), code.p, code.dimension
+    assert len(h) == k + 1 and h[-1] == 1
+    mat = np.zeros((n - k, n), dtype=np.int64)
+    for i in range(n - k):
+        mat[i, i:i + k + 1] = h
+    assert not ((generator_matrix(code) @ mat.T) % code.q).any()
+    return mat
+
+
+# every family code with n - k < k at these points is scanned through its
+# dual; across the points every family occurs
+DUAL_CASES = [(q, p, m, family)
+              for q, p, m in ((2, 23, 2), (3, 11, 2), (3, 13, 4), (2, 31, 3),
+                              (5, 31, 5))
+              for family, k in _family_dims(p, m).items() if 2 * k > p]
+
+
+@pytest.mark.parametrize("q,p,m,family", DUAL_CASES)
+def test_dual_scan_matches_oracles(q, p, m, family):
+    code = family_codes(build_residue_system(p, m), make_prime_field(q),
+                        family)[0]
+    n, k = p, code.dimension
+    rep = min_distance_field(code)
+    assert rep.method == "macwilliams" and rep.enumerated == q ** (n - k)
+    dual = tuple(int(c) for c in scan_numpy(dual_matrix(code), q)[1])
+    assert rep.weight_distribution == macwilliams_naive(dual, n, q)
+    assert macwilliams(rep.weight_distribution, n, q) == dual
+    if q ** k <= 1 << 21:
+        assert rep.weight_distribution == tuple(
+            int(c) for c in scan_numpy(generator_matrix(code), q)[1])
+    assert rep.d_min == next(w for w in range(1, n + 1)
+                             if rep.weight_distribution[w])
+
+
+def test_dual_scan_counts_the_smaller_side():
+    code = family_codes(build_residue_system(31, 3), make_prime_field(2),
+                        "odd-I")[0]
+    rep = min_distance_field(code)
+    assert (rep.n, rep.k, rep.enumerated) == (31, 21, 2**10)
+    with pytest.raises(TooLarge, match=r"enumerating 1024 codewords"):
+        min_distance_field(code, cap=2**10 - 1)
+
+
 def test_benchmark_call_shape():
     # perfbench/layers.py passes the cap and use_numba=None positionally
     field_code = family_codes(SYS134, F3, "even-I")[0]
@@ -203,12 +280,6 @@ def test_benchmark_call_shape():
         min_distance_field(field_code, DEFAULT_CAP, True)
     with pytest.raises(BackendUnavailable):
         min_distance_ring(rc, DEFAULT_CAP, True)
-
-
-def _family_dims(p, m):
-    e = (p - 1) // m
-    return {"even-I": e, "odd-I": p - e, "even-II": p - 1 - e,
-            "odd-II": e + 1}
 
 
 # (q, p, m) with q an m-adic residue mod p and a small splitting field;

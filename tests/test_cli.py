@@ -2,9 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from madics.analysis import dual_generator, generator_matrix, macwilliams
 from madics.cli import main
+from madics.ffield import make_prime_field
+from madics.field_codes import family_codes
+from madics.residues import build_residue_system
+from oracle import scan_numpy
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +122,68 @@ def test_distance_cap_exit_2(capsys):
                            "--method", "exhaustive", "--cap", "10")
     assert code == 2
     assert "TooLarge" in err
+
+
+def gf2_rank(rows):
+    """Rank over GF(2) of rows given as int bit masks."""
+    basis = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis.append(r)
+    return len(basis)
+
+
+def test_distance_past_cap_by_macwilliams(capsys):
+    # [89, 78]_2 has 2^78 words; its dual has 2^11
+    code, doc, _ = run_json(capsys, "distance", "--q", "2", "--p", "89",
+                            "--m", "8", "--family", "odd-I", "--index", "0")
+    assert code == 0
+    rep = doc["code"]["distance_report"]
+    assert (rep["n"], rep["k"], rep["d_min"]) == (89, 78, 4)
+    assert rep["method"] == "macwilliams" and rep["enumerated"] == 2048
+    weights = rep["weight_distribution"]
+    assert sum(weights) == 2**78 and min(weights) >= 0
+    # H: the shifts of the dual generator, checked to be a parity-check
+    # matrix of C (rank 11, orthogonal to G), as column bit masks
+    fc = family_codes(build_residue_system(89, 8), make_prime_field(2),
+                      "odd-I")[0]
+    h = dual_generator(fc)
+    hmat = np.zeros((11, 89), dtype=np.int64)
+    for i in range(11):
+        hmat[i, i:i + 79] = h
+    assert gf2_rank(int("".join(map(str, row)), 2) for row in hmat) == 11
+    assert not (generator_matrix(fc) @ hmat.T % 2).any()
+    # transforming A back reproduces the dual's scan
+    assert macwilliams(weights, 89, 2) == tuple(
+        int(c) for c in scan_numpy(hmat, 2)[1])
+    # d = 4: no 1, 2 or 3 columns of H sum to zero, and some 4 do
+    cols = [sum(int(hmat[i, j]) << i for i in range(11)) for j in range(89)]
+    assert 0 not in cols and len(set(cols)) == 89
+    pair_sums = {}
+    for a in range(89):
+        for b in range(a + 1, 89):
+            pair_sums.setdefault(cols[a] ^ cols[b], []).append((a, b))
+    assert not set(pair_sums) & set(cols)
+    assert any(len({*p1, *p2}) == 4 for pairs in pair_sums.values()
+               for p1 in pairs for p2 in pairs)
+
+
+def test_distance_cap_names_the_smaller_side(capsys):
+    # [19, 7]_7 scans the code itself (7^7 words), not its dual (7^12)
+    code, _, err = run_cli(capsys, "distance", "--q", "7", "--p", "19",
+                           "--m", "3", "--family", "odd-II", "--index", "0",
+                           "--cap", "1000")
+    assert code == 2
+    assert "enumerating 823543 codewords" in err
+
+
+def test_classes_p_cap_exit_2(capsys):
+    code, out, err = run_cli(capsys, "classes", "--p", "1000000000039",
+                             "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: TooLarge: p=1000000000039 exceeds")
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

@@ -7,7 +7,13 @@ import pytest
 
 from madics import ffield, poly
 from madics.errors import NonPrimeModulus
-from madics.ffield import is_prime, make_extension, make_prime_field
+from madics.ffield import (
+    is_prime,
+    is_prime_power,
+    make_extension,
+    make_prime_field,
+)
+from oracle import is_prime_power_trial, is_prime_trial
 
 rng = random.Random(0xF1E1D)
 
@@ -16,6 +22,31 @@ def test_is_prime_small():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                       47, 53, 59]
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == is_prime_trial(n) for n in range(10**5))
+
+
+def test_is_prime_power_matches_trial_division():
+    assert all(is_prime_power(n) == is_prime_power_trial(n)
+               for n in range(10**5))
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751])
+def test_carmichael_numbers_are_composite(n):
+    # Fermat pseudoprimes to every coprime base; 3215031751 is also a
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(n) and not is_prime_trial(n)
+    assert not is_prime_power(n)
+
+
+def test_large_primes_and_prime_powers():
+    m61 = 2**61 - 1
+    assert is_prime(m61) and is_prime_power(m61)
+    assert is_prime_power(m61**3) and not is_prime(m61**3)
+    assert not is_prime_power(m61 * (2**31 - 1))
+    assert is_prime(100000000000031)
 
 
 def test_prime_field_ops():

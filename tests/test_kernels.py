@@ -83,6 +83,39 @@ def test_scan_block_boundary(monkeypatch):
         assert_same(scan(gmat, 3), ref)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_line_blocks_straddle_seams(monkeypatch, q):
+    # the kernel scans one high message per line, line positions running
+    # over the rows [q**j, 2 q**j); blocks of 2 and 3 positions straddle
+    # those seams.  k = 1 leaves the high half empty, k = 2 gives it one
+    # line, and a repeated scaled row makes the matrix rank deficient.
+    n = 23
+    deficient = rand_gmat(4, n, q)
+    deficient[3] = 2 * deficient[1] % q
+    cases = [rand_gmat(k, n, q) for k in (1, 2, 6 if q < 5 else 4)]
+    for gmat in cases + [deficient]:
+        ref = scan_numpy(gmat, q)
+        n_low = q ** ((len(gmat) + 1) // 2)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "BLOCK_BYTES",
+                                block_bytes(rows, n_low, n))
+            assert_same(scan(gmat, q), ref)
+    assert scan(deficient, q)[0] == 0
+    # a union whose high side is a tuple of three messages; with the
+    # deficient pair some nonzero tuple has empty support, which the
+    # kernel reports as 0 and the oracle skips
+    for gmats in ([cases[0], cases[1], cases[0]],
+                  [deficient[1::2], cases[0], deficient[:2]]):
+        ref = scan_union_oracle(gmats, q)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "BLOCK_BYTES",
+                                block_bytes(rows, q ** len(gmats[-1]), n))
+            got = scan_union(gmats, q)
+            assert np.array_equal(got[1], ref[1])
+            assert got[0] == (0 if ref[1][0] > 1 else ref[0])
+    assert got[0] == 0
+
+
 def test_scan_union_matches_oracle(monkeypatch):
     gmats = [systematic_gmat(k, 13, 3) for k in (3, 2, 4)]
     ref = scan_union_oracle(gmats, 3)

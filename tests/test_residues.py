@@ -1,6 +1,7 @@
 """Residue class partition and multiplier action tests."""
 
 import random
+import time
 
 import pytest
 
@@ -10,8 +11,10 @@ from madics.errors import (
     NonPrimeModulus,
     NotCoprime,
     NotPrimitiveRoot,
+    TooLarge,
 )
-from madics.residues import build_residue_system, mu_poly
+from madics.ffield import is_prime
+from madics.residues import P_CAP, build_residue_system, mu_poly
 
 rng = random.Random(0x2E5)
 
@@ -76,6 +79,18 @@ def test_multiplier_class_must_be_coprime_to_m():
     # index 2 multiplier: 4 is in Q_2; gcd(2, 4) != 1
     with pytest.raises(MultiplierNotCyclic):
         build_residue_system(13, 4, a=4)
+
+
+def test_p_cap_refuses_before_building():
+    above = next(p for p in range(P_CAP + 1, 2 * P_CAP) if is_prime(p))
+    t0 = time.perf_counter()
+    for p in (above, 1000000000039):
+        with pytest.raises(TooLarge, match=f"p={p} exceeds"):
+            build_residue_system(p, 2)
+    assert time.perf_counter() - t0 < 0.1
+    # a composite p stays malformed input, whatever its size
+    with pytest.raises(NonPrimeModulus):
+        build_residue_system(1000000000038, 2)
 
 
 def test_validation_errors():
