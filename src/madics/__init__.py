@@ -26,7 +26,6 @@ from .errors import (
     NotPrimitiveRoot,
     QNotResidue,
     TooLarge,
-    ZeroCode,
 )
 from .ffield import FieldCtx, make_extension, make_prime_field
 from .field_codes import (
@@ -61,7 +60,7 @@ __all__ = [
     "min_distance_field", "min_distance_ring", "min_distance_ring_exhaustive",
     "BadSlotIndex", "IncompatibleS", "InvalidM", "MadicError",
     "MultiplierNotCyclic", "NonPrimeModulus", "NotCoprime",
-    "NotPrimitiveRoot", "QNotResidue", "TooLarge", "ZeroCode",
+    "NotPrimitiveRoot", "QNotResidue", "TooLarge",
     "FieldCtx", "make_extension", "make_prime_field",
     "FAMILIES", "CyclicCode", "all_ones_h", "family_codes", "splitting_field",
     "IDENTITY_NAMES", "IdentityOutcome", "check_identities",

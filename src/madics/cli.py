@@ -4,14 +4,15 @@ Verbs: classes, field-code, ring-code, distance, griesmer, verify-paper,
 export.  Every verb takes --output json|text and echoes the fully
 resolved parameters (including defaulted b, a and the pinned splitting
 field) so runs are reproducible.  Exit codes: 0 success, 1 validation
-error, 2 size cap exceeded (an enumeration past --cap, or p past
-residues.P_CAP).
+error or a reader that closed stdout early, 2 size cap exceeded (an
+enumeration past --cap, or p past residues.P_CAP).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import poly
@@ -80,19 +81,12 @@ def _params_lines(params):
 def _report_json(rep):
     if rep is None:
         return None
-    return {
-        "n": rep.n, "k": rep.k, "d_min": rep.d_min, "method": rep.method,
-        "enumerated": rep.enumerated,
-        "weight_distribution":
-            list(rep.weight_distribution)
-            if rep.weight_distribution is not None else None,
-        "component_ranks":
-            list(rep.component_ranks)
-            if rep.component_ranks is not None else None,
-        "component_dmins":
-            list(rep.component_dmins)
-            if rep.component_dmins is not None else None,
-    }
+    out = {"n": rep.n, "k": rep.k, "d_min": rep.d_min, "method": rep.method,
+           "enumerated": rep.enumerated}
+    for key in ("weight_distribution", "component_ranks", "component_dmins"):
+        value = getattr(rep, key)
+        out[key] = None if value is None else list(value)
+    return out
 
 
 def _field_code_json(code, params, report=None):
@@ -493,11 +487,19 @@ def main(argv=None):
     except (MadicError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.output == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    try:
+        # chunk by chunk: an unbuffered stdout would drop the tail of one
+        # large write cut short by a closed pipe without raising
+        if args.output == "json":
+            json.dump(payload, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        else:
+            sys.stdout.writelines(f"{line}\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: the exit-time flush goes to devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if payload.get("ok", True) else 1
 
 

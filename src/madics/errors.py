@@ -32,10 +32,6 @@ class NotADivisor(MadicError):
     """Exact polynomial division requested but the remainder is nonzero."""
 
 
-class ZeroCode(MadicError):
-    """The zero code (generator x**p - 1) has no idempotent generator."""
-
-
 class NotCoprime(MadicError):
     """Two quantities that must be coprime are not."""
 

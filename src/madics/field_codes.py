@@ -11,7 +11,13 @@ and ghat_i = prod_{k in Q_i} (x - alpha^k), the families are
 All four require q to be an m-adic residue mod p (q in Q_0); that is
 exactly the condition for the class products to have coefficients in
 F_q.  Each code carries its generator and its idempotent generator,
-always derived from the generator through the same Bezout mechanism.
+the inverse DFT of its 0/1 spectrum (MacWilliams & Sloane, ch. 8).
+With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
+lie in F_q, and with c(k) the class of k the even-like class-I one is
+
+    e_i = p**-1 * ((p-1)/m + sum_{k=1}^{p-1} eta_{i+c(-k)} x**k);
+
+odd-I takes 1 - e_i, even-II 1 - p**-1 h - e_i, odd-II p**-1 h + e_i.
 """
 
 from __future__ import annotations
@@ -53,18 +59,24 @@ def all_ones_h(p):
 
 
 @functools.lru_cache(maxsize=None)
-def _pth_root_setup(q, p):
-    """Splitting field of x**p - 1 over GF(q) and the canonical
-    primitive p-th root of unity alpha in it."""
+def splitting_field(q, p):
+    """The pinned splitting field of x**p - 1 over GF(q) and the
+    canonical primitive p-th root of unity alpha in it: (ext, alpha)."""
     t = make_prime_field(p).multiplicative_order(q % p)
     ext = make_extension(q, t)
     alpha = ext.pow(ext.primitive_element, (ext.size - 1) // p)
     return ext, alpha
 
 
-def splitting_field(q, p):
-    """Public view of the pinned splitting field: (extension ctx, alpha)."""
-    return _pth_root_setup(q, p)
+@functools.lru_cache(maxsize=None)
+def _root_powers(q, p):
+    """(ext, alpha**0, ..., alpha**(p-1)) of the splitting field: the one
+    table of powers behind the coset factors and the Gauss periods."""
+    ext, alpha = splitting_field(q, p)
+    roots = [ext.one]
+    for _ in range(p - 1):
+        roots.append(ext.mul(roots[-1], alpha))
+    return ext, tuple(roots)
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,10 +89,7 @@ def coset_factors(q, p):
     of the coset holding k, so the coset {0} maps to x - 1 and the
     members of one coset share one tuple.
     """
-    ext, alpha = _pth_root_setup(q, p)
-    roots = [ext.one]
-    for _ in range(p - 1):
-        roots.append(ext.mul(roots[-1], alpha))
+    ext, roots = _root_powers(q, p)
     ctx = make_prime_field(q)
     factor_of = [None] * p
     check = (ctx.one,)
@@ -130,28 +139,64 @@ def _class_products(system, q, alpha_exp):
 
 
 @functools.lru_cache(maxsize=None)
+def _class_idempotents(system, q, alpha_exp):
+    """The even-like class-I idempotents e_i of the module docstring.
+
+    Checks that each eta_r lies in F_q, that sum_i e_i = 1 - p**-1 h
+    (coefficientwise, sum_r eta_r = -1) and that e_0 * e_0 = e_0.
+    """
+    p, m = system.p, system.m
+    ext, roots = _root_powers(q, p)
+    u = alpha_exp % p
+    etas = [functools.reduce(ext.add, (roots[u * k % p] for k in cls))
+            for cls in system.classes]
+    if any(eta >= q for eta in etas):
+        raise AssertionError("a Gauss period did not descend to F_q")
+    if sum(etas) % q != q - 1:
+        raise AssertionError("idempotents do not sum to 1 - p^-1 h")
+    p_inv = pow(p, -1, q)
+    scaled = [p_inv * eta % q for eta in etas]
+    head = [p_inv * ((p - 1) // m) % q]
+    class_of_neg = [system.class_of(-k) for k in range(1, p)]
+    ctx = make_prime_field(q)
+    idems = tuple(poly.trim(ctx, head + [scaled[(i + c) % m]
+                                         for c in class_of_neg])
+                  for i in range(m))
+    if poly.mul_mod(ctx, idems[0], idems[0], p) != idems[0]:
+        raise AssertionError("e_0 * e_0 != e_0")
+    return idems
+
+
+@functools.lru_cache(maxsize=None)
 def family_codes(system, ctx, family, alpha_exp=1):
     """All m codes of one family, cached per (system, ctx, labeling).
 
-    Each generator comes from the class product ghat_i as in the table
-    above; x - 1 divides every even-like class-I generator, so the
-    odd-like class-II division is exact.
+    Each generator comes from the class product ghat_i and each
+    idempotent from e_i, as in the module docstring; x - 1 divides
+    every even-like class-I generator, so the odd-like class-II
+    division is exact.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     p = system.p
+    ghats = _class_products(system, ctx.q, alpha_exp)
+    idems = _class_idempotents(system, ctx.q, alpha_exp)
     xp1 = poly.xn_minus_1(ctx, p)
     x_minus_1 = (ctx.neg(ctx.one), ctx.one)
+    one = (ctx.one,)
+    h_idem = poly.scale(ctx, pow(p, -1, ctx.q), all_ones_h(p))
+    one_minus_h = poly.sub(ctx, one, h_idem)
     codes = []
-    for i, ghat in enumerate(_class_products(system, ctx.q, alpha_exp)):
+    for i, (ghat, e_i) in enumerate(zip(ghats, idems)):
         if family == "even-I":
-            g = poly.div_exact(ctx, xp1, ghat)
+            g, e = poly.div_exact(ctx, xp1, ghat), e_i
         elif family == "odd-I":
-            g = ghat
+            g, e = ghat, poly.sub(ctx, one, e_i)
         elif family == "even-II":
             g = poly.mul(ctx, x_minus_1, ghat)
+            e = poly.sub(ctx, one_minus_h, e_i)
         else:  # odd-II
             g = poly.div_exact(ctx, poly.div_exact(ctx, xp1, ghat), x_minus_1)
-        e = poly.idempotent_of_cyclic(ctx, g, p)
+            e = poly.add(ctx, h_idem, e_i)
         codes.append(CyclicCode(ctx, p, family, i, g, e))
     return tuple(codes)

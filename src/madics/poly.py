@@ -20,7 +20,7 @@ The module is pure Python and imports nothing but its errors.
 
 The module also holds the q-cyclotomic cosets mod p; the factors of
 x**p - 1 they index need the splitting field and are built in
-field_codes.
+field_codes, as are the idempotent generators (in closed form).
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .errors import (
     NonPrimeModulus,
     NonUnitLeadingCoefficient,
     NotADivisor,
-    NotCoprime,
-    ZeroCode,
 )
 
 ZERO = ()
@@ -191,30 +189,9 @@ def monic(dom, a):
     return scale(dom, dom.inv(lead), a)
 
 
-def gcd_ext(dom, a, b):
-    """Monic gcd g of a and b plus Bezout cofactors (g, u, w), u*a + w*b = g.
-
-    Raises BothZero when a = b = 0.
-    """
-    if not a and not b:
-        raise BothZero("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    u0, u1 = constant(dom, dom.one), ZERO
-    w0, w1 = ZERO, constant(dom, dom.one)
-    while r1:
-        q, r = divmod_poly(dom, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(dom, u0, mul(dom, q, u1))
-        w0, w1 = w1, sub(dom, w0, mul(dom, q, w1))
-    lead_inv = dom.inv(r0[-1])
-    return (scale(dom, lead_inv, r0),
-            scale(dom, lead_inv, u0),
-            scale(dom, lead_inv, w0))
-
-
 def gcd(dom, a, b):
     """Monic gcd of a and b by the remainder loop; raises BothZero when
-    a = b = 0.  gcd_ext adds the Bezout cofactors."""
+    a = b = 0."""
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
     while b:
@@ -227,28 +204,6 @@ def associates(dom, a, b):
     if not a or not b:
         return a == b
     return monic(dom, a) == monic(dom, b)
-
-def idempotent_of_cyclic(dom, g, p):
-    """Idempotent generator of the cyclic code <g> in F_q[x]/(x**p - 1).
-
-    With gbar = (x**p - 1)/g and Bezout cofactors u*g + w*gbar = 1, the
-    idempotent is e = u*g mod (x**p - 1).  Requires g | x**p - 1 with
-    x**p - 1 squarefree (gcd(p, q) = 1), and rejects g = x**p - 1: the
-    zero code has no idempotent generator.
-    """
-    xp1 = xn_minus_1(dom, p)
-    if not g or not divides(dom, g, xp1):
-        raise NotADivisor("generator must divide x**p - 1")
-    if degree(g) == p:
-        raise ZeroCode("the zero code has no idempotent generator")
-    gbar = div_exact(dom, xp1, g)
-    d, u, _ = gcd_ext(dom, g, gbar)
-    if degree(d) != 0:
-        raise NotCoprime("x**p - 1 is not squarefree over this field")
-    e = mul_mod(dom, u, g, p)
-    if mul_mod(dom, e, e, p) != e:
-        raise AssertionError("computed generator is not idempotent")
-    return e
 
 
 def cyclotomic_cosets(q, p):

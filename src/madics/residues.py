@@ -67,9 +67,9 @@ def build_residue_system(p, m, b=None, a=None):
 
     p is refused with TooLarge above P_CAP, before any residue is built.
 
-    b defaults to the smallest primitive root mod p and a to the
-    smallest element of Q_1.  The class index j of a must satisfy
-    gcd(j, m) = 1 so that mu_a cyclically permutes the classes.
+    b (default: the smallest primitive root mod p) and a (default: the
+    smallest element of Q_1) are reduced mod p.  The class index j of a
+    must satisfy gcd(j, m) = 1, so that mu_a cycles the classes.
     """
     if not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
@@ -83,6 +83,7 @@ def build_residue_system(p, m, b=None, a=None):
         b = smallest_primitive_root(p)
     elif not _is_primitive_root(b, p):
         raise NotPrimitiveRoot(f"{b} is not a primitive root mod {p}")
+    b %= p
 
     q0 = sorted({pow(x, m, p) for x in range(1, p)})
     classes = [tuple(q0)]

@@ -35,6 +35,13 @@ macwilliams_naive is the oracle of madics.analysis.macwilliams: the
 same transform with each Krawtchouk value summed from its binomial
 definition instead of the three-term recurrence.
 
+gcd_ext and idempotent_bezout are the Bezout oracle of the idempotents
+of madics.field_codes, which come in closed form from Gauss periods:
+for a proper divisor g of x^p - 1 with gbar = (x^p - 1)/g, the extended
+Euclidean algorithm gives u*g + w*gbar = 1, and u*g mod x^p - 1 is the
+idempotent generator of <g>.  It knows nothing of residue classes and
+works from the generator alone.
+
 is_prime_trial and is_prime_power_trial are the oracles of
 madics.ffield.is_prime (Miller-Rabin) and is_prime_power (integer
 roots): trial division up to sqrt(n), for small n only.
@@ -101,6 +108,30 @@ def mod_xn_minus_1(dom, a, n):
 def mul_mod_schoolbook(dom, a, b, n):
     """a*b mod x**n - 1 by the schoolbook product, over any dom."""
     return mod_xn_minus_1(dom, poly.mul(dom, a, b), n)
+
+
+def gcd_ext(dom, a, b):
+    """Monic gcd g of a and b, not both zero, with Bezout cofactors:
+    (g, u, w) with u*a + w*b = g."""
+    r0, r1 = a, b
+    u0, u1 = (dom.one,), poly.ZERO
+    w0, w1 = poly.ZERO, (dom.one,)
+    while r1:
+        quot, rem = poly.divmod_poly(dom, r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, poly.sub(dom, u0, poly.mul(dom, quot, u1))
+        w0, w1 = w1, poly.sub(dom, w0, poly.mul(dom, quot, w1))
+    lead_inv = dom.inv(r0[-1])
+    return tuple(poly.scale(dom, lead_inv, f) for f in (r0, u0, w0))
+
+
+def idempotent_bezout(dom, g, p):
+    """Idempotent generator of <g> in F_q[x]/(x^p - 1), for g a proper
+    divisor of x^p - 1 with gcd(p, q) = 1."""
+    gbar = poly.div_exact(dom, poly.xn_minus_1(dom, p), g)
+    d, u, _ = gcd_ext(dom, g, gbar)
+    assert d == (dom.one,), "x^p - 1 is not squarefree over this field"
+    return mul_mod_schoolbook(dom, u, g, p)
 
 
 def scan_numpy(gmat, q, chunk=1 << 13):

@@ -1,6 +1,10 @@
 """CLI behavior: verbs, output formats, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from madics.ffield import make_prime_field
 from madics.field_codes import family_codes
 from madics.residues import build_residue_system
 from oracle import scan_numpy
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +48,34 @@ def test_classes_json_output(capsys):
     assert doc["classes"][0] == [1, 3, 9]
     assert doc["parameters"]["b"] == 2
     assert doc["parameters"]["a"] == 2
+
+
+def test_classes_base_reduced_mod_p(capsys):
+    code, doc, _ = run_json(capsys, "classes", "--p", "13", "--m", "4",
+                            "--b", "15")
+    assert code == 0
+    assert doc["parameters"]["b"] == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_exits_without_traceback(unbuffered):
+    # the reader keeps 100 bytes of a long output and closes the pipe,
+    # as `madics classes ... | head -c 100` does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "madics.cli", "classes", "--p", "65537",
+         "--m", "2", "--output", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_classes_invalid_m_exit_1(capsys):

@@ -16,7 +16,7 @@ from madics.field_codes import (
     splitting_field,
 )
 from madics.residues import build_residue_system
-from oracle import mod_xn_minus_1
+from oracle import idempotent_bezout, mod_xn_minus_1
 
 F3 = make_prime_field(3)
 F7 = make_prime_field(7)
@@ -182,6 +182,20 @@ def test_class_products_match_direct_roots(q, p, m):
                 prod = poly.mul(ext, prod, (ext.neg(root), ext.one))
             direct.append(prod)
         assert _class_products(system, q, u) == tuple(direct)
+
+
+@pytest.mark.parametrize("q,p,m", (
+    (2, 7, 2), (3, 13, 2), (3, 13, 4), (3, 11, 2), (5, 11, 2), (7, 19, 3),
+    (7, 19, 6), (2, 23, 2), (2, 31, 3), (2, 89, 8), (2, 127, 9)))
+def test_idempotents_match_bezout_oracle(q, p, m):
+    # the Gauss-period idempotents against the extended Euclid on each
+    # generator, p != 1 (mod q) included: (7, 19) and (3, 11)
+    system = build_residue_system(p, m)
+    ctx = make_prime_field(q)
+    for u in (1, 2, 3, -1):
+        for fam in FAMILIES:
+            for c in family_codes(system, ctx, fam, u):
+                assert c.idempotent == idempotent_bezout(ctx, c.generator, p)
 
 
 def _family_dims(p, m):

