@@ -7,9 +7,9 @@ ceil(n/64) uint64 words.  ``_distance_counts`` is the one kernel: for a
 block of high rows against the whole low table it ORs op(h_b, l_b) over
 the planes, counts set bits with ``np.bitwise_count`` and folds the
 weights into counts with bincount.  Its callers differ only in the
-planes and in op:
+tables and in op:
 
-    scan         field code: the tables hold every word spanned by the
+    scan         field code: the tables hold words spanned by the
                  upper and the lower half of G's rows, so each codeword
                  is one h + l.  The low words are a linear code, which
                  negation permutes, so the weights of all h + l are the
@@ -21,21 +21,28 @@ planes and in op:
                  supports, gathered per block; the low table is the
                  last component's.
 
-Only one high message per line is scanned: the messages whose most
+Scans are projective: multiplying a message by lambda != 0 moves no
+weight that a scan counts.  A scaled component keeps its support, and
+for scan lambda h - l = lambda (h - l / lambda), where l -> l / lambda
+permutes the low code.  So a projective table holds the zero word (row
+0) and one word per projective point: the messages whose most
 significant nonzero base-q digit is 1, the rows [q**j, 2 q**j) of the
-_words order (see _lines).  Scaling a whole high message by lambda != 0
-keeps the histogram over the low side: for scan, lambda h - l =
-lambda (h - l / lambda) and l -> l / lambda permutes the low code;
-for scan_union, supports do not change.  So the line counts are
-multiplied by q - 1, and the zero high row, whose pairs op(0, l) = l
-are the low table itself for XOR and OR, is added from the low table's
-own weights.  This is exact for rank-deficient matrices too: counts[0]
-still counts every message that maps to the zero word.
+_words order (see _points), 1 + (q**k - 1)/(q - 1) rows instead of
+q**k.  Each row has a key, 0 for the zero word and 1 for a point, which
+stands for the q - 1 multiples of its message.  scan_union takes every
+component projectively and keys a pair by its number of nonzero
+component messages; scan takes its high half projectively and keeps
+its low table whole, with key 0.  The kernel histograms (key c, weight
+w) and folds A_w = sum_c (q-1)**c counts[c, w] in Python ints.  The
+fold counts messages, not words, so it is exact for zero components
+and rank-deficient matrices too: counts[0] still counts every message
+that maps to the zero word.
 
 A block's largest temporary, pairs x words per plane x 8 bytes, is kept
 to BLOCK_BYTES (one high row at least).  Tables are sized by
-q**ceil(k/2) words (field) or each component's word count (ring), never
-by the total word or tuple count.  counts[0] includes the zero word.
+q**ceil(k/2) words (field) or by each component's projective rows
+(ring), never by the total word or tuple count.  counts[0] includes the
+zero word.
 """
 
 from __future__ import annotations
@@ -57,49 +64,47 @@ def _planes(table, bits):
     return packed.view(np.uint64)
 
 
-def _lines(n_high, q):
-    """Message indices of the lines of q**kh = n_high high messages,
-    one per line: position t is the index q**j + r, r < q**j, of the
-    t-th message whose most significant nonzero base-q digit is 1, the
-    rows [q**j, 2 q**j) of the _words order for j = 0, 1, ..., kh - 1."""
-    tops, top = [], 1
-    while top < n_high:
-        tops.append(top)
+def _points(words, q):
+    """The zero word and one word per projective point of a table in the
+    _words order, the rows 0 and [q**j, 2 q**j) for q**j < len(words),
+    with their keys: (rows, 0 for the zero word and 1 for a point)."""
+    rows = [np.zeros(1, dtype=np.int64)]
+    top = 1
+    while top < len(words):
+        rows.append(np.arange(top, 2 * top, dtype=np.int64))
         top *= q
-    tops = np.array(tops, dtype=np.int64)
-    firsts = np.cumsum(tops) - tops  # position of the line q**j
-
-    def lines(start, stop):
-        pos = np.arange(start, stop, dtype=np.int64)
-        j = np.searchsorted(firsts, pos, side="right") - 1
-        return tops[j] + pos - firsts[j]
-
-    return (n_high - 1) // (q - 1), lines
+    rows = np.concatenate(rows)
+    return words[rows], np.minimum(rows, 1).astype(np.uint8)
 
 
-def _distance_counts(high, n_high, low, n, op, q):
-    """counts[w] = number of pairs (i, j), i < n_high, where the OR over
-    planes of op(high row i, low row j) has w set bits.  low has shape
-    (planes, rows, words); high(idx) returns the high rows of the
-    message indices idx in the same layout.  n_high is a power of q."""
+def _distance_counts(high, n_high, low, low_keys, n, op, q, n_keys):
+    """counts[w] = sum_c (q-1)**c times the number of pairs (i, j), i <
+    n_high, where the OR over planes of op(high row i, low row j) has w
+    set bits and the keys of rows i and j add up to c < n_keys.  low has
+    shape (planes, rows, words) and low_keys one key per low row;
+    high(idx) returns the rows, in the same layout, and the keys of the
+    high rows idx."""
+    keyed = q > 2  # every (q-1)**c is 1 when q = 2
+    n_keys = n_keys if keyed else 1
     planes, n_low, width = low.shape
     step = max(1, BLOCK_BYTES // (n_low * width * 8))
-    wtype = np.min_scalar_type(n)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    n_lines, lines = _lines(n_high, q)
-    for start in range(0, n_lines, step):
-        block = high(lines(start, min(start + step, n_lines)))[:, :, None]
-        diff = op(block[0], low[0])
+    bins = n + 1
+    atype = np.min_scalar_type(n_keys * bins - 1)
+    low_at = np.multiply(low_keys, bins, dtype=atype)
+    hist = np.zeros(n_keys * bins, dtype=np.int64)
+    for start in range(0, n_high, step):
+        block, keys = high(np.arange(start, min(start + step, n_high)))
+        diff = op(block[0][:, None], low[0])
         for b in range(1, planes):
-            diff |= op(block[b], low[b])
-        dist = np.bitwise_count(diff).sum(axis=2, dtype=wtype)
-        counts += np.bincount(dist.ravel(), minlength=n + 1)
-    counts *= q - 1
-    # the zero high row: op(0, l) = l for XOR and OR
-    zero = np.bitwise_or.reduce(low, axis=0)
-    counts += np.bincount(np.bitwise_count(zero).sum(axis=1, dtype=wtype),
-                          minlength=n + 1)
-    return counts
+            diff |= op(block[b][:, None], low[b])
+        at = np.bitwise_count(diff).sum(axis=2, dtype=atype)
+        if keyed:
+            at += low_at
+            at += np.multiply(keys, bins, dtype=atype)[:, None]
+        hist += np.bincount(at.ravel(), minlength=len(hist))
+    by_key = hist.reshape(n_keys, bins).tolist()
+    return np.array([sum((q - 1)**c * row[w] for c, row in enumerate(by_key))
+                     for w in range(bins)])
 
 
 def _words(gmat, q):
@@ -130,9 +135,11 @@ def scan(gmat, q):
     half = (len(gmat) + 1) // 2
     bits = (q - 1).bit_length()
     low = _planes(_words(gmat[:half], q), bits)
-    high = _planes(_words(gmat[half:], q), bits)
-    counts = _distance_counts(lambda idx: high[:, idx], high.shape[1], low,
-                              gmat.shape[1], np.bitwise_xor, q)
+    words, keys = _points(_words(gmat[half:], q), q)
+    high = _planes(words, bits)
+    counts = _distance_counts(lambda idx: (high[:, idx], keys[idx]),
+                              len(keys), low, np.zeros(low.shape[1], np.uint8),
+                              gmat.shape[1], np.bitwise_xor, q, 2)
     return min_weight(counts), counts
 
 
@@ -140,17 +147,23 @@ def scan_union(gmats, q):
     """Weight distribution of the unions of supports, one word from each
     matrix's code, over every tuple of messages; returns
     (min_weight(counts), counts)."""
-    *high_tables, last = [_planes(np.minimum(_words(g, q), 1), 1)[0]
-                          for g in gmats]
+    *high_tables, (last, last_keys) = [
+        (_planes(np.minimum(words, 1), 1)[0], keys)
+        for words, keys in (_points(_words(g, q), q) for g in gmats)]
+    # the high side of a one-component scan is the zero word alone; keys
+    # count up to len(gmats)
+    empty = (np.zeros_like(last[:1]),
+             np.zeros(1, np.min_scalar_type(len(gmats))))
 
     def high(idx):
-        rows = np.zeros((1, len(idx), last.shape[1]), dtype=np.uint64)
-        for table in reversed(high_tables):
+        rows, keys = empty
+        for table, table_keys in reversed(high_tables):
             idx, digit = np.divmod(idx, len(table))
-            rows[0] |= table[digit]
-        return rows
+            rows, keys = rows | table[digit], keys + table_keys[digit]
+        return rows[None], keys
 
-    n_high = math.prod(len(t) for t in high_tables)
-    counts = _distance_counts(high, n_high, last[None], gmats[-1].shape[1],
-                              np.bitwise_or, q)
+    n_high = math.prod(len(t) for t, _ in high_tables)
+    counts = _distance_counts(high, n_high, last[None], last_keys,
+                              gmats[-1].shape[1], np.bitwise_or, q,
+                              len(gmats) + 1)
     return min_weight(counts), counts

@@ -15,8 +15,12 @@ product of the component word counts, to the same cap.  Ring codes are
 measured two ways: the component-min method takes the minimum of the
 CRT component distances, which is exact because a ring codeword's
 support is the union of its component supports and the components are
-independent; the exhaustive method enumerates every tuple of component
-messages and is used as a cross-check on small instances.
+independent; the exhaustive method counts every tuple of component
+messages and is used as a cross-check on small instances.  Scaling a
+component message leaves the union unchanged, so its scan visits one
+message per projective point of each component and weighs each pair
+by (q-1) to the number of its nonzero components (see _kernels); its
+enumerated count and its cap stay the full tuple count.
 
 numpy and the scan kernel (_kernels) are imported inside the functions
 that build a generator matrix or scan, so importing madics or its CLI
@@ -166,7 +170,8 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
     """Exact ring distance by enumerating every component-message tuple.
 
     The support of a ring word is the union of the component supports,
-    so the kernel folds 0/1 support tables across components.
+    so the kernel folds 0/1 support tables across components, one row
+    per projective point of each; enumerated is the full tuple count.
     """
     from . import _kernels
 

@@ -199,11 +199,12 @@ def _exported_params(doc):
     if missing:
         raise MadicError(f"exported params lack {', '.join(missing)}")
     slots = params.get("slots", [])
-    if not (all(isinstance(params[key], int) for key in ints)
-            and isinstance(params.get("alpha_exp", 1), int)
+    # type(x) is int: JSON true and false load as bool, a subclass of int
+    if not (all(type(params[key]) is int for key in ints)
+            and type(params.get("alpha_exp", 1)) is int
             and isinstance(params["family"], str)
             and isinstance(slots, list)
-            and all(isinstance(x, int) for x in slots)):
+            and all(type(x) is int for x in slots)):
         raise MadicError("exported params have the wrong types: integers, "
                          "a family name and a list of integer slots")
     return code_doc, params

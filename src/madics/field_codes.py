@@ -92,7 +92,7 @@ def coset_factors(q, p):
     ext, roots = _root_powers(q, p)
     ctx = make_prime_field(q)
     factor_of = [None] * p
-    check = (ctx.one,)
+    factors = []
     for coset in poly.cyclotomic_cosets(q, p):
         prod = (ext.one,)
         for k in coset:
@@ -102,10 +102,22 @@ def coset_factors(q, p):
         factor = tuple(int(c) for c in prod)
         for k in coset:
             factor_of[k] = factor
-        check = poly.mul(ctx, check, factor)
-    if check != poly.xn_minus_1(ctx, p):
+        factors.append(factor)
+    if _product(ctx, factors) != poly.xn_minus_1(ctx, p):
         raise AssertionError("coset factors do not multiply to x**p - 1")
     return tuple(factor_of)
+
+
+def _product(ctx, polys):
+    """The product of nonzero polynomials over a prime field, by a
+    pairwise tree of packed products: a*b has len(a) + len(b) - 1
+    coefficients, so mul_mod with that n folds nothing."""
+    polys = list(polys) or [(ctx.one,)]
+    while len(polys) > 1:
+        pairs = [poly.mul_mod(ctx, a, b, len(a) + len(b) - 1)
+                 for a, b in zip(polys[::2], polys[1::2])]
+        polys = pairs + polys[2 * len(pairs):]
+    return polys[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,13 +141,9 @@ def _class_products(system, q, alpha_exp):
         raise NotCoprime("alpha_exp must be coprime to p")
     factor_of = coset_factors(q, p)
     ctx = make_prime_field(q)
-    ghats = []
-    for cls in system.classes:
-        prod = (ctx.one,)
-        for factor in dict.fromkeys(factor_of[alpha_exp * k % p] for k in cls):
-            prod = poly.mul(ctx, prod, factor)
-        ghats.append(prod)
-    return tuple(ghats)
+    return tuple(
+        _product(ctx, dict.fromkeys(factor_of[alpha_exp * k % p] for k in cls))
+        for cls in system.classes)
 
 
 @functools.lru_cache(maxsize=None)

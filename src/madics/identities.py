@@ -21,7 +21,10 @@ The suite runs over F_q on the s CRT components each ring code
 carries (``RingCode.elements``): products, sums, chain steps and
 comparisons act per component, and the v-basis form is built only to
 display a refuted identity's two sides.  Each product is one
-packed-integer poly.mul_mod (Kronecker substitution over GF(q)).
+packed-integer poly.mul_mod (Kronecker substitution over GF(q)), made
+once per call for each unordered pair of component polynomials: the
+orbit repeats its components, mu_a(E_r) squares the elements E_r
+squared, and the pair identities reuse at most m polynomials a family.
 """
 
 from __future__ import annotations
@@ -89,8 +92,16 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     dp_expected = (poly.sub(ctx, (ctx.one,),
                             poly.scale(ctx, (s - 1) % ctx.q, h)),) * s
 
+    products = {}
+
+    def mul(u, w):
+        key = (u, w) if u <= w else (w, u)
+        if key not in products:
+            products[key] = poly.mul_mod(ctx, u, w, p)
+        return products[key]
+
     def mm(x, y):
-        return tuple(poly.mul_mod(ctx, u, w, p) for u, w in zip(x, y))
+        return tuple(mul(u, w) for u, w in zip(x, y))
 
     def add(x, y):
         return tuple(poly.add(ctx, u, w) for u, w in zip(x, y))

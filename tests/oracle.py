@@ -35,6 +35,11 @@ macwilliams_naive is the oracle of madics.analysis.macwilliams: the
 same transform with each Krawtchouk value summed from its binomial
 definition instead of the three-term recurrence.
 
+product_schoolbook is the oracle of madics.field_codes._product, the
+pairwise tree of packed products that checks the coset factors and
+multiplies the class products: it folds the schoolbook poly.mul left
+to right.
+
 gcd_ext and idempotent_bezout are the Bezout oracle of the idempotents
 of madics.field_codes, which come in closed form from Gauss periods:
 for a proper divisor g of x^p - 1 with gbar = (x^p - 1)/g, the extended
@@ -108,6 +113,14 @@ def mod_xn_minus_1(dom, a, n):
 def mul_mod_schoolbook(dom, a, b, n):
     """a*b mod x**n - 1 by the schoolbook product, over any dom."""
     return mod_xn_minus_1(dom, poly.mul(dom, a, b), n)
+
+
+def product_schoolbook(dom, polys):
+    """The product of polys, one schoolbook poly.mul at a time."""
+    acc = (dom.one,)
+    for f in polys:
+        acc = poly.mul(dom, acc, f)
+    return acc
 
 
 def gcd_ext(dom, a, b):

@@ -116,6 +116,24 @@ def test_ring_exhaustive_cap():
         min_distance_ring_exhaustive(base, cap=100)
 
 
+def test_ring_exhaustive_counts_every_tuple():
+    # the kernel scans one message per projective point of each
+    # component, but enumerated stays the full tuple count and the cap
+    # bounds that count, so every refusal is unchanged
+    ring = make_ring(make_prime_field(5), 2)
+    code = ring_code(ring, build_residue_system(11, 2), "even-I", (0, 1))
+    total = 5 ** 5 * 5 ** 5
+    rep = min_distance_ring_exhaustive(code, cap=total)
+    assert rep.enumerated == total
+    assert sum(rep.weight_distribution) == total
+    with pytest.raises(TooLarge, match=rf"enumerating {total} component"):
+        min_distance_ring_exhaustive(code, cap=total - 1)
+    base = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
+    assert min_distance_ring_exhaustive(base, cap=3 ** 9).enumerated == 3 ** 9
+    with pytest.raises(TooLarge):
+        min_distance_ring_exhaustive(base, cap=3 ** 9 - 1)
+
+
 def test_ring_common_rank():
     base = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     rep = min_distance_ring(base)

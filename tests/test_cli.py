@@ -398,6 +398,37 @@ def test_malformed_export_exit_1(tmp_path, capsys, edit):
     assert err.startswith("error: MadicError: ")
 
 
+def _ring_slot_true(doc):
+    doc["code"]["params"]["slots"][1] = True
+    return doc
+
+
+@pytest.mark.parametrize("ring,edit", [
+    (False, _set("p", True)),
+    (False, _set("q", True)),
+    (False, _set("index", True)),
+    (False, _set("alpha_exp", True)),
+    (True, _ring_slot_true),
+], ids=["p", "q", "index", "alpha_exp", "slot"])
+def test_boolean_export_params_exit_1(tmp_path, capsys, ring, edit):
+    # JSON true loads as a bool, which is an int subclass: without the
+    # check "p": true reached the residue system and "index": true read
+    # as index 1
+    path = tmp_path / "code.json"
+    shape = (("--s", "3", "--slots", "1,2,3") if ring else
+             ("--index", "1"))
+    run_cli(capsys, "export", "--q", "3", "--p", "13", "--m", "4", "--a",
+            "7", "--family", "even-I", *shape, "--skip-distance",
+            "--out", str(path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, out, err = run_cli(capsys, "distance", "--from", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: MadicError: exported params have the wrong types: "
+        "integers, a family name and a list of integer slots"]
+
+
 def test_griesmer_verb(capsys):
     code, doc, _ = run_json(capsys, "griesmer", "--n", "13", "--k", "3",
                             "--d", "9", "--q", "3")

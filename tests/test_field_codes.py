@@ -1,5 +1,7 @@
 """Field code family tests with frozen reference generators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,13 +12,14 @@ from madics.ffield import make_prime_field
 from madics.field_codes import (
     FAMILIES,
     _class_products,
+    _product,
     all_ones_h,
     coset_factors,
     family_codes,
     splitting_field,
 )
 from madics.residues import build_residue_system
-from oracle import idempotent_bezout, mod_xn_minus_1
+from oracle import idempotent_bezout, mod_xn_minus_1, product_schoolbook
 
 F3 = make_prime_field(3)
 F7 = make_prime_field(7)
@@ -158,12 +161,46 @@ def test_coset_factors_multiply_to_xp_minus_1():
         assert factor_of[0] == (ctx.neg(ctx.one), ctx.one)
         for coset in poly.cyclotomic_cosets(q, p):
             assert len({factor_of[k] for k in coset}) == 1
-        prod = poly.constant(ctx, ctx.one)
-        for f in dict.fromkeys(factor_of):
-            prod = poly.mul(ctx, prod, f)
-        assert prod == poly.xn_minus_1(ctx, p)
+        assert product_schoolbook(ctx, dict.fromkeys(factor_of)) == \
+            poly.xn_minus_1(ctx, p)
     with pytest.raises(NonPrimeModulus):
         coset_factors(3, 15)
+
+
+@pytest.mark.parametrize("q,p", ((2, 7), (3, 13), (7, 19), (2, 23),
+                                 (3, 11), (5, 31), (2, 89), (2, 127)))
+def test_coset_factor_product_tree_matches_schoolbook(q, p):
+    # every factor is the monic polynomial of degree |C| that vanishes
+    # at alpha^k for k in its coset C, so it is unchanged; the packed
+    # product tree agrees with the schoolbook product on the factors,
+    # on every prefix of them and on random lists
+    ctx = make_prime_field(q)
+    ext, alpha = splitting_field(q, p)
+    factor_of = coset_factors(q, p)
+    for coset in poly.cyclotomic_cosets(q, p):
+        factor = factor_of[coset[0]]
+        assert len(factor) == len(coset) + 1 and factor[-1] == 1
+        assert all(poly.eval_poly(ext, factor, ext.pow(alpha, k)) == 0
+                   for k in coset)
+    factors = list(dict.fromkeys(factor_of))
+    for i in range(len(factors) + 1):
+        assert _product(ctx, factors[:i]) == \
+            product_schoolbook(ctx, factors[:i])
+    rng = random.Random(q * p)
+    for size in range(1, 8):
+        polys = [tuple(rng.randrange(q) for _ in range(rng.randrange(1, 9)))
+                 + (rng.randrange(1, q),) for _ in range(size)]
+        assert _product(ctx, polys) == product_schoolbook(ctx, polys)
+
+
+def test_dropped_coset_fails_the_factor_check(monkeypatch):
+    cosets = poly.cyclotomic_cosets
+    monkeypatch.setattr(poly, "cyclotomic_cosets",
+                        lambda q, p: cosets(q, p)[:-1])
+    message = r"coset factors do not multiply to x\*\*p - 1"
+    for q, p in ((3, 13), (2, 89)):
+        with pytest.raises(AssertionError, match=message):
+            coset_factors.__wrapped__(q, p)
 
 
 @pytest.mark.parametrize("q,p,m", (

@@ -4,7 +4,8 @@ package exports exists, and every function, class and method of the
 package is referenced inside the package.  numpy stays off the cold
 path: no module but _kernels imports it (or _kernels) at module level,
 and a fresh interpreter that imports madics or runs a verb that does
-not scan ends without numpy in sys.modules."""
+not scan ends without numpy in sys.modules.  One scan kernel: numpy's
+popcount and bincount appear only in _kernels._distance_counts."""
 
 import ast
 import importlib
@@ -203,3 +204,35 @@ def test_distance_loads_numpy_and_scans():
     assert res["numpy"] is True
     rep = json.loads(res["out"])["code"]["distance_report"]
     assert (rep["n"], rep["k"], rep["d_min"]) == (23, 12, 7)
+
+
+def _scan_calls(tree):
+    """(enclosing top-level function, name) of every use of numpy's
+    bitwise_count or bincount, attribute or imported name."""
+    names = {"bitwise_count", "bincount"}
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                found.append((where, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                found.extend((where, a.name) for a in node.names
+                             if a.name in names)
+    return found
+
+
+def test_one_scan_kernel():
+    # every scan histograms its weights in _kernels._distance_counts, so
+    # popcounts and bincounts appear nowhere else in the package and a
+    # second scan loop cannot come back unnoticed
+    stray, kernel = [], []
+    for path in SOURCES:
+        for where, name in _scan_calls(ast.parse(
+                path.read_text(encoding="utf-8"))):
+            if (path.stem, where) == ("_kernels", "_distance_counts"):
+                kernel.append(name)
+            else:
+                stray.append(f"{path.stem}.{where}: {name}")
+    assert not stray, f"popcount or bincount outside the kernel: {stray}"
+    assert sorted(kernel) == ["bincount", "bitwise_count"]

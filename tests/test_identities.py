@@ -12,6 +12,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from madics import poly
 from madics.errors import QNotResidue
 from madics.ffield import make_prime_field
 from madics.identities import IDENTITY_NAMES, check_identities
@@ -127,6 +128,28 @@ def test_suite_matches_vbasis_oracle(q, p, m, s, alpha_exp):
         return
     assert check_identities(ring, system, alpha_exp=alpha_exp) == \
         check_identities_vbasis(ring, system, alpha_exp=alpha_exp)
+
+
+@pytest.mark.parametrize("q,p,m,s,calls", [
+    (3, 13, 4, 3, 58), (7, 19, 6, 3, 84), (7, 19, 3, 4, 36)])
+def test_suite_multiplies_each_pair_once(monkeypatch, q, p, m, s, calls):
+    # one mul_mod per unordered pair of component polynomials; the suite
+    # made 168, 204 and 116 calls here when it multiplied every product
+    system = build_residue_system(p, m)
+    ring = make_ring(make_prime_field(q), s)
+    check_identities(ring, system)  # build the cached codes first
+    seen = []
+    mul_mod = poly.mul_mod
+
+    def counting(ctx, a, b, n):
+        seen.append(frozenset((a, b)))
+        return mul_mod(ctx, a, b, n)
+
+    monkeypatch.setattr(poly, "mul_mod", counting)
+    outcomes = check_identities(ring, system)
+    monkeypatch.undo()
+    assert len(seen) == len(set(seen)) == calls
+    assert outcomes == check_identities_vbasis(ring, system)
 
 
 # (q, p, m, s) with q an m-adic residue mod p, p small enough that the

@@ -1,5 +1,6 @@
 """The codeword-scan kernel against the slow oracles in oracle.py."""
 
+import math
 import random
 
 import numpy as np
@@ -85,10 +86,11 @@ def test_scan_block_boundary(monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_line_blocks_straddle_seams(monkeypatch, q):
-    # the kernel scans one high message per line, line positions running
-    # over the rows [q**j, 2 q**j); blocks of 2 and 3 positions straddle
-    # those seams.  k = 1 leaves the high half empty, k = 2 gives it one
-    # line, and a repeated scaled row makes the matrix rank deficient.
+    # the kernel scans the zero word and one high message per line, the
+    # rows [q**j, 2 q**j); blocks of 2 and 3 rows straddle those seams
+    # and the seam between keys 0 and 1.  k = 1 leaves the high half
+    # empty, k = 2 gives it one line, and a repeated scaled row makes
+    # the matrix rank deficient.
     n = 23
     deficient = rand_gmat(4, n, q)
     deficient[3] = 2 * deficient[1] % q
@@ -145,6 +147,107 @@ def test_scan_union_zero_component():
     got = scan_union(gmats, 5)
     assert_same(got, scan_union_oracle(gmats, 5))
     assert_same(got, scan(gmats[1], 5))
+
+
+def projective_rows(k, q):
+    """1 + (q**k - 1)/(q - 1): the zero word and one word per point."""
+    return 1 + (q**k - 1) // (q - 1)
+
+
+def union_matches_oracle(gmats, q):
+    got, ref = scan_union(gmats, q), scan_union_oracle(gmats, q)
+    assert np.array_equal(got[1], ref[1])
+    assert got[1].sum() == q ** sum(len(g) for g in gmats)
+    assert got[0] == (0 if ref[1][0] > 1 else ref[0])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_union_zero_dimension_components(q):
+    # a k = 0 component has only the zero word (key 0), as a high
+    # component and as the last one, whose table is the low side
+    n = 17
+    empty = np.zeros((0, n), np.int64)
+    full = systematic_gmat(2, n, q)
+    for gmats in ([empty, full], [full, empty], [empty, full, empty],
+                  [full, empty, full], [empty], [empty, empty]):
+        union_matches_oracle(gmats, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_union_full_rank_component(q):
+    # k = n: the component is all of GF(q)**n, so some tuple covers
+    # every position and the least nonzero weight is 1
+    n = 3
+    eye = np.eye(n, dtype=np.int64)
+    for gmats in ([eye, rand_gmat(2, n, q)], [rand_gmat(1, n, q), eye]):
+        union_matches_oracle(gmats, q)
+    assert scan_union([eye], q)[1].tolist() == [
+        math.comb(n, w) * (q - 1)**w for w in range(n + 1)]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_union_s_components(q, s):
+    n = 9
+    ks = [2, 1, 2, 1][:s] if q < 5 else [1, 1, 2, 1][:s]
+    union_matches_oracle([systematic_gmat(k, n, q) for k in ks], q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_union_blocks_straddle_keys(monkeypatch, q):
+    # high tuples of keys 0, 1 and 2 in blocks of one, two and three
+    # rows, so most blocks mix keys, and with BLOCK_BYTES = 1
+    n = 11
+    gmats = [systematic_gmat(2, n, q), rand_gmat(1, n, q),
+             systematic_gmat(2, n, q)]
+    ref = scan_union_oracle(gmats, q)
+    n_low = projective_rows(2, q)
+    for block in (1, 2, 3):
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES",
+                            block_bytes(block, n_low, n))
+        assert np.array_equal(scan_union(gmats, q)[1], ref[1])
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+    assert np.array_equal(scan_union(gmats, q)[1], ref[1])
+
+
+def count_pairs(monkeypatch):
+    """A list that gathers the number of (high, low) pairs of every
+    popcount the kernel makes."""
+    seen = []
+    popcount = np.bitwise_count
+
+    def counting(diff):
+        seen.append(diff.shape[0] * diff.shape[1])
+        return popcount(diff)
+
+    monkeypatch.setattr(_kernels.np, "bitwise_count", counting)
+    return seen
+
+
+@pytest.mark.parametrize("q,ks", [(3, (5, 5, 5)), (5, (5, 5)), (7, (3, 3)),
+                                  (3, (0, 2, 4)), (2, (3, 0)), (5, (2,))])
+def test_union_pairs_visited(monkeypatch, q, ks):
+    # every component table has 1 + (q**k - 1)/(q - 1) rows, so the
+    # block loop visits their product of pairs: 122**3 for the
+    # (q, k) = (3, 5), s = 3 ring scan instead of 29,524 * 243
+    n = 11
+    gmats = [systematic_gmat(k, n, q) for k in ks]
+    ref = scan_union(gmats, q)
+    seen = count_pairs(monkeypatch)
+    got = scan_union(gmats, q)
+    assert sum(seen) == math.prod(projective_rows(k, q) for k in ks)
+    assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("q,k", [(2, 9), (3, 7), (5, 4), (7, 1)])
+def test_scan_pairs_visited(monkeypatch, q, k):
+    # scan keeps its cost: the zero word and the points of the high half
+    # against the whole low half
+    gmat = rand_gmat(k, 13, q)
+    seen = count_pairs(monkeypatch)
+    scan(gmat, q)
+    half = (k + 1) // 2
+    assert sum(seen) == projective_rows(k - half, q) * q ** half
 
 
 def test_min_weight():
