@@ -33,8 +33,10 @@ stands for the q - 1 multiples of its message.  scan_union takes every
 component projectively and keys a pair by its number of nonzero
 component messages; scan takes its high half projectively and keeps
 its low table whole, with key 0.  The kernel histograms (key c, weight
-w) and folds A_w = sum_c (q-1)**c counts[c, w] in Python ints.  The
-fold counts messages, not words, so it is exact for zero components
+w) and folds A_w = sum_c (q-1)**c counts[c, w] with one int64 product;
+c only reaches the number of parts that have a point, so (q-1)**c is
+at most the message count the caller's cap bounds.  The fold counts
+messages, not words, so it is exact for zero components
 and rank-deficient matrices too: counts[0] still counts every message
 that maps to the zero word.
 
@@ -81,16 +83,19 @@ def _distance_counts(high, n_high, low, low_keys, n, op, q, n_keys):
     """counts[w] = sum_c (q-1)**c times the number of pairs (i, j), i <
     n_high, where the OR over planes of op(high row i, low row j) has w
     set bits and the keys of rows i and j add up to c < n_keys.  low has
-    shape (planes, rows, words) and low_keys one key per low row;
-    high(idx) returns the rows, in the same layout, and the keys of the
-    high rows idx."""
+    shape (planes, rows, words) and low_keys one key per low row, or
+    None when every low key is 0; high(idx) returns the rows, in the
+    same layout, and the keys of the high rows idx.  n_keys - 1 is the
+    largest key a pair can reach, so (q-1)**c fits int64 whenever some
+    message tuple has c nonzero parts."""
     keyed = q > 2  # every (q-1)**c is 1 when q = 2
     n_keys = n_keys if keyed else 1
     planes, n_low, width = low.shape
     step = max(1, BLOCK_BYTES // (n_low * width * 8))
     bins = n + 1
     atype = np.min_scalar_type(n_keys * bins - 1)
-    low_at = np.multiply(low_keys, bins, dtype=atype)
+    low_at = (None if low_keys is None
+              else np.multiply(low_keys, bins, dtype=atype))
     hist = np.zeros(n_keys * bins, dtype=np.int64)
     for start in range(0, n_high, step):
         block, keys = high(np.arange(start, min(start + step, n_high)))
@@ -99,24 +104,28 @@ def _distance_counts(high, n_high, low, low_keys, n, op, q, n_keys):
             diff |= op(block[b][:, None], low[b])
         at = np.bitwise_count(diff).sum(axis=2, dtype=atype)
         if keyed:
-            at += low_at
+            if low_at is not None:
+                at += low_at
             at += np.multiply(keys, bins, dtype=atype)[:, None]
         hist += np.bincount(at.ravel(), minlength=len(hist))
-    by_key = hist.reshape(n_keys, bins).tolist()
-    return np.array([sum((q - 1)**c * row[w] for c, row in enumerate(by_key))
-                     for w in range(bins)])
+    weights = np.array([(q - 1)**c for c in range(n_keys)], dtype=np.int64)
+    return weights @ hist.reshape(n_keys, bins)
 
 
 def _words(gmat, q):
-    """All q**k words spanned by gmat's k rows mod q, one per table row."""
+    """All q**k words spanned by gmat's k rows mod q, one per table row.
+    Each step adds the q multiples of a row to the table in a type that
+    holds 2(q-1) and reduces with min(x, x - q), since x - q wraps past
+    x in an unsigned type when x < q: no integer division."""
     n = gmat.shape[1]
     gmat = np.asarray(gmat, dtype=np.int64) % q
-    dtype = np.min_scalar_type(q - 1)
-    digits = np.arange(q, dtype=np.int64)[:, None, None]
+    dtype = np.min_scalar_type(2 * (q - 1))
+    digits = np.arange(q, dtype=np.int64)[:, None]
     table = np.zeros((1, n), dtype=dtype)
     for row in gmat:
-        table = ((table + digits * row) % q).astype(dtype).reshape(-1, n)
-    return table
+        table = (digits * row % q).astype(dtype)[:, None] + table
+        table = np.minimum(table, table - dtype.type(q)).reshape(-1, n)
+    return table.astype(np.min_scalar_type(q - 1), copy=False)
 
 
 def min_weight(counts):
@@ -138,8 +147,8 @@ def scan(gmat, q):
     words, keys = _points(_words(gmat[half:], q), q)
     high = _planes(words, bits)
     counts = _distance_counts(lambda idx: (high[:, idx], keys[idx]),
-                              len(keys), low, np.zeros(low.shape[1], np.uint8),
-                              gmat.shape[1], np.bitwise_xor, q, 2)
+                              len(keys), low, None, gmat.shape[1],
+                              np.bitwise_xor, q, 2)
     return min_weight(counts), counts
 
 
@@ -147,11 +156,11 @@ def scan_union(gmats, q):
     """Weight distribution of the unions of supports, one word from each
     matrix's code, over every tuple of messages; returns
     (min_weight(counts), counts)."""
-    *high_tables, (last, last_keys) = [
-        (_planes(np.minimum(words, 1), 1)[0], keys)
-        for words, keys in (_points(_words(g, q), q) for g in gmats)]
-    # the high side of a one-component scan is the zero word alone; keys
-    # count up to len(gmats)
+    tables = [(_planes(np.minimum(words, 1), 1)[0], keys)
+              for words, keys in (_points(_words(g, q), q) for g in gmats)]
+    *high_tables, (last, last_keys) = tables
+    # the high side of a one-component scan is the zero word alone; a
+    # key counts the components with a point, at most len(gmats)
     empty = (np.zeros_like(last[:1]),
              np.zeros(1, np.min_scalar_type(len(gmats))))
 
@@ -165,5 +174,5 @@ def scan_union(gmats, q):
     n_high = math.prod(len(t) for t, _ in high_tables)
     counts = _distance_counts(high, n_high, last[None], last_keys,
                               gmats[-1].shape[1], np.bitwise_or, q,
-                              len(gmats) + 1)
+                              1 + sum(len(keys) > 1 for _, keys in tables))
     return min_weight(counts), counts

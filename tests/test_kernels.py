@@ -173,6 +173,17 @@ def test_union_zero_dimension_components(q):
         union_matches_oracle(gmats, q)
 
 
+def test_union_many_zero_components_fold_in_int64():
+    # 16 k = 0 components beside one of k = 1 over GF(17): a key counts
+    # only the components with a point, so the fold's largest weight is
+    # 16**1, not 16**17, which would not fit int64
+    n, q = 5, 17
+    one = systematic_gmat(1, n, q)
+    got = scan_union([np.zeros((0, n), np.int64)] * 16 + [one], q)
+    assert got[1].dtype == np.int64
+    assert_same(got, scan(one, q))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_union_full_rank_component(q):
     # k = n: the component is all of GF(q)**n, so some tuple covers
