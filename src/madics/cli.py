@@ -211,24 +211,19 @@ def _exported_params(doc):
 
 
 def _load_exported(path):
+    """(system, code, alpha_exp) rebuilt from the params of an export
+    document through the flag path, checked against its generator."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    code_doc, p = _exported_params(doc)
-    system = build_residue_system(p["p"], p["m"], p["b"], p["a"])
-    ctx = make_prime_field(p["q"])
-    alpha_exp = p.get("alpha_exp", 1) % system.p
-    if "slots" in p:
-        ring = make_ring(ctx, p["s"])
-        code = ring_code(ring, system, p["family"], tuple(p["slots"]),
-                         alpha_exp)
-        rebuilt = [list(c) for c in code.generator]
-    else:
-        if not 0 <= p["index"] < system.m:
-            raise MadicError(f"index must lie in [0, {system.m})")
-        codes = family_codes(system, ctx, p["family"], alpha_exp)
-        code = codes[p["index"]]
-        rebuilt = list(code.generator)
-    if code_doc["generator"] != rebuilt:
+    code_doc, params = _exported_params(doc)
+    slots = params.get("slots")
+    args = argparse.Namespace(
+        from_file=None, alpha_exp=params.get("alpha_exp", 1),
+        slots=None if slots is None else tuple(slots),
+        **{key: params.get(key)
+           for key in ("p", "m", "b", "a", "q", "family", "index", "s")})
+    system, code, alpha_exp = _distance_target(args)
+    if code_doc["generator"] != json.loads(json.dumps(code.generator)):
         raise MadicError(
             "stored generator does not match the one rebuilt from the "
             "exported parameters; file edited or truncated?")

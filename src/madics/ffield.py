@@ -1,17 +1,22 @@
 """Exact arithmetic in prime fields GF(q) and extensions GF(q^t).
 
-An element of GF(q^t) is a canonical integer in [0, q^t): the base-q
-digits of the integer are the coefficients of its reduced representative
-polynomial, ascending degree.  For t = 1 this collapses to ordinary
-arithmetic mod q, and base-field elements embed into any extension as
-themselves.  Elements are stored as reduced coefficient vectors (packed),
-never as discrete logarithms.
+GF(q^t) is F_q[y]/(modulus).  An element is a canonical integer in
+[0, q^t): the base-q digits of the integer are the coefficients of its
+reduced representative polynomial, ascending degree.  Its arithmetic is
+poly's over GF(q): a product is poly.mul of the digit vectors reduced
+by poly.divmod_poly mod the modulus, and the irreducibility test takes
+its powers of x with the same product.  For t = 1 this collapses to
+ordinary arithmetic mod q, and base-field elements embed into any
+extension as themselves.  Elements are stored as reduced coefficient
+vectors (packed), never as discrete logarithms.
 
 Canonical choices are pinned so every run prints identical polynomials:
 the modulus is the lexicographically smallest monic irreducible of
 degree t (coefficients compared ascending-degree-first) and the
 primitive element is the lexicographically smallest generator of the
-multiplicative group.
+multiplicative group, found with FieldCtx.is_primitive, the one
+primitivity test (residues uses it for the base b).  Prime fields past
+SIZE_CAP are refused before that search.
 """
 
 from __future__ import annotations
@@ -76,18 +81,20 @@ def is_prime_power(n):
     return False
 
 
-def factorize(n):
-    """Prime factorization {prime: exponent} by trial division."""
-    factors = {}
+@functools.lru_cache(maxsize=None)
+def prime_divisors(n):
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes = []
     d = 2
     while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
     if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+        primes.append(n)
+    return tuple(primes)
 
 
 class FieldCtx:
@@ -96,10 +103,12 @@ class FieldCtx:
     Use make_prime_field / make_extension instead of constructing
     directly.  Aside from q, t and size, the context carries the modulus
     as an ascending coefficient tuple (the identity polynomial x when
-    t = 1) and the smallest primitive element.
+    t = 1) and the smallest primitive element.  For t > 1 it is
+    F_q[y]/(modulus): a product is the poly product of the two digit
+    vectors over GF(q), reduced mod the modulus by poly.divmod_poly.
     """
 
-    __slots__ = ("q", "t", "size", "modulus", "primitive_element", "_xpow")
+    __slots__ = ("q", "t", "size", "modulus", "primitive_element")
 
     zero = 0
     one = 1
@@ -110,24 +119,6 @@ class FieldCtx:
         self.size = q ** t
         self.modulus = tuple(modulus)
         self.primitive_element = primitive_element
-        # x^(t+i) mod modulus for i in [0, t-1), used to fold products
-        self._xpow = None
-        if t > 1:
-            table = []
-            # x^t = -(m_0 + m_1 x + ... + m_{t-1} x^{t-1})
-            cur = [(-c) % q for c in self.modulus[:t]]
-            table.append(tuple(cur))
-            for _ in range(t - 2):
-                nxt = [0] * t
-                carry = cur[t - 1]
-                for i in range(t - 1):
-                    nxt[i + 1] = cur[i]
-                if carry:
-                    for i in range(t):
-                        nxt[i] = (nxt[i] + carry * table[0][i]) % q
-                table.append(tuple(nxt))
-                cur = nxt
-            self._xpow = table
 
     # -- representation ------------------------------------------------
 
@@ -167,28 +158,18 @@ class FieldCtx:
         return self.from_vec((-x) % self.q for x in self.to_vec(a))
 
     def mul(self, a, b):
-        q, t = self.q, self.t
-        if t == 1:
-            return a * b % q
-        va, vb = self.to_vec(a), self.to_vec(b)
-        conv = [0] * (2 * t - 1)
-        for i, x in enumerate(va):
-            if x:
-                for j, y in enumerate(vb):
-                    conv[i + j] += x * y
-        out = [c % q for c in conv[:t]]
-        for e in range(t, 2 * t - 1):
-            c = conv[e] % q
-            if c:
-                fold = self._xpow[e - t]
-                for i in range(t):
-                    out[i] = (out[i] + c * fold[i]) % q
-        return self.from_vec(out)
+        if self.t == 1:
+            return a * b % self.q
+        base = make_prime_field(self.q)
+        prod = poly.mul(base, self.to_vec(a), self.to_vec(b))
+        return self.from_vec(poly.divmod_poly(base, prod, self.modulus)[1])
 
     def pow(self, a, e):
         """a**e by square and multiply; e may be any nonnegative int."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
+        if self.t == 1:
+            return pow(a, e, self.q)
         result = self.one
         a %= self.size
         while e > 0:
@@ -209,10 +190,17 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         n = self.size - 1
-        for r in factorize(n):
+        for r in prime_divisors(n):
             while n % r == 0 and self.pow(a, n // r) == 1:
                 n //= r
         return n
+
+    def is_primitive(self, a):
+        """True when a generates the multiplicative group: a != 0 and
+        a**((size-1)/r) != 1 for every prime r dividing size - 1."""
+        n = self.size - 1
+        return a != 0 and all(self.pow(a, n // r) != 1
+                              for r in prime_divisors(n))
 
     # -- identity ------------------------------------------------------
 
@@ -230,41 +218,50 @@ class FieldCtx:
         return f"FieldCtx(GF({self.q}^{self.t}), modulus={poly.format_poly(self.modulus)})"
 
 
-def smallest_primitive_root(q):
-    """Least primitive root mod the prime q (1 for q = 2)."""
-    if q == 2:
-        return 1
-    primes = list(factorize(q - 1))
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // r, q) != 1 for r in primes):
-            return g
-    raise AssertionError(f"no primitive root mod {q}")
+def _pin_primitive(ctx):
+    """Set ctx.primitive_element to the first generator of the
+    multiplicative group in product(range(q), repeat=t) order of digit
+    vectors, the constant coefficient most significant; returns ctx.
+    Counting n up and reversing its digits walks that order lazily."""
+    candidates = (ctx.from_vec(ctx.to_vec(n)[::-1])
+                  for n in range(1, ctx.size))
+    ctx.primitive_element = next(a for a in candidates if ctx.is_primitive(a))
+    return ctx
 
 
 @functools.lru_cache(maxsize=None)
 def make_prime_field(q):
-    """GF(q) for prime q; primitive element = smallest primitive root."""
+    """GF(q) for prime q; primitive element = smallest primitive root.
+
+    q above SIZE_CAP is refused with FieldTooLarge before the search
+    factors q - 1: every code over GF(q) needs an extension of at most
+    SIZE_CAP elements anyway.
+    """
     if not is_prime(q):
         raise NonPrimeModulus(f"{q} is not prime")
-    return FieldCtx(q, 1, (0, 1), smallest_primitive_root(q))
+    if q > SIZE_CAP:
+        raise FieldTooLarge(f"field size {q} exceeds cap {SIZE_CAP}")
+    return _pin_primitive(FieldCtx(q, 1, (0, 1)))
 
 
 def _is_irreducible(base, f, t):
-    """Rabin's test for a monic degree-t polynomial over GF(q)."""
+    """Rabin's test for a monic polynomial f of degree t >= 2 over
+    GF(q), with the powers of x taken in F_q[y]/(f)."""
     q = base.q
-    x = (0, 1)
+    ring = FieldCtx(q, t, f)
+    x = ring.from_vec((0, 1))
     # x^(q^t) == x mod f
     h = x
     for _ in range(t):
-        h = poly.powmod(base, h, q, f)
-    if h != poly.divmod_poly(base, x, f)[1]:
+        h = ring.pow(h, q)
+    if h != x:
         return False
-    for r in factorize(t):
+    for r in prime_divisors(t):
         h = x
         for _ in range(t // r):
-            h = poly.powmod(base, h, q, f)
-        g = poly.gcd(base, poly.sub(base, h, x), f)
-        if poly.degree(g) != 0:
+            h = ring.pow(h, q)
+        h_minus_x = poly.sub(base, poly.trim(base, ring.to_vec(h)), (0, 1))
+        if poly.degree(poly.gcd(base, h_minus_x, f)) != 0:
             return False
     return True
 
@@ -290,19 +287,7 @@ def _build_extension(q, t):
             break
     if modulus is None:
         raise AssertionError(f"no irreducible of degree {t} over GF({q})")
-    ctx = FieldCtx(q, t, modulus)
-    n = ctx.size - 1
-    primes = list(factorize(n))
-    for vec in product(range(q), repeat=t):
-        a = ctx.from_vec(vec)
-        if a == 0:
-            continue
-        if all(ctx.pow(a, n // r) != 1 for r in primes):
-            ctx.primitive_element = a
-            break
-    if ctx.primitive_element is None:
-        raise AssertionError("no primitive element found")
-    return ctx
+    return _pin_primitive(FieldCtx(q, t, modulus))
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,12 @@ and ghat_i = prod_{k in Q_i} (x - alpha^k), the families are
 
 All four require q to be an m-adic residue mod p (q in Q_0); that is
 exactly the condition for the class products to have coefficients in
-F_q.  Each code carries its generator and its idempotent generator,
+F_q.  ghat_i is the product over F_q of the irreducible factors of
+x**p - 1 for the q-cyclotomic cosets in Q_i, and each factor is the
+minimal polynomial of alpha**min(C) over F_q, solved as a linear
+relation among the base-q digit vectors of its powers, so no
+polynomial over GF(q^t) is multiplied (MacWilliams & Sloane, ch. 4).
+Each code carries its generator and its idempotent generator,
 the inverse DFT of its 0/1 spectrum (MacWilliams & Sloane, ch. 8).
 With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
 lie in F_q, and with c(k) the class of k the even-like class-I one is
@@ -83,29 +88,51 @@ def _root_powers(q, p):
 def coset_factors(q, p):
     """The irreducible factors of x**p - 1 over GF(q), by exponent.
 
-    Each q-cyclotomic coset C mod p gives the factor
-    prod_{k in C} (x - alpha^k), built once in the splitting field and
-    descended to F_q ints.  Returns a tuple whose entry k is the factor
-    of the coset holding k, so the coset {0} maps to x - 1 and the
-    members of one coset share one tuple.
+    The factor of a q-cyclotomic coset C mod p is prod_{k in C}
+    (x - alpha^k), the minimal polynomial over F_q of beta = alpha^min(C):
+    its degree is d = |C|, and its coefficients c_j solve
+    sum_{j<d} c_j beta^j = -beta^d on the base-q digit vectors of the
+    powers of beta.  Returns a tuple whose entry k is the factor of the
+    coset holding k, so the coset {0} maps to x - 1 and the members of
+    one coset share one tuple.
     """
     ext, roots = _root_powers(q, p)
     ctx = make_prime_field(q)
     factor_of = [None] * p
     factors = []
     for coset in poly.cyclotomic_cosets(q, p):
-        prod = (ext.one,)
-        for k in coset:
-            prod = poly.mul(ext, prod, (ext.neg(roots[k]), ext.one))
-        if any(c >= q for c in prod):
-            raise AssertionError("coset product did not descend to F_q")
-        factor = tuple(int(c) for c in prod)
+        d = len(coset)
+        powers = [ext.to_vec(roots[j * coset[0] % p]) for j in range(d + 1)]
+        factor = _solve(q, powers[:d], [-c % q for c in powers[d]]) + (1,)
         for k in coset:
             factor_of[k] = factor
         factors.append(factor)
     if _product(ctx, factors) != poly.xn_minus_1(ctx, p):
         raise AssertionError("coset factors do not multiply to x**p - 1")
     return tuple(factor_of)
+
+
+def _solve(q, cols, rhs):
+    """The x over GF(q) with sum_j x_j cols[j] = rhs, by Gauss-Jordan
+    elimination on the augmented rows; raises AssertionError when the
+    columns are dependent or a row reduces to 0 = nonzero, so that no
+    linear relation over F_q holds."""
+    d = len(cols)
+    rows = [list(row) for row in zip(*cols, rhs)]
+    for j in range(d):
+        pivot = next((r for r in range(j, len(rows)) if rows[r][j]), None)
+        if pivot is None:
+            raise AssertionError("coset factor did not descend to F_q")
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        inv = pow(rows[j][j], -1, q)
+        rows[j] = [c * inv % q for c in rows[j]]
+        for r, row in enumerate(rows):
+            if r != j and row[j]:
+                rows[r] = [(c - row[j] * c_j) % q
+                           for c, c_j in zip(row, rows[j])]
+    if any(row[d] for row in rows[d:]):
+        raise AssertionError("coset factor did not descend to F_q")
+    return tuple(row[d] for row in rows[:d])
 
 
 def _product(ctx, polys):

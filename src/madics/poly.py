@@ -18,9 +18,11 @@ big-int product of the packed operands, folded mod x**n - 1 at the
 integer level, with byte-aligned slots wide enough for n*(q-1)**2.
 The module is pure Python and imports nothing but its errors.
 
-The module also holds the q-cyclotomic cosets mod p; the factors of
-x**p - 1 they index need the splitting field and are built in
-field_codes, as are the idempotent generators (in closed form).
+ffield builds the arithmetic of GF(q^t) on these operations over
+GF(q).  The module also holds the q-cyclotomic cosets mod p; the
+factors of x**p - 1 they index are minimal polynomials over the
+splitting field, solved in field_codes, where the idempotent generators
+are built too (in closed form).
 """
 
 from __future__ import annotations
@@ -158,18 +160,6 @@ def mul_mod(dom, a, b, n):
     folded = (prod & ((1 << span) - 1)) + (prod >> span)
     mask = (1 << bits) - 1
     return trim(dom, [(folded >> i & mask) % q for i in range(0, span, bits)])
-
-
-def powmod(dom, base, e, f):
-    """base**e mod f by square and multiply."""
-    result = constant(dom, dom.one)
-    base = divmod_poly(dom, base, f)[1]
-    while e > 0:
-        if e & 1:
-            result = divmod_poly(dom, mul(dom, result, base), f)[1]
-        base = divmod_poly(dom, mul(dom, base, base), f)[1]
-        e >>= 1
-    return result
 
 
 def eval_poly(dom, a, x):

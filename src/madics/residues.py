@@ -22,19 +22,13 @@ from .errors import (
     NotPrimitiveRoot,
     TooLarge,
 )
-from .ffield import factorize, is_prime, smallest_primitive_root
+from .ffield import is_prime, make_prime_field
 
 # Largest p build_residue_system accepts.  A system keeps about 82 bytes
 # per residue (the class_of dict and the class tuples; 107 at the peak
 # of the build), so 2**20 residues hold about 85 MB and peak near
 # 110 MB (measured with tracemalloc at p = 1000003, CPython 3.11).
 P_CAP = 1 << 20
-
-
-def _is_primitive_root(b, p):
-    if b % p == 0:
-        return False
-    return all(pow(b, (p - 1) // r, p) != 1 for r in factorize(p - 1))
 
 
 @dataclass(frozen=True)
@@ -79,9 +73,10 @@ def build_residue_system(p, m, b=None, a=None):
         raise TooLarge(
             f"p={p} exceeds the residue-system cap {P_CAP}: the classes "
             f"would hold {p - 1} residues in memory")
+    gf_p = make_prime_field(p)
     if b is None:
-        b = smallest_primitive_root(p)
-    elif not _is_primitive_root(b, p):
+        b = gf_p.primitive_element
+    elif not gf_p.is_primitive(b % p):
         raise NotPrimitiveRoot(f"{b} is not a primitive root mod {p}")
     b %= p
 

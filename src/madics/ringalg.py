@@ -16,7 +16,7 @@ at construction time.
 R has no element arithmetic of its own: ring codes are built and
 checked on their CRT components over F_q, and the v-basis is an output
 format.  RingCtx moves elements to and from their components (crt,
-crt_inv, eval_v); polynomials over R are formed from components only
+crt_inv); polynomials over R are formed from components only
 by ring_poly_combine, split by ring_poly_component and shown by
 format_ring_poly.
 """
@@ -54,17 +54,10 @@ class RingCtx:
 
     # -- CRT transport ---------------------------------------------------
 
-    def eval_v(self, a, point):
-        """Evaluate at v = point (a base-field value)."""
-        f = self.field
-        acc = 0
-        for c in reversed(a):
-            acc = f.add(f.mul(acc, point), c)
-        return acc
-
     def crt(self, a):
         """Component vector (a(point_0), ..., a(point_{s-1}))."""
-        return tuple(self.eval_v(a, pt) for pt in self.crt_points)
+        return tuple(poly.eval_poly(self.field, a, pt)
+                     for pt in self.crt_points)
 
     def crt_inv(self, values):
         """Element with the given CRT components: sum_k values[k]*eta_k."""
@@ -140,7 +133,8 @@ def _validate_ring(ring):
 def ring_poly_component(ring, rp, k):
     """k-th CRT component of a polynomial over R, as an F_q polynomial."""
     pt = ring.crt_points[k]
-    return poly.trim(ring.field, (ring.eval_v(c, pt) for c in rp))
+    return poly.trim(ring.field,
+                     (poly.eval_poly(ring.field, c, pt) for c in rp))
 
 
 def ring_poly_combine(ring, components):

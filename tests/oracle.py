@@ -47,6 +47,11 @@ Euclidean algorithm gives u*g + w*gbar = 1, and u*g mod x^p - 1 is the
 idempotent generator of <g>.  It knows nothing of residue classes and
 works from the generator alone.
 
+coset_factor_schoolbook is the oracle of madics.field_codes.coset_factors,
+which solves each factor as a minimal polynomial over F_q: it
+multiplies out the linear terms x - alpha^k, k in the coset, with the
+schoolbook poly.mul over the splitting field GF(q^t).
+
 is_prime_trial and is_prime_power_trial are the oracles of
 madics.ffield.is_prime (Miller-Rabin) and is_prime_power (integer
 roots): trial division up to sqrt(n), for small n only.
@@ -57,6 +62,7 @@ from math import comb
 import numpy as np
 
 from madics import poly
+from madics.field_codes import splitting_field
 from madics.identities import IDENTITY_NAMES, IdentityOutcome
 from madics.ring_codes import ring_code, ring_mu_chain
 from madics.ringalg import RingCtx, format_ring_poly
@@ -121,6 +127,19 @@ def product_schoolbook(dom, polys):
     for f in polys:
         acc = poly.mul(dom, acc, f)
     return acc
+
+
+def coset_factor_schoolbook(q, p):
+    """{coset: prod_{k in coset} (x - alpha^k)} for the q-cyclotomic
+    cosets mod p, multiplied out over the splitting field."""
+    ext, alpha = splitting_field(q, p)
+    out = {}
+    for coset in poly.cyclotomic_cosets(q, p):
+        prod = (ext.one,)
+        for k in coset:
+            prod = poly.mul(ext, prod, (ext.neg(ext.pow(alpha, k)), ext.one))
+        out[coset] = prod
+    return out
 
 
 def gcd_ext(dom, a, b):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,24 @@ def test_classes_p_cap_exit_2(capsys):
                              "--m", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: TooLarge: p=1000000000039 exceeds")
+
+
+@pytest.mark.parametrize("shape", [("field-code", "--index", "0"),
+                                   ("ring-code", "--s", "3", "--slots",
+                                    "0,1,2")], ids=lambda s: s[0])
+def test_large_prime_q_exit_1_promptly(capsys, shape):
+    # a prime q past SIZE_CAP is refused before the primitive-root
+    # search, which would factor q - 1 by trial division
+    verb, *rest = shape
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, verb, "--q", "4611686018427394499",
+                             "--p", "13", "--m", "3", "--family", "even-I",
+                             *rest)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: FieldTooLarge: field size "
+                          "4611686018427394499 exceeds")
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

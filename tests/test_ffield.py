@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from madics import ffield, poly
-from madics.errors import NonPrimeModulus
+from madics.errors import FieldTooLarge, NonPrimeModulus
 from madics.ffield import (
     is_prime,
     is_prime_power,
@@ -71,6 +71,33 @@ def test_prime_field_inverse():
 def test_prime_field_requires_prime():
     with pytest.raises(NonPrimeModulus):
         make_prime_field(12)
+
+
+def test_field_size_cap():
+    # 2**32 elements is past SIZE_CAP; so is a large prime field, which
+    # is refused before its primitive-root search factors q - 1
+    with pytest.raises(FieldTooLarge):
+        make_extension(2, 32)
+    with pytest.raises(FieldTooLarge):
+        make_prime_field(4611686018427394499)
+    assert make_prime_field(2**31 - 1).primitive_element == 7
+
+
+def _order_by_steps(ext, a):
+    """The multiplicative order of a, one multiply at a time."""
+    e, x = 1, a
+    while x != ext.one:
+        x, e = ext.mul(x, a), e + 1
+    return e
+
+
+@pytest.mark.parametrize("q,t", [(2, 1), (2, 4), (3, 1), (3, 2), (5, 2),
+                                 (13, 1), (2, 6)])
+def test_is_primitive_matches_order(q, t):
+    ext = make_extension(q, t)
+    assert not ext.is_primitive(0)
+    for a in range(1, ext.size):
+        assert ext.is_primitive(a) == (_order_by_steps(ext, a) == ext.size - 1)
 
 
 def test_primitive_element_order():

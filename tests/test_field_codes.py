@@ -1,6 +1,7 @@
 """Field code family tests with frozen reference generators."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +14,20 @@ from madics.field_codes import (
     FAMILIES,
     _class_products,
     _product,
+    _root_powers,
+    _solve,
     all_ones_h,
     coset_factors,
     family_codes,
     splitting_field,
 )
 from madics.residues import build_residue_system
-from oracle import idempotent_bezout, mod_xn_minus_1, product_schoolbook
+from oracle import (
+    coset_factor_schoolbook,
+    idempotent_bezout,
+    mod_xn_minus_1,
+    product_schoolbook,
+)
 
 F3 = make_prime_field(3)
 F7 = make_prime_field(7)
@@ -191,6 +199,33 @@ def test_coset_factor_product_tree_matches_schoolbook(q, p):
         polys = [tuple(rng.randrange(q) for _ in range(rng.randrange(1, 9)))
                  + (rng.randrange(1, q),) for _ in range(size)]
         assert _product(ctx, polys) == product_schoolbook(ctx, polys)
+
+
+@pytest.mark.parametrize("q,p", ((7, 3), (2, 7), (3, 13), (2, 23), (3, 41),
+                                 (5, 71), (2, 89), (2, 127)))
+def test_coset_factors_match_schoolbook_oracle(q, p):
+    # minimal polynomials over F_q against the linear terms multiplied
+    # out over GF(q^t); (7, 3) has t = 1
+    factor_of = coset_factors(q, p)
+    for coset, factor in coset_factor_schoolbook(q, p).items():
+        assert all(factor_of[k] == factor for k in coset)
+
+
+def test_coset_factors_long_p_time():
+    # the Gauss-Jordan solves take about 0.1 s here; multiplying the
+    # linear terms out over GF(2^25) took over 3 s
+    _root_powers(2, 1801)
+    t0 = time.perf_counter()
+    coset_factors.__wrapped__(2, 1801)
+    assert time.perf_counter() - t0 < 1.5
+
+
+def test_solve_refuses_an_inconsistent_system():
+    assert _solve(3, [(1, 0), (1, 1)], (2, 1)) == (1, 1)
+    with pytest.raises(AssertionError, match="did not descend"):
+        _solve(3, [(1, 0)], (0, 1))
+    with pytest.raises(AssertionError, match="did not descend"):
+        _solve(3, [(1, 2), (2, 1)], (0, 0))
 
 
 def test_dropped_coset_fails_the_factor_check(monkeypatch):

@@ -5,7 +5,9 @@ package is referenced inside the package.  numpy stays off the cold
 path: no module but _kernels imports it (or _kernels) at module level,
 and a fresh interpreter that imports madics or runs a verb that does
 not scan ends without numpy in sys.modules.  One scan kernel: numpy's
-popcount and bincount appear only in _kernels._distance_counts."""
+popcount and bincount appear only in _kernels._distance_counts.  One
+arithmetic for the splitting field: field_codes.coset_factors makes no
+product over GF(q^t)."""
 
 import ast
 import importlib
@@ -18,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import madics
+from madics import field_codes
+from madics.ffield import FieldCtx
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "madics").glob("*.py"))
@@ -236,3 +240,21 @@ def test_one_scan_kernel():
                 stray.append(f"{path.stem}.{where}: {name}")
     assert not stray, f"popcount or bincount outside the kernel: {stray}"
     assert sorted(kernel) == ["bincount", "bitwise_count"]
+
+
+@pytest.mark.parametrize("q,p", [(3, 13), (2, 89), (2, 127)])
+def test_coset_factors_multiply_nothing_over_the_extension(monkeypatch, q, p):
+    # the factors are solved from the digit vectors of the cached root
+    # powers, so no product over GF(q^t) runs once the table is built
+    field_codes._root_powers(q, p)
+    calls = []
+    mul = FieldCtx.mul
+
+    def counted(self, a, b):
+        if self.t > 1:
+            calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "mul", counted)
+    field_codes.coset_factors.__wrapped__(q, p)
+    assert not calls

@@ -155,15 +155,6 @@ def test_eval_poly():
     assert poly.eval_poly(F3, a, 2) == (1 + 4 + 4) % 3
 
 
-def test_powmod_matches_naive():
-    f = poly.xn_minus_1(F3, 7)
-    base = (1, 1)
-    acc = poly.constant(F3, F3.one)
-    for e in range(10):
-        assert poly.powmod(F3, base, e, f) == poly.divmod_poly(F3, acc, f)[1]
-        acc = poly.mul(F3, acc, base)
-
-
 def test_cyclotomic_cosets_partition():
     cosets = poly.cyclotomic_cosets(3, 13)
     seen = sorted(x for c in cosets for x in c)
