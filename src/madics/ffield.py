@@ -180,14 +180,14 @@ class FieldCtx:
         return result
 
     def inv(self, a):
-        if a == 0:
+        if a % self.size == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.size - 2)
 
     def multiplicative_order(self, a):
         """Least e > 0 with a**e = 1, by descending through divisors of
         the group order."""
-        if a == 0:
+        if a % self.size == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         n = self.size - 1
         for r in prime_divisors(n):
@@ -199,7 +199,7 @@ class FieldCtx:
         """True when a generates the multiplicative group: a != 0 and
         a**((size-1)/r) != 1 for every prime r dividing size - 1."""
         n = self.size - 1
-        return a != 0 and all(self.pow(a, n // r) != 1
+        return a % self.size != 0 and all(self.pow(a, n // r) != 1
                               for r in prime_divisors(n))
 
     # -- identity ------------------------------------------------------

@@ -137,11 +137,10 @@ def _solve(q, cols, rhs):
 
 def _product(ctx, polys):
     """The product of nonzero polynomials over a prime field, by a
-    pairwise tree of packed products: a*b has len(a) + len(b) - 1
-    coefficients, so mul_mod with that n folds nothing."""
+    pairwise tree of packed products (poly.mul)."""
     polys = list(polys) or [(ctx.one,)]
     while len(polys) > 1:
-        pairs = [poly.mul_mod(ctx, a, b, len(a) + len(b) - 1)
+        pairs = [poly.mul(ctx, a, b)
                  for a, b in zip(polys[::2], polys[1::2])]
         polys = pairs + polys[2 * len(pairs):]
     return polys[0]

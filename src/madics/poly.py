@@ -1,28 +1,33 @@
-"""Polynomial arithmetic over a finite field.
+"""Polynomial arithmetic over a prime field GF(q).
 
 A polynomial is a tuple of coefficient values in ascending degree with
 trailing zeros trimmed, so equal polynomials compare equal as tuples.
 The zero polynomial is the empty tuple and its degree is the sentinel
 NEG_DEGREE (minus infinity), never -1.
 
-Every operation takes the coefficient field as its first argument: a
-FieldCtx, prime or extension, whose ``zero``, ``one``, ``add``,
-``sub``, ``neg``, ``mul`` and ``inv`` act on coefficient values.
-Coefficients are plain ints, so polynomials stay cheap to copy,
-compare and store.  Polynomials over R = F_q[v]/(v**s - v) are not
-handled here: ringalg builds them from their F_q components.
+Every operation takes the coefficient field as its first argument, a
+FieldCtx, and reads only its ``q`` and ``t``: coefficients are plain
+ints and the arithmetic is integer arithmetic mod q, written inline.
+A field with t != 1 is refused with NonPrimeModulus; ffield builds the
+arithmetic of GF(q^t) on these operations over GF(q), and the
+dom-generic schoolbook forms are test oracles.  Inputs are read mod q
+and every result is canonical (reduced into [0, q) and trimmed).
+Polynomials over R = F_q[v]/(v**s - v) are not handled here: ringalg
+builds them from their F_q components.
 
-mul_mod, the product mod x**n - 1, works over prime fields only
-(NonPrimeModulus otherwise).  It is a Kronecker substitution: one
-big-int product of the packed operands, folded mod x**n - 1 at the
-integer level, with byte-aligned slots wide enough for n*(q-1)**2.
-The module is pure Python and imports nothing but its errors.
+There is one product, mul_mod, the product mod x**n - 1, by Kronecker
+substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 8): one big-int product of the packed operands, folded mod
+x**n - 1 at the integer level, with byte-aligned slots wide enough for
+n*(q-1)**2.  mul is mul_mod with n = len(a) + len(b), where nothing
+folds.  divmod_poly is long division with lazy reduction: the running
+remainder is reduced mod q only where a coefficient is read.  The
+module is pure Python and imports nothing but its errors.
 
-ffield builds the arithmetic of GF(q^t) on these operations over
-GF(q).  The module also holds the q-cyclotomic cosets mod p; the
-factors of x**p - 1 they index are minimal polynomials over the
-splitting field, solved in field_codes, where the idempotent generators
-are built too (in closed form).
+The module also holds the q-cyclotomic cosets mod p; the factors of
+x**p - 1 they index are minimal polynomials over the splitting field,
+solved in field_codes, where the idempotent generators are built too
+(in closed form).
 """
 
 from __future__ import annotations
@@ -38,12 +43,27 @@ ZERO = ()
 NEG_DEGREE = float("-inf")
 
 
-def trim(dom, coeffs):
-    """Canonical form: drop trailing zero coefficients."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == dom.zero:
+def _modulus(dom):
+    """q of a prime field; NonPrimeModulus for GF(q^t), t != 1."""
+    if dom.t != 1:
+        raise NonPrimeModulus(
+            f"poly needs a prime field, not GF({dom.q}^{dom.t})")
+    return dom.q
+
+
+def _trimmed(coeffs):
+    """The tuple of a list of reduced coefficients, trailing zeros
+    dropped (the list is consumed)."""
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def trim(dom, coeffs):
+    """Canonical form: coefficients reduced mod q, trailing zeros
+    dropped."""
+    q = _modulus(dom)
+    return _trimmed([c % q for c in coeffs])
 
 
 def degree(a):
@@ -52,87 +72,114 @@ def degree(a):
 
 
 def constant(dom, c):
-    return () if c == dom.zero else (c,)
+    c %= _modulus(dom)
+    return (c,) if c else ZERO
 
 
 def xn_minus_1(dom, n):
-    return (dom.neg(dom.one),) + (dom.zero,) * (n - 1) + (dom.one,)
+    return (_modulus(dom) - 1,) + (0,) * (n - 1) + (1,)
+
 
 def add(dom, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = dom.add(out[i], c)
-    return trim(dom, out)
+    q = _modulus(dom)
+    out = [(x + y) % q for x, y in zip(a, b)]
+    out += [x % q for x in a[len(b):]]
+    out += [y % q for y in b[len(a):]]
+    return _trimmed(out)
 
 
 def neg(dom, a):
-    return tuple(dom.neg(c) for c in a)
+    q = _modulus(dom)
+    return _trimmed([-x % q for x in a])
 
 
 def sub(dom, a, b):
-    return add(dom, a, neg(dom, b))
+    q = _modulus(dom)
+    out = [(x - y) % q for x, y in zip(a, b)]
+    out += [x % q for x in a[len(b):]]
+    out += [-y % q for y in b[len(a):]]
+    return _trimmed(out)
 
 
 def scale(dom, c, a):
-    if c == dom.zero:
-        return ZERO
-    return trim(dom, (dom.mul(c, x) for x in a))
+    q = _modulus(dom)
+    return _trimmed([c * x % q for x in a])
 
 
 def mul(dom, a, b):
-    if not a or not b:
-        return ZERO
-    out = [dom.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == dom.zero:
-            continue
-        for j, y in enumerate(b):
-            if y == dom.zero:
-                continue
-            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
-    return trim(dom, out)
+    """The product a*b: mul_mod with n = len(a) + len(b), more slots
+    than a*b has coefficients, so nothing folds."""
+    return mul_mod(dom, a, b, len(a) + len(b) or 1)
 
 
 def divmod_poly(dom, a, b):
     """Quotient and remainder of a by b; b must not be zero."""
+    q = _modulus(dom)
+    b = trim(dom, b)
     if not b:
         raise NonUnitLeadingCoefficient("division by the zero polynomial")
-    lead_inv = dom.inv(b[-1])
-    rem = list(a)
+    quot, rem = _divmod_monic(q, a, _monic(q, b))
+    lead_inv = pow(b[-1], -1, q)
+    return _trimmed([c * lead_inv % q for c in quot]), rem
+
+
+def _divmod_monic(q, a, b):
+    """(quotient digits, canonical remainder) of a by a canonical monic
+    b, by long division with lazy reduction: a window of the running
+    remainder takes the products of one step unreduced, and a
+    coefficient is reduced mod q only when it becomes the leading one
+    or lands in the remainder."""
     db = len(b) - 1
-    if len(rem) - 1 < db:
-        return ZERO, trim(dom, rem)
-    quot = [dom.zero] * (len(rem) - db)
+    low = b[:db]
+    rem = list(a)
+    quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == dom.zero:
-            continue
-        f = dom.mul(c, lead_inv)
-        quot[i - db] = f
-        for j in range(db + 1):
-            rem[i - db + j] = dom.sub(rem[i - db + j], dom.mul(f, b[j]))
-    return trim(dom, quot), trim(dom, rem)
+        f = rem[i] % q
+        if f:
+            lo = i - db
+            quot[lo] = f
+            rem[lo:i] = [r - f * c for r, c in zip(rem[lo:i], low)]
+    return quot, _trimmed([r % q for r in rem[:db]])
 
 
 def div_exact(dom, a, b):
-    q, r = divmod_poly(dom, a, b)
+    quot, r = divmod_poly(dom, a, b)
     if r:
         raise NotADivisor(f"{b} does not divide {a}")
-    return q
+    return quot
 
 
 def divides(dom, b, a):
-    if not b:
-        return not a
+    if not trim(dom, b):
+        return not trim(dom, a)
     return not divmod_poly(dom, a, b)[1]
 
 
-def _pack(coeffs, width):
-    """One int holding coeffs[i] in bytes [i*width, (i+1)*width)."""
-    return int.from_bytes(
-        b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+def _pack(coeffs, q, width):
+    """One int holding coeffs[i] mod q in bytes [i*width, (i+1)*width):
+    byte k of every slot is written in one strided slice."""
+    digits = [c % q for c in coeffs]
+    if width == 1:
+        return int.from_bytes(bytes(digits), "little")
+    buf = bytearray(len(digits) * width)
+    if q <= 256:
+        buf[::width] = bytes(digits)
+    else:
+        for k in range(((q - 1).bit_length() + 7) // 8):
+            buf[k::width] = bytes([d >> 8 * k & 255 for d in digits])
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(value, q, width, n):
+    """The n slots of ``value`` (width bytes each) reduced mod q: byte
+    k of every slot is read in one strided slice, high byte first."""
+    buf = value.to_bytes(n * width, "little")
+    if width == 1:
+        return [s % q for s in buf]
+    slots = buf[width - 1::width]
+    for k in range(width - 2, 0, -1):
+        slots = [s << 8 | b for s, b in zip(slots, buf[k::width])]
+    return [(s << 8 | b) % q for s, b in zip(slots, buf[::width])]
 
 
 def mul_mod(dom, a, b, n):
@@ -146,53 +193,55 @@ def mul_mod(dom, a, b, n):
     n*(q-1)**2; B is that bit length rounded up to whole bytes, so no
     slot carries into the next.  The slots are reduced mod q at the end.
     """
-    if dom.t != 1:
-        raise NonPrimeModulus(
-            f"mul_mod needs a prime field, not GF({dom.q}^{dom.t})")
+    q = _modulus(dom)
     if n < 1 or len(a) > n or len(b) > n:
         raise ValueError(f"mul_mod needs n >= 1 and operands of length "
                          f"<= n, got {len(a)} and {len(b)} for n = {n}")
-    q = dom.q
     width = -(-(n * (q - 1) ** 2).bit_length() // 8)
-    bits = 8 * width
-    span = n * bits
-    prod = _pack(a, width) * _pack(b, width)
+    span = n * 8 * width
+    packed = _pack(a, q, width)
+    prod = packed * (packed if b is a else _pack(b, q, width))
     folded = (prod & ((1 << span) - 1)) + (prod >> span)
-    mask = (1 << bits) - 1
-    return trim(dom, [(folded >> i & mask) % q for i in range(0, span, bits)])
+    return _trimmed(_unpack(folded, q, width, n))
 
 
 def eval_poly(dom, a, x):
     """Evaluate at a field value by Horner's rule."""
-    acc = dom.zero
+    q = _modulus(dom)
+    acc = 0
     for c in reversed(a):
-        acc = dom.add(dom.mul(acc, x), c)
+        acc = (acc * x + c) % q
     return acc
 
 
 def monic(dom, a):
-    if not a:
-        return ZERO
-    lead = a[-1]
-    if lead == dom.one:
+    return _monic(_modulus(dom), trim(dom, a))
+
+
+def _monic(q, a):
+    """A canonical polynomial scaled to leading coefficient 1."""
+    if not a or a[-1] == 1:
         return a
-    return scale(dom, dom.inv(lead), a)
+    lead_inv = pow(a[-1], -1, q)
+    return tuple([c * lead_inv % q for c in a])
 
 
 def gcd(dom, a, b):
-    """Monic gcd of a and b by the remainder loop; raises BothZero when
-    a = b = 0."""
+    """Monic gcd of a and b by the remainder loop on monic remainders;
+    raises BothZero when a = b = 0."""
+    q = _modulus(dom)
+    a, b = monic(dom, a), monic(dom, b)
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        a, b = b, divmod_poly(dom, a, b)[1]
-    return monic(dom, a)
+        a, b = b, _monic(q, _divmod_monic(q, a, b)[1])
+    return a
 
 
 def associates(dom, a, b):
     """True when a and b agree up to a unit scalar."""
-    if not a or not b:
-        return a == b
     return monic(dom, a) == monic(dom, b)
 
 

@@ -15,10 +15,10 @@ at construction time.
 
 R has no element arithmetic of its own: ring codes are built and
 checked on their CRT components over F_q, and the v-basis is an output
-format.  RingCtx moves elements to and from their components (crt,
-crt_inv); polynomials over R are formed from components only
-by ring_poly_combine, split by ring_poly_component and shown by
-format_ring_poly.
+format.  RingCtx.crt takes an element to its components; polynomials
+over R are formed from components only by ring_poly_combine, which sums
+each v**i column as sum_k eta_k[i] * component_k over F_q, split by
+ring_poly_component and shown by format_ring_poly.
 """
 
 from __future__ import annotations
@@ -58,16 +58,6 @@ class RingCtx:
         """Component vector (a(point_0), ..., a(point_{s-1}))."""
         return tuple(poly.eval_poly(self.field, a, pt)
                      for pt in self.crt_points)
-
-    def crt_inv(self, values):
-        """Element with the given CRT components: sum_k values[k]*eta_k."""
-        q = self.q
-        out = [0] * self.s
-        for val, eta in zip(values, self.eta):
-            if val:
-                for i, c in enumerate(eta):
-                    out[i] = (out[i] + val * c) % q
-        return tuple(out)
 
     # -- identity --------------------------------------------------------
 
@@ -138,13 +128,25 @@ def ring_poly_component(ring, rp, k):
 
 
 def ring_poly_combine(ring, components):
-    """Polynomial over R with the given component polynomials,
-    zero-padded to the longest component."""
-    width = max((len(c) for c in components), default=0)
-    out = []
-    for i in range(width):
-        vals = tuple(c[i] if i < len(c) else 0 for c in components)
-        out.append(ring.crt_inv(vals))
+    """Polynomial over R with the given component polynomials.
+
+    The element with CRT components (c_0, ..., c_{s-1}) is
+    sum_k c_k eta_k, so the coefficient of v**i, as a polynomial in x,
+    is the column sum_k eta_k[i] * components[k]; each column is summed
+    unreduced, reduced once mod q, and the columns are read off
+    x-degree by x-degree.
+    """
+    q = ring.q
+    width = max(map(len, components))
+    cols = []
+    for i in range(ring.s):
+        col = [0] * width
+        for eta, comp in zip(ring.eta, components):
+            c = eta[i]
+            if c:
+                col[:len(comp)] = [x + c * y for x, y in zip(col, comp)]
+        cols.append([x % q for x in col])
+    out = list(zip(*cols))
     while out and out[-1] == ring.zero:
         out.pop()
     return tuple(out)

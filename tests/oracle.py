@@ -1,14 +1,25 @@
 """Slow references that the fast paths of madics are tested against.
 
+The dom-generic polynomial arithmetic (trim_generic, add_generic,
+neg_generic, sub_generic, scale_generic, mul_generic, divmod_generic,
+monic_generic, gcd_generic and eval_generic) is the oracle of
+madics.poly.  It is the schoolbook form, one coefficient at a time
+through the ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul`` and
+``inv`` of its first argument, so it runs over any FieldCtx, prime or
+extension, and (all but the division, monic and gcd, which need
+``inv``) over VBasisRing.  madics.poly works over prime fields only,
+with plain ints mod q and one packed product, and refuses GF(q^t).
+
 VBasisRing is R = F_q[v]/(v^s - v) with element arithmetic in the
 v-basis (coefficients of 1, v, ..., v^(s-1)), which madics itself does
 without: it computes on the CRT components and keeps the v-basis as an
-output format.  VBasisRing has the field operations that madics.poly
-uses except ``inv``, so the ring operations of madics.poly (trim, add,
-sub, neg, scale and mul) run over it.
+output format.  crt_inv is the per-coefficient inverse of RingCtx.crt,
+sum_k values[k] * eta_k, and ring_poly_combine_coeffwise applies it to
+each x-degree: the oracle of madics.ringalg.ring_poly_combine, which
+works column by column.
 
 mul_mod_schoolbook is the oracle of madics.poly.mul_mod: the schoolbook
-product poly.mul folded mod x^n - 1 one coefficient at a time by
+product mul_generic folded mod x^n - 1 one coefficient at a time by
 mod_xn_minus_1.  poly.mul_mod packs coefficients into one int and so
 works over prime fields only; the v-basis references multiply over
 VBasisRing with mul_mod_schoolbook, which keeps them independent of
@@ -35,10 +46,10 @@ macwilliams_naive is the oracle of madics.analysis.macwilliams: the
 same transform with each Krawtchouk value summed from its binomial
 definition instead of the three-term recurrence.
 
-product_schoolbook is the oracle of madics.field_codes._product, the
-pairwise tree of packed products that checks the coset factors and
-multiplies the class products: it folds the schoolbook poly.mul left
-to right.
+product_schoolbook is the oracle of madics.poly.mul and of
+madics.field_codes._product, the pairwise tree of packed products that
+checks the coset factors and multiplies the class products: it folds
+mul_generic left to right.
 
 gcd_ext and idempotent_bezout are the Bezout oracle of the idempotents
 of madics.field_codes, which come in closed form from Gauss periods:
@@ -49,8 +60,8 @@ works from the generator alone.
 
 coset_factor_schoolbook is the oracle of madics.field_codes.coset_factors,
 which solves each factor as a minimal polynomial over F_q: it
-multiplies out the linear terms x - alpha^k, k in the coset, with the
-schoolbook poly.mul over the splitting field GF(q^t).
+multiplies out the linear terms x - alpha^k, k in the coset, with
+mul_generic over the splitting field GF(q^t).
 
 is_prime_trial and is_prime_power_trial are the oracles of
 madics.ffield.is_prime (Miller-Rabin) and is_prime_power (integer
@@ -107,25 +118,136 @@ class VBasisRing(RingCtx):
         return tuple(out)
 
 
+def trim_generic(dom, coeffs):
+    """Drop trailing zero coefficients."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == dom.zero:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def add_generic(dom, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = dom.add(out[i], c)
+    return trim_generic(dom, out)
+
+
+def neg_generic(dom, a):
+    return tuple(dom.neg(c) for c in a)
+
+
+def sub_generic(dom, a, b):
+    return add_generic(dom, a, neg_generic(dom, b))
+
+
+def scale_generic(dom, c, a):
+    if c == dom.zero:
+        return poly.ZERO
+    return trim_generic(dom, (dom.mul(c, x) for x in a))
+
+
+def mul_generic(dom, a, b):
+    """The schoolbook product, one coefficient product at a time."""
+    if not a or not b:
+        return poly.ZERO
+    out = [dom.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == dom.zero:
+            continue
+        for j, y in enumerate(b):
+            if y == dom.zero:
+                continue
+            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
+    return trim_generic(dom, out)
+
+
+def divmod_generic(dom, a, b):
+    """Quotient and remainder of a by a nonzero b, by long division."""
+    assert b, "division by the zero polynomial"
+    lead_inv = dom.inv(b[-1])
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) - 1 < db:
+        return poly.ZERO, trim_generic(dom, rem)
+    quot = [dom.zero] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c == dom.zero:
+            continue
+        f = dom.mul(c, lead_inv)
+        quot[i - db] = f
+        for j in range(db + 1):
+            rem[i - db + j] = dom.sub(rem[i - db + j], dom.mul(f, b[j]))
+    return trim_generic(dom, quot), trim_generic(dom, rem)
+
+
+def monic_generic(dom, a):
+    if not a:
+        return poly.ZERO
+    return scale_generic(dom, dom.inv(a[-1]), a)
+
+
+def gcd_generic(dom, a, b):
+    """Monic gcd of a and b, not both zero, by the remainder loop."""
+    assert a or b, "gcd(0, 0) is undefined"
+    while b:
+        a, b = b, divmod_generic(dom, a, b)[1]
+    return monic_generic(dom, a)
+
+
+def eval_generic(dom, a, x):
+    """a(x) by Horner's rule."""
+    acc = dom.zero
+    for c in reversed(a):
+        acc = dom.add(dom.mul(acc, x), c)
+    return acc
+
+
+def crt_inv(ring, values):
+    """The element of R with the given CRT components:
+    sum_k values[k] * eta_k, one v-coefficient at a time."""
+    q = ring.q
+    out = [0] * ring.s
+    for val, eta in zip(values, ring.eta):
+        for i, c in enumerate(eta):
+            out[i] = (out[i] + val * c) % q
+    return tuple(out)
+
+
+def ring_poly_combine_coeffwise(ring, components):
+    """Polynomial over R with the given component polynomials: crt_inv
+    of the components' coefficients at each x-degree."""
+    width = max((len(c) for c in components), default=0)
+    out = [crt_inv(ring, tuple(c[i] if i < len(c) else 0
+                               for c in components))
+           for i in range(width)]
+    while out and out[-1] == ring.zero:
+        out.pop()
+    return tuple(out)
+
+
 def mod_xn_minus_1(dom, a, n):
     """Reduce mod x**n - 1 by folding exponents mod n."""
     out = [dom.zero] * n
     for i, c in enumerate(a):
         if c != dom.zero:
             out[i % n] = dom.add(out[i % n], c)
-    return poly.trim(dom, out)
+    return trim_generic(dom, out)
 
 
 def mul_mod_schoolbook(dom, a, b, n):
     """a*b mod x**n - 1 by the schoolbook product, over any dom."""
-    return mod_xn_minus_1(dom, poly.mul(dom, a, b), n)
+    return mod_xn_minus_1(dom, mul_generic(dom, a, b), n)
 
 
 def product_schoolbook(dom, polys):
-    """The product of polys, one schoolbook poly.mul at a time."""
+    """The product of polys, one schoolbook product at a time."""
     acc = (dom.one,)
     for f in polys:
-        acc = poly.mul(dom, acc, f)
+        acc = mul_generic(dom, acc, f)
     return acc
 
 
@@ -137,7 +259,8 @@ def coset_factor_schoolbook(q, p):
     for coset in poly.cyclotomic_cosets(q, p):
         prod = (ext.one,)
         for k in coset:
-            prod = poly.mul(ext, prod, (ext.neg(ext.pow(alpha, k)), ext.one))
+            prod = mul_generic(ext, prod,
+                               (ext.neg(ext.pow(alpha, k)), ext.one))
         out[coset] = prod
     return out
 
@@ -149,18 +272,20 @@ def gcd_ext(dom, a, b):
     u0, u1 = (dom.one,), poly.ZERO
     w0, w1 = poly.ZERO, (dom.one,)
     while r1:
-        quot, rem = poly.divmod_poly(dom, r0, r1)
+        quot, rem = divmod_generic(dom, r0, r1)
         r0, r1 = r1, rem
-        u0, u1 = u1, poly.sub(dom, u0, poly.mul(dom, quot, u1))
-        w0, w1 = w1, poly.sub(dom, w0, poly.mul(dom, quot, w1))
+        u0, u1 = u1, sub_generic(dom, u0, mul_generic(dom, quot, u1))
+        w0, w1 = w1, sub_generic(dom, w0, mul_generic(dom, quot, w1))
     lead_inv = dom.inv(r0[-1])
-    return tuple(poly.scale(dom, lead_inv, f) for f in (r0, u0, w0))
+    return tuple(scale_generic(dom, lead_inv, f) for f in (r0, u0, w0))
 
 
 def idempotent_bezout(dom, g, p):
     """Idempotent generator of <g> in F_q[x]/(x^p - 1), for g a proper
     divisor of x^p - 1 with gcd(p, q) = 1."""
-    gbar = poly.div_exact(dom, poly.xn_minus_1(dom, p), g)
+    xp1 = (dom.neg(dom.one),) + (dom.zero,) * (p - 1) + (dom.one,)
+    gbar, rem = divmod_generic(dom, xp1, g)
+    assert not rem, "g does not divide x^p - 1"
     d, u, _ = gcd_ext(dom, g, gbar)
     assert d == (dom.one,), "x^p - 1 is not squarefree over this field"
     return mul_mod_schoolbook(dom, u, g, p)
@@ -256,7 +381,7 @@ def _step_vbasis(ring, p, a, coeffs):
     """One chain step over R: the coefficient at exponent a*i moves to
     exponent i."""
     padded = tuple(coeffs) + (ring.zero,) * (p - len(coeffs))
-    return poly.trim(ring, (padded[a * i % p] for i in range(p)))
+    return trim_generic(ring, (padded[a * i % p] for i in range(p)))
 
 
 def check_identities_vbasis(ring, system, base_slots=None, a=None,
@@ -286,7 +411,7 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
     one = (ring.one,)
     zero = poly.ZERO
     h = (ring.one,) * p
-    one_minus_h = poly.sub(ring, one, h)
+    one_minus_h = sub_generic(ring, one, h)
 
     def mm(x, y):
         return mul_mod_schoolbook(ring, x, y, p)
@@ -304,7 +429,7 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
     def total(polys):
         acc = zero
         for e in polys:
-            acc = poly.add(ring, acc, e)
+            acc = add_generic(ring, acc, e)
         return mod_xn_minus_1(ring, acc, p)
 
     def product(polys):
@@ -340,8 +465,8 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
     record("Ep_mu_chain", chain_ok(eps))
     pair_ok = all(
         _eq(ring, p,
-                 poly.sub(ring, poly.add(ring, eps[r], eps[t]),
-                          mm(eps[r], eps[t])),
+                 sub_generic(ring, add_generic(ring, eps[r], eps[t]),
+                             mm(eps[r], eps[t])),
                  one)
         for r in range(len(eps)) for t in range(r + 1, len(eps)))
     record("Ep_pair_identity", pair_ok)
@@ -352,12 +477,13 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
     record("D_mu_chain", chain_ok(ds))
     d_pair_ok = all(
         _eq(ring, p,
-                 poly.sub(ring, poly.add(ring, ds[r], ds[t]),
-                          mm(ds[r], ds[t])),
+                 sub_generic(ring, add_generic(ring, ds[r], ds[t]),
+                             mm(ds[r], ds[t])),
                  one_minus_h)
         for r in range(len(ds)) for t in range(r + 1, len(ds)))
-    sample_pair = poly.sub(ring, poly.add(ring, ds[0], ds[1 % len(ds)]),
-                           mm(ds[0], ds[1 % len(ds)]))
+    sample_pair = sub_generic(
+        ring, add_generic(ring, ds[0], ds[1 % len(ds)]),
+        mm(ds[0], ds[1 % len(ds)]))
     record("D_pair_identity", d_pair_ok, sample_pair, one_minus_h)
     d_prod = product(ds)
     record("D_product_zero", _eq(ring, p, d_prod, zero), d_prod, zero)
@@ -371,8 +497,8 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
     dp_sum = total(dps)
     dp_expected = mod_xn_minus_1(
         ring,
-        poly.sub(ring, one,
-                 poly.scale(ring, ring.from_scalar(s - 1), h)),
+        sub_generic(ring, one,
+                    scale_generic(ring, ring.from_scalar(s - 1), h)),
         p)
     record("Dp_sum_identity", _eq(ring, p, dp_sum, dp_expected),
            dp_sum, dp_expected)

@@ -68,6 +68,31 @@ def test_prime_field_inverse():
         ctx.inv(0)
 
 
+def test_prime_field_zero_is_read_mod_q():
+    # a multiple of q is the zero of GF(q): it has no inverse and no
+    # order, and it is not primitive; a nonzero value is read mod q
+    ctx = make_prime_field(5)
+    for zero in (0, 5, 10, -5):
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(zero)
+        with pytest.raises(ZeroDivisionError):
+            ctx.multiplicative_order(zero)
+        assert not ctx.is_primitive(zero)
+    assert ctx.inv(7) == ctx.inv(2) == 3
+    assert ctx.multiplicative_order(7) == ctx.multiplicative_order(2) == 4
+    assert ctx.is_primitive(7) and not ctx.is_primitive(9)
+
+
+def test_extension_zero_is_read_mod_size():
+    ext = make_extension(3, 2)
+    for zero in (0, 9, 18):
+        with pytest.raises(ZeroDivisionError):
+            ext.inv(zero)
+        with pytest.raises(ZeroDivisionError):
+            ext.multiplicative_order(zero)
+        assert not ext.is_primitive(zero)
+
+
 def test_prime_field_requires_prime():
     with pytest.raises(NonPrimeModulus):
         make_prime_field(12)

@@ -7,7 +7,8 @@ and a fresh interpreter that imports madics or runs a verb that does
 not scan ends without numpy in sys.modules.  One scan kernel: numpy's
 popcount and bincount appear only in _kernels._distance_counts.  One
 arithmetic for the splitting field: field_codes.coset_factors makes no
-product over GF(q^t)."""
+product over GF(q^t).  poly reads only q and t of its field argument, so
+its arithmetic stays on plain ints."""
 
 import ast
 import importlib
@@ -121,6 +122,31 @@ def test_poly_imports_only_errors():
         elif isinstance(node, ast.ImportFrom):
             modules.add("." * node.level + (node.module or ""))
     assert modules <= {".errors", "__future__"}, sorted(modules)
+
+
+def test_poly_reads_only_q_and_t_of_its_field():
+    # poly computes with plain ints mod q: the field argument is read for
+    # q and t and otherwise only handed on to poly's own functions, so no
+    # per-coefficient FieldCtx method call can come back
+    tree = ast.parse((ROOT / "src" / "madics" / "poly.py").read_text(
+        encoding="utf-8"))
+    own = {node.name for node in tree.body
+           if isinstance(node, ast.FunctionDef)}
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    stray = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id == "dom"
+                and isinstance(node.ctx, ast.Load)):
+            continue
+        up = parent[node]
+        if isinstance(up, ast.Attribute) and up.attr in ("q", "t"):
+            continue
+        if (isinstance(up, ast.Call) and node in up.args
+                and isinstance(up.func, ast.Name) and up.func.id in own):
+            continue
+        stray.append(f"line {node.lineno}: {ast.unparse(up)}")
+    assert not stray, f"poly uses its field beyond q and t: {stray}"
 
 
 def _module_level_imports(tree):

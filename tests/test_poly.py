@@ -1,19 +1,35 @@
 """Polynomial arithmetic tests over field contexts."""
 
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from madics import poly
-from madics.errors import BothZero, NonPrimeModulus, NotADivisor
+from madics.errors import (
+    BothZero,
+    NonPrimeModulus,
+    NonUnitLeadingCoefficient,
+    NotADivisor,
+)
 from madics.ffield import make_extension, make_prime_field
 from madics.field_codes import coset_factors
 from oracle import (
+    add_generic,
+    divmod_generic,
+    eval_generic,
     gcd_ext,
+    gcd_generic,
     idempotent_bezout,
     mod_xn_minus_1,
+    monic_generic,
     mul_mod_schoolbook,
+    neg_generic,
+    product_schoolbook,
+    scale_generic,
+    sub_generic,
+    trim_generic,
 )
 
 rng = random.Random(0x9017)
@@ -120,9 +136,20 @@ def test_mul_mod_matches_schoolbook_property(case):
     assert poly.mul_mod(ctx, a, b, n) == mul_mod_schoolbook(ctx, a, b, n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((257, 65537, 2**31 - 1)), st.integers(1, 40),
+       st.data())
+def test_mul_mod_multibyte_coefficients_match_schoolbook(q, n, data):
+    # q > 256: a coefficient spans several bytes of its slot
+    ctx = make_prime_field(q)
+    coeffs = st.lists(st.integers(0, q - 1), max_size=n)
+    a, b = poly.trim(ctx, data.draw(coeffs)), poly.trim(ctx, data.draw(coeffs))
+    assert poly.mul_mod(ctx, a, b, n) == mul_mod_schoolbook(ctx, a, b, n)
+
+
 def test_mul_mod_slot_width_worst_case():
     # every folded slot sums n products (q-1)**2: the largest slot value
-    for q, n in ((31, 127), (2, 127)):
+    for q, n in ((31, 127), (2, 127), (65537, 127)):
         ctx = make_prime_field(q)
         full = (q - 1,) * n
         want = ((n * (q - 1) ** 2) % q,) * n
@@ -190,10 +217,129 @@ def test_parse_format_round_trip():
     assert poly.format_poly(()) == "0"
 
 
-def test_extension_context_polys():
-    ext = make_extension(3, 2)
-    a = rand_poly(ext, 4)
-    b = rand_poly(ext, 3)
-    if b:
-        q, r = poly.divmod_poly(ext, a, b)
-        assert poly.add(ext, poly.mul(ext, q, b), r) == a
+# every entry point of poly that takes the coefficient field, with
+# arguments that are valid over a prime field
+ENTRY_POINTS = {
+    "trim": lambda d: poly.trim(d, (1, 2)),
+    "constant": lambda d: poly.constant(d, 1),
+    "xn_minus_1": lambda d: poly.xn_minus_1(d, 5),
+    "add": lambda d: poly.add(d, (1, 2), (2,)),
+    "neg": lambda d: poly.neg(d, (1, 2)),
+    "sub": lambda d: poly.sub(d, (1, 2), (2,)),
+    "scale": lambda d: poly.scale(d, 2, (1, 2)),
+    "mul": lambda d: poly.mul(d, (1, 2), (2, 1)),
+    "mul_mod": lambda d: poly.mul_mod(d, (1, 2), (2, 1), 3),
+    "divmod_poly": lambda d: poly.divmod_poly(d, (1, 2, 1), (1, 1)),
+    "div_exact": lambda d: poly.div_exact(d, (1, 2, 1), (1, 1)),
+    "divides": lambda d: poly.divides(d, (1, 1), (1, 2, 1)),
+    "eval_poly": lambda d: poly.eval_poly(d, (1, 2), 1),
+    "monic": lambda d: poly.monic(d, (1, 2)),
+    "gcd": lambda d: poly.gcd(d, (1, 2, 1), (1, 1)),
+    "associates": lambda d: poly.associates(d, (1, 2), (2, 1)),
+}
+
+
+def test_entry_points_cover_every_field_taking_function():
+    taking = {name for name, f in vars(poly).items()
+              if inspect.isfunction(f) and not name.startswith("_")
+              and list(inspect.signature(f).parameters)[:1] == ["dom"]}
+    assert taking == set(ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_extension_fields_are_refused(name):
+    # GF(q^t) arithmetic is ffield's, built on poly over GF(q); poly
+    # itself computes with plain ints mod a prime and refuses t != 1
+    ENTRY_POINTS[name](F3)
+    with pytest.raises(NonPrimeModulus):
+        ENTRY_POINTS[name](make_extension(3, 2))
+
+
+# ---------------- differential tests against the oracles ----------------
+
+SMALL_FIELDS = tuple(make_prime_field(q) for q in (2, 3, 5, 7))
+
+
+def canon(ctx, a):
+    """The canonical polynomial of an unreduced coefficient sequence."""
+    return trim_generic(ctx, [c % ctx.q for c in a])
+
+
+@st.composite
+def raw_polys(draw, count=2):
+    """A small prime field and ``count`` coefficient tuples of unequal
+    lengths, with unreduced (negative, >= q) entries and trailing
+    zeros; the empty tuple and all-zero tuples are the zero polynomial."""
+    ctx = draw(st.sampled_from(SMALL_FIELDS))
+    q = ctx.q
+    coeffs = st.lists(st.integers(-2 * q, 3 * q), max_size=12).map(tuple)
+    return (ctx,) + tuple(draw(coeffs) for _ in range(count))
+
+
+DIFF = settings(max_examples=120, deadline=None)
+
+
+@DIFF
+@given(raw_polys(), st.integers(-20, 20))
+def test_ring_operations_match_oracle(case, c):
+    ctx, a, b = case
+    A, B = canon(ctx, a), canon(ctx, b)
+    assert poly.trim(ctx, a) == A
+    assert poly.constant(ctx, c) == canon(ctx, (c,))
+    assert poly.add(ctx, a, b) == add_generic(ctx, A, B)
+    assert poly.neg(ctx, a) == neg_generic(ctx, A)
+    assert poly.sub(ctx, a, b) == sub_generic(ctx, A, B)
+    assert poly.scale(ctx, c, a) == scale_generic(ctx, c % ctx.q, A)
+    assert poly.mul(ctx, a, b) == product_schoolbook(ctx, (A, B))
+    for x in range(-1, ctx.q + 1):
+        assert poly.eval_poly(ctx, a, x) == eval_generic(ctx, A, x % ctx.q)
+
+
+@DIFF
+@given(raw_polys(), st.integers(0, 6))
+def test_mul_mod_unreduced_matches_oracle(case, extra):
+    ctx, a, b = case
+    n = max(len(a), len(b), 1) + extra
+    assert poly.mul_mod(ctx, a, b, n) == mul_mod_schoolbook(
+        ctx, canon(ctx, a), canon(ctx, b), n)
+
+
+@DIFF
+@given(raw_polys())
+def test_division_matches_oracle(case):
+    ctx, a, b = case
+    A, B = canon(ctx, a), canon(ctx, b)
+    if not B:
+        with pytest.raises(NonUnitLeadingCoefficient):
+            poly.divmod_poly(ctx, a, b)
+        assert poly.divides(ctx, b, a) == (not A)
+        return
+    quot, rem = divmod_generic(ctx, A, B)
+    assert poly.divmod_poly(ctx, a, b) == (quot, rem)
+    assert poly.divides(ctx, b, a) == (not rem)
+    assert poly.div_exact(ctx, product_schoolbook(ctx, (A, B)), b) == A
+    if rem:
+        with pytest.raises(NotADivisor):
+            poly.div_exact(ctx, a, b)
+
+
+@DIFF
+@given(raw_polys())
+def test_gcd_monic_associates_match_oracle(case):
+    ctx, a, b = case
+    A, B = canon(ctx, a), canon(ctx, b)
+    assert poly.monic(ctx, a) == monic_generic(ctx, A)
+    assert poly.associates(ctx, a, b) == (
+        monic_generic(ctx, A) == monic_generic(ctx, B))
+    if A or B:
+        assert poly.gcd(ctx, a, b) == gcd_generic(ctx, A, B)
+    else:
+        with pytest.raises(BothZero):
+            poly.gcd(ctx, a, b)
+
+
+@pytest.mark.parametrize("ctx", SMALL_FIELDS, ids=lambda c: f"GF({c.q})")
+def test_xn_minus_1_matches_oracle(ctx):
+    for n in (1, 2, 7):
+        x_n = (0,) * n + (1,)
+        assert poly.xn_minus_1(ctx, n) == sub_generic(ctx, x_n, (1,))

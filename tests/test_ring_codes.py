@@ -17,7 +17,13 @@ from madics.ring_codes import (
     ring_code,
     ring_mu_chain,
 )
-from oracle import VBasisRing, mod_xn_minus_1, mul_mod_schoolbook
+from oracle import (
+    VBasisRing,
+    add_generic,
+    mod_xn_minus_1,
+    mul_mod_schoolbook,
+    sub_generic,
+)
 
 SYS134 = build_residue_system(13, 4, a=7)
 R33 = make_ring(make_prime_field(3), 3)
@@ -31,11 +37,10 @@ def test_defining_elements_by_family():
                                            "odd-II"))
     one = (V33.one,)
     h = (V33.one,) * 13
-    assert odd1.idempotent == poly.trim(V33, poly.sub(V33, one, base.idempotent))
-    assert even2.idempotent == poly.trim(
-        V33, poly.sub(V33, poly.sub(V33, one, h), base.idempotent))
-    assert odd2.idempotent == poly.trim(
-        V33, poly.add(V33, h, base.idempotent))
+    assert odd1.idempotent == sub_generic(V33, one, base.idempotent)
+    assert even2.idempotent == sub_generic(
+        V33, sub_generic(V33, one, h), base.idempotent)
+    assert odd2.idempotent == add_generic(V33, h, base.idempotent)
 
 
 def test_components_follow_slots():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madics import poly
 from madics.errors import IncompatibleS
@@ -15,7 +16,12 @@ from madics.ringalg import (
     ring_poly_combine,
     ring_poly_component,
 )
-from oracle import VBasisRing
+from oracle import (
+    VBasisRing,
+    crt_inv,
+    ring_poly_combine_coeffwise,
+    trim_generic,
+)
 
 rng = random.Random(0x51A6)
 R33 = make_ring(make_prime_field(3), 3)
@@ -83,7 +89,7 @@ def test_crt_round_trip():
         ring = make_ring(make_prime_field(q), s)
         for _ in range(60):
             a = rand_elt(ring)
-            assert ring.crt_inv(ring.crt(a)) == a
+            assert crt_inv(ring, ring.crt(a)) == a
 
 
 def test_crt_is_ring_homomorphism():
@@ -115,7 +121,7 @@ def test_v_satisfies_relation():
 
 def test_lift_component_combine_round_trip():
     coeffs = tuple(rng.randrange(3) for _ in range(13))
-    lifted = poly.trim(V33, (V33.from_scalar(c) for c in coeffs))
+    lifted = trim_generic(V33, (V33.from_scalar(c) for c in coeffs))
     for k in range(3):
         assert ring_poly_component(R33, lifted, k) == poly.trim(
             make_prime_field(3), coeffs)
@@ -124,6 +130,19 @@ def test_lift_component_combine_round_trip():
     f3 = make_prime_field(3)
     for k in range(3):
         assert ring_poly_component(R33, combined, k) == poly.trim(f3, parts[k])
+
+
+@pytest.mark.parametrize("q,s", VALID + ((5, 2), (5, 3), (7, 2)))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ring_poly_combine_matches_coeffwise_crt_inv(q, s, data):
+    # the column sums agree with crt_inv applied at every x-degree, on
+    # components of unequal lengths, zero ones and unreduced entries
+    ring = make_ring(make_prime_field(q), s)
+    comp = st.lists(st.integers(-q, 2 * q), max_size=9).map(tuple)
+    parts = [data.draw(comp) for _ in range(s)]
+    assert ring_poly_combine(ring, parts) == ring_poly_combine_coeffwise(
+        ring, parts)
 
 
 def test_format_ring_poly():
