@@ -19,8 +19,11 @@ what it finds instead of assuming.
 
 The suite runs over F_q on the s CRT components each ring code
 carries (``RingCode.elements``): products, sums, chain steps and
-comparisons act per component, and the v-basis form is built only to
-display a refuted identity's two sides.  Each product is one
+comparisons act per component.  Every identity is evaluated on every
+call.  A refuted identity's IdentityOutcome keeps the components of
+its two sides and builds and formats each side's v-basis form the
+first time ``computed`` or ``expected`` is read, so a caller that only
+reads ``holds`` formats nothing.  Each product is one
 packed-integer poly.mul_mod (Kronecker substitution over GF(q)), made
 once per call for each unordered pair of component polynomials: the
 orbit repeats its components, mu_a(E_r) squares the elements E_r
@@ -29,6 +32,7 @@ squared, and the pair identities reuse at most m polynomials a family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import poly
@@ -57,12 +61,49 @@ IDENTITY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class IdentityOutcome:
+    """One identity's result.  A refuted identity shows its two sides,
+    ``computed`` and ``expected``, as v-basis text over R.  Given a
+    ring, ``computed_value`` and ``expected_value`` are tuples of s
+    component polynomials over F_q, combined and formatted the first
+    time each side is read; without one they are the text itself.
+    Outcomes compare and hash by name, holds and the shown text."""
+
     name: str
     holds: bool
-    computed: str = ""
-    expected: str = ""
+    computed_value: object = ""
+    expected_value: object = ""
+    ring: object = None
+
+    def _shown(self, value):
+        if self.ring is None:
+            return value
+        return format_ring_poly(self.ring, ring_poly_combine(self.ring, value))
+
+    @functools.cached_property
+    def computed(self):
+        return self._shown(self.computed_value)
+
+    @functools.cached_property
+    def expected(self):
+        return self._shown(self.expected_value)
+
+    def _key(self):
+        return self.name, self.holds, self.computed, self.expected
+
+    def __eq__(self, other):
+        if not isinstance(other, IdentityOutcome):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        name, holds, computed, expected = self._key()
+        return (f"IdentityOutcome(name={name!r}, holds={holds!r}, "
+                f"computed={computed!r}, expected={expected!r})")
 
 
 def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
@@ -141,10 +182,8 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     out = {}
 
     def record(name, holds, computed=zero, expected=zero):
-        shown = ("", "") if holds else tuple(
-            format_ring_poly(ring, ring_poly_combine(ring, v))
-            for v in (computed, expected))
-        out[name] = IdentityOutcome(name, holds, *shown)
+        out[name] = (IdentityOutcome(name, True) if holds else
+                     IdentityOutcome(name, False, computed, expected, ring))
 
     record("E_idempotent", sq_ok(es))
     record("mu_E_idempotent", sq_ok([step(e) for e in es]))

@@ -119,8 +119,10 @@ def divmod_poly(dom, a, b):
     if not b:
         raise NonUnitLeadingCoefficient("division by the zero polynomial")
     quot, rem = _divmod_monic(q, a, _monic(q, b))
-    lead_inv = pow(b[-1], -1, q)
-    return _trimmed([c * lead_inv % q for c in quot]), rem
+    if b[-1] != 1:  # the quotient by b/lead(b), rescaled
+        lead_inv = pow(b[-1], -1, q)
+        quot = [c * lead_inv % q for c in quot]
+    return _trimmed(quot), rem
 
 
 def _divmod_monic(q, a, b):

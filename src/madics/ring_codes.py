@@ -22,6 +22,15 @@ builds each from its components the first time it is read, for
 display and export.  Construction, chains, consistency checks and the
 identity suite never build them.
 
+Each per-component fact is computed once.  A family's defining
+elements for every class index are cached per (system, field, family,
+alpha_exp), and ring_code picks them by slot.  The ideal an element
+generates in F_q[x]/(x**p - 1) is the monic gcd(e, x**p - 1), cached
+per (field, p, element) by ideal_generator: a mu_a orbit permutes the
+same component elements, so component_consistency (and verify-paper's
+idempotent-ideal check) solves each element once.  ring_mu_chain still
+checks every step on every call.
+
 The multiplier mu_a sends the exponent set Q_r to Q_{r+j}, with j the
 class index of a.  On polynomial coefficients the chain therefore
 steps with the inverse relocation (the coefficient at exponent a*i
@@ -100,25 +109,30 @@ def ring_code(ring, system, family, slots, alpha_exp=1):
 
     alpha_exp %= system.p
     ctx = ring.field
-    evens = family_codes(system, ctx, "even-I", alpha_exp)
+    elements = _defining_elements(system, ctx, family, alpha_exp)
+    comps = family_codes(system, ctx, family, alpha_exp)
+    return RingCode(ring, system, family, slots, alpha_exp,
+                    tuple(elements[i] for i in slots),
+                    tuple(comps[i] for i in slots))
+
+
+@functools.lru_cache(maxsize=None)
+def _defining_elements(system, ctx, family, alpha_exp):
+    """The family's defining element for each class index i, from the
+    field even-like class-I idempotent e_i (see the module docstring),
+    cached per (system, ctx, family, alpha_exp)."""
+    evens = tuple(c.idempotent
+                  for c in family_codes(system, ctx, "even-I", alpha_exp))
     one = (ctx.one,)
     h = all_ones_h(system.p)
-    elements = []
-    for i in slots:
-        e = evens[i].idempotent
-        if family == "even-I":
-            elements.append(e)
-        elif family == "odd-I":
-            elements.append(poly.sub(ctx, one, e))
-        elif family == "even-II":
-            elements.append(poly.sub(ctx, poly.sub(ctx, one, h), e))
-        else:  # odd-II
-            elements.append(poly.add(ctx, h, e))
-
-    comps = family_codes(system, ctx, family, alpha_exp)
-    components = tuple(comps[i] for i in slots)
-    return RingCode(ring, system, family, slots, alpha_exp, tuple(elements),
-                    components)
+    if family == "even-I":
+        return evens
+    if family == "odd-I":
+        return tuple(poly.sub(ctx, one, e) for e in evens)
+    if family == "even-II":
+        one_minus_h = poly.sub(ctx, one, h)
+        return tuple(poly.sub(ctx, one_minus_h, e) for e in evens)
+    return tuple(poly.add(ctx, h, e) for e in evens)  # odd-II
 
 
 def chain_step_poly(p, a, coeffs):
@@ -161,17 +175,19 @@ def ring_mu_chain(code, a=None):
     return orbit
 
 
+@functools.lru_cache(maxsize=None)
+def ideal_generator(ctx, p, elem):
+    """The monic generator gcd(elem, x**p - 1) of the ideal that elem
+    generates in F_q[x]/(x**p - 1), cached per (ctx, p, elem): a mu_a
+    orbit permutes the same component elements, so each is solved once.
+    The zero element gives x**p - 1."""
+    return poly.gcd(ctx, elem, poly.xn_minus_1(ctx, p))
+
+
 def component_consistency(code):
     """Per slot: does the component defining element generate the same
     ideal as the stored component generator?"""
-    p = code.p
-    ctx = code.ring.field
-    xp1 = poly.xn_minus_1(ctx, p)
-    out = []
-    for elem, comp_code in zip(code.elements, code.components):
-        if not elem:
-            out.append(len(comp_code.generator) - 1 == p)
-            continue
-        ideal_gen = poly.gcd(ctx, elem, xp1)
-        out.append(poly.associates(ctx, ideal_gen, comp_code.generator))
-    return tuple(out)
+    ctx, p = code.ring.field, code.p
+    return tuple(poly.associates(ctx, ideal_generator(ctx, p, elem),
+                                 comp_code.generator)
+                 for elem, comp_code in zip(code.elements, code.components))

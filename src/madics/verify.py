@@ -26,7 +26,12 @@ from .field_codes import family_codes
 from .identities import IDENTITY_NAMES, check_identities
 from .residues import build_residue_system
 from .ringalg import format_ring_poly, make_ring, ring_poly_component
-from .ring_codes import component_consistency, ring_code, ring_mu_chain
+from .ring_codes import (
+    component_consistency,
+    ideal_generator,
+    ring_code,
+    ring_mu_chain,
+)
 
 # reference transcriptions, coefficients ascending
 
@@ -373,7 +378,7 @@ def _check_structure(checks, errata):
                     notes.append(f"(q={q},p={p},m={m}) {fam}: not even-like")
         for fam in ("even-I", "odd-I", "even-II", "odd-II"):
             for c in family_codes(system, ctx, fam):
-                ideal = poly.gcd(ctx, c.idempotent, xp1)
+                ideal = ideal_generator(ctx, p, c.idempotent)
                 if not poly.associates(ctx, ideal, c.generator):
                     ok = False
                     notes.append(

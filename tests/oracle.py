@@ -31,6 +31,11 @@ its own chain step, so it uses none of the ring codes' CRT components;
 madics.identities.check_identities, which works on the components,
 must agree with it on every outcome.
 
+component_consistency_uncached is the oracle of
+madics.ring_codes.component_consistency, which looks each element's
+ideal generator up in the cache ring_codes.ideal_generator: it takes
+gcd_generic of every slot's element with x^p - 1 on every call.
+
 The scans are the oracles of madics._kernels.  scan_numpy expands
 each block of message indices into base-q digits and multiplies by G.
 scan_union builds the full 0/1 support table of every component and
@@ -371,6 +376,23 @@ def is_prime_power_trial(n):
             return n == 1
         d += 1
     return n > 1
+
+
+def component_consistency_uncached(code):
+    """The oracle of madics.ring_codes.component_consistency: per slot,
+    the gcd of the element with x^p - 1 against the component generator
+    up to a unit, solved afresh for every slot on every call."""
+    p = code.p
+    ctx = code.ring.field
+    xp1 = (ctx.q - 1,) + (0,) * (p - 1) + (1,)
+    out = []
+    for elem, comp_code in zip(code.elements, code.components):
+        if not elem:
+            out.append(len(comp_code.generator) - 1 == p)
+            continue
+        ideal_gen = gcd_generic(ctx, elem, xp1)
+        out.append(ideal_gen == monic_generic(ctx, comp_code.generator))
+    return tuple(out)
 
 
 def _eq(ring, p, a, b):

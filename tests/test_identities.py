@@ -12,7 +12,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from madics import poly
+from madics import identities, poly
 from madics.errors import QNotResidue
 from madics.ffield import make_prime_field
 from madics.identities import IDENTITY_NAMES, check_identities
@@ -132,7 +132,8 @@ def test_suite_matches_vbasis_oracle(q, p, m, s, alpha_exp):
 
 @pytest.mark.parametrize("q,p,m,s,calls", [
     (3, 13, 4, 3, 58), (7, 19, 6, 3, 84), (7, 19, 3, 4, 36)])
-def test_suite_multiplies_each_pair_once(monkeypatch, q, p, m, s, calls):
+def test_suite_multiplies_each_pair_once(cold_caches, monkeypatch, q, p, m,
+                                         s, calls):
     # one mul_mod per unordered pair of component polynomials; the suite
     # made 168, 204 and 116 calls here when it multiplied every product
     system = build_residue_system(p, m)
@@ -150,6 +151,29 @@ def test_suite_multiplies_each_pair_once(monkeypatch, q, p, m, s, calls):
     monkeypatch.undo()
     assert len(seen) == len(set(seen)) == calls
     assert outcomes == check_identities_vbasis(ring, system)
+
+
+def test_refuted_sides_formatted_on_read(cold_caches, monkeypatch):
+    # the suite formats no side; reading one formats only that side
+    calls = []
+    fmt = identities.format_ring_poly
+
+    def counting(ring, a):
+        calls.append(a)
+        return fmt(ring, a)
+
+    monkeypatch.setattr(identities, "format_ring_poly", counting)
+    outcomes = run_suite(7, 19, 6, 3)
+    assert calls == []
+    refuted = [o for o in outcomes.values() if not o.holds]
+    assert len(refuted) == len(P_DEPENDENT) + 1
+    shown = refuted[0].computed
+    assert len(calls) == 1
+    assert refuted[0].computed is shown
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert outcomes == check_identities_vbasis(
+        make_ring(make_prime_field(7), 3), build_residue_system(19, 6))
 
 
 # (q, p, m, s) with q an m-adic residue mod p, p small enough that the

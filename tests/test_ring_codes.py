@@ -20,6 +20,7 @@ from madics.ring_codes import (
 from oracle import (
     VBasisRing,
     add_generic,
+    component_consistency_uncached,
     mod_xn_minus_1,
     mul_mod_schoolbook,
     sub_generic,
@@ -150,6 +151,58 @@ def test_component_consistency_p_not_1_mod_q():
         assert poly.associates(ctx, ideal, odd1[i].generator)
 
 
+def test_consistency_solves_each_component_element_once(cold_caches,
+                                                        monkeypatch):
+    # a mu-orbit permutes the same component elements: one gcd each, and
+    # none on a second pass
+    sys63 = build_residue_system(19, 6)
+    ring73 = make_ring(make_prime_field(7), 3)
+    orbit = [c for family in FAMILIES
+             for c in ring_mu_chain(ring_code(ring73, sys63, family,
+                                              (0, 1, 2)))]
+    calls = []
+    gcd = poly.gcd
+
+    def counting(ctx, a, b):
+        calls.append(a)
+        return gcd(ctx, a, b)
+
+    monkeypatch.setattr(poly, "gcd", counting)
+    first = [component_consistency(c) for c in orbit]
+    assert sorted(calls) == sorted({e for c in orbit for e in c.elements})
+    assert len(calls) == 24  # 6 classes x 4 families
+    calls.clear()
+    assert [component_consistency(c) for c in orbit] == first
+    assert calls == []
+    monkeypatch.undo()
+    assert first == [component_consistency_uncached(c) for c in orbit]
+
+
+def test_ring_code_reuses_family_elements(cold_caches, monkeypatch):
+    # the family's elements are built once; a ring code picks them by slot
+    for family in FAMILIES:
+        ring_code(R33, SYS134, family, (0, 1, 2))
+    calls = []
+
+    def counting(op):
+        def wrapped(*args):
+            calls.append(op.__name__)
+            return op(*args)
+        return wrapped
+
+    monkeypatch.setattr(poly, "add", counting(poly.add))
+    monkeypatch.setattr(poly, "sub", counting(poly.sub))
+    codes = [ring_code(R33, SYS134, family, slots)
+             for family in FAMILIES for slots in ((3, 1, 2), (2, 2, 0))]
+    assert calls == []
+    monkeypatch.undo()
+    for code in codes:
+        # p = 1 (mod q): every family's element is the field idempotent
+        field_family = family_codes(SYS134, R33.field, code.family)
+        assert code.elements == tuple(field_family[i].idempotent
+                                      for i in code.slots)
+
+
 def test_v_basis_forms_built_on_first_read(monkeypatch):
     # construction, chains, consistency checks and the identity suite
     # work on the components and never combine the v-basis forms
@@ -220,6 +273,16 @@ def test_v_basis_forms_split_into_components_property(code):
             code.elements[k]
         assert ring_poly_component(code.ring, code.generator, k) == \
             comp.generator
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_codes_from(CASES))
+def test_component_consistency_matches_uncached_oracle(code):
+    # CASES are the identity suite's grid points with all four families
+    expected = component_consistency_uncached(code)
+    ring_codes.ideal_generator.cache_clear()
+    assert component_consistency(code) == expected  # cold
+    assert component_consistency(code) == expected  # warm
 
 
 @settings(max_examples=40, deadline=None)
