@@ -18,7 +18,10 @@ polynomial over GF(q^t) is multiplied (MacWilliams & Sloane, ch. 4).
 Each code carries its generator and its idempotent generator,
 the inverse DFT of its 0/1 spectrum (MacWilliams & Sloane, ch. 8).
 With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
-lie in F_q, and with c(k) the class of k the even-like class-I one is
+lie in F_q (Storer, Cyclotomy and Difference Sets); gauss_periods
+computes them once per (system, q, u), and both the idempotents and the
+identity suite's class-algebra spectra read them there.  With c(k) the
+class of k the even-like class-I idempotent is
 
     e_i = p**-1 * ((p-1)/m + sum_{k=1}^{p-1} eta_{i+c(-k)} x**k);
 
@@ -173,32 +176,53 @@ def _class_products(system, q, alpha_exp):
 
 
 @functools.lru_cache(maxsize=None)
-def _class_idempotents(system, q, alpha_exp):
-    """The even-like class-I idempotents e_i of the module docstring.
+def gauss_periods(system, q, alpha_exp):
+    """The Gauss periods (eta_0, ..., eta_{m-1}) of the module docstring,
+    eta_r = sum_{k in Q_r} beta**k with beta = alpha**alpha_exp, as ints
+    of F_q: the one source of the periods for the idempotents and the
+    identity suite's spectra.
 
-    Checks that each eta_r lies in F_q, that sum_i e_i = 1 - p**-1 h
-    (coefficientwise, sum_r eta_r = -1) and that e_0 * e_0 = e_0.
+    Checks that each eta_r lies in F_q and that sum_r eta_r = -1 (the
+    sum of all nontrivial p-th roots of unity).
     """
-    p, m = system.p, system.m
+    p = system.p
     ext, roots = _root_powers(q, p)
     u = alpha_exp % p
-    etas = [functools.reduce(ext.add, (roots[u * k % p] for k in cls))
-            for cls in system.classes]
+    etas = tuple(functools.reduce(ext.add, (roots[u * k % p] for k in cls))
+                 for cls in system.classes)
     if any(eta >= q for eta in etas):
         raise AssertionError("a Gauss period did not descend to F_q")
     if sum(etas) % q != q - 1:
-        raise AssertionError("idempotents do not sum to 1 - p^-1 h")
+        raise AssertionError("the Gauss periods do not sum to -1")
+    return etas
+
+
+@functools.lru_cache(maxsize=None)
+def _class_idempotents(system, q, alpha_exp):
+    """The even-like class-I idempotents e_i of the module docstring.
+
+    Row i reads the scaled periods rotated by i at the class of -k, so
+    no class index is reduced per coefficient, and every coefficient is
+    already reduced, so a row only drops its trailing zeros.  The
+    periods summing to -1 makes sum_i e_i = 1 - p**-1 h
+    coefficientwise; the build checks that e_0 * e_0 = e_0.
+    """
+    p, m = system.p, system.m
     p_inv = pow(p, -1, q)
-    scaled = [p_inv * eta % q for eta in etas]
+    scaled = [p_inv * eta % q for eta in gauss_periods(system, q, alpha_exp)]
     head = [p_inv * ((p - 1) // m) % q]
     class_of_neg = [system.class_of(-k) for k in range(1, p)]
     ctx = make_prime_field(q)
-    idems = tuple(poly.trim(ctx, head + [scaled[(i + c) % m]
-                                         for c in class_of_neg])
-                  for i in range(m))
+    idems = []
+    for i in range(m):
+        rot = scaled[i:] + scaled[:i]
+        row = head + list(map(rot.__getitem__, class_of_neg))
+        while row and not row[-1]:
+            row.pop()
+        idems.append(tuple(row))
     if poly.mul_mod(ctx, idems[0], idems[0], p) != idems[0]:
         raise AssertionError("e_0 * e_0 != e_0")
-    return idems
+    return tuple(idems)
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,16 +18,44 @@ Some of these hold only under arithmetic side conditions on (q, p)
 what it finds instead of assuming.
 
 The suite runs over F_q on the s CRT components each ring code
-carries (``RingCode.elements``): products, sums, chain steps and
-comparisons act per component.  Every identity is evaluated on every
-call.  A refuted identity's IdentityOutcome keeps the components of
-its two sides and builds and formats each side's v-basis form the
-first time ``computed`` or ``expected`` is read, so a caller that only
-reads ``holds`` formats nothing.  Each product is one
-packed-integer poly.mul_mod (Kronecker substitution over GF(q)), made
-once per call for each unordered pair of component polynomials: the
-orbit repeats its components, mu_a(E_r) squares the elements E_r
-squared, and the pair identities reuse at most m polynomials a family.
+carries (``RingCode.elements``), and on each component it works in the
+spectrum of the class algebra, so it multiplies no polynomial.  With q
+in Q_0, the polynomials whose coefficients are constant on {0}, Q_0,
+..., Q_{m-1},
+
+    f = c_0 + sum_i c_i S_i,    S_i = sum_{k in Q_i} x**k,
+
+form an (m+1)-dimensional subalgebra A of F_q[x]/(x**p - 1) that holds
+every element the suite touches: e_i, 1 - e_i, 1 - h - e_i, h + e_i,
+1, h, their sums and products and their chain steps.  With beta =
+alpha**u, g_r in Q_r and the Gauss periods eta_r = sum_{k in Q_r}
+beta**k in F_q (field_codes.gauss_periods), evaluation at the p-th
+roots of unity is the injective ring homomorphism
+
+    sigma(f) = (f(1), f(beta**g_0), ..., f(beta**g_{m-1}))
+    f(1)           = c_0 + ((p-1)/m) sum_i c_i
+    f(beta**g_r)   = c_0 + sum_i c_i eta_{i+r}
+
+from A to F_q**(m+1) (MacWilliams & Sloane, ch. 8: the
+Mattson-Solomon transform restricted to A).  So a product is a
+pointwise product of spectra, a sum a pointwise sum, and an identity
+holds exactly when it holds pointwise.  sigma(1) = (1, ..., 1) and
+sigma(h) = (p mod q, 0, ..., 0).  The chain step (exponent a*i moves to i)
+keeps f(1) and takes the value at beta**g_r from beta**g_{r-j}, with
+j the class index of a.  _spectrum reads each element's coefficients,
+checks that they are constant on the classes and caches the spectrum
+per element; a ring element is the flat list of its s component
+spectra.
+
+Every identity is evaluated on every call.  A refuted identity's
+IdentityOutcome keeps the spectra of its two sides and, the first time
+``computed`` or ``expected`` is read, inverts each one,
+
+    c_0 = p**-1 (v_0 + ((p-1)/m) sum_r v_r)
+    c_i = p**-1 (v_0 + sum_r v_r eta_{i+r+c(-1)}),
+
+combines the components and formats the v-basis form, so a caller that
+only reads ``holds`` formats nothing.
 """
 
 from __future__ import annotations
@@ -35,9 +63,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import poly
-from .field_codes import all_ones_h
-from .ring_codes import chain_step_poly, ring_code, ring_mu_chain
+from .field_codes import gauss_periods
+from .ring_codes import ring_code, ring_mu_chain
 from .ringalg import format_ring_poly, ring_poly_combine
 
 IDENTITY_NAMES = (
@@ -65,21 +92,27 @@ IDENTITY_NAMES = (
 class IdentityOutcome:
     """One identity's result.  A refuted identity shows its two sides,
     ``computed`` and ``expected``, as v-basis text over R.  Given a
-    ring, ``computed_value`` and ``expected_value`` are tuples of s
-    component polynomials over F_q, combined and formatted the first
-    time each side is read; without one they are the text itself.
-    Outcomes compare and hash by name, holds and the shown text."""
+    ring and the (system, u) of the spectra, ``computed_value`` and
+    ``expected_value`` are flat lists of s component spectra,
+    inverted, combined and formatted the first time each side is read;
+    without a ring they are the text itself.  Outcomes compare and hash
+    by name, holds and the shown text."""
 
     name: str
     holds: bool
     computed_value: object = ""
     expected_value: object = ""
     ring: object = None
+    basis: tuple = ()
 
     def _shown(self, value):
         if self.ring is None:
             return value
-        return format_ring_poly(self.ring, ring_poly_combine(self.ring, value))
+        system, u = self.basis
+        width = system.m + 1
+        comps = [_from_spectrum(system, self.ring.q, u, value[k:k + width])
+                 for k in range(0, len(value), width)]
+        return format_ring_poly(self.ring, ring_poly_combine(self.ring, comps))
 
     @functools.cached_property
     def computed(self):
@@ -106,11 +139,65 @@ class IdentityOutcome:
                 f"computed={computed!r}, expected={expected!r})")
 
 
+@functools.lru_cache(maxsize=None)
+def _spectrum(system, q, u, elem):
+    """sigma(elem) of the module docstring, (elem(1), elem(beta**g_0),
+    ..., elem(beta**g_{m-1})) as ints of F_q, cached per element.
+
+    Reads elem's own coefficients and raises AssertionError when they
+    are not constant on each class Q_i, since sigma is injective only
+    on the class algebra.
+    """
+    p, m = system.p, system.m
+    coeffs = elem + (0,) * (p - len(elem))
+    cs = []
+    for cls in system.classes:
+        row = [coeffs[k] for k in cls]
+        if row.count(row[0]) != len(row):
+            raise AssertionError("element is not constant on the classes")
+        cs.append(row[0])
+    etas = gauss_periods(system, q, u)
+    c0 = coeffs[0]
+    values = [c0 + (p - 1) // m * sum(cs)]
+    for r in range(m):
+        rot = etas[r:] + etas[:r]
+        values.append(c0 + sum(c * eta for c, eta in zip(cs, rot)))
+    return tuple(v % q for v in values)
+
+
+def _from_spectrum(system, q, u, spec):
+    """The class-constant polynomial f with sigma(f) = spec: the
+    inverse of _spectrum, by the inverse transform of the module
+    docstring."""
+    p, m = system.p, system.m
+    p_inv = pow(p, -1, q)
+    etas = gauss_periods(system, q, u)
+    v0, vs = spec[0], spec[1:]
+    neg = system.class_of(-1)
+    coeffs = [0] * p
+    coeffs[0] = p_inv * (v0 + (p - 1) // m * sum(vs)) % q
+    for i, cls in enumerate(system.classes):
+        shift = (i + neg) % m
+        rot = etas[shift:] + etas[:shift]
+        c = p_inv * (v0 + sum(v * eta for v, eta in zip(vs, rot))) % q
+        for k in cls:
+            coeffs[k] = c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _chain_source(m, j):
+    """Where each value of a chain-stepped spectrum comes from, for a
+    multiplier in Q_j: the value at 1 stays, and the value at beta**g_r
+    is the one at beta**g_{r-j}."""
+    return [0] + [1 + (r - j) % m for r in range(m)]
+
+
 def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     """Evaluate every identity over the mu_a orbit; returns
     {name: IdentityOutcome}."""
-    p, m, s = system.p, system.m, ring.s
-    ctx = ring.field
+    p, m, s, q = system.p, system.m, ring.s, ring.q
     if base_slots is None:
         base_slots = tuple(i % m for i in range(s))
     if a is None:
@@ -118,40 +205,39 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
 
     base = ring_code(ring, system, "even-I", base_slots, alpha_exp)
     orbit = ring_mu_chain(base, a)
-    es = [c.elements for c in orbit]
+    u = base.alpha_exp
+
+    def spectra(code):
+        return [v for e in code.elements for v in _spectrum(system, q, u, e)]
+
+    es = [spectra(c) for c in orbit]
     eps, ds, dps = (
-        [ring_code(ring, system, family, c.slots, alpha_exp).elements
-         for c in orbit]
+        [spectra(ring_code(ring, system, family, c.slots, u)) for c in orbit]
         for family in ("odd-I", "even-II", "odd-II"))
 
-    # every value below is a tuple of s reduced F_q polynomials
-    h = all_ones_h(p)
-    one = ((ctx.one,),) * s
-    zero = (poly.ZERO,) * s
-    hs = (h,) * s
-    one_minus_h = (poly.sub(ctx, (ctx.one,), h),) * s
-    dp_expected = (poly.sub(ctx, (ctx.one,),
-                            poly.scale(ctx, (s - 1) % ctx.q, h)),) * s
+    # every value below is a flat list of s spectra of length m + 1
+    def const(at_one, elsewhere):
+        return ([at_one % q] + [elsewhere] * m) * s
 
-    products = {}
-
-    def mul(u, w):
-        key = (u, w) if u <= w else (w, u)
-        if key not in products:
-            products[key] = poly.mul_mod(ctx, u, w, p)
-        return products[key]
+    one = const(1, 1)
+    zero = const(0, 0)
+    hs = const(p, 0)
+    one_minus_h = const(1 - p, 1)
+    dp_expected = const(1 - (s - 1) * p, 1)
+    source = _chain_source(m, system.class_of(a))
+    moved = [o + i for o in range(0, s * (m + 1), m + 1) for i in source]
 
     def mm(x, y):
-        return tuple(mul(u, w) for u, w in zip(x, y))
+        return [v * w % q for v, w in zip(x, y)]
 
     def add(x, y):
-        return tuple(poly.add(ctx, u, w) for u, w in zip(x, y))
+        return [(v + w) % q for v, w in zip(x, y)]
 
     def sub(x, y):
-        return tuple(poly.sub(ctx, u, w) for u, w in zip(x, y))
+        return [(v - w) % q for v, w in zip(x, y)]
 
     def step(x):
-        return tuple(chain_step_poly(p, a, u) for u in x)
+        return [x[i] for i in moved]
 
     def sq_ok(elems):
         return all(mm(e, e) == e for e in elems)
@@ -183,7 +269,8 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
 
     def record(name, holds, computed=zero, expected=zero):
         out[name] = (IdentityOutcome(name, True) if holds else
-                     IdentityOutcome(name, False, computed, expected, ring))
+                     IdentityOutcome(name, False, computed, expected, ring,
+                                     (system, u)))
 
     record("E_idempotent", sq_ok(es))
     record("mu_E_idempotent", sq_ok([step(e) for e in es]))

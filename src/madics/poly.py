@@ -242,11 +242,6 @@ def gcd(dom, a, b):
     return a
 
 
-def associates(dom, a, b):
-    """True when a and b agree up to a unit scalar."""
-    return monic(dom, a) == monic(dom, b)
-
-
 def cyclotomic_cosets(q, p):
     """Cosets of {0, ..., p-1} under multiplication by q mod p,
     each sorted, ordered by smallest element ({0} first)."""

@@ -186,8 +186,9 @@ def ideal_generator(ctx, p, elem):
 
 def component_consistency(code):
     """Per slot: does the component defining element generate the same
-    ideal as the stored component generator?"""
+    ideal as the stored component generator?  Both ideal_generator and
+    every CyclicCode generator are canonical monic, so the ideals agree
+    exactly when the two tuples are equal."""
     ctx, p = code.ring.field, code.p
-    return tuple(poly.associates(ctx, ideal_generator(ctx, p, elem),
-                                 comp_code.generator)
+    return tuple(ideal_generator(ctx, p, elem) == comp_code.generator
                  for elem, comp_code in zip(code.elements, code.components))

@@ -378,8 +378,7 @@ def _check_structure(checks, errata):
                     notes.append(f"(q={q},p={p},m={m}) {fam}: not even-like")
         for fam in ("even-I", "odd-I", "even-II", "odd-II"):
             for c in family_codes(system, ctx, fam):
-                ideal = ideal_generator(ctx, p, c.idempotent)
-                if not poly.associates(ctx, ideal, c.generator):
+                if ideal_generator(ctx, p, c.idempotent) != c.generator:
                     ok = False
                     notes.append(
                         f"(q={q},p={p},m={m}) {fam}: idempotent ideal differs")

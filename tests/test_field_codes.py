@@ -110,8 +110,8 @@ def test_idempotent_properties():
             for c in family_codes(system, ctx, fam):
                 assert poly.mul_mod(ctx, c.idempotent, c.idempotent, p) == \
                     c.idempotent
-                assert poly.associates(
-                    ctx, poly.gcd(ctx, c.idempotent, xp1), c.generator)
+                assert poly.gcd(ctx, c.idempotent, xp1) == \
+                    poly.monic(ctx, c.generator)
 
 
 def test_even_like_codes_vanish_at_one():
@@ -300,8 +300,8 @@ def test_family_idempotents_generate_property(case):
     for c in family_codes(build_residue_system(p, m), ctx, family):
         assert poly.mul_mod(ctx, c.idempotent, c.idempotent, p) == \
             c.idempotent
-        assert poly.associates(ctx, poly.gcd(ctx, c.idempotent, xp1),
-                               c.generator)
+        assert poly.gcd(ctx, c.idempotent, xp1) == \
+            poly.monic(ctx, c.generator)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,9 @@ and a fresh interpreter that imports madics or runs a verb that does
 not scan ends without numpy in sys.modules.  One scan kernel: numpy's
 popcount and bincount appear only in _kernels._distance_counts.  One
 arithmetic for the splitting field: field_codes.coset_factors makes no
-product over GF(q^t).  poly reads only q and t of its field argument, so
+product over GF(q^t).  One arithmetic for the identity suite: identities
+works on class-algebra spectra and references no polynomial product,
+sum or difference.  poly reads only q and t of its field argument, so
 its arithmetic stays on plain ints."""
 
 import ast
@@ -266,6 +268,34 @@ def test_one_scan_kernel():
                 stray.append(f"{path.stem}.{where}: {name}")
     assert not stray, f"popcount or bincount outside the kernel: {stray}"
     assert sorted(kernel) == ["bincount", "bitwise_count"]
+
+
+def test_identities_multiply_no_polynomials():
+    # the suite multiplies, adds and steps spectra pointwise; a packed
+    # product or a polynomial sum in identities would be a second
+    # arithmetic in that layer
+    tree = ast.parse((ROOT / "src" / "madics" / "identities.py").read_text(
+        encoding="utf-8"))
+    polynomial = {"mul", "add", "sub"}
+    stray = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+            on_poly = (isinstance(node.value, ast.Name)
+                       and node.value.id == "poly")
+        elif isinstance(node, ast.Name):
+            name, on_poly = node.id, False
+        elif isinstance(node, ast.ImportFrom):
+            stray.extend(f"line {node.lineno}: import {a.name}"
+                         for a in node.names
+                         if a.name == "mul_mod" or node.module == "poly"
+                         and a.name in polynomial)
+            continue
+        else:
+            continue
+        if name == "mul_mod" or on_poly and name in polynomial:
+            stray.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert not stray, f"identities uses polynomial arithmetic: {stray}"
 
 
 @pytest.mark.parametrize("q,p", [(3, 13), (2, 89), (2, 127)])

@@ -10,16 +10,24 @@ value is 1 + (L - p^-1) h for orbit length L, not 1 - (s-1) h).
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from madics import identities, poly
 from madics.errors import QNotResidue
 from madics.ffield import make_prime_field
-from madics.identities import IDENTITY_NAMES, check_identities
+from madics.field_codes import FAMILIES
+from madics.identities import (
+    IDENTITY_NAMES,
+    _chain_source,
+    _from_spectrum,
+    _spectrum,
+    check_identities,
+)
 from madics.residues import build_residue_system
+from madics.ring_codes import chain_step_poly, ring_code, ring_mu_chain
 from madics.ringalg import make_ring
 from madics.verify import IDENTITY_GRID
-from oracle import check_identities_vbasis
+from oracle import check_identities_vbasis, mul_mod_schoolbook
 
 P_DEPENDENT = {
     "E_sum_is_1_minus_h",
@@ -130,27 +138,34 @@ def test_suite_matches_vbasis_oracle(q, p, m, s, alpha_exp):
         check_identities_vbasis(ring, system, alpha_exp=alpha_exp)
 
 
-@pytest.mark.parametrize("q,p,m,s,calls", [
-    (3, 13, 4, 3, 58), (7, 19, 6, 3, 84), (7, 19, 3, 4, 36)])
-def test_suite_multiplies_each_pair_once(cold_caches, monkeypatch, q, p, m,
-                                         s, calls):
-    # one mul_mod per unordered pair of component polynomials; the suite
-    # made 168, 204 and 116 calls here when it multiplied every product
+@pytest.mark.parametrize("q,p,m,s", [
+    (3, 13, 4, 3), (7, 19, 6, 3), (7, 19, 3, 4)])
+def test_suite_multiplies_no_polynomials(cold_caches, monkeypatch, q, p, m,
+                                         s):
+    # the suite works on spectra: no packed product, cold or warm, and
+    # one spectrum per distinct component element, made on the first call
     system = build_residue_system(p, m)
     ring = make_ring(make_prime_field(q), s)
-    check_identities(ring, system)  # build the cached codes first
-    seen = []
+    orbit = ring_mu_chain(ring_code(ring, system, "even-I",
+                                    tuple(i % m for i in range(s))))
+    elements = {e for family in FAMILIES for c in orbit
+                for e in ring_code(ring, system, family, c.slots).elements}
+    calls = []
     mul_mod = poly.mul_mod
 
     def counting(ctx, a, b, n):
-        seen.append(frozenset((a, b)))
+        calls.append((a, b))
         return mul_mod(ctx, a, b, n)
 
     monkeypatch.setattr(poly, "mul_mod", counting)
-    outcomes = check_identities(ring, system)
+    cold = check_identities(ring, system)
+    assert calls == []
+    assert identities._spectrum.cache_info().misses == len(elements)
+    warm = check_identities(ring, system)
+    assert calls == []
+    assert identities._spectrum.cache_info().misses == len(elements)
     monkeypatch.undo()
-    assert len(seen) == len(set(seen)) == calls
-    assert outcomes == check_identities_vbasis(ring, system)
+    assert cold == warm == check_identities_vbasis(ring, system)
 
 
 def test_refuted_sides_formatted_on_read(cold_caches, monkeypatch):
@@ -204,3 +219,73 @@ def suite_inputs(draw):
 @given(suite_inputs())
 def test_suite_matches_vbasis_oracle_property(inputs):
     assert check_identities(*inputs) == check_identities_vbasis(*inputs)
+
+
+# differential tests of the class-algebra spectrum against polynomial
+# arithmetic: sigma is an injective ring homomorphism on the polynomials
+# constant on {0}, Q_0, ..., Q_{m-1}
+
+def _class_constant(system, q, cs):
+    """c_0 + sum_i c_i S_i for cs = (c_0, c_1, ..., c_m), canonical."""
+    coeffs = [cs[0]] + [0] * (system.p - 1)
+    for c, cls in zip(cs[1:], system.classes):
+        for k in cls:
+            coeffs[k] = c
+    return poly.trim(make_prime_field(q), coeffs)
+
+
+@st.composite
+def class_algebra_inputs(draw):
+    q, p, m, _ = draw(st.sampled_from(SUITE_CASES))
+    system = build_residue_system(p, m)
+    u = draw(st.integers(-p, 2 * p).filter(lambda v: v % p))
+    f, g = (_class_constant(system, q, draw(st.lists(
+        st.integers(0, q - 1), min_size=m + 1, max_size=m + 1)))
+        for _ in range(2))
+    a = draw(st.integers(1, p - 1))
+    return system, q, u, f, g, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_algebra_inputs())
+def test_spectrum_round_trip_property(inputs):
+    system, q, u, f, _, _ = inputs
+    spec = _spectrum(system, q, u, f)
+    assert len(spec) == system.m + 1
+    assert _from_spectrum(system, q, u, spec) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_algebra_inputs())
+def test_spectrum_of_product_is_pointwise_property(inputs):
+    system, q, u, f, g, _ = inputs
+    product = mul_mod_schoolbook(make_prime_field(q), f, g, system.p)
+    pointwise = tuple(x * y % q for x, y in zip(_spectrum(system, q, u, f),
+                                                _spectrum(system, q, u, g)))
+    assert _spectrum(system, q, u, product) == pointwise
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_algebra_inputs())
+def test_chain_step_is_a_class_shift_property(inputs):
+    system, q, u, f, _, a = inputs
+    spec = _spectrum(system, q, u, f)
+    shifted = tuple(spec[i]
+                    for i in _chain_source(system.m, system.class_of(a)))
+    assert _spectrum(system, q, u, chain_step_poly(system.p, a, f)) == \
+        shifted
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_algebra_inputs(), st.data())
+def test_spectrum_refuses_off_class_element_property(inputs, data):
+    # one coefficient moved off its class value leaves the class algebra
+    system, q, u, f, _, _ = inputs
+    p = system.p
+    big = [cls for cls in system.classes if len(cls) > 1]
+    assume(big)
+    k = data.draw(st.sampled_from([k for cls in big for k in cls]))
+    coeffs = list(f) + [0] * (p - len(f))
+    coeffs[k] = (coeffs[k] + data.draw(st.integers(1, q - 1))) % q
+    with pytest.raises(AssertionError, match="not constant on the classes"):
+        _spectrum(system, q, u, poly.trim(make_prime_field(q), coeffs))

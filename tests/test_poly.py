@@ -205,7 +205,7 @@ def test_idempotent_of_cyclic_properties():
         e = idempotent_bezout(ctx, g, p)
         assert poly.mul_mod(ctx, e, e, p) == e
         assert poly.divides(ctx, g, e)
-        assert poly.associates(ctx, poly.gcd(ctx, e, xp1), g)
+        assert poly.gcd(ctx, e, xp1) == poly.monic(ctx, g)
 
 
 def test_parse_format_round_trip():
@@ -235,7 +235,6 @@ ENTRY_POINTS = {
     "eval_poly": lambda d: poly.eval_poly(d, (1, 2), 1),
     "monic": lambda d: poly.monic(d, (1, 2)),
     "gcd": lambda d: poly.gcd(d, (1, 2, 1), (1, 1)),
-    "associates": lambda d: poly.associates(d, (1, 2), (2, 1)),
 }
 
 
@@ -329,8 +328,6 @@ def test_gcd_monic_associates_match_oracle(case):
     ctx, a, b = case
     A, B = canon(ctx, a), canon(ctx, b)
     assert poly.monic(ctx, a) == monic_generic(ctx, A)
-    assert poly.associates(ctx, a, b) == (
-        monic_generic(ctx, A) == monic_generic(ctx, B))
     if A or B:
         assert poly.gcd(ctx, a, b) == gcd_generic(ctx, A, B)
     else:

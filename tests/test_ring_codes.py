@@ -148,7 +148,7 @@ def test_component_consistency_p_not_1_mod_q():
     for k, i in enumerate(bad.slots):
         elt = ring_poly_component(ring73, bad.idempotent, k)
         ideal = poly.gcd(ctx, elt, xp1)
-        assert poly.associates(ctx, ideal, odd1[i].generator)
+        assert ideal == poly.monic(ctx, odd1[i].generator)
 
 
 def test_consistency_solves_each_component_element_once(cold_caches,
@@ -176,6 +176,28 @@ def test_consistency_solves_each_component_element_once(cold_caches,
     assert calls == []
     monkeypatch.undo()
     assert first == [component_consistency_uncached(c) for c in orbit]
+
+
+@pytest.mark.parametrize("q,p,m", [
+    (3, 13, 4), (3, 13, 2), (7, 19, 6), (7, 19, 3), (5, 11, 2), (2, 31, 3)])
+def test_generators_and_ideal_generators_are_monic(q, p, m):
+    # component_consistency and verify compare the two with ==, which is
+    # the ideal equality only because both sides are canonical monic
+    system = build_residue_system(p, m)
+    ctx = make_prime_field(q)
+    ring = make_ring(ctx, 2)
+    for u in (1, 2, -1):
+        for family in FAMILIES:
+            for c in family_codes(system, ctx, family, u):
+                assert c.generator[-1] == 1
+                assert ring_codes.ideal_generator(ctx, p, c.idempotent)[-1] \
+                    == 1
+            for i in range(m):
+                elem, = set(ring_code(ring, system, family, (i, i),
+                                      u).elements)
+                ideal = ring_codes.ideal_generator(ctx, p, elem)
+                assert ideal[-1] == 1
+                assert ideal == poly.trim(ctx, ideal)
 
 
 def test_ring_code_reuses_family_elements(cold_caches, monkeypatch):
