@@ -3,11 +3,18 @@
 Every scan histograms one weight over all pairs (h, l), h a row of a
 "high" table and l a row of a "low" table.  Rows are stored as bit
 planes (plane b holds bit b of every entry), each packed into
-ceil(n/64) uint64 words.  ``_distance_counts`` is the one kernel: for a
-block of high rows against the whole low table it ORs op(h_b, l_b) over
-the planes, counts set bits with ``np.bitwise_count`` and folds the
-weights into counts with bincount.  Its callers differ only in the
-tables and in op:
+ceil(n/64) uint64 words with entry j at bit j % 64 of word j // 64.
+``_distance_counts`` is the one kernel: for a block of high rows
+against the whole low table it ORs op(h_b, l_b) over the planes, counts
+set bits with ``np.bitwise_count`` and folds the weights into counts
+with bincount.  Every row has a key, an index into a small table of
+message counts, mult_high for the high rows and mult_low for the low
+ones.  The kernel histograms (high key a, low key b, weight w) and folds
+A_w = sum_ab mult_high[a] mult_low[b] counts[a, b, w] with one int64
+product.  The fold counts messages, not words, so it is exact for zero
+components and rank-deficient matrices too: counts[0] counts every
+message that maps to the zero word.  Its callers differ in the tables,
+the counts and op:
 
     scan         field code: the tables hold words spanned by the
                  upper and the lower half of G's rows, so each codeword
@@ -17,32 +24,47 @@ tables and in op:
                  (q-1).bit_length() planes of the binary digits.
     scan_union   ring code: a ring word's support is the union of its
                  CRT component supports, so op = OR on one plane of 0/1
-                 supports.  High rows are ORs of the first components'
-                 supports, gathered per block; the low table is the
-                 last component's.
+                 supports, and a weight depends on supports alone.
+                 High rows are ORs of the first components' supports,
+                 gathered per block; the low table is the last
+                 component's.
 
-Scans are projective: multiplying a message by lambda != 0 moves no
-weight that a scan counts.  A scaled component keeps its support, and
-for scan lambda h - l = lambda (h - l / lambda), where l -> l / lambda
-permutes the low code.  So a projective table holds the zero word (row
-0) and one word per projective point: the messages whose most
-significant nonzero base-q digit is 1, the rows [q**j, 2 q**j) of the
-_words order (see _points), 1 + (q**k - 1)/(q - 1) rows instead of
-q**k.  Each row has a key, 0 for the zero word and 1 for a point, which
-stands for the q - 1 multiples of its message.  scan_union takes every
-component projectively and keys a pair by its number of nonzero
-component messages; scan takes its high half projectively and keeps
-its low table whole, with key 0.  The kernel histograms (key c, weight
-w) and folds A_w = sum_c (q-1)**c counts[c, w] with one int64 product;
-c only reaches the number of parts that have a point, so (q-1)**c is
-at most the message count the caller's cap bounds.  The fold counts
-messages, not words, so it is exact for zero components
-and rank-deficient matrices too: counts[0] still counts every message
-that maps to the zero word.
+scan is projective: multiplying a message by lambda != 0 moves no
+weight, since lambda h - l = lambda (h - l / lambda) and l -> l / lambda
+permutes the low code.  So its high table holds the zero word (row 0,
+key 0) and one word per projective point (key 1, standing for the q - 1
+multiples of its message): the messages whose most significant nonzero
+base-q digit is 1, the rows [q**j, 2 q**j) of the _words order (see
+_points), 1 + (q**k - 1)/(q - 1) rows instead of q**k.  It passes
+mult_high = [1, q - 1] and keeps its low table whole, mult_low = [1].
+
+scan_union works on support classes.  A component's table holds each
+distinct support of its words once, with the number of messages that
+have it: 1 for the zero message plus q - 1 for each projective point
+with that support (_classes).  Different points can share a support,
+and in a rank-deficient matrix a point can have the empty one.  A low
+row's key indexes the last table's distinct counts, mult_low; a high
+row's key indexes the distinct products of its classes' counts,
+mult_high, each at most the message count the caller's cap bounds.
+
+A simultaneous cyclic shift of every component permutes the tuples.
+So when the shift maps each later component's classes onto themselves
+with equal counts (_invariant), the histogram H(S) of union weights over
+the later components, given the first component's support S, is the
+same for every rotation of S, and the first component's classes group
+by rotation orbit with summed counts (_orbits).  Cyclic codes of length
+n, as every ring component is, pass the check; a table that fails it
+(random, non-cyclic matrices) is scanned ungrouped, and exactly.  A
+ring scan visits (orbits of the first component) x (classes of each
+later one) pairs.  Packed rows rotate word by word (_rotate), and
+tables deduplicate on the bytes of their rows in dicts, without a sort:
+the first np.unique or np.sort call of a process pages in numpy code
+that the peak resident size of a run would show.
 
 A block's largest temporary, pairs x words per plane x 8 bytes, is kept
-to BLOCK_BYTES (one high row at least).  Tables are sized by
-q**ceil(k/2) words (field) or by each component's projective rows
+to BLOCK_BYTES (one high row at least), and is freed before bincount
+copies the block's bins to intp, so the two are never held at once.  Tables are sized by
+q**ceil(k/2) words (field) or by each component's support classes
 (ring), never by the total word or tuple count.  counts[0] includes the
 zero word.
 """
@@ -50,46 +72,52 @@ zero word.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 BLOCK_BYTES = 1 << 18
 
 
+def _pack(table):
+    """The supports of a table's rows (its last axis), each packed into
+    ceil(n/64) uint64 words with entry j at bit j % 64 of word j // 64."""
+    *lead, n = table.shape
+    packed = np.zeros((*lead, -(-n // 64) * 8), dtype=np.uint8)
+    packed[..., :-(-n // 8)] = np.packbits(table, axis=-1, bitorder="little")
+    return packed.view("<u8")
+
+
 def _planes(table, bits):
-    """Planes b < bits of a table, plane b holding bit b of each entry,
-    each row packed into ceil(n/64) uint64 words: (bits, rows, words)."""
-    rows, n = table.shape
-    packed = np.zeros((bits, rows, -(-n // 64) * 8), dtype=np.uint8)
-    for b in range(bits):
-        packed[b, :, :-(-n // 8)] = np.packbits(table >> b & 1, axis=1)
-    return packed.view(np.uint64)
+    """Planes b < bits of a table, plane b packing bit b of each entry:
+    (bits, rows, words)."""
+    masks = np.array([1 << b for b in range(bits)], dtype=table.dtype)
+    return _pack(table & masks[:, None, None])
 
 
 def _points(words, q):
     """The zero word and one word per projective point of a table in the
-    _words order, the rows 0 and [q**j, 2 q**j) for q**j < len(words),
-    with their keys: (rows, 0 for the zero word and 1 for a point)."""
-    rows = [np.zeros(1, dtype=np.int64)]
-    top = 1
+    _words order: the rows 0 and [q**j, 2 q**j) for q**j < len(words)."""
+    parts, top = [words[:1]], 1
     while top < len(words):
-        rows.append(np.arange(top, 2 * top, dtype=np.int64))
+        parts.append(words[top:2 * top])
         top *= q
-    rows = np.concatenate(rows)
-    return words[rows], np.minimum(rows, 1).astype(np.uint8)
+    return np.concatenate(parts)
 
 
-def _distance_counts(high, n_high, low, low_keys, n, op, q, n_keys):
-    """counts[w] = sum_c (q-1)**c times the number of pairs (i, j), i <
-    n_high, where the OR over planes of op(high row i, low row j) has w
-    set bits and the keys of rows i and j add up to c < n_keys.  low has
-    shape (planes, rows, words) and low_keys one key per low row, or
-    None when every low key is 0; high(idx) returns the rows, in the
-    same layout, and the keys of the high rows idx.  n_keys - 1 is the
-    largest key a pair can reach, so (q-1)**c fits int64 whenever some
-    message tuple has c nonzero parts."""
-    keyed = q > 2  # every (q-1)**c is 1 when q = 2
-    n_keys = n_keys if keyed else 1
+def _distance_counts(high, n_high, low, low_keys, n, op, mult_high,
+                     mult_low):
+    """counts[w] = the sum of mult_high[a] * mult_low[b] over the pairs
+    (i, j), i < n_high, where the OR over planes of op(high row i, low
+    row j) has w set bits, a is the key of row i and b that of row j.
+    low has shape (planes, rows, words) and low_keys one key per low
+    row, or None when every low key is 0; high(idx) returns the rows, in
+    the same layout, and the keys of the high rows idx.  Every product
+    of multiplicities is at most the message count the caller's cap
+    bounds, so it fits int64."""
+    mult = [a * b for a in mult_high for b in mult_low]
+    keyed = min(mult) < max(mult)  # else every pair weighs mult[0]
+    n_keys = len(mult) if keyed else 1
     planes, n_low, width = low.shape
     step = max(1, BLOCK_BYTES // (n_low * width * 8))
     bins = n + 1
@@ -103,13 +131,13 @@ def _distance_counts(high, n_high, low, low_keys, n, op, q, n_keys):
         for b in range(1, planes):
             diff |= op(block[b][:, None], low[b])
         at = np.bitwise_count(diff).sum(axis=2, dtype=atype)
+        del diff  # freed before bincount makes its own intp copy of at
         if keyed:
             if low_at is not None:
                 at += low_at
-            at += np.multiply(keys, bins, dtype=atype)[:, None]
+            at += np.multiply(keys, len(mult_low) * bins, dtype=atype)[:, None]
         hist += np.bincount(at.ravel(), minlength=len(hist))
-    weights = np.array([(q - 1)**c for c in range(n_keys)], dtype=np.int64)
-    return weights @ hist.reshape(n_keys, bins)
+    return np.array(mult[:n_keys], dtype=np.int64) @ hist.reshape(n_keys, bins)
 
 
 def _words(gmat, q):
@@ -118,12 +146,12 @@ def _words(gmat, q):
     holds 2(q-1) and reduces with min(x, x - q), since x - q wraps past
     x in an unsigned type when x < q: no integer division."""
     n = gmat.shape[1]
-    gmat = np.asarray(gmat, dtype=np.int64) % q
     dtype = np.min_scalar_type(2 * (q - 1))
-    digits = np.arange(q, dtype=np.int64)[:, None]
+    multiples = (np.arange(q)[:, None, None] * np.asarray(gmat, np.int64)
+                 % q).astype(dtype)
     table = np.zeros((1, n), dtype=dtype)
-    for row in gmat:
-        table = (digits * row % q).astype(dtype)[:, None] + table
+    for i in range(len(gmat)):
+        table = multiples[:, i, None] + table
         table = np.minimum(table, table - dtype.type(q)).reshape(-1, n)
     return table.astype(np.min_scalar_type(q - 1), copy=False)
 
@@ -144,35 +172,121 @@ def scan(gmat, q):
     half = (len(gmat) + 1) // 2
     bits = (q - 1).bit_length()
     low = _planes(_words(gmat[:half], q), bits)
-    words, keys = _points(_words(gmat[half:], q), q)
-    high = _planes(words, bits)
+    high = _planes(_points(_words(gmat[half:], q), q), bits)
+    # key 0 for the zero word (row 0), 1 for a point
+    keys = np.minimum(np.arange(high.shape[1]), 1).astype(np.uint8)
     counts = _distance_counts(lambda idx: (high[:, idx], keys[idx]),
                               len(keys), low, None, gmat.shape[1],
-                              np.bitwise_xor, q, 2)
+                              np.bitwise_xor, [1, q - 1], [1])
     return min_weight(counts), counts
+
+
+def _keys(rows):
+    """One hashable bytes key per packed row."""
+    return rows.view(f"V{rows.shape[1] * 8}").ravel().tolist()
+
+
+def _rotate(rows, n):
+    """Packed n-entry rows shifted cyclically by one: bit j moves to bit
+    j + 1 mod n, word by word, without unpacking."""
+    top, last = divmod(n - 1, 64)
+    out = rows << 1
+    out[:, 1:] |= rows[:, :-1] >> 63
+    out[:, top] &= (2 << last) - 1
+    out[:, 0] |= rows[:, top] >> last  # the padding above n is zero
+    return out
+
+
+def _classes(gmat, q):
+    """The distinct supports of the words of gmat's code, packed as by
+    _pack with the empty support in row 0, and the number of messages
+    with each: 1 for the zero message and q - 1 for each projective
+    point."""
+    count = Counter(_keys(_pack(_points(_words(gmat, q), q))))
+    rows = np.frombuffer(b"".join(count), dtype="<u8").reshape(len(count), -1)
+    mult = [(q - 1) * c for c in count.values()]
+    mult[0] -= q - 2  # the zero message counts once
+    return rows, mult
+
+
+def _shift(rows, n):
+    """The permutation of a table's distinct supports by the cyclic
+    shift, or None when the shift takes some support out of the table."""
+    where = dict(zip(_keys(rows), range(len(rows))))
+    perm = list(map(where.get, _keys(_rotate(rows, n))))
+    return None if None in perm else perm
+
+
+def _invariant(rows, mult, n):
+    """Whether the cyclic shift maps a table's supports onto themselves
+    with equal counts."""
+    perm = _shift(rows, n)
+    return perm is not None and list(map(mult.__getitem__, perm)) == mult
+
+
+def _orbits(rows, mult, n):
+    """One support per orbit of the cyclic shift, the least index in it,
+    with the summed count of the orbit; the table itself when the shift
+    does not permute its supports.  Each doubling step takes the least
+    label over twice as many shifts, so after ceil(log2 n) steps every
+    support holds the least index of its orbit."""
+    perm = _shift(rows, n)
+    if perm is None:
+        return rows, mult
+    perm = np.array(perm)
+    label = np.arange(len(rows))
+    for _ in range((n - 1).bit_length()):
+        label = np.minimum(label, label[perm])
+        perm = perm[perm]
+    label = label.tolist()
+    sums = dict.fromkeys(label, 0)  # the orbits in table order
+    for at, count in zip(label, mult):
+        sums[at] += count
+    return rows[list(sums)], list(sums.values())
+
+
+def _index(values):
+    """The index of each value among the distinct values, and those
+    values in order of first appearance."""
+    distinct = list(dict.fromkeys(values))
+    where = dict(zip(distinct, range(len(distinct))))
+    return (np.array(list(map(where.get, values)),
+                     dtype=np.min_scalar_type(len(distinct))), distinct)
 
 
 def scan_union(gmats, q):
     """Weight distribution of the unions of supports, one word from each
     matrix's code, over every tuple of messages; returns
     (min_weight(counts), counts)."""
-    tables = [(_planes(np.minimum(words, 1), 1)[0], keys)
-              for words, keys in (_points(_words(g, q), q) for g in gmats)]
-    *high_tables, (last, last_keys) = tables
-    # the high side of a one-component scan is the zero word alone; a
-    # key counts the components with a point, at most len(gmats)
-    empty = (np.zeros_like(last[:1]),
-             np.zeros(1, np.min_scalar_type(len(gmats))))
+    n = gmats[-1].shape[1]
+    (rows, mult), *rest = [_classes(g, q) for g in gmats]
+    if rest and all(_invariant(r, m, n) for r, m in rest):
+        rows, mult = _orbits(rows, mult, n)
+    # a row's key indexes its table's distinct counts
+    *high_tables, (last, last_keys, mult_low) = [
+        (r, *_index(m)) for r, m in [(rows, mult)] + rest]
+    # a high key indexes the distinct products of its classes' counts,
+    # so the key count grows with those products, not with the number
+    # of components: steps[i][a * len(vals) + b] is the key of product
+    # mult_high[a] * vals[b]
+    mult_high, steps = [1], []
+    for _, _, vals in reversed(high_tables):
+        step, mult_high = _index([a * b for a in mult_high for b in vals])
+        steps.append(step)
+    # the high side of a one-component scan is the zero word alone
+    empty = (np.zeros_like(last[:1]), np.zeros(1, np.uint8))
 
     def high(idx):
         rows, keys = empty
-        for table, table_keys in reversed(high_tables):
+        for (table, table_keys, vals), step in zip(reversed(high_tables),
+                                                    steps):
             idx, digit = np.divmod(idx, len(table))
-            rows, keys = rows | table[digit], keys + table_keys[digit]
+            rows = rows | table[digit]
+            keys = step[np.multiply(keys, len(vals), dtype=np.intp)
+                        + table_keys[digit]]
         return rows[None], keys
 
-    n_high = math.prod(len(t) for t, _ in high_tables)
-    counts = _distance_counts(high, n_high, last[None], last_keys,
-                              gmats[-1].shape[1], np.bitwise_or, q,
-                              1 + sum(len(keys) > 1 for _, keys in tables))
+    n_high = math.prod(len(t) for t, _, _ in high_tables)
+    counts = _distance_counts(high, n_high, last[None], last_keys, n,
+                              np.bitwise_or, mult_high, mult_low)
     return min_weight(counts), counts

@@ -16,11 +16,12 @@ measured two ways: the component-min method takes the minimum of the
 CRT component distances, which is exact because a ring codeword's
 support is the union of its component supports and the components are
 independent; the exhaustive method counts every tuple of component
-messages and is used as a cross-check on small instances.  Scaling a
-component message leaves the union unchanged, so its scan visits one
-message per projective point of each component and weighs each pair
-by (q-1) to the number of its nonzero components (see _kernels); its
-enumerated count and its cap stay the full tuple count.
+messages and is used as a cross-check on small instances.  A union
+weight depends on the component supports alone, so its scan visits one
+row per distinct support of each component, weighed by the number of
+messages with that support, and one support per cyclic-shift orbit of
+the first component when the shift permutes the others' supports (see
+_kernels); its enumerated count and its cap stay the full tuple count.
 
 numpy and the scan kernel (_kernels) are imported inside the functions
 that build a generator matrix or scan, so importing madics or its CLI
@@ -171,7 +172,8 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
 
     The support of a ring word is the union of the component supports,
     so the kernel folds 0/1 support tables across components, one row
-    per projective point of each; enumerated is the full tuple count.
+    per distinct support of each (per rotation orbit for the first),
+    weighed by its message count; enumerated is the full tuple count.
     """
     from . import _kernels
 

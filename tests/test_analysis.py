@@ -1,5 +1,6 @@
 """Distance computation and bound checks with frozen oracle values."""
 
+import math
 import random
 import time
 
@@ -117,17 +118,22 @@ def test_ring_exhaustive_cap():
 
 
 def test_ring_exhaustive_counts_every_tuple():
-    # the kernel scans one message per projective point of each
-    # component, but enumerated stays the full tuple count and the cap
-    # bounds that count, so every refusal is unchanged
-    ring = make_ring(make_prime_field(5), 2)
-    code = ring_code(ring, build_residue_system(11, 2), "even-I", (0, 1))
-    total = 5 ** 5 * 5 ** 5
-    rep = min_distance_ring_exhaustive(code, cap=total)
-    assert rep.enumerated == total
-    assert sum(rep.weight_distribution) == total
-    with pytest.raises(TooLarge, match=rf"enumerating {total} component"):
-        min_distance_ring_exhaustive(code, cap=total - 1)
+    # the kernel scans one row per support class of each component and
+    # one per rotation orbit of the first, but enumerated stays the full
+    # tuple count, the product of q**k_i, and the cap bounds that count,
+    # so every refusal is unchanged
+    for q, s in ((5, 2), (3, 3)):
+        ring = make_ring(make_prime_field(q), s)
+        code = ring_code(ring, build_residue_system(11, 2), "even-I",
+                         [i % 2 for i in range(s)])
+        total = math.prod(q ** c.dimension for c in code.components)
+        assert total == q ** (5 * s)
+        rep = min_distance_ring_exhaustive(code, cap=total)
+        assert rep.enumerated == total
+        assert sum(rep.weight_distribution) == total
+        with pytest.raises(TooLarge,
+                           match=rf"enumerating {total} component"):
+            min_distance_ring_exhaustive(code, cap=total - 1)
     base = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     assert min_distance_ring_exhaustive(base, cap=3 ** 9).enumerated == 3 ** 9
     with pytest.raises(TooLarge):

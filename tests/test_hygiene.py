@@ -5,7 +5,9 @@ package is referenced inside the package.  numpy stays off the cold
 path: no module but _kernels imports it (or _kernels) at module level,
 and a fresh interpreter that imports madics or runs a verb that does
 not scan ends without numpy in sys.modules.  One scan kernel: numpy's
-popcount and bincount appear only in _kernels._distance_counts.  One
+popcount and bincount appear only in _kernels._distance_counts, and
+_kernels calls no np.unique or sort, whose first call pages in numpy
+code that the peak resident size of a scan run would show.  One
 arithmetic for the splitting field: field_codes.coset_factors makes no
 product over GF(q^t).  One arithmetic for the identity suite: identities
 works on class-algebra spectra and references no polynomial product,
@@ -268,6 +270,21 @@ def test_one_scan_kernel():
                 stray.append(f"{path.stem}.{where}: {name}")
     assert not stray, f"popcount or bincount outside the kernel: {stray}"
     assert sorted(kernel) == ["bincount", "bitwise_count"]
+
+
+def test_kernels_call_no_unique_or_sort():
+    # the scan kernel deduplicates support tables in dicts: the first
+    # np.unique or np.sort call of a process pages in numpy code that the
+    # peak resident size of a scan run would show
+    tree = ast.parse((ROOT / "src" / "madics" / "_kernels.py").read_text(
+        encoding="utf-8"))
+    banned = {"unique", "sort", "argsort", "lexsort"}
+    stray = [f"line {node.lineno}: {ast.unparse(node)}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in banned
+             or isinstance(node, ast.ImportFrom)
+             and any(a.name in banned for a in node.names)]
+    assert not stray, f"unique or sort in _kernels: {stray}"
 
 
 def test_identities_multiply_no_polynomials():

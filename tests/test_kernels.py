@@ -1,7 +1,9 @@
 """The codeword-scan kernel against the slow oracles in oracle.py."""
 
+import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from madics import _kernels
 from madics._kernels import min_weight, scan, scan_union
-from oracle import scan_numpy, scan_union as scan_union_oracle
+from madics.analysis import generator_matrix
+from madics.ffield import make_prime_field
+from madics.field_codes import family_codes
+from madics.residues import build_residue_system
+from oracle import scan_numpy, scan_union as scan_union_oracle, support_table
+from test_analysis import RING_CASES
 
 rng = random.Random(0xCAFE)
 
@@ -184,6 +191,24 @@ def test_union_many_zero_components_fold_in_int64():
     assert_same(got, scan(one, q))
 
 
+def test_union_high_keys_are_distinct_products(monkeypatch):
+    # twelve k = 1 components over GF(3), each with counts [1, 2]: a
+    # high key indexes the 12 distinct products 2**j, j <= 11, of the
+    # first eleven tables' counts, not their 2**11 combinations
+    q, n = 3, 5
+    gmats = [systematic_gmat(1, n, q) for _ in range(12)]
+    seen = []
+    kernel = _kernels._distance_counts
+
+    def spy(*args):
+        seen.append((args[-2], args[-1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "_distance_counts", spy)
+    union_matches_oracle(gmats, q)
+    assert seen == [([2 ** j for j in range(12)], [1, 2])]
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_union_full_rank_component(q):
     # k = n: the component is all of GF(q)**n, so some tuple covers
@@ -235,19 +260,68 @@ def count_pairs(monkeypatch):
     return seen
 
 
+def family_gmats(q, p, m, family, slots, alpha_exp=1):
+    """Generator matrices of one family's components, one per slot."""
+    comps = family_codes(build_residue_system(p, m), make_prime_field(q),
+                         family, alpha_exp)
+    return [generator_matrix(comps[i]) for i in slots]
+
+
+def support_counts(gmat, q):
+    """{support: number of messages with it}, from the oracle's table of
+    all q**k words."""
+    return Counter(map(tuple, support_table(gmat, q).tolist()))
+
+
+def shifted(support):
+    return support[-1:] + support[:-1]
+
+
+def expected_pairs(gmats, q):
+    """The pairs a union scan visits: one row per distinct support of
+    each component, and for the first component one row per rotation
+    orbit instead when the shift keeps its supports and keeps the
+    supports and counts of every later component."""
+    first, *rest = [support_counts(g, q) for g in gmats]
+    rows = len(first)
+    if rest and all(shifted(s) in first for s in first) and all(
+            counts.get(shifted(s)) == c
+            for counts in rest for s, c in counts.items()):
+        rows = len({min(s[i:] + s[:i] for i in range(len(s)))
+                    for s in first})
+    return rows * math.prod(len(counts) for counts in rest)
+
+
 @pytest.mark.parametrize("q,ks", [(3, (5, 5, 5)), (5, (5, 5)), (7, (3, 3)),
                                   (3, (0, 2, 4)), (2, (3, 0)), (5, (2,))])
 def test_union_pairs_visited(monkeypatch, q, ks):
-    # every component table has 1 + (q**k - 1)/(q - 1) rows, so the
-    # block loop visits their product of pairs: 122**3 for the
-    # (q, k) = (3, 5), s = 3 ring scan instead of 29,524 * 243
+    # one row per distinct support of each component, weighed by its
+    # message count; random systematic matrices are not cyclic, so the
+    # first component is not grouped into orbits
     n = 11
     gmats = [systematic_gmat(k, n, q) for k in ks]
     ref = scan_union(gmats, q)
     seen = count_pairs(monkeypatch)
     got = scan_union(gmats, q)
-    assert sum(seen) == math.prod(projective_rows(k, q) for k in ks)
+    assert sum(seen) == expected_pairs(gmats, q)
+    assert sum(seen) <= math.prod(projective_rows(k, q) for k in ks)
     assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("q,p,m,s,family,pairs", [
+    (3, 11, 2, 3, "even-I", 12 * 122 * 122),
+    (5, 11, 2, 2, "even-I", 33 * 343),
+    (7, 19, 6, 2, "even-I", 4 * 58),
+    (2, 73, 8, 2, "odd-II", 16 * 1024)])
+def test_union_pairs_visited_ring_codes(monkeypatch, q, p, m, s, family,
+                                        pairs):
+    # the components are cyclic, so the first one is reduced to its
+    # rotation orbits: 12 x 122 x 122 pairs at (3, 11, 2, 3) instead of
+    # the 122**3 of one row per projective point
+    gmats = family_gmats(q, p, m, family, [i % m for i in range(s)])
+    seen = count_pairs(monkeypatch)
+    scan_union(gmats, q)
+    assert sum(seen) == expected_pairs(gmats, q) == pairs
 
 
 @pytest.mark.parametrize("q,k", [(2, 9), (3, 7), (5, 4), (7, 1)])
@@ -314,3 +388,110 @@ def test_scan_union_matches_oracle_property(case):
     # a random matrix may be rank deficient: the kernel then reports 0,
     # where the oracle reports the least nonzero weight
     assert got[0] == (0 if ref[1][0] > 1 else ref[0])
+
+
+@st.composite
+def ring_component_cases(draw):
+    # the components of one family at a tier-1 point, in any slot order,
+    # with any labeling alpha**alpha_exp of the p-th roots of unity
+    q, p, m, s, family = draw(st.sampled_from(RING_CASES))
+    slots = draw(st.lists(st.integers(0, m - 1), min_size=s, max_size=s))
+    alpha_exp = draw(st.integers(1, p - 1))
+    return q, family_gmats(q, p, m, family, slots, alpha_exp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_component_cases())
+def test_union_ring_components_match_oracle_property(case):
+    q, gmats = case
+    assert all(_kernels._invariant(*_kernels._classes(g, q), g.shape[1])
+               for g in gmats)
+    union_matches_oracle(gmats, q)
+
+
+def test_union_any_component_order():
+    # two cyclic components, a random one and a zero one in every order:
+    # the orbits are taken only when every later table passes the check
+    q, n = 3, 13
+    gmats = family_gmats(q, n, 4, "even-I", [0, 1]) + [
+        systematic_gmat(2, n, q), np.zeros((0, n), np.int64)]
+    for order in itertools.permutations(gmats):
+        union_matches_oracle(list(order), q)
+
+
+def test_union_cyclic_rank_deficient():
+    # repeated and zero rows keep the code cyclic, so the orbits are
+    # still taken, with every support counted q**(k - rank) times over
+    q, n = 3, 13
+    gmat = family_gmats(q, n, 4, "even-I", [0])[0]
+    deficient = np.vstack([gmat, gmat[:1], np.zeros((1, n), np.int64)])
+    rows, mult = _kernels._classes(deficient, q)
+    assert _kernels._invariant(rows, mult, n)
+    assert mult[0] == q ** 2
+    for gmats in ([deficient, gmat], [gmat, deficient],
+                  [deficient, deficient, gmat]):
+        union_matches_oracle(gmats, q)
+
+
+def test_union_cyclic_blocks(monkeypatch):
+    # (3, 13, 4, 3) even-I: 2 orbits x 14 classes = 28 high rows against
+    # 14 low ones, in blocks of 5 (not dividing 28) and of one
+    q, n = 3, 13
+    gmats = family_gmats(q, n, 4, "even-I", [0, 1, 2])
+    ref = scan_union_oracle(gmats, q)
+    for block in (block_bytes(5, 14, n), 1):
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", block)
+        seen = count_pairs(monkeypatch)
+        assert np.array_equal(scan_union(gmats, q)[1], ref[1])
+        assert sum(seen) == 28 * 14
+        monkeypatch.undo()
+
+
+def test_union_cyclic_multiword():
+    # n = 73 packs each support into two words, so a shift carries bit
+    # 63 into the second word and wraps bit 72 to bit 0
+    gmats = family_gmats(2, 73, 8, "even-I", [0, 3])
+    union_matches_oracle(gmats, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 11, 63, 64, 65, 73, 128, 129])
+def test_rotate_matches_roll(n):
+    table = (np.array([[rng.randrange(2) for _ in range(n)]
+                       for _ in range(6)]) * 3).astype(np.uint8)
+    table[0] = 0
+    table[1] = 1
+    assert np.array_equal(_kernels._rotate(_kernels._pack(table), n),
+                          _kernels._pack(np.roll(table, 1, axis=1)))
+
+
+@pytest.mark.parametrize("q,p,m,family", sorted({c[:3] + c[4:]
+                                                 for c in RING_CASES}))
+def test_family_components_pass_shift_check(q, p, m, family):
+    for code in family_codes(build_residue_system(p, m),
+                             make_prime_field(q), family):
+        rows, mult = _kernels._classes(generator_matrix(code), q)
+        assert _kernels._invariant(rows, mult, p)
+
+
+def test_shift_check_fails_off_cyclic_tables():
+    q, n = 3, 13
+    cyclic = family_gmats(q, n, 4, "even-I", [1])[0]
+    # a systematic random matrix
+    random_gmat = systematic_gmat(3, n, q)
+    assert not _kernels._invariant(*_kernels._classes(random_gmat, q), n)
+    # a cyclic table with one support moved to a weight-1 support, which
+    # the code (d = 9) does not have, and so neither has its shift
+    rows, mult = _kernels._classes(cyclic, q)
+    assert _kernels._invariant(rows, mult, n)
+    moved = rows.copy()
+    moved[1] = 1
+    assert not _kernels._invariant(moved, mult, n)
+    # the same supports with the count of one nonempty support changed
+    assert not _kernels._invariant(rows, mult[:-1] + [mult[-1] + q - 1], n)
+    # a cyclic matrix with one entry past the generator's degree set
+    bent = cyclic.copy()
+    bent[0, -1] = 1
+    assert not _kernels._invariant(*_kernels._classes(bent, q), n)
+    for gmats in ([cyclic, random_gmat], [random_gmat, cyclic],
+                  [cyclic, bent, cyclic], [bent, cyclic]):
+        union_matches_oracle(gmats, q)
