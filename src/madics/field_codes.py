@@ -19,9 +19,9 @@ Each code carries its generator and its idempotent generator,
 the inverse DFT of its 0/1 spectrum (MacWilliams & Sloane, ch. 8).
 With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
 lie in F_q (Storer, Cyclotomy and Difference Sets); gauss_periods
-computes them once per (system, q, u), and both the idempotents and the
-identity suite's class-algebra spectra read them there.  With c(k) the
-class of k the even-like class-I idempotent is
+reads them off the coset factors once per (system, q, u), and both the
+idempotents and the identity suite's class-algebra spectra read them
+there.  With c(k) the class of k the even-like class-I idempotent is
 
     e_i = p**-1 * ((p-1)/m + sum_{k=1}^{p-1} eta_{i+c(-k)} x**k);
 
@@ -78,8 +78,8 @@ def splitting_field(q, p):
 
 @functools.lru_cache(maxsize=None)
 def _root_powers(q, p):
-    """(ext, alpha**0, ..., alpha**(p-1)) of the splitting field: the one
-    table of powers behind the coset factors and the Gauss periods."""
+    """(ext, alpha**0, ..., alpha**(p-1)) of the splitting field: the
+    table of powers behind the coset factors."""
     ext, alpha = splitting_field(q, p)
     roots = [ext.one]
     for _ in range(p - 1):
@@ -182,16 +182,19 @@ def gauss_periods(system, q, alpha_exp):
     of F_q: the one source of the periods for the idempotents and the
     identity suite's spectra.
 
-    Checks that each eta_r lies in F_q and that sum_r eta_r = -1 (the
+    With q in Q_0 and u = alpha_exp coprime to p, as _class_products
+    checks before either reader runs, u*Q_r is a union of q-cyclotomic
+    cosets; the roots of a coset factor f of degree d sum to minus its
+    x**(d-1) coefficient, so eta_r is the sum of -f[-2] over the
+    distinct coset factors of u*Q_r.  Checks that sum_r eta_r = -1 (the
     sum of all nontrivial p-th roots of unity).
     """
     p = system.p
-    ext, roots = _root_powers(q, p)
-    u = alpha_exp % p
-    etas = tuple(functools.reduce(ext.add, (roots[u * k % p] for k in cls))
-                 for cls in system.classes)
-    if any(eta >= q for eta in etas):
-        raise AssertionError("a Gauss period did not descend to F_q")
+    factor_of = coset_factors(q, p)
+    etas = tuple(
+        -sum(f[-2] for f in dict.fromkeys(factor_of[alpha_exp * k % p]
+                                          for k in cls)) % q
+        for cls in system.classes)
     if sum(etas) % q != q - 1:
         raise AssertionError("the Gauss periods do not sum to -1")
     return etas

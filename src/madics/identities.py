@@ -47,15 +47,15 @@ checks that they are constant on the classes and caches the spectrum
 per element; a ring element is the flat list of its s component
 spectra.
 
-Every identity is evaluated on every call.  A refuted identity's
-IdentityOutcome keeps the spectra of its two sides and, the first time
-``computed`` or ``expected`` is read, inverts each one,
+Every identity is evaluated on every call.  A refuted identity's two
+sides are shown through _shown, cached per spectrum: it inverts each
+component spectrum,
 
     c_0 = p**-1 (v_0 + ((p-1)/m) sum_r v_r)
     c_i = p**-1 (v_0 + sum_r v_r eta_{i+r+c(-1)}),
 
-combines the components and formats the v-basis form, so a caller that
-only reads ``holds`` formats nothing.
+combines the components and formats the v-basis form, so each distinct
+side is formatted once and a warm call formats nothing.
 """
 
 from __future__ import annotations
@@ -88,55 +88,16 @@ IDENTITY_NAMES = (
 )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class IdentityOutcome:
     """One identity's result.  A refuted identity shows its two sides,
-    ``computed`` and ``expected``, as v-basis text over R.  Given a
-    ring and the (system, u) of the spectra, ``computed_value`` and
-    ``expected_value`` are flat lists of s component spectra,
-    inverted, combined and formatted the first time each side is read;
-    without a ring they are the text itself.  Outcomes compare and hash
-    by name, holds and the shown text."""
+    ``computed`` and ``expected``, as v-basis text over R; a holding
+    one shows empty text."""
 
     name: str
     holds: bool
-    computed_value: object = ""
-    expected_value: object = ""
-    ring: object = None
-    basis: tuple = ()
-
-    def _shown(self, value):
-        if self.ring is None:
-            return value
-        system, u = self.basis
-        width = system.m + 1
-        comps = [_from_spectrum(system, self.ring.q, u, value[k:k + width])
-                 for k in range(0, len(value), width)]
-        return format_ring_poly(self.ring, ring_poly_combine(self.ring, comps))
-
-    @functools.cached_property
-    def computed(self):
-        return self._shown(self.computed_value)
-
-    @functools.cached_property
-    def expected(self):
-        return self._shown(self.expected_value)
-
-    def _key(self):
-        return self.name, self.holds, self.computed, self.expected
-
-    def __eq__(self, other):
-        if not isinstance(other, IdentityOutcome):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        name, holds, computed, expected = self._key()
-        return (f"IdentityOutcome(name={name!r}, holds={holds!r}, "
-                f"computed={computed!r}, expected={expected!r})")
+    computed: str = ""
+    expected: str = ""
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,6 +146,17 @@ def _from_spectrum(system, q, u, spec):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def _shown(ring, system, u, spectra):
+    """The v-basis text over R of a flat tuple of s component spectra:
+    each inverted by _from_spectrum, then combined and formatted, cached
+    per spectrum."""
+    width = system.m + 1
+    comps = [_from_spectrum(system, ring.q, u, spectra[k:k + width])
+             for k in range(0, len(spectra), width)]
+    return format_ring_poly(ring, ring_poly_combine(ring, comps))
 
 
 def _chain_source(m, j):
@@ -269,8 +241,9 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
 
     def record(name, holds, computed=zero, expected=zero):
         out[name] = (IdentityOutcome(name, True) if holds else
-                     IdentityOutcome(name, False, computed, expected, ring,
-                                     (system, u)))
+                     IdentityOutcome(name, False,
+                                     _shown(ring, system, u, tuple(computed)),
+                                     _shown(ring, system, u, tuple(expected))))
 
     record("E_idempotent", sq_ok(es))
     record("mu_E_idempotent", sq_ok([step(e) for e in es]))

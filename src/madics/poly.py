@@ -88,11 +88,6 @@ def add(dom, a, b):
     return _trimmed(out)
 
 
-def neg(dom, a):
-    q = _modulus(dom)
-    return _trimmed([-x % q for x in a])
-
-
 def sub(dom, a, b):
     q = _modulus(dom)
     out = [(x - y) % q for x, y in zip(a, b)]

@@ -68,6 +68,11 @@ which solves each factor as a minimal polynomial over F_q: it
 multiplies out the linear terms x - alpha^k, k in the coset, with
 mul_generic over the splitting field GF(q^t).
 
+gauss_periods_table is the oracle of madics.field_codes.gauss_periods,
+which reads each period off the coset factors: it sums the powers
+beta**k, k in Q_r, in the splitting field and checks that each sum
+lies in F_q.
+
 is_prime_trial and is_prime_power_trial are the oracles of
 madics.ffield.is_prime (Miller-Rabin) and is_prime_power (integer
 roots): trial division up to sqrt(n), for small n only.
@@ -268,6 +273,21 @@ def coset_factor_schoolbook(q, p):
                                (ext.neg(ext.pow(alpha, k)), ext.one))
         out[coset] = prod
     return out
+
+
+def gauss_periods_table(system, q, alpha_exp):
+    """(eta_0, ..., eta_{m-1}), eta_r = sum_{k in Q_r} beta**k with
+    beta = alpha**alpha_exp, summed in the splitting field."""
+    p = system.p
+    ext, alpha = splitting_field(q, p)
+    etas = []
+    for cls in system.classes:
+        acc = ext.zero
+        for k in cls:
+            acc = ext.add(acc, ext.pow(alpha, alpha_exp * k % p))
+        assert acc < q, "a Gauss period did not descend to F_q"
+        etas.append(acc)
+    return tuple(etas)
 
 
 def gcd_ext(dom, a, b):

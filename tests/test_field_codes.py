@@ -19,12 +19,14 @@ from madics.field_codes import (
     all_ones_h,
     coset_factors,
     family_codes,
+    gauss_periods,
     splitting_field,
 )
 from madics.residues import build_residue_system
 from oracle import (
     coset_factor_schoolbook,
     eval_generic,
+    gauss_periods_table,
     idempotent_bezout,
     mod_xn_minus_1,
     mul_generic,
@@ -313,6 +315,20 @@ def test_family_weight_distributions_agree_property(case):
                          family)
     assert len({min_distance_field(c).weight_distribution
                 for c in codes}) == 1
+
+
+@pytest.mark.parametrize("q,p,m", sorted({c[:3] for c in FIELD_CASES}
+                                         | {(2, 89, 8), (2, 127, 9)}))
+def test_gauss_periods_match_table_oracle(q, p, m):
+    # the periods read off the coset factors against the powers of beta
+    # summed in the splitting field, at 1, -1 and random alpha_exp
+    system = build_residue_system(p, m)
+    rng = random.Random(q * 1000 + p)
+    exps = [1, -1] + [rng.choice([u for u in range(-p, 2 * p) if u % p])
+                      for _ in range(3)]
+    for u in exps:
+        assert gauss_periods(system, q, u) == \
+            gauss_periods_table(system, q, u)
 
 
 def test_idempotents_supported_on_classes():

@@ -1,7 +1,8 @@
 """Import and dead-code hygiene of the package and the tests, checked
 with the stdlib ast module: every imported name is used, every name the
 package exports exists, and every function, class and method of the
-package is referenced inside the package.  numpy stays off the cold
+package is referenced inside the package (a module-level one through
+its own module, an import of it or ``module.name``).  numpy stays off the cold
 path: no module but _kernels imports it (or _kernels) at module level,
 and a fresh interpreter that imports madics or runs a verb that does
 not scan ends without numpy in sys.modules.  One scan kernel: numpy's
@@ -86,9 +87,33 @@ def _overrides_stdlib(module, cls_name, name):
                if not base.__module__.startswith("madics"))
 
 
+def _top_level_references(trees):
+    """{(module, name)} of every module-level name that a package module
+    references: by its bare name in the defining module, by the name an
+    import of it binds in another module, or as ``module.name``."""
+    refs = set()
+    for module, tree in trees.items():
+        names = _used(tree)
+        refs.update((module, name) for name in names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rpartition(".")[2]
+                refs.update((source, a.name) for a in node.names
+                            if (a.asname or a.name) in names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)):
+                refs.add((node.value.id, node.attr))
+    return refs
+
+
 def test_every_definition_is_referenced():
+    # a module-level function or class counts as used only through its
+    # own module, an import of it or ``module.name``, so that a method
+    # call of the same name, such as ctx.neg(...), cannot keep a dead
+    # poly function alive; a method counts through any name or attribute
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in SOURCES}
+    top = _top_level_references(trees)
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -101,7 +126,7 @@ def test_every_definition_is_referenced():
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, defs) and node.name not in referenced:
+            if isinstance(node, defs) and (module, node.name) not in top:
                 dead.append(f"{module}.{node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue

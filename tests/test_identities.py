@@ -168,25 +168,27 @@ def test_suite_multiplies_no_polynomials(cold_caches, monkeypatch, q, p, m,
     assert cold == warm == check_identities_vbasis(ring, system)
 
 
-def test_refuted_sides_formatted_on_read(cold_caches, monkeypatch):
-    # the suite formats no side; reading one formats only that side
-    calls = []
+def test_refuted_sides_formatted_once(cold_caches, monkeypatch):
+    # a cold call formats each distinct refuted side once, a warm call
+    # formats none, and a holding outcome shows no sides
+    shown = []
     fmt = identities.format_ring_poly
 
     def counting(ring, a):
-        calls.append(a)
-        return fmt(ring, a)
+        shown.append(fmt(ring, a))
+        return shown[-1]
 
     monkeypatch.setattr(identities, "format_ring_poly", counting)
     outcomes = run_suite(7, 19, 6, 3)
-    assert calls == []
     refuted = [o for o in outcomes.values() if not o.holds]
     assert len(refuted) == len(P_DEPENDENT) + 1
-    shown = refuted[0].computed
-    assert len(calls) == 1
-    assert refuted[0].computed is shown
-    assert len(calls) == 1
+    sides = {side for o in refuted for side in (o.computed, o.expected)}
+    assert sorted(shown) == sorted(sides)
+    assert run_suite(7, 19, 6, 3) == outcomes
+    assert len(shown) == len(sides)
     monkeypatch.undo()
+    assert all(o.computed == o.expected == ""
+               for o in outcomes.values() if o.holds)
     assert outcomes == check_identities_vbasis(
         make_ring(make_prime_field(7), 3), build_residue_system(19, 6))
 

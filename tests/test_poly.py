@@ -25,7 +25,6 @@ from oracle import (
     mod_xn_minus_1,
     monic_generic,
     mul_mod_schoolbook,
-    neg_generic,
     product_schoolbook,
     scale_generic,
     sub_generic,
@@ -224,7 +223,6 @@ ENTRY_POINTS = {
     "constant": lambda d: poly.constant(d, 1),
     "xn_minus_1": lambda d: poly.xn_minus_1(d, 5),
     "add": lambda d: poly.add(d, (1, 2), (2,)),
-    "neg": lambda d: poly.neg(d, (1, 2)),
     "sub": lambda d: poly.sub(d, (1, 2), (2,)),
     "scale": lambda d: poly.scale(d, 2, (1, 2)),
     "mul": lambda d: poly.mul(d, (1, 2), (2, 1)),
@@ -286,7 +284,6 @@ def test_ring_operations_match_oracle(case, c):
     assert poly.trim(ctx, a) == A
     assert poly.constant(ctx, c) == canon(ctx, (c,))
     assert poly.add(ctx, a, b) == add_generic(ctx, A, B)
-    assert poly.neg(ctx, a) == neg_generic(ctx, A)
     assert poly.sub(ctx, a, b) == sub_generic(ctx, A, B)
     assert poly.scale(ctx, c, a) == scale_generic(ctx, c % ctx.q, A)
     assert poly.mul(ctx, a, b) == product_schoolbook(ctx, (A, B))
