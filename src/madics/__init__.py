@@ -4,71 +4,42 @@ Exact-arithmetic construction of the four code families (even/odd-like,
 class I/II), idempotent generators, CRT decomposition over the ring,
 multiplier chains, identity checking, exhaustive minimum-distance
 computation and Griesmer bound checks.
+
+Attribute access is lazy (PEP 562): ``import madics`` loads no layer,
+and the first access to a name in _EXPORTS, such as ``from madics
+import ring_code``, imports the module that defines it.
 """
 
-from .analysis import (
-    DEFAULT_CAP,
-    DistanceReport,
-    generator_matrix,
-    griesmer_check,
-    min_distance_field,
-    min_distance_ring,
-    min_distance_ring_exhaustive,
-)
-from .errors import (
-    BadSlotIndex,
-    IncompatibleS,
-    InvalidM,
-    MadicError,
-    MultiplierNotCyclic,
-    NonPrimeModulus,
-    NotCoprime,
-    NotPrimitiveRoot,
-    QNotResidue,
-    TooLarge,
-)
-from .ffield import FieldCtx, make_extension, make_prime_field
-from .field_codes import (
-    FAMILIES,
-    CyclicCode,
-    all_ones_h,
-    family_codes,
-    splitting_field,
-)
-from .identities import IDENTITY_NAMES, IdentityOutcome, check_identities
-from .residues import ResidueSystem, build_residue_system, mu_poly
-from .ringalg import (
-    RingCtx,
-    format_ring_poly,
-    make_ring,
-    ring_poly_combine,
-    ring_poly_component,
-)
-from .ring_codes import (
-    RingCode,
-    chain_step_poly,
-    component_consistency,
-    ring_code,
-    ring_mu_chain,
-)
-from .verify import VerifyReport, run_verification
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_CAP", "DistanceReport", "generator_matrix", "griesmer_check",
-    "min_distance_field", "min_distance_ring", "min_distance_ring_exhaustive",
-    "BadSlotIndex", "IncompatibleS", "InvalidM", "MadicError",
-    "MultiplierNotCyclic", "NonPrimeModulus", "NotCoprime",
-    "NotPrimitiveRoot", "QNotResidue", "TooLarge",
-    "FieldCtx", "make_extension", "make_prime_field",
-    "FAMILIES", "CyclicCode", "all_ones_h", "family_codes", "splitting_field",
-    "IDENTITY_NAMES", "IdentityOutcome", "check_identities",
-    "ResidueSystem", "build_residue_system", "mu_poly",
-    "RingCtx", "format_ring_poly", "make_ring",
-    "ring_poly_combine", "ring_poly_component",
-    "RingCode", "chain_step_poly", "component_consistency", "ring_code",
-    "ring_mu_chain",
-    "VerifyReport", "run_verification",
-    "__version__",
-]
+_EXPORTS = {
+    "analysis": ("DistanceReport", "generator_matrix", "griesmer_check",
+                 "min_distance_field", "min_distance_ring",
+                 "min_distance_ring_exhaustive"),
+    "errors": ("DEFAULT_CAP", "BadSlotIndex", "IncompatibleS", "InvalidM",
+               "MadicError", "MultiplierNotCyclic", "NonPrimeModulus",
+               "NotCoprime", "NotPrimitiveRoot", "QNotResidue", "TooLarge"),
+    "ffield": ("FieldCtx", "make_extension", "make_prime_field"),
+    "field_codes": ("FAMILIES", "CyclicCode", "all_ones_h", "family_codes",
+                    "splitting_field"),
+    "identities": ("IDENTITY_NAMES", "IdentityOutcome", "check_identities"),
+    "residues": ("ResidueSystem", "build_residue_system", "mu_poly"),
+    "ringalg": ("RingCtx", "format_ring_poly", "make_ring",
+                "ring_poly_combine", "ring_poly_component"),
+    "ring_codes": ("RingCode", "chain_step_poly", "component_consistency",
+                   "ring_code", "ring_mu_chain"),
+    "verify": ("VerifyReport", "run_verification"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__),
+                   name)

@@ -95,14 +95,14 @@ def _planes(table, bits):
     return _pack(table & masks[:, None, None])
 
 
-def _points(words, q):
-    """The zero word and one word per projective point of a table in the
-    _words order: the rows 0 and [q**j, 2 q**j) for q**j < len(words)."""
-    parts, top = [words[:1]], 1
-    while top < len(words):
-        parts.append(words[top:2 * top])
-        top *= q
-    return np.concatenate(parts)
+def _points(gmat, q):
+    """The zero word and one word per projective point of gmat's code:
+    the rows 0 and [q**j, 2 q**j), j < k, of the _words order, each g_j
+    plus a word of the rows below it.  The last row enters with digits
+    0 and 1 only, so the table stops at 2 q**(k-1) rows."""
+    words = _words(gmat, q, 2)
+    return np.concatenate([words[:1]] + [words[q**j:2 * q**j]
+                                         for j in range(len(gmat))])
 
 
 def _distance_counts(high, n_high, low, low_keys, n, op, mult_high,
@@ -140,18 +140,20 @@ def _distance_counts(high, n_high, low, low_keys, n, op, mult_high,
     return np.array(mult[:n_keys], dtype=np.int64) @ hist.reshape(n_keys, bins)
 
 
-def _words(gmat, q):
-    """All q**k words spanned by gmat's k rows mod q, one per table row.
-    Each step adds the q multiples of a row to the table in a type that
-    holds 2(q-1) and reduces with min(x, x - q), since x - q wraps past
-    x in an unsigned type when x < q: no integer division."""
-    n = gmat.shape[1]
+def _words(gmat, q, last=None):
+    """All q**k words spanned by gmat's k rows mod q, one per table row:
+    row sum_i c_i q**i holds sum_i c_i g_i.  Each step adds the q
+    multiples of a row to the table in a type that holds 2(q-1) and
+    reduces with min(x, x - q), since x - q wraps past x in an unsigned
+    type when x < q: no integer division.  With last = d the last row
+    adds only its multiples c < d: the first d q**(k-1) rows."""
+    n, k = gmat.shape[1], len(gmat)
     dtype = np.min_scalar_type(2 * (q - 1))
     multiples = (np.arange(q)[:, None, None] * np.asarray(gmat, np.int64)
                  % q).astype(dtype)
     table = np.zeros((1, n), dtype=dtype)
-    for i in range(len(gmat)):
-        table = multiples[:, i, None] + table
+    for i in range(k):
+        table = multiples[:last if i == k - 1 else q, i, None] + table
         table = np.minimum(table, table - dtype.type(q)).reshape(-1, n)
     return table.astype(np.min_scalar_type(q - 1), copy=False)
 
@@ -172,7 +174,7 @@ def scan(gmat, q):
     half = (len(gmat) + 1) // 2
     bits = (q - 1).bit_length()
     low = _planes(_words(gmat[:half], q), bits)
-    high = _planes(_points(_words(gmat[half:], q), q), bits)
+    high = _planes(_points(gmat[half:], q), bits)
     # key 0 for the zero word (row 0), 1 for a point
     keys = np.minimum(np.arange(high.shape[1]), 1).astype(np.uint8)
     counts = _distance_counts(lambda idx: (high[:, idx], keys[idx]),
@@ -202,7 +204,7 @@ def _classes(gmat, q):
     _pack with the empty support in row 0, and the number of messages
     with each: 1 for the zero message and q - 1 for each projective
     point."""
-    count = Counter(_keys(_pack(_points(_words(gmat, q), q))))
+    count = Counter(_keys(_pack(_points(gmat, q))))
     rows = np.frombuffer(b"".join(count), dtype="<u8").reshape(len(count), -1)
     mult = [(q - 1) * c for c in count.values()]
     mult[0] -= q - 2  # the zero message counts once

@@ -34,10 +34,8 @@ import math
 from dataclasses import dataclass
 
 from . import poly
-from .errors import BackendUnavailable, InvalidParameter, TooLarge
+from .errors import DEFAULT_CAP, BackendUnavailable, InvalidParameter, TooLarge
 from .ffield import is_prime_power
-
-DEFAULT_CAP = 1 << 24
 
 
 @dataclass(frozen=True)

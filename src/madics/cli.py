@@ -16,20 +16,42 @@ import os
 import sys
 
 from . import poly
-from .analysis import (
-    DEFAULT_CAP,
-    griesmer_check,
-    min_distance_field,
-    min_distance_ring,
-    min_distance_ring_exhaustive,
-)
-from .errors import MadicError, TooLarge
+from .errors import DEFAULT_CAP, MadicError, TooLarge
 from .ffield import make_prime_field
-from .field_codes import FAMILIES, family_codes, splitting_field
+from .field_codes import FAMILIES, CyclicCode, family_codes, splitting_field
 from .residues import build_residue_system
-from .ringalg import format_ring_poly, make_ring
-from .ring_codes import RingCode, ring_code, ring_mu_chain
-from .verify import run_verification
+
+
+# module attributes that the verbs call, so a caller can reroute them (a
+# tracing harness does); each imports its layer on its first call
+def ring_code(*args):
+    from .ring_codes import ring_code
+    return ring_code(*args)
+
+
+def ring_mu_chain(*args):
+    from .ring_codes import ring_mu_chain
+    return ring_mu_chain(*args)
+
+
+def min_distance_field(*args):
+    from .analysis import min_distance_field
+    return min_distance_field(*args)
+
+
+def min_distance_ring(*args):
+    from .analysis import min_distance_ring
+    return min_distance_ring(*args)
+
+
+def min_distance_ring_exhaustive(*args):
+    from .analysis import min_distance_ring_exhaustive
+    return min_distance_ring_exhaustive(*args)
+
+
+def run_verification(*args):
+    from .verify import run_verification
+    return run_verification(*args)
 
 
 def _slots(text):
@@ -72,10 +94,8 @@ def _resolved_params(system, ctx=None, ring=None, alpha_exp=1):
 
 
 def _params_lines(params):
-    flat = []
-    for k, v in params.items():
-        flat.append(f"{k}={v}")
-    return ["resolved parameters: " + " ".join(flat)]
+    return ["resolved parameters: "
+            + " ".join(f"{k}={v}" for k, v in params.items())]
 
 
 def _report_json(rep):
@@ -155,6 +175,8 @@ def cmd_field_code(args):
 
 
 def _build_ring(args):
+    from .ringalg import make_ring
+
     system = _code_system(args)
     ring = make_ring(make_prime_field(args.q), args.s)
     code = ring_code(ring, system, args.family, args.slots, args.alpha_exp)
@@ -162,6 +184,8 @@ def _build_ring(args):
 
 
 def cmd_ring_code(args):
+    from .ringalg import format_ring_poly
+
     system, ring, code = _build_ring(args)
     params = _resolved_params(system, ring.field, ring, args.alpha_exp)
     payload = {"command": "ring-code", "parameters": params,
@@ -242,25 +266,24 @@ def _distance_target(args):
 
 
 def _analyze(code, args):
-    if isinstance(code, RingCode):
-        if args.method == "exhaustive":
-            return min_distance_ring_exhaustive(code, args.cap), None
-        report = min_distance_ring(code, args.cap)
-        if args.method == "both":
-            cross = min_distance_ring_exhaustive(code, args.cap)
-            return report, cross
-        return report, None
-    return min_distance_field(code, args.cap), None
+    if isinstance(code, CyclicCode):
+        return min_distance_field(code, args.cap), None
+    if args.method == "exhaustive":
+        return min_distance_ring_exhaustive(code, args.cap), None
+    report = min_distance_ring(code, args.cap)
+    if args.method == "both":
+        cross = min_distance_ring_exhaustive(code, args.cap)
+        return report, cross
+    return report, None
 
 
 def _code_payload(system, code, alpha_exp, report=None):
     """Resolved params and the JSON form of a field or ring code."""
-    if isinstance(code, RingCode):
-        params = _resolved_params(system, code.ring.field, code.ring,
-                                  alpha_exp)
-        return params, _ring_code_json(code, params, report)
-    params = _resolved_params(system, code.ctx, alpha_exp=alpha_exp)
-    return params, _field_code_json(code, params, report)
+    if isinstance(code, CyclicCode):
+        params = _resolved_params(system, code.ctx, alpha_exp=alpha_exp)
+        return params, _field_code_json(code, params, report)
+    params = _resolved_params(system, code.ring.field, code.ring, alpha_exp)
+    return params, _ring_code_json(code, params, report)
 
 
 def cmd_distance(args):
@@ -290,6 +313,8 @@ def cmd_distance(args):
 
 
 def cmd_griesmer(args):
+    from .analysis import griesmer_check
+
     bound, attained = griesmer_check(args.n, args.k, args.d, args.q)
     payload = {"command": "griesmer", "parameters":
                {"n": args.n, "k": args.k, "d": args.d, "q": args.q},

@@ -6,6 +6,8 @@ Plain ZeroDivisionError is reused for inversion of zero, matching the
 built-in semantics.
 """
 
+DEFAULT_CAP = 1 << 24  # the enumeration size past which TooLarge is raised
+
 
 class MadicError(Exception):
     """Base class for all madics domain errors."""

@@ -182,14 +182,16 @@ def gauss_periods(system, q, alpha_exp):
     of F_q: the one source of the periods for the idempotents and the
     identity suite's spectra.
 
-    With q in Q_0 and u = alpha_exp coprime to p, as _class_products
-    checks before either reader runs, u*Q_r is a union of q-cyclotomic
-    cosets; the roots of a coset factor f of degree d sum to minus its
-    x**(d-1) coefficient, so eta_r is the sum of -f[-2] over the
-    distinct coset factors of u*Q_r.  Checks that sum_r eta_r = -1 (the
-    sum of all nontrivial p-th roots of unity).
+    With q in Q_0, as _class_products checks before either reader runs,
+    and u = alpha_exp coprime to p (NotCoprime otherwise), u*Q_r is a
+    union of q-cyclotomic cosets; the roots of a coset factor f of
+    degree d sum to minus its x**(d-1) coefficient, so eta_r is the sum
+    of -f[-2] over the distinct coset factors of u*Q_r.  Checks that
+    sum_r eta_r = -1 (the sum of all nontrivial p-th roots of unity).
     """
     p = system.p
+    if alpha_exp % p == 0:
+        raise NotCoprime("alpha_exp must be coprime to p")
     factor_of = coset_factors(q, p)
     etas = tuple(
         -sum(f[-2] for f in dict.fromkeys(factor_of[alpha_exp * k % p]

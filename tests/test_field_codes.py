@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from madics import poly
 from madics.analysis import min_distance_field
-from madics.errors import NonPrimeModulus, QNotResidue
+from madics.errors import NonPrimeModulus, NotCoprime, QNotResidue
 from madics.ffield import make_prime_field
 from madics.field_codes import (
     FAMILIES,
@@ -329,6 +329,14 @@ def test_gauss_periods_match_table_oracle(q, p, m):
     for u in exps:
         assert gauss_periods(system, q, u) == \
             gauss_periods_table(system, q, u)
+
+
+@pytest.mark.parametrize("alpha_exp", [0, 13, -26])
+def test_gauss_periods_refuse_alpha_exp_divisible_by_p(alpha_exp):
+    # u = 0 mod p labels no primitive root; the coset-factor reading
+    # would return (1, 1) at (p, m, q) = (13, 2, 3) without the check
+    with pytest.raises(NotCoprime):
+        gauss_periods(build_residue_system(13, 2), 3, alpha_exp)
 
 
 def test_idempotents_supported_on_classes():

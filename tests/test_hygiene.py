@@ -2,13 +2,15 @@
 with the stdlib ast module: every imported name is used, every name the
 package exports exists, and every function, class and method of the
 package is referenced inside the package (a module-level one through
-its own module, an import of it or ``module.name``).  numpy stays off the cold
-path: no module but _kernels imports it (or _kernels) at module level,
-and a fresh interpreter that imports madics or runs a verb that does
-not scan ends without numpy in sys.modules.  One scan kernel: numpy's
-popcount and bincount appear only in _kernels._distance_counts, and
-_kernels calls no np.unique or sort, whose first call pages in numpy
-code that the peak resident size of a scan run would show.  One
+its own module, an import of it or ``module.name``; dunder hooks are
+exempt).  numpy stays off the cold path: no module but _kernels imports
+it (or _kernels) at module level, and a fresh interpreter that imports
+madics or runs a verb that does not scan ends without numpy in
+sys.modules.  Each verb loads only the layers it runs, and ``import
+madics`` loads none.  One scan kernel: numpy's popcount and bincount
+appear only in _kernels._distance_counts, and _kernels calls no
+np.unique or sort, whose first call pages in numpy code that the peak
+resident size of a scan run would show.  One
 arithmetic for the splitting field: field_codes.coset_factors makes no
 product over GF(q^t).  One arithmetic for the identity suite: identities
 works on class-algebra spectra and references no polynomial product,
@@ -110,7 +112,9 @@ def test_every_definition_is_referenced():
     # a module-level function or class counts as used only through its
     # own module, an import of it or ``module.name``, so that a method
     # call of the same name, such as ctx.neg(...), cannot keep a dead
-    # poly function alive; a method counts through any name or attribute
+    # poly function alive; a method counts through any name or
+    # attribute.  Dunder names are hooks the interpreter calls, methods
+    # and module-level ones alike (the package's PEP 562 __getattr__)
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in SOURCES}
     top = _top_level_references(trees)
@@ -126,7 +130,8 @@ def test_every_definition_is_referenced():
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, defs) and (module, node.name) not in top:
+            if (isinstance(node, defs) and not node.name.startswith("__")
+                    and (module, node.name) not in top):
                 dead.append(f"{module}.{node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -215,8 +220,21 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "layers": [m.split(".")[1] for m in sys.modules
+                             if m.startswith("madics.")],
                   "out": out.getvalue()}))
 """
+
+# the layers a verb runs without: each verb imports only what it calls
+_UNUSED = {"analysis", "ringalg", "ring_codes", "identities", "verify",
+           "_kernels"}
+_ABSENT = {
+    "classes": _UNUSED,
+    "field-code": _UNUSED,
+    "ring-code": {"analysis", "identities", "verify", "_kernels"},
+    "griesmer": _UNUSED - {"analysis"},
+    "export": _UNUSED,
+}
 
 
 def _python(*args):
@@ -235,7 +253,11 @@ def _fresh(*argv):
 
 
 def test_import_madics_leaves_numpy_unloaded():
-    _python("-c", "import sys, madics, madics.cli\n"
+    # __init__ imports its names' home modules on first access only
+    _python("-c", "import sys, madics\n"
+                  "assert not [m for m in sys.modules "
+                  "if m.startswith('madics.')]\n"
+                  "import madics.cli\n"
                   "assert 'numpy' not in sys.modules")
 
 
@@ -254,6 +276,7 @@ def test_cold_verbs_leave_numpy_unloaded(argv, tmp_path):
     res = _fresh(*argv, "--output", "json")
     assert res["code"] == 0
     assert res["numpy"] is False
+    assert not _ABSENT[argv[0]] & set(res["layers"]), res["layers"]
 
 
 def test_distance_loads_numpy_and_scans():
@@ -261,6 +284,7 @@ def test_distance_loads_numpy_and_scans():
                  "--family", "odd-I", "--index", "0", "--output", "json")
     assert res["code"] == 0
     assert res["numpy"] is True
+    assert not {"ring_codes", "verify"} & set(res["layers"]), res["layers"]
     rep = json.loads(res["out"])["code"]["distance_report"]
     assert (rep["n"], rep["k"], rep["d_min"]) == (23, 12, 7)
 

@@ -335,6 +335,31 @@ def test_scan_pairs_visited(monkeypatch, q, k):
     assert sum(seen) == projective_rows(k - half, q) * q ** half
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_points_built_directly_match_oracle(q):
+    # _points builds the rows [q**j, 2 q**j) as g_j plus the words of the
+    # rows before it, without the full q**k table: the rows must be the
+    # words of the messages 0 and q**j + i, in that order, and the scans
+    # that read them must match the oracles, also for rank-deficient and
+    # zero matrices and k = 0, 1
+    n = 13
+    deficient = rand_gmat(4, n, q)
+    deficient[2] = (q - 1) * deficient[0] % q
+    cases = [rand_gmat(k, n, q) for k in (0, 1, 2, 4)]
+    cases += [deficient, np.zeros((3, n), np.int64)]
+    for gmat in cases:
+        k = len(gmat)
+        msgs = [0] + [m for j in range(k) for m in range(q**j, 2 * q**j)]
+        digits = np.array([[m // q**i % q for i in range(k)] for m in msgs],
+                          dtype=np.int64).reshape(len(msgs), k)
+        got = _kernels._points(gmat, q)
+        assert len(got) == projective_rows(k, q)
+        assert np.array_equal(got, digits @ gmat % q)
+        assert np.array_equal(scan(gmat, q)[1], scan_numpy(gmat, q)[1])
+        union_matches_oracle([gmat, cases[2]], q)
+        union_matches_oracle([cases[3], gmat], q)
+
+
 def test_min_weight():
     assert min_weight(np.array([1, 0, 0, 3, 5])) == 3
     assert min_weight(np.array([2, 0, 0, 3, 5])) == 0
