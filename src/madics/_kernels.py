@@ -16,12 +16,12 @@ components and rank-deficient matrices too: counts[0] counts every
 message that maps to the zero word.  Its callers differ in the tables,
 the counts and op:
 
-    scan         field code: the tables hold words spanned by the
-                 upper and the lower half of G's rows, so each codeword
-                 is one h + l.  The low words are a linear code, which
-                 negation permutes, so the weights of all h + l are the
-                 distances of all pairs h, l: op = XOR on the
-                 (q-1).bit_length() planes of the binary digits.
+    scan         field code: the tables hold words spanned by two
+                 sets of G's rows, so each codeword is one h + l.  The
+                 low words are a linear code, which negation permutes,
+                 so the weights of all h + l are the distances of all
+                 pairs h, l: op = XOR on the (q-1).bit_length() planes
+                 of the binary digits.
     scan_union   ring code: a ring word's support is the union of its
                  CRT component supports, so op = OR on one plane of 0/1
                  supports, and a weight depends on supports alone.
@@ -29,14 +29,35 @@ the counts and op:
                  gathered per block; the low table is the last
                  component's.
 
-scan is projective: multiplying a message by lambda != 0 moves no
-weight, since lambda h - l = lambda (h - l / lambda) and l -> l / lambda
-permutes the low code.  So its high table holds the zero word (row 0,
-key 0) and one word per projective point (key 1, standing for the q - 1
-multiples of its message): the messages whose most significant nonzero
-base-q digit is 1, the rows [q**j, 2 q**j) of the _words order (see
-_points), 1 + (q**k - 1)/(q - 1) rows instead of q**k.  It passes
-mult_high = [1, q - 1] and keeps its low table whole, mult_low = [1].
+scan's high table holds one word per orbit of a group acting on the
+messages of its rows, keyed by the orbit size, and its low table is a
+code L that the group maps onto itself, kept whole (mult_low = [1]).
+Then hist(g h + L) = hist(g (h + L)) = hist(h + L) for each g of the
+group, so one word stands for its orbit (_orbit_words).  Two groups
+are used:
+
+    scalars      without a split: the low table is the span of the
+                 lower half of G's rows, the high table the zero word
+                 and one word per projective point of the upper half,
+                 the messages whose most significant nonzero base-q
+                 digit is 1, the rows [q**j, 2 q**j) of the _words
+                 order (_points): 1 + (q**k - 1)/(q - 1) rows instead
+                 of q**k, keyed [1, q - 1].
+    <x, scalars> with check = f_A: G's rows span a cyclic code
+                 C = A + B, two ideals, where A has check polynomial
+                 f_A and its rows x**i a come last.  The low table is
+                 every word of B, which the cyclic shift and the
+                 scalars map onto itself; the high table is one word of
+                 A per orbit of the shift, m -> x m mod f_A on A's
+                 messages, and the scalars.  A shift orbit has p words
+                 unless the word is fixed, so [127,15]_2 visits 4 x 128
+                 pairs where the scalar orbits visit 128 x 256.
+
+The orbits are labeled in message space: each generator is a
+k x k matrix acting on base-q digit vectors, _words of its rows
+tabulates every image in message order, and _least_labels doubles the
+power of the generator each step, leaving the least message of each
+cycle; _orbits labels support rotations the same way.
 
 scan_union works on support classes.  A component's table holds each
 distinct support of its words once, with the number of messages that
@@ -63,8 +84,10 @@ that the peak resident size of a run would show.
 
 A block's largest temporary, pairs x words per plane x 8 bytes, is kept
 to BLOCK_BYTES (one high row at least), and is freed before bincount
-copies the block's bins to intp, so the two are never held at once.  Tables are sized by
-q**ceil(k/2) words (field) or by each component's support classes
+copies the block's bins to intp, so the two are never held at once.
+Tables are sized by q**ceil(k/2) words (scalar-only field scans), by
+the caller's bound on B and q**dim(A) labels (split field scans:
+analysis.SPLIT_LOW_ROWS), or by each component's support classes
 (ring), never by the total word or tuple count.  counts[0] includes the
 zero word.
 """
@@ -75,6 +98,8 @@ import math
 from collections import Counter
 
 import numpy as np
+
+from .ffield import make_prime_field
 
 BLOCK_BYTES = 1 << 18
 
@@ -130,8 +155,12 @@ def _distance_counts(high, n_high, low, low_keys, n, op, mult_high,
         diff = op(block[0][:, None], low[0])
         for b in range(1, planes):
             diff |= op(block[b][:, None], low[b])
-        at = np.bitwise_count(diff).sum(axis=2, dtype=atype)
+        ones = np.bitwise_count(diff)
         del diff  # freed before bincount makes its own intp copy of at
+        at = ones[..., 0].astype(atype)
+        for w in range(1, width):  # a word slice at a time: few words
+            at += ones[..., w]
+        del ones
         if keyed:
             if low_at is not None:
                 at += low_at
@@ -158,6 +187,45 @@ def _words(gmat, q, last=None):
     return table.astype(np.min_scalar_type(q - 1), copy=False)
 
 
+def _least_labels(label, perm, steps):
+    """Each label replaced by the least label over perm**s(i), s <
+    2**steps: with 2**steps at least the order of perm, the least label
+    on each cycle.  Each doubling step takes the least label over twice
+    as many powers of perm."""
+    for _ in range(steps):
+        label = np.minimum(label, label[perm])
+        perm = perm[perm]
+    return label
+
+
+def _orbit_words(gmat, q, check):
+    """One word per orbit of <x mod f, scalars> (module docstring), f =
+    check, on the q**k messages of gmat's k rows: the word of the
+    orbit's least message in the _words order, with the orbit sizes.
+    The group is generated by the shift m -> x m mod f, the companion
+    matrix of f, and a primitive root mod q times the identity; it is
+    abelian, so _least_labels over each generator in turn leaves the
+    least message of each orbit."""
+    k, n = gmat.shape
+    shift = np.eye(k, k, 1, dtype=np.int64)
+    shift[-1] = np.negative(check[:k])
+    root = make_prime_field(q).primitive_element
+    # f divides x**n - 1, so x**n = 1 mod f
+    gens = [(shift, n), (root * np.eye(k, dtype=np.int64), q - 1)]
+    label = np.arange(q**k)
+    powers = q ** np.arange(k)
+    for mat, order in gens:
+        if order > 1:
+            label = _least_labels(label, _words(mat, q) @ powers,
+                                  (order - 1).bit_length())
+    sizes = np.zeros(len(label), dtype=np.int64)
+    np.add.at(sizes, label, 1)
+    reps = np.flatnonzero(sizes)
+    # few orbits: the words of their least messages' digits
+    words = reps[:, None] // powers % q @ np.asarray(gmat, np.int64) % q
+    return words.astype(np.min_scalar_type(q - 1)), sizes[reps].tolist()
+
+
 def min_weight(counts):
     """Least weight of a nonzero message: 0 when one maps to the zero
     word (counts[0] > 1), else the least w >= 1 with counts[w] > 0 (0
@@ -168,18 +236,28 @@ def min_weight(counts):
     return int(live[0]) + 1
 
 
-def scan(gmat, q):
+def scan(gmat, q, check=None):
     """Weight distribution of all q**k messages of the k x n matrix
-    gmat; returns (min_weight(counts), counts)."""
-    half = (len(gmat) + 1) // 2
+    gmat; returns (min_weight(counts), counts).  With check = f, a
+    monic divisor of x**n - 1 of degree j, the last j rows must be
+    x**i a, i < j, for a word a of the ideal A with check polynomial f,
+    and the others must span a cyclic code B (module docstring)."""
+    k, n = gmat.shape
+    half = (k + 1) // 2 if check is None else k - (len(check) - 1)
     bits = (q - 1).bit_length()
     low = _planes(_words(gmat[:half], q), bits)
-    high = _planes(_points(gmat[half:], q), bits)
-    # key 0 for the zero word (row 0), 1 for a point
-    keys = np.minimum(np.arange(high.shape[1]), 1).astype(np.uint8)
+    if check is None:
+        high = _points(gmat[half:], q)
+        # key 0 for the zero word (row 0), 1 for a point
+        keys = np.minimum(np.arange(len(high)), 1).astype(np.uint8)
+        mult_high = [1, q - 1]
+    else:
+        high, sizes = _orbit_words(gmat[half:], q, check)
+        keys, mult_high = _index(sizes)
+    high = _planes(high, bits)
     counts = _distance_counts(lambda idx: (high[:, idx], keys[idx]),
-                              len(keys), low, None, gmat.shape[1],
-                              np.bitwise_xor, [1, q - 1], [1])
+                              len(keys), low, None, n, np.bitwise_xor,
+                              mult_high, [1])
     return min_weight(counts), counts
 
 
@@ -235,12 +313,8 @@ def _orbits(rows, mult, n):
     perm = _shift(rows, n)
     if perm is None:
         return rows, mult
-    perm = np.array(perm)
-    label = np.arange(len(rows))
-    for _ in range((n - 1).bit_length()):
-        label = np.minimum(label, label[perm])
-        perm = perm[perm]
-    label = label.tolist()
+    label = _least_labels(np.arange(len(rows)), np.array(perm),
+                          (n - 1).bit_length()).tolist()
     sums = dict.fromkeys(label, 0)  # the orbits in table order
     for at, count in zip(label, mult):
         sums[at] += count

@@ -10,7 +10,21 @@ Krawtchouk values K_w(i) exact Python ints from their three-term
 recurrence.  Either way the counts are Python ints (past the cap A_w
 exceeds int64), and the cap (default DEFAULT_CAP = 2**24) bounds the
 words actually scanned, min(q**k, q**(n-k)): a larger scan is refused
-with TooLarge.  The exhaustive ring method holds its tuple count, the
+with TooLarge.
+
+The scanned code, C or its dual, is cyclic, so its check polynomial
+factors into the coset factors of its nonzeros: a family code's are
+recorded at construction (CyclicCode.nonzeros), the dual's are the
+negated zeros of C, and field_codes.check_factors returns the factors
+of either.  _split divides them between two ideals, C = A + B:
+A takes the factors whose degrees sum to the most that is at most
+ceil(dim/2), and the kernel tabulates every word of B against one word
+of A per orbit of the group generated by the cyclic shift and the
+scalars, weighed by the orbit size (see _kernels).  The scan has no
+split, and groups by scalars alone, for a code built by hand, an
+irreducible check polynomial or a dim A below 2, a B of more than
+SPLIT_LOW_ROWS words (its low table), or fewer than SPLIT_MIN_WORDS
+words in all.  The exhaustive ring method holds its tuple count, the
 product of the component word counts, to the same cap.  Ring codes are
 measured two ways: the component-min method takes the minimum of the
 CRT component distances, which is exact because a ring codeword's
@@ -30,12 +44,21 @@ does not load numpy; it loads on the first scan only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import poly
 from .errors import DEFAULT_CAP, BackendUnavailable, InvalidParameter, TooLarge
 from .ffield import is_prime_power
+from .field_codes import check_factors
+
+# Most words of the ideal B that a split scan tabulates whole (its low
+# table); a split whose B has more falls back to the scalar-only scan.
+SPLIT_LOW_ROWS = 1 << 14
+# Fewest words a scan must have to be split: on smaller codes the
+# labeling and the generator products cost more than the pairs saved.
+SPLIT_MIN_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -73,9 +96,58 @@ def _shift_matrix(gen, n, k):
     import numpy as np
 
     mat = np.zeros((k, n), dtype=np.int64)
+    gen = np.asarray(gen, dtype=np.int64)  # converted once, not per row
     for i in range(k):
         mat[i, i:i + len(gen)] = gen
     return mat
+
+
+def _split(code, dual, dim):
+    """The check polynomials (f_A, f_B) of the split of the scanned code
+    (C, or its dual when dual) into ideals A + B of the module
+    docstring, or None when it has none.  A below dimension 2 is no
+    split: on a one-dimensional ideal the shift acts as a scalar."""
+    if code.q**dim < SPLIT_MIN_WORDS:
+        return None
+    factors = check_factors(code, dual)
+    if factors is None:
+        return None
+    # one subset of the factors, by index, per reachable degree sum
+    reach = {0: ()}
+    for i, f in enumerate(factors):
+        for total, part in list(reach.items()):
+            if total + len(f) - 1 <= (dim + 1) // 2:
+                reach.setdefault(total + len(f) - 1, part + (i,))
+    dim_a = max(reach)
+    if dim_a < 2 or code.q**(dim - dim_a) > SPLIT_LOW_ROWS:
+        return None
+    part = set(reach[dim_a])
+    mul = functools.partial(poly.mul, code.ctx)
+    return (functools.reduce(mul, [factors[i] for i in reach[dim_a]]),
+            functools.reduce(mul, [f for i, f in enumerate(factors)
+                                   if i not in part]))
+
+
+def _scan_matrix(code, dual):
+    """A generator matrix of the scanned code (C, or its dual when dual)
+    and the check polynomial f_A of its split, or None when it has none.
+    With a split C = A + B, the first rows are x**i g f_A, i < dim B, and
+    the last x**i g f_B, i < dim A, for g the scanned code's generator."""
+    import numpy as np
+
+    n, k = code.p, code.dimension
+    dim = n - k if dual else k
+    gen = dual_generator(code) if dual else code.generator
+    split = _split(code, dual, dim)
+    if split is None:
+        if not dual:
+            return generator_matrix(code), None
+        return _shift_matrix(gen, n, dim), None
+    f_a, f_b = split
+    dim_a = len(f_a) - 1
+    return np.vstack([
+        _shift_matrix(poly.mul(code.ctx, gen, f_a), n, dim - dim_a),
+        _shift_matrix(poly.mul(code.ctx, gen, f_b), n, dim_a)]), f_a
 
 
 def generator_matrix(code):
@@ -136,12 +208,12 @@ def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
             f"enumerating {total} codewords, the smaller of the code "
             f"({q}^{k}) and its dual ({q}^{n - k}), exceeds the cap {cap}; "
             "raise the cap to proceed")
+    gmat, check = _scan_matrix(code, dual)
+    best, counts = _kernels.scan(gmat, q, check)
     if not dual:
-        best, counts = _kernels.scan(generator_matrix(code), q)
         return DistanceReport(n, k, best, "exhaustive", total,
                               tuple(int(c) for c in counts))
-    gmat = _shift_matrix(dual_generator(code), n, n - k)
-    dist = macwilliams([int(c) for c in _kernels.scan(gmat, q)[1]], n, q)
+    dist = macwilliams([int(c) for c in counts], n, q)
     best = next((w for w in range(1, n + 1) if dist[w]), 0)
     return DistanceReport(n, k, best, "macwilliams", total, dist)
 

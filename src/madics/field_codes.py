@@ -15,8 +15,13 @@ x**p - 1 for the q-cyclotomic cosets in Q_i, and each factor is the
 minimal polynomial of alpha**min(C) over F_q, solved as a linear
 relation among the base-q digit vectors of its powers, so no
 polynomial over GF(q^t) is multiplied (MacWilliams & Sloane, ch. 4).
-Each code carries its generator and its idempotent generator,
-the inverse DFT of its 0/1 spectrum (MacWilliams & Sloane, ch. 8).
+Each code carries its generator, its idempotent generator (the
+inverse DFT of its 0/1 spectrum, MacWilliams & Sloane, ch. 8) and its
+nonzeros: the q-cyclotomic cosets C whose roots alpha^k, k in C, are
+roots of its check polynomial (x**p - 1)/g, each named by its least
+member.  With u*Q_i the cosets of class i, even-I has nonzeros u*Q_i,
+odd-I all cosets but u*Q_i, even-II all but u*Q_i and {0}, and odd-II
+u*Q_i and {0}.
 With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
 lie in F_q (Storer, Cyclotomy and Difference Sets); gauss_periods
 reads them off the coset factors once per (system, q, u), and both the
@@ -31,19 +36,29 @@ odd-I takes 1 - e_i, even-II 1 - p**-1 h - e_i, odd-II p**-1 h + e_i.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import poly
-from .errors import NotCoprime, QNotResidue
+from .errors import NotCoprime, QNotResidue, TooLarge
 from .ffield import FieldCtx, make_extension, make_prime_field
 
 FAMILIES = ("even-I", "odd-I", "even-II", "odd-II")
+# Most coefficients, m * p, that family_codes builds: a family holds m
+# generators and m idempotents of up to p coefficients each, all kept
+# for the life of the process by its cache.  (2, 8191, 630), about
+# 5.2 M, still builds; (2, 131071, 7710), about 10**9, is refused.
+FAMILY_COEFFS = 1 << 23
 
 
 @dataclass(frozen=True)
 class CyclicCode:
     """A cyclic code of prime length p over GF(q), with its generator
-    polynomial (monic, ascending coefficients) and idempotent generator."""
+    polynomial (monic, ascending coefficients) and idempotent generator.
+
+    nonzeros names the code's nonzero cyclotomic cosets by their least
+    members (module docstring), relative to the alpha of
+    splitting_field; it is None for a code built by hand, and it takes
+    no part in equality, since the generator determines it."""
 
     ctx: FieldCtx
     p: int
@@ -51,6 +66,7 @@ class CyclicCode:
     index: int
     generator: tuple
     idempotent: tuple
+    nonzeros: tuple | None = field(default=None, compare=False)
 
     @property
     def q(self):
@@ -150,14 +166,48 @@ def _product(ctx, polys):
 
 
 @functools.lru_cache(maxsize=None)
-def _class_products(system, q, alpha_exp):
-    """ghat_i = prod_{k in Q_i} (x - alpha^(u*k)) over F_q.
+def coset_leaders(q, p):
+    """The least member of the q-cyclotomic coset mod p of each k < p."""
+    leader = [0] * p
+    for coset in poly.cyclotomic_cosets(q, p):
+        for k in coset:
+            leader[k] = coset[0]
+    return tuple(leader)
 
-    alpha_exp = u selects which primitive p-th root anchors the
-    class-to-factor labeling; u must be coprime to p.  Labelings for
-    different u differ by a rotation of the class index.  Since q lies
-    in Q_0, u*Q_i is a union of q-cyclotomic cosets, and ghat_i is the
-    product of their coset factors.
+
+def _other_cosets(q, p, cosets):
+    """The leaders of the q-cyclotomic cosets mod p not in cosets,
+    ascending."""
+    own = set(cosets)
+    return tuple(r for r in dict.fromkeys(coset_leaders(q, p))
+                 if r not in own)
+
+
+def check_factors(code, dual=False):
+    """The coset factors of the check polynomial of code, or of its dual
+    when dual, one per nonzero coset; None for a code built by hand.
+    The dual's nonzeros are the negated zeros of code, so no polynomial
+    is divided."""
+    if code.nonzeros is None:
+        return None
+    q, p = code.q, code.p
+    nonzeros = code.nonzeros
+    if dual:
+        leader = coset_leaders(q, p)
+        nonzeros = [leader[-r % p] for r in _other_cosets(q, p, nonzeros)]
+    factor_of = coset_factors(q, p)
+    return [factor_of[r] for r in nonzeros]
+
+
+@functools.lru_cache(maxsize=None)
+def _class_cosets(system, q, alpha_exp):
+    """The q-cyclotomic cosets of u*Q_i for each class i, by least
+    member, ascending: the one check of a labeling, read by the class
+    products and the Gauss periods.
+
+    q must be coprime to p and an m-adic residue (QNotResidue
+    otherwise), and u = alpha_exp coprime to p (NotCoprime).  Then q
+    lies in Q_0, so u*Q_i is a union of q-cyclotomic cosets.
     """
     p = system.p
     if q % p == 0:
@@ -168,11 +218,24 @@ def _class_products(system, q, alpha_exp):
             "class products do not descend to the base field")
     if alpha_exp % p == 0:
         raise NotCoprime("alpha_exp must be coprime to p")
-    factor_of = coset_factors(q, p)
+    leader = coset_leaders(q, p)
+    return tuple(tuple(sorted({leader[alpha_exp * k % p] for k in cls}))
+                 for cls in system.classes)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_products(system, q, alpha_exp):
+    """ghat_i = prod_{k in Q_i} (x - alpha^(u*k)) over F_q.
+
+    alpha_exp = u selects which primitive p-th root anchors the
+    class-to-factor labeling.  Labelings for different u differ by a
+    rotation of the class index.  ghat_i is the product of the coset
+    factors of u*Q_i (_class_cosets, which checks q and u).
+    """
+    factor_of = coset_factors(q, system.p)
     ctx = make_prime_field(q)
-    return tuple(
-        _product(ctx, dict.fromkeys(factor_of[alpha_exp * k % p] for k in cls))
-        for cls in system.classes)
+    return tuple(_product(ctx, [factor_of[r] for r in cosets])
+                 for cosets in _class_cosets(system, q, alpha_exp))
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,21 +245,15 @@ def gauss_periods(system, q, alpha_exp):
     of F_q: the one source of the periods for the idempotents and the
     identity suite's spectra.
 
-    With q in Q_0, as _class_products checks before either reader runs,
-    and u = alpha_exp coprime to p (NotCoprime otherwise), u*Q_r is a
-    union of q-cyclotomic cosets; the roots of a coset factor f of
+    u*Q_r is a union of q-cyclotomic cosets (_class_cosets, which checks
+    q and u as the class products do); the roots of a coset factor f of
     degree d sum to minus its x**(d-1) coefficient, so eta_r is the sum
-    of -f[-2] over the distinct coset factors of u*Q_r.  Checks that
+    of -f[-2] over the coset factors of u*Q_r.  Checks that
     sum_r eta_r = -1 (the sum of all nontrivial p-th roots of unity).
     """
-    p = system.p
-    if alpha_exp % p == 0:
-        raise NotCoprime("alpha_exp must be coprime to p")
-    factor_of = coset_factors(q, p)
-    etas = tuple(
-        -sum(f[-2] for f in dict.fromkeys(factor_of[alpha_exp * k % p]
-                                          for k in cls)) % q
-        for cls in system.classes)
+    factor_of = coset_factors(q, system.p)
+    etas = tuple(-sum(factor_of[r][-2] for r in cosets) % q
+                 for cosets in _class_cosets(system, q, alpha_exp))
     if sum(etas) % q != q - 1:
         raise AssertionError("the Gauss periods do not sum to -1")
     return etas
@@ -237,11 +294,17 @@ def family_codes(system, ctx, family, alpha_exp=1):
     Each generator comes from the class product ghat_i and each
     idempotent from e_i, as in the module docstring; x - 1 divides
     every even-like class-I generator, so the odd-like class-II
-    division is exact.
+    division is exact.  A family of more than FAMILY_COEFFS
+    coefficients, m * p, is refused with TooLarge before any is built.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    p = system.p
+    p, m = system.p, system.m
+    if m * p > FAMILY_COEFFS:
+        raise TooLarge(
+            f"a family of {m} codes of length {p} holds {m * p} "
+            f"coefficients, past the cap {FAMILY_COEFFS}")
+    cosets = _class_cosets(system, ctx.q, alpha_exp)
     ghats = _class_products(system, ctx.q, alpha_exp)
     idems = _class_idempotents(system, ctx.q, alpha_exp)
     xp1 = poly.xn_minus_1(ctx, p)
@@ -250,16 +313,18 @@ def family_codes(system, ctx, family, alpha_exp=1):
     h_idem = poly.scale(ctx, pow(p, -1, ctx.q), all_ones_h(p))
     one_minus_h = poly.sub(ctx, one, h_idem)
     codes = []
-    for i, (ghat, e_i) in enumerate(zip(ghats, idems)):
+    for i, (ghat, e_i, own) in enumerate(zip(ghats, idems, cosets)):
         if family == "even-I":
-            g, e = poly.div_exact(ctx, xp1, ghat), e_i
+            g, e, nonzeros = poly.div_exact(ctx, xp1, ghat), e_i, own
         elif family == "odd-I":
             g, e = ghat, poly.sub(ctx, one, e_i)
+            nonzeros = _other_cosets(ctx.q, p, own)
         elif family == "even-II":
             g = poly.mul(ctx, x_minus_1, ghat)
             e = poly.sub(ctx, one_minus_h, e_i)
+            nonzeros = _other_cosets(ctx.q, p, (0,) + own)
         else:  # odd-II
             g = poly.div_exact(ctx, poly.div_exact(ctx, xp1, ghat), x_minus_1)
-            e = poly.add(ctx, h_idem, e_i)
-        codes.append(CyclicCode(ctx, p, family, i, g, e))
+            e, nonzeros = poly.add(ctx, h_idem, e_i), (0,) + own
+        codes.append(CyclicCode(ctx, p, family, i, g, e, nonzeros))
     return tuple(codes)

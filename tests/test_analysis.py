@@ -1,5 +1,6 @@
 """Distance computation and bound checks with frozen oracle values."""
 
+import dataclasses
 import math
 import random
 import time
@@ -8,7 +9,7 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from madics import poly
+from madics import _kernels, analysis, poly
 from madics.analysis import (
     DEFAULT_CAP,
     dual_generator,
@@ -21,7 +22,7 @@ from madics.analysis import (
 )
 from madics.errors import BackendUnavailable, InvalidParameter, TooLarge
 from madics.ffield import make_extension, make_prime_field
-from madics.field_codes import CyclicCode, family_codes
+from madics.field_codes import FAMILIES, CyclicCode, family_codes
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
 from madics.ring_codes import ring_code, ring_mu_chain
@@ -306,13 +307,152 @@ def test_benchmark_call_shape():
         min_distance_ring(rc, DEFAULT_CAP, True)
 
 
-# (q, p, m) with q an m-adic residue mod p and a small splitting field;
+# (q, p, m) with q an m-adic residue mod p and a small splitting field
+FIELD_CASES = [(2, 7, 2), (3, 11, 2), (3, 13, 2), (3, 13, 4), (5, 13, 3),
+               (2, 17, 2), (7, 19, 3), (7, 19, 6), (2, 31, 3), (2, 31, 6),
+               (5, 31, 5), (5, 31, 10)]
+
+
+def scalar_only_matrix(code, dual):
+    """The matrix of the same scan without a split: the scan of a code
+    with no recorded nonzeros."""
+    gmat, check = analysis._scan_matrix(
+        dataclasses.replace(code, nonzeros=None), dual)
+    assert check is None
+    return gmat
+
+
+def split_sides(q, p, m, index=None):
+    """(code, dual) for every family code at (q, p, m), or the code of
+    one index, scanned directly and through its dual."""
+    for family in FAMILIES:
+        codes = family_codes(build_residue_system(p, m), make_prime_field(q),
+                             family)
+        for code in codes if index is None else codes[index:index + 1]:
+            yield code, False
+            yield code, True
+
+
+def assert_split_scan_exact(code, dual, oracle_words):
+    """The split scan of one side against scan_numpy up to oracle_words
+    words, else against the scalar-only scan; returns whether the side
+    was split."""
+    q = code.q
+    gmat, check = analysis._scan_matrix(code, dual)
+    got = _kernels.scan(gmat, q, check)
+    plain = scalar_only_matrix(code, dual)
+    ref = (scan_numpy(plain, q) if q ** len(plain) <= oracle_words
+           else _kernels.scan(plain, q))
+    assert got[0] == ref[0]
+    assert np.array_equal(got[1], ref[1])
+    return check is not None
+
+
+@pytest.mark.parametrize("q,p,m", FIELD_CASES)
+def test_split_scan_matches_oracles(monkeypatch, q, p, m):
+    # every family code and its dual, whichever side the distance scan
+    # would take, through the ideal split where there is one, also on
+    # codes too small for the distance scan to split
+    monkeypatch.setattr(analysis, "SPLIT_MIN_WORDS", 0)
+    for code, dual in split_sides(q, p, m):
+        dim = code.p - code.dimension if dual else code.dimension
+        if q ** dim <= 1 << 18:
+            assert_split_scan_exact(code, dual, 1 << 12)
+
+
+@pytest.mark.parametrize("q,p,m", [(11, 5, 2), (11, 5, 4)])
+def test_split_scan_when_p_divides_q_minus_1(monkeypatch, q, p, m):
+    # x has order p, which divides q - 1, so <x, scalars> is not
+    # cyclic and no single element of it generates the orbits
+    monkeypatch.setattr(analysis, "SPLIT_MIN_WORDS", 0)
+    split = 0
+    for code, dual in split_sides(q, p, m):
+        split += assert_split_scan_exact(code, dual, 1 << 12)
+    assert split
+
+
+@pytest.mark.parametrize("q,p,m", [(2, 127, 9), (2, 127, 6), (2, 89, 4)])
+def test_split_scan_matches_scalar_only_at_length(q, p, m):
+    # up to 2**22 words a side, against the scalar-only scan
+    split = 0
+    for code, dual in split_sides(q, p, m, index=0):
+        dim = code.p - code.dimension if dual else code.dimension
+        if q ** dim <= 1 << 22:
+            split += assert_split_scan_exact(code, dual, 1 << 12)
+    assert split
+
+
+def kernel_work(monkeypatch):
+    """A list that gathers (high rows, low rows) of every
+    _distance_counts call."""
+    seen = []
+    kernel = _kernels._distance_counts
+
+    def spy(high, n_high, low, *rest):
+        seen.append((n_high, low.shape[1]))
+        return kernel(high, n_high, low, *rest)
+
+    monkeypatch.setattr(_kernels, "_distance_counts", spy)
+    return seen
+
+
+@pytest.mark.parametrize("q,p,m,family,work", [
+    # [127,15]_2 = A + B with k_A = 8 (x - 1 and one degree-7 factor):
+    # orbits 0, the all-ones word, and two of 127 words each
+    (2, 127, 9, "odd-II", (4, 128)),
+    # [89,22]_2, 2**22 words: 1 + 2047/89 orbits of A against 2**11
+    (2, 89, 4, "even-I", (24, 2048)),
+    # [127,14]_2: 0 and the 127 nonzero words of a degree-7 ideal
+    (2, 127, 9, "even-I", (2, 128)),
+    # [19,7]_7 = (3 + 1) + 3: orbits of <x, scalars> on 7**4 messages
+    (7, 19, 3, "odd-II", (23, 343))])
+def test_split_scan_work(monkeypatch, q, p, m, family, work):
+    code = family_codes(build_residue_system(p, m), make_prime_field(q),
+                        family)[0]
+    ref = min_distance_field(dataclasses.replace(code, nonzeros=None))
+    seen = kernel_work(monkeypatch)
+    assert min_distance_field(code) == ref
+    assert seen == [work]
+
+
+def test_split_fallbacks(monkeypatch):
+    # [19,3]_7 has an irreducible check polynomial and [13,4]_3 one of
+    # degrees 1 + 3, whose A could only be the x - 1 part: both scan as
+    # before, the zero word and the projective points of the upper
+    # half against the lower half, at any size
+    monkeypatch.setattr(analysis, "SPLIT_MIN_WORDS", 0)
+    seen = kernel_work(monkeypatch)
+    for (q, p, m, family), work in [((7, 19, 6, "even-I"), (2, 49)),
+                                    ((3, 13, 4, "odd-II"), (5, 9))]:
+        code = family_codes(build_residue_system(p, m), make_prime_field(q),
+                            family)[0]
+        assert analysis._split(code, False, code.dimension) is None
+        assert analysis._scan_matrix(code, False)[1] is None
+        min_distance_field(code)
+        assert seen.pop() == work
+    # a code built by hand records no nonzeros
+    g = family_codes(SYS134, F3, "even-I")[0].generator
+    assert analysis._scan_matrix(CyclicCode(F3, 13, "even-I", 0, g, g),
+                                 False)[1] is None
+    # a B past SPLIT_LOW_ROWS: [127,15]_2 splits 8 + 7, so B has 2**7
+    code = family_codes(build_residue_system(127, 9), make_prime_field(2),
+                        "odd-II")[0]
+    monkeypatch.setattr(analysis, "SPLIT_LOW_ROWS", 2**7 - 1)
+    assert analysis._split(code, False, 15) is None
+    monkeypatch.setattr(analysis, "SPLIT_LOW_ROWS", 2**7)
+    assert len(analysis._split(code, False, 15)[0]) == 9
+    # a scan of fewer than SPLIT_MIN_WORDS words: [13,6]_3 splits 3 + 3
+    # when forced, and not at the default
+    code = family_codes(build_residue_system(13, 2), F3, "even-I")[0]
+    assert analysis._split(code, False, 6) is not None
+    monkeypatch.setattr(analysis, "SPLIT_MIN_WORDS", 3**6 + 1)
+    assert analysis._split(code, False, 6) is None
+
+
 # every (s, family) whose tuple count stays at most 2**17
 RING_CASES = [
     (q, p, m, s, family)
-    for q, p, m in ((2, 7, 2), (3, 11, 2), (3, 13, 2), (3, 13, 4),
-                    (5, 13, 3), (2, 17, 2), (7, 19, 3), (7, 19, 6),
-                    (2, 31, 3), (2, 31, 6), (5, 31, 5), (5, 31, 10))
+    for q, p, m in FIELD_CASES
     for s in range(2, q + 1) if (q - 1) % (s - 1) == 0
     for family, k in _family_dims(p, m).items() if q ** (k * s) <= 1 << 17
 ]

@@ -222,6 +222,24 @@ def test_classes_p_cap_exit_2(capsys):
     assert err.startswith("error: TooLarge: p=1000000000039 exceeds")
 
 
+def test_family_coefficient_cap_exit_2():
+    # 7710 codes of length 131071, about 10**9 coefficients: refused
+    # before any is built, where the build used to end in a MemoryError
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "madics.cli", "field-code", "--q", "2",
+         "--p", "131071", "--m", "7710", "--family", "even-I", "--index",
+         "0"], capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: TooLarge: a family of 7710 codes of length 131071")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("shape", [("field-code", "--index", "0"),
                                    ("ring-code", "--s", "3", "--slots",
                                     "0,1,2")], ids=lambda s: s[0])

@@ -1,5 +1,6 @@
 """Field code family tests with frozen reference generators."""
 
+import dataclasses
 import random
 import time
 
@@ -8,15 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from madics import poly
 from madics.analysis import min_distance_field
-from madics.errors import NonPrimeModulus, NotCoprime, QNotResidue
+from madics.errors import NonPrimeModulus, NotCoprime, QNotResidue, TooLarge
 from madics.ffield import make_prime_field
+from madics import field_codes
 from madics.field_codes import (
     FAMILIES,
+    _class_idempotents,
     _class_products,
     _product,
     _root_powers,
     _solve,
     all_ones_h,
+    check_factors,
     coset_factors,
     family_codes,
     gauss_periods,
@@ -337,6 +341,88 @@ def test_gauss_periods_refuse_alpha_exp_divisible_by_p(alpha_exp):
     # would return (1, 1) at (p, m, q) = (13, 2, 3) without the check
     with pytest.raises(NotCoprime):
         gauss_periods(build_residue_system(13, 2), 3, alpha_exp)
+
+
+@pytest.mark.parametrize("p", [13, 7])
+def test_gauss_periods_refuse_q_not_residue(p):
+    # 2 is no cubic residue mod 13 or 7; the coset-factor reading would
+    # return (1, 1, 1) without the check the class products make
+    with pytest.raises(QNotResidue):
+        gauss_periods(build_residue_system(p, 3), 2, 1)
+
+
+@pytest.mark.parametrize("q,p,m", [(3, 13, 4), (2, 127, 9), (7, 19, 3),
+                                   (2, 89, 4), (5, 31, 5), (2, 23, 2)])
+def test_nonzeros_are_the_check_polynomial_roots(q, p, m):
+    # the product of the coset factors of the recorded nonzeros is the
+    # check polynomial (x**p - 1)/g, for every family and labeling
+    ctx = make_prime_field(q)
+    factor_of = coset_factors(q, p)
+    leaders = {c[0] for c in poly.cyclotomic_cosets(q, p)}
+    for family in FAMILIES:
+        for u in (1, 2, -1):
+            for code in family_codes(build_residue_system(p, m), ctx,
+                                     family, u):
+                assert list(code.nonzeros) == sorted(code.nonzeros)
+                assert set(code.nonzeros) <= leaders
+                check = poly.div_exact(ctx, poly.xn_minus_1(ctx, p),
+                                       code.generator)
+                assert _product(ctx, [factor_of[r]
+                                      for r in code.nonzeros]) == check
+
+
+@pytest.mark.parametrize("q,p,m", [(3, 13, 4), (2, 127, 9), (7, 19, 3),
+                                   (11, 5, 2), (5, 31, 5)])
+def test_check_factors_multiply_to_the_check_polynomials(q, p, m):
+    # the factors of code and dual are those of (x**p - 1)/g and of
+    # (x**p - 1)/g_dual, with g_dual the dual's generator
+    from madics.analysis import dual_generator
+
+    ctx = make_prime_field(q)
+    xp1 = poly.xn_minus_1(ctx, p)
+    for family in FAMILIES:
+        for code in family_codes(build_residue_system(p, m), ctx, family):
+            for dual in (False, True):
+                gen = dual_generator(code) if dual else code.generator
+                assert _product(ctx, check_factors(code, dual)) == \
+                    poly.div_exact(ctx, xp1, gen)
+            bare = dataclasses.replace(code, nonzeros=None)
+            assert check_factors(bare) is None
+            assert check_factors(bare, True) is None
+
+
+def test_nonzeros_of_singleton_cosets_time():
+    # with p | q - 1 every coset is a singleton, so odd-I and even-II
+    # record p - 1 - (p - 1)/m nonzeros per code; taking them as the
+    # complement of a class in linear time keeps the warm build in
+    # milliseconds (about 3 s per family with a tuple membership test)
+    p, q = 16411, 98467
+    system, ctx = build_residue_system(p, 2), make_prime_field(q)
+    _class_products(system, q, 1)
+    _class_idempotents(system, q, 1)
+    for family in ("odd-I", "even-II"):
+        t0 = time.perf_counter()
+        codes = family_codes.__wrapped__(system, ctx, family)
+        assert time.perf_counter() - t0 < 0.5
+        for code in codes:
+            assert len(code.nonzeros) == (p - 1) // 2 + (family == "odd-I")
+
+
+def test_nonzeros_take_no_part_in_equality():
+    code = family_codes(build_residue_system(13, 4), F3, "odd-I")[0]
+    bare = dataclasses.replace(code, nonzeros=None)
+    assert bare == code and hash(bare) == hash(code)
+
+
+def test_family_coefficient_cap(monkeypatch):
+    # m * p coefficients past FAMILY_COEFFS are refused before any code
+    # is built; the cached family_codes is bypassed so nothing is reused
+    system = build_residue_system(13, 4)
+    monkeypatch.setattr(field_codes, "FAMILY_COEFFS", 13 * 4 - 1)
+    with pytest.raises(TooLarge, match="4 codes of length 13 holds 52"):
+        family_codes.__wrapped__(system, F3, "even-I")
+    monkeypatch.setattr(field_codes, "FAMILY_COEFFS", 13 * 4)
+    assert len(family_codes.__wrapped__(system, F3, "even-I")) == 4
 
 
 def test_idempotents_supported_on_classes():
