@@ -12,9 +12,10 @@ All four require q to be an m-adic residue mod p (q in Q_0); that is
 exactly the condition for the class products to have coefficients in
 F_q.  ghat_i is the product over F_q of the irreducible factors of
 x**p - 1 for the q-cyclotomic cosets in Q_i, and each factor is the
-minimal polynomial of alpha**min(C) over F_q, solved as a linear
-relation among the base-q digit vectors of its powers, so no
-polynomial over GF(q^t) is multiplied (MacWilliams & Sloane, ch. 4).
+minimal polynomial of alpha**min(C) over F_q, found by Berlekamp-Massey
+on the constant digits of its powers, so no polynomial over GF(q^t) is
+multiplied (MacWilliams & Sloane, ch. 4).  The even-I and odd-II
+generators are complement products of the ghat_j, so none is divided.
 Each code carries its generator, its idempotent generator (the
 inverse DFT of its 0/1 spectrum, MacWilliams & Sloane, ch. 8) and its
 nonzeros: the q-cyclotomic cosets C whose roots alpha^k, k in C, are
@@ -36,6 +37,8 @@ odd-I takes 1 - e_i, even-II 1 - p**-1 h - e_i, odd-II p**-1 h + e_i.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 from . import poly
@@ -93,36 +96,31 @@ def splitting_field(q, p):
 
 
 @functools.lru_cache(maxsize=None)
-def _root_powers(q, p):
-    """(ext, alpha**0, ..., alpha**(p-1)) of the splitting field: the
-    table of powers behind the coset factors."""
-    ext, alpha = splitting_field(q, p)
-    roots = [ext.one]
-    for _ in range(p - 1):
-        roots.append(ext.mul(roots[-1], alpha))
-    return ext, tuple(roots)
-
-
-@functools.lru_cache(maxsize=None)
 def coset_factors(q, p):
     """The irreducible factors of x**p - 1 over GF(q), by exponent.
 
-    The factor of a q-cyclotomic coset C mod p is prod_{k in C}
-    (x - alpha^k), the minimal polynomial over F_q of beta = alpha^min(C):
-    its degree is d = |C|, and its coefficients c_j solve
-    sum_{j<d} c_j beta^j = -beta^d on the base-q digit vectors of the
-    powers of beta.  Returns a tuple whose entry k is the factor of the
-    coset holding k, so the coset {0} maps to x - 1 and the members of
-    one coset share one tuple.
+    With u_k the constant digit of alpha^k, u_0 .. u_{2t-1} give the
+    minimal polynomial of alpha (_min_poly), whose recurrence extends u
+    to every k < p.  The factor of a coset C is prod_{k in C}
+    (x - alpha^k), the minimal polynomial of beta = alpha^min(C); it is
+    that of the sequence u_{min(C) j mod p}, the constant digits of the
+    beta^j, which starts at u_0 = 1.  Returns a tuple whose entry k is
+    the factor of the coset holding k, so {0} maps to x - 1.
     """
-    ext, roots = _root_powers(q, p)
+    ext, alpha = splitting_field(q, p)
     ctx = make_prime_field(q)
+    power, u = ext.one, []
+    for _ in range(2 * ext.t):
+        u.append(power % q)
+        power = ext.mul(power, alpha)
+    recurrence = [-c % q for c in _min_poly(q, u)[:-1]]
+    for k in range(len(u), p):
+        u.append(sum(map(operator.mul, recurrence, u[k - ext.t:k])) % q)
     factor_of = [None] * p
     factors = []
     for coset in poly.cyclotomic_cosets(q, p):
-        d = len(coset)
-        powers = [ext.to_vec(roots[j * coset[0] % p]) for j in range(d + 1)]
-        factor = _solve(q, powers[:d], [-c % q for c in powers[d]]) + (1,)
+        g = coset[0]
+        factor = _min_poly(q, [u[g * j % p] for j in range(2 * len(coset))])
         for k in coset:
             factor_of[k] = factor
         factors.append(factor)
@@ -131,27 +129,23 @@ def coset_factors(q, p):
     return tuple(factor_of)
 
 
-def _solve(q, cols, rhs):
-    """The x over GF(q) with sum_j x_j cols[j] = rhs, by Gauss-Jordan
-    elimination on the augmented rows; raises AssertionError when the
-    columns are dependent or a row reduces to 0 = nonzero, so that no
-    linear relation over F_q holds."""
-    d = len(cols)
-    rows = [list(row) for row in zip(*cols, rhs)]
-    for j in range(d):
-        pivot = next((r for r in range(j, len(rows)) if rows[r][j]), None)
-        if pivot is None:
-            raise AssertionError("coset factor did not descend to F_q")
-        rows[j], rows[pivot] = rows[pivot], rows[j]
-        inv = pow(rows[j][j], -1, q)
-        rows[j] = [c * inv % q for c in rows[j]]
-        for r, row in enumerate(rows):
-            if r != j and row[j]:
-                rows[r] = [(c - row[j] * c_j) % q
-                           for c, c_j in zip(row, rows[j])]
-    if any(row[d] for row in rows[d:]):
-        raise AssertionError("coset factor did not descend to F_q")
-    return tuple(row[d] for row in rows[:d])
+def _min_poly(q, seq):
+    """The minimal polynomial over GF(q) of the linear recurring seq,
+    monic and ascending, by Berlekamp-Massey (Massey 1969): exact when
+    seq holds at least twice its degree terms."""
+    conn = prev = [1] + [0] * len(seq)
+    length, shift, prev_disc = 0, 1, 1
+    for n, s in enumerate(seq):
+        disc = (s + sum(map(operator.mul, conn[1:length + 1],
+                            reversed(seq[n - length:n])))) % q
+        if disc:
+            coef = disc * pow(prev_disc, -1, q) % q
+            old, conn = conn, conn[:shift] + [
+                (c - coef * b) % q for c, b in zip(conn[shift:], prev)]
+            if 2 * length <= n:
+                length, prev, prev_disc, shift = n + 1 - length, old, disc, 0
+        shift += 1
+    return tuple(conn[length::-1])
 
 
 def _product(ctx, polys):
@@ -163,6 +157,16 @@ def _product(ctx, polys):
                  for a, b in zip(polys[::2], polys[1::2])]
         polys = pairs + polys[2 * len(pairs):]
     return polys[0]
+
+
+def _complements(ctx, polys, seed):
+    """seed * prod_{j != i} polys[j] for each i, from the suffix
+    products and a running prefix: O(len(polys)) products, no
+    division."""
+    mul = functools.partial(poly.mul, ctx)
+    suffix = list(itertools.accumulate(polys[:0:-1], mul, initial=(ctx.one,)))
+    prefix = itertools.accumulate(polys, mul, initial=seed)
+    return [mul(a, b) for a, b in zip(reversed(suffix), prefix)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,11 +295,11 @@ def _class_idempotents(system, q, alpha_exp):
 def family_codes(system, ctx, family, alpha_exp=1):
     """All m codes of one family, cached per (system, ctx, labeling).
 
-    Each generator comes from the class product ghat_i and each
-    idempotent from e_i, as in the module docstring; x - 1 divides
-    every even-like class-I generator, so the odd-like class-II
-    division is exact.  A family of more than FAMILY_COEFFS
-    coefficients, m * p, is refused with TooLarge before any is built.
+    Each generator comes from the class products ghat_j and each
+    idempotent from e_i, as in the module docstring; even-I and odd-II
+    take the complements of the ghat_j seeded with x - 1 and with 1.
+    A family of more than FAMILY_COEFFS coefficients, m * p, is refused
+    with TooLarge before any is built.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -307,15 +311,17 @@ def family_codes(system, ctx, family, alpha_exp=1):
     cosets = _class_cosets(system, ctx.q, alpha_exp)
     ghats = _class_products(system, ctx.q, alpha_exp)
     idems = _class_idempotents(system, ctx.q, alpha_exp)
-    xp1 = poly.xn_minus_1(ctx, p)
     x_minus_1 = (ctx.neg(ctx.one), ctx.one)
     one = (ctx.one,)
     h_idem = poly.scale(ctx, pow(p, -1, ctx.q), all_ones_h(p))
     one_minus_h = poly.sub(ctx, one, h_idem)
+    if family in ("even-I", "odd-II"):
+        comps = _complements(
+            ctx, ghats, x_minus_1 if family == "even-I" else one)
     codes = []
     for i, (ghat, e_i, own) in enumerate(zip(ghats, idems, cosets)):
         if family == "even-I":
-            g, e, nonzeros = poly.div_exact(ctx, xp1, ghat), e_i, own
+            g, e, nonzeros = comps[i], e_i, own
         elif family == "odd-I":
             g, e = ghat, poly.sub(ctx, one, e_i)
             nonzeros = _other_cosets(ctx.q, p, own)
@@ -324,7 +330,6 @@ def family_codes(system, ctx, family, alpha_exp=1):
             e = poly.sub(ctx, one_minus_h, e_i)
             nonzeros = _other_cosets(ctx.q, p, (0,) + own)
         else:  # odd-II
-            g = poly.div_exact(ctx, poly.div_exact(ctx, xp1, ghat), x_minus_1)
-            e, nonzeros = poly.add(ctx, h_idem, e_i), (0,) + own
+            g, e, nonzeros = comps[i], poly.add(ctx, h_idem, e_i), (0,) + own
         codes.append(CyclicCode(ctx, p, family, i, g, e, nonzeros))
     return tuple(codes)

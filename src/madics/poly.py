@@ -26,7 +26,7 @@ module is pure Python and imports nothing but its errors.
 
 The module also holds the q-cyclotomic cosets mod p; the factors of
 x**p - 1 they index are minimal polynomials over the splitting field,
-solved in field_codes, where the idempotent generators are built too
+found in field_codes, where the idempotent generators are built too
 (in closed form).
 """
 

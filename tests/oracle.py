@@ -64,7 +64,7 @@ idempotent generator of <g>.  It knows nothing of residue classes and
 works from the generator alone.
 
 coset_factor_schoolbook is the oracle of madics.field_codes.coset_factors,
-which solves each factor as a minimal polynomial over F_q: it
+which finds each factor by Berlekamp-Massey over F_q: it
 multiplies out the linear terms x - alpha^k, k in the coset, with
 mul_generic over the splitting field GF(q^t).
 

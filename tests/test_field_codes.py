@@ -16,9 +16,8 @@ from madics.field_codes import (
     FAMILIES,
     _class_idempotents,
     _class_products,
+    _min_poly,
     _product,
-    _root_powers,
-    _solve,
     all_ones_h,
     check_factors,
     coset_factors,
@@ -209,31 +208,66 @@ def test_coset_factor_product_tree_matches_schoolbook(q, p):
         assert _product(ctx, polys) == product_schoolbook(ctx, polys)
 
 
-@pytest.mark.parametrize("q,p", ((7, 3), (2, 7), (3, 13), (2, 23), (3, 41),
-                                 (5, 71), (2, 89), (2, 127)))
+@pytest.mark.parametrize("q,p", ((7, 3), (11, 5), (13, 3), (2, 7), (3, 13),
+                                 (2, 23), (3, 41), (5, 71), (2, 89),
+                                 (2, 127)))
 def test_coset_factors_match_schoolbook_oracle(q, p):
     # minimal polynomials over F_q against the linear terms multiplied
-    # out over GF(q^t); (7, 3) has t = 1
+    # out over GF(q^t); (7, 3), (11, 5) and (13, 3) have t = 1
     factor_of = coset_factors(q, p)
     for coset, factor in coset_factor_schoolbook(q, p).items():
         assert all(factor_of[k] == factor for k in coset)
 
 
-def test_coset_factors_long_p_time():
-    # the Gauss-Jordan solves take about 0.1 s here; multiplying the
-    # linear terms out over GF(2^25) took over 3 s
-    _root_powers(2, 1801)
+def test_min_poly_known_answers():
+    # Fibonacci mod 5 satisfies x^2 - x - 1; a geometric sequence of
+    # ratio 3 over GF(7) satisfies x - 3; 0, 0, 1 repeated satisfies
+    # x^3 - 1; 1, 0, 0, 0 is the impulse, whose minimal polynomial is x
+    fib = [0, 1]
+    while len(fib) < 12:
+        fib.append((fib[-1] + fib[-2]) % 5)
+    assert _min_poly(5, fib) == (4, 4, 1)
+    assert _min_poly(7, [1, 3, 2, 6]) == (4, 1)
+    assert _min_poly(2, [0, 0, 1] * 4) == (1, 0, 0, 1)
+    assert _min_poly(3, [1, 0, 0, 0]) == (0, 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cold_family_long_p_time(cold_caches, family):
+    # field, coset factors, class products and generators from cold
+    # caches: no construction step may grow with p faster than the
+    # products of the class products themselves
+    system = build_residue_system(8191, 2)
     t0 = time.perf_counter()
-    coset_factors.__wrapped__(2, 1801)
-    assert time.perf_counter() - t0 < 1.5
+    family_codes(system, make_prime_field(2), family)
+    assert time.perf_counter() - t0 < 0.5
 
 
-def test_solve_refuses_an_inconsistent_system():
-    assert _solve(3, [(1, 0), (1, 1)], (2, 1)) == (1, 1)
-    with pytest.raises(AssertionError, match="did not descend"):
-        _solve(3, [(1, 0)], (0, 1))
-    with pytest.raises(AssertionError, match="did not descend"):
-        _solve(3, [(1, 2), (2, 1)], (0, 0))
+def test_cold_even_like_longest_p_time(cold_caches):
+    # (2, 131071), t = 17, the longest p the caps admit at q = 2; a
+    # schoolbook division of x^p - 1 there takes minutes
+    system = build_residue_system(131071, 2)
+    t0 = time.perf_counter()
+    family_codes(system, make_prime_field(2), "even-I")
+    assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("q,p,m", ((7, 19, 6), (2, 127, 9), (3, 13, 4),
+                                   (2, 89, 8), (5, 31, 5)))
+def test_complement_generators_match_division(q, p, m):
+    # g_i = (x**p - 1) / ghat_i and hhat_i = g_i / (x - 1)
+    ctx = make_prime_field(q)
+    system = build_residue_system(p, m)
+    xp1 = poly.xn_minus_1(ctx, p)
+    x_minus_1 = (ctx.neg(ctx.one), ctx.one)
+    for u in (1, -1):
+        ghats = _class_products(system, q, u)
+        even = family_codes(system, ctx, "even-I", u)
+        odd = family_codes(system, ctx, "odd-II", u)
+        for ghat, e, o in zip(ghats, even, odd):
+            g = poly.div_exact(ctx, xp1, ghat)
+            assert e.generator == g
+            assert o.generator == poly.div_exact(ctx, g, x_minus_1)
 
 
 def test_dropped_coset_fails_the_factor_check(monkeypatch):
