@@ -4,13 +4,13 @@ A field code of dimension k is measured by enumerating whichever of C
 and its dual is smaller.  When n - k >= k the scan runs over the q**k
 messages of C; when n - k < k it runs over the q**(n-k) messages of the
 dual (generated by the monic reciprocal of the check polynomial
-(x**n - 1)/g) and the MacWilliams identity turns the dual's weight
-distribution B into C's, A_w = q**-(n-k) sum_i B_i K_w(i), with the
-Krawtchouk values K_w(i) exact Python ints from their three-term
-recurrence.  Either way the counts are Python ints (past the cap A_w
-exceeds int64), and the cap (default DEFAULT_CAP = 2**24) bounds the
-words actually scanned, min(q**k, q**(n-k)): a larger scan is refused
-with TooLarge.
+(x**n - 1)/g, field_codes.dual_generator) and the MacWilliams identity
+turns the dual's weight distribution B into C's,
+A_w = q**-(n-k) sum_i B_i K_w(i), with the Krawtchouk values K_w(i)
+exact Python ints from their three-term recurrence.  Either way the
+counts are Python ints (past the cap A_w exceeds int64), and the cap
+(default DEFAULT_CAP = 2**24) bounds the words actually scanned,
+min(q**k, q**(n-k)): a larger scan is refused with TooLarge.
 
 The scanned code, C or its dual, is cyclic, so its check polynomial
 factors into the coset factors of its nonzeros: a family code's are
@@ -21,11 +21,11 @@ A takes the factors whose degrees sum to the most that is at most
 ceil(dim/2), and the kernel tabulates every word of B against one word
 of A per orbit of the group generated by the cyclic shift and the
 scalars, weighed by the orbit size (see _kernels).  The scan has no
-split, and groups by scalars alone, for a code built by hand, an
-irreducible check polynomial or a dim A below 2, a B of more than
-SPLIT_LOW_ROWS words (its low table), or fewer than SPLIT_MIN_WORDS
-words in all.  The exhaustive ring method holds its tuple count, the
-product of the component word counts, to the same cap.  Ring codes are
+split, and groups by scalars alone, for an irreducible check
+polynomial or a dim A below 2, a B of more than SPLIT_LOW_ROWS words
+(its low table), or fewer than SPLIT_MIN_WORDS words in all.  The
+exhaustive ring method holds its tuple count, the product of the
+component word counts, to the same cap.  Ring codes are
 measured two ways: the component-min method takes the minimum of the
 CRT component distances, which is exact because a ring codeword's
 support is the union of its component supports and the components are
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from . import poly
 from .errors import DEFAULT_CAP, BackendUnavailable, InvalidParameter, TooLarge
 from .ffield import is_prime_power
-from .field_codes import check_factors
+from .field_codes import check_factors, dual_generator
 
 # Most words of the ideal B that a split scan tabulates whole (its low
 # table); a split whose B has more falls back to the scalar-only scan.
@@ -110,8 +110,6 @@ def _split(code, dual, dim):
     if code.q**dim < SPLIT_MIN_WORDS:
         return None
     factors = check_factors(code, dual)
-    if factors is None:
-        return None
     # one subset of the factors, by index, per reachable degree sum
     reach = {0: ()}
     for i, f in enumerate(factors):
@@ -155,14 +153,6 @@ def generator_matrix(code):
     if code.ctx.t != 1:
         raise ValueError("generator_matrix expects a prime-field code")
     return _shift_matrix(code.generator, code.p, code.dimension)
-
-
-def dual_generator(code):
-    """Generator of the dual of <g>: the monic reciprocal of the check
-    polynomial (x**n - 1)/g, whose constant term is nonzero."""
-    ctx = code.ctx
-    check = poly.div_exact(ctx, poly.xn_minus_1(ctx, code.p), code.generator)
-    return poly.monic(ctx, check[::-1])
 
 
 def macwilliams(dual_counts, n, q):

@@ -30,10 +30,6 @@ class BothZero(MadicError):
     """gcd of two zero polynomials is undefined."""
 
 
-class NotADivisor(MadicError):
-    """Exact polynomial division requested but the remainder is nonzero."""
-
-
 class NotCoprime(MadicError):
     """Two quantities that must be coprime are not."""
 

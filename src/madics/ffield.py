@@ -249,17 +249,14 @@ def _is_irreducible(base, f, t):
     GF(q), with the powers of x taken in F_q[y]/(f)."""
     q = base.q
     ring = FieldCtx(q, t, f)
-    x = ring.from_vec((0, 1))
-    # x^(q^t) == x mod f
-    h = x
+    # frob[j] = x^(q^j) mod f, j <= t; f divides x^(q^t) - x
+    frob = [ring.from_vec((0, 1))]
     for _ in range(t):
-        h = ring.pow(h, q)
-    if h != x:
+        frob.append(ring.pow(frob[-1], q))
+    if frob[t] != frob[0]:
         return False
     for r in prime_divisors(t):
-        h = x
-        for _ in range(t // r):
-            h = ring.pow(h, q)
+        h = frob[t // r]
         h_minus_x = poly.sub(base, poly.trim(base, ring.to_vec(h)), (0, 1))
         if poly.degree(poly.gcd(base, h_minus_x, f)) != 0:
             return False

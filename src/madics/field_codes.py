@@ -60,8 +60,8 @@ class CyclicCode:
 
     nonzeros names the code's nonzero cyclotomic cosets by their least
     members (module docstring), relative to the alpha of
-    splitting_field; it is None for a code built by hand, and it takes
-    no part in equality, since the generator determines it."""
+    splitting_field: (0,) for <h>, () for the zero code.  It takes no
+    part in equality, since the generator determines it."""
 
     ctx: FieldCtx
     p: int
@@ -69,7 +69,7 @@ class CyclicCode:
     index: int
     generator: tuple
     idempotent: tuple
-    nonzeros: tuple | None = field(default=None, compare=False)
+    nonzeros: tuple = field(compare=False)
 
     @property
     def q(self):
@@ -189,11 +189,8 @@ def _other_cosets(q, p, cosets):
 
 def check_factors(code, dual=False):
     """The coset factors of the check polynomial of code, or of its dual
-    when dual, one per nonzero coset; None for a code built by hand.
-    The dual's nonzeros are the negated zeros of code, so no polynomial
-    is divided."""
-    if code.nonzeros is None:
-        return None
+    when dual, one per nonzero coset.  The dual's nonzeros are the
+    negated zeros of code, so no polynomial is divided."""
     q, p = code.q, code.p
     nonzeros = code.nonzeros
     if dual:
@@ -201,6 +198,16 @@ def check_factors(code, dual=False):
         nonzeros = [leader[-r % p] for r in _other_cosets(q, p, nonzeros)]
     factor_of = coset_factors(q, p)
     return [factor_of[r] for r in nonzeros]
+
+
+def dual_generator(code):
+    """Generator of the dual of code: the monic reciprocal of the check
+    polynomial (x**p - 1)/g.  Its roots are the inverses alpha^-k of the
+    check polynomial's, so it is the product of the coset factors of the
+    negated nonzeros, and no polynomial is divided."""
+    p = code.p
+    factor_of = coset_factors(code.q, p)
+    return _product(code.ctx, [factor_of[-r % p] for r in code.nonzeros])
 
 
 @functools.lru_cache(maxsize=None)

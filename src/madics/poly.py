@@ -36,7 +36,6 @@ from .errors import (
     BothZero,
     NonPrimeModulus,
     NonUnitLeadingCoefficient,
-    NotADivisor,
 )
 
 ZERO = ()
@@ -137,13 +136,6 @@ def _divmod_monic(q, a, b):
             quot[lo] = f
             rem[lo:i] = [r - f * c for r, c in zip(rem[lo:i], low)]
     return quot, _trimmed([r % q for r in rem[:db]])
-
-
-def div_exact(dom, a, b):
-    quot, r = divmod_poly(dom, a, b)
-    if r:
-        raise NotADivisor(f"{b} does not divide {a}")
-    return quot
 
 
 def divides(dom, b, a):

@@ -92,9 +92,10 @@ P_DEPENDENT_IDENTITIES = frozenset({
 
 def expected_identity_failures(q, p):
     """Frozen expectation: which printed identities the computation
-    refutes at (q, p).  The odd-like class-II sum fails everywhere on
-    the grid; the class-II and sum/product identities additionally
-    need p = 1 (mod q)."""
+    refutes at (q, p).  The odd-like class-II sum holds only when
+    (L + s - 1) p = 1 (mod q), L the orbit length, which no grid point
+    meets; the class-II and sum/product identities additionally need
+    p = 1 (mod q)."""
     fails = {"Dp_sum_identity"}
     if p % q != 1:
         fails |= P_DEPENDENT_IDENTITIES
@@ -354,7 +355,8 @@ def _check_identities(checks, errata):
         f"the sum equals 1 + (L - p^-1 mod q) h with L the orbit "
         f"length; at (q={q},p={p},m={m},s={s}) computed {o.computed}, "
         f"printed form evaluates to {o.expected}",
-        "fails on every grid instance, including p = 1 (mod q) ones"))
+        "holds exactly when (L + s - 1) p = 1 (mod q), which no grid "
+        "instance meets, p = 1 (mod q) ones included"))
 
 
 def _check_structure(checks, errata):

@@ -1,6 +1,5 @@
 """Distance computation and bound checks with frozen oracle values."""
 
-import dataclasses
 import math
 import random
 import time
@@ -26,8 +25,14 @@ from madics.field_codes import FAMILIES, CyclicCode, family_codes
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
 from madics.ring_codes import ring_code, ring_mu_chain
-from oracle import griesmer_bound_naive, macwilliams_naive, scan_numpy
-from oracle import scan_union
+from oracle import (
+    divmod_generic,
+    griesmer_bound_naive,
+    macwilliams_naive,
+    monic_generic,
+    scan_numpy,
+    scan_union,
+)
 
 rng = random.Random(0xD157)
 F3 = make_prime_field(3)
@@ -57,13 +62,13 @@ def test_even_like_q7_p19_distances():
 def test_repetition_like_code_distance():
     # <h> with h the all-ones polynomial: rank 1, weight 13
     g = (1,) * 13
-    code = CyclicCode(F3, 13, "even-I", 0, g, g)
+    code = CyclicCode(F3, 13, "even-I", 0, g, g, (0,))
     rep = min_distance_field(code)
     assert (rep.k, rep.d_min) == (1, 13)
 
 
 def test_zero_code_report():
-    code = CyclicCode(F3, 13, "even-I", 0, poly.xn_minus_1(F3, 13), (0,))
+    code = CyclicCode(F3, 13, "even-I", 0, poly.xn_minus_1(F3, 13), (0,), ())
     rep = min_distance_field(code)
     assert rep.k == 0 and rep.d_min == 0 and rep.enumerated == 1
 
@@ -85,7 +90,7 @@ def test_generator_matrix_shape():
 
 def test_generator_matrix_rejects_extension_fields():
     ext = make_extension(3, 2)
-    code = CyclicCode(ext, 13, "even-I", 0, (1, 1), (1, 1))
+    code = CyclicCode(ext, 13, "even-I", 0, (1,) * 13, (1,) * 13, (0,))
     with pytest.raises(ValueError):
         generator_matrix(code)
 
@@ -313,11 +318,29 @@ FIELD_CASES = [(2, 7, 2), (3, 11, 2), (3, 13, 2), (3, 13, 4), (5, 13, 3),
                (5, 31, 5), (5, 31, 10)]
 
 
+@pytest.mark.parametrize("q,p,m", FIELD_CASES + [
+    (11, 5, 2), (11, 5, 4), (2, 127, 9), (2, 89, 8)])
+def test_dual_generator_is_the_reciprocal_quotient(q, p, m):
+    # the product of the factors of the negated nonzeros against the
+    # monic reciprocal of the exact quotient (x**p - 1)/g, for every
+    # family code and both labelings; (11, 5) has p | q - 1
+    ctx = make_prime_field(q)
+    xp1 = poly.xn_minus_1(ctx, p)
+    for family in FAMILIES:
+        for u in (1, -1):
+            for code in family_codes(build_residue_system(p, m), ctx,
+                                     family, u):
+                check, rem = divmod_generic(ctx, xp1, code.generator)
+                assert rem == ()
+                assert dual_generator(code) == monic_generic(ctx, check[::-1])
+
+
 def scalar_only_matrix(code, dual):
-    """The matrix of the same scan without a split: the scan of a code
-    with no recorded nonzeros."""
-    gmat, check = analysis._scan_matrix(
-        dataclasses.replace(code, nonzeros=None), dual)
+    """The matrix of the same scan without a split: the scan of a side
+    below SPLIT_MIN_WORDS."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "SPLIT_MIN_WORDS", math.inf)
+        gmat, check = analysis._scan_matrix(code, dual)
     assert check is None
     return gmat
 
@@ -409,7 +432,9 @@ def kernel_work(monkeypatch):
 def test_split_scan_work(monkeypatch, q, p, m, family, work):
     code = family_codes(build_residue_system(p, m), make_prime_field(q),
                         family)[0]
-    ref = min_distance_field(dataclasses.replace(code, nonzeros=None))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "SPLIT_MIN_WORDS", math.inf)
+        ref = min_distance_field(code)
     seen = kernel_work(monkeypatch)
     assert min_distance_field(code) == ref
     assert seen == [work]
@@ -430,10 +455,6 @@ def test_split_fallbacks(monkeypatch):
         assert analysis._scan_matrix(code, False)[1] is None
         min_distance_field(code)
         assert seen.pop() == work
-    # a code built by hand records no nonzeros
-    g = family_codes(SYS134, F3, "even-I")[0].generator
-    assert analysis._scan_matrix(CyclicCode(F3, 13, "even-I", 0, g, g),
-                                 False)[1] is None
     # a B past SPLIT_LOW_ROWS: [127,15]_2 splits 8 + 7, so B has 2**7
     code = family_codes(build_residue_system(127, 9), make_prime_field(2),
                         "odd-II")[0]

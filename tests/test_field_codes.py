@@ -21,6 +21,7 @@ from madics.field_codes import (
     all_ones_h,
     check_factors,
     coset_factors,
+    dual_generator,
     family_codes,
     gauss_periods,
     splitting_field,
@@ -28,6 +29,7 @@ from madics.field_codes import (
 from madics.residues import build_residue_system
 from oracle import (
     coset_factor_schoolbook,
+    divmod_generic,
     eval_generic,
     gauss_periods_table,
     idempotent_bezout,
@@ -265,9 +267,9 @@ def test_complement_generators_match_division(q, p, m):
         even = family_codes(system, ctx, "even-I", u)
         odd = family_codes(system, ctx, "odd-II", u)
         for ghat, e, o in zip(ghats, even, odd):
-            g = poly.div_exact(ctx, xp1, ghat)
-            assert e.generator == g
-            assert o.generator == poly.div_exact(ctx, g, x_minus_1)
+            g, rem = divmod_generic(ctx, xp1, ghat)
+            assert rem == () and e.generator == g
+            assert divmod_generic(ctx, g, x_minus_1) == (o.generator, ())
 
 
 def test_dropped_coset_fails_the_factor_check(monkeypatch):
@@ -391,6 +393,7 @@ def test_nonzeros_are_the_check_polynomial_roots(q, p, m):
     # the product of the coset factors of the recorded nonzeros is the
     # check polynomial (x**p - 1)/g, for every family and labeling
     ctx = make_prime_field(q)
+    xp1 = poly.xn_minus_1(ctx, p)
     factor_of = coset_factors(q, p)
     leaders = {c[0] for c in poly.cyclotomic_cosets(q, p)}
     for family in FAMILIES:
@@ -399,10 +402,8 @@ def test_nonzeros_are_the_check_polynomial_roots(q, p, m):
                                      family, u):
                 assert list(code.nonzeros) == sorted(code.nonzeros)
                 assert set(code.nonzeros) <= leaders
-                check = poly.div_exact(ctx, poly.xn_minus_1(ctx, p),
-                                       code.generator)
-                assert _product(ctx, [factor_of[r]
-                                      for r in code.nonzeros]) == check
+                check = _product(ctx, [factor_of[r] for r in code.nonzeros])
+                assert divmod_generic(ctx, xp1, code.generator) == (check, ())
 
 
 @pytest.mark.parametrize("q,p,m", [(3, 13, 4), (2, 127, 9), (7, 19, 3),
@@ -410,19 +411,14 @@ def test_nonzeros_are_the_check_polynomial_roots(q, p, m):
 def test_check_factors_multiply_to_the_check_polynomials(q, p, m):
     # the factors of code and dual are those of (x**p - 1)/g and of
     # (x**p - 1)/g_dual, with g_dual the dual's generator
-    from madics.analysis import dual_generator
-
     ctx = make_prime_field(q)
     xp1 = poly.xn_minus_1(ctx, p)
     for family in FAMILIES:
         for code in family_codes(build_residue_system(p, m), ctx, family):
             for dual in (False, True):
                 gen = dual_generator(code) if dual else code.generator
-                assert _product(ctx, check_factors(code, dual)) == \
-                    poly.div_exact(ctx, xp1, gen)
-            bare = dataclasses.replace(code, nonzeros=None)
-            assert check_factors(bare) is None
-            assert check_factors(bare, True) is None
+                assert divmod_generic(ctx, xp1, gen) == (
+                    _product(ctx, check_factors(code, dual)), ())
 
 
 def test_nonzeros_of_singleton_cosets_time():
@@ -444,7 +440,7 @@ def test_nonzeros_of_singleton_cosets_time():
 
 def test_nonzeros_take_no_part_in_equality():
     code = family_codes(build_residue_system(13, 4), F3, "odd-I")[0]
-    bare = dataclasses.replace(code, nonzeros=None)
+    bare = dataclasses.replace(code, nonzeros=())
     assert bare == code and hash(bare) == hash(code)
 
 

@@ -14,8 +14,11 @@ resident size of a scan run would show.  One
 arithmetic for the splitting field: field_codes.coset_factors makes at
 most 2t products over GF(q^t).  One arithmetic for the identity suite:
 identities works on class-algebra spectra and references no polynomial
-product, sum or difference.  poly reads only q and t of its field
-argument, so its arithmetic stays on plain ints."""
+product, sum or difference.  No division where codes are built and
+measured: field_codes and analysis get every generator, check
+polynomial and dual generator as a product of coset factors and call no
+polynomial division, remainder or gcd of poly.  poly reads only q and
+t of its field argument, so its arithmetic stays on plain ints."""
 
 import ast
 import importlib
@@ -362,6 +365,27 @@ def test_identities_multiply_no_polynomials():
         if name == "mul_mod" or on_poly and name in polynomial:
             stray.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert not stray, f"identities uses polynomial arithmetic: {stray}"
+
+
+@pytest.mark.parametrize("module", ["analysis", "field_codes"])
+def test_codes_and_distances_divide_no_polynomials(module):
+    # every generator, check polynomial and dual generator is a product
+    # of coset factors; a division in these layers would be a second
+    # route to them
+    tree = ast.parse((ROOT / "src" / "madics" / f"{module}.py").read_text(
+        encoding="utf-8"))
+    division = {"divmod_poly", "_divmod_monic", "divides", "gcd"}
+    stray = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in division
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "poly"):
+            stray.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").endswith("poly")):
+            stray.extend(f"line {node.lineno}: import {a.name}"
+                         for a in node.names if a.name in division)
+    assert not stray, f"{module} divides polynomials: {stray}"
 
 
 @pytest.mark.parametrize("q,p", [(3, 13), (2, 89), (2, 127)])

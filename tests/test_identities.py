@@ -2,9 +2,10 @@
 expectation table.
 
 Empirical finding baked in here: seven of the printed identities hold
-exactly when p = 1 (mod q) and fail otherwise, and the odd-like
-class-II sum identity fails on every valid grid instance (its true
-value is 1 + (L - p^-1) h for orbit length L, not 1 - (s-1) h).
+exactly when p = 1 (mod q) and fail otherwise.  The odd-like class-II
+sum is 1 + (L - p^-1) h for orbit length L, so the printed
+1 - (s-1) h holds exactly when (L + s - 1) p = 1 (mod q), which no
+point of the verify grid meets.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from madics import identities, poly
 from madics.errors import QNotResidue
-from madics.ffield import make_prime_field
+from madics.ffield import SIZE_CAP, is_prime, make_prime_field
 from madics.field_codes import FAMILIES
 from madics.identities import (
     IDENTITY_NAMES,
@@ -88,6 +89,43 @@ def test_dp_sum_identity_fails_everywhere(q, p, m, s):
     # a failing outcome carries both sides for inspection
     assert outcomes["Dp_sum_identity"].computed
     assert outcomes["Dp_sum_identity"].expected
+
+
+def dp_sum_law(q, system, s):
+    """Whether the printed 1 - (s-1) h is the odd-like class-II sum
+    1 + (L - p^-1) h: (L + s - 1) p = 1 (mod q), with L the length of
+    the mu_a orbit."""
+    j, m = system.class_of(system.a), system.m
+    return (m // math.gcd(j, m) + s - 1) * system.p % q == 1
+
+
+def law_grid():
+    """Every valid (q, p, m, s) with q < 8 and 5 <= p < 64 whose
+    splitting field fits SIZE_CAP."""
+    return [(q, p, m, s)
+            for q in (2, 3, 5, 7)
+            for p in filter(is_prime, range(5, 64))
+            if p != q
+            and q ** make_prime_field(p).multiplicative_order(q) <= SIZE_CAP
+            for m in range(2, p)
+            if (p - 1) % m == 0
+            and build_residue_system(p, m).is_madic_residue(q)
+            for s in range(2, q + 1) if (q - 1) % (s - 1) == 0]
+
+
+def test_dp_sum_identity_holds_by_its_law():
+    # with default b and a; the identity holds at 22 of the 77 points
+    grid = law_grid()
+    holding = 0
+    for q, p, m, s in grid:
+        holds = run_suite(q, p, m, s)["Dp_sum_identity"].holds
+        assert holds == dp_sum_law(q, build_residue_system(p, m), s), \
+            (q, p, m, s)
+        holding += holds
+    assert (len(grid), holding) == (77, 22)
+    # verify-paper's grid, p = 1 (mod q) points included, never meets it
+    for q, p, m, s in IDENTITY_GRID:
+        assert not dp_sum_law(q, build_residue_system(p, m), s)
 
 
 def test_dp_sum_computed_form_q3_p13():

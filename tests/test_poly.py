@@ -11,7 +11,6 @@ from madics.errors import (
     BothZero,
     NonPrimeModulus,
     NonUnitLeadingCoefficient,
-    NotADivisor,
 )
 from madics.ffield import make_extension, make_prime_field
 from madics.field_codes import coset_factors
@@ -72,11 +71,6 @@ def test_divmod_round_trip():
         q, r = poly.divmod_poly(F7, a, b)
         assert poly.add(F7, poly.mul(F7, q, b), r) == a
         assert poly.degree(r) < poly.degree(b)
-
-
-def test_div_exact_rejects_remainder():
-    with pytest.raises(NotADivisor):
-        poly.div_exact(F3, (1, 1, 1), (1, 1))
 
 
 def test_gcd_ext_bezout():
@@ -228,7 +222,6 @@ ENTRY_POINTS = {
     "mul": lambda d: poly.mul(d, (1, 2), (2, 1)),
     "mul_mod": lambda d: poly.mul_mod(d, (1, 2), (2, 1), 3),
     "divmod_poly": lambda d: poly.divmod_poly(d, (1, 2, 1), (1, 1)),
-    "div_exact": lambda d: poly.div_exact(d, (1, 2, 1), (1, 1)),
     "divides": lambda d: poly.divides(d, (1, 1), (1, 2, 1)),
     "eval_poly": lambda d: poly.eval_poly(d, (1, 2), 1),
     "monic": lambda d: poly.monic(d, (1, 2)),
@@ -313,10 +306,7 @@ def test_division_matches_oracle(case):
     quot, rem = divmod_generic(ctx, A, B)
     assert poly.divmod_poly(ctx, a, b) == (quot, rem)
     assert poly.divides(ctx, b, a) == (not rem)
-    assert poly.div_exact(ctx, product_schoolbook(ctx, (A, B)), b) == A
-    if rem:
-        with pytest.raises(NotADivisor):
-            poly.div_exact(ctx, a, b)
+    assert poly.divmod_poly(ctx, product_schoolbook(ctx, (A, B)), b) == (A, ())
 
 
 @DIFF
