@@ -57,45 +57,48 @@ The orbits are labeled in message space: each generator is a
 k x k matrix acting on base-q digit vectors, _words of its rows
 tabulates every image in message order, and _least_labels doubles the
 power of the generator each step, leaving the least message of each
-cycle; _orbits labels support rotations the same way.
+cycle.
 
 scan_union works on support classes.  A component's table holds each
 distinct support of its words once, with the number of messages that
-have it: 1 for the zero message plus q - 1 for each projective point
-with that support (_classes).  Different points can share a support,
-and in a rank-deficient matrix a point can have the empty one.  A low
-row's key indexes the last table's distinct counts, mult_low; a high
-row's key indexes the distinct products of its classes' counts,
-mult_high, each at most the message count the caller's cap bounds.
+have it (_supports folds words by support and sums their counts).  A
+later component's table, and the first one's without check, folds the
+zero word, counted once, and one word per projective point, counted
+q - 1 times (_classes).  Different points can share a support, and in
+a rank-deficient matrix a point can have the empty one.  A low row's
+key indexes the last table's distinct counts, mult_low; a high row's
+key indexes the distinct products of its classes' counts, mult_high,
+each at most the message count the caller's cap bounds.
 
-A simultaneous cyclic shift of every component permutes the tuples.
-So when the shift maps each later component's classes onto themselves
-with equal counts (_invariant), the histogram H(S) of union weights over
-the later components, given the first component's support S, is the
-same for every rotation of S, and the first component's classes group
-by rotation orbit with summed counts (_orbits).  Cyclic codes of length
-n, as every ring component is, pass the check; a table that fails it
-(random, non-cyclic matrices) is scanned ungrouped, and exactly.  A
-ring scan visits (orbits of the first component) x (classes of each
-later one) pairs.  Packed rows rotate word by word (_rotate), and
-tables deduplicate on the bytes of their rows in dicts, without a sort:
-the first np.unique or np.sort call of a process pages in numpy code
-that the peak resident size of a run would show.
+A simultaneous cyclic shift of every component permutes the tuples,
+and the scalars keep every support.  So when every later component
+spans a cyclic code, the histogram H(c) of union weights over the later
+components, given the first component's word c, is the same for every
+word of c's orbit under <x, scalars>.  With check = f, the first
+matrix's rows are x**i a for the ideal with check polynomial f, as in
+scan, and its table folds _orbit_words by support: one word per orbit,
+weighed by the orbit size.  Two orbits whose supports are rotations
+of each other keep a row each, so the table can hold more rows than
+there are rotation classes of supports: (5, 11, 2, 2) even-I visits
+39 x 343 pairs, (3, 11, 2, 3) 12 x 122 x 122.  The caller vouches for
+the cyclic codes; without check any matrices scan exactly, ungrouped.
+Tables deduplicate on the bytes of their packed rows in dicts, without
+a sort: the first np.unique or np.sort call of a process pages in
+numpy code that the peak resident size of a run would show.
 
 A block's largest temporary, pairs x words per plane x 8 bytes, is kept
 to BLOCK_BYTES (one high row at least), and is freed before bincount
 copies the block's bins to intp, so the two are never held at once.
 Tables are sized by q**ceil(k/2) words (scalar-only field scans), by
 the caller's bound on B and q**dim(A) labels (split field scans:
-analysis.SPLIT_LOW_ROWS), or by each component's support classes
-(ring), never by the total word or tuple count.  counts[0] includes the
-zero word.
+analysis.SPLIT_LOW_ROWS), or by each component's support classes and
+the first one's q**k labels (ring), never by the total word or tuple
+count.  counts[0] includes the zero word.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -261,64 +264,25 @@ def scan(gmat, q, check=None):
     return min_weight(counts), counts
 
 
-def _keys(rows):
-    """One hashable bytes key per packed row."""
-    return rows.view(f"V{rows.shape[1] * 8}").ravel().tolist()
-
-
-def _rotate(rows, n):
-    """Packed n-entry rows shifted cyclically by one: bit j moves to bit
-    j + 1 mod n, word by word, without unpacking."""
-    top, last = divmod(n - 1, 64)
-    out = rows << 1
-    out[:, 1:] |= rows[:, :-1] >> 63
-    out[:, top] &= (2 << last) - 1
-    out[:, 0] |= rows[:, top] >> last  # the padding above n is zero
-    return out
+def _supports(words, sizes):
+    """The distinct supports of a table's words, packed as by _pack in
+    order of first appearance, and the summed sizes of the words with
+    each."""
+    rows = _pack(words)
+    sums = {}  # keyed on the bytes of each packed row
+    for key, size in zip(rows.view(f"V{rows.shape[1] * 8}").ravel().tolist(),
+                         sizes):
+        sums[key] = sums.get(key, 0) + size
+    rows = np.frombuffer(b"".join(sums), dtype="<u8").reshape(len(sums), -1)
+    return rows, list(sums.values())
 
 
 def _classes(gmat, q):
-    """The distinct supports of the words of gmat's code, packed as by
-    _pack with the empty support in row 0, and the number of messages
-    with each: 1 for the zero message and q - 1 for each projective
-    point."""
-    count = Counter(_keys(_pack(_points(gmat, q))))
-    rows = np.frombuffer(b"".join(count), dtype="<u8").reshape(len(count), -1)
-    mult = [(q - 1) * c for c in count.values()]
-    mult[0] -= q - 2  # the zero message counts once
-    return rows, mult
-
-
-def _shift(rows, n):
-    """The permutation of a table's distinct supports by the cyclic
-    shift, or None when the shift takes some support out of the table."""
-    where = dict(zip(_keys(rows), range(len(rows))))
-    perm = list(map(where.get, _keys(_rotate(rows, n))))
-    return None if None in perm else perm
-
-
-def _invariant(rows, mult, n):
-    """Whether the cyclic shift maps a table's supports onto themselves
-    with equal counts."""
-    perm = _shift(rows, n)
-    return perm is not None and list(map(mult.__getitem__, perm)) == mult
-
-
-def _orbits(rows, mult, n):
-    """One support per orbit of the cyclic shift, the least index in it,
-    with the summed count of the orbit; the table itself when the shift
-    does not permute its supports.  Each doubling step takes the least
-    label over twice as many shifts, so after ceil(log2 n) steps every
-    support holds the least index of its orbit."""
-    perm = _shift(rows, n)
-    if perm is None:
-        return rows, mult
-    label = _least_labels(np.arange(len(rows)), np.array(perm),
-                          (n - 1).bit_length()).tolist()
-    sums = dict.fromkeys(label, 0)  # the orbits in table order
-    for at, count in zip(label, mult):
-        sums[at] += count
-    return rows[list(sums)], list(sums.values())
+    """_supports of the words of gmat's code, with the empty support in
+    row 0: the number of messages with each support, 1 for the zero
+    message and q - 1 for each projective point."""
+    points = _points(gmat, q)
+    return _supports(points, [1] + [q - 1] * (len(points) - 1))
 
 
 def _index(values):
@@ -330,17 +294,20 @@ def _index(values):
                      dtype=np.min_scalar_type(len(distinct))), distinct)
 
 
-def scan_union(gmats, q):
+def scan_union(gmats, q, check=None):
     """Weight distribution of the unions of supports, one word from each
     matrix's code, over every tuple of messages; returns
-    (min_weight(counts), counts)."""
+    (min_weight(counts), counts).  With check = f, a monic divisor of
+    x**n - 1 of degree k, the first matrix's k rows must be x**i a, i <
+    k, for a word a of the ideal with check polynomial f, and every
+    later matrix must span a cyclic code (module docstring)."""
     n = gmats[-1].shape[1]
-    (rows, mult), *rest = [_classes(g, q) for g in gmats]
-    if rest and all(_invariant(r, m, n) for r, m in rest):
-        rows, mult = _orbits(rows, mult, n)
+    first, *rest = gmats
+    first = (_classes(first, q) if check is None
+             else _supports(*_orbit_words(first, q, check)))
     # a row's key indexes its table's distinct counts
     *high_tables, (last, last_keys, mult_low) = [
-        (r, *_index(m)) for r, m in [(rows, mult)] + rest]
+        (r, *_index(m)) for r, m in [first] + [_classes(g, q) for g in rest]]
     # a high key indexes the distinct products of its classes' counts,
     # so the key count grows with those products, not with the number
     # of components: steps[i][a * len(vals) + b] is the key of product

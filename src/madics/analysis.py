@@ -32,10 +32,12 @@ support is the union of its component supports and the components are
 independent; the exhaustive method counts every tuple of component
 messages and is used as a cross-check on small instances.  A union
 weight depends on the component supports alone, so its scan visits one
-row per distinct support of each component, weighed by the number of
-messages with that support, and one support per cyclic-shift orbit of
-the first component when the shift permutes the others' supports (see
-_kernels); its enumerated count and its cap stay the full tuple count.
+row per distinct support of each later component, weighed by the number
+of messages with that support.  Every component is cyclic, so the first
+one is reduced, as in a split field scan, to one word per orbit of the
+cyclic shift (x mod its check polynomial) and the scalars, folded by
+support and weighed by the orbit sizes (see _kernels); its enumerated
+count and its cap stay the full tuple count.
 
 numpy and the scan kernel (_kernels) are imported inside the functions
 that build a generator matrix or scan, so importing madics or its CLI
@@ -232,8 +234,9 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
 
     The support of a ring word is the union of the component supports,
     so the kernel folds 0/1 support tables across components, one row
-    per distinct support of each (per rotation orbit for the first),
-    weighed by its message count; enumerated is the full tuple count.
+    per distinct support of each (of its shift-and-scalar orbits for
+    the first), weighed by its message count; enumerated is the full
+    tuple count.
     """
     from . import _kernels
 
@@ -243,8 +246,11 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
         raise TooLarge(
             f"enumerating {total} component-message tuples exceeds the cap "
             f"{cap}; raise the cap to proceed")
+    factors = check_factors(code.components[0])  # of its check polynomial
+    check = (functools.reduce(functools.partial(poly.mul, code.ring.field),
+                              factors) if factors else None)
     d, counts = _kernels.scan_union(
-        [generator_matrix(c) for c in code.components], q)
+        [generator_matrix(c) for c in code.components], q, check)
     ranks = tuple(c.dimension for c in code.components)
     return DistanceReport(n, sum(ranks), d, "exhaustive", total,
                           tuple(int(c) for c in counts),

@@ -238,7 +238,10 @@ def _load_exported(path):
     """(system, code, alpha_exp) rebuilt from the params of an export
     document through the flag path, checked against its generator."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise MadicError("export file nests too deeply") from None
     code_doc, params = _exported_params(doc)
     slots = params.get("slots")
     args = argparse.Namespace(

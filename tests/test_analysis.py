@@ -123,18 +123,20 @@ def test_ring_exhaustive_cap():
         min_distance_ring_exhaustive(base, cap=100)
 
 
-def test_ring_exhaustive_counts_every_tuple():
-    # the kernel scans one row per support class of each component and
-    # one per rotation orbit of the first, but enumerated stays the full
-    # tuple count, the product of q**k_i, and the cap bounds that count,
-    # so every refusal is unchanged
-    for q, s in ((5, 2), (3, 3)):
+def test_ring_exhaustive_counts_every_tuple(monkeypatch):
+    # the kernel scans one row per support class of each later component
+    # and one per orbit support of the first (39 x 343 and 12 x 122 x 122
+    # pairs), but enumerated stays the full tuple count, the product of
+    # q**k_i, and the cap bounds that count, so every refusal is unchanged
+    seen = kernel_work(monkeypatch)
+    for q, s, work in ((5, 2, (39, 343)), (3, 3, (12 * 122, 122))):
         ring = make_ring(make_prime_field(q), s)
         code = ring_code(ring, build_residue_system(11, 2), "even-I",
                          [i % 2 for i in range(s)])
         total = math.prod(q ** c.dimension for c in code.components)
         assert total == q ** (5 * s)
         rep = min_distance_ring_exhaustive(code, cap=total)
+        assert seen.pop() == work
         assert rep.enumerated == total
         assert sum(rep.weight_distribution) == total
         with pytest.raises(TooLarge,

@@ -436,6 +436,24 @@ def test_malformed_export_exit_1(tmp_path, capsys, edit):
     assert err.startswith("error: MadicError: ")
 
 
+@pytest.mark.parametrize("verb", ["distance", "export"])
+def test_deeply_nested_export_exit_1(tmp_path, verb):
+    # the json decoder recurses once per level: 200,000 nested lists
+    # raised RecursionError out of the CLI
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "madics.cli", verb, "--from", str(path),
+         *(("--out", str(tmp_path / "out.json")) if verb == "export" else ())],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: MadicError: ")
+    assert "Traceback" not in proc.stderr
+
+
 def _ring_slot_true(doc):
     doc["code"]["params"]["slots"][1] = True
     return doc

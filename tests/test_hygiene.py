@@ -10,7 +10,8 @@ sys.modules.  Each verb loads only the layers it runs, and ``import
 madics`` loads none.  One scan kernel: numpy's popcount and bincount
 appear only in _kernels._distance_counts, and _kernels calls no
 np.unique or sort, whose first call pages in numpy code that the peak
-resident size of a scan run would show.  One
+resident size of a scan run would show.  One orbit labeler: only
+_kernels._orbit_words calls _least_labels.  One
 arithmetic for the splitting field: field_codes.coset_factors makes at
 most 2t products over GF(q^t).  One arithmetic for the identity suite:
 identities works on class-algebra spectra and references no polynomial
@@ -322,6 +323,21 @@ def test_one_scan_kernel():
                 stray.append(f"{path.stem}.{where}: {name}")
     assert not stray, f"popcount or bincount outside the kernel: {stray}"
     assert sorted(kernel) == ["bincount", "bitwise_count"]
+
+
+def test_one_orbit_labeler():
+    # every orbit is labeled in message space by _kernels._orbit_words,
+    # the one caller of _least_labels, so a second orbit mechanism (a
+    # rotation of packed supports) cannot come back unnoticed
+    callers = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers.extend(
+                f"{path.stem}.{getattr(top, 'name', None)}"
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and "_least_labels" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None)))
+    assert callers == ["_kernels._orbit_words"]
 
 
 def test_kernels_call_no_unique_or_sort():

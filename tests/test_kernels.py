@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from madics import _kernels
+from madics import _kernels, poly
 from madics._kernels import min_weight, scan, scan_union
 from madics.analysis import generator_matrix
 from madics.ffield import make_prime_field
-from madics.field_codes import family_codes
+from madics.field_codes import FAMILIES, family_codes
 from madics.residues import build_residue_system
 from oracle import scan_numpy, scan_union as scan_union_oracle, support_table
 from test_analysis import RING_CASES
@@ -161,8 +161,8 @@ def projective_rows(k, q):
     return 1 + (q**k - 1) // (q - 1)
 
 
-def union_matches_oracle(gmats, q):
-    got, ref = scan_union(gmats, q), scan_union_oracle(gmats, q)
+def union_matches_oracle(gmats, q, check=None):
+    got, ref = scan_union(gmats, q, check), scan_union_oracle(gmats, q)
     assert np.array_equal(got[1], ref[1])
     assert got[1].sum() == q ** sum(len(g) for g in gmats)
     assert got[0] == (0 if ref[1][0] > 1 else ref[0])
@@ -261,10 +261,15 @@ def count_pairs(monkeypatch):
 
 
 def family_gmats(q, p, m, family, slots, alpha_exp=1):
-    """Generator matrices of one family's components, one per slot."""
+    """Generator matrices of one family's components, one per slot, and
+    the check polynomial (x**p - 1)/g of the first, by division."""
     comps = family_codes(build_residue_system(p, m), make_prime_field(q),
                          family, alpha_exp)
-    return [generator_matrix(comps[i]) for i in slots]
+    first = comps[slots[0]]
+    check, rest = poly.divmod_poly(first.ctx, poly.xn_minus_1(first.ctx, p),
+                                   first.generator)
+    assert not rest
+    return [generator_matrix(comps[i]) for i in slots], check
 
 
 def support_counts(gmat, q):
@@ -273,22 +278,26 @@ def support_counts(gmat, q):
     return Counter(map(tuple, support_table(gmat, q).tolist()))
 
 
-def shifted(support):
-    return support[-1:] + support[:-1]
+def orbit_supports(gmat, q):
+    """The distinct supports of the orbits of the rotations and scalars
+    on a cyclic code of full rank, taken in codeword space: each orbit's
+    word of least message, in the order sum_i c_i q**i."""
+    k, n = gmat.shape
+    words = [tuple(np.array([m // q**i % q for i in range(k)], np.int64)
+                   @ gmat % q) for m in range(q**k)]
+    message = {w: m for m, w in enumerate(words)}
+    reps = {min(message[tuple(c * x % q for x in w[j:] + w[:j])]
+                for j in range(n) for c in range(1, q))
+            for w in words}
+    return {tuple(x != 0 for x in words[m]) for m in reps}
 
 
-def expected_pairs(gmats, q):
+def expected_pairs(gmats, q, grouped=False):
     """The pairs a union scan visits: one row per distinct support of
-    each component, and for the first component one row per rotation
-    orbit instead when the shift keeps its supports and keeps the
-    supports and counts of every later component."""
+    each component, and for the first component, when grouped, one row
+    per distinct support of its rotation-and-scalar orbits instead."""
     first, *rest = [support_counts(g, q) for g in gmats]
-    rows = len(first)
-    if rest and all(shifted(s) in first for s in first) and all(
-            counts.get(shifted(s)) == c
-            for counts in rest for s, c in counts.items()):
-        rows = len({min(s[i:] + s[:i] for i in range(len(s)))
-                    for s in first})
+    rows = len(orbit_supports(gmats[0], q) if grouped else first)
     return rows * math.prod(len(counts) for counts in rest)
 
 
@@ -310,18 +319,19 @@ def test_union_pairs_visited(monkeypatch, q, ks):
 
 @pytest.mark.parametrize("q,p,m,s,family,pairs", [
     (3, 11, 2, 3, "even-I", 12 * 122 * 122),
-    (5, 11, 2, 2, "even-I", 33 * 343),
+    (5, 11, 2, 2, "even-I", 39 * 343),
     (7, 19, 6, 2, "even-I", 4 * 58),
     (2, 73, 8, 2, "odd-II", 16 * 1024)])
 def test_union_pairs_visited_ring_codes(monkeypatch, q, p, m, s, family,
                                         pairs):
-    # the components are cyclic, so the first one is reduced to its
-    # rotation orbits: 12 x 122 x 122 pairs at (3, 11, 2, 3) instead of
-    # the 122**3 of one row per projective point
-    gmats = family_gmats(q, p, m, family, [i % m for i in range(s)])
+    # the components are cyclic, so with its check polynomial the first
+    # one is reduced to the supports of its shift-and-scalar orbits:
+    # 12 x 122 x 122 pairs at (3, 11, 2, 3) instead of the 122**3 of one
+    # row per projective point
+    gmats, check = family_gmats(q, p, m, family, [i % m for i in range(s)])
     seen = count_pairs(monkeypatch)
-    scan_union(gmats, q)
-    assert sum(seen) == expected_pairs(gmats, q) == pairs
+    scan_union(gmats, q, check)
+    assert sum(seen) == expected_pairs(gmats, q, grouped=True) == pairs
 
 
 @pytest.mark.parametrize("q,k", [(2, 9), (3, 7), (5, 4), (7, 1)])
@@ -417,106 +427,85 @@ def test_scan_union_matches_oracle_property(case):
 
 @st.composite
 def ring_component_cases(draw):
-    # the components of one family at a tier-1 point, in any slot order,
-    # with any labeling alpha**alpha_exp of the p-th roots of unity
-    q, p, m, s, family = draw(st.sampled_from(RING_CASES))
+    # the components of one family at a tier-1 point, or at the
+    # dimension-1 point (7, 3, 2), in any slot order, with any labeling
+    # alpha**alpha_exp of the p-th roots of unity
+    q, p, m, s, family = draw(st.sampled_from(RING_CASES + [
+        (7, 3, 2, s, family) for s in (2, 3) for family in FAMILIES]))
     slots = draw(st.lists(st.integers(0, m - 1), min_size=s, max_size=s))
     alpha_exp = draw(st.integers(1, p - 1))
-    return q, family_gmats(q, p, m, family, slots, alpha_exp)
+    return q, *family_gmats(q, p, m, family, slots, alpha_exp)
 
 
 @settings(max_examples=40, deadline=None)
 @given(ring_component_cases())
 def test_union_ring_components_match_oracle_property(case):
-    q, gmats = case
-    assert all(_kernels._invariant(*_kernels._classes(g, q), g.shape[1])
-               for g in gmats)
-    union_matches_oracle(gmats, q)
+    q, gmats, check = case
+    union_matches_oracle(gmats, q, check)
 
 
 def test_union_any_component_order():
-    # two cyclic components, a random one and a zero one in every order:
-    # the orbits are taken only when every later table passes the check
+    # two cyclic components, a random one and a zero one in every order,
+    # without a check polynomial; with one, the cyclic and zero
+    # components in both orders after the first cyclic one
     q, n = 3, 13
-    gmats = family_gmats(q, n, 4, "even-I", [0, 1]) + [
-        systematic_gmat(2, n, q), np.zeros((0, n), np.int64)]
-    for order in itertools.permutations(gmats):
+    cyclic, check = family_gmats(q, n, 4, "even-I", [0, 1])
+    zero = np.zeros((0, n), np.int64)
+    for order in itertools.permutations(
+            cyclic + [systematic_gmat(2, n, q), zero]):
         union_matches_oracle(list(order), q)
+    for rest in itertools.permutations([cyclic[1], zero]):
+        union_matches_oracle([cyclic[0], *rest], q, check)
 
 
 def test_union_cyclic_rank_deficient():
-    # repeated and zero rows keep the code cyclic, so the orbits are
-    # still taken, with every support counted q**(k - rank) times over
+    # repeated and zero rows keep the code cyclic, with every support
+    # counted q**(k - rank) times over; later components may be rank
+    # deficient beside a first one grouped by its orbits
     q, n = 3, 13
-    gmat = family_gmats(q, n, 4, "even-I", [0])[0]
+    (gmat,), check = family_gmats(q, n, 4, "even-I", [0])
     deficient = np.vstack([gmat, gmat[:1], np.zeros((1, n), np.int64)])
-    rows, mult = _kernels._classes(deficient, q)
-    assert _kernels._invariant(rows, mult, n)
-    assert mult[0] == q ** 2
+    assert _kernels._classes(deficient, q)[1][0] == q ** 2
     for gmats in ([deficient, gmat], [gmat, deficient],
                   [deficient, deficient, gmat]):
         union_matches_oracle(gmats, q)
+    union_matches_oracle([gmat, deficient], q, check)
+    union_matches_oracle([gmat, deficient, deficient], q, check)
 
 
 def test_union_cyclic_blocks(monkeypatch):
-    # (3, 13, 4, 3) even-I: 2 orbits x 14 classes = 28 high rows against
-    # 14 low ones, in blocks of 5 (not dividing 28) and of one
+    # (3, 13, 4, 3) even-I: 2 orbit supports x 14 classes = 28 high rows
+    # against 14 low ones, in blocks of 5 (not dividing 28) and of one
     q, n = 3, 13
-    gmats = family_gmats(q, n, 4, "even-I", [0, 1, 2])
+    gmats, check = family_gmats(q, n, 4, "even-I", [0, 1, 2])
     ref = scan_union_oracle(gmats, q)
     for block in (block_bytes(5, 14, n), 1):
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", block)
         seen = count_pairs(monkeypatch)
-        assert np.array_equal(scan_union(gmats, q)[1], ref[1])
+        assert np.array_equal(scan_union(gmats, q, check)[1], ref[1])
         assert sum(seen) == 28 * 14
         monkeypatch.undo()
+    assert expected_pairs(gmats, q, grouped=True) == 28 * 14
 
 
 def test_union_cyclic_multiword():
-    # n = 73 packs each support into two words, so a shift carries bit
-    # 63 into the second word and wraps bit 72 to bit 0
-    gmats = family_gmats(2, 73, 8, "even-I", [0, 3])
+    # n = 73 packs each support into two words; the first component
+    # grouped by its orbits and not
+    gmats, check = family_gmats(2, 73, 8, "even-I", [0, 3])
+    union_matches_oracle(gmats, 2, check)
     union_matches_oracle(gmats, 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 11, 63, 64, 65, 73, 128, 129])
-def test_rotate_matches_roll(n):
-    table = (np.array([[rng.randrange(2) for _ in range(n)]
-                       for _ in range(6)]) * 3).astype(np.uint8)
-    table[0] = 0
-    table[1] = 1
-    assert np.array_equal(_kernels._rotate(_kernels._pack(table), n),
-                          _kernels._pack(np.roll(table, 1, axis=1)))
-
-
-@pytest.mark.parametrize("q,p,m,family", sorted({c[:3] + c[4:]
-                                                 for c in RING_CASES}))
-def test_family_components_pass_shift_check(q, p, m, family):
-    for code in family_codes(build_residue_system(p, m),
-                             make_prime_field(q), family):
-        rows, mult = _kernels._classes(generator_matrix(code), q)
-        assert _kernels._invariant(rows, mult, p)
-
-
-def test_shift_check_fails_off_cyclic_tables():
+def test_union_off_cyclic_orders():
+    # without a check polynomial no matrix need span a cyclic code: a
+    # cyclic matrix, a random one and the cyclic one with an entry past
+    # the generator's degree set, in mixed orders
     q, n = 3, 13
-    cyclic = family_gmats(q, n, 4, "even-I", [1])[0]
-    # a systematic random matrix
+    (cyclic,), _ = family_gmats(q, n, 4, "even-I", [1])
     random_gmat = systematic_gmat(3, n, q)
-    assert not _kernels._invariant(*_kernels._classes(random_gmat, q), n)
-    # a cyclic table with one support moved to a weight-1 support, which
-    # the code (d = 9) does not have, and so neither has its shift
-    rows, mult = _kernels._classes(cyclic, q)
-    assert _kernels._invariant(rows, mult, n)
-    moved = rows.copy()
-    moved[1] = 1
-    assert not _kernels._invariant(moved, mult, n)
-    # the same supports with the count of one nonempty support changed
-    assert not _kernels._invariant(rows, mult[:-1] + [mult[-1] + q - 1], n)
-    # a cyclic matrix with one entry past the generator's degree set
     bent = cyclic.copy()
     bent[0, -1] = 1
-    assert not _kernels._invariant(*_kernels._classes(bent, q), n)
     for gmats in ([cyclic, random_gmat], [random_gmat, cyclic],
                   [cyclic, bent, cyclic], [bent, cyclic]):
         union_matches_oracle(gmats, q)
+
