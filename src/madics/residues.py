@@ -11,6 +11,7 @@ acts on F_q coefficients only; ring codes apply it per CRT component.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -56,14 +57,18 @@ class ResidueSystem:
         return x != 0 and self._class_of[x] == 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_residue_system(p, m, b=None, a=None):
-    """Build the class partition for (p, m) with optional overrides.
+    """Build the class partition for (p, m) with optional overrides,
+    cached per (p, m, b, a) like make_prime_field; a refused input
+    raises on every call.
 
     p is refused with TooLarge above P_CAP, before any residue is built.
 
     b (default: the smallest primitive root mod p) and a (default: the
-    smallest element of Q_1) are reduced mod p.  The class index j of a
-    must satisfy gcd(j, m) = 1, so that mu_a cycles the classes.
+    smallest element of Q_1) are reduced mod p; an error names a as
+    given.  The class index j of a must satisfy gcd(j, m) = 1, so that
+    mu_a cycles the classes.
     """
     if not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
@@ -92,15 +97,14 @@ def build_residue_system(p, m, b=None, a=None):
     if len(class_of) != p - 1:
         raise AssertionError("classes do not partition {1, ..., p-1}")
 
-    if a is None:
-        a = classes[1][0]
-    a %= p
-    if math.gcd(a, p) != 1:
-        raise NotCoprime(f"multiplier {a} is not coprime to {p}")
+    given = classes[1][0] if a is None else a
+    a = given % p
+    if a == 0:
+        raise NotCoprime(f"multiplier {given} is not coprime to {p}")
     j = class_of[a]
     if math.gcd(j, m) != 1:
         raise MultiplierNotCyclic(
-            f"multiplier {a} lies in Q_{j} and gcd({j}, {m}) != 1")
+            f"multiplier {given} lies in Q_{j} and gcd({j}, {m}) != 1")
     return ResidueSystem(p, m, b, a, j, tuple(classes), class_of)
 
 

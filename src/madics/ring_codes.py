@@ -22,14 +22,19 @@ builds each from its components the first time it is read, for
 display and export.  Construction, chains, consistency checks and the
 identity suite never build them.
 
-Each per-component fact is computed once.  A family's defining
-elements for every class index are cached per (system, field, family,
-alpha_exp), and ring_code picks them by slot.  The ideal an element
-generates in F_q[x]/(x**p - 1) is the monic gcd(e, x**p - 1), cached
-per (field, p, element) by ideal_generator: a mu_a orbit permutes the
-same component elements, so component_consistency (and verify-paper's
-idempotent-ideal check) solves each element once.  ring_mu_chain still
-checks every step on every call.
+Each code is built once.  ring_code returns one shared RingCode per
+(ring, system, family, slots, alpha_exp mod p), so chains, the
+identity suite, component_consistency, verify-paper and the CLI all
+reuse one instance, and its v-basis forms are combined at most once
+per process.  A family's defining elements for every class index are
+cached per (system, field, family, alpha_exp), and ring_code picks
+them by slot; chain_step_poly is cached per (p, a, coeffs).  The ideal
+an element generates in F_q[x]/(x**p - 1) is the monic gcd(e, x**p -
+1), cached per (field, p, element) by ideal_generator: a mu_a orbit
+permutes the same component elements, so component_consistency (and
+verify-paper's idempotent-ideal check) solves each element once.  No
+cache holds a verdict: ring_mu_chain still compares every step on
+every call.
 
 The multiplier mu_a sends the exponent set Q_r to Q_{r+j}, with j the
 class index of a.  On polynomial coefficients the chain therefore
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import poly
@@ -57,7 +63,9 @@ from .ringalg import RingCtx, ring_poly_combine
 class RingCode:
     """A code over R: its s component defining elements over F_q and
     its s field component codes, with the v-basis defining element and
-    generator combined from them on first read.
+    generator combined from them on first read.  ring_code returns one
+    shared instance per code, so the v-basis forms are combined at most
+    once per process.
 
     ``elements[k]`` is the family's defining element on slot k (e, 1-e,
     1-h-e or h+e) and ``idempotent`` is their CRT combination.  For
@@ -93,21 +101,29 @@ class RingCode:
 
 
 def ring_code(ring, system, family, slots, alpha_exp=1):
-    """Build one ring code family member for a slot assignment.
+    """The ring code family member for a slot assignment: one shared
+    RingCode per code.
 
-    alpha_exp is reduced mod p first, so equal labelings share one
-    cached family build and the code stores the reduced value.
+    The arguments are checked first, so a refused call raises every
+    time and nothing is cached for it.  Slots are then normalised to
+    ints and alpha_exp is reduced mod p, so equal codes share one
+    instance whatever form the caller passed, and the code stores the
+    normalised values.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    slots = tuple(slots)
+    slots = tuple(map(operator.index, slots))
     if len(slots) != ring.s:
         raise BadSlotIndex(
             f"slot assignment needs exactly s={ring.s} entries, got {len(slots)}")
     if any(i < 0 or i >= system.m for i in slots):
         raise BadSlotIndex(f"slot indices must lie in [0, {system.m})")
+    return _shared_ring_code(ring, system, family, slots,
+                             operator.index(alpha_exp) % system.p)
 
-    alpha_exp %= system.p
+
+@functools.lru_cache(maxsize=None)
+def _shared_ring_code(ring, system, family, slots, alpha_exp):
     ctx = ring.field
     elements = _defining_elements(system, ctx, family, alpha_exp)
     comps = family_codes(system, ctx, family, alpha_exp)
@@ -135,11 +151,12 @@ def _defining_elements(system, ctx, family, alpha_exp):
     return tuple(poly.add(ctx, h, e) for e in evens)  # odd-II
 
 
+@functools.lru_cache(maxsize=None)
 def chain_step_poly(p, a, coeffs):
     """One multiplier step on an F_q polynomial: exponent a*i moves to
     exponent i, the inverse of the exponent-set action.  This is the
     relocation that moves the code built on Q_r to the one built on
-    Q_{r+j}."""
+    Q_{r+j}.  Cached per (p, a, coeffs), like ideal_generator."""
     return mu_poly(p, pow(a, -1, p), coeffs)
 
 
@@ -166,7 +183,8 @@ def ring_mu_chain(code, a=None):
     slots = code.slots
     for _ in range(length - 1):
         slots = tuple((i + j) % system.m for i in slots)
-        nxt = ring_code(code.ring, system, code.family, slots, code.alpha_exp)
+        nxt = _shared_ring_code(code.ring, system, code.family, slots,
+                                code.alpha_exp)
         moved = tuple(chain_step_poly(system.p, a, e)
                       for e in orbit[-1].elements)
         if moved != nxt.elements:

@@ -62,7 +62,9 @@ class RingCtx:
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, RingCtx)
+        # type-strict, so a subclass with its own element arithmetic
+        # never shares a cache entry keyed on the ring
+        return (type(other) is type(self)
                 and self.field == other.field and self.s == other.s)
 
     def __hash__(self):

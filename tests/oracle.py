@@ -31,6 +31,11 @@ its own chain step, so it uses none of the ring codes' CRT components;
 madics.identities.check_identities, which works on the components,
 must agree with it on every outcome.
 
+pairwise_products_all_pairs is the oracle of
+madics.identities.pairwise_products_equal, which checks "a_r a_t = c
+for every r < t" in O(L) per coordinate from the shape of the values:
+it multiplies all L(L-1)/2 pairs and compares each product with c.
+
 component_consistency_uncached is the oracle of
 madics.ring_codes.component_consistency, which looks each element's
 ideal generator up in the cache ring_codes.ideal_generator: it takes
@@ -396,6 +401,14 @@ def is_prime_power_trial(n):
             return n == 1
         d += 1
     return n > 1
+
+
+def pairwise_products_all_pairs(q, values, target):
+    """True when values[r] * values[t] == target pointwise mod q for
+    every r < t, by multiplying every pair."""
+    return all(
+        [x * y % q for x, y in zip(values[r], values[t])] == list(target)
+        for r in range(len(values)) for t in range(r + 1, len(values)))
 
 
 def component_consistency_uncached(code):

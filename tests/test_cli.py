@@ -86,6 +86,14 @@ def test_classes_invalid_m_exit_1(capsys):
     assert "InvalidM" in err
 
 
+@pytest.mark.parametrize("a", ["13", "26"])
+def test_classes_multiplier_zero_mod_p_exit_1(capsys, a):
+    code, _, err = run_cli(capsys, "classes", "--p", "13", "--m", "4",
+                           "--a", a)
+    assert code == 1
+    assert f"multiplier {a} is not coprime to 13" in err
+
+
 def test_bad_flag_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classes", "--p", "13"])

@@ -8,6 +8,7 @@ sum is 1 + (L - p^-1) h for orbit length L, so the printed
 point of the verify grid meets.
 """
 
+import itertools
 import math
 
 import pytest
@@ -23,12 +24,17 @@ from madics.identities import (
     _from_spectrum,
     _spectrum,
     check_identities,
+    pairwise_products_equal,
 )
 from madics.residues import build_residue_system
 from madics.ring_codes import chain_step_poly, ring_code, ring_mu_chain
 from madics.ringalg import make_ring
 from madics.verify import IDENTITY_GRID
-from oracle import check_identities_vbasis, mul_mod_schoolbook
+from oracle import (
+    check_identities_vbasis,
+    mul_mod_schoolbook,
+    pairwise_products_all_pairs,
+)
 
 P_DEPENDENT = {
     "E_sum_is_1_minus_h",
@@ -329,3 +335,59 @@ def test_spectrum_refuses_off_class_element_property(inputs, data):
     coeffs[k] = (coeffs[k] + data.draw(st.integers(1, q - 1))) % q
     with pytest.raises(AssertionError, match="not constant on the classes"):
         _spectrum(system, q, u, poly.trim(make_prime_field(q), coeffs))
+
+
+# the O(L) pairwise check against the all-pairs oracle
+
+@pytest.mark.parametrize("q,length", [
+    (q, length) for q in (2, 3, 5, 7) for length in (1, 2, 3, 4)])
+def test_pairwise_check_exhaustive_one_coordinate(q, length):
+    # every column of values and every target at one coordinate
+    for col in itertools.product(range(q), repeat=length):
+        values = [(v,) for v in col]
+        for c in range(q):
+            assert pairwise_products_equal(q, values, (c,)) == \
+                pairwise_products_all_pairs(q, values, (c,)), (col, c)
+
+
+@st.composite
+def pairwise_inputs(draw):
+    """(q, values, target): L = 1..10 spectra of one length, columns
+    drawn at random, all equal, or with one nonzero entry, each maybe
+    with one entry changed; the target zero, the product of each
+    column's first and last value (the one product when L = 2, v**2
+    when the column is all v) or random."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    length = draw(st.integers(1, 10))
+    width = draw(st.integers(1, 8))
+    value = st.integers(0, q - 1)
+    shape = draw(st.sampled_from(("random", "equal", "one-nonzero")))
+    cols = []
+    for _ in range(width):
+        if shape == "equal":
+            col = [draw(value)] * length
+        elif shape == "one-nonzero":
+            col = [0] * length
+            col[draw(st.integers(0, length - 1))] = draw(value)
+        else:
+            col = draw(st.lists(value, min_size=length, max_size=length))
+        if draw(st.integers(0, 3)) == 0:
+            col[draw(st.integers(0, length - 1))] = draw(value)
+        cols.append(col)
+    kind = draw(st.sampled_from(("zero", "product", "random")))
+    if kind == "zero":
+        target = (0,) * width
+    elif kind == "product":
+        target = tuple(col[0] * col[-1] % q for col in cols)
+    else:
+        target = tuple(draw(value) for _ in range(width))
+    values = [tuple(col[r] for col in cols) for r in range(length)]
+    return q, values, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairwise_inputs())
+def test_pairwise_check_matches_all_pairs_property(inputs):
+    q, values, target = inputs
+    assert pairwise_products_equal(q, values, target) == \
+        pairwise_products_all_pairs(q, values, target)

@@ -106,6 +106,29 @@ def test_validation_errors():
         build_residue_system(13, 4, a=13)
 
 
+@pytest.mark.parametrize("a", [13, 26, -13])
+def test_non_coprime_multiplier_named_as_given(a):
+    with pytest.raises(NotCoprime, match=f"multiplier {a} is not coprime"):
+        build_residue_system(13, 4, a=a)
+
+
+def test_system_built_once_per_arguments():
+    system = build_residue_system(19, 6, 2, 10)
+    assert build_residue_system(19, 6, 2, 10) is system
+    assert build_residue_system(19, 6, b=2, a=10) == system
+
+
+@pytest.mark.parametrize("args,error", [
+    ((15, 2), NonPrimeModulus), ((13, 5), InvalidM),
+    ((13, 3, 3), NotPrimitiveRoot), ((13, 4, None, 13), NotCoprime),
+    ((13, 4, None, 3), MultiplierNotCyclic)])
+def test_refused_system_raises_on_every_call(args, error):
+    # the cache holds built systems only, never a refusal
+    for _ in range(3):
+        with pytest.raises(error):
+            build_residue_system(*args)
+
+
 def test_base_reduced_mod_p():
     # b = 15 and b = 2 are one primitive root mod 13, so one system
     system = build_residue_system(13, 4, 15)

@@ -1,5 +1,6 @@
 """Ring code construction, multiplier chains and component consistency."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +73,57 @@ def test_slot_validation():
         ring_code(R33, SYS134, "even-I", (0, 1))
     with pytest.raises(BadSlotIndex):
         ring_code(R33, SYS134, "even-I", (0, 1, 4))
+
+
+def test_one_shared_instance_per_code():
+    # list or tuple slots, ints of another type and alpha_exp + p all
+    # name one code: one instance, holding plain ints and the reduced u
+    code = ring_code(R33, SYS134, "odd-I", (1, 2, 3), 2)
+    assert ring_code(R33, SYS134, "odd-I", [1, 2, 3], 2) is code
+    assert ring_code(R33, SYS134, "odd-I", (1, 2, 3), 2 + 13) is code
+    assert ring_code(R33, SYS134, "odd-I", (1, 2, 3), 2 - 13) is code
+    assert ring_code(R33, SYS134, "odd-I",
+                     np.array([1, 2, 3]), np.int64(15)) is code
+    assert all(type(i) is int for i in code.slots)
+    assert type(code.alpha_exp) is int and code.alpha_exp == 2
+    assert ring_code(R33, SYS134, "odd-I", (1, 2, 3)) is not code
+    assert ring_code(R33, SYS134, "even-I", (1, 2, 3), 2) is not code
+
+
+def test_true_slot_is_a_plain_one(cold_caches):
+    # True == 1 and hashes alike, so an unnormalised key would store
+    # whichever form came first
+    code = ring_code(R33, SYS134, "even-I", (True, 0, 0))
+    assert code.slots == (1, 0, 0)
+    assert all(type(i) is int for i in code.slots)
+    assert ring_code(R33, SYS134, "even-I", (1, 0, 0)) is code
+
+
+@pytest.mark.parametrize("slots", [(0, 1), (0, 1, 2, 3), (0, 1, 4),
+                                   (-1, 0, 0), [0, 4, 1]])
+def test_invalid_slots_raise_on_every_call(slots):
+    cached = ring_codes._shared_ring_code.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(BadSlotIndex):
+            ring_code(R33, SYS134, "even-I", slots)
+    assert ring_codes._shared_ring_code.cache_info().currsize == cached
+
+
+def test_mu_chain_checks_every_step(monkeypatch):
+    # the chain's step comparison is not cached: a wrong step element
+    # is caught on a warm second call
+    base = ring_code(R33, SYS134, "even-I", (1, 2, 3))
+    first = ring_mu_chain(base, 7)
+    step = ring_codes.chain_step_poly
+
+    def wrong(p, a, coeffs):
+        return poly.add(R33.field, step(p, a, coeffs), (1,))
+
+    monkeypatch.setattr(ring_codes, "chain_step_poly", wrong)
+    with pytest.raises(AssertionError, match="mu step"):
+        ring_mu_chain(base, 7)
+    monkeypatch.undo()
+    assert ring_mu_chain(base, 7) == first
 
 
 def test_ring_idempotents_are_idempotent():
@@ -225,9 +277,11 @@ def test_ring_code_reuses_family_elements(cold_caches, monkeypatch):
                                       for i in code.slots)
 
 
-def test_v_basis_forms_built_on_first_read(monkeypatch):
+def test_v_basis_forms_built_on_first_read(cold_caches, monkeypatch):
     # construction, chains, consistency checks and the identity suite
-    # work on the components and never combine the v-basis forms
+    # work on the components and never combine the v-basis forms; the
+    # caches start cold, since an earlier test may have read the forms
+    # of these shared instances
     calls = []
 
     def spy(ring, components):
@@ -248,6 +302,12 @@ def test_v_basis_forms_built_on_first_read(monkeypatch):
     assert len(calls) == 1
     assert code.generator == ring_poly_combine(
         ring73, [c.generator for c in code.components])
+    assert len(calls) == 2
+    # the shared instance keeps both forms: no second combine
+    again = ring_code(ring73, sys63, "odd-II", [0, 1, 2])
+    assert again is code
+    assert (again.idempotent, again.generator) == \
+        (code.idempotent, code.generator)
     assert len(calls) == 2
 
 
