@@ -13,7 +13,10 @@ ones.  The kernel histograms (high key a, low key b, weight w) and folds
 A_w = sum_ab mult_high[a] mult_low[b] counts[a, b, w] with one int64
 product.  The fold counts messages, not words, so it is exact for zero
 components and rank-deficient matrices too: counts[0] counts every
-message that maps to the zero word.  Its callers differ in the tables,
+message that maps to the zero word.  The index (a len(mult_low) + b)
+(n + 1) + w is built in the least unsigned type that holds its largest
+value and the scalar len(mult_low) (n + 1) it is built from, which is
+the larger when there is one high key.  Its callers differ in the tables,
 the counts and op:
 
     scan         field code: the tables hold words spanned by two
@@ -149,9 +152,11 @@ def _distance_counts(high, n_high, low, low_keys, n, op, mult_high,
     planes, n_low, width = low.shape
     step = max(1, BLOCK_BYTES // (n_low * width * 8))
     bins = n + 1
-    atype = np.min_scalar_type(n_keys * bins - 1)
-    low_at = (None if low_keys is None
-              else np.multiply(low_keys, bins, dtype=atype))
+    # the indices and, keyed, the scalar len(mult_low) * bins fit atype
+    atype = np.min_scalar_type(max(n_keys * bins - 1,
+                                   len(mult_low) * bins if keyed else 0))
+    low_at = (np.multiply(low_keys, bins, dtype=atype)
+              if keyed and low_keys is not None else None)
     hist = np.zeros(n_keys * bins, dtype=np.int64)
     for start in range(0, n_high, step):
         block, keys = high(np.arange(start, min(start + step, n_high)))

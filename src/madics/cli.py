@@ -6,6 +6,13 @@ resolved parameters (including defaulted b, a and the pinned splitting
 field) so runs are reproducible.  Exit codes: 0 success, 1 validation
 error or a reader that closed stdout early, 2 size cap exceeded (an
 enumeration past --cap, or p past residues.P_CAP).
+
+main sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
+any verb runs.  The scanning verbs import numpy, which would otherwise
+start an OpenBLAS worker thread per extra CPU at import; madics only
+multiplies integer arrays, which numpy never hands to BLAS, so the
+threads would cost start-up time and do nothing.  Importing this module
+or calling the library leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -500,6 +507,8 @@ def _validate_args(args):
 
 
 def main(argv=None):
+    # before a scanning verb's lazy numpy import (module docstring)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,8 +1,22 @@
 """Fixtures shared by the test modules."""
 
+import os
 import sys
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_restored():
+    """cli.main sets OPENBLAS_NUM_THREADS when it is unset; put back the
+    value the session started with after each test, so a test that runs
+    main in-process leaves no variable to the subprocesses of the next."""
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    yield
+    if before is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = before
 
 
 @pytest.fixture

@@ -7,10 +7,12 @@ exempt).  numpy stays off the cold path: no module but _kernels imports
 it (or _kernels) at module level, and a fresh interpreter that imports
 madics or runs a verb that does not scan ends without numpy in
 sys.modules.  Each verb loads only the layers it runs, and ``import
-madics`` loads none.  One scan kernel: numpy's popcount and bincount
-appear only in _kernels._distance_counts, and _kernels calls no
-np.unique or sort, whose first call pages in numpy code that the peak
-resident size of a scan run would show.  One orbit labeler: only
+madics`` loads none.  cli.main is the one writer of the environment:
+it sets OPENBLAS_NUM_THREADS to 1 unless the caller has, so a scanning
+verb starts numpy without a BLAS worker thread.  One scan kernel:
+numpy's popcount and bincount appear only in _kernels._distance_counts,
+and _kernels calls no np.unique or sort, whose first call pages in
+numpy code that the peak resident size of a scan run would show.  One orbit labeler: only
 _kernels._orbit_words calls _least_labels.  One
 arithmetic for the splitting field: field_codes.coset_factors makes at
 most 2t products over GF(q^t).  One arithmetic for the identity suite:
@@ -218,14 +220,18 @@ def test_numpy_only_imported_inside_functions(path):
 
 
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from madics.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
+tasks = "/proc/self/task"
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "layers": [m.split(".")[1] for m in sys.modules
                              if m.startswith("madics.")],
+                  "threads": (len(os.listdir(tasks)) if os.path.isdir(tasks)
+                              else None),
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
                   "out": out.getvalue()}))
 """
 
@@ -241,18 +247,29 @@ _ABSENT = {
 }
 
 
-def _python(*args):
-    """Run a fresh interpreter that imports madics from src/."""
+# the variables that size OpenBLAS's thread pool
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS")
+
+
+def _python(*args, env_set=None):
+    """Run a fresh interpreter that imports madics from src/, with
+    env_set's variables set in its environment (None unsets one)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    for name, value in (env_set or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, check=True, timeout=120)
 
 
-def _fresh(*argv):
+def _fresh(*argv, env_set=None):
     """Run madics.cli.main on argv in a fresh interpreter."""
-    proc = _python("-c", _CHILD, *argv)
+    proc = _python("-c", _CHILD, *argv, env_set=env_set)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -291,6 +308,84 @@ def test_distance_loads_numpy_and_scans():
     assert not {"ring_codes", "verify"} & set(res["layers"]), res["layers"]
     rep = json.loads(res["out"])["code"]["distance_report"]
     assert (rep["n"], rep["k"], rep["d_min"]) == (23, 12, 7)
+
+
+_DISTANCE = ("distance", "--q", "2", "--p", "23", "--m", "2", "--family",
+             "odd-I", "--index", "1", "--output", "json")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc to count threads")
+def test_cli_scan_starts_no_blas_thread():
+    # numpy starts an OpenBLAS worker per extra CPU at import unless told
+    # otherwise; main tells it before the distance verb imports numpy
+    res = _fresh(*_DISTANCE, env_set=dict.fromkeys(_BLAS_THREADS))
+    assert (res["code"], res["numpy"]) == (0, True)
+    assert res["openblas"] == "1"
+    assert res["threads"] == 1
+
+
+def test_cli_keeps_callers_blas_threads():
+    res = _fresh(*_DISTANCE, env_set={"OPENBLAS_NUM_THREADS": "2"})
+    assert (res["code"], res["numpy"]) == (0, True)
+    assert res["openblas"] == "2"
+
+
+def test_library_leaves_environment_alone():
+    # only the CLI entry sets the variable: importing the CLI module and
+    # scanning through the library change nothing in os.environ
+    _python("-c", "import os\n"
+                  "before = dict(os.environ)\n"
+                  "import madics.cli\n"
+                  "from madics import analysis, field_codes, residues\n"
+                  "from madics.ffield import make_prime_field\n"
+                  "system = residues.build_residue_system(23, 2)\n"
+                  "code = field_codes.family_codes(\n"
+                  "    system, make_prime_field(2), 'odd-I')[1]\n"
+                  "assert analysis.min_distance_field(code).d_min == 7\n"
+                  "assert 'numpy' in __import__('sys').modules\n"
+                  "assert dict(os.environ) == before\n",
+            env_set=dict.fromkeys(_BLAS_THREADS))
+
+
+def _environ_writes(tree):
+    """(enclosing top-level function, source) of every write to the
+    process environment: an assignment to or deletion of os.environ[...],
+    a mutating os.environ method, os.putenv or os.unsetenv."""
+    mutators = {"setdefault", "update", "pop", "popitem", "clear",
+                "__setitem__", "__delitem__"}
+
+    def environ(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "environ"
+                or isinstance(node, ast.Name) and node.id == "environ")
+
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            hit = any(isinstance(t, ast.Subscript) and environ(t.value)
+                      for t in targets)
+            if isinstance(node, ast.Call) and isinstance(node.func,
+                                                         ast.Attribute):
+                func = node.func
+                hit = hit or (func.attr in mutators and environ(func.value)
+                              or func.attr in ("putenv", "unsetenv"))
+            if hit:
+                found.append((where, ast.unparse(node)))
+    return found
+
+
+def test_only_cli_main_writes_environment():
+    writes = [(path.stem, where, code) for path in SOURCES
+              for where, code in _environ_writes(
+                  ast.parse(path.read_text(encoding="utf-8")))]
+    assert writes == [("cli", "main", "os.environ.setdefault("
+                       "'OPENBLAS_NUM_THREADS', '1')")]
 
 
 def _scan_calls(tree):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from madics import _kernels, poly
 from madics._kernels import min_weight, scan, scan_union
@@ -166,6 +166,29 @@ def union_matches_oracle(gmats, q, check=None):
     assert np.array_equal(got[1], ref[1])
     assert got[1].sum() == q ** sum(len(g) for g in gmats)
     assert got[0] == (0 if ref[1][0] > 1 else ref[0])
+
+
+def unit_row(n, j):
+    """The 1 x n matrix of the weight-1 word e_j."""
+    row = np.zeros((1, n), np.int64)
+    row[0, j] = 1
+    return row
+
+
+@pytest.mark.parametrize("q,gmats", [
+    (3, [unit_row(127, 126)]),
+    (5, [unit_row(127, 126)]),
+    (3, [np.zeros((1, 127), np.int64), unit_row(127, 126)]),
+    (2, [unit_row(255, 0)]),
+    (2, [unit_row(255, 0), unit_row(255, 254)]),
+], ids=["n127-q3", "n127-q5", "n127-zero-first", "n255-one", "n255-two"])
+def test_union_key_scalars_fit_index_type(q, gmats):
+    # one high key and two low counts at n = 127: the high-key scalar
+    # len(mult_low) (n + 1) = 256 equals the key count times n + 1, one
+    # past the largest index; at n = 255 over GF(2) every count is 1,
+    # so nothing is keyed, while the low keys times n + 1 = 256 would
+    # again overflow an index type of uint8
+    union_matches_oracle(gmats, q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -416,6 +439,7 @@ def union_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(union_cases())
+@example((3, [unit_row(127, 126)]))
 def test_scan_union_matches_oracle_property(case):
     q, gmats = case
     got, ref = scan_union(gmats, q), scan_union_oracle(gmats, q)
