@@ -46,14 +46,12 @@ does not load numpy; it loads on the first scan only.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from . import poly
 from .errors import DEFAULT_CAP, BackendUnavailable, InvalidParameter, TooLarge
 from .ffield import is_prime_power
-from .field_codes import check_factors, dual_generator
+from .field_codes import check_factors, dual_generator, product
 
 # Most words of the ideal B that a split scan tabulates whole (its low
 # table); a split whose B has more falls back to the scalar-only scan.
@@ -122,10 +120,9 @@ def _split(code, dual, dim):
     if dim_a < 2 or code.q**(dim - dim_a) > SPLIT_LOW_ROWS:
         return None
     part = set(reach[dim_a])
-    mul = functools.partial(poly.mul, code.ctx)
-    return (functools.reduce(mul, [factors[i] for i in reach[dim_a]]),
-            functools.reduce(mul, [f for i, f in enumerate(factors)
-                                   if i not in part]))
+    return (product(code.ctx, [factors[i] for i in reach[dim_a]]),
+            product(code.ctx, [f for i, f in enumerate(factors)
+                               if i not in part]))
 
 
 def _scan_matrix(code, dual):
@@ -146,8 +143,8 @@ def _scan_matrix(code, dual):
     f_a, f_b = split
     dim_a = len(f_a) - 1
     return np.vstack([
-        _shift_matrix(poly.mul(code.ctx, gen, f_a), n, dim - dim_a),
-        _shift_matrix(poly.mul(code.ctx, gen, f_b), n, dim_a)]), f_a
+        _shift_matrix(product(code.ctx, (gen, f_a)), n, dim - dim_a),
+        _shift_matrix(product(code.ctx, (gen, f_b)), n, dim_a)]), f_a
 
 
 def generator_matrix(code):
@@ -247,8 +244,7 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
             f"enumerating {total} component-message tuples exceeds the cap "
             f"{cap}; raise the cap to proceed")
     factors = check_factors(code.components[0])  # of its check polynomial
-    check = (functools.reduce(functools.partial(poly.mul, code.ring.field),
-                              factors) if factors else None)
+    check = product(code.ring.field, factors) if factors else None
     d, counts = _kernels.scan_union(
         [generator_matrix(c) for c in code.components], q, check)
     ranks = tuple(c.dimension for c in code.components)

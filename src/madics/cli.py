@@ -5,7 +5,8 @@ export.  Every verb takes --output json|text and echoes the fully
 resolved parameters (including defaulted b, a and the pinned splitting
 field) so runs are reproducible.  Exit codes: 0 success, 1 validation
 error or a reader that closed stdout early, 2 size cap exceeded (an
-enumeration past --cap, or p past residues.P_CAP).
+enumeration past --cap, p past residues.P_CAP, a family past
+field_codes.FAMILY_COEFFS or s past ringalg.S_CAP).
 
 main sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
 any verb runs.  The scanning verbs import numpy, which would otherwise
@@ -161,18 +162,18 @@ def _code_system(args):
 
 def _build_field(args):
     system = _code_system(args)
-    ctx = make_prime_field(args.q)
-    codes = family_codes(system, ctx, args.family, args.alpha_exp)
     if not 0 <= args.index < system.m:
         raise MadicError(f"index must lie in [0, {system.m})")
+    ctx = make_prime_field(args.q)
+    codes = family_codes(system, ctx, args.family, args.alpha_exp)
     return system, ctx, codes[args.index]
 
 
 def cmd_field_code(args):
     system, ctx, code = _build_field(args)
-    params = _resolved_params(system, ctx, alpha_exp=args.alpha_exp)
+    params, code_json = _code_payload(system, code, args.alpha_exp)
     payload = {"command": "field-code", "parameters": params,
-               "code": _field_code_json(code, params)}
+               "code": code_json}
     lines = _params_lines(params)
     lines.append(f"family {code.family} index {code.index}: "
                  f"[{code.p}, {code.dimension}] over GF({ctx.q})")
@@ -194,9 +195,9 @@ def cmd_ring_code(args):
     from .ringalg import format_ring_poly
 
     system, ring, code = _build_ring(args)
-    params = _resolved_params(system, ring.field, ring, args.alpha_exp)
+    params, code_json = _code_payload(system, code, args.alpha_exp)
     payload = {"command": "ring-code", "parameters": params,
-               "code": _ring_code_json(code, params)}
+               "code": code_json}
     lines = _params_lines(params)
     lines.append(f"family {code.family} slots {list(code.slots)}: length "
                  f"{code.p} over GF({ring.q})[v]/(v^{ring.s} - v), "

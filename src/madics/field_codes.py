@@ -25,13 +25,37 @@ odd-I all cosets but u*Q_i, even-II all but u*Q_i and {0}, and odd-II
 u*Q_i and {0}.
 With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
 lie in F_q (Storer, Cyclotomy and Difference Sets); gauss_periods
-reads them off the coset factors once per (system, q, u), and both the
-idempotents and the identity suite's class-algebra spectra read them
-there.  With c(k) the class of k the even-like class-I idempotent is
+reads them off the coset factors once per (system, q, u).  With c(k)
+the class of k the even-like class-I idempotent is
 
     e_i = p**-1 * ((p-1)/m + sum_{k=1}^{p-1} eta_{i+c(-k)} x**k);
 
 odd-I takes 1 - e_i, even-II 1 - p**-1 h - e_i, odd-II p**-1 h + e_i.
+
+All of these lie in the class algebra A: with q in Q_0, the
+polynomials whose coefficients are constant on {0}, Q_0, ..., Q_{m-1},
+
+    f = c_0 + sum_i c_i S_i,    S_i = sum_{k in Q_i} x**k,
+
+form an (m+1)-dimensional subalgebra of F_q[x]/(x**p - 1).  With g_r
+in Q_r, evaluation at the p-th roots of unity is the injective ring
+homomorphism
+
+    sigma(f) = (f(1), f(beta**g_0), ..., f(beta**g_{m-1}))
+    f(1)           = c_0 + ((p-1)/m) sum_i c_i
+    f(beta**g_r)   = c_0 + sum_i c_i eta_{i+r}
+
+from A to F_q**(m+1) (MacWilliams & Sloane, ch. 8: the Mattson-Solomon
+transform restricted to A), computed by spectrum.  So a product is a
+pointwise product of spectra and a sum a pointwise sum; sigma(1) =
+(1, ..., 1) and sigma(h) = (p mod q, 0, ..., 0).  sigma maps p**-1 h to
+(1, 0, ..., 0) and e_r to the unit vector at beta**g_r, so p**-1 h,
+e_0, ..., e_{m-1} is the basis of idempotents of A, and from_spectrum
+inverts sigma by linearity,
+
+    sigma**-1(v) = v_0 p**-1 h + sum_r v_{r+1} e_r,
+
+so the inverse formula is written once, in e_i.
 """
 
 from __future__ import annotations
@@ -124,7 +148,7 @@ def coset_factors(q, p):
         for k in coset:
             factor_of[k] = factor
         factors.append(factor)
-    if _product(ctx, factors) != poly.xn_minus_1(ctx, p):
+    if product(ctx, factors) != poly.xn_minus_1(ctx, p):
         raise AssertionError("coset factors do not multiply to x**p - 1")
     return tuple(factor_of)
 
@@ -148,7 +172,7 @@ def _min_poly(q, seq):
     return tuple(conn[length::-1])
 
 
-def _product(ctx, polys):
+def product(ctx, polys):
     """The product of nonzero polynomials over a prime field, by a
     pairwise tree of packed products (poly.mul)."""
     polys = list(polys) or [(ctx.one,)]
@@ -207,7 +231,7 @@ def dual_generator(code):
     negated nonzeros, and no polynomial is divided."""
     p = code.p
     factor_of = coset_factors(code.q, p)
-    return _product(code.ctx, [factor_of[-r % p] for r in code.nonzeros])
+    return product(code.ctx, [factor_of[-r % p] for r in code.nonzeros])
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,7 +269,7 @@ def _class_products(system, q, alpha_exp):
     """
     factor_of = coset_factors(q, system.p)
     ctx = make_prime_field(q)
-    return tuple(_product(ctx, [factor_of[r] for r in cosets])
+    return tuple(product(ctx, [factor_of[r] for r in cosets])
                  for cosets in _class_cosets(system, q, alpha_exp))
 
 
@@ -254,7 +278,7 @@ def gauss_periods(system, q, alpha_exp):
     """The Gauss periods (eta_0, ..., eta_{m-1}) of the module docstring,
     eta_r = sum_{k in Q_r} beta**k with beta = alpha**alpha_exp, as ints
     of F_q: the one source of the periods for the idempotents and the
-    identity suite's spectra.
+    spectra.
 
     u*Q_r is a union of q-cyclotomic cosets (_class_cosets, which checks
     q and u as the class products do); the roots of a coset factor f of
@@ -296,6 +320,42 @@ def _class_idempotents(system, q, alpha_exp):
     if poly.mul_mod(ctx, idems[0], idems[0], p) != idems[0]:
         raise AssertionError("e_0 * e_0 != e_0")
     return tuple(idems)
+
+
+@functools.lru_cache(maxsize=None)
+def spectrum(system, q, u, elem):
+    """sigma(elem) of the module docstring, (elem(1), elem(beta**g_0),
+    ..., elem(beta**g_{m-1})) as ints of F_q, cached per element.
+
+    Reads elem's own coefficients and raises AssertionError when they
+    are not constant on each class Q_i, since sigma is injective only
+    on the class algebra.
+    """
+    p, m = system.p, system.m
+    coeffs = elem + (0,) * (p - len(elem))
+    cs = []
+    for cls in system.classes:
+        row = [coeffs[k] for k in cls]
+        if row.count(row[0]) != len(row):
+            raise AssertionError("element is not constant on the classes")
+        cs.append(row[0])
+    etas = gauss_periods(system, q, u)
+    c0 = coeffs[0]
+    values = [c0 + (p - 1) // m * sum(cs)]
+    for r in range(m):
+        rot = etas[r:] + etas[:r]
+        values.append(c0 + sum(c * eta for c, eta in zip(cs, rot)))
+    return tuple(v % q for v in values)
+
+
+def from_spectrum(system, q, u, spec):
+    """The class-constant polynomial f with sigma(f) = spec: the inverse
+    of spectrum, spec[0] p**-1 h + sum_r spec[r+1] e_r, on the
+    idempotents e_r of _class_idempotents."""
+    coeffs = [spec[0] * pow(system.p, -1, q)] * system.p
+    for v, e in zip(spec[1:], _class_idempotents(system, q, u)):
+        coeffs[:len(e)] = [c + v * x for c, x in zip(coeffs, e)]
+    return poly.trim(make_prime_field(q), coeffs)
 
 
 @functools.lru_cache(maxsize=None)

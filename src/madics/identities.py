@@ -19,33 +19,16 @@ what it finds instead of assuming.
 
 The suite runs over F_q on the s CRT components each ring code
 carries (``RingCode.elements``), and on each component it works in the
-spectrum of the class algebra, so it multiplies no polynomial.  With q
-in Q_0, the polynomials whose coefficients are constant on {0}, Q_0,
-..., Q_{m-1},
-
-    f = c_0 + sum_i c_i S_i,    S_i = sum_{k in Q_i} x**k,
-
-form an (m+1)-dimensional subalgebra A of F_q[x]/(x**p - 1) that holds
-every element the suite touches: e_i, 1 - e_i, 1 - h - e_i, h + e_i,
-1, h, their sums and products and their chain steps.  With beta =
-alpha**u, g_r in Q_r and the Gauss periods eta_r = sum_{k in Q_r}
-beta**k in F_q (field_codes.gauss_periods), evaluation at the p-th
-roots of unity is the injective ring homomorphism
-
-    sigma(f) = (f(1), f(beta**g_0), ..., f(beta**g_{m-1}))
-    f(1)           = c_0 + ((p-1)/m) sum_i c_i
-    f(beta**g_r)   = c_0 + sum_i c_i eta_{i+r}
-
-from A to F_q**(m+1) (MacWilliams & Sloane, ch. 8: the
-Mattson-Solomon transform restricted to A).  So a product is a
-pointwise product of spectra, a sum a pointwise sum, and an identity
-holds exactly when it holds pointwise.  sigma(1) = (1, ..., 1) and
-sigma(h) = (p mod q, 0, ..., 0).  The chain step (exponent a*i moves to i)
-keeps f(1) and takes the value at beta**g_r from beta**g_{r-j}, with
-j the class index of a.  _spectrum reads each element's coefficients,
-checks that they are constant on the classes and caches the spectrum
-per element; a ring element is the flat list of its s component
-spectra.
+spectrum of the class algebra A, so it multiplies no polynomial.
+field_codes owns A and its transform: its module docstring defines
+sigma, field_codes.spectrum computes it and field_codes.from_spectrum
+inverts it.  Every element the suite touches lies in A: e_i, 1 - e_i,
+1 - h - e_i, h + e_i, 1, h, their sums and products and their chain
+steps.  So a product is a pointwise product of spectra, a sum a
+pointwise sum, and an identity holds exactly when it holds pointwise.
+The chain step (exponent a*i moves to i) keeps f(1) and takes the value
+at beta**g_r from beta**g_{r-j}, with j the class index of a.  A ring
+element is the flat list of its s component spectra.
 
 On spectra, idempotency is "every value is 0 or 1", since v**2 = v
 only for those in a field.  Each pairwise identity is written as
@@ -61,13 +44,9 @@ coordinate, not with the L(L-1)/2 products.
 
 Every identity is evaluated on every call.  A refuted identity's two
 sides are shown through _shown, cached per spectrum: it inverts each
-component spectrum,
-
-    c_0 = p**-1 (v_0 + ((p-1)/m) sum_r v_r)
-    c_i = p**-1 (v_0 + sum_r v_r eta_{i+r+c(-1)}),
-
-combines the components and formats the v-basis form, so each distinct
-side is formatted once and a warm call formats nothing.
+component spectrum with from_spectrum, combines the components and
+formats the v-basis form, so each distinct side is formatted once and
+a warm call formats nothing.
 """
 
 from __future__ import annotations
@@ -75,7 +54,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .field_codes import gauss_periods
+from .field_codes import from_spectrum, spectrum
 from .ring_codes import ring_code, ring_mu_chain
 from .ringalg import format_ring_poly, ring_poly_combine
 
@@ -113,60 +92,12 @@ class IdentityOutcome:
 
 
 @functools.lru_cache(maxsize=None)
-def _spectrum(system, q, u, elem):
-    """sigma(elem) of the module docstring, (elem(1), elem(beta**g_0),
-    ..., elem(beta**g_{m-1})) as ints of F_q, cached per element.
-
-    Reads elem's own coefficients and raises AssertionError when they
-    are not constant on each class Q_i, since sigma is injective only
-    on the class algebra.
-    """
-    p, m = system.p, system.m
-    coeffs = elem + (0,) * (p - len(elem))
-    cs = []
-    for cls in system.classes:
-        row = [coeffs[k] for k in cls]
-        if row.count(row[0]) != len(row):
-            raise AssertionError("element is not constant on the classes")
-        cs.append(row[0])
-    etas = gauss_periods(system, q, u)
-    c0 = coeffs[0]
-    values = [c0 + (p - 1) // m * sum(cs)]
-    for r in range(m):
-        rot = etas[r:] + etas[:r]
-        values.append(c0 + sum(c * eta for c, eta in zip(cs, rot)))
-    return tuple(v % q for v in values)
-
-
-def _from_spectrum(system, q, u, spec):
-    """The class-constant polynomial f with sigma(f) = spec: the
-    inverse of _spectrum, by the inverse transform of the module
-    docstring."""
-    p, m = system.p, system.m
-    p_inv = pow(p, -1, q)
-    etas = gauss_periods(system, q, u)
-    v0, vs = spec[0], spec[1:]
-    neg = system.class_of(-1)
-    coeffs = [0] * p
-    coeffs[0] = p_inv * (v0 + (p - 1) // m * sum(vs)) % q
-    for i, cls in enumerate(system.classes):
-        shift = (i + neg) % m
-        rot = etas[shift:] + etas[:shift]
-        c = p_inv * (v0 + sum(v * eta for v, eta in zip(vs, rot))) % q
-        for k in cls:
-            coeffs[k] = c
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-@functools.lru_cache(maxsize=None)
 def _shown(ring, system, u, spectra):
     """The v-basis text over R of a flat tuple of s component spectra:
-    each inverted by _from_spectrum, then combined and formatted, cached
+    each inverted by from_spectrum, then combined and formatted, cached
     per spectrum."""
     width = system.m + 1
-    comps = [_from_spectrum(system, ring.q, u, spectra[k:k + width])
+    comps = [from_spectrum(system, ring.q, u, spectra[k:k + width])
              for k in range(0, len(spectra), width)]
     return format_ring_poly(ring, ring_poly_combine(ring, comps))
 
@@ -216,7 +147,7 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     u = base.alpha_exp
 
     def spectra(code):
-        return [v for e in code.elements for v in _spectrum(system, q, u, e)]
+        return [v for e in code.elements for v in spectrum(system, q, u, e)]
 
     es = [spectra(c) for c in orbit]
     eps, ds, dps = (

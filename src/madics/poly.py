@@ -70,11 +70,6 @@ def degree(a):
     return len(a) - 1 if a else NEG_DEGREE
 
 
-def constant(dom, c):
-    c %= _modulus(dom)
-    return (c,) if c else ZERO
-
-
 def xn_minus_1(dom, n):
     return (_modulus(dom) - 1,) + (0,) * (n - 1) + (1,)
 

@@ -22,7 +22,7 @@ from .analysis import (
     min_distance_ring_exhaustive,
 )
 from .ffield import make_prime_field
-from .field_codes import family_codes
+from .field_codes import family_codes, product
 from .identities import IDENTITY_NAMES, check_identities
 from .residues import build_residue_system
 from .ringalg import format_ring_poly, make_ring, ring_poly_component
@@ -160,7 +160,7 @@ def _check_classes(checks, errata):
 def _check_field_family(checks, errata, cap):
     system = build_residue_system(19, 6)
     ctx = make_prime_field(7)
-    codes = family_codes(system, ctx, "even-I")
+    codes = family_codes(system, ctx, "even-I", 1)
     ours = tuple(c.generator for c in codes)
     match = set(ours) == set(REF_GENERATORS_Q7_P19_M6)
     rotation = tuple(ours.index(g) for g in REF_GENERATORS_Q7_P19_M6) \
@@ -184,7 +184,7 @@ def _check_field_family(checks, errata, cap):
 
 def _reference_rotation(system, ctx):
     """Map reference idempotent index -> computed class index."""
-    ours = tuple(c.idempotent for c in family_codes(system, ctx, "even-I"))
+    ours = tuple(c.idempotent for c in family_codes(system, ctx, "even-I", 1))
     printed = tuple(_combo_poly(system, combo)
                     for combo in REF_IDEMPOTENT_COMBOS_Q3_P13_M4)
     if set(ours) != set(printed):
@@ -224,7 +224,7 @@ def _check_ring_example(checks, errata, cap):
         "chain-q3-s3-p13-a7", walked == REF_CHAIN_SLOTS,
         f"slot walk in reference labels: {walked}"))
 
-    evens = family_codes(system, ctx, "even-I")
+    evens = family_codes(system, ctx, "even-I", 1)
     comp_ok = all(
         ring_poly_component(ring, base.generator, k) == evens[i].generator
         for k, i in enumerate(base.slots))
@@ -365,21 +365,18 @@ def _check_structure(checks, errata):
     for (q, p, m) in ((3, 13, 4), (7, 19, 6), (7, 19, 3), (3, 13, 2)):
         system = build_residue_system(p, m)
         ctx = make_prime_field(q)
-        xp1 = poly.xn_minus_1(ctx, p)
-        prod = poly.constant(ctx, ctx.one)
-        for c in family_codes(system, ctx, "odd-I"):
-            prod = poly.mul(ctx, prod, c.generator)
-        prod = poly.mul(ctx, prod, (ctx.neg(ctx.one), ctx.one))
-        if prod != xp1:
+        factors = [c.generator for c in family_codes(system, ctx, "odd-I", 1)]
+        if product(ctx, factors + [(ctx.neg(ctx.one), ctx.one)]) != \
+                poly.xn_minus_1(ctx, p):
             ok = False
             notes.append(f"(q={q},p={p},m={m}): factor product mismatch")
         for fam in ("even-I", "even-II"):
-            for c in family_codes(system, ctx, fam):
+            for c in family_codes(system, ctx, fam, 1):
                 if poly.eval_poly(ctx, c.generator, ctx.one) != ctx.zero:
                     ok = False
                     notes.append(f"(q={q},p={p},m={m}) {fam}: not even-like")
         for fam in ("even-I", "odd-I", "even-II", "odd-II"):
-            for c in family_codes(system, ctx, fam):
+            for c in family_codes(system, ctx, fam, 1):
                 if ideal_generator(ctx, p, c.idempotent) != c.generator:
                     ok = False
                     notes.append(

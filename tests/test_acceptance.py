@@ -397,7 +397,7 @@ def test_criterion_6_structural_invariants():
             continue
         ctx = make_prime_field(q)
         xp1 = poly.xn_minus_1(ctx, p)
-        prod = poly.constant(ctx, ctx.one)
+        prod = (ctx.one,)
         for c in family_codes(system, ctx, "odd-I"):
             prod = poly.mul(ctx, prod, c.generator)
         prod = poly.mul(ctx, prod, (ctx.neg(ctx.one), ctx.one))

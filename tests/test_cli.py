@@ -140,6 +140,25 @@ def test_ring_code_incompatible_s(capsys):
     assert "IncompatibleS" in err
 
 
+def test_ring_code_s_cap_exit_2(capsys):
+    code, out, err = run_cli(capsys, "ring-code", "--q", "257", "--s", "257",
+                             "--p", "13", "--m", "4", "--family", "even-I",
+                             "--slots", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: TooLarge: s=257 exceeds the ring cap")
+
+
+@pytest.mark.parametrize("verb", ["field-code", "distance"])
+def test_index_checked_before_the_family_is_built(capsys, monkeypatch, verb):
+    built = []
+    monkeypatch.setattr(cli, "family_codes",
+                        lambda *args: built.append(args))
+    code, _, err = run_cli(capsys, verb, "--q", "3", "--p", "13", "--m", "4",
+                           "--family", "odd-I", "--index", "4")
+    assert code == 1 and built == []
+    assert "index must lie in [0, 4)" in err
+
+
 def test_distance_field(capsys):
     code, doc, _ = run_json(capsys, "distance", "--q", "3", "--p", "13",
                             "--m", "4", "--family", "even-I", "--index", "0")

@@ -17,13 +17,13 @@ from madics.field_codes import (
     _class_idempotents,
     _class_products,
     _min_poly,
-    _product,
     all_ones_h,
     check_factors,
     coset_factors,
     dual_generator,
     family_codes,
     gauss_periods,
+    product,
     splitting_field,
 )
 from madics.residues import build_residue_system
@@ -201,13 +201,13 @@ def test_coset_factor_product_tree_matches_schoolbook(q, p):
                    for k in coset)
     factors = list(dict.fromkeys(factor_of))
     for i in range(len(factors) + 1):
-        assert _product(ctx, factors[:i]) == \
+        assert product(ctx, factors[:i]) == \
             product_schoolbook(ctx, factors[:i])
     rng = random.Random(q * p)
     for size in range(1, 8):
         polys = [tuple(rng.randrange(q) for _ in range(rng.randrange(1, 9)))
                  + (rng.randrange(1, q),) for _ in range(size)]
-        assert _product(ctx, polys) == product_schoolbook(ctx, polys)
+        assert product(ctx, polys) == product_schoolbook(ctx, polys)
 
 
 @pytest.mark.parametrize("q,p", ((7, 3), (11, 5), (13, 3), (2, 7), (3, 13),
@@ -402,7 +402,7 @@ def test_nonzeros_are_the_check_polynomial_roots(q, p, m):
                                      family, u):
                 assert list(code.nonzeros) == sorted(code.nonzeros)
                 assert set(code.nonzeros) <= leaders
-                check = _product(ctx, [factor_of[r] for r in code.nonzeros])
+                check = product(ctx, [factor_of[r] for r in code.nonzeros])
                 assert divmod_generic(ctx, xp1, code.generator) == (check, ())
 
 
@@ -418,7 +418,7 @@ def test_check_factors_multiply_to_the_check_polynomials(q, p, m):
             for dual in (False, True):
                 gen = dual_generator(code) if dual else code.generator
                 assert divmod_generic(ctx, xp1, gen) == (
-                    _product(ctx, check_factors(code, dual)), ())
+                    product(ctx, check_factors(code, dual)), ())
 
 
 def test_nonzeros_of_singleton_cosets_time():

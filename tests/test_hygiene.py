@@ -478,6 +478,39 @@ def test_identities_multiply_no_polynomials():
     assert not stray, f"identities uses polynomial arithmetic: {stray}"
 
 
+def test_field_codes_alone_reads_the_class_algebra():
+    # the Gauss periods and the idempotent basis are read only where the
+    # transform pair spectrum / from_spectrum lives, so the index
+    # convention of the periods is written once
+    names = {"gauss_periods", "_class_idempotents"}
+    stray = []
+    for path in SOURCES:
+        if path.stem == "field_codes":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found = [a.name for a in node.names if a.name in names]
+            else:
+                found = [name for name in (getattr(node, "id", None),
+                                           getattr(node, "attr", None))
+                         if name in names]
+            stray.extend(f"{path.stem} line {node.lineno}: {name}"
+                         for name in found)
+    assert not stray, f"class algebra read outside field_codes: {stray}"
+
+
+def test_analysis_multiplies_through_field_codes():
+    # analysis takes every product of coset factors from
+    # field_codes.product, so it needs neither poly nor functools
+    tree = ast.parse((ROOT / "src" / "madics" / "analysis.py").read_text(
+        encoding="utf-8"))
+    imported = set(_imported(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.rpartition(".")[2])
+    assert not imported & {"poly", "functools"}
+
+
 @pytest.mark.parametrize("module", ["analysis", "field_codes"])
 def test_codes_and_distances_divide_no_polynomials(module):
     # every generator, check polynomial and dual generator is a product

@@ -14,15 +14,19 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from madics import identities, poly
+from madics import field_codes, identities, poly
 from madics.errors import QNotResidue
 from madics.ffield import SIZE_CAP, is_prime, make_prime_field
-from madics.field_codes import FAMILIES
+from madics.field_codes import (
+    FAMILIES,
+    _class_idempotents,
+    all_ones_h,
+    from_spectrum,
+    spectrum,
+)
 from madics.identities import (
     IDENTITY_NAMES,
     _chain_source,
-    _from_spectrum,
-    _spectrum,
     check_identities,
     pairwise_products_equal,
 )
@@ -204,10 +208,10 @@ def test_suite_multiplies_no_polynomials(cold_caches, monkeypatch, q, p, m,
     monkeypatch.setattr(poly, "mul_mod", counting)
     cold = check_identities(ring, system)
     assert calls == []
-    assert identities._spectrum.cache_info().misses == len(elements)
+    assert field_codes.spectrum.cache_info().misses == len(elements)
     warm = check_identities(ring, system)
     assert calls == []
-    assert identities._spectrum.cache_info().misses == len(elements)
+    assert field_codes.spectrum.cache_info().misses == len(elements)
     monkeypatch.undo()
     assert cold == warm == check_identities_vbasis(ring, system)
 
@@ -292,13 +296,29 @@ def class_algebra_inputs(draw):
     return system, q, u, f, g, a
 
 
+@pytest.mark.parametrize("q,p,m", sorted({c[:3] for c in SUITE_CASES}))
+def test_unit_spectra_invert_to_the_idempotent_basis(q, p, m):
+    # sigma**-1 is linear on p**-1 h, e_0, ..., e_{m-1}; each must be the
+    # preimage of its unit spectrum, so spectrum and the idempotents
+    # index the roots beta**g_r alike
+    system = build_residue_system(p, m)
+    ctx = make_prime_field(q)
+    h_idem = poly.scale(ctx, pow(p, -1, q), all_ones_h(p))
+    units = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
+    for u in (1, system.b, p - 1):
+        basis = (h_idem,) + _class_idempotents(system, q, u)
+        for unit, f in zip(units, basis):
+            assert from_spectrum(system, q, u, unit) == f
+            assert spectrum(system, q, u, f) == unit
+
+
 @settings(max_examples=60, deadline=None)
 @given(class_algebra_inputs())
 def test_spectrum_round_trip_property(inputs):
     system, q, u, f, _, _ = inputs
-    spec = _spectrum(system, q, u, f)
+    spec = spectrum(system, q, u, f)
     assert len(spec) == system.m + 1
-    assert _from_spectrum(system, q, u, spec) == f
+    assert from_spectrum(system, q, u, spec) == f
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,19 +326,19 @@ def test_spectrum_round_trip_property(inputs):
 def test_spectrum_of_product_is_pointwise_property(inputs):
     system, q, u, f, g, _ = inputs
     product = mul_mod_schoolbook(make_prime_field(q), f, g, system.p)
-    pointwise = tuple(x * y % q for x, y in zip(_spectrum(system, q, u, f),
-                                                _spectrum(system, q, u, g)))
-    assert _spectrum(system, q, u, product) == pointwise
+    pointwise = tuple(x * y % q for x, y in zip(spectrum(system, q, u, f),
+                                                spectrum(system, q, u, g)))
+    assert spectrum(system, q, u, product) == pointwise
 
 
 @settings(max_examples=60, deadline=None)
 @given(class_algebra_inputs())
 def test_chain_step_is_a_class_shift_property(inputs):
     system, q, u, f, _, a = inputs
-    spec = _spectrum(system, q, u, f)
+    spec = spectrum(system, q, u, f)
     shifted = tuple(spec[i]
                     for i in _chain_source(system.m, system.class_of(a)))
-    assert _spectrum(system, q, u, chain_step_poly(system.p, a, f)) == \
+    assert spectrum(system, q, u, chain_step_poly(system.p, a, f)) == \
         shifted
 
 
@@ -334,7 +354,7 @@ def test_spectrum_refuses_off_class_element_property(inputs, data):
     coeffs = list(f) + [0] * (p - len(f))
     coeffs[k] = (coeffs[k] + data.draw(st.integers(1, q - 1))) % q
     with pytest.raises(AssertionError, match="not constant on the classes"):
-        _spectrum(system, q, u, poly.trim(make_prime_field(q), coeffs))
+        spectrum(system, q, u, poly.trim(make_prime_field(q), coeffs))
 
 
 # the O(L) pairwise check against the all-pairs oracle

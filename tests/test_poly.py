@@ -191,7 +191,7 @@ def test_idempotent_of_cyclic_properties():
     factors = list(dict.fromkeys(coset_factors(3, p)))
     # products of factor subsets give every nontrivial divisor shape
     for i in range(len(factors)):
-        g = poly.constant(ctx, ctx.one)
+        g = (ctx.one,)
         for k, f in enumerate(factors):
             if k != i:
                 g = poly.mul(ctx, g, f)
@@ -214,7 +214,6 @@ def test_parse_format_round_trip():
 # arguments that are valid over a prime field
 ENTRY_POINTS = {
     "trim": lambda d: poly.trim(d, (1, 2)),
-    "constant": lambda d: poly.constant(d, 1),
     "xn_minus_1": lambda d: poly.xn_minus_1(d, 5),
     "add": lambda d: poly.add(d, (1, 2), (2,)),
     "sub": lambda d: poly.sub(d, (1, 2), (2,)),
@@ -275,7 +274,6 @@ def test_ring_operations_match_oracle(case, c):
     ctx, a, b = case
     A, B = canon(ctx, a), canon(ctx, b)
     assert poly.trim(ctx, a) == A
-    assert poly.constant(ctx, c) == canon(ctx, (c,))
     assert poly.add(ctx, a, b) == add_generic(ctx, A, B)
     assert poly.sub(ctx, a, b) == sub_generic(ctx, A, B)
     assert poly.scale(ctx, c, a) == scale_generic(ctx, c % ctx.q, A)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from madics import poly
-from madics.errors import IncompatibleS
-from madics.ffield import make_prime_field
+from madics.errors import IncompatibleS, TooLarge
+from madics.ffield import FieldCtx, make_prime_field
 from madics.ringalg import (
+    S_CAP,
     RingCtx,
     _validate_ring,
     format_ring_poly,
@@ -31,6 +32,24 @@ VALID = ((3, 2), (3, 3), (7, 3), (7, 4), (7, 7), (5, 5), (11, 3))
 
 def rand_elt(ring):
     return tuple(rng.randrange(ring.q) for _ in range(ring.s))
+
+
+def test_s_cap_refused_before_zeta(monkeypatch):
+    # validating the s idempotents at the s CRT points costs s**3
+    # steps: an s past S_CAP is refused before zeta or any eta_k
+    assert 7 <= S_CAP < 257
+    ctx = make_prime_field(257)
+
+    def no_power(*args):
+        raise AssertionError("zeta computed before the cap check")
+
+    monkeypatch.setattr(FieldCtx, "pow", no_power)
+    with pytest.raises(TooLarge, match="s=257 exceeds the ring cap"):
+        make_ring(ctx, 257)
+
+
+def test_s_cap_builds():
+    assert make_ring(make_prime_field(127), S_CAP).s == S_CAP == 64
 
 
 def test_incompatible_s():

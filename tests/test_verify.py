@@ -1,5 +1,6 @@
 """Verification report: fresh-build checks pass, errata list is stable."""
 
+from madics.field_codes import family_codes
 from madics.verify import (
     expected_identity_failures,
     run_verification,
@@ -43,6 +44,13 @@ def test_report_ok():
     assert {c.name for c in report.checks} == EXPECTED_CHECKS
     for c in report.checks:
         assert c.passed, (c.name, c.detail)
+
+
+def test_verification_builds_each_family_once(cold_caches):
+    # verify asks for the labeling ring_code uses, alpha_exp = 1, so
+    # both read one cache entry per (system, field, family)
+    run_verification()
+    assert family_codes.cache_info().currsize == 16
 
 
 def test_errata_catalog():
