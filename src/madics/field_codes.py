@@ -10,29 +10,28 @@ and ghat_i = prod_{k in Q_i} (x - alpha^k), the families are
 
 All four require q to be an m-adic residue mod p (q in Q_0); that is
 exactly the condition for the class products to have coefficients in
-F_q.  ghat_i is the product over F_q of the irreducible factors of
-x**p - 1 for the q-cyclotomic cosets in Q_i, and each factor is the
-minimal polynomial of alpha**min(C) over F_q, found by Berlekamp-Massey
-on the constant digits of its powers, so no polynomial over GF(q^t) is
-multiplied (MacWilliams & Sloane, ch. 4).  The even-I and odd-II
-generators are complement products of the ghat_j, so none is divided.
-Each code carries its generator, its idempotent generator (the
-inverse DFT of its 0/1 spectrum, MacWilliams & Sloane, ch. 8) and its
-nonzeros: the q-cyclotomic cosets C whose roots alpha^k, k in C, are
-roots of its check polynomial (x**p - 1)/g, each named by its least
-member.  With u*Q_i the cosets of class i, even-I has nonzeros u*Q_i,
-odd-I all cosets but u*Q_i, even-II all but u*Q_i and {0}, and odd-II
-u*Q_i and {0}.
+F_q.  The irreducible factors of x**p - 1 over F_q belong to the
+q-cyclotomic cosets C, each the minimal polynomial of alpha**min(C),
+found by Berlekamp-Massey on the constant digits of its powers, so no
+polynomial over GF(q^t) is multiplied (MacWilliams & Sloane, ch. 4).
+
+A cyclic code is fixed by its nonzeros: the cosets C, by least member,
+whose roots alpha^k, k in C, are those of its check polynomial
+(x**p - 1)/g.  With u*Q_i the cosets of class i, even-I has nonzeros
+u*Q_i, odd-I all cosets but u*Q_i, even-II all but u*Q_i and {0}, and
+odd-II u*Q_i and {0}.  family_codes returns these records; on first
+read a code multiplies the factors of its zero cosets into its
+generator, dividing nothing, and inverts its 0/1 spectrum into its
+idempotent (below; MacWilliams & Sloane, ch. 7 and ch. 8).
+
 With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
 lie in F_q (Storer, Cyclotomy and Difference Sets); gauss_periods
 reads them off the coset factors once per (system, q, u).  With c(k)
 the class of k the even-like class-I idempotent is
 
-    e_i = p**-1 * ((p-1)/m + sum_{k=1}^{p-1} eta_{i+c(-k)} x**k);
+    e_i = p**-1 * ((p-1)/m + sum_{k=1}^{p-1} eta_{i+c(-k)} x**k).
 
-odd-I takes 1 - e_i, even-II 1 - p**-1 h - e_i, odd-II p**-1 h + e_i.
-
-All of these lie in the class algebra A: with q in Q_0, the
+The idempotents lie in the class algebra A: with q in Q_0, the
 polynomials whose coefficients are constant on {0}, Q_0, ..., Q_{m-1},
 
     f = c_0 + sum_i c_i S_i,    S_i = sum_{k in Q_i} x**k,
@@ -55,53 +54,80 @@ inverts sigma by linearity,
 
     sigma**-1(v) = v_0 p**-1 h + sum_r v_{r+1} e_r,
 
-so the inverse formula is written once, in e_i.
+whose coefficient k >= 1 is p**-1 (v_0 + sum_r v_{r+1} eta_{r+c(-k)}).
+A code's 0/1 spectrum has entry 0 set iff {0} is a nonzero and entry
+r+1 iff the cosets of u*Q_r are, so one formula gives the idempotents
+of all four families: e_i, 1 - e_i, 1 - p**-1 h - e_i and p**-1 h + e_i.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import poly
 from .errors import NotCoprime, QNotResidue, TooLarge
 from .ffield import FieldCtx, make_extension, make_prime_field
+from .residues import ResidueSystem
 
 FAMILIES = ("even-I", "odd-I", "even-II", "odd-II")
-# Most coefficients, m * p, that family_codes builds: a family holds m
-# generators and m idempotents of up to p coefficients each, all kept
-# for the life of the process by its cache.  (2, 8191, 630), about
-# 5.2 M, still builds; (2, 131071, 7710), about 10**9, is refused.
+# Most coefficients, m * p, of a family: reading every code of it holds
+# m generators and m idempotents of up to p coefficients each, and the
+# check stops a long-p family before coset_factors runs.  (2, 8191,
+# 630), about 5.2 M, is built; (2, 131071, 7710), about 10**9, is not.
 FAMILY_COEFFS = 1 << 23
 
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """A cyclic code of prime length p over GF(q), with its generator
-    polynomial (monic, ascending coefficients) and idempotent generator.
-
-    nonzeros names the code's nonzero cyclotomic cosets by their least
-    members (module docstring), relative to the alpha of
-    splitting_field: (0,) for <h>, () for the zero code.  It takes no
-    part in equality, since the generator determines it."""
+    """A cyclic code of prime length p over GF(q), fixed by nonzeros: its
+    nonzero cyclotomic cosets by least member, ascending, relative to
+    the alpha of splitting_field ((0,) for <h>, () for the zero code).
+    The generator (monic, ascending), idempotent, dual generator and
+    dimension are built on first read and kept.  The idempotent is read
+    through the labeling system and alpha_exp, which take no part in
+    equality; a hand-built code may leave system None and lack one."""
 
     ctx: FieldCtx
     p: int
     family: str
     index: int
-    generator: tuple
-    idempotent: tuple
-    nonzeros: tuple = field(compare=False)
+    nonzeros: tuple
+    system: ResidueSystem | None = field(default=None, compare=False,
+                                         repr=False)
+    alpha_exp: int = field(default=1, compare=False)
 
     @property
     def q(self):
         return self.ctx.q
 
-    @property
+    @functools.cached_property
+    def generator(self):
+        factor_of = coset_factors(self.q, self.p)
+        zeros = _other_cosets(self.q, self.p, self.nonzeros)
+        return product(self.ctx, [factor_of[r] for r in zeros])
+
+    @functools.cached_property
+    def dual_generator(self):
+        """The monic reciprocal of the check polynomial (x**p - 1)/g: its
+        roots are the inverses alpha^-k of the check polynomial's."""
+        factor_of = coset_factors(self.q, self.p)
+        return product(self.ctx, [factor_of[-r % self.p]
+                                  for r in self.nonzeros])
+
+    @functools.cached_property
     def dimension(self):
-        return self.p - (len(self.generator) - 1)
+        return sum(map(_coset_sizes(self.q, self.p).__getitem__,
+                       self.nonzeros))
+
+    @functools.cached_property
+    def idempotent(self):
+        own = set(self.nonzeros)
+        cosets = _class_cosets(self.system, self.q, self.alpha_exp)
+        spec = [0 in own] + [own.issuperset(c) for c in cosets]
+        return from_spectrum(self.system, self.q, self.alpha_exp, spec)
 
 
 def all_ones_h(p):
@@ -183,16 +209,6 @@ def product(ctx, polys):
     return polys[0]
 
 
-def _complements(ctx, polys, seed):
-    """seed * prod_{j != i} polys[j] for each i, from the suffix
-    products and a running prefix: O(len(polys)) products, no
-    division."""
-    mul = functools.partial(poly.mul, ctx)
-    suffix = list(itertools.accumulate(polys[:0:-1], mul, initial=(ctx.one,)))
-    prefix = itertools.accumulate(polys, mul, initial=seed)
-    return [mul(a, b) for a, b in zip(reversed(suffix), prefix)]
-
-
 @functools.lru_cache(maxsize=None)
 def coset_leaders(q, p):
     """The least member of the q-cyclotomic coset mod p of each k < p."""
@@ -203,12 +219,16 @@ def coset_leaders(q, p):
     return tuple(leader)
 
 
+@functools.lru_cache(maxsize=None)
+def _coset_sizes(q, p):
+    """{least member: size} of the q-cyclotomic cosets mod p, ascending."""
+    return Counter(coset_leaders(q, p))
+
+
 def _other_cosets(q, p, cosets):
-    """The leaders of the q-cyclotomic cosets mod p not in cosets,
-    ascending."""
+    """The q-cyclotomic coset leaders mod p not in cosets, ascending."""
     own = set(cosets)
-    return tuple(r for r in dict.fromkeys(coset_leaders(q, p))
-                 if r not in own)
+    return tuple(r for r in _coset_sizes(q, p) if r not in own)
 
 
 def check_factors(code, dual=False):
@@ -218,32 +238,22 @@ def check_factors(code, dual=False):
     q, p = code.q, code.p
     nonzeros = code.nonzeros
     if dual:
-        leader = coset_leaders(q, p)
-        nonzeros = [leader[-r % p] for r in _other_cosets(q, p, nonzeros)]
+        nonzeros = [-r % p for r in _other_cosets(q, p, nonzeros)]
     factor_of = coset_factors(q, p)
     return [factor_of[r] for r in nonzeros]
 
 
-def dual_generator(code):
-    """Generator of the dual of code: the monic reciprocal of the check
-    polynomial (x**p - 1)/g.  Its roots are the inverses alpha^-k of the
-    check polynomial's, so it is the product of the coset factors of the
-    negated nonzeros, and no polynomial is divided."""
-    p = code.p
-    factor_of = coset_factors(code.q, p)
-    return product(code.ctx, [factor_of[-r % p] for r in code.nonzeros])
+# the generator of a code's dual, built once and kept on the code
+dual_generator = operator.attrgetter("dual_generator")
 
 
 @functools.lru_cache(maxsize=None)
 def _class_cosets(system, q, alpha_exp):
     """The q-cyclotomic cosets of u*Q_i for each class i, by least
-    member, ascending: the one check of a labeling, read by the class
-    products and the Gauss periods.
-
-    q must be coprime to p and an m-adic residue (QNotResidue
-    otherwise), and u = alpha_exp coprime to p (NotCoprime).  Then q
-    lies in Q_0, so u*Q_i is a union of q-cyclotomic cosets.
-    """
+    member, ascending: the one check of a labeling.  q must be coprime
+    to p and an m-adic residue (QNotResidue otherwise), and u =
+    alpha_exp coprime to p (NotCoprime).  Then q lies in Q_0, so u*Q_i
+    is a union of q-cyclotomic cosets."""
     p = system.p
     if q % p == 0:
         raise NotCoprime("q must be coprime to the code length")
@@ -259,78 +269,41 @@ def _class_cosets(system, q, alpha_exp):
 
 
 @functools.lru_cache(maxsize=None)
-def _class_products(system, q, alpha_exp):
-    """ghat_i = prod_{k in Q_i} (x - alpha^(u*k)) over F_q.
-
-    alpha_exp = u selects which primitive p-th root anchors the
-    class-to-factor labeling.  Labelings for different u differ by a
-    rotation of the class index.  ghat_i is the product of the coset
-    factors of u*Q_i (_class_cosets, which checks q and u).
-    """
-    factor_of = coset_factors(q, system.p)
-    ctx = make_prime_field(q)
-    return tuple(product(ctx, [factor_of[r] for r in cosets])
-                 for cosets in _class_cosets(system, q, alpha_exp))
-
-
-@functools.lru_cache(maxsize=None)
 def gauss_periods(system, q, alpha_exp):
     """The Gauss periods (eta_0, ..., eta_{m-1}) of the module docstring,
     eta_r = sum_{k in Q_r} beta**k with beta = alpha**alpha_exp, as ints
-    of F_q: the one source of the periods for the idempotents and the
-    spectra.
+    of F_q: the one source of the periods for spectrum and from_spectrum.
 
-    u*Q_r is a union of q-cyclotomic cosets (_class_cosets, which checks
-    q and u as the class products do); the roots of a coset factor f of
-    degree d sum to minus its x**(d-1) coefficient, so eta_r is the sum
-    of -f[-2] over the coset factors of u*Q_r.  Checks that
-    sum_r eta_r = -1 (the sum of all nontrivial p-th roots of unity).
+    u*Q_r is a union of q-cyclotomic cosets (_class_cosets checks q and
+    u), and the roots of a coset factor f sum to -f[-2], so eta_r sums
+    -f[-2] over the coset factors of u*Q_r.  Checks sum_r eta_r = -1
+    and, so the index convention of the periods is checked, e_0**2 = e_0.
     """
     factor_of = coset_factors(q, system.p)
     etas = tuple(-sum(factor_of[r][-2] for r in cosets) % q
                  for cosets in _class_cosets(system, q, alpha_exp))
     if sum(etas) % q != q - 1:
         raise AssertionError("the Gauss periods do not sum to -1")
+    e_0 = _inverse(system, q, etas, (0, 1) + (0,) * (system.m - 1))
+    if poly.mul_mod(make_prime_field(q), e_0, e_0, system.p) != e_0:
+        raise AssertionError("e_0 * e_0 != e_0")
     return etas
 
 
 @functools.lru_cache(maxsize=None)
-def _class_idempotents(system, q, alpha_exp):
-    """The even-like class-I idempotents e_i of the module docstring.
-
-    Row i reads the scaled periods rotated by i at the class of -k, so
-    no class index is reduced per coefficient, and every coefficient is
-    already reduced, so a row only drops its trailing zeros.  The
-    periods summing to -1 makes sum_i e_i = 1 - p**-1 h
-    coefficientwise; the build checks that e_0 * e_0 = e_0.
-    """
-    p, m = system.p, system.m
-    p_inv = pow(p, -1, q)
-    scaled = [p_inv * eta % q for eta in gauss_periods(system, q, alpha_exp)]
-    head = [p_inv * ((p - 1) // m) % q]
-    class_of_neg = [system.class_of(-k) for k in range(1, p)]
-    ctx = make_prime_field(q)
-    idems = []
-    for i in range(m):
-        rot = scaled[i:] + scaled[:i]
-        row = head + list(map(rot.__getitem__, class_of_neg))
-        while row and not row[-1]:
-            row.pop()
-        idems.append(tuple(row))
-    if poly.mul_mod(ctx, idems[0], idems[0], p) != idems[0]:
-        raise AssertionError("e_0 * e_0 != e_0")
-    return tuple(idems)
+def _classes_of_negatives(system):
+    """c(-k), the class of -k, for k = 1, ..., p - 1."""
+    neg = {system.p - k: i for i, cls in enumerate(system.classes)
+           for k in cls}
+    return tuple(map(neg.__getitem__, range(1, system.p)))
 
 
 @functools.lru_cache(maxsize=None)
 def spectrum(system, q, u, elem):
     """sigma(elem) of the module docstring, (elem(1), elem(beta**g_0),
-    ..., elem(beta**g_{m-1})) as ints of F_q, cached per element.
-
-    Reads elem's own coefficients and raises AssertionError when they
-    are not constant on each class Q_i, since sigma is injective only
-    on the class algebra.
-    """
+    ..., elem(beta**g_{m-1})) as ints of F_q, cached per element.  Raises
+    AssertionError when elem's coefficients are not constant on each
+    class Q_i, since sigma is injective only on the class algebra."""
     p, m = system.p, system.m
     coeffs = elem + (0,) * (p - len(elem))
     cs = []
@@ -339,64 +312,61 @@ def spectrum(system, q, u, elem):
         if row.count(row[0]) != len(row):
             raise AssertionError("element is not constant on the classes")
         cs.append(row[0])
-    etas = gauss_periods(system, q, u)
     c0 = coeffs[0]
-    values = [c0 + (p - 1) // m * sum(cs)]
-    for r in range(m):
-        rot = etas[r:] + etas[:r]
-        values.append(c0 + sum(c * eta for c, eta in zip(cs, rot)))
+    values = [c0 + (p - 1) // m * sum(cs)] + [
+        c0 + s for s in _correlate(gauss_periods(system, q, u), cs)]
     return tuple(v % q for v in values)
 
 
 def from_spectrum(system, q, u, spec):
     """The class-constant polynomial f with sigma(f) = spec: the inverse
-    of spectrum, spec[0] p**-1 h + sum_r spec[r+1] e_r, on the
-    idempotents e_r of _class_idempotents."""
-    coeffs = [spec[0] * pow(system.p, -1, q)] * system.p
-    for v, e in zip(spec[1:], _class_idempotents(system, q, u)):
-        coeffs[:len(e)] = [c + v * x for c, x in zip(coeffs, e)]
+    of spectrum, read straight off the Gauss periods."""
+    return _inverse(system, q, gauss_periods(system, q, u), spec)
+
+
+def _inverse(system, q, etas, spec):
+    """sigma**-1(spec) by the module docstring's coefficient formula,
+    p**-1 (v_0 + s_{c(-k)}) at k >= 1 with s = _correlate(etas, v_1..v_m):
+    O(p + m d), and a family code's spectrum has d <= 1."""
+    p, m = system.p, system.m
+    p_inv = pow(p, -1, q)
+    scaled = [p_inv * (spec[0] + s) % q for s in _correlate(etas, spec[1:])]
+    head = p_inv * (spec[0] + (p - 1) // m * sum(spec[1:])) % q
+    coeffs = [head, *map(scaled.__getitem__, _classes_of_negatives(system))]
     return poly.trim(make_prime_field(q), coeffs)
+
+
+def _correlate(etas, values):
+    """s_j = sum_r values[r] eta_{r+j} (mod q) for each j, the sums both
+    sigma and its inverse read.  With w the most common value and
+    sum_r eta_r = -1, s_j is -w plus (values[r] - w) eta_{r+j} over the
+    d entries other than w, so it costs O(m d)."""
+    w = Counter(values).most_common(1)[0][0]
+    sums = [-w] * len(etas)
+    for r, v in enumerate(values):
+        if v != w:
+            rot = etas[r:] + etas[:r]
+            sums = [s + (v - w) * eta for s, eta in zip(sums, rot)]
+    return sums
 
 
 @functools.lru_cache(maxsize=None)
 def family_codes(system, ctx, family, alpha_exp=1):
-    """All m codes of one family, cached per (system, ctx, labeling).
-
-    Each generator comes from the class products ghat_j and each
-    idempotent from e_i, as in the module docstring; even-I and odd-II
-    take the complements of the ghat_j seeded with x - 1 and with 1.
-    A family of more than FAMILY_COEFFS coefficients, m * p, is refused
-    with TooLarge before any is built.
-    """
+    """All m codes of one family as records of their nonzeros (module
+    docstring), cached per (system, ctx, labeling); none multiplies a
+    polynomial before it is read.  A family of more than FAMILY_COEFFS
+    coefficients, m * p, is refused with TooLarge first."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    p, m = system.p, system.m
+    p, m, q = system.p, system.m, ctx.q
     if m * p > FAMILY_COEFFS:
         raise TooLarge(
             f"a family of {m} codes of length {p} holds {m * p} "
             f"coefficients, past the cap {FAMILY_COEFFS}")
-    cosets = _class_cosets(system, ctx.q, alpha_exp)
-    ghats = _class_products(system, ctx.q, alpha_exp)
-    idems = _class_idempotents(system, ctx.q, alpha_exp)
-    x_minus_1 = (ctx.neg(ctx.one), ctx.one)
-    one = (ctx.one,)
-    h_idem = poly.scale(ctx, pow(p, -1, ctx.q), all_ones_h(p))
-    one_minus_h = poly.sub(ctx, one, h_idem)
-    if family in ("even-I", "odd-II"):
-        comps = _complements(
-            ctx, ghats, x_minus_1 if family == "even-I" else one)
-    codes = []
-    for i, (ghat, e_i, own) in enumerate(zip(ghats, idems, cosets)):
-        if family == "even-I":
-            g, e, nonzeros = comps[i], e_i, own
-        elif family == "odd-I":
-            g, e = ghat, poly.sub(ctx, one, e_i)
-            nonzeros = _other_cosets(ctx.q, p, own)
-        elif family == "even-II":
-            g = poly.mul(ctx, x_minus_1, ghat)
-            e = poly.sub(ctx, one_minus_h, e_i)
-            nonzeros = _other_cosets(ctx.q, p, (0,) + own)
-        else:  # odd-II
-            g, e, nonzeros = comps[i], poly.add(ctx, h_idem, e_i), (0,) + own
-        codes.append(CyclicCode(ctx, p, family, i, g, e, nonzeros))
-    return tuple(codes)
+    # class II adds {0} to u*Q_i; odd-I and even-II take the complement
+    zero = (0,) if family.endswith("II") else ()
+    other = family in ("odd-I", "even-II")
+    return tuple(
+        CyclicCode(ctx, p, family, i, _other_cosets(q, p, zero + own)
+                   if other else zero + own, system, alpha_exp)
+        for i, own in enumerate(_class_cosets(system, q, alpha_exp)))

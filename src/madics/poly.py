@@ -90,11 +90,6 @@ def sub(dom, a, b):
     return _trimmed(out)
 
 
-def scale(dom, c, a):
-    q = _modulus(dom)
-    return _trimmed([c * x % q for x in a])
-
-
 def mul(dom, a, b):
     """The product a*b: mul_mod with n = len(a) + len(b), more slots
     than a*b has coefficients, so nothing folds."""

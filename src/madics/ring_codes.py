@@ -26,15 +26,14 @@ Each code is built once.  ring_code returns one shared RingCode per
 (ring, system, family, slots, alpha_exp mod p), so chains, the
 identity suite, component_consistency, verify-paper and the CLI all
 reuse one instance, and its v-basis forms are combined at most once
-per process.  A family's defining elements for every class index are
-cached per (system, field, family, alpha_exp), and ring_code picks
-them by slot; chain_step_poly is cached per (p, a, coeffs).  The ideal
-an element generates in F_q[x]/(x**p - 1) is the monic gcd(e, x**p -
-1), cached per (field, p, element) by ideal_generator: a mu_a orbit
+per process.  A defining element is cached per class index, (system,
+field, family, alpha_exp, i), and built only for the indices a slot
+names; chain_step_poly is cached per (p, a, coeffs).  The ideal an
+element generates in F_q[x]/(x**p - 1) is the monic gcd(e, x**p - 1),
+cached per (field, p, element) by ideal_generator: a mu_a orbit
 permutes the same component elements, so component_consistency (and
 verify-paper's idempotent-ideal check) solves each element once.  No
-cache holds a verdict: ring_mu_chain still compares every step on
-every call.
+cache holds a verdict: ring_mu_chain still compares every step.
 
 The multiplier mu_a sends the exponent set Q_r to Q_{r+j}, with j the
 class index of a.  On polynomial coefficients the chain therefore
@@ -125,30 +124,26 @@ def ring_code(ring, system, family, slots, alpha_exp=1):
 @functools.lru_cache(maxsize=None)
 def _shared_ring_code(ring, system, family, slots, alpha_exp):
     ctx = ring.field
-    elements = _defining_elements(system, ctx, family, alpha_exp)
     comps = family_codes(system, ctx, family, alpha_exp)
     return RingCode(ring, system, family, slots, alpha_exp,
-                    tuple(elements[i] for i in slots),
+                    tuple(_defining_element(system, ctx, family, alpha_exp, i)
+                          for i in slots),
                     tuple(comps[i] for i in slots))
 
 
 @functools.lru_cache(maxsize=None)
-def _defining_elements(system, ctx, family, alpha_exp):
-    """The family's defining element for each class index i, from the
-    field even-like class-I idempotent e_i (see the module docstring),
-    cached per (system, ctx, family, alpha_exp)."""
-    evens = tuple(c.idempotent
-                  for c in family_codes(system, ctx, "even-I", alpha_exp))
-    one = (ctx.one,)
-    h = all_ones_h(system.p)
+def _defining_element(system, ctx, family, alpha_exp, i):
+    """The family's defining element for class index i, from the field
+    even-like class-I idempotent e_i (see the module docstring)."""
+    e = family_codes(system, ctx, "even-I", alpha_exp)[i].idempotent
     if family == "even-I":
-        return evens
+        return e
+    one, h = (ctx.one,), all_ones_h(system.p)
     if family == "odd-I":
-        return tuple(poly.sub(ctx, one, e) for e in evens)
+        return poly.sub(ctx, one, e)
     if family == "even-II":
-        one_minus_h = poly.sub(ctx, one, h)
-        return tuple(poly.sub(ctx, one_minus_h, e) for e in evens)
-    return tuple(poly.add(ctx, h, e) for e in evens)  # odd-II
+        return poly.sub(ctx, poly.sub(ctx, one, h), e)
+    return poly.add(ctx, h, e)  # odd-II
 
 
 @functools.lru_cache(maxsize=None)

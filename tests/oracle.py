@@ -57,9 +57,9 @@ same transform with each Krawtchouk value summed from its binomial
 definition instead of the three-term recurrence.
 
 product_schoolbook is the oracle of madics.poly.mul and of
-madics.field_codes._product, the pairwise tree of packed products that
-checks the coset factors and multiplies the class products: it folds
-mul_generic left to right.
+madics.field_codes.product, the pairwise tree of packed products that
+checks the coset factors and multiplies each code's generator: it
+folds mul_generic left to right.
 
 gcd_ext and idempotent_bezout are the Bezout oracle of the idempotents
 of madics.field_codes, which come in closed form from Gauss periods:
@@ -71,7 +71,8 @@ works from the generator alone.
 coset_factor_schoolbook is the oracle of madics.field_codes.coset_factors,
 which finds each factor by Berlekamp-Massey over F_q: it
 multiplies out the linear terms x - alpha^k, k in the coset, with
-mul_generic over the splitting field GF(q^t).
+mul_generic over the splitting field GF(q^t).  class_products_direct
+does the same for the class products ghat_i, the odd-I generators.
 
 gauss_periods_table is the oracle of madics.field_codes.gauss_periods,
 which reads each period off the coset factors: it sums the powers
@@ -278,6 +279,21 @@ def coset_factor_schoolbook(q, p):
                                (ext.neg(ext.pow(alpha, k)), ext.one))
         out[coset] = prod
     return out
+
+
+def class_products_direct(system, q, alpha_exp):
+    """(ghat_0, ..., ghat_{m-1}), ghat_i = prod_{k in u*Q_i}
+    (x - alpha**k) with u = alpha_exp, multiplied out over the splitting
+    field."""
+    ext, alpha = splitting_field(q, system.p)
+    out = []
+    for cls in system.classes:
+        prod = (ext.one,)
+        for k in cls:
+            root = ext.pow(alpha, alpha_exp * k % system.p)
+            prod = mul_generic(ext, prod, (ext.neg(root), ext.one))
+        out.append(prod)
+    return tuple(out)
 
 
 def gauss_periods_table(system, q, alpha_exp):

@@ -267,6 +267,23 @@ def test_family_coefficient_cap_exit_2():
     assert "Traceback" not in proc.stderr
 
 
+def test_long_family_code_reads_one_code_promptly():
+    # the family is 630 records of nonzeros and only code 3 builds its
+    # generator and idempotent; building all 630 took about 4 s
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "madics.cli", "field-code", "--q", "2",
+         "--p", "8191", "--m", "630", "--family", "even-I", "--index", "3",
+         "--output", "json"], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["code"]["params"]["k"] == 13
+
+
 @pytest.mark.parametrize("shape", [("field-code", "--index", "0"),
                                    ("ring-code", "--s", "3", "--slots",
                                     "0,1,2")], ids=lambda s: s[0])

@@ -14,8 +14,6 @@ from madics.ffield import make_prime_field
 from madics import field_codes
 from madics.field_codes import (
     FAMILIES,
-    _class_idempotents,
-    _class_products,
     _min_poly,
     all_ones_h,
     check_factors,
@@ -28,13 +26,14 @@ from madics.field_codes import (
 )
 from madics.residues import build_residue_system
 from oracle import (
+    class_products_direct,
     coset_factor_schoolbook,
     divmod_generic,
     eval_generic,
     gauss_periods_table,
     idempotent_bezout,
     mod_xn_minus_1,
-    mul_generic,
+    monic_generic,
     product_schoolbook,
 )
 
@@ -236,12 +235,13 @@ def test_min_poly_known_answers():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_cold_family_long_p_time(cold_caches, family):
-    # field, coset factors, class products and generators from cold
-    # caches: no construction step may grow with p faster than the
-    # products of the class products themselves
+    # field, coset factors, the family's records and one code's
+    # generator and idempotent from cold caches: no construction step
+    # may grow with p faster than one product of coset factors
     system = build_residue_system(8191, 2)
     t0 = time.perf_counter()
-    family_codes(system, make_prime_field(2), family)
+    code = family_codes(system, make_prime_field(2), family)[1]
+    code.generator, code.idempotent
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -250,26 +250,79 @@ def test_cold_even_like_longest_p_time(cold_caches):
     # schoolbook division of x^p - 1 there takes minutes
     system = build_residue_system(131071, 2)
     t0 = time.perf_counter()
-    family_codes(system, make_prime_field(2), "even-I")
+    code = family_codes(system, make_prime_field(2), "even-I")[1]
+    code.generator, code.idempotent
     assert time.perf_counter() - t0 < 10
 
 
-@pytest.mark.parametrize("q,p,m", ((7, 19, 6), (2, 127, 9), (3, 13, 4),
-                                   (2, 89, 8), (5, 31, 5)))
+GENERATOR_GRID = ((7, 19, 6), (2, 127, 9), (3, 13, 4), (2, 89, 8),
+                  (5, 31, 5))
+
+
+@pytest.mark.parametrize("q,p,m", GENERATOR_GRID)
 def test_complement_generators_match_division(q, p, m):
-    # g_i = (x**p - 1) / ghat_i and hhat_i = g_i / (x - 1)
+    # g_i = (x**p - 1) / ghat_i and hhat_i = g_i / (x - 1), with ghat_i
+    # the odd-I generator
     ctx = make_prime_field(q)
     system = build_residue_system(p, m)
     xp1 = poly.xn_minus_1(ctx, p)
     x_minus_1 = (ctx.neg(ctx.one), ctx.one)
     for u in (1, -1):
-        ghats = _class_products(system, q, u)
+        ghats = family_codes(system, ctx, "odd-I", u)
         even = family_codes(system, ctx, "even-I", u)
         odd = family_codes(system, ctx, "odd-II", u)
         for ghat, e, o in zip(ghats, even, odd):
-            g, rem = divmod_generic(ctx, xp1, ghat)
+            g, rem = divmod_generic(ctx, xp1, ghat.generator)
             assert rem == () and e.generator == g
             assert divmod_generic(ctx, g, x_minus_1) == (o.generator, ())
+
+
+@pytest.mark.parametrize("q,p,m", GENERATOR_GRID)
+def test_family_codes_match_the_oracles(q, p, m):
+    # each record's polynomials against the schoolbook forms: g is
+    # (x**p - 1) over the product of its nonzero coset factors, the
+    # idempotent is Bezout's on g, the dimension is p - deg g and the
+    # dual generator the monic reciprocal of the check polynomial
+    ctx = make_prime_field(q)
+    system = build_residue_system(p, m)
+    xp1 = poly.xn_minus_1(ctx, p)
+    factors = {coset[0]: f
+               for coset, f in coset_factor_schoolbook(q, p).items()}
+    for u in (1, -1):
+        for family in FAMILIES:
+            for code in family_codes(system, ctx, family, u):
+                check = product_schoolbook(
+                    ctx, [factors[r] for r in code.nonzeros])
+                assert divmod_generic(ctx, xp1, check) == \
+                    (code.generator, ())
+                assert code.idempotent == \
+                    idempotent_bezout(ctx, code.generator, p)
+                assert code.dimension == p - poly.degree(code.generator)
+                assert code.dual_generator == monic_generic(ctx, check[::-1])
+
+
+def test_family_codes_builds_no_polynomial(monkeypatch):
+    # a family is m records of nonzeros; every product waits for a read
+    def refuse(*args):
+        raise AssertionError("family_codes multiplied a polynomial")
+
+    monkeypatch.setattr(field_codes, "product", refuse)
+    monkeypatch.setattr(poly, "mul_mod", refuse)
+    system, ctx = build_residue_system(8191, 630), make_prime_field(2)
+    for family in FAMILIES:
+        codes = family_codes.__wrapped__(system, ctx, family)
+        assert [c.index for c in codes] == list(range(630))
+
+
+def test_dual_generator_built_once_per_code(monkeypatch):
+    # the dual generator is one coset product, kept on the code
+    system, ctx = build_residue_system(8191, 630), make_prime_field(2)
+    code = family_codes.__wrapped__(system, ctx, "odd-I")[3]
+    first = dual_generator(code)
+    calls = []
+    monkeypatch.setattr(field_codes, "product",
+                        lambda *args: calls.append(args))
+    assert dual_generator(code) == first and calls == []
 
 
 def test_dropped_coset_fails_the_factor_check(monkeypatch):
@@ -286,18 +339,13 @@ def test_dropped_coset_fails_the_factor_check(monkeypatch):
     (2, 7, 2), (3, 13, 4), (3, 13, 2), (7, 19, 6), (2, 23, 2), (3, 11, 2),
     (2, 31, 3), (5, 11, 2), (2, 73, 8), (2, 89, 8), (2, 127, 9)))
 def test_class_products_match_direct_roots(q, p, m):
-    # ghat_i = prod_{k in u*Q_i} (x - alpha^k), multiplied out in GF(q^t)
+    # the odd-I generators are ghat_i = prod_{k in u*Q_i} (x - alpha^k),
+    # multiplied out in GF(q^t)
     system = build_residue_system(p, m)
-    ext, alpha = splitting_field(q, p)
+    ctx = make_prime_field(q)
     for u in (1, 2, 3, -1):
-        direct = []
-        for cls in system.classes:
-            prod = (ext.one,)
-            for k in cls:
-                root = ext.pow(alpha, u * k % p)
-                prod = mul_generic(ext, prod, (ext.neg(root), ext.one))
-            direct.append(prod)
-        assert _class_products(system, q, u) == tuple(direct)
+        assert tuple(c.generator for c in family_codes(
+            system, ctx, "odd-I", u)) == class_products_direct(system, q, u)
 
 
 @pytest.mark.parametrize("q,p,m", (
@@ -428,8 +476,6 @@ def test_nonzeros_of_singleton_cosets_time():
     # milliseconds (about 3 s per family with a tuple membership test)
     p, q = 16411, 98467
     system, ctx = build_residue_system(p, 2), make_prime_field(q)
-    _class_products(system, q, 1)
-    _class_idempotents(system, q, 1)
     for family in ("odd-I", "even-II"):
         t0 = time.perf_counter()
         codes = family_codes.__wrapped__(system, ctx, family)
@@ -438,10 +484,13 @@ def test_nonzeros_of_singleton_cosets_time():
             assert len(code.nonzeros) == (p - 1) // 2 + (family == "odd-I")
 
 
-def test_nonzeros_take_no_part_in_equality():
-    code = family_codes(build_residue_system(13, 4), F3, "odd-I")[0]
-    bare = dataclasses.replace(code, nonzeros=())
-    assert bare == code and hash(bare) == hash(code)
+def test_nonzeros_decide_equality():
+    # a code is its nonzeros; the labeling it was read through is not
+    system = build_residue_system(13, 4)
+    code = family_codes(system, F3, "odd-I")[0]
+    assert dataclasses.replace(code, nonzeros=()) != code
+    same = family_codes(system, F3, "odd-I", 1 + 13)[0]
+    assert same == code and hash(same) == hash(code)
 
 
 def test_family_coefficient_cap(monkeypatch):

@@ -479,10 +479,10 @@ def test_identities_multiply_no_polynomials():
 
 
 def test_field_codes_alone_reads_the_class_algebra():
-    # the Gauss periods and the idempotent basis are read only where the
-    # transform pair spectrum / from_spectrum lives, so the index
+    # the Gauss periods and the class table c(-k) are read only where
+    # the transform pair spectrum / from_spectrum lives, so the index
     # convention of the periods is written once
-    names = {"gauss_periods", "_class_idempotents"}
+    names = {"gauss_periods", "_classes_of_negatives"}
     stray = []
     for path in SOURCES:
         if path.stem == "field_codes":

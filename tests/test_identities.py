@@ -19,8 +19,6 @@ from madics.errors import QNotResidue
 from madics.ffield import SIZE_CAP, is_prime, make_prime_field
 from madics.field_codes import (
     FAMILIES,
-    _class_idempotents,
-    all_ones_h,
     from_spectrum,
     spectrum,
 )
@@ -36,6 +34,9 @@ from madics.ringalg import make_ring
 from madics.verify import IDENTITY_GRID
 from oracle import (
     check_identities_vbasis,
+    class_products_direct,
+    divmod_generic,
+    idempotent_bezout,
     mul_mod_schoolbook,
     pairwise_products_all_pairs,
 )
@@ -300,13 +301,17 @@ def class_algebra_inputs(draw):
 def test_unit_spectra_invert_to_the_idempotent_basis(q, p, m):
     # sigma**-1 is linear on p**-1 h, e_0, ..., e_{m-1}; each must be the
     # preimage of its unit spectrum, so spectrum and the idempotents
-    # index the roots beta**g_r alike
+    # index the roots beta**g_r alike; e_r is Bezout's idempotent of
+    # (x**p - 1)/ghat_r, with ghat_r multiplied out over GF(q^t)
     system = build_residue_system(p, m)
     ctx = make_prime_field(q)
-    h_idem = poly.scale(ctx, pow(p, -1, q), all_ones_h(p))
+    xp1 = poly.xn_minus_1(ctx, p)
+    h_idem = (pow(p, -1, q),) * p
     units = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
     for u in (1, system.b, p - 1):
-        basis = (h_idem,) + _class_idempotents(system, q, u)
+        basis = [h_idem] + [
+            idempotent_bezout(ctx, divmod_generic(ctx, xp1, ghat)[0], p)
+            for ghat in class_products_direct(system, q, u)]
         for unit, f in zip(units, basis):
             assert from_spectrum(system, q, u, unit) == f
             assert spectrum(system, q, u, f) == unit

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from madics import poly, ring_codes
+from madics import field_codes, poly, ring_codes
 from madics.analysis import min_distance_ring_exhaustive
 from madics.errors import BadSlotIndex, MultiplierNotCyclic, NotCoprime
 from madics.ffield import make_prime_field
@@ -253,22 +253,28 @@ def test_generators_and_ideal_generators_are_monic(q, p, m):
 
 
 def test_ring_code_reuses_family_elements(cold_caches, monkeypatch):
-    # the family's elements are built once; a ring code picks them by slot
-    for family in FAMILIES:
-        ring_code(R33, SYS134, family, (0, 1, 2))
-    calls = []
+    # each (family, index) element is built at most once, and only for
+    # the indices some slot names; a ring code picks them by slot.  The
+    # coset factors are warmed first: the field build subtracts too
+    field_codes.coset_factors(3, 13)
+    built = []
 
-    def counting(op):
+    def counting(module, name):
+        op = getattr(module, name)
+
         def wrapped(*args):
-            calls.append(op.__name__)
+            built.append(name)
             return op(*args)
-        return wrapped
+        monkeypatch.setattr(module, name, wrapped)
 
-    monkeypatch.setattr(poly, "add", counting(poly.add))
-    monkeypatch.setattr(poly, "sub", counting(poly.sub))
-    codes = [ring_code(R33, SYS134, family, slots)
-             for family in FAMILIES for slots in ((3, 1, 2), (2, 2, 0))]
-    assert calls == []
+    counting(poly, "add")
+    counting(poly, "sub")
+    counting(field_codes, "from_spectrum")
+    codes = [ring_code(R33, SYS134, family, slots) for family in FAMILIES
+             for slots in ((0, 1, 1), (1, 0, 0), (1, 1, 0))]
+    # e_0 and e_1 once each, then per index one sub for odd-I, two for
+    # even-II and one add for odd-II
+    assert sorted(built) == ["add"] * 2 + ["from_spectrum"] * 2 + ["sub"] * 6
     monkeypatch.undo()
     for code in codes:
         # p = 1 (mod q): every family's element is the field idempotent
