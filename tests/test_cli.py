@@ -1,5 +1,6 @@
 """CLI behavior: verbs, output formats, exit codes, JSON round-trips."""
 
+import gc
 import json
 import os
 import subprocess
@@ -59,8 +60,17 @@ def test_classes_base_reduced_mod_p(capsys):
     assert doc["parameters"]["b"] == 2
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_pipe_exits_without_traceback(unbuffered):
+_CLASSES_65537 = ("classes", "--p", "65537", "--m", "2")
+# loads numpy and writes 238,628 bytes, past a 64 KB pipe buffer, so the
+# exit-time freeze of cli.run follows the BrokenPipe path
+_DISTANCE_8191 = ("distance", "--q", "2", "--p", "8191", "--m", "630",
+                  "--family", "odd-II", "--index", "3")
+
+
+@pytest.mark.parametrize("unbuffered,argv", [
+    (False, _CLASSES_65537), (True, _CLASSES_65537),
+    (False, _DISTANCE_8191)], ids=["False", "True", "distance"])
+def test_closed_pipe_exits_without_traceback(unbuffered, argv):
     # the reader keeps 100 bytes of a long output and closes the pipe,
     # as `madics classes ... | head -c 100` does
     env = dict(os.environ)
@@ -70,14 +80,85 @@ def test_closed_pipe_exits_without_traceback(unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "madics.cli", "classes", "--p", "65537",
-         "--m", "2", "--output", "json"],
+        [sys.executable, "-m", "madics.cli", *argv, "--output", "json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports madics from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def _run_module(*argv):
+    """(exit code, stdout, stderr) of python -m madics.cli on argv."""
+    proc = _python("-m", "madics.cli", *argv)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_RING_3_13 = ("--q", "3", "--s", "3", "--p", "13", "--m", "4", "--a", "7",
+              "--family", "even-I", "--slots", "1,2,3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classes", "--p", "13", "--m", "3", "--b", "2"),
+    ("classes", "--p", "13", "--m", "5"),
+    ("field-code", "--q", "7", "--p", "19", "--m", "6", "--family",
+     "even-I", "--index", "0"),
+    ("ring-code", *_RING_3_13, "--chain"),
+    ("distance", *_RING_3_13, "--method", "both"),
+], ids=["classes", "classes-invalid", "field-code", "ring-code-chain",
+        "distance-both"])
+def test_module_entry_matches_main(capsys, argv):
+    # python -m madics.cli goes through cli.run, which freezes the
+    # collector around main; what the user sees must not change
+    argv = (*argv, "--output", "json")
+    assert _run_module(*argv) == run_cli(capsys, *argv)
+
+
+def test_module_entry_matches_main_on_export_and_from(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    export = ("export", "--q", "3", "--p", "13", "--m", "4", "--family",
+              "even-I", "--index", "0", "--out", str(path), "--output",
+              "json")
+    assert run_cli(capsys, *export) == _run_module(*export)
+    from_file = ("distance", "--from", str(path), "--output", "json")
+    assert _run_module(*from_file) == run_cli(capsys, *from_file)
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the process entry cli.run freezes; an in-process caller keeps
+    # its heap collectable, numpy verb or not
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert run_cli(capsys, "classes", "--p", "13", "--m", "3")[0] == 0
+    assert run_cli(capsys, "distance", *_RING_3_13, "--method",
+                   "both")[0] == 0
+    assert run_cli(capsys, "classes", "--p", "13", "--m", "5")[0] == 1
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_run_returns_main_status_and_freezes():
+    # the process entry returns main's status for sys.exit and leaves
+    # the collector frozen but enabled
+    child = ("import gc, sys\n"
+             "from madics import cli\n"
+             "sys.argv = ['madics', 'classes', '--p', '13', '--m', '5']\n"
+             "assert cli.run() == 1\n"
+             "sys.argv = ['madics', 'classes', '--p', '13', '--m', '3']\n"
+             "assert cli.run() == 0\n"
+             "assert gc.get_freeze_count() > 0 and gc.isenabled()\n")
+    proc = _python("-c", child)
+    assert proc.returncode == 0, proc.stderr
+    assert "InvalidM" in proc.stderr
+    assert proc.stdout.startswith("resolved parameters: ")
 
 
 def test_classes_invalid_m_exit_1(capsys):

@@ -9,7 +9,9 @@ madics or runs a verb that does not scan ends without numpy in
 sys.modules.  Each verb loads only the layers it runs, and ``import
 madics`` loads none.  cli.main is the one writer of the environment:
 it sets OPENBLAS_NUM_THREADS to 1 unless the caller has, so a scanning
-verb starts numpy without a BLAS worker thread.  One scan kernel:
+verb starts numpy without a BLAS worker thread.  cli.run is the one
+user of the gc module, and the madics script and ``python -m
+madics.cli`` both enter through it.  One scan kernel:
 numpy's popcount and bincount appear only in _kernels._distance_counts,
 and _kernels calls no np.unique or sort, whose first call pages in
 numpy code that the peak resident size of a scan run would show.  One orbit labeler: only
@@ -386,6 +388,64 @@ def test_only_cli_main_writes_environment():
                   ast.parse(path.read_text(encoding="utf-8")))]
     assert writes == [("cli", "main", "os.environ.setdefault("
                        "'OPENBLAS_NUM_THREADS', '1')")]
+
+
+def _gc_uses(tree):
+    """(enclosing top-level function, source) of every use of the gc
+    module: an import of it or of a name from it, and every gc.<name>
+    call or attribute read."""
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                found.extend((where, f"import {a.name}") for a in node.names
+                             if a.name == "gc")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.append((where, ast.unparse(node)))
+            elif isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and isinstance(
+                    node.func.value, ast.Name) and node.func.value.id == "gc":
+                found.append((where, ast.unparse(node)))
+    return found
+
+
+def test_only_cli_run_touches_the_collector():
+    # run freezes the collector's generations around a whole CLI process;
+    # anywhere else a freeze would pin an in-process caller's garbage
+    # cycles for good, and a gc.disable() would let a long verb's
+    # garbage grow without bound
+    uses = [(path.stem, where, code) for path in SOURCES
+            for where, code in _gc_uses(
+                ast.parse(path.read_text(encoding="utf-8")))]
+    assert uses == [("cli", None, "import gc"),
+                    ("cli", "run", "gc.freeze()"),
+                    ("cli", "run", "gc.freeze()")]
+
+
+def _main_block_entry(tree):
+    """Name of the function that the ``if __name__ == "__main__":``
+    block passes to sys.exit."""
+    for top in tree.body:
+        if (isinstance(top, ast.If) and isinstance(top.test, ast.Compare)
+                and ast.unparse(top.test) == "__name__ == '__main__'"):
+            (stmt,) = top.body
+            call = stmt.value
+            assert ast.unparse(call.func) == "sys.exit"
+            return call.args[0].func.id
+    raise AssertionError("no __main__ block")
+
+
+def test_script_and_module_share_one_entry():
+    # the madics script and python -m madics.cli must run the same
+    # function, so the two entries cannot drift apart
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    cli = ROOT / "src" / "madics" / "cli.py"
+    entry = _main_block_entry(ast.parse(cli.read_text(encoding="utf-8")))
+    assert scripts == {"madics": f"madics.cli:{entry}"}
+    assert entry == "run"
 
 
 def _scan_calls(tree):
