@@ -2,24 +2,22 @@
 
 A field code of dimension k is measured by enumerating whichever of C
 and its dual is smaller.  When n - k >= k the scan runs over the q**k
-messages of C; when n - k < k it runs over the q**(n-k) messages of the
-dual (generated by the monic reciprocal of the check polynomial
-(x**n - 1)/g, field_codes.dual_generator) and the MacWilliams identity
-turns the dual's weight distribution B into C's,
-A_w = q**-(n-k) sum_i B_i K_w(i), with the Krawtchouk values K_w(i)
-exact Python ints from their three-term recurrence.  Either way the
-counts are Python ints (past the cap A_w exceeds int64), and the cap
-(default DEFAULT_CAP = 2**24) bounds the words actually scanned,
-min(q**k, q**(n-k)): a larger scan is refused with TooLarge.
+messages of C; when n - k < k it runs over the q**(n-k) messages of
+C.dual, the family partner of field_codes (the code whose nonzeros are
+the negated zeros of C), and the MacWilliams identity turns the dual's
+weight distribution B into C's, A_w = q**-(n-k) sum_i B_i K_w(i), with
+the Krawtchouk values K_w(i) exact Python ints from their three-term
+recurrence.  Either way the counts are Python ints (past the cap A_w
+exceeds int64), and the cap (default DEFAULT_CAP = 2**24) bounds the
+words actually scanned, min(q**k, q**(n-k)): a larger scan is refused
+with TooLarge.  The zero code scans its one word like any other.
 
-The scanned code, C or its dual, is cyclic, so its check polynomial
-factors into the coset factors of its nonzeros: a family code's are
-recorded at construction (CyclicCode.nonzeros), the dual's are the
-negated zeros of C, and field_codes.check_factors returns the factors
-of either.  _split divides them between two ideals, C = A + B:
-A takes the factors whose degrees sum to the most that is at most
-ceil(dim/2), and the kernel tabulates every word of B against one word
-of A per orbit of the group generated by the cyclic shift and the
+The scanned code, C or C.dual, is cyclic, so its check polynomial
+factors into the coset factors of its nonzeros (CyclicCode.nonzeros,
+field_codes.check_factors).  _split divides them between two ideals,
+C = A + B: A takes the factors whose degrees sum to the most that is at
+most ceil(dim/2), and the kernel tabulates every word of B against one
+word of A per orbit of the group generated by the cyclic shift and the
 scalars, weighed by the orbit size (see _kernels).  The scan has no
 split, and groups by scalars alone, for an irreducible check
 polynomial or a dim A below 2, a B of more than SPLIT_LOW_ROWS words
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_CAP, BackendUnavailable, InvalidParameter, TooLarge
 from .ffield import is_prime_power
-from .field_codes import check_factors, dual_generator, product
+from .field_codes import check_factors, product
 
 # Most words of the ideal B that a split scan tabulates whole (its low
 # table); a split whose B has more falls back to the scalar-only scan.
@@ -102,14 +100,15 @@ def _shift_matrix(gen, n, k):
     return mat
 
 
-def _split(code, dual, dim):
-    """The check polynomials (f_A, f_B) of the split of the scanned code
-    (C, or its dual when dual) into ideals A + B of the module
-    docstring, or None when it has none.  A below dimension 2 is no
-    split: on a one-dimensional ideal the shift acts as a scalar."""
+def _split(code):
+    """The check polynomials (f_A, f_B) of the split of code into ideals
+    A + B of the module docstring, or None when it has none.  A below
+    dimension 2 is no split: on a one-dimensional ideal the shift acts
+    as a scalar."""
+    dim = code.dimension
     if code.q**dim < SPLIT_MIN_WORDS:
         return None
-    factors = check_factors(code, dual)
+    factors = check_factors(code)
     # one subset of the factors, by index, per reachable degree sum
     reach = {0: ()}
     for i, f in enumerate(factors):
@@ -125,22 +124,18 @@ def _split(code, dual, dim):
                                if i not in part]))
 
 
-def _scan_matrix(code, dual):
-    """A generator matrix of the scanned code (C, or its dual when dual)
-    and the check polynomial f_A of its split, or None when it has none.
-    With a split C = A + B, the first rows are x**i g f_A, i < dim B, and
-    the last x**i g f_B, i < dim A, for g the scanned code's generator."""
+def _scan_matrix(code):
+    """A generator matrix of code and the check polynomial f_A of its
+    split, or None when it has none.  With a split C = A + B, the first
+    rows are x**i g f_A, i < dim B, and the last x**i g f_B, i < dim A,
+    for g the generator of C."""
     import numpy as np
 
-    n, k = code.p, code.dimension
-    dim = n - k if dual else k
-    gen = dual_generator(code) if dual else code.generator
-    split = _split(code, dual, dim)
+    split = _split(code)
     if split is None:
-        if not dual:
-            return generator_matrix(code), None
-        return _shift_matrix(gen, n, dim), None
+        return generator_matrix(code), None
     f_a, f_b = split
+    n, dim, gen = code.p, code.dimension, code.generator
     dim_a = len(f_a) - 1
     return np.vstack([
         _shift_matrix(product(code.ctx, (gen, f_a)), n, dim - dim_a),
@@ -187,22 +182,19 @@ def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
 
     _kernel_only(use_numba)
     n, k, q = code.p, code.dimension, code.q
-    if k == 0:
-        dist = (1,) + (0,) * n
-        return DistanceReport(n, 0, 0, "exhaustive", 1, dist)
-    dual = n - k < k
-    total = q**(n - k if dual else k)
+    scanned = code.dual if n - k < k else code
+    total = q**scanned.dimension
     if total > cap:
         raise TooLarge(
             f"enumerating {total} codewords, the smaller of the code "
             f"({q}^{k}) and its dual ({q}^{n - k}), exceeds the cap {cap}; "
             "raise the cap to proceed")
-    gmat, check = _scan_matrix(code, dual)
+    gmat, check = _scan_matrix(scanned)
     best, counts = _kernels.scan(gmat, q, check)
-    if not dual:
-        return DistanceReport(n, k, best, "exhaustive", total,
-                              tuple(int(c) for c in counts))
-    dist = macwilliams([int(c) for c in counts], n, q)
+    counts = [int(c) for c in counts]
+    if scanned is code:
+        return DistanceReport(n, k, best, "exhaustive", total, tuple(counts))
+    dist = macwilliams(counts, n, q)
     best = next((w for w in range(1, n + 1) if dist[w]), 0)
     return DistanceReport(n, k, best, "macwilliams", total, dist)
 

@@ -6,7 +6,10 @@ resolved parameters (including defaulted b, a and the pinned splitting
 field) so runs are reproducible.  Exit codes: 0 success, 1 validation
 error or a reader that closed stdout early, 2 size cap exceeded (an
 enumeration past --cap, p past residues.P_CAP, a family past
-field_codes.FAMILY_COEFFS or s past ringalg.S_CAP).
+field_codes.FAMILY_COEFFS or s past ringalg.S_CAP).  A splitting field
+past ffield.SIZE_CAP = 2^31 exits 1 with FieldTooLarge when a verb
+first builds it; a field distance checks its scan cap first, so at
+(q, p, m) = (3, 47, 2), GF(3^23), field-code exits 1 and distance 2.
 
 main sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
 any verb runs.  The scanning verbs import numpy, which would otherwise

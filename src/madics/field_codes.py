@@ -24,6 +24,15 @@ read a code multiplies the factors of its zero cosets into its
 generator, dividing nothing, and inverts its 0/1 spectrum into its
 idempotent (below; MacWilliams & Sloane, ch. 7 and ch. 8).
 
+Duality stays inside the families.  The nonzeros of C^perp are the
+negated zeros of C, and -u*Q_r = u*Q_{r+c}, c = c(-1) = ((p-1)/2) mod
+m, as -1 = b**((p-1)/2).  Negated, the zeros {0}, u*Q_r (r != i) of
+even-I_i leave out only u*Q_{i+c}, the nonzeros of odd-I_{i+c}, and the
+zeros {0}, u*Q_i of even-II_i are the nonzeros of odd-II_{i+c}; odd to
+even is the same.  So the dual is the family partner at index i + c
+(the mu_{-1} relation of duadic codes, Huffman & Pless, ch. 6), and as
+2c = 0 mod m, the dual's dual is the code.
+
 With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
 lie in F_q (Storer, Cyclotomy and Difference Sets); gauss_periods
 reads them off the coset factors once per (system, q, u).  With c(k)
@@ -85,18 +94,17 @@ class CyclicCode:
     """A cyclic code of prime length p over GF(q), fixed by nonzeros: its
     nonzero cyclotomic cosets by least member, ascending, relative to
     the alpha of splitting_field ((0,) for <h>, () for the zero code).
-    The generator (monic, ascending), idempotent, dual generator and
-    dimension are built on first read and kept.  The idempotent is read
-    through the labeling system and alpha_exp, which take no part in
-    equality; a hand-built code may leave system None and lack one."""
+    The generator (monic, ascending), dimension, idempotent and dual are
+    built on first read and kept; the last two read the labeling, the
+    required system and alpha_exp, which take no part in equality, and
+    family and index, the code's place in family_codes."""
 
     ctx: FieldCtx
     p: int
     family: str
     index: int
     nonzeros: tuple
-    system: ResidueSystem | None = field(default=None, compare=False,
-                                         repr=False)
+    system: ResidueSystem = field(compare=False, repr=False)
     alpha_exp: int = field(default=1, compare=False)
 
     @property
@@ -110,12 +118,13 @@ class CyclicCode:
         return product(self.ctx, [factor_of[r] for r in zeros])
 
     @functools.cached_property
-    def dual_generator(self):
-        """The monic reciprocal of the check polynomial (x**p - 1)/g: its
-        roots are the inverses alpha^-k of the check polynomial's."""
-        factor_of = coset_factors(self.q, self.p)
-        return product(self.ctx, [factor_of[-r % self.p]
-                                  for r in self.nonzeros])
+    def dual(self):
+        """The dual code: the other-parity member of the same class type
+        at index + c(-1) (module docstring), so dual.dual == self."""
+        system = self.system
+        partner = FAMILIES[FAMILIES.index(self.family) ^ 1]
+        return family_codes(system, self.ctx, partner, self.alpha_exp)[
+            (self.index + system.class_of(-1)) % system.m]
 
     @functools.cached_property
     def dimension(self):
@@ -231,20 +240,11 @@ def _other_cosets(q, p, cosets):
     return tuple(r for r in _coset_sizes(q, p) if r not in own)
 
 
-def check_factors(code, dual=False):
-    """The coset factors of the check polynomial of code, or of its dual
-    when dual, one per nonzero coset.  The dual's nonzeros are the
-    negated zeros of code, so no polynomial is divided."""
-    q, p = code.q, code.p
-    nonzeros = code.nonzeros
-    if dual:
-        nonzeros = [-r % p for r in _other_cosets(q, p, nonzeros)]
-    factor_of = coset_factors(q, p)
-    return [factor_of[r] for r in nonzeros]
-
-
-# the generator of a code's dual, built once and kept on the code
-dual_generator = operator.attrgetter("dual_generator")
+def check_factors(code):
+    """The coset factors of the check polynomial of code, one per
+    nonzero coset, so no polynomial is divided."""
+    factor_of = coset_factors(code.q, code.p)
+    return [factor_of[r] for r in code.nonzeros]
 
 
 @functools.lru_cache(maxsize=None)

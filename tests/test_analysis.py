@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from madics import _kernels, analysis, poly
 from madics.analysis import (
     DEFAULT_CAP,
-    dual_generator,
     generator_matrix,
     griesmer_check,
     macwilliams,
@@ -61,15 +60,17 @@ def test_even_like_q7_p19_distances():
 
 def test_repetition_like_code_distance():
     # <h> with h the all-ones polynomial: rank 1, weight 13
-    code = CyclicCode(F3, 13, "even-I", 0, (0,))
+    code = CyclicCode(F3, 13, "even-I", 0, (0,), SYS134)
     rep = min_distance_field(code)
     assert (rep.k, rep.d_min) == (1, 13)
 
 
 def test_zero_code_report():
-    code = CyclicCode(F3, 13, "even-I", 0, ())
+    code = CyclicCode(F3, 13, "even-I", 0, (), SYS134)
     rep = min_distance_field(code)
     assert rep.k == 0 and rep.d_min == 0 and rep.enumerated == 1
+    assert rep.method == "exhaustive"
+    assert rep.weight_distribution == (1,) + (0,) * 13
 
 
 def test_cap_enforced():
@@ -89,7 +90,7 @@ def test_generator_matrix_shape():
 
 def test_generator_matrix_rejects_extension_fields():
     ext = make_extension(3, 2)
-    code = CyclicCode(ext, 13, "even-I", 0, (0,))
+    code = CyclicCode(ext, 13, "even-I", 0, (0,), SYS134)
     with pytest.raises(ValueError):
         generator_matrix(code)
 
@@ -253,10 +254,10 @@ def test_macwilliams_recurrence_matches_binomial_sums(q):
 
 
 def dual_matrix(code):
-    """Rows x**i * h for the dual generator h, checked against C: the
-    rows are independent (h is monic of degree k) and orthogonal to
-    every row of G."""
-    h, n, k = dual_generator(code), code.p, code.dimension
+    """Rows x**i * h for the generator h of code.dual, checked against
+    C: the rows are independent (h is monic of degree k) and orthogonal
+    to every row of G."""
+    h, n, k = code.dual.generator, code.p, code.dimension
     assert len(h) == k + 1 and h[-1] == 1
     mat = np.zeros((n - k, n), dtype=np.int64)
     for i in range(n - k):
@@ -322,9 +323,9 @@ FIELD_CASES = [(2, 7, 2), (3, 11, 2), (3, 13, 2), (3, 13, 4), (5, 13, 3),
 @pytest.mark.parametrize("q,p,m", FIELD_CASES + [
     (11, 5, 2), (11, 5, 4), (2, 127, 9), (2, 89, 8)])
 def test_dual_generator_is_the_reciprocal_quotient(q, p, m):
-    # the product of the factors of the negated nonzeros against the
-    # monic reciprocal of the exact quotient (x**p - 1)/g, for every
-    # family code and both labelings; (11, 5) has p | q - 1
+    # the generator of the family partner against the monic reciprocal
+    # of the exact quotient (x**p - 1)/g, for every family code and both
+    # labelings; (11, 5) has p | q - 1
     ctx = make_prime_field(q)
     xp1 = poly.xn_minus_1(ctx, p)
     for family in FAMILIES:
@@ -333,38 +334,41 @@ def test_dual_generator_is_the_reciprocal_quotient(q, p, m):
                                      family, u):
                 check, rem = divmod_generic(ctx, xp1, code.generator)
                 assert rem == ()
-                assert dual_generator(code) == monic_generic(ctx, check[::-1])
+                assert code.dual.generator == \
+                    monic_generic(ctx, check[::-1])
 
 
-def scalar_only_matrix(code, dual):
-    """The matrix of the same scan without a split: the scan of a side
+def scalar_only_matrix(code):
+    """The matrix of the same scan without a split: the scan of a code
     below SPLIT_MIN_WORDS."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "SPLIT_MIN_WORDS", math.inf)
-        gmat, check = analysis._scan_matrix(code, dual)
+        gmat, check = analysis._scan_matrix(code)
     assert check is None
     return gmat
 
 
 def split_sides(q, p, m, index=None):
-    """(code, dual) for every family code at (q, p, m), or the code of
-    one index, scanned directly and through its dual."""
+    """Every family code at (q, p, m), which holds the dual of each, or
+    the code of one index and its dual: the sides a distance scan may
+    take."""
     for family in FAMILIES:
         codes = family_codes(build_residue_system(p, m), make_prime_field(q),
                              family)
-        for code in codes if index is None else codes[index:index + 1]:
-            yield code, False
-            yield code, True
+        if index is None:
+            yield from codes
+        else:
+            yield from (codes[index], codes[index].dual)
 
 
-def assert_split_scan_exact(code, dual, oracle_words):
-    """The split scan of one side against scan_numpy up to oracle_words
-    words, else against the scalar-only scan; returns whether the side
-    was split."""
+def assert_split_scan_exact(code, oracle_words):
+    """The split scan of code against scan_numpy up to oracle_words
+    words, else against the scalar-only scan; returns whether code was
+    split."""
     q = code.q
-    gmat, check = analysis._scan_matrix(code, dual)
+    gmat, check = analysis._scan_matrix(code)
     got = _kernels.scan(gmat, q, check)
-    plain = scalar_only_matrix(code, dual)
+    plain = scalar_only_matrix(code)
     ref = (scan_numpy(plain, q) if q ** len(plain) <= oracle_words
            else _kernels.scan(plain, q))
     assert got[0] == ref[0]
@@ -378,10 +382,9 @@ def test_split_scan_matches_oracles(monkeypatch, q, p, m):
     # would take, through the ideal split where there is one, also on
     # codes too small for the distance scan to split
     monkeypatch.setattr(analysis, "SPLIT_MIN_WORDS", 0)
-    for code, dual in split_sides(q, p, m):
-        dim = code.p - code.dimension if dual else code.dimension
-        if q ** dim <= 1 << 18:
-            assert_split_scan_exact(code, dual, 1 << 12)
+    for code in split_sides(q, p, m):
+        if q ** code.dimension <= 1 << 18:
+            assert_split_scan_exact(code, 1 << 12)
 
 
 @pytest.mark.parametrize("q,p,m", [(11, 5, 2), (11, 5, 4)])
@@ -390,8 +393,8 @@ def test_split_scan_when_p_divides_q_minus_1(monkeypatch, q, p, m):
     # cyclic and no single element of it generates the orbits
     monkeypatch.setattr(analysis, "SPLIT_MIN_WORDS", 0)
     split = 0
-    for code, dual in split_sides(q, p, m):
-        split += assert_split_scan_exact(code, dual, 1 << 12)
+    for code in split_sides(q, p, m):
+        split += assert_split_scan_exact(code, 1 << 12)
     assert split
 
 
@@ -399,10 +402,9 @@ def test_split_scan_when_p_divides_q_minus_1(monkeypatch, q, p, m):
 def test_split_scan_matches_scalar_only_at_length(q, p, m):
     # up to 2**22 words a side, against the scalar-only scan
     split = 0
-    for code, dual in split_sides(q, p, m, index=0):
-        dim = code.p - code.dimension if dual else code.dimension
-        if q ** dim <= 1 << 22:
-            split += assert_split_scan_exact(code, dual, 1 << 12)
+    for code in split_sides(q, p, m, index=0):
+        if q ** code.dimension <= 1 << 22:
+            split += assert_split_scan_exact(code, 1 << 12)
     assert split
 
 
@@ -452,23 +454,23 @@ def test_split_fallbacks(monkeypatch):
                                     ((3, 13, 4, "odd-II"), (5, 9))]:
         code = family_codes(build_residue_system(p, m), make_prime_field(q),
                             family)[0]
-        assert analysis._split(code, False, code.dimension) is None
-        assert analysis._scan_matrix(code, False)[1] is None
+        assert analysis._split(code) is None
+        assert analysis._scan_matrix(code)[1] is None
         min_distance_field(code)
         assert seen.pop() == work
     # a B past SPLIT_LOW_ROWS: [127,15]_2 splits 8 + 7, so B has 2**7
     code = family_codes(build_residue_system(127, 9), make_prime_field(2),
                         "odd-II")[0]
     monkeypatch.setattr(analysis, "SPLIT_LOW_ROWS", 2**7 - 1)
-    assert analysis._split(code, False, 15) is None
+    assert analysis._split(code) is None
     monkeypatch.setattr(analysis, "SPLIT_LOW_ROWS", 2**7)
-    assert len(analysis._split(code, False, 15)[0]) == 9
+    assert len(analysis._split(code)[0]) == 9
     # a scan of fewer than SPLIT_MIN_WORDS words: [13,6]_3 splits 3 + 3
     # when forced, and not at the default
     code = family_codes(build_residue_system(13, 2), F3, "even-I")[0]
-    assert analysis._split(code, False, 6) is not None
+    assert analysis._split(code) is not None
     monkeypatch.setattr(analysis, "SPLIT_MIN_WORDS", 3**6 + 1)
-    assert analysis._split(code, False, 6) is None
+    assert analysis._split(code) is None
 
 
 # every (s, family) whose tuple count stays at most 2**17

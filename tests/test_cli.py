@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from madics import cli
-from madics.analysis import dual_generator, generator_matrix, macwilliams
+from madics import cli, field_codes
+from madics.analysis import generator_matrix, macwilliams
 from madics.cli import main
 from madics.ffield import make_prime_field
 from madics.field_codes import family_codes
@@ -289,11 +289,11 @@ def test_distance_past_cap_by_macwilliams(capsys):
     assert rep["method"] == "macwilliams" and rep["enumerated"] == 2048
     weights = rep["weight_distribution"]
     assert sum(weights) == 2**78 and min(weights) >= 0
-    # H: the shifts of the dual generator, checked to be a parity-check
+    # H: the shifts of the dual's generator, checked to be a parity-check
     # matrix of C (rank 11, orthogonal to G), as column bit masks
     fc = family_codes(build_residue_system(89, 8), make_prime_field(2),
                       "odd-I")[0]
-    h = dual_generator(fc)
+    h = fc.dual.generator
     hmat = np.zeros((11, 89), dtype=np.int64)
     for i in range(11):
         hmat[i, i:i + 79] = h
@@ -363,6 +363,28 @@ def test_long_family_code_reads_one_code_promptly():
     assert time.perf_counter() - t0 < 2
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["code"]["params"]["k"] == 13
+
+
+def test_splitting_field_cap(capsys, monkeypatch):
+    # x**47 - 1 over GF(3) splits in GF(3^23), past ffield.SIZE_CAP:
+    # field-code, which echoes the splitting field, exits 1 at once;
+    # distance meets the scan cap first (3^23 words) and exits 2 before
+    # any field is built
+    flags = ("--q", "3", "--p", "47", "--m", "2", "--family", "even-I",
+             "--index", "0")
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "field-code", *flags)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err == ("error: FieldTooLarge: field size 3^23 exceeds cap "
+                   "2147483648\n")
+    built = []
+    monkeypatch.setattr(field_codes, "make_extension",
+                        lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, "distance", *flags)
+    assert (code, out, built) == (2, "", [])
+    assert err.startswith(
+        "error: TooLarge: enumerating 94143178827 codewords")
 
 
 @pytest.mark.parametrize("shape", [("field-code", "--index", "0"),

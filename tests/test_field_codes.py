@@ -18,7 +18,6 @@ from madics.field_codes import (
     all_ones_h,
     check_factors,
     coset_factors,
-    dual_generator,
     family_codes,
     gauss_periods,
     product,
@@ -282,7 +281,7 @@ def test_family_codes_match_the_oracles(q, p, m):
     # each record's polynomials against the schoolbook forms: g is
     # (x**p - 1) over the product of its nonzero coset factors, the
     # idempotent is Bezout's on g, the dimension is p - deg g and the
-    # dual generator the monic reciprocal of the check polynomial
+    # dual's generator the monic reciprocal of the check polynomial
     ctx = make_prime_field(q)
     system = build_residue_system(p, m)
     xp1 = poly.xn_minus_1(ctx, p)
@@ -298,7 +297,8 @@ def test_family_codes_match_the_oracles(q, p, m):
                 assert code.idempotent == \
                     idempotent_bezout(ctx, code.generator, p)
                 assert code.dimension == p - poly.degree(code.generator)
-                assert code.dual_generator == monic_generic(ctx, check[::-1])
+                assert code.dual.generator == \
+                    monic_generic(ctx, check[::-1])
 
 
 def test_family_codes_builds_no_polynomial(monkeypatch):
@@ -315,14 +315,53 @@ def test_family_codes_builds_no_polynomial(monkeypatch):
 
 
 def test_dual_generator_built_once_per_code(monkeypatch):
-    # the dual generator is one coset product, kept on the code
+    # the dual is the partner's record, so its generator is one coset
+    # product, kept on that record whichever side reads it first
     system, ctx = build_residue_system(8191, 630), make_prime_field(2)
-    code = family_codes.__wrapped__(system, ctx, "odd-I")[3]
-    first = dual_generator(code)
+    odd, even = (family_codes(system, ctx, fam, 1)
+                 for fam in ("odd-I", "even-I"))
+    c = system.class_of(-1)
+    through_code = odd[3].dual.generator
+    through_partner = even[5 + c].generator
     calls = []
     monkeypatch.setattr(field_codes, "product",
                         lambda *args: calls.append(args))
-    assert dual_generator(code) == first and calls == []
+    assert odd[3].dual is even[3 + c] and odd[5].dual is even[5 + c]
+    assert even[3 + c].generator == through_code
+    assert odd[5].dual.generator == through_partner
+    assert calls == []
+
+
+# the points of test_analysis.test_dual_generator_is_the_reciprocal_quotient
+DUALITY_GRID = ((2, 7, 2), (3, 11, 2), (3, 13, 2), (3, 13, 4), (5, 13, 3),
+                (2, 17, 2), (7, 19, 3), (7, 19, 6), (2, 31, 3), (2, 31, 6),
+                (5, 31, 5), (5, 31, 10), (11, 5, 2), (11, 5, 4),
+                (2, 127, 9), (2, 89, 8))
+
+
+@pytest.mark.parametrize("q,p,m", DUALITY_GRID)
+def test_dual_is_the_family_partner(q, p, m):
+    # C^perp has the negated zeros of C as nonzeros: the other-parity
+    # member of the same class type at index + c(-1), c(-1) = (p-1)/2
+    # mod m, whose own dual is C, for every family and both labelings
+    ctx = make_prime_field(q)
+    system = build_residue_system(p, m)
+    c = system.class_of(-1)
+    assert c == (p - 1) // 2 % m
+    leader = [min(k * pow(q, j, p) % p for j in range(p)) for k in range(p)]
+    partner = dict(zip(FAMILIES, ("odd-I", "even-I", "odd-II", "even-II")))
+    for family in FAMILIES:
+        for u in (1, -1):
+            for code in family_codes(system, ctx, family, u):
+                dual = code.dual
+                assert dual is family_codes(system, ctx, partner[family],
+                                            u)[(code.index + c) % m]
+                zeros = [k for k in range(p)
+                         if leader[k] not in code.nonzeros]
+                assert dual.nonzeros == tuple(
+                    sorted({leader[-k % p] for k in zeros}))
+                assert dual.dimension == p - code.dimension
+                assert dual.dual is code
 
 
 def test_dropped_coset_fails_the_factor_check(monkeypatch):
@@ -457,16 +496,14 @@ def test_nonzeros_are_the_check_polynomial_roots(q, p, m):
 @pytest.mark.parametrize("q,p,m", [(3, 13, 4), (2, 127, 9), (7, 19, 3),
                                    (11, 5, 2), (5, 31, 5)])
 def test_check_factors_multiply_to_the_check_polynomials(q, p, m):
-    # the factors of code and dual are those of (x**p - 1)/g and of
-    # (x**p - 1)/g_dual, with g_dual the dual's generator
+    # the factors of every family code, the dual of each among them, are
+    # those of (x**p - 1)/g
     ctx = make_prime_field(q)
     xp1 = poly.xn_minus_1(ctx, p)
     for family in FAMILIES:
         for code in family_codes(build_residue_system(p, m), ctx, family):
-            for dual in (False, True):
-                gen = dual_generator(code) if dual else code.generator
-                assert divmod_generic(ctx, xp1, gen) == (
-                    product(ctx, check_factors(code, dual)), ())
+            assert divmod_generic(ctx, xp1, code.generator) == (
+                product(ctx, check_factors(code)), ())
 
 
 def test_nonzeros_of_singleton_cosets_time():

@@ -15,13 +15,16 @@ madics.cli`` both enter through it.  One scan kernel:
 numpy's popcount and bincount appear only in _kernels._distance_counts,
 and _kernels calls no np.unique or sort, whose first call pages in
 numpy code that the peak resident size of a scan run would show.  One orbit labeler: only
-_kernels._orbit_words calls _least_labels.  One
+_kernels._orbit_words calls _least_labels.  One generator
+construction: only CyclicCode.generator, check_factors and
+gauss_periods read field_codes.coset_factors, so a code's dual is its
+family partner and not a second product of factors.  One
 arithmetic for the splitting field: field_codes.coset_factors makes at
 most 2t products over GF(q^t).  One arithmetic for the identity suite:
 identities works on class-algebra spectra and references no polynomial
 product, sum or difference.  No division where codes are built and
-measured: field_codes and analysis get every generator, check
-polynomial and dual generator as a product of coset factors and call no
+measured: field_codes and analysis get every generator and check
+polynomial as a product of coset factors and call no
 polynomial division, remainder or gcd of poly.  poly reads only q and
 t of its field argument, so its arithmetic stays on plain ints."""
 
@@ -495,6 +498,29 @@ def test_one_orbit_labeler():
     assert callers == ["_kernels._orbit_words"]
 
 
+def test_one_generator_construction():
+    # every generator is the product of the factors of its code's zero
+    # cosets, built in CyclicCode.generator: the dual is the family
+    # partner, so no second product of negated factors can come back
+    callers = []
+    for path in SOURCES:
+        tops = ast.parse(path.read_text(encoding="utf-8")).body
+        defs = [(f"{path.stem}.{top.name}", top) for top in tops
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(f"{where}.{node.name}", node) for where, top in defs
+                 if isinstance(top, ast.ClassDef) for node in top.body
+                 if isinstance(node, ast.FunctionDef)]
+        callers.extend(
+            where for where, top in defs
+            if not isinstance(top, ast.ClassDef)
+            for node in ast.walk(top) if isinstance(node, ast.Call)
+            and "coset_factors" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None)))
+    assert sorted(callers) == ["field_codes.CyclicCode.generator",
+                               "field_codes.check_factors",
+                               "field_codes.gauss_periods"]
+
+
 def test_kernels_call_no_unique_or_sort():
     # the scan kernel deduplicates support tables in dicts: the first
     # np.unique or np.sort call of a process pages in numpy code that the
@@ -573,9 +599,9 @@ def test_analysis_multiplies_through_field_codes():
 
 @pytest.mark.parametrize("module", ["analysis", "field_codes"])
 def test_codes_and_distances_divide_no_polynomials(module):
-    # every generator, check polynomial and dual generator is a product
-    # of coset factors; a division in these layers would be a second
-    # route to them
+    # every generator and check polynomial, duals included, is a
+    # product of coset factors; a division in these layers would be a
+    # second route to them
     tree = ast.parse((ROOT / "src" / "madics" / f"{module}.py").read_text(
         encoding="utf-8"))
     division = {"divmod_poly", "_divmod_monic", "divides", "gcd"}
