@@ -6,10 +6,11 @@ resolved parameters (including defaulted b, a and the pinned splitting
 field) so runs are reproducible.  Exit codes: 0 success, 1 validation
 error or a reader that closed stdout early, 2 size cap exceeded (an
 enumeration past --cap, p past residues.P_CAP, a family past
-field_codes.FAMILY_COEFFS or s past ringalg.S_CAP).  A splitting field
-past ffield.SIZE_CAP = 2^31 exits 1 with FieldTooLarge when a verb
-first builds it; a field distance checks its scan cap first, so at
-(q, p, m) = (3, 47, 2), GF(3^23), field-code exits 1 and distance 2.
+field_codes.FAMILY_COEFFS, s past ringalg.S_CAP, or a splitting field
+past ffield.SIZE_CAP = 2^31, refused with FieldTooLarge when a verb
+first builds it).  A field distance checks its scan cap before it builds
+the field, so at (q, p, m) = (3, 47, 2), GF(3^23), field-code names
+FieldTooLarge and distance TooLarge.
 
 main sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
 any verb runs.  The scanning verbs import numpy, which would otherwise
@@ -183,19 +184,19 @@ def _build_field(args):
     system = _code_system(args)
     if not 0 <= args.index < system.m:
         raise MadicError(f"index must lie in [0, {system.m})")
-    ctx = make_prime_field(args.q)
-    codes = family_codes(system, ctx, args.family, args.alpha_exp)
-    return system, ctx, codes[args.index]
+    codes = family_codes(system, make_prime_field(args.q), args.family,
+                         args.alpha_exp)
+    return codes[args.index]
 
 
 def cmd_field_code(args):
-    system, ctx, code = _build_field(args)
-    params, code_json = _code_payload(system, code, args.alpha_exp)
+    code = _build_field(args)
+    params, code_json = _code_payload(code)
     payload = {"command": "field-code", "parameters": params,
                "code": code_json}
     lines = _params_lines(params)
     lines.append(f"family {code.family} index {code.index}: "
-                 f"[{code.p}, {code.dimension}] over GF({ctx.q})")
+                 f"[{code.p}, {code.dimension}] over GF({code.ctx.q})")
     lines.append(f"generator  = {poly.format_poly(code.generator)}")
     lines.append(f"idempotent = {poly.format_poly(code.idempotent)}")
     return payload, lines
@@ -206,15 +207,15 @@ def _build_ring(args):
 
     system = _code_system(args)
     ring = make_ring(make_prime_field(args.q), args.s)
-    code = ring_code(ring, system, args.family, args.slots, args.alpha_exp)
-    return system, ring, code
+    return ring_code(ring, system, args.family, args.slots, args.alpha_exp)
 
 
 def cmd_ring_code(args):
     from .ringalg import format_ring_poly
 
-    system, ring, code = _build_ring(args)
-    params, code_json = _code_payload(system, code, args.alpha_exp)
+    code = _build_ring(args)
+    ring, system = code.ring, code.system
+    params, code_json = _code_payload(code)
     payload = {"command": "ring-code", "parameters": params,
                "code": code_json}
     lines = _params_lines(params)
@@ -262,8 +263,8 @@ def _exported_params(doc):
 
 
 def _load_exported(path):
-    """(system, code, alpha_exp) rebuilt from the params of an export
-    document through the flag path, checked against its generator."""
+    """The code rebuilt from the params of an export document through
+    the flag path, checked against its generator."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -276,23 +277,19 @@ def _load_exported(path):
         slots=None if slots is None else tuple(slots),
         **{key: params.get(key)
            for key in ("p", "m", "b", "a", "q", "family", "index", "s")})
-    system, code, alpha_exp = _distance_target(args)
+    code = _distance_target(args)
     if code_doc["generator"] != json.loads(json.dumps(code.generator)):
         raise MadicError(
             "stored generator does not match the one rebuilt from the "
             "exported parameters; file edited or truncated?")
-    return system, code, alpha_exp
+    return code
 
 
 def _distance_target(args):
-    """(system, code, alpha_exp) from an export document or the flags."""
+    """The code of an export document or of the flags."""
     if args.from_file:
         return _load_exported(args.from_file)
-    if args.slots is not None:
-        system, _, code = _build_ring(args)
-    else:
-        system, _, code = _build_field(args)
-    return system, code, args.alpha_exp
+    return _build_ring(args) if args.slots is not None else _build_field(args)
 
 
 def _analyze(code, args):
@@ -307,19 +304,21 @@ def _analyze(code, args):
     return report, None
 
 
-def _code_payload(system, code, alpha_exp, report=None):
+def _code_payload(code, report=None):
     """Resolved params and the JSON form of a field or ring code."""
     if isinstance(code, CyclicCode):
-        params = _resolved_params(system, code.ctx, alpha_exp=alpha_exp)
+        params = _resolved_params(code.system, code.ctx,
+                                  alpha_exp=code.alpha_exp)
         return params, _field_code_json(code, params, report)
-    params = _resolved_params(system, code.ring.field, code.ring, alpha_exp)
+    params = _resolved_params(code.system, code.ring.field, code.ring,
+                              code.alpha_exp)
     return params, _ring_code_json(code, params, report)
 
 
 def cmd_distance(args):
-    system, code, alpha_exp = _distance_target(args)
+    code = _distance_target(args)
     report, cross = _analyze(code, args)
-    params, code_json = _code_payload(system, code, alpha_exp, report)
+    params, code_json = _code_payload(code, report)
     payload = {"command": "distance", "parameters": params, "code": code_json}
     lines = _params_lines(params)
     lines.append(f"[{report.n}, {report.k}] d_min = {report.d_min} "
@@ -357,11 +356,11 @@ def cmd_griesmer(args):
 
 
 def cmd_export(args):
-    system, code, alpha_exp = _distance_target(args)
+    code = _distance_target(args)
     report = None
     if not args.skip_distance:
         report, _ = _analyze(code, args)
-    params, code_json = _code_payload(system, code, alpha_exp, report)
+    params, code_json = _code_payload(code, report)
     payload = {"command": "export", "parameters": params, "code": code_json}
     text = json.dumps(payload, indent=2)
     if args.out:
@@ -534,12 +533,9 @@ def main(argv=None):
     try:
         _validate_args(args)
         payload, lines = args.func(args)
-    except TooLarge as exc:
-        print(f"error: TooLarge: {exc}", file=sys.stderr)
-        return 2
     except (MadicError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, TooLarge) else 1
     try:
         # chunk by chunk: an unbuffered stdout would drop the tail of one
         # large write cut short by a closed pipe without raising

@@ -17,10 +17,6 @@ class NonPrimeModulus(MadicError):
     """A field characteristic or code length that must be prime is not."""
 
 
-class FieldTooLarge(MadicError):
-    """Requested field size q**t exceeds the supported cap."""
-
-
 class NonUnitLeadingCoefficient(MadicError):
     """Polynomial division by the zero polynomial, whose leading
     coefficient is no unit; over a field every other divisor has one."""
@@ -66,7 +62,12 @@ class InvalidParameter(MadicError, ValueError):
 
 
 class TooLarge(MadicError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An input exceeds one of the size caps, such as an exhaustive
+    enumeration past the configured cap."""
+
+
+class FieldTooLarge(TooLarge):
+    """Requested field size q**t exceeds the supported cap."""
 
 
 class BackendUnavailable(MadicError):

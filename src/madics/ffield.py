@@ -4,7 +4,7 @@ GF(q^t) is F_q[y]/(modulus).  An element is a canonical integer in
 [0, q^t): the base-q digits of the integer are the coefficients of its
 reduced representative polynomial, ascending degree.  Its arithmetic is
 poly's over GF(q): a product is poly.mul of the digit vectors reduced
-by poly.divmod_poly mod the modulus, and the irreducibility test takes
+by poly.rem mod the modulus, and the irreducibility test takes
 its powers of x with the same product.  For t = 1 this collapses to
 ordinary arithmetic mod q, and base-field elements embed into any
 extension as themselves.  Elements are stored as reduced coefficient
@@ -105,7 +105,7 @@ class FieldCtx:
     as an ascending coefficient tuple (the identity polynomial x when
     t = 1) and the smallest primitive element.  For t > 1 it is
     F_q[y]/(modulus): a product is the poly product of the two digit
-    vectors over GF(q), reduced mod the modulus by poly.divmod_poly.
+    vectors over GF(q), reduced mod the modulus by poly.rem.
     """
 
     __slots__ = ("q", "t", "size", "modulus", "primitive_element")
@@ -145,13 +145,6 @@ class FieldCtx:
         return self.from_vec(
             (x + y) % q for x, y in zip(self.to_vec(a), self.to_vec(b)))
 
-    def sub(self, a, b):
-        if self.t == 1:
-            return (a - b) % self.q
-        q = self.q
-        return self.from_vec(
-            (x - y) % q for x, y in zip(self.to_vec(a), self.to_vec(b)))
-
     def neg(self, a):
         if self.t == 1:
             return -a % self.q
@@ -162,7 +155,7 @@ class FieldCtx:
             return a * b % self.q
         base = make_prime_field(self.q)
         prod = poly.mul(base, self.to_vec(a), self.to_vec(b))
-        return self.from_vec(poly.divmod_poly(base, prod, self.modulus)[1])
+        return self.from_vec(poly.rem(base, prod, self.modulus))
 
     def pow(self, a, e):
         """a**e by square and multiply; e may be any nonnegative int."""

@@ -20,9 +20,11 @@ substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
 ch. 8): one big-int product of the packed operands, folded mod
 x**n - 1 at the integer level, with byte-aligned slots wide enough for
 n*(q-1)**2.  mul is mul_mod with n = len(a) + len(b), where nothing
-folds.  divmod_poly is long division with lazy reduction: the running
-remainder is reduced mod q only where a coefficient is read.  The
-module is pure Python and imports nothing but its errors.
+folds.  Division yields only a remainder, which is all its callers
+read (GF(q^t) products mod the modulus, divides, gcd): rem is long
+division with lazy reduction, the running remainder reduced mod q only
+where a coefficient is read.  The module is pure Python and imports
+nothing but its errors.
 
 The module also holds the q-cyclotomic cosets mod p; the factors of
 x**p - 1 they index are minimal polynomials over the splitting field,
@@ -96,42 +98,36 @@ def mul(dom, a, b):
     return mul_mod(dom, a, b, len(a) + len(b) or 1)
 
 
-def divmod_poly(dom, a, b):
-    """Quotient and remainder of a by b; b must not be zero."""
+def rem(dom, a, b):
+    """The canonical remainder of a by b; b must not be zero."""
     q = _modulus(dom)
     b = trim(dom, b)
     if not b:
         raise NonUnitLeadingCoefficient("division by the zero polynomial")
-    quot, rem = _divmod_monic(q, a, _monic(q, b))
-    if b[-1] != 1:  # the quotient by b/lead(b), rescaled
-        lead_inv = pow(b[-1], -1, q)
-        quot = [c * lead_inv % q for c in quot]
-    return _trimmed(quot), rem
+    return _rem_monic(q, a, _monic(q, b))
 
 
-def _divmod_monic(q, a, b):
-    """(quotient digits, canonical remainder) of a by a canonical monic
-    b, by long division with lazy reduction: a window of the running
-    remainder takes the products of one step unreduced, and a
-    coefficient is reduced mod q only when it becomes the leading one
-    or lands in the remainder."""
+def _rem_monic(q, a, b):
+    """The canonical remainder of a by a canonical monic b, by long
+    division with lazy reduction: a window of the running remainder
+    takes the products of one step unreduced, and a coefficient is
+    reduced mod q only when it becomes the leading one or lands in the
+    remainder."""
     db = len(b) - 1
     low = b[:db]
-    rem = list(a)
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        f = rem[i] % q
+    run = list(a)
+    for i in range(len(run) - 1, db - 1, -1):
+        f = run[i] % q
         if f:
             lo = i - db
-            quot[lo] = f
-            rem[lo:i] = [r - f * c for r, c in zip(rem[lo:i], low)]
-    return quot, _trimmed([r % q for r in rem[:db]])
+            run[lo:i] = [r - f * c for r, c in zip(run[lo:i], low)]
+    return _trimmed([r % q for r in run[:db]])
 
 
 def divides(dom, b, a):
     if not trim(dom, b):
         return not trim(dom, a)
-    return not divmod_poly(dom, a, b)[1]
+    return not rem(dom, a, b)
 
 
 def _pack(coeffs, q, width):
@@ -215,7 +211,7 @@ def gcd(dom, a, b):
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _monic(q, _divmod_monic(q, a, b)[1])
+        a, b = b, _monic(q, _rem_monic(q, a, b))
     return a
 
 

@@ -34,14 +34,17 @@ P_CAP = 1 << 20
 
 @dataclass(frozen=True)
 class ResidueSystem:
-    """The classes Q_0, ..., Q_{m-1} with a pinned base b and multiplier a."""
+    """The classes Q_0, ..., Q_{m-1} with a pinned base b and multiplier a.
+
+    Equality and hashing read (p, m, b, a) alone; the classes and the
+    class index of a follow from them."""
 
     p: int
     m: int
     b: int
     a: int
-    a_class_index: int
-    classes: tuple
+    a_class_index: int = field(compare=False)
+    classes: tuple = field(compare=False)
     _class_of: dict = field(repr=False, compare=False, hash=False, default=None)
 
     def class_of(self, x):

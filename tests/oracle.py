@@ -196,7 +196,8 @@ def divmod_generic(dom, a, b):
         f = dom.mul(c, lead_inv)
         quot[i - db] = f
         for j in range(db + 1):
-            rem[i - db + j] = dom.sub(rem[i - db + j], dom.mul(f, b[j]))
+            rem[i - db + j] = dom.add(rem[i - db + j],
+                                      dom.neg(dom.mul(f, b[j])))
     return trim_generic(dom, quot), trim_generic(dom, rem)
 
 

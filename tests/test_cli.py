@@ -367,15 +367,15 @@ def test_long_family_code_reads_one_code_promptly():
 
 def test_splitting_field_cap(capsys, monkeypatch):
     # x**47 - 1 over GF(3) splits in GF(3^23), past ffield.SIZE_CAP:
-    # field-code, which echoes the splitting field, exits 1 at once;
-    # distance meets the scan cap first (3^23 words) and exits 2 before
-    # any field is built
+    # field-code, which echoes the splitting field, exits 2 at once with
+    # FieldTooLarge, a size cap like the others; distance meets the scan
+    # cap first (3^23 words) and exits 2 before any field is built
     flags = ("--q", "3", "--p", "47", "--m", "2", "--family", "even-I",
              "--index", "0")
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "field-code", *flags)
     assert time.perf_counter() - t0 < 1
-    assert (code, out) == (1, "")
+    assert (code, out) == (2, "")
     assert err == ("error: FieldTooLarge: field size 3^23 exceeds cap "
                    "2147483648\n")
     built = []
@@ -390,7 +390,7 @@ def test_splitting_field_cap(capsys, monkeypatch):
 @pytest.mark.parametrize("shape", [("field-code", "--index", "0"),
                                    ("ring-code", "--s", "3", "--slots",
                                     "0,1,2")], ids=lambda s: s[0])
-def test_large_prime_q_exit_1_promptly(capsys, shape):
+def test_large_prime_q_exit_2_promptly(capsys, shape):
     # a prime q past SIZE_CAP is refused before the primitive-root
     # search, which would factor q - 1 by trial division
     verb, *rest = shape
@@ -399,7 +399,7 @@ def test_large_prime_q_exit_1_promptly(capsys, shape):
                              "--p", "13", "--m", "3", "--family", "even-I",
                              *rest)
     assert time.perf_counter() - t0 < 0.5
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: FieldTooLarge: field size "
                           "4611686018427394499 exceeds")

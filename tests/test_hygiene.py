@@ -604,7 +604,7 @@ def test_codes_and_distances_divide_no_polynomials(module):
     # second route to them
     tree = ast.parse((ROOT / "src" / "madics" / f"{module}.py").read_text(
         encoding="utf-8"))
-    division = {"divmod_poly", "_divmod_monic", "divides", "gcd"}
+    division = {"rem", "_rem_monic", "divides", "gcd"}
     stray = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in division

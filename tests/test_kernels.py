@@ -15,7 +15,12 @@ from madics.analysis import generator_matrix
 from madics.ffield import make_prime_field
 from madics.field_codes import FAMILIES, family_codes
 from madics.residues import build_residue_system
-from oracle import scan_numpy, scan_union as scan_union_oracle, support_table
+from oracle import (
+    divmod_generic,
+    scan_numpy,
+    scan_union as scan_union_oracle,
+    support_table,
+)
 from test_analysis import RING_CASES
 
 rng = random.Random(0xCAFE)
@@ -285,12 +290,13 @@ def count_pairs(monkeypatch):
 
 def family_gmats(q, p, m, family, slots, alpha_exp=1):
     """Generator matrices of one family's components, one per slot, and
-    the check polynomial (x**p - 1)/g of the first, by division."""
+    the check polynomial (x**p - 1)/g of the first, by the oracle's
+    division."""
     comps = family_codes(build_residue_system(p, m), make_prime_field(q),
                          family, alpha_exp)
     first = comps[slots[0]]
-    check, rest = poly.divmod_poly(first.ctx, poly.xn_minus_1(first.ctx, p),
-                                   first.generator)
+    check, rest = divmod_generic(first.ctx, poly.xn_minus_1(first.ctx, p),
+                                 first.generator)
     assert not rest
     return [generator_matrix(comps[i]) for i in slots], check
 

@@ -1,5 +1,6 @@
 """Residue class partition and multiplier action tests."""
 
+import dataclasses
 import random
 import time
 
@@ -116,6 +117,19 @@ def test_system_built_once_per_arguments():
     system = build_residue_system(19, 6, 2, 10)
     assert build_residue_system(19, 6, 2, 10) is system
     assert build_residue_system(19, 6, b=2, a=10) == system
+
+
+def test_system_identified_by_p_m_b_a():
+    # the classes and a's class index are functions of (p, m, b, a), so
+    # equality and hashing, and so every cache keyed on a system, read
+    # those four ints alone: an unhashable classes list changes neither
+    system = build_residue_system(19, 6, 2, 10)
+    stripped = dataclasses.replace(system, a_class_index=None,
+                                   classes=list(system.classes))
+    assert stripped == system and hash(stripped) == hash(system)
+    for name in ("p", "m", "b", "a"):
+        moved = {name: getattr(system, name) + 1}
+        assert dataclasses.replace(system, **moved) != system
 
 
 @pytest.mark.parametrize("args,error", [
