@@ -22,14 +22,14 @@ _EXPORTS = {
                "MadicError", "MultiplierNotCyclic", "NonPrimeModulus",
                "NotCoprime", "NotPrimitiveRoot", "QNotResidue", "TooLarge"),
     "ffield": ("FieldCtx", "make_extension", "make_prime_field"),
-    "field_codes": ("FAMILIES", "CyclicCode", "all_ones_h", "family_codes",
+    "field_codes": ("FAMILIES", "CyclicCode", "family_codes",
                     "splitting_field"),
     "identities": ("IDENTITY_NAMES", "IdentityOutcome", "check_identities"),
-    "residues": ("ResidueSystem", "build_residue_system", "mu_poly"),
+    "residues": ("ResidueSystem", "build_residue_system"),
     "ringalg": ("RingCtx", "format_ring_poly", "make_ring",
                 "ring_poly_combine", "ring_poly_component"),
-    "ring_codes": ("RingCode", "chain_step_poly", "component_consistency",
-                   "ring_code", "ring_mu_chain"),
+    "ring_codes": ("RingCode", "component_consistency", "ring_code",
+                   "ring_mu_chain"),
     "verify": ("VerifyReport", "run_verification"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

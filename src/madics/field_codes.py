@@ -54,9 +54,9 @@ homomorphism
     f(beta**g_r)   = c_0 + sum_i c_i eta_{i+r}
 
 from A to F_q**(m+1) (MacWilliams & Sloane, ch. 8: the Mattson-Solomon
-transform restricted to A), computed by spectrum.  So a product is a
-pointwise product of spectra and a sum a pointwise sum; sigma(1) =
-(1, ..., 1) and sigma(h) = (p mod q, 0, ..., 0).  sigma maps p**-1 h to
+transform restricted to A).  So a product is a pointwise product of
+spectra and a sum a pointwise sum; sigma(1) = (1, ..., 1) and
+sigma(h) = (p mod q, 0, ..., 0).  sigma maps p**-1 h to
 (1, 0, ..., 0) and e_r to the unit vector at beta**g_r, so p**-1 h,
 e_0, ..., e_{m-1} is the basis of idempotents of A, and from_spectrum
 inverts sigma by linearity,
@@ -64,9 +64,13 @@ inverts sigma by linearity,
     sigma**-1(v) = v_0 p**-1 h + sum_r v_{r+1} e_r,
 
 whose coefficient k >= 1 is p**-1 (v_0 + sum_r v_{r+1} eta_{r+c(-k)}).
-A code's 0/1 spectrum has entry 0 set iff {0} is a nonzero and entry
-r+1 iff the cosets of u*Q_r are, so one formula gives the idempotents
-of all four families: e_i, 1 - e_i, 1 - p**-1 h - e_i and p**-1 h + e_i.
+A code's spectrum, sigma of its idempotent, is 0/1 with entry 0 set iff
+{0} is a nonzero and entry r+1 iff the cosets of u*Q_r are; it is read
+off the nonzeros, with no polynomial evaluated, and one formula inverts
+it into the idempotents of all four families: e_i, 1 - e_i,
+1 - p**-1 h - e_i and p**-1 h + e_i.  The ring layer and the identity
+suite compute on these spectra, and a polynomial is formed from one
+only where it is read.
 """
 
 from __future__ import annotations
@@ -94,10 +98,10 @@ class CyclicCode:
     """A cyclic code of prime length p over GF(q), fixed by nonzeros: its
     nonzero cyclotomic cosets by least member, ascending, relative to
     the alpha of splitting_field ((0,) for <h>, () for the zero code).
-    The generator (monic, ascending), dimension, idempotent and dual are
-    built on first read and kept; the last two read the labeling, the
-    required system and alpha_exp, which take no part in equality, and
-    family and index, the code's place in family_codes."""
+    The generator (monic, ascending), dimension, spectrum, idempotent
+    and dual are built on first read and kept; the last three read the
+    labeling, the required system and alpha_exp, which take no part in
+    equality, and family and index, the code's place in family_codes."""
 
     ctx: FieldCtx
     p: int
@@ -132,16 +136,18 @@ class CyclicCode:
                        self.nonzeros))
 
     @functools.cached_property
-    def idempotent(self):
+    def spectrum(self):
+        """sigma of the idempotent (module docstring): 1 at the
+        nonzeros, {0} first, then each class of cosets u*Q_r."""
         own = set(self.nonzeros)
         cosets = _class_cosets(self.system, self.q, self.alpha_exp)
-        spec = [0 in own] + [own.issuperset(c) for c in cosets]
-        return from_spectrum(self.system, self.q, self.alpha_exp, spec)
+        return (int(0 in own),) + tuple(int(own.issuperset(c))
+                                        for c in cosets)
 
-
-def all_ones_h(p):
-    """h = 1 + x + ... + x**(p-1), the all-ones polynomial."""
-    return (1,) * p
+    @functools.cached_property
+    def idempotent(self):
+        return from_spectrum(self.system, self.q, self.alpha_exp,
+                             self.spectrum)
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,7 +278,7 @@ def _class_cosets(system, q, alpha_exp):
 def gauss_periods(system, q, alpha_exp):
     """The Gauss periods (eta_0, ..., eta_{m-1}) of the module docstring,
     eta_r = sum_{k in Q_r} beta**k with beta = alpha**alpha_exp, as ints
-    of F_q: the one source of the periods for spectrum and from_spectrum.
+    of F_q: the one source of the periods, read by from_spectrum.
 
     u*Q_r is a union of q-cyclotomic cosets (_class_cosets checks q and
     u), and the roots of a coset factor f sum to -f[-2], so eta_r sums
@@ -298,29 +304,9 @@ def _classes_of_negatives(system):
     return tuple(map(neg.__getitem__, range(1, system.p)))
 
 
-@functools.lru_cache(maxsize=None)
-def spectrum(system, q, u, elem):
-    """sigma(elem) of the module docstring, (elem(1), elem(beta**g_0),
-    ..., elem(beta**g_{m-1})) as ints of F_q, cached per element.  Raises
-    AssertionError when elem's coefficients are not constant on each
-    class Q_i, since sigma is injective only on the class algebra."""
-    p, m = system.p, system.m
-    coeffs = elem + (0,) * (p - len(elem))
-    cs = []
-    for cls in system.classes:
-        row = [coeffs[k] for k in cls]
-        if row.count(row[0]) != len(row):
-            raise AssertionError("element is not constant on the classes")
-        cs.append(row[0])
-    c0 = coeffs[0]
-    values = [c0 + (p - 1) // m * sum(cs)] + [
-        c0 + s for s in _correlate(gauss_periods(system, q, u), cs)]
-    return tuple(v % q for v in values)
-
-
 def from_spectrum(system, q, u, spec):
-    """The class-constant polynomial f with sigma(f) = spec: the inverse
-    of spectrum, read straight off the Gauss periods."""
+    """The class-constant polynomial f with sigma(f) = spec, read
+    straight off the Gauss periods."""
     return _inverse(system, q, gauss_periods(system, q, u), spec)
 
 

@@ -18,17 +18,16 @@ Some of these hold only under arithmetic side conditions on (q, p)
 what it finds instead of assuming.
 
 The suite runs over F_q on the s CRT components each ring code
-carries (``RingCode.elements``), and on each component it works in the
-spectrum of the class algebra A, so it multiplies no polynomial.
-field_codes owns A and its transform: its module docstring defines
-sigma, field_codes.spectrum computes it and field_codes.from_spectrum
-inverts it.  Every element the suite touches lies in A: e_i, 1 - e_i,
-1 - h - e_i, h + e_i, 1, h, their sums and products and their chain
-steps.  So a product is a pointwise product of spectra, a sum a
-pointwise sum, and an identity holds exactly when it holds pointwise.
-The chain step (exponent a*i moves to i) keeps f(1) and takes the value
-at beta**g_r from beta**g_{r-j}, with j the class index of a.  A ring
-element is the flat list of its s component spectra.
+carries, and on each component it works in the spectrum of the class
+algebra A, so it multiplies no polynomial.  field_codes owns A and its
+transform: its module docstring defines sigma, and
+field_codes.from_spectrum inverts it.  Every element the suite touches
+lies in A: e_i, 1 - e_i, 1 - h - e_i, h + e_i, 1, h, their sums and
+products and their chain steps.  So a product is a pointwise product of
+spectra, a sum a pointwise sum, and an identity holds exactly when it
+holds pointwise.  A ring code holds its component spectra
+(``RingCode.spectra``), and a ring element is the flat list of them.
+The chain step is ring_codes.chain_source, the one the chains check.
 
 On spectra, idempotency is "every value is 0 or 1", since v**2 = v
 only for those in a field.  Each pairwise identity is written as
@@ -54,8 +53,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .field_codes import from_spectrum, spectrum
-from .ring_codes import ring_code, ring_mu_chain
+from .field_codes import from_spectrum
+from .ring_codes import chain_source, ring_code, ring_mu_chain
 from .ringalg import format_ring_poly, ring_poly_combine
 
 IDENTITY_NAMES = (
@@ -102,13 +101,6 @@ def _shown(ring, system, u, spectra):
     return format_ring_poly(ring, ring_poly_combine(ring, comps))
 
 
-def _chain_source(m, j):
-    """Where each value of a chain-stepped spectrum comes from, for a
-    multiplier in Q_j: the value at 1 stays, and the value at beta**g_r
-    is the one at beta**g_{r-j}."""
-    return [0] + [1 + (r - j) % m for r in range(m)]
-
-
 def pairwise_products_equal(q, values, target):
     """Does values[r] * values[t] == target hold pointwise over F_q for
     every r < t?  All arguments are spectra of one length, with entries
@@ -147,7 +139,7 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     u = base.alpha_exp
 
     def spectra(code):
-        return [v for e in code.elements for v in spectrum(system, q, u, e)]
+        return [v for spec in code.spectra for v in spec]
 
     es = [spectra(c) for c in orbit]
     eps, ds, dps = (
@@ -163,7 +155,7 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     hs = const(p, 0)
     one_minus_h = const(1 - p, 1)
     dp_expected = const(1 - (s - 1) * p, 1)
-    source = _chain_source(m, system.class_of(a))
+    source = chain_source(m, system.class_of(a))
     moved = [o + i for o in range(0, s * (m + 1), m + 1) for i in source]
 
     def mm(x, y):

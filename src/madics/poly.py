@@ -76,14 +76,6 @@ def xn_minus_1(dom, n):
     return (_modulus(dom) - 1,) + (0,) * (n - 1) + (1,)
 
 
-def add(dom, a, b):
-    q = _modulus(dom)
-    out = [(x + y) % q for x, y in zip(a, b)]
-    out += [x % q for x in a[len(b):]]
-    out += [y % q for y in b[len(a):]]
-    return _trimmed(out)
-
-
 def sub(dom, a, b):
     q = _modulus(dom)
     out = [(x - y) % q for x, y in zip(a, b)]

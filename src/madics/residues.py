@@ -5,8 +5,9 @@ index m in the multiplicative group, and Q_i = b**i * Q_0 for a
 primitive root b are its cosets: a partition of {1, ..., p-1} into m
 classes of size (p - 1)/m.  The multiplier mu_a : i -> a*i mod p
 permutes exponents; when the class index j of a is coprime to m it
-cyclically shifts the classes, Q_i -> Q_{i+j}.  On polynomials it
-acts on F_q coefficients only; ring codes apply it per CRT component.
+cyclically shifts the classes, Q_i -> Q_{i+j}.  Ring codes apply it
+per CRT component, as a shift of each component's class-algebra
+spectrum (ring_codes.chain_source).
 """
 
 from __future__ import annotations
@@ -110,18 +111,3 @@ def build_residue_system(p, m, b=None, a=None):
             f"multiplier {given} lies in Q_{j} and gcd({j}, {m}) != 1")
     return ResidueSystem(p, m, b, a, j, tuple(classes), class_of)
 
-
-def mu_poly(p, a, coeffs):
-    """Apply mu_a to an F_q polynomial of degree < p: the coefficient at
-    exponent i moves to exponent a*i mod p.  Position 0 is fixed.
-    """
-    if math.gcd(a, p) != 1:
-        raise NotCoprime(f"multiplier {a} is not coprime to {p}")
-    if len(coeffs) > p:
-        raise ValueError("polynomial degree must be < p")
-    out = [0] * p
-    for i, c in enumerate(coeffs):
-        out[a * i % p] = c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)

@@ -11,37 +11,41 @@ only: slot k carries the F_q defining element
     odd-like class II   h + e_{i_k}
 
 with e_i the field even-like class-I idempotents and h the all-ones
-polynomial, and the component code of the same family.  The v-basis
-forms over R, the defining element
+polynomial, and the component code of the same family.  Every one of
+these elements lies in the class algebra A of field_codes, so a ring
+code holds each by its spectrum sigma (the field_codes module
+docstring), one (m+1)-tuple per slot, and the ring layer runs no
+polynomial arithmetic: construction, chains and consistency checks
+read and compare spectra, and so does the identity suite.
+
+The v-basis forms over R, the defining element
 
     E = eta_0 * (slot-0 element) + ... + eta_{s-1} * (slot-(s-1) element)
 
 and the generator (component generators combined the same way,
 zero-padded to the widest component), are output formats: a RingCode
-builds each from its components the first time it is read, for
-display and export.  Construction, chains, consistency checks and the
-identity suite never build them.
+inverts its spectra and combines the components the first time a form
+is read, for display and export.
 
 Each code is built once.  ring_code returns one shared RingCode per
 (ring, system, family, slots, alpha_exp mod p), so chains, the
 identity suite, component_consistency, verify-paper and the CLI all
-reuse one instance, and its v-basis forms are combined at most once
-per process.  A defining element is cached per class index, (system,
-field, family, alpha_exp, i), and built only for the indices a slot
-names; chain_step_poly is cached per (p, a, coeffs).  The ideal an
-element generates in F_q[x]/(x**p - 1) is the monic gcd(e, x**p - 1),
-cached per (field, p, element) by ideal_generator: a mu_a orbit
-permutes the same component elements, so component_consistency (and
-verify-paper's idempotent-ideal check) solves each element once.  No
-cache holds a verdict: ring_mu_chain still compares every step.
+reuse one instance, and its v-basis forms are built at most once per
+process.  A slot's spectrum is its component code's cached spectrum,
+or that tuple with one entry changed for class II; a slot holding the
+component's own spectrum reads the component's cached idempotent, so
+an orbit inverts each of those once.  No cache holds a verdict:
+ring_mu_chain still compares every step.
 
 The multiplier mu_a sends the exponent set Q_r to Q_{r+j}, with j the
 class index of a.  On polynomial coefficients the chain therefore
 steps with the inverse relocation (the coefficient at exponent a*i
 moves to exponent i): that is what carries the code built on Q_r to
 the code built on Q_{r+j}, keeping the slot walk aligned with the
-class walk.  The orbit closes after m/gcd(j, m) steps, which is m for
-the required gcd(j, m) = 1.
+class walk.  On a spectrum that step keeps the value at 1 and takes
+the value at beta**g_r from beta**g_{r-j} (chain_source).  The orbit
+closes after m/gcd(j, m) steps, which is m for the required
+gcd(j, m) = 1.
 """
 
 from __future__ import annotations
@@ -51,26 +55,25 @@ import math
 import operator
 from dataclasses import dataclass
 
-from . import poly
 from .errors import BadSlotIndex, MultiplierNotCyclic, NotCoprime
-from .field_codes import FAMILIES, all_ones_h, family_codes
-from .residues import ResidueSystem, mu_poly
+from .field_codes import FAMILIES, family_codes, from_spectrum
+from .residues import ResidueSystem
 from .ringalg import RingCtx, ring_poly_combine
 
 
 @dataclass(frozen=True)
 class RingCode:
-    """A code over R: its s component defining elements over F_q and
-    its s field component codes, with the v-basis defining element and
-    generator combined from them on first read.  ring_code returns one
-    shared instance per code, so the v-basis forms are combined at most
+    """A code over R: the spectra of its s component defining elements
+    and its s field component codes, with the v-basis defining element
+    and generator built from them on first read.  ring_code returns one
+    shared instance per code, so the v-basis forms are built at most
     once per process.
 
-    ``elements[k]`` is the family's defining element on slot k (e, 1-e,
-    1-h-e or h+e) and ``idempotent`` is their CRT combination.  For
-    class-II codes this element is a true idempotent exactly when
-    p = 1 mod q; the verification suite checks and reports this rather
-    than hiding it.
+    ``spectra[k]`` is sigma of the family's defining element on slot k
+    (e, 1-e, 1-h-e or h+e) and ``idempotent`` is the CRT combination of
+    their inverses.  For class-II codes this element is a true
+    idempotent exactly when p = 1 mod q; the verification suite checks
+    and reports this rather than hiding it.
     """
 
     ring: RingCtx
@@ -78,12 +81,16 @@ class RingCode:
     family: str
     slots: tuple
     alpha_exp: int
-    elements: tuple
+    spectra: tuple
     components: tuple
 
     @functools.cached_property
     def idempotent(self):
-        return ring_poly_combine(self.ring, self.elements)
+        q, u = self.ring.q, self.alpha_exp
+        return ring_poly_combine(self.ring, [
+            comp.idempotent if spec is comp.spectrum
+            else from_spectrum(self.system, q, u, spec)
+            for spec, comp in zip(self.spectra, self.components)])
 
     @functools.cached_property
     def generator(self):
@@ -123,36 +130,31 @@ def ring_code(ring, system, family, slots, alpha_exp=1):
 
 @functools.lru_cache(maxsize=None)
 def _shared_ring_code(ring, system, family, slots, alpha_exp):
-    ctx = ring.field
-    comps = family_codes(system, ctx, family, alpha_exp)
+    comps = tuple(family_codes(system, ring.field, family, alpha_exp)[i]
+                  for i in slots)
     return RingCode(ring, system, family, slots, alpha_exp,
-                    tuple(_defining_element(system, ctx, family, alpha_exp, i)
-                          for i in slots),
-                    tuple(comps[i] for i in slots))
+                    tuple(map(_defining_spectrum, comps)), comps)
+
+
+def _defining_spectrum(comp):
+    """sigma of the defining element on a slot with component code comp:
+    comp's 0/1 spectrum, except at x = 1 for class II, where 1 - h - e_i
+    and h + e_i take 1 - p and p, as sigma(h) = (p, 0, ..., 0).  The
+    true idempotents, comp.idempotent, take 0 and 1 there; the two agree
+    exactly when p = 1 mod q (the class-II defect in ROADMAP.md)."""
+    spec = comp.spectrum
+    if comp.family in ("even-II", "odd-II"):
+        p, q = comp.p, comp.q
+        return ((1 - p if comp.family == "even-II" else p) % q,) + spec[1:]
+    return spec
 
 
 @functools.lru_cache(maxsize=None)
-def _defining_element(system, ctx, family, alpha_exp, i):
-    """The family's defining element for class index i, from the field
-    even-like class-I idempotent e_i (see the module docstring)."""
-    e = family_codes(system, ctx, "even-I", alpha_exp)[i].idempotent
-    if family == "even-I":
-        return e
-    one, h = (ctx.one,), all_ones_h(system.p)
-    if family == "odd-I":
-        return poly.sub(ctx, one, e)
-    if family == "even-II":
-        return poly.sub(ctx, poly.sub(ctx, one, h), e)
-    return poly.add(ctx, h, e)  # odd-II
-
-
-@functools.lru_cache(maxsize=None)
-def chain_step_poly(p, a, coeffs):
-    """One multiplier step on an F_q polynomial: exponent a*i moves to
-    exponent i, the inverse of the exponent-set action.  This is the
-    relocation that moves the code built on Q_r to the one built on
-    Q_{r+j}.  Cached per (p, a, coeffs), like ideal_generator."""
-    return mu_poly(p, pow(a, -1, p), coeffs)
+def chain_source(m, j):
+    """Where each value of a chain-stepped spectrum comes from, for a
+    multiplier in Q_j: the value at 1 stays, and the value at beta**g_r
+    is the one at beta**g_{r-j} (module docstring)."""
+    return (0,) + tuple(1 + (r - j) % m for r in range(m))
 
 
 def ring_mu_chain(code, a=None):
@@ -161,7 +163,7 @@ def ring_mu_chain(code, a=None):
     Each step shifts every slot index by the class index j of a; the
     orbit has length m/gcd(j, m), which is m when mu_a cyclically
     permutes the classes (gcd(j, m) = 1).  On every component, each
-    returned code's defining element equals the chain step applied to
+    returned code's defining spectrum equals the chain step applied to
     the previous one.
     """
     system = code.system
@@ -174,34 +176,26 @@ def ring_mu_chain(code, a=None):
         raise MultiplierNotCyclic(
             f"multiplier {a} lies in Q_{j} and gcd({j}, {system.m}) != 1")
     length = system.m // math.gcd(j, system.m)
+    step = operator.itemgetter(*chain_source(system.m, j))
     orbit = [code]
     slots = code.slots
     for _ in range(length - 1):
         slots = tuple((i + j) % system.m for i in slots)
         nxt = _shared_ring_code(code.ring, system, code.family, slots,
                                 code.alpha_exp)
-        moved = tuple(chain_step_poly(system.p, a, e)
-                      for e in orbit[-1].elements)
-        if moved != nxt.elements:
+        if tuple(map(step, orbit[-1].spectra)) != nxt.spectra:
             raise AssertionError("mu step does not match the shifted slots")
         orbit.append(nxt)
     return orbit
 
 
-@functools.lru_cache(maxsize=None)
-def ideal_generator(ctx, p, elem):
-    """The monic generator gcd(elem, x**p - 1) of the ideal that elem
-    generates in F_q[x]/(x**p - 1), cached per (ctx, p, elem): a mu_a
-    orbit permutes the same component elements, so each is solved once.
-    The zero element gives x**p - 1."""
-    return poly.gcd(ctx, elem, poly.xn_minus_1(ctx, p))
-
-
 def component_consistency(code):
     """Per slot: does the component defining element generate the same
-    ideal as the stored component generator?  Both ideal_generator and
-    every CyclicCode generator are canonical monic, so the ideals agree
-    exactly when the two tuples are equal."""
-    ctx, p = code.ring.field, code.p
-    return tuple(ideal_generator(ctx, p, elem) == comp_code.generator
-                 for elem, comp_code in zip(code.elements, code.components))
+    ideal as the stored component code?  An element f of A generates
+    the ideal whose nonzeros are the roots where f is nonzero, which
+    its spectrum lists, so f and the code's 0/1 spectrum must vanish at
+    the same entries; the common case, f the code's idempotent, is one
+    tuple compare."""
+    return tuple(spec == comp.spectrum
+                 or list(map(bool, spec)) == list(comp.spectrum)
+                 for spec, comp in zip(code.spectra, code.components))

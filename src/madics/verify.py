@@ -12,6 +12,7 @@ with a nonempty errata list.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import poly
@@ -26,12 +27,7 @@ from .field_codes import family_codes, product
 from .identities import IDENTITY_NAMES, check_identities
 from .residues import build_residue_system
 from .ringalg import format_ring_poly, make_ring, ring_poly_component
-from .ring_codes import (
-    component_consistency,
-    ideal_generator,
-    ring_code,
-    ring_mu_chain,
-)
+from .ring_codes import component_consistency, ring_code, ring_mu_chain
 
 # reference transcriptions, coefficients ascending
 
@@ -357,6 +353,14 @@ def _check_identities(checks, errata):
         f"printed form evaluates to {o.expected}",
         "holds exactly when (L + s - 1) p = 1 (mod q), which no grid "
         "instance meets, p = 1 (mod q) ones included"))
+
+
+@functools.lru_cache(maxsize=None)
+def ideal_generator(ctx, p, elem):
+    """The monic generator gcd(elem, x**p - 1) of the ideal that elem
+    generates in F_q[x]/(x**p - 1), cached per (ctx, p, elem).  The zero
+    element gives x**p - 1."""
+    return poly.gcd(ctx, elem, poly.xn_minus_1(ctx, p))
 
 
 def _check_structure(checks, errata):

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import functools
 import os
 import sys
 
@@ -28,3 +29,22 @@ def cold_caches():
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+@pytest.fixture
+def spectra_computed(monkeypatch):
+    """A list that records each CyclicCode whose spectrum is computed,
+    not read back from the code's cache, while the test runs."""
+    from madics.field_codes import CyclicCode
+
+    computed = []
+    spectrum = CyclicCode.__dict__["spectrum"].func
+
+    def counting(code):
+        computed.append(code)
+        return spectrum(code)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(CyclicCode, "spectrum")
+    monkeypatch.setattr(CyclicCode, "spectrum", prop)
+    return computed

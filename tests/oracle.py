@@ -26,10 +26,20 @@ VBasisRing with mul_mod_schoolbook, which keeps them independent of
 that fast path.
 
 check_identities_vbasis evaluates the identity suite directly in the
-v-basis of R = F_q[v]/(v^s - v), on the stored idempotents and with
-its own chain step, so it uses none of the ring codes' CRT components;
-madics.identities.check_identities, which works on the components,
-must agree with it on every outcome.
+v-basis of R = F_q[v]/(v^s - v), on each ring code's v-basis defining
+element (RingCode.idempotent) with polynomial products and its own
+chain step, so it uses none of the spectral arithmetic of
+madics.identities.check_identities, which must agree with it on every
+outcome.
+
+_step_vbasis is that chain step on coefficients, over R or over F_q:
+the coefficient at exponent a*i moves to exponent i.  It is the oracle
+of madics.ring_codes.chain_source, which steps spectra.
+
+spectrum_direct is the oracle of the spectra that madics holds for
+every code (CyclicCode.spectrum, RingCode.spectra): it evaluates an
+F_q polynomial at 1 and at beta**g_r, g_r the least member of Q_r, in
+the splitting field GF(q^t), without the Gauss periods.
 
 pairwise_products_all_pairs is the oracle of
 madics.identities.pairwise_products_equal, which checks "a_r a_t = c
@@ -37,9 +47,10 @@ for every r < t" in O(L) per coordinate from the shape of the values:
 it multiplies all L(L-1)/2 pairs and compares each product with c.
 
 component_consistency_uncached is the oracle of
-madics.ring_codes.component_consistency, which looks each element's
-ideal generator up in the cache ring_codes.ideal_generator: it takes
-gcd_generic of every slot's element with x^p - 1 on every call.
+madics.ring_codes.component_consistency, which compares where the
+spectra vanish: it reads each slot's element off the v-basis defining
+element with ring_poly_component and takes gcd_generic of it with
+x^p - 1 on every call.
 
 The scans are the oracles of madics._kernels.  scan_numpy expands
 each block of message indices into base-q digits and multiplies by G.
@@ -92,7 +103,7 @@ from madics import poly
 from madics.field_codes import splitting_field
 from madics.identities import IDENTITY_NAMES, IdentityOutcome
 from madics.ring_codes import ring_code, ring_mu_chain
-from madics.ringalg import RingCtx, format_ring_poly
+from madics.ringalg import RingCtx, format_ring_poly, ring_poly_component
 
 
 class VBasisRing(RingCtx):
@@ -436,13 +447,26 @@ def component_consistency_uncached(code):
     ctx = code.ring.field
     xp1 = (ctx.q - 1,) + (0,) * (p - 1) + (1,)
     out = []
-    for elem, comp_code in zip(code.elements, code.components):
+    for k, comp_code in enumerate(code.components):
+        elem = ring_poly_component(code.ring, code.idempotent, k)
         if not elem:
             out.append(len(comp_code.generator) - 1 == p)
             continue
         ideal_gen = gcd_generic(ctx, elem, xp1)
         out.append(ideal_gen == monic_generic(ctx, comp_code.generator))
     return tuple(out)
+
+
+def spectrum_direct(system, q, u, f):
+    """(f(1), f(beta**g_0), ..., f(beta**g_{m-1})) with beta =
+    alpha**u and g_r the least member of Q_r, each evaluated in the
+    splitting field by Horner's rule; every value must lie in F_q."""
+    ext, alpha = splitting_field(q, system.p)
+    beta = ext.pow(alpha, u % system.p)
+    points = [ext.one] + [ext.pow(beta, cls[0]) for cls in system.classes]
+    values = tuple(eval_generic(ext, f, x) for x in points)
+    assert all(v < q for v in values), "a value did not descend to F_q"
+    return values
 
 
 def _eq(ring, p, a, b):

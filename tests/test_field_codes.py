@@ -15,7 +15,6 @@ from madics import field_codes
 from madics.field_codes import (
     FAMILIES,
     _min_poly,
-    all_ones_h,
     check_factors,
     coset_factors,
     family_codes,
@@ -34,6 +33,7 @@ from oracle import (
     mod_xn_minus_1,
     monic_generic,
     product_schoolbook,
+    spectrum_direct,
 )
 
 F3 = make_prime_field(3)
@@ -401,6 +401,19 @@ def test_idempotents_match_bezout_oracle(q, p, m):
                 assert c.idempotent == idempotent_bezout(ctx, c.generator, p)
 
 
+@pytest.mark.parametrize("q,p,m", ((3, 13, 4), (7, 19, 6), (2, 31, 3)))
+def test_spectrum_matches_direct_evaluation(q, p, m):
+    # the 0/1 spectrum read off the nonzeros is the idempotent evaluated
+    # at 1 and at beta**g_r in the splitting field
+    system = build_residue_system(p, m)
+    ctx = make_prime_field(q)
+    for u in (1, 2, -1):
+        for fam in FAMILIES:
+            for c in family_codes(system, ctx, fam, u):
+                assert c.spectrum == spectrum_direct(system, q, u,
+                                                     c.idempotent)
+
+
 def _family_dims(p, m):
     e = (p - 1) // m
     return {"even-I": e, "odd-I": p - e, "even-II": p - 1 - e,
@@ -559,4 +572,11 @@ def test_splitting_field_root_order():
 
 
 def test_all_ones_h():
-    assert all_ones_h(5) == (1, 1, 1, 1, 1)
+    # h = 1 + x + ... + x**(p-1) takes p at 1 and vanishes at every other
+    # p-th root of unity: sigma(h) = (p mod q, 0, ..., 0), the entry the
+    # class-II defining spectra of ring_codes read
+    for q, p, m in ((3, 13, 4), (7, 19, 6), (2, 31, 3)):
+        system = build_residue_system(p, m)
+        for u in (1, 2, -1):
+            assert spectrum_direct(system, q, u, (1,) * p) == \
+                (p % q,) + (0,) * m

@@ -20,9 +20,9 @@ construction: only CyclicCode.generator, check_factors and
 gauss_periods read field_codes.coset_factors, so a code's dual is its
 family partner and not a second product of factors.  One
 arithmetic for the splitting field: field_codes.coset_factors makes at
-most 2t products over GF(q^t).  One arithmetic for the identity suite:
-identities works on class-algebra spectra and references no polynomial
-product, sum or difference.  No division where codes are built and
+most 2t products over GF(q^t).  One arithmetic for the ring layer:
+ring_codes and identities work on class-algebra spectra and reference
+no poly function.  No division where codes are built and
 measured: field_codes and analysis get every generator and check
 polynomial as a product of coset factors and call no
 polynomial division, remainder or gcd of poly.  poly reads only q and
@@ -536,13 +536,13 @@ def test_kernels_call_no_unique_or_sort():
     assert not stray, f"unique or sort in _kernels: {stray}"
 
 
-def test_identities_multiply_no_polynomials():
-    # the suite multiplies, adds and steps spectra pointwise; a packed
-    # product or a polynomial sum in identities would be a second
-    # arithmetic in that layer
-    tree = ast.parse((ROOT / "src" / "madics" / "identities.py").read_text(
+@pytest.mark.parametrize("module", ["identities", "ring_codes"])
+def test_identities_multiply_no_polynomials(module):
+    # the ring codes and the suite build, step, compare, multiply and
+    # add spectra pointwise; a poly function, a packed product above
+    # all, in either would be a second arithmetic in that layer
+    tree = ast.parse((ROOT / "src" / "madics" / f"{module}.py").read_text(
         encoding="utf-8"))
-    polynomial = {"mul", "add", "sub"}
     stray = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -554,19 +554,19 @@ def test_identities_multiply_no_polynomials():
         elif isinstance(node, ast.ImportFrom):
             stray.extend(f"line {node.lineno}: import {a.name}"
                          for a in node.names
-                         if a.name == "mul_mod" or node.module == "poly"
-                         and a.name in polynomial)
+                         if a.name in ("mul_mod", "poly")
+                         or (node.module or "").endswith("poly"))
             continue
         else:
             continue
-        if name == "mul_mod" or on_poly and name in polynomial:
+        if name == "mul_mod" or on_poly:
             stray.append(f"line {node.lineno}: {ast.unparse(node)}")
-    assert not stray, f"identities uses polynomial arithmetic: {stray}"
+    assert not stray, f"{module} uses polynomial arithmetic: {stray}"
 
 
 def test_field_codes_alone_reads_the_class_algebra():
     # the Gauss periods and the class table c(-k) are read only where
-    # the transform pair spectrum / from_spectrum lives, so the index
+    # the inverse transform from_spectrum lives, so the index
     # convention of the periods is written once
     names = {"gauss_periods", "_classes_of_negatives"}
     stray = []

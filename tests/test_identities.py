@@ -12,33 +12,30 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from madics import field_codes, identities, poly
+from madics import identities, poly
 from madics.errors import QNotResidue
 from madics.ffield import SIZE_CAP, is_prime, make_prime_field
-from madics.field_codes import (
-    FAMILIES,
-    from_spectrum,
-    spectrum,
-)
+from madics.field_codes import FAMILIES, from_spectrum
 from madics.identities import (
     IDENTITY_NAMES,
-    _chain_source,
     check_identities,
     pairwise_products_equal,
 )
 from madics.residues import build_residue_system
-from madics.ring_codes import chain_step_poly, ring_code, ring_mu_chain
+from madics.ring_codes import chain_source, ring_code, ring_mu_chain
 from madics.ringalg import make_ring
 from madics.verify import IDENTITY_GRID
 from oracle import (
+    _step_vbasis,
     check_identities_vbasis,
     class_products_direct,
     divmod_generic,
     idempotent_bezout,
     mul_mod_schoolbook,
     pairwise_products_all_pairs,
+    spectrum_direct,
 )
 
 P_DEPENDENT = {
@@ -189,16 +186,15 @@ def test_suite_matches_vbasis_oracle(q, p, m, s, alpha_exp):
 
 @pytest.mark.parametrize("q,p,m,s", [
     (3, 13, 4, 3), (7, 19, 6, 3), (7, 19, 3, 4)])
-def test_suite_multiplies_no_polynomials(cold_caches, monkeypatch, q, p, m,
-                                         s):
+def test_suite_multiplies_no_polynomials(cold_caches, monkeypatch,
+                                         spectra_computed, q, p, m, s):
     # the suite works on spectra: no packed product, cold or warm, and
-    # one spectrum per distinct component element, made on the first call
+    # one spectrum per distinct component code, made on the first call.
+    # The Gauss periods are warmed first: they check e_0**2 = e_0 with
+    # one product
     system = build_residue_system(p, m)
     ring = make_ring(make_prime_field(q), s)
-    orbit = ring_mu_chain(ring_code(ring, system, "even-I",
-                                    tuple(i % m for i in range(s))))
-    elements = {e for family in FAMILIES for c in orbit
-                for e in ring_code(ring, system, family, c.slots).elements}
+    from_spectrum(system, q, 1, (1,) * (m + 1))
     calls = []
     mul_mod = poly.mul_mod
 
@@ -209,10 +205,16 @@ def test_suite_multiplies_no_polynomials(cold_caches, monkeypatch, q, p, m,
     monkeypatch.setattr(poly, "mul_mod", counting)
     cold = check_identities(ring, system)
     assert calls == []
-    assert field_codes.spectrum.cache_info().misses == len(elements)
+    orbit = ring_mu_chain(ring_code(ring, system, "even-I",
+                                    tuple(i % m for i in range(s))))
+    components = {comp for family in FAMILIES for c in orbit
+                  for comp in ring_code(ring, system, family,
+                                        c.slots).components}
+    assert len(spectra_computed) == len(set(spectra_computed)) == \
+        len(components)
     warm = check_identities(ring, system)
     assert calls == []
-    assert field_codes.spectrum.cache_info().misses == len(elements)
+    assert len(spectra_computed) == len(components)
     monkeypatch.undo()
     assert cold == warm == check_identities_vbasis(ring, system)
 
@@ -314,14 +316,14 @@ def test_unit_spectra_invert_to_the_idempotent_basis(q, p, m):
             for ghat in class_products_direct(system, q, u)]
         for unit, f in zip(units, basis):
             assert from_spectrum(system, q, u, unit) == f
-            assert spectrum(system, q, u, f) == unit
+            assert spectrum_direct(system, q, u, f) == unit
 
 
 @settings(max_examples=60, deadline=None)
 @given(class_algebra_inputs())
 def test_spectrum_round_trip_property(inputs):
     system, q, u, f, _, _ = inputs
-    spec = spectrum(system, q, u, f)
+    spec = spectrum_direct(system, q, u, f)
     assert len(spec) == system.m + 1
     assert from_spectrum(system, q, u, spec) == f
 
@@ -331,35 +333,21 @@ def test_spectrum_round_trip_property(inputs):
 def test_spectrum_of_product_is_pointwise_property(inputs):
     system, q, u, f, g, _ = inputs
     product = mul_mod_schoolbook(make_prime_field(q), f, g, system.p)
-    pointwise = tuple(x * y % q for x, y in zip(spectrum(system, q, u, f),
-                                                spectrum(system, q, u, g)))
-    assert spectrum(system, q, u, product) == pointwise
+    pointwise = tuple(x * y % q
+                      for x, y in zip(spectrum_direct(system, q, u, f),
+                                      spectrum_direct(system, q, u, g)))
+    assert spectrum_direct(system, q, u, product) == pointwise
 
 
 @settings(max_examples=60, deadline=None)
 @given(class_algebra_inputs())
 def test_chain_step_is_a_class_shift_property(inputs):
     system, q, u, f, _, a = inputs
-    spec = spectrum(system, q, u, f)
+    spec = spectrum_direct(system, q, u, f)
     shifted = tuple(spec[i]
-                    for i in _chain_source(system.m, system.class_of(a)))
-    assert spectrum(system, q, u, chain_step_poly(system.p, a, f)) == \
-        shifted
-
-
-@settings(max_examples=60, deadline=None)
-@given(class_algebra_inputs(), st.data())
-def test_spectrum_refuses_off_class_element_property(inputs, data):
-    # one coefficient moved off its class value leaves the class algebra
-    system, q, u, f, _, _ = inputs
-    p = system.p
-    big = [cls for cls in system.classes if len(cls) > 1]
-    assume(big)
-    k = data.draw(st.sampled_from([k for cls in big for k in cls]))
-    coeffs = list(f) + [0] * (p - len(f))
-    coeffs[k] = (coeffs[k] + data.draw(st.integers(1, q - 1))) % q
-    with pytest.raises(AssertionError, match="not constant on the classes"):
-        spectrum(system, q, u, poly.trim(make_prime_field(q), coeffs))
+                    for i in chain_source(system.m, system.class_of(a)))
+    moved = _step_vbasis(make_prime_field(q), system.p, a, f)
+    assert spectrum_direct(system, q, u, moved) == shifted
 
 
 # the O(L) pairwise check against the all-pairs oracle

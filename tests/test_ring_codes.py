@@ -1,5 +1,9 @@
 """Ring code construction, multiplier chains and component consistency."""
 
+import inspect
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,36 +17,56 @@ from madics.identities import check_identities
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring, ring_poly_combine, ring_poly_component
 from madics.ring_codes import (
-    chain_step_poly,
+    chain_source,
     component_consistency,
     ring_code,
     ring_mu_chain,
 )
+from madics.verify import ideal_generator
 from oracle import (
     VBasisRing,
+    _step_vbasis,
     add_generic,
     component_consistency_uncached,
     mod_xn_minus_1,
     mul_mod_schoolbook,
+    spectrum_direct,
     sub_generic,
 )
 
 SYS134 = build_residue_system(13, 4, a=7)
 R33 = make_ring(make_prime_field(3), 3)
 V33 = VBasisRing(R33)
+SYS196 = build_residue_system(19, 6)
+R73 = make_ring(make_prime_field(7), 3)
 
 
 def test_defining_elements_by_family():
-    # the v-basis forms over R, built independently of the CRT components
-    base, odd1, even2, odd2 = (ring_code(R33, SYS134, fam, (1, 2, 3))
-                               for fam in ("even-I", "odd-I", "even-II",
-                                           "odd-II"))
-    one = (V33.one,)
-    h = (V33.one,) * 13
-    assert odd1.idempotent == sub_generic(V33, one, base.idempotent)
-    assert even2.idempotent == sub_generic(
-        V33, sub_generic(V33, one, h), base.idempotent)
-    assert odd2.idempotent == add_generic(V33, h, base.idempotent)
+    # the v-basis forms over R, built independently of the CRT
+    # components, at p = 1 (mod q) and at p = 19 = 5 (mod 7), where the
+    # class-II elements are not the component idempotents
+    for ring, system, slots in ((R33, SYS134, (1, 2, 3)),
+                                (R73, SYS196, (0, 1, 2))):
+        vring = VBasisRing(ring)
+        base, odd1, even2, odd2 = (ring_code(ring, system, fam, slots)
+                                   for fam in FAMILIES)
+        one = (vring.one,)
+        h = (vring.one,) * system.p
+        assert odd1.idempotent == sub_generic(vring, one, base.idempotent)
+        assert even2.idempotent == sub_generic(
+            vring, sub_generic(vring, one, h), base.idempotent)
+        assert odd2.idempotent == add_generic(vring, h, base.idempotent)
+        # only the class-II spectra leave the component's 0/1 spectrum,
+        # and only at x = 1, where they read 1 - p and p
+        p, q = system.p, ring.q
+        for code, at_one in ((base, None), (odd1, None),
+                             (even2, (1 - p) % q), (odd2, p % q)):
+            for spec, comp in zip(code.spectra, code.components):
+                if at_one is None:
+                    assert spec == comp.spectrum
+                else:
+                    assert spec == (at_one,) + comp.spectrum[1:]
+                    assert (spec == comp.spectrum) == (p % q == 1)
 
 
 def test_components_follow_slots():
@@ -57,7 +81,7 @@ def test_components_follow_slots():
             assert ring_poly_component(R33, code.idempotent, k) == \
                 field_family[i].idempotent
             # p = 1 (mod q): every family's element is the field idempotent
-            assert code.elements[k] == field_family[i].idempotent
+            assert code.spectra[k] == field_family[i].spectrum
 
 
 def test_repeated_slots_lift_field_code():
@@ -110,16 +134,15 @@ def test_invalid_slots_raise_on_every_call(slots):
 
 
 def test_mu_chain_checks_every_step(monkeypatch):
-    # the chain's step comparison is not cached: a wrong step element
-    # is caught on a warm second call
+    # the chain's step comparison is not cached: a wrong step is caught
+    # on a warm second call
     base = ring_code(R33, SYS134, "even-I", (1, 2, 3))
     first = ring_mu_chain(base, 7)
-    step = ring_codes.chain_step_poly
 
-    def wrong(p, a, coeffs):
-        return poly.add(R33.field, step(p, a, coeffs), (1,))
+    def wrong(m, j):
+        return chain_source(m, (j + 1) % m)
 
-    monkeypatch.setattr(ring_codes, "chain_step_poly", wrong)
+    monkeypatch.setattr(ring_codes, "chain_source", wrong)
     with pytest.raises(AssertionError, match="mu step"):
         ring_mu_chain(base, 7)
     monkeypatch.undo()
@@ -135,12 +158,25 @@ def test_ring_idempotents_are_idempotent():
 
 
 def test_chain_step_poly_is_inverse_relocation():
-    p, a = 13, 7
-    coeffs = tuple(range(13))
-    moved = chain_step_poly(p, a, coeffs)
-    padded = list(moved) + [0] * (13 - len(moved))
-    for i in range(p):
-        assert padded[i] == coeffs[a * i % p]
+    # the polynomial chain step (exponent a*i moves to i) of every
+    # family idempotent, evaluated in the splitting field, is its
+    # spectrum stepped by chain_source
+    for system, q in ((SYS134, 3), (SYS196, 7)):
+        ctx, p, m = make_prime_field(q), system.p, system.m
+        coeffs = tuple(1 + k % (q - 1) for k in range(p))
+        assert _step_vbasis(ctx, p, system.a, coeffs) == tuple(
+            coeffs[system.a * i % p] for i in range(p))
+        for a in range(2, p):
+            j = system.class_of(a)
+            if math.gcd(j, m) != 1:
+                continue
+            step = operator.itemgetter(*chain_source(m, j))
+            for u in (1, 2, -1):
+                for family in FAMILIES:
+                    for c in family_codes(system, ctx, family, u):
+                        moved = _step_vbasis(ctx, p, a, c.idempotent)
+                        assert spectrum_direct(system, q, u, moved) == \
+                            step(c.spectrum)
 
 
 def test_mu_chain_slot_walk():
@@ -155,8 +191,9 @@ def test_mu_chain_slot_walk():
 def test_mu_chain_closes():
     base = ring_code(R33, SYS134, "even-I", (1, 2, 3))
     chain = ring_mu_chain(base, 7)
-    moved = tuple(chain_step_poly(13, 7, e) for e in chain[-1].elements)
-    assert moved == base.elements
+    step = operator.itemgetter(*chain_source(4, SYS134.class_of(7)))
+    assert tuple(map(step, chain[-1].spectra)) == base.spectra
+    assert _step_vbasis(V33, 13, 7, chain[-1].idempotent) == base.idempotent
 
 
 def test_mu_chain_orbit_length():
@@ -203,29 +240,43 @@ def test_component_consistency_p_not_1_mod_q():
         assert ideal == poly.monic(ctx, odd1[i].generator)
 
 
+def _refuse_polynomials(monkeypatch):
+    """Make every poly function and from_spectrum raise: the ring layer
+    builds, steps and checks codes on spectra alone."""
+    def refuse(*args):
+        raise AssertionError("the ring layer ran polynomial arithmetic")
+
+    for name, f in vars(poly).items():
+        if inspect.isfunction(f):
+            monkeypatch.setattr(poly, name, refuse)
+    for module in (field_codes, ring_codes):
+        monkeypatch.setattr(module, "from_spectrum", refuse)
+
+
 def test_consistency_solves_each_component_element_once(cold_caches,
-                                                        monkeypatch):
-    # a mu-orbit permutes the same component elements: one gcd each, and
-    # none on a second pass
+                                                        monkeypatch,
+                                                        spectra_computed):
+    # a mu-orbit permutes the same component codes: one spectrum each,
+    # read off the code's nonzeros, none on a second pass, and no
+    # polynomial arithmetic in chains or consistency.  The field layer
+    # is warmed first: it builds the coset tables with poly
     sys63 = build_residue_system(19, 6)
     ring73 = make_ring(make_prime_field(7), 3)
+    for family in FAMILIES:
+        family_codes(sys63, ring73.field, family, 1)
+    _refuse_polynomials(monkeypatch)
     orbit = [c for family in FAMILIES
              for c in ring_mu_chain(ring_code(ring73, sys63, family,
                                               (0, 1, 2)))]
-    calls = []
-    gcd = poly.gcd
-
-    def counting(ctx, a, b):
-        calls.append(a)
-        return gcd(ctx, a, b)
-
-    monkeypatch.setattr(poly, "gcd", counting)
     first = [component_consistency(c) for c in orbit]
-    assert sorted(calls) == sorted({e for c in orbit for e in c.elements})
-    assert len(calls) == 24  # 6 classes x 4 families
-    calls.clear()
+    assert sorted(map(id, spectra_computed)) == sorted(
+        {id(comp) for c in orbit for comp in c.components})
+    assert len(spectra_computed) == 24  # 6 classes x 4 families
+    spectra_computed.clear()
     assert [component_consistency(c) for c in orbit] == first
-    assert calls == []
+    assert [c.slots for c in ring_mu_chain(orbit[0])] == \
+        [c.slots for c in orbit[:6]]
+    assert spectra_computed == []
     monkeypatch.undo()
     assert first == [component_consistency_uncached(c) for c in orbit]
 
@@ -233,8 +284,8 @@ def test_consistency_solves_each_component_element_once(cold_caches,
 @pytest.mark.parametrize("q,p,m", [
     (3, 13, 4), (3, 13, 2), (7, 19, 6), (7, 19, 3), (5, 11, 2), (2, 31, 3)])
 def test_generators_and_ideal_generators_are_monic(q, p, m):
-    # component_consistency and verify compare the two with ==, which is
-    # the ideal equality only because both sides are canonical monic
+    # verify compares the two with ==, which is the ideal equality only
+    # because both sides are canonical monic
     system = build_residue_system(p, m)
     ctx = make_prime_field(q)
     ring = make_ring(ctx, 2)
@@ -242,45 +293,40 @@ def test_generators_and_ideal_generators_are_monic(q, p, m):
         for family in FAMILIES:
             for c in family_codes(system, ctx, family, u):
                 assert c.generator[-1] == 1
-                assert ring_codes.ideal_generator(ctx, p, c.idempotent)[-1] \
-                    == 1
+                assert ideal_generator(ctx, p, c.idempotent)[-1] == 1
             for i in range(m):
-                elem, = set(ring_code(ring, system, family, (i, i),
-                                      u).elements)
-                ideal = ring_codes.ideal_generator(ctx, p, elem)
+                code = ring_code(ring, system, family, (i, i), u)
+                elem, = {ring_poly_component(ring, code.idempotent, k)
+                         for k in range(2)}
+                ideal = ideal_generator(ctx, p, elem)
                 assert ideal[-1] == 1
                 assert ideal == poly.trim(ctx, ideal)
 
 
-def test_ring_code_reuses_family_elements(cold_caches, monkeypatch):
-    # each (family, index) element is built at most once, and only for
-    # the indices some slot names; a ring code picks them by slot.  The
-    # coset factors are warmed first: the field build subtracts too
-    field_codes.coset_factors(3, 13)
-    built = []
-
-    def counting(module, name):
-        op = getattr(module, name)
-
-        def wrapped(*args):
-            built.append(name)
-            return op(*args)
-        monkeypatch.setattr(module, name, wrapped)
-
-    counting(poly, "add")
-    counting(poly, "sub")
-    counting(field_codes, "from_spectrum")
+def test_ring_code_reuses_family_elements(cold_caches, monkeypatch,
+                                          spectra_computed):
+    # construction picks each slot's spectrum from its component code,
+    # computes each one at most once, and calls no poly function and no
+    # from_spectrum.  The field layer is warmed first: it builds the
+    # coset tables with poly
+    for family in FAMILIES:
+        family_codes(SYS134, R33.field, family, 1)
+    _refuse_polynomials(monkeypatch)
     codes = [ring_code(R33, SYS134, family, slots) for family in FAMILIES
              for slots in ((0, 1, 1), (1, 0, 0), (1, 1, 0))]
-    # e_0 and e_1 once each, then per index one sub for odd-I, two for
-    # even-II and one add for odd-II
-    assert sorted(built) == ["add"] * 2 + ["from_spectrum"] * 2 + ["sub"] * 6
+    # indices 0 and 1 of each family, once each
+    assert sorted((c.family, c.index) for c in spectra_computed) == sorted(
+        (family, i) for family in FAMILIES for i in (0, 1))
     monkeypatch.undo()
     for code in codes:
-        # p = 1 (mod q): every family's element is the field idempotent
+        # p = 1 (mod q): every family's element is the field idempotent,
+        # and class I shares the component's spectrum itself
         field_family = family_codes(SYS134, R33.field, code.family)
-        assert code.elements == tuple(field_family[i].idempotent
-                                      for i in code.slots)
+        assert code.spectra == tuple(field_family[i].spectrum
+                                     for i in code.slots)
+        if code.family.endswith("-I"):
+            assert all(spec is comp.spectrum for spec, comp
+                       in zip(code.spectra, code.components))
 
 
 def test_v_basis_forms_built_on_first_read(cold_caches, monkeypatch):
@@ -356,9 +402,10 @@ def ring_codes_from(draw, cases):
 @settings(max_examples=40, deadline=None)
 @given(ring_codes_from(CASES))
 def test_v_basis_forms_split_into_components_property(code):
+    q, u = code.ring.q, code.alpha_exp
     for k, comp in enumerate(code.components):
-        assert ring_poly_component(code.ring, code.idempotent, k) == \
-            code.elements[k]
+        elem = ring_poly_component(code.ring, code.idempotent, k)
+        assert spectrum_direct(code.system, q, u, elem) == code.spectra[k]
         assert ring_poly_component(code.ring, code.generator, k) == \
             comp.generator
 
@@ -368,9 +415,8 @@ def test_v_basis_forms_split_into_components_property(code):
 def test_component_consistency_matches_uncached_oracle(code):
     # CASES are the identity suite's grid points with all four families
     expected = component_consistency_uncached(code)
-    ring_codes.ideal_generator.cache_clear()
-    assert component_consistency(code) == expected  # cold
-    assert component_consistency(code) == expected  # warm
+    assert component_consistency(code) == expected
+    assert component_consistency(code) == expected  # no cached verdict
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,7 +426,8 @@ def test_class_i_elements_idempotent_property(code):
     for fam in ("even-I", "odd-I"):
         c = ring_code(code.ring, code.system, fam, code.slots,
                       code.alpha_exp)
-        for e in c.elements:
+        for k in range(code.ring.s):
+            e = ring_poly_component(code.ring, c.idempotent, k)
             assert poly.mul_mod(ctx, e, e, p) == e
 
 
