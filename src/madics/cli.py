@@ -137,9 +137,9 @@ def _report_json(rep):
     return out
 
 
-def _field_code_json(code, params, report=None):
+def _field_code_json(code, params, index, report=None):
     return {
-        "params": dict(params, family=code.family, index=code.index,
+        "params": dict(params, family=code.family, index=index,
                        n=code.p, k=code.dimension),
         "generator": list(code.generator),
         "idempotent": list(code.idempotent),
@@ -155,8 +155,8 @@ def _ring_code_json(code, params, report=None):
         "generator": [list(c) for c in code.generator],
         "idempotent": [list(c) for c in code.idempotent],
         "components": [
-            _field_code_json(c, {"q": code.ring.q, "p": code.p})
-            for c in code.components],
+            _field_code_json(c, {"q": code.ring.q, "p": code.p}, slot)
+            for c, slot in zip(code.components, code.slots)],
         "distance_report": _report_json(report),
     }
 
@@ -174,7 +174,7 @@ def cmd_classes(args):
 
 def _code_system(args):
     """The residue system of the code flags.  Reduces args.alpha_exp mod
-    p, so equal labelings share one cached build and echo one value."""
+    p, so equal labelings echo one value."""
     system = build_residue_system(args.p, args.m, args.b, args.a)
     args.alpha_exp %= system.p
     return system
@@ -191,11 +191,11 @@ def _build_field(args):
 
 def cmd_field_code(args):
     code = _build_field(args)
-    params, code_json = _code_payload(code)
+    params, code_json = _code_payload(code, args)
     payload = {"command": "field-code", "parameters": params,
                "code": code_json}
     lines = _params_lines(params)
-    lines.append(f"family {code.family} index {code.index}: "
+    lines.append(f"family {code.family} index {args.index}: "
                  f"[{code.p}, {code.dimension}] over GF({code.ctx.q})")
     lines.append(f"generator  = {poly.format_poly(code.generator)}")
     lines.append(f"idempotent = {poly.format_poly(code.idempotent)}")
@@ -215,7 +215,7 @@ def cmd_ring_code(args):
 
     code = _build_ring(args)
     ring, system = code.ring, code.system
-    params, code_json = _code_payload(code)
+    params, code_json = _code_payload(code, args)
     payload = {"command": "ring-code", "parameters": params,
                "code": code_json}
     lines = _params_lines(params)
@@ -262,34 +262,35 @@ def _exported_params(doc):
     return code_doc, params
 
 
-def _load_exported(path):
-    """The code rebuilt from the params of an export document through
-    the flag path, checked against its generator."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_exported(args):
+    """Replace the code flags of args by the params of the export
+    document args.from_file; returns the document's code object."""
+    with open(args.from_file, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise MadicError("export file nests too deeply") from None
     code_doc, params = _exported_params(doc)
     slots = params.get("slots")
-    args = argparse.Namespace(
-        from_file=None, alpha_exp=params.get("alpha_exp", 1),
+    vars(args).update(
+        alpha_exp=params.get("alpha_exp", 1),
         slots=None if slots is None else tuple(slots),
         **{key: params.get(key)
            for key in ("p", "m", "b", "a", "q", "family", "index", "s")})
-    code = _distance_target(args)
-    if code_doc["generator"] != json.loads(json.dumps(code.generator)):
+    return code_doc
+
+
+def _distance_target(args):
+    """The code of the flags, or of an export document's params, which
+    replace the flags and must rebuild the document's generator."""
+    code_doc = _load_exported(args) if args.from_file else None
+    code = _build_ring(args) if args.slots is not None else _build_field(args)
+    if code_doc is not None and code_doc["generator"] != json.loads(
+            json.dumps(code.generator)):
         raise MadicError(
             "stored generator does not match the one rebuilt from the "
             "exported parameters; file edited or truncated?")
     return code
-
-
-def _distance_target(args):
-    """The code of an export document or of the flags."""
-    if args.from_file:
-        return _load_exported(args.from_file)
-    return _build_ring(args) if args.slots is not None else _build_field(args)
 
 
 def _analyze(code, args):
@@ -304,21 +305,22 @@ def _analyze(code, args):
     return report, None
 
 
-def _code_payload(code, report=None):
-    """Resolved params and the JSON form of a field or ring code."""
+def _code_payload(code, args, report=None):
+    """Resolved params and the JSON form of a field or ring code, under
+    the labels of args."""
     if isinstance(code, CyclicCode):
         params = _resolved_params(code.system, code.ctx,
-                                  alpha_exp=code.alpha_exp)
-        return params, _field_code_json(code, params, report)
+                                  alpha_exp=args.alpha_exp)
+        return params, _field_code_json(code, params, args.index, report)
     params = _resolved_params(code.system, code.ring.field, code.ring,
-                              code.alpha_exp)
+                              args.alpha_exp)
     return params, _ring_code_json(code, params, report)
 
 
 def cmd_distance(args):
     code = _distance_target(args)
     report, cross = _analyze(code, args)
-    params, code_json = _code_payload(code, report)
+    params, code_json = _code_payload(code, args, report)
     payload = {"command": "distance", "parameters": params, "code": code_json}
     lines = _params_lines(params)
     lines.append(f"[{report.n}, {report.k}] d_min = {report.d_min} "
@@ -360,7 +362,7 @@ def cmd_export(args):
     report = None
     if not args.skip_distance:
         report, _ = _analyze(code, args)
-    params, code_json = _code_payload(code, report)
+    params, code_json = _code_payload(code, args, report)
     payload = {"command": "export", "parameters": params, "code": code_json}
     text = json.dumps(payload, indent=2)
     if args.out:
@@ -418,7 +420,8 @@ def _add_field_flags(sub, required=True):
     sub.add_argument("--q", type=int, required=required, help="field size")
     sub.add_argument("--family", choices=FAMILIES, required=required)
     sub.add_argument("--alpha-exp", type=int, default=1, dest="alpha_exp",
-                     help="exponent of the pinned p-th root anchoring class 0")
+                     help="label class i by beta = alpha^ALPHA_EXP, alpha "
+                     "the pinned p-th root; outputs echo the labels given")
 
 
 def _add_code_source_flags(sub, from_help):

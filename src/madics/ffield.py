@@ -138,13 +138,6 @@ class FieldCtx:
 
     # -- arithmetic ----------------------------------------------------
 
-    def add(self, a, b):
-        if self.t == 1:
-            return (a + b) % self.q
-        q = self.q
-        return self.from_vec(
-            (x + y) % q for x, y in zip(self.to_vec(a), self.to_vec(b)))
-
     def neg(self, a):
         if self.t == 1:
             return -a % self.q
@@ -249,9 +242,10 @@ def _is_irreducible(base, f, t):
     if frob[t] != frob[0]:
         return False
     for r in prime_divisors(t):
-        h = frob[t // r]
-        h_minus_x = poly.sub(base, poly.trim(base, ring.to_vec(h)), (0, 1))
-        if poly.degree(poly.gcd(base, h_minus_x, f)) != 0:
+        # h - x on the digits of h = x^(q^(t/r)); gcd trims it
+        h_minus_x = list(ring.to_vec(frob[t // r]))
+        h_minus_x[1] -= 1
+        if len(poly.gcd(base, h_minus_x, f)) != 1:
             return False
     return True
 

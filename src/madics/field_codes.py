@@ -17,26 +17,31 @@ polynomial over GF(q^t) is multiplied (MacWilliams & Sloane, ch. 4).
 
 A cyclic code is fixed by its nonzeros: the cosets C, by least member,
 whose roots alpha^k, k in C, are those of its check polynomial
-(x**p - 1)/g.  With u*Q_i the cosets of class i, even-I has nonzeros
-u*Q_i, odd-I all cosets but u*Q_i, even-II all but u*Q_i and {0}, and
-odd-II u*Q_i and {0}.  family_codes returns these records; on first
-read a code multiplies the factors of its zero cosets into its
-generator, dividing nothing, and inverts its 0/1 spectrum into its
-idempotent (below; MacWilliams & Sloane, ch. 7 and ch. 8).
+(x**p - 1)/g.  With Q_i the cosets of class i, even-I has nonzeros
+Q_i, odd-I all cosets but Q_i, even-II all but Q_i and {0}, and odd-II
+Q_i and {0}.  family_codes returns these records; on first read a code
+multiplies the factors of its zero cosets into its generator, dividing
+nothing, and inverts its 0/1 spectrum into its idempotent (below;
+MacWilliams & Sloane, ch. 7 and ch. 8).
+
+Another root beta = alpha**u, c(u) the class of u, only relabels the
+classes, as u*Q_i = Q_{i+c(u)} (the multiplier action, Huffman &
+Pless, ch. 6), so family_codes alone reads a labeling and every layer
+below it works relative to alpha.
 
 Duality stays inside the families.  The nonzeros of C^perp are the
-negated zeros of C, and -u*Q_r = u*Q_{r+c}, c = c(-1) = ((p-1)/2) mod
-m, as -1 = b**((p-1)/2).  Negated, the zeros {0}, u*Q_r (r != i) of
-even-I_i leave out only u*Q_{i+c}, the nonzeros of odd-I_{i+c}, and the
-zeros {0}, u*Q_i of even-II_i are the nonzeros of odd-II_{i+c}; odd to
-even is the same.  So the dual is the family partner at index i + c
-(the mu_{-1} relation of duadic codes, Huffman & Pless, ch. 6), and as
+negated zeros of C, and -Q_r = Q_{r+c}, c = c(-1) = ((p-1)/2) mod m,
+as -1 = b**((p-1)/2).  Negated, the zeros {0}, Q_r (r != i) of even-I_i
+leave out only Q_{i+c}, the nonzeros of odd-I_{i+c}, and the zeros
+{0}, Q_i of even-II_i are the nonzeros of odd-II_{i+c}; odd to even is
+the same.  So the dual is the family partner at index i + c (the
+mu_{-1} relation of duadic codes, Huffman & Pless, ch. 6), and as
 2c = 0 mod m, the dual's dual is the code.
 
-With beta = alpha**u, the Gauss periods eta_r = sum_{k in Q_r} beta**k
-lie in F_q (Storer, Cyclotomy and Difference Sets); gauss_periods
-reads them off the coset factors once per (system, q, u).  With c(k)
-the class of k the even-like class-I idempotent is
+The Gauss periods eta_r = sum_{k in Q_r} alpha**k lie in F_q (Storer,
+Cyclotomy and Difference Sets); gauss_periods reads them off the coset
+factors once per (system, q).  With c(k) the class of k the even-like
+class-I idempotent is
 
     e_i = p**-1 * ((p-1)/m + sum_{k=1}^{p-1} eta_{i+c(-k)} x**k).
 
@@ -49,15 +54,15 @@ form an (m+1)-dimensional subalgebra of F_q[x]/(x**p - 1).  With g_r
 in Q_r, evaluation at the p-th roots of unity is the injective ring
 homomorphism
 
-    sigma(f) = (f(1), f(beta**g_0), ..., f(beta**g_{m-1}))
-    f(1)           = c_0 + ((p-1)/m) sum_i c_i
-    f(beta**g_r)   = c_0 + sum_i c_i eta_{i+r}
+    sigma(f) = (f(1), f(alpha**g_0), ..., f(alpha**g_{m-1}))
+    f(1)            = c_0 + ((p-1)/m) sum_i c_i
+    f(alpha**g_r)   = c_0 + sum_i c_i eta_{i+r}
 
 from A to F_q**(m+1) (MacWilliams & Sloane, ch. 8: the Mattson-Solomon
 transform restricted to A).  So a product is a pointwise product of
 spectra and a sum a pointwise sum; sigma(1) = (1, ..., 1) and
 sigma(h) = (p mod q, 0, ..., 0).  sigma maps p**-1 h to
-(1, 0, ..., 0) and e_r to the unit vector at beta**g_r, so p**-1 h,
+(1, 0, ..., 0) and e_r to the unit vector at alpha**g_r, so p**-1 h,
 e_0, ..., e_{m-1} is the basis of idempotents of A, and from_spectrum
 inverts sigma by linearity,
 
@@ -65,7 +70,7 @@ inverts sigma by linearity,
 
 whose coefficient k >= 1 is p**-1 (v_0 + sum_r v_{r+1} eta_{r+c(-k)}).
 A code's spectrum, sigma of its idempotent, is 0/1 with entry 0 set iff
-{0} is a nonzero and entry r+1 iff the cosets of u*Q_r are; it is read
+{0} is a nonzero and entry r+1 iff the cosets of Q_r are; it is read
 off the nonzeros, with no polynomial evaluated, and one formula inverts
 it into the idempotents of all four families: e_i, 1 - e_i,
 1 - p**-1 h - e_i and p**-1 h + e_i.  The ring layer and the identity
@@ -97,11 +102,11 @@ FAMILY_COEFFS = 1 << 23
 class CyclicCode:
     """A cyclic code of prime length p over GF(q), fixed by nonzeros: its
     nonzero cyclotomic cosets by least member, ascending, relative to
-    the alpha of splitting_field ((0,) for <h>, () for the zero code).
+    the alpha of splitting_field ((0,) for <h>, () for the zero code),
+    so index is its class Q_index whatever labeling family_codes gave.
     The generator (monic, ascending), dimension, spectrum, idempotent
     and dual are built on first read and kept; the last three read the
-    labeling, the required system and alpha_exp, which take no part in
-    equality, and family and index, the code's place in family_codes."""
+    system, which takes no part in equality."""
 
     ctx: FieldCtx
     p: int
@@ -109,7 +114,6 @@ class CyclicCode:
     index: int
     nonzeros: tuple
     system: ResidueSystem = field(compare=False, repr=False)
-    alpha_exp: int = field(default=1, compare=False)
 
     @property
     def q(self):
@@ -127,7 +131,7 @@ class CyclicCode:
         at index + c(-1) (module docstring), so dual.dual == self."""
         system = self.system
         partner = FAMILIES[FAMILIES.index(self.family) ^ 1]
-        return family_codes(system, self.ctx, partner, self.alpha_exp)[
+        return family_codes(system, self.ctx, partner)[
             (self.index + system.class_of(-1)) % system.m]
 
     @functools.cached_property
@@ -138,16 +142,15 @@ class CyclicCode:
     @functools.cached_property
     def spectrum(self):
         """sigma of the idempotent (module docstring): 1 at the
-        nonzeros, {0} first, then each class of cosets u*Q_r."""
+        nonzeros, {0} first, then each class of cosets Q_r."""
         own = set(self.nonzeros)
-        cosets = _class_cosets(self.system, self.q, self.alpha_exp)
+        cosets = _class_cosets(self.system, self.q)
         return (int(0 in own),) + tuple(int(own.issuperset(c))
                                         for c in cosets)
 
     @functools.cached_property
     def idempotent(self):
-        return from_spectrum(self.system, self.q, self.alpha_exp,
-                             self.spectrum)
+        return from_spectrum(self.system, self.q, self.spectrum)
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,12 +257,11 @@ def check_factors(code):
 
 
 @functools.lru_cache(maxsize=None)
-def _class_cosets(system, q, alpha_exp):
-    """The q-cyclotomic cosets of u*Q_i for each class i, by least
-    member, ascending: the one check of a labeling.  q must be coprime
-    to p and an m-adic residue (QNotResidue otherwise), and u =
-    alpha_exp coprime to p (NotCoprime).  Then q lies in Q_0, so u*Q_i
-    is a union of q-cyclotomic cosets."""
+def _class_cosets(system, q):
+    """The q-cyclotomic cosets of Q_i for each class i, by least member,
+    ascending.  q must be coprime to p and an m-adic residue
+    (QNotResidue otherwise); then q lies in Q_0, so Q_i is a union of
+    q-cyclotomic cosets."""
     p = system.p
     if q % p == 0:
         raise NotCoprime("q must be coprime to the code length")
@@ -267,27 +269,25 @@ def _class_cosets(system, q, alpha_exp):
         raise QNotResidue(
             f"q={q} is not an m-adic residue mod {p}; "
             "class products do not descend to the base field")
-    if alpha_exp % p == 0:
-        raise NotCoprime("alpha_exp must be coprime to p")
     leader = coset_leaders(q, p)
-    return tuple(tuple(sorted({leader[alpha_exp * k % p] for k in cls}))
+    return tuple(tuple(sorted({leader[k] for k in cls}))
                  for cls in system.classes)
 
 
 @functools.lru_cache(maxsize=None)
-def gauss_periods(system, q, alpha_exp):
+def gauss_periods(system, q):
     """The Gauss periods (eta_0, ..., eta_{m-1}) of the module docstring,
-    eta_r = sum_{k in Q_r} beta**k with beta = alpha**alpha_exp, as ints
-    of F_q: the one source of the periods, read by from_spectrum.
+    eta_r = sum_{k in Q_r} alpha**k, as ints of F_q: the one source of
+    the periods, read by from_spectrum.
 
-    u*Q_r is a union of q-cyclotomic cosets (_class_cosets checks q and
-    u), and the roots of a coset factor f sum to -f[-2], so eta_r sums
-    -f[-2] over the coset factors of u*Q_r.  Checks sum_r eta_r = -1
+    Q_r is a union of q-cyclotomic cosets (_class_cosets checks q), and
+    the roots of a coset factor f sum to -f[-2], so eta_r sums -f[-2]
+    over the coset factors of Q_r.  Checks sum_r eta_r = -1
     and, so the index convention of the periods is checked, e_0**2 = e_0.
     """
     factor_of = coset_factors(q, system.p)
     etas = tuple(-sum(factor_of[r][-2] for r in cosets) % q
-                 for cosets in _class_cosets(system, q, alpha_exp))
+                 for cosets in _class_cosets(system, q))
     if sum(etas) % q != q - 1:
         raise AssertionError("the Gauss periods do not sum to -1")
     e_0 = _inverse(system, q, etas, (0, 1) + (0,) * (system.m - 1))
@@ -304,10 +304,10 @@ def _classes_of_negatives(system):
     return tuple(map(neg.__getitem__, range(1, system.p)))
 
 
-def from_spectrum(system, q, u, spec):
+def from_spectrum(system, q, spec):
     """The class-constant polynomial f with sigma(f) = spec, read
     straight off the Gauss periods."""
-    return _inverse(system, q, gauss_periods(system, q, u), spec)
+    return _inverse(system, q, gauss_periods(system, q), spec)
 
 
 def _inverse(system, q, etas, spec):
@@ -337,11 +337,19 @@ def _correlate(etas, values):
 
 
 @functools.lru_cache(maxsize=None)
-def family_codes(system, ctx, family, alpha_exp=1):
+def family_codes(system, ctx, family, alpha_exp=None):
     """All m codes of one family as records of their nonzeros (module
-    docstring), cached per (system, ctx, labeling); none multiplies a
+    docstring), built once relative to alpha; none multiplies a
     polynomial before it is read.  A family of more than FAMILY_COEFFS
-    coefficients, m * p, is refused with TooLarge first."""
+    coefficients, m * p, is refused with TooLarge first.  Under the
+    labeling alpha_exp = u, coprime to p (NotCoprime), entry i is code
+    i + c(u) of that one build."""
+    if alpha_exp is not None:
+        codes = family_codes(system, ctx, family)
+        if alpha_exp % system.p == 0:
+            raise NotCoprime("alpha_exp must be coprime to p")
+        shift = system.class_of(alpha_exp)
+        return codes[shift:] + codes[:shift]
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     p, m, q = system.p, system.m, ctx.q
@@ -349,10 +357,10 @@ def family_codes(system, ctx, family, alpha_exp=1):
         raise TooLarge(
             f"a family of {m} codes of length {p} holds {m * p} "
             f"coefficients, past the cap {FAMILY_COEFFS}")
-    # class II adds {0} to u*Q_i; odd-I and even-II take the complement
+    # class II adds {0} to Q_i; odd-I and even-II take the complement
     zero = (0,) if family.endswith("II") else ()
     other = family in ("odd-I", "even-II")
     return tuple(
         CyclicCode(ctx, p, family, i, _other_cosets(q, p, zero + own)
-                   if other else zero + own, system, alpha_exp)
-        for i, own in enumerate(_class_cosets(system, q, alpha_exp)))
+                   if other else zero + own, system)
+        for i, own in enumerate(_class_cosets(system, q)))

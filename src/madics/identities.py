@@ -28,6 +28,8 @@ spectra, a sum a pointwise sum, and an identity holds exactly when it
 holds pointwise.  A ring code holds its component spectra
 (``RingCode.spectra``), and a ring element is the flat list of them.
 The chain step is ring_codes.chain_source, the one the chains check.
+The spectra are relative to alpha, so the suite at base slots b under
+the labeling u = alpha_exp is the suite at slots b + c(u) under alpha.
 
 On spectra, idempotency is "every value is 0 or 1", since v**2 = v
 only for those in a field.  Each pairwise identity is written as
@@ -91,12 +93,12 @@ class IdentityOutcome:
 
 
 @functools.lru_cache(maxsize=None)
-def _shown(ring, system, u, spectra):
+def _shown(ring, system, spectra):
     """The v-basis text over R of a flat tuple of s component spectra:
     each inverted by from_spectrum, then combined and formatted, cached
     per spectrum."""
     width = system.m + 1
-    comps = [from_spectrum(system, ring.q, u, spectra[k:k + width])
+    comps = [from_spectrum(system, ring.q, spectra[k:k + width])
              for k in range(0, len(spectra), width)]
     return format_ring_poly(ring, ring_poly_combine(ring, comps))
 
@@ -126,8 +128,8 @@ def pairwise_products_equal(q, values, target):
 
 
 def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
-    """Evaluate every identity over the mu_a orbit; returns
-    {name: IdentityOutcome}."""
+    """Evaluate every identity over the mu_a orbit of the even-I ring
+    code at base_slots, labeled by alpha_exp; returns {name: outcome}."""
     p, m, s, q = system.p, system.m, ring.s, ring.q
     if base_slots is None:
         base_slots = tuple(i % m for i in range(s))
@@ -200,8 +202,8 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     def record(name, holds, computed=zero, expected=zero):
         out[name] = (IdentityOutcome(name, True) if holds else
                      IdentityOutcome(name, False,
-                                     _shown(ring, system, u, tuple(computed)),
-                                     _shown(ring, system, u, tuple(expected))))
+                                     _shown(ring, system, tuple(computed)),
+                                     _shown(ring, system, tuple(expected))))
 
     record("E_idempotent", sq_ok(es))
     record("mu_E_idempotent", sq_ok([step(e) for e in es]))

@@ -2,8 +2,7 @@
 
 A polynomial is a tuple of coefficient values in ascending degree with
 trailing zeros trimmed, so equal polynomials compare equal as tuples.
-The zero polynomial is the empty tuple and its degree is the sentinel
-NEG_DEGREE (minus infinity), never -1.
+The zero polynomial is the empty tuple.
 
 Every operation takes the coefficient field as its first argument, a
 FieldCtx, and reads only its ``q`` and ``t``: coefficients are plain
@@ -41,7 +40,6 @@ from .errors import (
 )
 
 ZERO = ()
-NEG_DEGREE = float("-inf")
 
 
 def _modulus(dom):
@@ -67,21 +65,8 @@ def trim(dom, coeffs):
     return _trimmed([c % q for c in coeffs])
 
 
-def degree(a):
-    """Degree of ``a``; NEG_DEGREE for the zero polynomial."""
-    return len(a) - 1 if a else NEG_DEGREE
-
-
 def xn_minus_1(dom, n):
     return (_modulus(dom) - 1,) + (0,) * (n - 1) + (1,)
-
-
-def sub(dom, a, b):
-    q = _modulus(dom)
-    out = [(x - y) % q for x, y in zip(a, b)]
-    out += [x % q for x in a[len(b):]]
-    out += [-y % q for y in b[len(a):]]
-    return _trimmed(out)
 
 
 def mul(dom, a, b):

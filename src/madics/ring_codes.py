@@ -1,22 +1,23 @@
 """m-adic residue codes over R = F_q[v]/(v**s - v).
 
 A ring code is built from a slot assignment (i_0, ..., i_{s-1}) of
-class indices.  Through the CRT it splits into s independent field
-codes, one per slot, and the ring layer works on those components
-only: slot k carries the F_q defining element
+class indices under a labeling u = alpha_exp.  Through the CRT it
+splits into s independent field codes, family_codes(system, F_q,
+family, u)[i_k] on slot k, and the ring layer works on those
+components only: slot k carries the F_q defining element
 
     even-like class I   e_{i_k}
     odd-like class I    1 - e_{i_k}
     even-like class II  1 - h - e_{i_k}
     odd-like class II   h + e_{i_k}
 
-with e_i the field even-like class-I idempotents and h the all-ones
-polynomial, and the component code of the same family.  Every one of
-these elements lies in the class algebra A of field_codes, so a ring
-code holds each by its spectrum sigma (the field_codes module
-docstring), one (m+1)-tuple per slot, and the ring layer runs no
-polynomial arithmetic: construction, chains and consistency checks
-read and compare spectra, and so does the identity suite.
+with e_i the even-like class-I idempotent of the component's class
+and h the all-ones polynomial.  Every one of these elements lies in
+the class algebra A of field_codes, so a ring code holds each by its
+spectrum sigma relative to alpha (the field_codes module docstring),
+one (m+1)-tuple per slot, and the ring layer runs no polynomial
+arithmetic: construction, chains and consistency checks read and
+compare spectra, and so does the identity suite.
 
 The v-basis forms over R, the defining element
 
@@ -43,9 +44,10 @@ steps with the inverse relocation (the coefficient at exponent a*i
 moves to exponent i): that is what carries the code built on Q_r to
 the code built on Q_{r+j}, keeping the slot walk aligned with the
 class walk.  On a spectrum that step keeps the value at 1 and takes
-the value at beta**g_r from beta**g_{r-j} (chain_source).  The orbit
-closes after m/gcd(j, m) steps, which is m for the required
-gcd(j, m) = 1.
+the value at alpha**g_r from alpha**g_{r-j} (chain_source), in the
+caller's labels and relative to alpha alike, as a labeling shifts
+every class by c(u).  The orbit closes after m/gcd(j, m) steps, which
+is m for the required gcd(j, m) = 1.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class RingCode:
     and its s field component codes, with the v-basis defining element
     and generator built from them on first read.  ring_code returns one
     shared instance per code, so the v-basis forms are built at most
-    once per process.
+    once per process.  ``slots`` and ``alpha_exp`` are the caller's
+    labels; the components and spectra are relative to alpha.
 
     ``spectra[k]`` is sigma of the family's defining element on slot k
     (e, 1-e, 1-h-e or h+e) and ``idempotent`` is the CRT combination of
@@ -86,10 +89,9 @@ class RingCode:
 
     @functools.cached_property
     def idempotent(self):
-        q, u = self.ring.q, self.alpha_exp
         return ring_poly_combine(self.ring, [
             comp.idempotent if spec is comp.spectrum
-            else from_spectrum(self.system, q, u, spec)
+            else from_spectrum(self.system, self.ring.q, spec)
             for spec, comp in zip(self.spectra, self.components)])
 
     @functools.cached_property
@@ -152,8 +154,8 @@ def _defining_spectrum(comp):
 @functools.lru_cache(maxsize=None)
 def chain_source(m, j):
     """Where each value of a chain-stepped spectrum comes from, for a
-    multiplier in Q_j: the value at 1 stays, and the value at beta**g_r
-    is the one at beta**g_{r-j} (module docstring)."""
+    multiplier in Q_j: the value at 1 stays, and the value at alpha**g_r
+    is the one at alpha**g_{r-j} (module docstring)."""
     return (0,) + tuple(1 + (r - j) % m for r in range(m))
 
 

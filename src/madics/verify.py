@@ -156,7 +156,7 @@ def _check_classes(checks, errata):
 def _check_field_family(checks, errata, cap):
     system = build_residue_system(19, 6)
     ctx = make_prime_field(7)
-    codes = family_codes(system, ctx, "even-I", 1)
+    codes = family_codes(system, ctx, "even-I")
     ours = tuple(c.generator for c in codes)
     match = set(ours) == set(REF_GENERATORS_Q7_P19_M6)
     rotation = tuple(ours.index(g) for g in REF_GENERATORS_Q7_P19_M6) \
@@ -180,7 +180,7 @@ def _check_field_family(checks, errata, cap):
 
 def _reference_rotation(system, ctx):
     """Map reference idempotent index -> computed class index."""
-    ours = tuple(c.idempotent for c in family_codes(system, ctx, "even-I", 1))
+    ours = tuple(c.idempotent for c in family_codes(system, ctx, "even-I"))
     printed = tuple(_combo_poly(system, combo)
                     for combo in REF_IDEMPOTENT_COMBOS_Q3_P13_M4)
     if set(ours) != set(printed):
@@ -220,7 +220,7 @@ def _check_ring_example(checks, errata, cap):
         "chain-q3-s3-p13-a7", walked == REF_CHAIN_SLOTS,
         f"slot walk in reference labels: {walked}"))
 
-    evens = family_codes(system, ctx, "even-I", 1)
+    evens = family_codes(system, ctx, "even-I")
     comp_ok = all(
         ring_poly_component(ring, base.generator, k) == evens[i].generator
         for k, i in enumerate(base.slots))
@@ -369,18 +369,18 @@ def _check_structure(checks, errata):
     for (q, p, m) in ((3, 13, 4), (7, 19, 6), (7, 19, 3), (3, 13, 2)):
         system = build_residue_system(p, m)
         ctx = make_prime_field(q)
-        factors = [c.generator for c in family_codes(system, ctx, "odd-I", 1)]
+        factors = [c.generator for c in family_codes(system, ctx, "odd-I")]
         if product(ctx, factors + [(ctx.neg(ctx.one), ctx.one)]) != \
                 poly.xn_minus_1(ctx, p):
             ok = False
             notes.append(f"(q={q},p={p},m={m}): factor product mismatch")
         for fam in ("even-I", "even-II"):
-            for c in family_codes(system, ctx, fam, 1):
+            for c in family_codes(system, ctx, fam):
                 if poly.eval_poly(ctx, c.generator, ctx.one) != ctx.zero:
                     ok = False
                     notes.append(f"(q={q},p={p},m={m}) {fam}: not even-like")
         for fam in ("even-I", "odd-I", "even-II", "odd-II"):
-            for c in family_codes(system, ctx, fam, 1):
+            for c in family_codes(system, ctx, fam):
                 if ideal_generator(ctx, p, c.idempotent) != c.generator:
                     ok = False
                     notes.append(

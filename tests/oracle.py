@@ -4,10 +4,12 @@ The dom-generic polynomial arithmetic (trim_generic, add_generic,
 neg_generic, sub_generic, scale_generic, mul_generic, divmod_generic,
 monic_generic, gcd_generic and eval_generic) is the oracle of
 madics.poly.  It is the schoolbook form, one coefficient at a time
-through the ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul`` and
-``inv`` of its first argument, so it runs over any FieldCtx, prime or
-extension, and (all but the division, monic and gcd, which need
-``inv``) over VBasisRing.  madics.poly works over prime fields only,
+through the ``zero``, ``one``, ``neg``, ``mul`` and ``inv`` of its
+first argument and the sum dom_add, so it runs over any FieldCtx, prime
+or extension, and (all but the division, monic and gcd, which need
+``inv``) over VBasisRing.  field_add is the sum of GF(q^t), digit by
+digit: madics adds no two elements of an extension field, so FieldCtx
+has no add.  madics.poly works over prime fields only,
 with plain ints mod q and one packed product, and refuses GF(q^t).
 
 VBasisRing is R = F_q[v]/(v^s - v) with element arithmetic in the
@@ -39,7 +41,11 @@ of madics.ring_codes.chain_source, which steps spectra.
 spectrum_direct is the oracle of the spectra that madics holds for
 every code (CyclicCode.spectrum, RingCode.spectra): it evaluates an
 F_q polynomial at 1 and at beta**g_r, g_r the least member of Q_r, in
-the splitting field GF(q^t), without the Gauss periods.
+the splitting field GF(q^t), without the Gauss periods.  It takes the
+labeling u, beta = alpha**u, that madics reads only in family_codes;
+madics' spectra are those at u = 1, and relabeled maps one read at u
+there (entry r + 1 at u is entry r + c(u) + 1 at 1, as u*Q_r =
+Q_{r+c(u)}).
 
 pairwise_products_all_pairs is the oracle of
 madics.identities.pairwise_products_equal, which checks "a_r a_t = c
@@ -88,7 +94,7 @@ does the same for the class products ghat_i, the odd-I generators.
 gauss_periods_table is the oracle of madics.field_codes.gauss_periods,
 which reads each period off the coset factors: it sums the powers
 beta**k, k in Q_r, in the splitting field and checks that each sum
-lies in F_q.
+lies in F_q.  At u it is madics' periods rotated by c(u).
 
 is_prime_trial and is_prime_power_trial are the oracles of
 madics.ffield.is_prime (Miller-Rabin) and is_prime_power (integer
@@ -153,12 +159,27 @@ def trim_generic(dom, coeffs):
     return tuple(coeffs)
 
 
+def field_add(ctx, a, b):
+    """a + b in the FieldCtx ctx, prime or GF(q^t): the base-q digits of
+    a and b added mod q one by one."""
+    q = ctx.q
+    return ctx.from_vec((x + y) % q
+                        for x, y in zip(ctx.to_vec(a), ctx.to_vec(b)))
+
+
+def dom_add(dom, a, b):
+    """a + b in dom: VBasisRing adds itself, a FieldCtx by field_add."""
+    if isinstance(dom, VBasisRing):
+        return dom.add(a, b)
+    return field_add(dom, a, b)
+
+
 def add_generic(dom, a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = dom.add(out[i], c)
+        out[i] = dom_add(dom, out[i], c)
     return trim_generic(dom, out)
 
 
@@ -187,7 +208,7 @@ def mul_generic(dom, a, b):
         for j, y in enumerate(b):
             if y == dom.zero:
                 continue
-            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
+            out[i + j] = dom_add(dom, out[i + j], dom.mul(x, y))
     return trim_generic(dom, out)
 
 
@@ -207,7 +228,7 @@ def divmod_generic(dom, a, b):
         f = dom.mul(c, lead_inv)
         quot[i - db] = f
         for j in range(db + 1):
-            rem[i - db + j] = dom.add(rem[i - db + j],
+            rem[i - db + j] = dom_add(dom, rem[i - db + j],
                                       dom.neg(dom.mul(f, b[j])))
     return trim_generic(dom, quot), trim_generic(dom, rem)
 
@@ -230,7 +251,7 @@ def eval_generic(dom, a, x):
     """a(x) by Horner's rule."""
     acc = dom.zero
     for c in reversed(a):
-        acc = dom.add(dom.mul(acc, x), c)
+        acc = dom_add(dom, dom.mul(acc, x), c)
     return acc
 
 
@@ -262,7 +283,7 @@ def mod_xn_minus_1(dom, a, n):
     out = [dom.zero] * n
     for i, c in enumerate(a):
         if c != dom.zero:
-            out[i % n] = dom.add(out[i % n], c)
+            out[i % n] = dom_add(dom, out[i % n], c)
     return trim_generic(dom, out)
 
 
@@ -317,7 +338,7 @@ def gauss_periods_table(system, q, alpha_exp):
     for cls in system.classes:
         acc = ext.zero
         for k in cls:
-            acc = ext.add(acc, ext.pow(alpha, alpha_exp * k % p))
+            acc = field_add(ext, acc, ext.pow(alpha, alpha_exp * k % p))
         assert acc < q, "a Gauss period did not descend to F_q"
         etas.append(acc)
     return tuple(etas)
@@ -467,6 +488,14 @@ def spectrum_direct(system, q, u, f):
     values = tuple(eval_generic(ext, f, x) for x in points)
     assert all(v < q for v in values), "a value did not descend to F_q"
     return values
+
+
+def relabeled(system, u, spec):
+    """The spectrum at u = 1 of an element whose spectrum at the
+    labeling u is spec: entry r + 1 at u is entry r + c(u) + 1 at 1."""
+    c = system.class_of(u)
+    tail = tuple(spec[1:])
+    return (spec[0],) + tail[-c:] + tail[:-c] if c else tuple(spec)
 
 
 def _eq(ring, p, a, b):

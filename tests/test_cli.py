@@ -465,25 +465,44 @@ def test_export_field_round_trip(tmp_path, capsys):
     assert doc["code"]["distance_report"]["d_min"] == 15
 
 
+def _assert_labels_echoed(doc, u, index, slots):
+    """The code params of a CLI document echo the labeling u and the
+    class index or the slots given, on the code and on each ring
+    component."""
+    params = doc["code"]["params"]
+    assert doc["parameters"]["alpha_exp"] == params["alpha_exp"] == u
+    if slots is None:
+        assert params["index"] == index
+        return
+    assert params["slots"] == slots
+    assert [c["params"]["index"] for c in doc["code"]["components"]] == slots
+
+
 @pytest.mark.parametrize("source", (
-    ("--index", "0"), ("--s", "3", "--slots", "0,1,2")))
+    ("--index", "1"), ("--s", "3", "--slots", "1,3,0")))
 def test_reexport_keeps_alpha_exp(tmp_path, capsys, source):
+    # the labels go out as given, reduced mod p, and come back through
+    # --from, on every labeling: alpha, beta = alpha**2, alpha**-1 and
+    # alpha**(p+1) = alpha
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    code, _, _ = run_cli(capsys, "export", "--q", "3", "--p", "13",
-                         "--m", "4", "--family", "odd-I", *source,
-                         "--alpha-exp", "2", "--skip-distance",
-                         "--out", str(first))
-    assert code == 0
-    code, _, _ = run_cli(capsys, "export", "--from", str(first),
-                         "--skip-distance", "--out", str(second))
-    assert code == 0
-    doc = json.loads(second.read_text())
-    assert doc == json.loads(first.read_text())
-    assert doc["parameters"]["alpha_exp"] == 2
-    code, out, _ = run_json(capsys, "distance", "--from", str(second))
-    assert code == 0
-    assert out["parameters"]["alpha_exp"] == 2
-    assert out["code"]["generator"] == doc["code"]["generator"]
+    index = int(source[1]) if source[0] == "--index" else None
+    slots = None if index is not None else [1, 3, 0]
+    for u in (1, 2, -1, 14):
+        code, _, _ = run_cli(capsys, "export", "--q", "3", "--p", "13",
+                             "--m", "4", "--family", "odd-I", *source,
+                             "--alpha-exp", str(u), "--skip-distance",
+                             "--out", str(first))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "export", "--from", str(first),
+                             "--skip-distance", "--out", str(second))
+        assert code == 0
+        doc = json.loads(second.read_text())
+        assert doc == json.loads(first.read_text())
+        _assert_labels_echoed(doc, u % 13, index, slots)
+        code, out, _ = run_json(capsys, "distance", "--from", str(second))
+        assert code == 0
+        _assert_labels_echoed(out, u % 13, index, slots)
+        assert out["code"]["generator"] == doc["code"]["generator"]
 
 
 def test_negative_alpha_exp_field_code(capsys):
@@ -505,26 +524,30 @@ def test_negative_alpha_exp_field_code(capsys):
 
 def test_alpha_exp_reduced_in_ring_code_and_exports(tmp_path, capsys):
     ring_args = ("ring-code", "--q", "3", "--p", "13", "--m", "4",
-                 "--family", "even-II", "--s", "3", "--slots", "0,1,2",
+                 "--family", "even-II", "--s", "3", "--slots", "2,1,3",
                  "--alpha-exp")
-    code, neg, _ = run_json(capsys, *ring_args, "-11")
-    assert code == 0
-    code, pos, _ = run_json(capsys, *ring_args, "2")
-    assert code == 0
-    assert neg == pos and pos["parameters"]["alpha_exp"] == 2
     path = tmp_path / "code.json"
-    code, _, _ = run_cli(capsys, "export", "--q", "3", "--p", "13",
-                         "--m", "4", "--family", "odd-I", "--index", "1",
-                         "--alpha-exp", "15", "--skip-distance",
-                         "--out", str(path))
-    assert code == 0
-    doc = json.loads(path.read_text())
-    assert doc["parameters"]["alpha_exp"] == 2
-    doc["parameters"]["alpha_exp"] = doc["code"]["params"]["alpha_exp"] = 28
-    path.write_text(json.dumps(doc))
-    code, out, _ = run_json(capsys, "distance", "--from", str(path))
-    assert code == 0
-    assert out["parameters"]["alpha_exp"] == 2
+    for u in (1, 2, -1, 14):
+        code, neg, _ = run_json(capsys, *ring_args, str(u - 13))
+        assert code == 0
+        code, pos, _ = run_json(capsys, *ring_args, str(u))
+        assert code == 0
+        assert neg == pos
+        _assert_labels_echoed(pos, u % 13, None, [2, 1, 3])
+        code, _, _ = run_cli(capsys, "export", "--q", "3", "--p", "13",
+                             "--m", "4", "--family", "odd-I", "--index", "1",
+                             "--alpha-exp", str(u + 13), "--skip-distance",
+                             "--out", str(path))
+        assert code == 0
+        doc = json.loads(path.read_text())
+        _assert_labels_echoed(doc, u % 13, 1, None)
+        doc["parameters"]["alpha_exp"] = u + 26
+        doc["code"]["params"]["alpha_exp"] = u + 26
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_json(capsys, "distance", "--from", str(path))
+        assert code == 0
+        _assert_labels_echoed(out, u % 13, 1, None)
+        assert out["code"]["generator"] == doc["code"]["generator"]
 
 
 def test_export_tamper_detected(tmp_path, capsys):

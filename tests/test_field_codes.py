@@ -33,6 +33,7 @@ from oracle import (
     mod_xn_minus_1,
     monic_generic,
     product_schoolbook,
+    relabeled,
     spectrum_direct,
 )
 
@@ -152,13 +153,25 @@ def test_q_must_be_residue():
 
 
 def test_alpha_exp_rotates_labels():
-    # a different p-th root permutes the class labeling but not the set
-    system = build_residue_system(13, 4)
-    base = {c.generator for c in family_codes(system, F3, "even-I")}
-    for u in (2, 5, 7):
-        relabeled = {c.generator
-                     for c in family_codes(system, F3, "even-I", u)}
-        assert relabeled == base
+    # beta = alpha**u relabels class i as class i + c(u), as u*Q_i =
+    # Q_{i+c(u)}: every call form and labeling hands out the m codes of
+    # one build, and each code's dual's dual is the code itself
+    for q, p, m in ((3, 13, 4), (7, 19, 6), (2, 31, 3)):
+        system = build_residue_system(p, m)
+        ctx = make_prime_field(q)
+        for family in FAMILIES:
+            base = family_codes(system, ctx, family)
+            assert all(code.index == i for i, code in enumerate(base))
+            assert all(code.dual.dual is code for code in base)
+            for u in range(1, p):
+                c = system.class_of(u)
+                for labeled in (
+                        family_codes(system, ctx, family, u),
+                        family_codes(system, ctx, family, alpha_exp=u),
+                        family_codes(system, ctx, family, u - p)):
+                    assert all(labeled[i] is base[(i + c) % m]
+                               for i in range(m))
+                    assert all(code.dual.dual is code for code in labeled)
 
 
 def test_negative_alpha_exp_is_reduced_mod_p():
@@ -296,7 +309,7 @@ def test_family_codes_match_the_oracles(q, p, m):
                     (code.generator, ())
                 assert code.idempotent == \
                     idempotent_bezout(ctx, code.generator, p)
-                assert code.dimension == p - poly.degree(code.generator)
+                assert code.dimension == p + 1 - len(code.generator)
                 assert code.dual.generator == \
                     monic_generic(ctx, check[::-1])
 
@@ -343,7 +356,8 @@ DUALITY_GRID = ((2, 7, 2), (3, 11, 2), (3, 13, 2), (3, 13, 4), (5, 13, 3),
 def test_dual_is_the_family_partner(q, p, m):
     # C^perp has the negated zeros of C as nonzeros: the other-parity
     # member of the same class type at index + c(-1), c(-1) = (p-1)/2
-    # mod m, whose own dual is C, for every family and both labelings
+    # mod m, whose own dual is C, for every family; under a labeling the
+    # partner sits at position + c(-1) of the relabeled family too
     ctx = make_prime_field(q)
     system = build_residue_system(p, m)
     c = system.class_of(-1)
@@ -352,10 +366,12 @@ def test_dual_is_the_family_partner(q, p, m):
     partner = dict(zip(FAMILIES, ("odd-I", "even-I", "odd-II", "even-II")))
     for family in FAMILIES:
         for u in (1, -1):
-            for code in family_codes(system, ctx, family, u):
+            for i, code in enumerate(family_codes(system, ctx, family, u)):
                 dual = code.dual
                 assert dual is family_codes(system, ctx, partner[family],
-                                            u)[(code.index + c) % m]
+                                            u)[(i + c) % m]
+                assert dual is family_codes(system, ctx, partner[family])[
+                    (code.index + c) % m]
                 zeros = [k for k in range(p)
                          if leader[k] not in code.nonzeros]
                 assert dual.nonzeros == tuple(
@@ -404,14 +420,15 @@ def test_idempotents_match_bezout_oracle(q, p, m):
 @pytest.mark.parametrize("q,p,m", ((3, 13, 4), (7, 19, 6), (2, 31, 3)))
 def test_spectrum_matches_direct_evaluation(q, p, m):
     # the 0/1 spectrum read off the nonzeros is the idempotent evaluated
-    # at 1 and at beta**g_r in the splitting field
+    # at 1 and at alpha**g_r in the splitting field; evaluated at
+    # beta**g_r, beta = alpha**u, it is that spectrum relabeled
     system = build_residue_system(p, m)
     ctx = make_prime_field(q)
     for u in (1, 2, -1):
         for fam in FAMILIES:
             for c in family_codes(system, ctx, fam, u):
-                assert c.spectrum == spectrum_direct(system, q, u,
-                                                     c.idempotent)
+                assert c.spectrum == relabeled(
+                    system, u, spectrum_direct(system, q, u, c.idempotent))
 
 
 def _family_dims(p, m):
@@ -461,22 +478,22 @@ def test_family_weight_distributions_agree_property(case):
                                          | {(2, 89, 8), (2, 127, 9)}))
 def test_gauss_periods_match_table_oracle(q, p, m):
     # the periods read off the coset factors against the powers of beta
-    # summed in the splitting field, at 1, -1 and random alpha_exp
+    # = alpha**u summed in the splitting field, at every u and at -1 and
+    # 2p - 1: those at u are the periods of alpha rotated by c(u)
     system = build_residue_system(p, m)
-    rng = random.Random(q * 1000 + p)
-    exps = [1, -1] + [rng.choice([u for u in range(-p, 2 * p) if u % p])
-                      for _ in range(3)]
-    for u in exps:
-        assert gauss_periods(system, q, u) == \
-            gauss_periods_table(system, q, u)
+    etas = gauss_periods(system, q)
+    for u in (*range(1, p), -1, 2 * p - 1):
+        c = system.class_of(u)
+        assert gauss_periods_table(system, q, u) == etas[c:] + etas[:c]
 
 
 @pytest.mark.parametrize("alpha_exp", [0, 13, -26])
-def test_gauss_periods_refuse_alpha_exp_divisible_by_p(alpha_exp):
-    # u = 0 mod p labels no primitive root; the coset-factor reading
-    # would return (1, 1) at (p, m, q) = (13, 2, 3) without the check
-    with pytest.raises(NotCoprime):
-        gauss_periods(build_residue_system(13, 2), 3, alpha_exp)
+def test_labeling_refuses_alpha_exp_divisible_by_p(alpha_exp):
+    # u = 0 mod p labels no primitive root and lies in no class, so
+    # family_codes, the one reader of a labeling, refuses it
+    for family in FAMILIES:
+        with pytest.raises(NotCoprime, match="alpha_exp must be coprime"):
+            family_codes(build_residue_system(13, 2), F3, family, alpha_exp)
 
 
 @pytest.mark.parametrize("p", [13, 7])
@@ -484,7 +501,7 @@ def test_gauss_periods_refuse_q_not_residue(p):
     # 2 is no cubic residue mod 13 or 7; the coset-factor reading would
     # return (1, 1, 1) without the check the class products make
     with pytest.raises(QNotResidue):
-        gauss_periods(build_residue_system(p, 3), 2, 1)
+        gauss_periods(build_residue_system(p, 3), 2)
 
 
 @pytest.mark.parametrize("q,p,m", [(3, 13, 4), (2, 127, 9), (7, 19, 3),

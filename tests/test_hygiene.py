@@ -2,8 +2,8 @@
 with the stdlib ast module: every imported name is used, every name the
 package exports exists, and every function, class and method of the
 package is referenced inside the package (a module-level one through
-its own module, an import of it or ``module.name``; dunder hooks are
-exempt).  numpy stays off the cold path: no module but _kernels imports
+its own module, an import of it or ``module.name``, a method through
+an attribute of anything but numpy; dunder hooks are exempt).  numpy stays off the cold path: no module but _kernels imports
 it (or _kernels) at module level, and a fresh interpreter that imports
 madics or runs a verb that does not scan ends without numpy in
 sys.modules.  Each verb loads only the layers it runs, and ``import
@@ -119,23 +119,29 @@ def _top_level_references(trees):
     return refs
 
 
+def _on_numpy(node):
+    """True for np and for an attribute chain rooted at it (np.add)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "np"
+
+
 def test_every_definition_is_referenced():
     # a module-level function or class counts as used only through its
     # own module, an import of it or ``module.name``, so that a method
     # call of the same name, such as ctx.neg(...), cannot keep a dead
-    # poly function alive; a method counts through any name or
-    # attribute.  Dunder names are hooks the interpreter calls, methods
-    # and module-level ones alike (the package's PEP 562 __getattr__)
+    # poly function alive.  A method counts through an attribute of any
+    # object but numpy, so that neither np.add.at nor a local function
+    # add can keep a dead FieldCtx.add alive.  Dunder names are hooks
+    # the interpreter calls, methods and module-level ones alike (the
+    # package's PEP 562 __getattr__)
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in SOURCES}
     top = _top_level_references(trees)
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    referenced = {node.attr for tree in trees.values()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and not _on_numpy(node.value)}
     assert trees
     defs = (ast.FunctionDef, ast.ClassDef)
     dead = []

@@ -35,6 +35,7 @@ from oracle import (
     idempotent_bezout,
     mul_mod_schoolbook,
     pairwise_products_all_pairs,
+    relabeled,
     spectrum_direct,
 )
 
@@ -194,7 +195,7 @@ def test_suite_multiplies_no_polynomials(cold_caches, monkeypatch,
     # one product
     system = build_residue_system(p, m)
     ring = make_ring(make_prime_field(q), s)
-    from_spectrum(system, q, 1, (1,) * (m + 1))
+    from_spectrum(system, q, (1,) * (m + 1))
     calls = []
     mul_mod = poly.mul_mod
 
@@ -268,6 +269,21 @@ def suite_inputs(draw):
     return make_ring(make_prime_field(q), s), system, slots, a, alpha_exp
 
 
+@pytest.mark.parametrize("q,p,m,s", ((3, 13, 4, 3), (7, 19, 6, 3),
+                                     (2, 31, 3, 2)))
+def test_labeling_rotates_the_suite_slots(q, p, m, s):
+    # the suite under beta = alpha**u at base slots b is the suite under
+    # alpha at slots b + c(u): outcomes and refuted sides alike
+    system = build_residue_system(p, m)
+    ring = make_ring(make_prime_field(q), s)
+    slots = tuple(range(1, s + 1))
+    for u in range(1, p):
+        c = system.class_of(u)
+        assert check_identities(ring, system, slots, alpha_exp=u) == \
+            check_identities(ring, system,
+                             tuple((i + c) % m for i in slots))
+
+
 @settings(max_examples=25, deadline=None)
 @given(suite_inputs())
 def test_suite_matches_vbasis_oracle_property(inputs):
@@ -303,8 +319,9 @@ def class_algebra_inputs(draw):
 def test_unit_spectra_invert_to_the_idempotent_basis(q, p, m):
     # sigma**-1 is linear on p**-1 h, e_0, ..., e_{m-1}; each must be the
     # preimage of its unit spectrum, so spectrum and the idempotents
-    # index the roots beta**g_r alike; e_r is Bezout's idempotent of
-    # (x**p - 1)/ghat_r, with ghat_r multiplied out over GF(q^t)
+    # index the roots alpha**g_r alike; e_r is Bezout's idempotent of
+    # (x**p - 1)/ghat_r, with ghat_r multiplied out over GF(q^t).  At
+    # beta = alpha**u, the basis and its unit spectra are relabeled
     system = build_residue_system(p, m)
     ctx = make_prime_field(q)
     xp1 = poly.xn_minus_1(ctx, p)
@@ -315,7 +332,7 @@ def test_unit_spectra_invert_to_the_idempotent_basis(q, p, m):
             idempotent_bezout(ctx, divmod_generic(ctx, xp1, ghat)[0], p)
             for ghat in class_products_direct(system, q, u)]
         for unit, f in zip(units, basis):
-            assert from_spectrum(system, q, u, unit) == f
+            assert from_spectrum(system, q, relabeled(system, u, unit)) == f
             assert spectrum_direct(system, q, u, f) == unit
 
 
@@ -325,7 +342,7 @@ def test_spectrum_round_trip_property(inputs):
     system, q, u, f, _, _ = inputs
     spec = spectrum_direct(system, q, u, f)
     assert len(spec) == system.m + 1
-    assert from_spectrum(system, q, u, spec) == f
+    assert from_spectrum(system, q, relabeled(system, u, spec)) == f
 
 
 @settings(max_examples=60, deadline=None)

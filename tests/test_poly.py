@@ -42,14 +42,14 @@ def rand_poly(ctx, max_deg):
 def test_trim_and_degree():
     assert poly.trim(F3, (1, 2, 0, 0)) == (1, 2)
     assert poly.trim(F3, (0, 0)) == ()
-    assert poly.degree(()) == poly.NEG_DEGREE
-    assert poly.degree((0, 1)) == 1
+    # a canonical polynomial has degree len - 1, the zero one none
+    assert len(poly.trim(F3, (0, 1, 0))) - 1 == 1
 
 
 def test_add_sub_cancel():
     for _ in range(50):
         a, b = rand_poly(F7, 8), rand_poly(F7, 8)
-        assert poly.sub(F7, add_generic(F7, a, b), b) == a
+        assert sub_generic(F7, add_generic(F7, a, b), b) == a
 
 
 def test_mul_degree_and_commutativity():
@@ -58,7 +58,7 @@ def test_mul_degree_and_commutativity():
         ab = poly.mul(F7, a, b)
         assert ab == poly.mul(F7, b, a)
         if a and b:
-            assert poly.degree(ab) == poly.degree(a) + poly.degree(b)
+            assert len(ab) == len(a) + len(b) - 1
 
 
 def test_divmod_round_trip():
@@ -68,9 +68,9 @@ def test_divmod_round_trip():
         if not b:
             continue
         r = poly.rem(F7, a, b)
-        assert poly.degree(r) < poly.degree(b)
+        assert len(r) < len(b)
         # b divides a - r: the oracle's quotient times b gives it back
-        diff = poly.sub(F7, a, r)
+        diff = sub_generic(F7, a, r)
         quot, rest = divmod_generic(F7, diff, b)
         assert not rest and poly.mul(F7, quot, b) == diff
 
@@ -217,7 +217,6 @@ def test_parse_format_round_trip():
 ENTRY_POINTS = {
     "trim": lambda d: poly.trim(d, (1, 2)),
     "xn_minus_1": lambda d: poly.xn_minus_1(d, 5),
-    "sub": lambda d: poly.sub(d, (1, 2), (2,)),
     "mul": lambda d: poly.mul(d, (1, 2), (2, 1)),
     "mul_mod": lambda d: poly.mul_mod(d, (1, 2), (2, 1), 3),
     "rem": lambda d: poly.rem(d, (1, 2, 1), (1, 1)),
@@ -274,8 +273,6 @@ def test_ring_operations_match_oracle(case):
     ctx, a, b = case
     A, B = canon(ctx, a), canon(ctx, b)
     assert poly.trim(ctx, a) == A
-    assert poly.sub(ctx, a, b) == sub_generic(ctx, A, B)
-    assert poly.sub(ctx, add_generic(ctx, A, B), b) == A
     assert poly.mul(ctx, a, b) == product_schoolbook(ctx, (A, B))
     for x in range(-1, ctx.q + 1):
         assert poly.eval_poly(ctx, a, x) == eval_generic(ctx, A, x % ctx.q)

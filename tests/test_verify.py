@@ -1,6 +1,6 @@
 """Verification report: fresh-build checks pass, errata list is stable."""
 
-from madics.field_codes import family_codes
+from madics import field_codes
 from madics.verify import (
     expected_identity_failures,
     run_verification,
@@ -46,11 +46,21 @@ def test_report_ok():
         assert c.passed, (c.name, c.detail)
 
 
-def test_verification_builds_each_family_once(cold_caches):
-    # verify asks for the labeling ring_code uses, alpha_exp = 1, so
-    # both read one cache entry per (system, field, family)
+def test_verification_builds_each_family_once(cold_caches, monkeypatch):
+    # verify reads the families relative to alpha and ring_code under a
+    # labeling; every call form rotates one build, so each of the 16
+    # (system, field, family) is built once, one record per code
+    built = []
+    make = field_codes.CyclicCode
+
+    def counting(ctx, p, family, index, nonzeros, system):
+        built.append((system, ctx, family, index))
+        return make(ctx, p, family, index, nonzeros, system)
+
+    monkeypatch.setattr(field_codes, "CyclicCode", counting)
     run_verification()
-    assert family_codes.cache_info().currsize == 16
+    assert len(built) == len(set(built))
+    assert len({key[:3] for key in built}) == 16
 
 
 def test_errata_catalog():
