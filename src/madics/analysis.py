@@ -119,9 +119,9 @@ def _split(code):
     if dim_a < 2 or code.q**(dim - dim_a) > SPLIT_LOW_ROWS:
         return None
     part = set(reach[dim_a])
-    return (product(code.ctx, [factors[i] for i in reach[dim_a]]),
-            product(code.ctx, [f for i, f in enumerate(factors)
-                               if i not in part]))
+    return (product(code.q, [factors[i] for i in reach[dim_a]]),
+            product(code.q, [f for i, f in enumerate(factors)
+                             if i not in part]))
 
 
 def _scan_matrix(code):
@@ -138,14 +138,12 @@ def _scan_matrix(code):
     n, dim, gen = code.p, code.dimension, code.generator
     dim_a = len(f_a) - 1
     return np.vstack([
-        _shift_matrix(product(code.ctx, (gen, f_a)), n, dim - dim_a),
-        _shift_matrix(product(code.ctx, (gen, f_b)), n, dim_a)]), f_a
+        _shift_matrix(product(code.q, (gen, f_a)), n, dim - dim_a),
+        _shift_matrix(product(code.q, (gen, f_b)), n, dim_a)]), f_a
 
 
 def generator_matrix(code):
     """k x n integer matrix whose rows are x**i * g, i < k."""
-    if code.ctx.t != 1:
-        raise ValueError("generator_matrix expects a prime-field code")
     return _shift_matrix(code.generator, code.p, code.dimension)
 
 
@@ -236,7 +234,7 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
             f"enumerating {total} component-message tuples exceeds the cap "
             f"{cap}; raise the cap to proceed")
     factors = check_factors(code.components[0])  # of its check polynomial
-    check = product(code.ring.field, factors) if factors else None
+    check = product(q, factors) if factors else None
     d, counts = _kernels.scan_union(
         [generator_matrix(c) for c in code.components], q, check)
     ranks = tuple(c.dimension for c in code.components)

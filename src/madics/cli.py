@@ -99,13 +99,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolved_params(system, ctx=None, ring=None, alpha_exp=1):
+def _resolved_params(system, q=None, ring=None, alpha_exp=1):
     out = {"p": system.p, "m": system.m, "b": system.b, "a": system.a,
            "a_class_index": system.a_class_index}
-    if ctx is not None:
-        ext, alpha = splitting_field(ctx.q, system.p)
+    if q is not None:
+        ext, alpha = splitting_field(q, system.p)
         out.update({
-            "q": ctx.q,
+            "q": q,
             "alpha_exp": alpha_exp,
             "splitting_field_degree": ext.t,
             "splitting_field_modulus": list(ext.modulus),
@@ -196,7 +196,7 @@ def cmd_field_code(args):
                "code": code_json}
     lines = _params_lines(params)
     lines.append(f"family {code.family} index {args.index}: "
-                 f"[{code.p}, {code.dimension}] over GF({code.ctx.q})")
+                 f"[{code.p}, {code.dimension}] over GF({code.q})")
     lines.append(f"generator  = {poly.format_poly(code.generator)}")
     lines.append(f"idempotent = {poly.format_poly(code.idempotent)}")
     return payload, lines
@@ -309,10 +309,10 @@ def _code_payload(code, args, report=None):
     """Resolved params and the JSON form of a field or ring code, under
     the labels of args."""
     if isinstance(code, CyclicCode):
-        params = _resolved_params(code.system, code.ctx,
+        params = _resolved_params(code.system, code.q,
                                   alpha_exp=args.alpha_exp)
         return params, _field_code_json(code, params, args.index, report)
-    params = _resolved_params(code.system, code.ring.field, code.ring,
+    params = _resolved_params(code.system, code.ring.q, code.ring,
                               args.alpha_exp)
     return params, _ring_code_json(code, params, report)
 

@@ -3,12 +3,12 @@
 GF(q^t) is F_q[y]/(modulus).  An element is a canonical integer in
 [0, q^t): the base-q digits of the integer are the coefficients of its
 reduced representative polynomial, ascending degree.  Its arithmetic is
-poly's over GF(q): a product is poly.mul of the digit vectors reduced
-by poly.rem mod the modulus, and the irreducibility test takes
-its powers of x with the same product.  For t = 1 this collapses to
-ordinary arithmetic mod q, and base-field elements embed into any
-extension as themselves.  Elements are stored as reduced coefficient
-vectors (packed), never as discrete logarithms.
+poly's over GF(q), which takes the prime q itself: a product is
+poly.mul of the digit vectors reduced by poly.rem mod the modulus, and
+the irreducibility test takes its powers of x with the same product.
+For t = 1 this collapses to ordinary arithmetic mod q, and base-field
+elements embed into any extension as themselves.  Elements are stored
+as reduced coefficient vectors (packed), never as discrete logarithms.
 
 Canonical choices are pinned so every run prints identical polynomials:
 the modulus is the lexicographically smallest monic irreducible of
@@ -105,7 +105,9 @@ class FieldCtx:
     as an ascending coefficient tuple (the identity polynomial x when
     t = 1) and the smallest primitive element.  For t > 1 it is
     F_q[y]/(modulus): a product is the poly product of the two digit
-    vectors over GF(q), reduced mod the modulus by poly.rem.
+    vectors over GF(q), reduced mod the modulus by poly.rem.  A context
+    is passed only where it carries more than q: GF(q^t) or the pinned
+    primitive element; below the field constructors GF(q) is the int q.
     """
 
     __slots__ = ("q", "t", "size", "modulus", "primitive_element")
@@ -138,17 +140,11 @@ class FieldCtx:
 
     # -- arithmetic ----------------------------------------------------
 
-    def neg(self, a):
-        if self.t == 1:
-            return -a % self.q
-        return self.from_vec((-x) % self.q for x in self.to_vec(a))
-
     def mul(self, a, b):
         if self.t == 1:
             return a * b % self.q
-        base = make_prime_field(self.q)
-        prod = poly.mul(base, self.to_vec(a), self.to_vec(b))
-        return self.from_vec(poly.rem(base, prod, self.modulus))
+        prod = poly.mul(self.q, self.to_vec(a), self.to_vec(b))
+        return self.from_vec(poly.rem(self.q, prod, self.modulus))
 
     def pow(self, a, e):
         """a**e by square and multiply; e may be any nonnegative int."""
@@ -230,10 +226,9 @@ def make_prime_field(q):
     return _pin_primitive(FieldCtx(q, 1, (0, 1)))
 
 
-def _is_irreducible(base, f, t):
+def _is_irreducible(q, f, t):
     """Rabin's test for a monic polynomial f of degree t >= 2 over
     GF(q), with the powers of x taken in F_q[y]/(f)."""
-    q = base.q
     ring = FieldCtx(q, t, f)
     # frob[j] = x^(q^j) mod f, j <= t; f divides x^(q^t) - x
     frob = [ring.from_vec((0, 1))]
@@ -245,33 +240,9 @@ def _is_irreducible(base, f, t):
         # h - x on the digits of h = x^(q^(t/r)); gcd trims it
         h_minus_x = list(ring.to_vec(frob[t // r]))
         h_minus_x[1] -= 1
-        if len(poly.gcd(base, h_minus_x, f)) != 1:
+        if len(poly.gcd(q, h_minus_x, f)) != 1:
             return False
     return True
-
-
-def _build_extension(q, t):
-    """Uncached construction; see make_extension."""
-    if not is_prime(q):
-        raise NonPrimeModulus(f"{q} is not prime")
-    if t < 1:
-        raise ValueError("extension degree must be >= 1")
-    if q ** t > SIZE_CAP:
-        raise FieldTooLarge(f"field size {q}^{t} exceeds cap {SIZE_CAP}")
-    if t == 1:
-        return make_prime_field(q)
-    base = make_prime_field(q)
-    modulus = None
-    # lexicographically smallest: compare (c_0, ..., c_{t-1}) left to right;
-    # t > 1 here, so c_0 = 0 would make x a factor and is skipped
-    for lower in product(range(1, q), *[range(q)] * (t - 1)):
-        cand = poly.trim(base, lower + (1,))
-        if _is_irreducible(base, cand, t):
-            modulus = cand
-            break
-    if modulus is None:
-        raise AssertionError(f"no irreducible of degree {t} over GF({q})")
-    return _pin_primitive(FieldCtx(q, t, modulus))
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,4 +253,20 @@ def make_extension(q, t):
     Construction is deterministic, so repeated calls agree coefficient
     for coefficient.  Sizes are capped at q**t <= 2**31.
     """
-    return _build_extension(q, t)
+    if not is_prime(q):
+        raise NonPrimeModulus(f"{q} is not prime")
+    if t < 1:
+        raise ValueError("extension degree must be >= 1")
+    if q ** t > SIZE_CAP:
+        raise FieldTooLarge(f"field size {q}^{t} exceeds cap {SIZE_CAP}")
+    if t == 1:
+        return make_prime_field(q)
+    # lexicographically smallest: compare (c_0, ..., c_{t-1}) left to right;
+    # t > 1 here, so c_0 = 0 would make x a factor and is skipped
+    for lower in product(range(1, q), *[range(q)] * (t - 1)):
+        modulus = lower + (1,)
+        if _is_irreducible(q, modulus, t):
+            break
+    else:
+        raise AssertionError(f"no irreducible of degree {t} over GF({q})")
+    return _pin_primitive(FieldCtx(q, t, modulus))

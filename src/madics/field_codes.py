@@ -86,8 +86,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import poly
-from .errors import NotCoprime, QNotResidue, TooLarge
-from .ffield import FieldCtx, make_extension, make_prime_field
+from .errors import NonPrimeModulus, NotCoprime, QNotResidue, TooLarge
+from .ffield import make_extension, make_prime_field
 from .residues import ResidueSystem
 
 FAMILIES = ("even-I", "odd-I", "even-II", "odd-II")
@@ -100,30 +100,27 @@ FAMILY_COEFFS = 1 << 23
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """A cyclic code of prime length p over GF(q), fixed by nonzeros: its
-    nonzero cyclotomic cosets by least member, ascending, relative to
-    the alpha of splitting_field ((0,) for <h>, () for the zero code),
-    so index is its class Q_index whatever labeling family_codes gave.
-    The generator (monic, ascending), dimension, spectrum, idempotent
-    and dual are built on first read and kept; the last three read the
-    system, which takes no part in equality."""
+    """A cyclic code of prime length p over GF(q), q the prime itself,
+    fixed by nonzeros: its nonzero cyclotomic cosets by least member,
+    ascending, relative to the alpha of splitting_field ((0,) for <h>,
+    () for the zero code), so index is its class Q_index whatever
+    labeling family_codes gave.  The generator (monic, ascending),
+    dimension, spectrum, idempotent and dual are built on first read
+    and kept; the last three read the system, which takes no part in
+    equality."""
 
-    ctx: FieldCtx
+    q: int
     p: int
     family: str
     index: int
     nonzeros: tuple
     system: ResidueSystem = field(compare=False, repr=False)
 
-    @property
-    def q(self):
-        return self.ctx.q
-
     @functools.cached_property
     def generator(self):
         factor_of = coset_factors(self.q, self.p)
         zeros = _other_cosets(self.q, self.p, self.nonzeros)
-        return product(self.ctx, [factor_of[r] for r in zeros])
+        return product(self.q, [factor_of[r] for r in zeros])
 
     @functools.cached_property
     def dual(self):
@@ -131,7 +128,7 @@ class CyclicCode:
         at index + c(-1) (module docstring), so dual.dual == self."""
         system = self.system
         partner = FAMILIES[FAMILIES.index(self.family) ^ 1]
-        return family_codes(system, self.ctx, partner)[
+        return family_codes(system, make_prime_field(self.q), partner)[
             (self.index + system.class_of(-1)) % system.m]
 
     @functools.cached_property
@@ -176,7 +173,6 @@ def coset_factors(q, p):
     the factor of the coset holding k, so {0} maps to x - 1.
     """
     ext, alpha = splitting_field(q, p)
-    ctx = make_prime_field(q)
     power, u = ext.one, []
     for _ in range(2 * ext.t):
         u.append(power % q)
@@ -192,7 +188,7 @@ def coset_factors(q, p):
         for k in coset:
             factor_of[k] = factor
         factors.append(factor)
-    if product(ctx, factors) != poly.xn_minus_1(ctx, p):
+    if product(q, factors) != poly.xn_minus_1(q, p):
         raise AssertionError("coset factors do not multiply to x**p - 1")
     return tuple(factor_of)
 
@@ -216,12 +212,12 @@ def _min_poly(q, seq):
     return tuple(conn[length::-1])
 
 
-def product(ctx, polys):
-    """The product of nonzero polynomials over a prime field, by a
+def product(q, polys):
+    """The product of nonzero polynomials over GF(q), q prime, by a
     pairwise tree of packed products (poly.mul)."""
-    polys = list(polys) or [(ctx.one,)]
+    polys = list(polys) or [(1,)]
     while len(polys) > 1:
-        pairs = [poly.mul(ctx, a, b)
+        pairs = [poly.mul(q, a, b)
                  for a, b in zip(polys[::2], polys[1::2])]
         polys = pairs + polys[2 * len(pairs):]
     return polys[0]
@@ -291,7 +287,7 @@ def gauss_periods(system, q):
     if sum(etas) % q != q - 1:
         raise AssertionError("the Gauss periods do not sum to -1")
     e_0 = _inverse(system, q, etas, (0, 1) + (0,) * (system.m - 1))
-    if poly.mul_mod(make_prime_field(q), e_0, e_0, system.p) != e_0:
+    if poly.mul_mod(q, e_0, e_0, system.p) != e_0:
         raise AssertionError("e_0 * e_0 != e_0")
     return etas
 
@@ -319,7 +315,7 @@ def _inverse(system, q, etas, spec):
     scaled = [p_inv * (spec[0] + s) % q for s in _correlate(etas, spec[1:])]
     head = p_inv * (spec[0] + (p - 1) // m * sum(spec[1:])) % q
     coeffs = [head, *map(scaled.__getitem__, _classes_of_negatives(system))]
-    return poly.trim(make_prime_field(q), coeffs)
+    return poly.trim(q, coeffs)
 
 
 def _correlate(etas, values):
@@ -338,12 +334,17 @@ def _correlate(etas, values):
 
 @functools.lru_cache(maxsize=None)
 def family_codes(system, ctx, family, alpha_exp=None):
-    """All m codes of one family as records of their nonzeros (module
-    docstring), built once relative to alpha; none multiplies a
-    polynomial before it is read.  A family of more than FAMILY_COEFFS
-    coefficients, m * p, is refused with TooLarge first.  Under the
-    labeling alpha_exp = u, coprime to p (NotCoprime), entry i is code
-    i + c(u) of that one build."""
+    """All m codes of one family over the prime field ctx as records of
+    their nonzeros (module docstring), built once relative to alpha;
+    none multiplies a polynomial before it is read.  The codes carry
+    GF(q) as the int q, so ctx is checked here, once: GF(q^t), t != 1,
+    is refused with NonPrimeModulus.  A family of more than
+    FAMILY_COEFFS coefficients, m * p, is refused with TooLarge first.
+    Under the labeling alpha_exp = u, coprime to p (NotCoprime), entry i
+    is code i + c(u) of that one build."""
+    if ctx.t != 1:
+        raise NonPrimeModulus(
+            f"field codes need a prime field, not GF({ctx.q}^{ctx.t})")
     if alpha_exp is not None:
         codes = family_codes(system, ctx, family)
         if alpha_exp % system.p == 0:
@@ -361,6 +362,6 @@ def family_codes(system, ctx, family, alpha_exp=None):
     zero = (0,) if family.endswith("II") else ()
     other = family in ("odd-I", "even-II")
     return tuple(
-        CyclicCode(ctx, p, family, i, _other_cosets(q, p, zero + own)
+        CyclicCode(q, p, family, i, _other_cosets(q, p, zero + own)
                    if other else zero + own, system)
         for i, own in enumerate(_class_cosets(system, q)))

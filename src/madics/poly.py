@@ -4,15 +4,13 @@ A polynomial is a tuple of coefficient values in ascending degree with
 trailing zeros trimmed, so equal polynomials compare equal as tuples.
 The zero polynomial is the empty tuple.
 
-Every operation takes the coefficient field as its first argument, a
-FieldCtx, and reads only its ``q`` and ``t``: coefficients are plain
-ints and the arithmetic is integer arithmetic mod q, written inline.
-A field with t != 1 is refused with NonPrimeModulus; ffield builds the
-arithmetic of GF(q^t) on these operations over GF(q), and the
-dom-generic schoolbook forms are test oracles.  Inputs are read mod q
-and every result is canonical (reduced into [0, q) and trimmed).
-Polynomials over R = F_q[v]/(v**s - v) are not handled here: ringalg
-builds them from their F_q components.
+Every operation takes the prime q as its first argument: coefficients
+are plain ints and the arithmetic is integer arithmetic mod q, written
+inline.  ffield builds the arithmetic of GF(q^t) on these operations
+over GF(q), and the dom-generic schoolbook forms are test oracles.
+Inputs are read mod q and every result is canonical (reduced into
+[0, q) and trimmed).  Polynomials over R = F_q[v]/(v**s - v) are not
+handled here: ringalg builds them from their F_q components.
 
 There is one product, mul_mod, the product mod x**n - 1, by Kronecker
 substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
@@ -33,21 +31,7 @@ found in field_codes, where the idempotent generators are built too
 
 from __future__ import annotations
 
-from .errors import (
-    BothZero,
-    NonPrimeModulus,
-    NonUnitLeadingCoefficient,
-)
-
-ZERO = ()
-
-
-def _modulus(dom):
-    """q of a prime field; NonPrimeModulus for GF(q^t), t != 1."""
-    if dom.t != 1:
-        raise NonPrimeModulus(
-            f"poly needs a prime field, not GF({dom.q}^{dom.t})")
-    return dom.q
+from .errors import BothZero, NonUnitLeadingCoefficient
 
 
 def _trimmed(coeffs):
@@ -58,27 +42,25 @@ def _trimmed(coeffs):
     return tuple(coeffs)
 
 
-def trim(dom, coeffs):
+def trim(q, coeffs):
     """Canonical form: coefficients reduced mod q, trailing zeros
     dropped."""
-    q = _modulus(dom)
     return _trimmed([c % q for c in coeffs])
 
 
-def xn_minus_1(dom, n):
-    return (_modulus(dom) - 1,) + (0,) * (n - 1) + (1,)
+def xn_minus_1(q, n):
+    return (q - 1,) + (0,) * (n - 1) + (1,)
 
 
-def mul(dom, a, b):
+def mul(q, a, b):
     """The product a*b: mul_mod with n = len(a) + len(b), more slots
     than a*b has coefficients, so nothing folds."""
-    return mul_mod(dom, a, b, len(a) + len(b) or 1)
+    return mul_mod(q, a, b, len(a) + len(b) or 1)
 
 
-def rem(dom, a, b):
+def rem(q, a, b):
     """The canonical remainder of a by b; b must not be zero."""
-    q = _modulus(dom)
-    b = trim(dom, b)
+    b = trim(q, b)
     if not b:
         raise NonUnitLeadingCoefficient("division by the zero polynomial")
     return _rem_monic(q, a, _monic(q, b))
@@ -101,10 +83,10 @@ def _rem_monic(q, a, b):
     return _trimmed([r % q for r in run[:db]])
 
 
-def divides(dom, b, a):
-    if not trim(dom, b):
-        return not trim(dom, a)
-    return not rem(dom, a, b)
+def divides(q, b, a):
+    if not trim(q, b):
+        return not trim(q, a)
+    return not rem(q, a, b)
 
 
 def _pack(coeffs, q, width):
@@ -134,7 +116,7 @@ def _unpack(value, q, width, n):
     return [(s << 8 | b) % q for s, b in zip(slots, buf[::width])]
 
 
-def mul_mod(dom, a, b, n):
+def mul_mod(q, a, b, n):
     """a*b mod x**n - 1 over a prime field, by Kronecker substitution.
 
     Each operand becomes one int with B bits per coefficient slot; one
@@ -145,7 +127,6 @@ def mul_mod(dom, a, b, n):
     n*(q-1)**2; B is that bit length rounded up to whole bytes, so no
     slot carries into the next.  The slots are reduced mod q at the end.
     """
-    q = _modulus(dom)
     if n < 1 or len(a) > n or len(b) > n:
         raise ValueError(f"mul_mod needs n >= 1 and operands of length "
                          f"<= n, got {len(a)} and {len(b)} for n = {n}")
@@ -157,17 +138,16 @@ def mul_mod(dom, a, b, n):
     return _trimmed(_unpack(folded, q, width, n))
 
 
-def eval_poly(dom, a, x):
+def eval_poly(q, a, x):
     """Evaluate at a field value by Horner's rule."""
-    q = _modulus(dom)
     acc = 0
     for c in reversed(a):
         acc = (acc * x + c) % q
     return acc
 
 
-def monic(dom, a):
-    return _monic(_modulus(dom), trim(dom, a))
+def monic(q, a):
+    return _monic(q, trim(q, a))
 
 
 def _monic(q, a):
@@ -178,11 +158,10 @@ def _monic(q, a):
     return tuple([c * lead_inv % q for c in a])
 
 
-def gcd(dom, a, b):
+def gcd(q, a, b):
     """Monic gcd of a and b by the remainder loop on monic remainders;
     raises BothZero when a = b = 0."""
-    q = _modulus(dom)
-    a, b = monic(dom, a), monic(dom, b)
+    a, b = monic(q, a), monic(q, b)
     if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
     if len(a) < len(b):

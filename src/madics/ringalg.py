@@ -62,7 +62,7 @@ class RingCtx:
 
     def crt(self, a):
         """Component vector (a(point_0), ..., a(point_{s-1}))."""
-        return tuple(poly.eval_poly(self.field, a, pt)
+        return tuple(poly.eval_poly(self.q, a, pt)
                      for pt in self.crt_points)
 
     # -- identity --------------------------------------------------------
@@ -137,9 +137,8 @@ def _validate_ring(ring):
 
 def ring_poly_component(ring, rp, k):
     """k-th CRT component of a polynomial over R, as an F_q polynomial."""
-    pt = ring.crt_points[k]
-    return poly.trim(ring.field,
-                     (poly.eval_poly(ring.field, c, pt) for c in rp))
+    pt, q = ring.crt_points[k], ring.q
+    return poly.trim(q, (poly.eval_poly(q, c, pt) for c in rp))
 
 
 def ring_poly_combine(ring, components):

@@ -4,13 +4,14 @@ The dom-generic polynomial arithmetic (trim_generic, add_generic,
 neg_generic, sub_generic, scale_generic, mul_generic, divmod_generic,
 monic_generic, gcd_generic and eval_generic) is the oracle of
 madics.poly.  It is the schoolbook form, one coefficient at a time
-through the ``zero``, ``one``, ``neg``, ``mul`` and ``inv`` of its
-first argument and the sum dom_add, so it runs over any FieldCtx, prime
-or extension, and (all but the division, monic and gcd, which need
-``inv``) over VBasisRing.  field_add is the sum of GF(q^t), digit by
-digit: madics adds no two elements of an extension field, so FieldCtx
-has no add.  madics.poly works over prime fields only,
-with plain ints mod q and one packed product, and refuses GF(q^t).
+through the ``zero``, ``one``, ``mul`` and ``inv`` of its first
+argument and the sum and negation dom_add and dom_neg, so it runs over
+any FieldCtx, prime or extension, and (all but the division, monic and
+gcd, which need ``inv``) over VBasisRing.  field_add and field_neg are
+the sum and negation of GF(q^t), digit by digit: madics adds or negates
+no element of an extension field, so FieldCtx has neither.  madics.poly
+takes the prime q itself and works on plain ints mod q with one packed
+product.
 
 VBasisRing is R = F_q[v]/(v^s - v) with element arithmetic in the
 v-basis (coefficients of 1, v, ..., v^(s-1)), which madics itself does
@@ -167,11 +168,25 @@ def field_add(ctx, a, b):
                         for x, y in zip(ctx.to_vec(a), ctx.to_vec(b)))
 
 
+def field_neg(ctx, a):
+    """-a in the FieldCtx ctx, prime or GF(q^t): each base-q digit of a
+    negated mod q."""
+    q = ctx.q
+    return ctx.from_vec(-x % q for x in ctx.to_vec(a))
+
+
 def dom_add(dom, a, b):
     """a + b in dom: VBasisRing adds itself, a FieldCtx by field_add."""
     if isinstance(dom, VBasisRing):
         return dom.add(a, b)
     return field_add(dom, a, b)
+
+
+def dom_neg(dom, a):
+    """-a in dom: VBasisRing negates itself, a FieldCtx by field_neg."""
+    if isinstance(dom, VBasisRing):
+        return dom.neg(a)
+    return field_neg(dom, a)
 
 
 def add_generic(dom, a, b):
@@ -184,7 +199,7 @@ def add_generic(dom, a, b):
 
 
 def neg_generic(dom, a):
-    return tuple(dom.neg(c) for c in a)
+    return tuple(dom_neg(dom, c) for c in a)
 
 
 def sub_generic(dom, a, b):
@@ -193,14 +208,14 @@ def sub_generic(dom, a, b):
 
 def scale_generic(dom, c, a):
     if c == dom.zero:
-        return poly.ZERO
+        return ()
     return trim_generic(dom, (dom.mul(c, x) for x in a))
 
 
 def mul_generic(dom, a, b):
     """The schoolbook product, one coefficient product at a time."""
     if not a or not b:
-        return poly.ZERO
+        return ()
     out = [dom.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == dom.zero:
@@ -219,7 +234,7 @@ def divmod_generic(dom, a, b):
     rem = list(a)
     db = len(b) - 1
     if len(rem) - 1 < db:
-        return poly.ZERO, trim_generic(dom, rem)
+        return (), trim_generic(dom, rem)
     quot = [dom.zero] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
@@ -229,13 +244,13 @@ def divmod_generic(dom, a, b):
         quot[i - db] = f
         for j in range(db + 1):
             rem[i - db + j] = dom_add(dom, rem[i - db + j],
-                                      dom.neg(dom.mul(f, b[j])))
+                                      dom_neg(dom, dom.mul(f, b[j])))
     return trim_generic(dom, quot), trim_generic(dom, rem)
 
 
 def monic_generic(dom, a):
     if not a:
-        return poly.ZERO
+        return ()
     return scale_generic(dom, dom.inv(a[-1]), a)
 
 
@@ -309,7 +324,7 @@ def coset_factor_schoolbook(q, p):
         prod = (ext.one,)
         for k in coset:
             prod = mul_generic(ext, prod,
-                               (ext.neg(ext.pow(alpha, k)), ext.one))
+                               (field_neg(ext, ext.pow(alpha, k)), ext.one))
         out[coset] = prod
     return out
 
@@ -324,7 +339,7 @@ def class_products_direct(system, q, alpha_exp):
         prod = (ext.one,)
         for k in cls:
             root = ext.pow(alpha, alpha_exp * k % system.p)
-            prod = mul_generic(ext, prod, (ext.neg(root), ext.one))
+            prod = mul_generic(ext, prod, (field_neg(ext, root), ext.one))
         out.append(prod)
     return tuple(out)
 
@@ -348,8 +363,8 @@ def gcd_ext(dom, a, b):
     """Monic gcd g of a and b, not both zero, with Bezout cofactors:
     (g, u, w) with u*a + w*b = g."""
     r0, r1 = a, b
-    u0, u1 = (dom.one,), poly.ZERO
-    w0, w1 = poly.ZERO, (dom.one,)
+    u0, u1 = (dom.one,), ()
+    w0, w1 = (), (dom.one,)
     while r1:
         quot, rem = divmod_generic(dom, r0, r1)
         r0, r1 = r1, rem
@@ -362,7 +377,7 @@ def gcd_ext(dom, a, b):
 def idempotent_bezout(dom, g, p):
     """Idempotent generator of <g> in F_q[x]/(x^p - 1), for g a proper
     divisor of x^p - 1 with gcd(p, q) = 1."""
-    xp1 = (dom.neg(dom.one),) + (dom.zero,) * (p - 1) + (dom.one,)
+    xp1 = (dom_neg(dom, dom.one),) + (dom.zero,) * (p - 1) + (dom.one,)
     gbar, rem = divmod_generic(dom, xp1, g)
     assert not rem, "g does not divide x^p - 1"
     d, u, _ = gcd_ext(dom, g, gbar)
@@ -534,7 +549,7 @@ def check_identities_vbasis(ring, system, base_slots=None, a=None,
            for c in orbit]
 
     one = (ring.one,)
-    zero = poly.ZERO
+    zero = ()
     h = (ring.one,) * p
     one_minus_h = sub_generic(ring, one, h)
 

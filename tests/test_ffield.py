@@ -13,7 +13,12 @@ from madics.ffield import (
     make_extension,
     make_prime_field,
 )
-from oracle import field_add, is_prime_power_trial, is_prime_trial
+from oracle import (
+    field_add,
+    field_neg,
+    is_prime_power_trial,
+    is_prime_trial,
+)
 
 rng = random.Random(0xF1E1D)
 
@@ -56,7 +61,7 @@ def test_prime_field_ops():
         a, b = rng.randrange(13), rng.randrange(13)
         assert field_add(ctx, a, b) == (a + b) % 13
         assert ctx.mul(a, b) == (a * b) % 13
-    assert ctx.neg(0) == 0
+    assert field_neg(ctx, 0) == 0
 
 
 def test_prime_field_inverse():
@@ -194,14 +199,14 @@ def test_gf3_11_pinned():
 
 def full_modulus_search(q, t):
     """The smallest monic irreducible, c_0 = 0 candidates included."""
-    base = make_prime_field(q)
     for lower in product(range(q), repeat=t):
-        cand = poly.trim(base, lower + (1,))
-        if ffield._is_irreducible(base, cand, t):
+        cand = poly.trim(q, lower + (1,))
+        if ffield._is_irreducible(q, cand, t):
             return cand
 
 
 @pytest.mark.parametrize("q,t", [(2, 8), (2, 9), (3, 6), (5, 4), (5, 5),
                                  (7, 3)])
 def test_modulus_search_skips_only_reducibles(q, t):
-    assert ffield._build_extension(q, t).modulus == full_modulus_search(q, t)
+    assert (ffield.make_extension.__wrapped__(q, t).modulus
+            == full_modulus_search(q, t))

@@ -25,8 +25,7 @@ ring_codes and identities work on class-algebra spectra and reference
 no poly function.  No division where codes are built and
 measured: field_codes and analysis get every generator and check
 polynomial as a product of coset factors and call no
-polynomial division, remainder or gcd of poly.  poly reads only q and
-t of its field argument, so its arithmetic stays on plain ints."""
+polynomial division, remainder or gcd of poly."""
 
 import ast
 import importlib
@@ -129,7 +128,7 @@ def _on_numpy(node):
 def test_every_definition_is_referenced():
     # a module-level function or class counts as used only through its
     # own module, an import of it or ``module.name``, so that a method
-    # call of the same name, such as ctx.neg(...), cannot keep a dead
+    # call of the same name, such as ctx.mul(...), cannot keep a dead
     # poly function alive.  A method counts through an attribute of any
     # object but numpy, so that neither np.add.at nor a local function
     # add can keep a dead FieldCtx.add alive.  Dunder names are hooks
@@ -173,31 +172,6 @@ def test_poly_imports_only_errors():
         elif isinstance(node, ast.ImportFrom):
             modules.add("." * node.level + (node.module or ""))
     assert modules <= {".errors", "__future__"}, sorted(modules)
-
-
-def test_poly_reads_only_q_and_t_of_its_field():
-    # poly computes with plain ints mod q: the field argument is read for
-    # q and t and otherwise only handed on to poly's own functions, so no
-    # per-coefficient FieldCtx method call can come back
-    tree = ast.parse((ROOT / "src" / "madics" / "poly.py").read_text(
-        encoding="utf-8"))
-    own = {node.name for node in tree.body
-           if isinstance(node, ast.FunctionDef)}
-    parent = {child: node for node in ast.walk(tree)
-              for child in ast.iter_child_nodes(node)}
-    stray = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Name) and node.id == "dom"
-                and isinstance(node.ctx, ast.Load)):
-            continue
-        up = parent[node]
-        if isinstance(up, ast.Attribute) and up.attr in ("q", "t"):
-            continue
-        if (isinstance(up, ast.Call) and node in up.args
-                and isinstance(up.func, ast.Name) and up.func.id in own):
-            continue
-        stray.append(f"line {node.lineno}: {ast.unparse(up)}")
-    assert not stray, f"poly uses its field beyond q and t: {stray}"
 
 
 def _module_level_imports(tree):

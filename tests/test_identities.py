@@ -300,7 +300,7 @@ def _class_constant(system, q, cs):
     for c, cls in zip(cs[1:], system.classes):
         for k in cls:
             coeffs[k] = c
-    return poly.trim(make_prime_field(q), coeffs)
+    return poly.trim(q, coeffs)
 
 
 @st.composite
@@ -324,7 +324,7 @@ def test_unit_spectra_invert_to_the_idempotent_basis(q, p, m):
     # beta = alpha**u, the basis and its unit spectra are relabeled
     system = build_residue_system(p, m)
     ctx = make_prime_field(q)
-    xp1 = poly.xn_minus_1(ctx, p)
+    xp1 = poly.xn_minus_1(q, p)
     h_idem = (pow(p, -1, q),) * p
     units = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
     for u in (1, system.b, p - 1):

@@ -295,7 +295,7 @@ def family_gmats(q, p, m, family, slots, alpha_exp=1):
     comps = family_codes(build_residue_system(p, m), make_prime_field(q),
                          family, alpha_exp)
     first = comps[slots[0]]
-    check, rest = divmod_generic(first.ctx, poly.xn_minus_1(first.ctx, p),
+    check, rest = divmod_generic(make_prime_field(q), poly.xn_minus_1(q, p),
                                  first.generator)
     assert not rest
     return [generator_matrix(comps[i]) for i in slots], check

@@ -1,18 +1,14 @@
-"""Polynomial arithmetic tests over field contexts."""
+"""Polynomial arithmetic tests over prime fields GF(q), against the
+field-context oracles."""
 
-import inspect
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from madics import poly
-from madics.errors import (
-    BothZero,
-    NonPrimeModulus,
-    NonUnitLeadingCoefficient,
-)
-from madics.ffield import make_extension, make_prime_field
+from madics.errors import BothZero, NonUnitLeadingCoefficient
+from madics.ffield import make_prime_field
 from madics.field_codes import coset_factors
 from oracle import (
     add_generic,
@@ -35,15 +31,15 @@ F7 = make_prime_field(7)
 
 
 def rand_poly(ctx, max_deg):
-    return poly.trim(ctx, tuple(rng.randrange(ctx.size)
-                                for _ in range(max_deg + 1)))
+    return poly.trim(ctx.q, tuple(rng.randrange(ctx.size)
+                                  for _ in range(max_deg + 1)))
 
 
 def test_trim_and_degree():
-    assert poly.trim(F3, (1, 2, 0, 0)) == (1, 2)
-    assert poly.trim(F3, (0, 0)) == ()
+    assert poly.trim(3, (1, 2, 0, 0)) == (1, 2)
+    assert poly.trim(3, (0, 0)) == ()
     # a canonical polynomial has degree len - 1, the zero one none
-    assert len(poly.trim(F3, (0, 1, 0))) - 1 == 1
+    assert len(poly.trim(3, (0, 1, 0))) - 1 == 1
 
 
 def test_add_sub_cancel():
@@ -55,8 +51,8 @@ def test_add_sub_cancel():
 def test_mul_degree_and_commutativity():
     for _ in range(50):
         a, b = rand_poly(F7, 6), rand_poly(F7, 6)
-        ab = poly.mul(F7, a, b)
-        assert ab == poly.mul(F7, b, a)
+        ab = poly.mul(7, a, b)
+        assert ab == poly.mul(7, b, a)
         if a and b:
             assert len(ab) == len(a) + len(b) - 1
 
@@ -67,12 +63,12 @@ def test_divmod_round_trip():
         b = rand_poly(F7, 5)
         if not b:
             continue
-        r = poly.rem(F7, a, b)
+        r = poly.rem(7, a, b)
         assert len(r) < len(b)
         # b divides a - r: the oracle's quotient times b gives it back
         diff = sub_generic(F7, a, r)
         quot, rest = divmod_generic(F7, diff, b)
-        assert not rest and poly.mul(F7, quot, b) == diff
+        assert not rest and poly.mul(7, quot, b) == diff
 
 
 def test_gcd_ext_bezout():
@@ -82,19 +78,19 @@ def test_gcd_ext_bezout():
         if not a and not b:
             continue
         g, u, v = gcd_ext(F3, a, b)
-        lhs = add_generic(F3, poly.mul(F3, u, a), poly.mul(F3, v, b))
+        lhs = add_generic(F3, poly.mul(3, u, a), poly.mul(3, v, b))
         assert lhs == g
         if a:
-            assert poly.divides(F3, g, a)
+            assert poly.divides(3, g, a)
         if b:
-            assert poly.divides(F3, g, b)
+            assert poly.divides(3, g, b)
         # gcd is monic
         assert g[-1] == F3.one
 
 
 def test_gcd_both_zero():
     with pytest.raises(BothZero):
-        poly.gcd(F3, (), ())
+        poly.gcd(3, (), ())
 
 
 def test_gcd_matches_gcd_ext():
@@ -102,17 +98,17 @@ def test_gcd_matches_gcd_ext():
         for _ in range(60):
             a, b = rand_poly(ctx, 9), rand_poly(ctx, 6)
             if a or b:
-                assert poly.gcd(ctx, a, b) == gcd_ext(ctx, a, b)[0]
+                assert poly.gcd(ctx.q, a, b) == gcd_ext(ctx, a, b)[0]
     # a shared factor, and one side zero
     f = (1, 1)
-    assert poly.gcd(F7, poly.mul(F7, f, (2, 3)), poly.mul(F7, f, (5,))) == f
-    assert poly.gcd(F7, (), (3, 6)) == (4, 1)
+    assert poly.gcd(7, poly.mul(7, f, (2, 3)), poly.mul(7, f, (5,))) == f
+    assert poly.gcd(7, (), (3, 6)) == (4, 1)
 
 
 def test_mod_xn_minus_1_folds_exponents():
     a = (0, 0, 0, 0, 0, 1)  # x^5
     assert mod_xn_minus_1(F3, a, 5) == (1,)
-    assert poly.mul_mod(F3, (0, 1), (0, 0, 0, 0, 1), 5) == (1,)
+    assert poly.mul_mod(3, (0, 1), (0, 0, 0, 0, 1), 5) == (1,)
 
 
 @st.composite
@@ -127,8 +123,8 @@ def mul_mod_cases(draw):
 @given(mul_mod_cases())
 def test_mul_mod_matches_schoolbook_property(case):
     ctx, a, b, n = case
-    a, b = poly.trim(ctx, a), poly.trim(ctx, b)
-    assert poly.mul_mod(ctx, a, b, n) == mul_mod_schoolbook(ctx, a, b, n)
+    a, b = poly.trim(ctx.q, a), poly.trim(ctx.q, b)
+    assert poly.mul_mod(ctx.q, a, b, n) == mul_mod_schoolbook(ctx, a, b, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,8 +134,8 @@ def test_mul_mod_multibyte_coefficients_match_schoolbook(q, n, data):
     # q > 256: a coefficient spans several bytes of its slot
     ctx = make_prime_field(q)
     coeffs = st.lists(st.integers(0, q - 1), max_size=n)
-    a, b = poly.trim(ctx, data.draw(coeffs)), poly.trim(ctx, data.draw(coeffs))
-    assert poly.mul_mod(ctx, a, b, n) == mul_mod_schoolbook(ctx, a, b, n)
+    a, b = poly.trim(q, data.draw(coeffs)), poly.trim(q, data.draw(coeffs))
+    assert poly.mul_mod(q, a, b, n) == mul_mod_schoolbook(ctx, a, b, n)
 
 
 def test_mul_mod_slot_width_worst_case():
@@ -148,33 +144,31 @@ def test_mul_mod_slot_width_worst_case():
         ctx = make_prime_field(q)
         full = (q - 1,) * n
         want = ((n * (q - 1) ** 2) % q,) * n
-        got = poly.mul_mod(ctx, full, full, n)
-        assert got == poly.trim(ctx, want)
+        got = poly.mul_mod(q, full, full, n)
+        assert got == poly.trim(q, want)
         assert got == mul_mod_schoolbook(ctx, full, full, n)
 
 
 def test_mul_mod_zero_and_unfolded():
     a = rand_poly(F7, 10)
-    assert poly.mul_mod(F7, (), a, 11) == ()
-    assert poly.mul_mod(F7, a, (), 11) == ()
+    assert poly.mul_mod(7, (), a, 11) == ()
+    assert poly.mul_mod(7, a, (), 11) == ()
     # deg(a*b) < n: no fold, the plain product
     b = (3, 0, 5)
-    assert poly.mul_mod(F7, a, b, 13) == poly.mul(F7, a, b)
+    assert poly.mul_mod(7, a, b, 13) == poly.mul(7, a, b)
 
 
-def test_mul_mod_rejects_extension_and_long_inputs():
-    with pytest.raises(NonPrimeModulus):
-        poly.mul_mod(make_extension(3, 2), (1, 2), (3,), 5)
+def test_mul_mod_rejects_long_inputs():
     with pytest.raises(ValueError):
-        poly.mul_mod(F3, (1,) * 6, (1, 1), 5)
+        poly.mul_mod(3, (1,) * 6, (1, 1), 5)
     with pytest.raises(ValueError):
-        poly.mul_mod(F3, (1, 1), (1,) * 6, 5)
+        poly.mul_mod(3, (1, 1), (1,) * 6, 5)
 
 
 def test_eval_poly():
     a = (1, 2, 1)  # 1 + 2x + x^2 over F_3
-    assert poly.eval_poly(F3, a, 1) == 1
-    assert poly.eval_poly(F3, a, 2) == (1 + 4 + 4) % 3
+    assert poly.eval_poly(3, a, 1) == 1
+    assert poly.eval_poly(3, a, 2) == (1 + 4 + 4) % 3
 
 
 def test_cyclotomic_cosets_partition():
@@ -189,18 +183,18 @@ def test_cyclotomic_cosets_partition():
 def test_idempotent_of_cyclic_properties():
     ctx = F3
     p = 13
-    xp1 = poly.xn_minus_1(ctx, p)
+    xp1 = poly.xn_minus_1(ctx.q, p)
     factors = list(dict.fromkeys(coset_factors(3, p)))
     # products of factor subsets give every nontrivial divisor shape
     for i in range(len(factors)):
         g = (ctx.one,)
         for k, f in enumerate(factors):
             if k != i:
-                g = poly.mul(ctx, g, f)
+                g = poly.mul(ctx.q, g, f)
         e = idempotent_bezout(ctx, g, p)
-        assert poly.mul_mod(ctx, e, e, p) == e
-        assert poly.divides(ctx, g, e)
-        assert poly.gcd(ctx, e, xp1) == poly.monic(ctx, g)
+        assert poly.mul_mod(ctx.q, e, e, p) == e
+        assert poly.divides(ctx.q, g, e)
+        assert poly.gcd(ctx.q, e, xp1) == poly.monic(ctx.q, g)
 
 
 def test_parse_format_round_trip():
@@ -210,37 +204,6 @@ def test_parse_format_round_trip():
         assert len(text.split("+")) == max(1, sum(1 for c in a if c))
     assert poly.format_poly((1, 2, 0, 1)) == "1+2*x+x^3"
     assert poly.format_poly(()) == "0"
-
-
-# every entry point of poly that takes the coefficient field, with
-# arguments that are valid over a prime field
-ENTRY_POINTS = {
-    "trim": lambda d: poly.trim(d, (1, 2)),
-    "xn_minus_1": lambda d: poly.xn_minus_1(d, 5),
-    "mul": lambda d: poly.mul(d, (1, 2), (2, 1)),
-    "mul_mod": lambda d: poly.mul_mod(d, (1, 2), (2, 1), 3),
-    "rem": lambda d: poly.rem(d, (1, 2, 1), (1, 1)),
-    "divides": lambda d: poly.divides(d, (1, 1), (1, 2, 1)),
-    "eval_poly": lambda d: poly.eval_poly(d, (1, 2), 1),
-    "monic": lambda d: poly.monic(d, (1, 2)),
-    "gcd": lambda d: poly.gcd(d, (1, 2, 1), (1, 1)),
-}
-
-
-def test_entry_points_cover_every_field_taking_function():
-    taking = {name for name, f in vars(poly).items()
-              if inspect.isfunction(f) and not name.startswith("_")
-              and list(inspect.signature(f).parameters)[:1] == ["dom"]}
-    assert taking == set(ENTRY_POINTS)
-
-
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-def test_extension_fields_are_refused(name):
-    # GF(q^t) arithmetic is ffield's, built on poly over GF(q); poly
-    # itself computes with plain ints mod a prime and refuses t != 1
-    ENTRY_POINTS[name](F3)
-    with pytest.raises(NonPrimeModulus):
-        ENTRY_POINTS[name](make_extension(3, 2))
 
 
 # ---------------- differential tests against the oracles ----------------
@@ -272,10 +235,10 @@ DIFF = settings(max_examples=120, deadline=None)
 def test_ring_operations_match_oracle(case):
     ctx, a, b = case
     A, B = canon(ctx, a), canon(ctx, b)
-    assert poly.trim(ctx, a) == A
-    assert poly.mul(ctx, a, b) == product_schoolbook(ctx, (A, B))
+    assert poly.trim(ctx.q, a) == A
+    assert poly.mul(ctx.q, a, b) == product_schoolbook(ctx, (A, B))
     for x in range(-1, ctx.q + 1):
-        assert poly.eval_poly(ctx, a, x) == eval_generic(ctx, A, x % ctx.q)
+        assert poly.eval_poly(ctx.q, a, x) == eval_generic(ctx, A, x % ctx.q)
 
 
 @DIFF
@@ -283,7 +246,7 @@ def test_ring_operations_match_oracle(case):
 def test_mul_mod_unreduced_matches_oracle(case, extra):
     ctx, a, b = case
     n = max(len(a), len(b), 1) + extra
-    assert poly.mul_mod(ctx, a, b, n) == mul_mod_schoolbook(
+    assert poly.mul_mod(ctx.q, a, b, n) == mul_mod_schoolbook(
         ctx, canon(ctx, a), canon(ctx, b), n)
 
 
@@ -294,13 +257,13 @@ def test_division_matches_oracle(case):
     A, B = canon(ctx, a), canon(ctx, b)
     if not B:
         with pytest.raises(NonUnitLeadingCoefficient):
-            poly.rem(ctx, a, b)
-        assert poly.divides(ctx, b, a) == (not A)
+            poly.rem(ctx.q, a, b)
+        assert poly.divides(ctx.q, b, a) == (not A)
         return
     rem = divmod_generic(ctx, A, B)[1]
-    assert poly.rem(ctx, a, b) == rem
-    assert poly.divides(ctx, b, a) == (not rem)
-    assert poly.rem(ctx, product_schoolbook(ctx, (A, B)), b) == ()
+    assert poly.rem(ctx.q, a, b) == rem
+    assert poly.divides(ctx.q, b, a) == (not rem)
+    assert poly.rem(ctx.q, product_schoolbook(ctx, (A, B)), b) == ()
 
 
 @DIFF
@@ -308,16 +271,16 @@ def test_division_matches_oracle(case):
 def test_gcd_monic_associates_match_oracle(case):
     ctx, a, b = case
     A, B = canon(ctx, a), canon(ctx, b)
-    assert poly.monic(ctx, a) == monic_generic(ctx, A)
+    assert poly.monic(ctx.q, a) == monic_generic(ctx, A)
     if A or B:
-        assert poly.gcd(ctx, a, b) == gcd_generic(ctx, A, B)
+        assert poly.gcd(ctx.q, a, b) == gcd_generic(ctx, A, B)
     else:
         with pytest.raises(BothZero):
-            poly.gcd(ctx, a, b)
+            poly.gcd(ctx.q, a, b)
 
 
 @pytest.mark.parametrize("ctx", SMALL_FIELDS, ids=lambda c: f"GF({c.q})")
 def test_xn_minus_1_matches_oracle(ctx):
     for n in (1, 2, 7):
         x_n = (0,) * n + (1,)
-        assert poly.xn_minus_1(ctx, n) == sub_generic(ctx, x_n, (1,))
+        assert poly.xn_minus_1(ctx.q, n) == sub_generic(ctx, x_n, (1,))

@@ -231,12 +231,12 @@ def test_component_consistency_p_not_1_mod_q():
     bad = ring_code(ring73, sys26, "even-II", (0, 1, 2))
     assert not any(component_consistency(bad))
     ctx = ring73.field
-    xp1 = poly.xn_minus_1(ctx, 19)
+    xp1 = poly.xn_minus_1(ctx.q, 19)
     odd1 = family_codes(sys26, ctx, "odd-I")
     for k, i in enumerate(bad.slots):
         elt = ring_poly_component(ring73, bad.idempotent, k)
-        ideal = poly.gcd(ctx, elt, xp1)
-        assert ideal == poly.monic(ctx, odd1[i].generator)
+        ideal = poly.gcd(ctx.q, elt, xp1)
+        assert ideal == poly.monic(ctx.q, odd1[i].generator)
 
 
 def _refuse_polynomials(monkeypatch):
@@ -292,14 +292,14 @@ def test_generators_and_ideal_generators_are_monic(q, p, m):
         for family in FAMILIES:
             for c in family_codes(system, ctx, family, u):
                 assert c.generator[-1] == 1
-                assert ideal_generator(ctx, p, c.idempotent)[-1] == 1
+                assert ideal_generator(q, p, c.idempotent)[-1] == 1
             for i in range(m):
                 code = ring_code(ring, system, family, (i, i), u)
                 elem, = {ring_poly_component(ring, code.idempotent, k)
                          for k in range(2)}
-                ideal = ideal_generator(ctx, p, elem)
+                ideal = ideal_generator(q, p, elem)
                 assert ideal[-1] == 1
-                assert ideal == poly.trim(ctx, ideal)
+                assert ideal == poly.trim(q, ideal)
 
 
 def test_ring_code_reuses_family_elements(cold_caches, monkeypatch,
@@ -428,7 +428,7 @@ def test_class_i_elements_idempotent_property(code):
                       code.alpha_exp)
         for k in range(code.ring.s):
             e = ring_poly_component(code.ring, c.idempotent, k)
-            assert poly.mul_mod(ctx, e, e, p) == e
+            assert poly.mul_mod(ctx.q, e, e, p) == e
 
 
 @settings(max_examples=25, deadline=None)
