@@ -108,12 +108,11 @@ class FieldCtx:
     vectors over GF(q), reduced mod the modulus by poly.rem.  A context
     is passed only where it carries more than q: GF(q^t) or the pinned
     primitive element; below the field constructors GF(q) is the int q.
+    Each field is the one object its cached constructor returns, so
+    contexts compare, and key caches, by identity.
     """
 
     __slots__ = ("q", "t", "size", "modulus", "primitive_element")
-
-    zero = 0
-    one = 1
 
     def __init__(self, q, t, modulus, primitive_element=None):
         self.q = q
@@ -152,7 +151,7 @@ class FieldCtx:
             raise ValueError("exponent must be nonnegative")
         if self.t == 1:
             return pow(a, e, self.q)
-        result = self.one
+        result = 1
         a %= self.size
         while e > 0:
             if e & 1:
@@ -183,16 +182,6 @@ class FieldCtx:
         n = self.size - 1
         return a % self.size != 0 and all(self.pow(a, n // r) != 1
                               for r in prime_divisors(n))
-
-    # -- identity ------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldCtx)
-                and self.q == other.q and self.t == other.t
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.q, self.t, self.modulus))
 
     def __repr__(self):
         if self.t == 1:

@@ -162,35 +162,29 @@ def splitting_field(q, p):
 
 @functools.lru_cache(maxsize=None)
 def coset_factors(q, p):
-    """The irreducible factors of x**p - 1 over GF(q), by exponent.
+    """The irreducible factors of x**p - 1 over GF(q), by least member.
 
     With u_k the constant digit of alpha^k, u_0 .. u_{2t-1} give the
     minimal polynomial of alpha (_min_poly), whose recurrence extends u
     to every k < p.  The factor of a coset C is prod_{k in C}
     (x - alpha^k), the minimal polynomial of beta = alpha^min(C); it is
     that of the sequence u_{min(C) j mod p}, the constant digits of the
-    beta^j, which starts at u_0 = 1.  Returns a tuple whose entry k is
-    the factor of the coset holding k, so {0} maps to x - 1.
+    beta^j, which starts at u_0 = 1.  Returns {min(C): factor},
+    ascending, so 0 maps to x - 1.
     """
     ext, alpha = splitting_field(q, p)
-    power, u = ext.one, []
+    power, u = 1, []
     for _ in range(2 * ext.t):
         u.append(power % q)
         power = ext.mul(power, alpha)
     recurrence = [-c % q for c in _min_poly(q, u)[:-1]]
     for k in range(len(u), p):
         u.append(sum(map(operator.mul, recurrence, u[k - ext.t:k])) % q)
-    factor_of = [None] * p
-    factors = []
-    for coset in poly.cyclotomic_cosets(q, p):
-        g = coset[0]
-        factor = _min_poly(q, [u[g * j % p] for j in range(2 * len(coset))])
-        for k in coset:
-            factor_of[k] = factor
-        factors.append(factor)
-    if product(q, factors) != poly.xn_minus_1(q, p):
+    factor_of = {g: _min_poly(q, [u[g * j % p] for j in range(2 * size)])
+                 for g, size in _coset_sizes(q, p).items()}
+    if product(q, factor_of.values()) != poly.xn_minus_1(q, p):
         raise AssertionError("coset factors do not multiply to x**p - 1")
-    return tuple(factor_of)
+    return factor_of
 
 
 def _min_poly(q, seq):
@@ -224,19 +218,9 @@ def product(q, polys):
 
 
 @functools.lru_cache(maxsize=None)
-def coset_leaders(q, p):
-    """The least member of the q-cyclotomic coset mod p of each k < p."""
-    leader = [0] * p
-    for coset in poly.cyclotomic_cosets(q, p):
-        for k in coset:
-            leader[k] = coset[0]
-    return tuple(leader)
-
-
-@functools.lru_cache(maxsize=None)
 def _coset_sizes(q, p):
     """{least member: size} of the q-cyclotomic cosets mod p, ascending."""
-    return Counter(coset_leaders(q, p))
+    return {c[0]: len(c) for c in poly.cyclotomic_cosets(q, p)}
 
 
 def _other_cosets(q, p, cosets):
@@ -257,7 +241,7 @@ def _class_cosets(system, q):
     """The q-cyclotomic cosets of Q_i for each class i, by least member,
     ascending.  q must be coprime to p and an m-adic residue
     (QNotResidue otherwise); then q lies in Q_0, so Q_i is a union of
-    q-cyclotomic cosets."""
+    q-cyclotomic cosets, each filed by the class of its least member."""
     p = system.p
     if q % p == 0:
         raise NotCoprime("q must be coprime to the code length")
@@ -265,9 +249,11 @@ def _class_cosets(system, q):
         raise QNotResidue(
             f"q={q} is not an m-adic residue mod {p}; "
             "class products do not descend to the base field")
-    leader = coset_leaders(q, p)
-    return tuple(tuple(sorted({leader[k] for k in cls}))
-                 for cls in system.classes)
+    cosets = [[] for _ in system.classes]
+    for r in _coset_sizes(q, p):
+        if r:
+            cosets[system.class_of(r)].append(r)
+    return tuple(map(tuple, cosets))
 
 
 @functools.lru_cache(maxsize=None)

@@ -41,6 +41,8 @@ class RingCtx:
 
     It only transports elements between the v-basis and their CRT
     components; all arithmetic happens on the components over F_q.
+    Each ring is the one object make_ring returns for its field and s,
+    so rings compare, and key caches, by identity.
     """
 
     __slots__ = ("field", "s", "zeta", "eta", "crt_points", "zero", "one")
@@ -64,17 +66,6 @@ class RingCtx:
         """Component vector (a(point_0), ..., a(point_{s-1}))."""
         return tuple(poly.eval_poly(self.q, a, pt)
                      for pt in self.crt_points)
-
-    # -- identity --------------------------------------------------------
-
-    def __eq__(self, other):
-        # type-strict, so a subclass with its own element arithmetic
-        # never shares a cache entry keyed on the ring
-        return (type(other) is type(self)
-                and self.field == other.field and self.s == other.s)
-
-    def __hash__(self):
-        return hash((self.field, self.s))
 
     def __repr__(self):
         return f"RingCtx(GF({self.q})[v]/(v^{self.s} - v))"

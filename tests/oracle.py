@@ -4,14 +4,15 @@ The dom-generic polynomial arithmetic (trim_generic, add_generic,
 neg_generic, sub_generic, scale_generic, mul_generic, divmod_generic,
 monic_generic, gcd_generic and eval_generic) is the oracle of
 madics.poly.  It is the schoolbook form, one coefficient at a time
-through the ``zero``, ``one``, ``mul`` and ``inv`` of its first
-argument and the sum and negation dom_add and dom_neg, so it runs over
-any FieldCtx, prime or extension, and (all but the division, monic and
-gcd, which need ``inv``) over VBasisRing.  field_add and field_neg are
-the sum and negation of GF(q^t), digit by digit: madics adds or negates
-no element of an extension field, so FieldCtx has neither.  madics.poly
-takes the prime q itself and works on plain ints mod q with one packed
-product.
+through the ``mul`` and ``inv`` of its first argument, its zero and one
+from dom_units and the sum and negation dom_add and dom_neg, so it runs
+over any FieldCtx, prime or extension, and (all but the division, monic
+and gcd, which need ``inv``) over VBasisRing.  dom_units gives the
+zero and one, the ints 0 and 1 for a FieldCtx, and field_add and
+field_neg the sum and negation of GF(q^t), digit by digit: madics
+needs none of them on a field element, so FieldCtx has none of them.
+madics.poly takes the prime q itself and works on plain ints mod q
+with one packed product.
 
 VBasisRing is R = F_q[v]/(v^s - v) with element arithmetic in the
 v-basis (coefficients of 1, v, ..., v^(s-1)), which madics itself does
@@ -107,6 +108,7 @@ from math import comb
 import numpy as np
 
 from madics import poly
+from madics.ffield import FieldCtx
 from madics.field_codes import splitting_field
 from madics.identities import IDENTITY_NAMES, IdentityOutcome
 from madics.ring_codes import ring_code, ring_mu_chain
@@ -152,10 +154,19 @@ class VBasisRing(RingCtx):
         return tuple(out)
 
 
+def dom_units(dom):
+    """(zero, one) of dom: the ints 0 and 1 for a FieldCtx, the ring's
+    own zero and one otherwise."""
+    if isinstance(dom, FieldCtx):
+        return 0, 1
+    return dom.zero, dom.one
+
+
 def trim_generic(dom, coeffs):
     """Drop trailing zero coefficients."""
+    zero = dom_units(dom)[0]
     coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == dom.zero:
+    while coeffs and coeffs[-1] == zero:
         coeffs.pop()
     return tuple(coeffs)
 
@@ -207,7 +218,7 @@ def sub_generic(dom, a, b):
 
 
 def scale_generic(dom, c, a):
-    if c == dom.zero:
+    if c == dom_units(dom)[0]:
         return ()
     return trim_generic(dom, (dom.mul(c, x) for x in a))
 
@@ -216,12 +227,13 @@ def mul_generic(dom, a, b):
     """The schoolbook product, one coefficient product at a time."""
     if not a or not b:
         return ()
-    out = [dom.zero] * (len(a) + len(b) - 1)
+    zero = dom_units(dom)[0]
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == dom.zero:
+        if x == zero:
             continue
         for j, y in enumerate(b):
-            if y == dom.zero:
+            if y == zero:
                 continue
             out[i + j] = dom_add(dom, out[i + j], dom.mul(x, y))
     return trim_generic(dom, out)
@@ -230,15 +242,16 @@ def mul_generic(dom, a, b):
 def divmod_generic(dom, a, b):
     """Quotient and remainder of a by a nonzero b, by long division."""
     assert b, "division by the zero polynomial"
+    zero = dom_units(dom)[0]
     lead_inv = dom.inv(b[-1])
     rem = list(a)
     db = len(b) - 1
     if len(rem) - 1 < db:
         return (), trim_generic(dom, rem)
-    quot = [dom.zero] * (len(rem) - db)
+    quot = [zero] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
-        if c == dom.zero:
+        if c == zero:
             continue
         f = dom.mul(c, lead_inv)
         quot[i - db] = f
@@ -264,7 +277,7 @@ def gcd_generic(dom, a, b):
 
 def eval_generic(dom, a, x):
     """a(x) by Horner's rule."""
-    acc = dom.zero
+    acc = dom_units(dom)[0]
     for c in reversed(a):
         acc = dom_add(dom, dom.mul(acc, x), c)
     return acc
@@ -295,9 +308,10 @@ def ring_poly_combine_coeffwise(ring, components):
 
 def mod_xn_minus_1(dom, a, n):
     """Reduce mod x**n - 1 by folding exponents mod n."""
-    out = [dom.zero] * n
+    zero = dom_units(dom)[0]
+    out = [zero] * n
     for i, c in enumerate(a):
-        if c != dom.zero:
+        if c != zero:
             out[i % n] = dom_add(dom, out[i % n], c)
     return trim_generic(dom, out)
 
@@ -309,7 +323,7 @@ def mul_mod_schoolbook(dom, a, b, n):
 
 def product_schoolbook(dom, polys):
     """The product of polys, one schoolbook product at a time."""
-    acc = (dom.one,)
+    acc = (dom_units(dom)[1],)
     for f in polys:
         acc = mul_generic(dom, acc, f)
     return acc
@@ -321,10 +335,10 @@ def coset_factor_schoolbook(q, p):
     ext, alpha = splitting_field(q, p)
     out = {}
     for coset in poly.cyclotomic_cosets(q, p):
-        prod = (ext.one,)
+        prod = (1,)
         for k in coset:
             prod = mul_generic(ext, prod,
-                               (field_neg(ext, ext.pow(alpha, k)), ext.one))
+                               (field_neg(ext, ext.pow(alpha, k)), 1))
         out[coset] = prod
     return out
 
@@ -336,10 +350,10 @@ def class_products_direct(system, q, alpha_exp):
     ext, alpha = splitting_field(q, system.p)
     out = []
     for cls in system.classes:
-        prod = (ext.one,)
+        prod = (1,)
         for k in cls:
             root = ext.pow(alpha, alpha_exp * k % system.p)
-            prod = mul_generic(ext, prod, (field_neg(ext, root), ext.one))
+            prod = mul_generic(ext, prod, (field_neg(ext, root), 1))
         out.append(prod)
     return tuple(out)
 
@@ -351,7 +365,7 @@ def gauss_periods_table(system, q, alpha_exp):
     ext, alpha = splitting_field(q, p)
     etas = []
     for cls in system.classes:
-        acc = ext.zero
+        acc = 0
         for k in cls:
             acc = field_add(ext, acc, ext.pow(alpha, alpha_exp * k % p))
         assert acc < q, "a Gauss period did not descend to F_q"
@@ -363,8 +377,9 @@ def gcd_ext(dom, a, b):
     """Monic gcd g of a and b, not both zero, with Bezout cofactors:
     (g, u, w) with u*a + w*b = g."""
     r0, r1 = a, b
-    u0, u1 = (dom.one,), ()
-    w0, w1 = (), (dom.one,)
+    one = dom_units(dom)[1]
+    u0, u1 = (one,), ()
+    w0, w1 = (), (one,)
     while r1:
         quot, rem = divmod_generic(dom, r0, r1)
         r0, r1 = r1, rem
@@ -377,11 +392,12 @@ def gcd_ext(dom, a, b):
 def idempotent_bezout(dom, g, p):
     """Idempotent generator of <g> in F_q[x]/(x^p - 1), for g a proper
     divisor of x^p - 1 with gcd(p, q) = 1."""
-    xp1 = (dom_neg(dom, dom.one),) + (dom.zero,) * (p - 1) + (dom.one,)
+    zero, one = dom_units(dom)
+    xp1 = (dom_neg(dom, one),) + (zero,) * (p - 1) + (one,)
     gbar, rem = divmod_generic(dom, xp1, g)
     assert not rem, "g does not divide x^p - 1"
     d, u, _ = gcd_ext(dom, g, gbar)
-    assert d == (dom.one,), "x^p - 1 is not squarefree over this field"
+    assert d == (one,), "x^p - 1 is not squarefree over this field"
     return mul_mod_schoolbook(dom, u, g, p)
 
 
@@ -499,7 +515,7 @@ def spectrum_direct(system, q, u, f):
     splitting field by Horner's rule; every value must lie in F_q."""
     ext, alpha = splitting_field(q, system.p)
     beta = ext.pow(alpha, u % system.p)
-    points = [ext.one] + [ext.pow(beta, cls[0]) for cls in system.classes]
+    points = [1] + [ext.pow(beta, cls[0]) for cls in system.classes]
     values = tuple(eval_generic(ext, f, x) for x in points)
     assert all(v < q for v in values), "a value did not descend to F_q"
     return values
@@ -520,7 +536,7 @@ def _eq(ring, p, a, b):
 def _step_vbasis(ring, p, a, coeffs):
     """One chain step over R: the coefficient at exponent a*i moves to
     exponent i."""
-    padded = tuple(coeffs) + (ring.zero,) * (p - len(coeffs))
+    padded = tuple(coeffs) + (dom_units(ring)[0],) * (p - len(coeffs))
     return trim_generic(ring, (padded[a * i % p] for i in range(p)))
 
 

@@ -397,7 +397,7 @@ def test_criterion_6_structural_invariants():
             continue
         ctx = make_prime_field(q)
         xp1 = poly.xn_minus_1(q, p)
-        prod = (ctx.one,)
+        prod = (1,)
         for c in family_codes(system, ctx, "odd-I"):
             prod = poly.mul(q, prod, c.generator)
         prod = poly.mul(q, prod, (q - 1, 1))
@@ -405,7 +405,7 @@ def test_criterion_6_structural_invariants():
             ok = False
             details.append(f"(q={q},p={p},m={m}): factor product")
         for c in family_codes(system, ctx, "even-I"):
-            if poly.eval_poly(q, c.generator, ctx.one) != ctx.zero:
+            if poly.eval_poly(q, c.generator, 1) != 0:
                 ok = False
                 details.append(f"(q={q},p={p},m={m}): evenness")
         for fam in FAMILIES:

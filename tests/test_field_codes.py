@@ -124,10 +124,10 @@ def test_even_like_codes_vanish_at_one():
     system = build_residue_system(13, 4)
     for fam in ("even-I", "even-II"):
         for c in family_codes(system, F3, fam):
-            assert poly.eval_poly(3, c.generator, F3.one) == F3.zero
+            assert poly.eval_poly(3, c.generator, 1) == 0
     for fam in ("odd-I", "odd-II"):
         for c in family_codes(system, F3, fam):
-            assert poly.eval_poly(3, c.generator, F3.one) != F3.zero
+            assert poly.eval_poly(3, c.generator, 1) != 0
 
 
 def test_contains():
@@ -197,9 +197,9 @@ def test_coset_factors_multiply_to_xp_minus_1():
         ctx = make_prime_field(q)
         factor_of = coset_factors(q, p)
         assert factor_of[0] == (q - 1, 1)
-        for coset in poly.cyclotomic_cosets(q, p):
-            assert len({factor_of[k] for k in coset}) == 1
-        assert product_schoolbook(ctx, dict.fromkeys(factor_of)) == \
+        assert list(factor_of) == [c[0] for c in poly.cyclotomic_cosets(q, p)]
+        assert len(set(factor_of.values())) == len(factor_of)
+        assert product_schoolbook(ctx, factor_of.values()) == \
             poly.xn_minus_1(q, p)
     with pytest.raises(NonPrimeModulus):
         coset_factors(3, 15)
@@ -220,7 +220,7 @@ def test_coset_factor_product_tree_matches_schoolbook(q, p):
         assert len(factor) == len(coset) + 1 and factor[-1] == 1
         assert all(eval_generic(ext, factor, ext.pow(alpha, k)) == 0
                    for k in coset)
-    factors = list(dict.fromkeys(factor_of))
+    factors = list(factor_of.values())
     for i in range(len(factors) + 1):
         assert product(q, factors[:i]) == \
             product_schoolbook(ctx, factors[:i])
@@ -238,8 +238,10 @@ def test_coset_factors_match_schoolbook_oracle(q, p):
     # minimal polynomials over F_q against the linear terms multiplied
     # out over GF(q^t); (7, 3), (11, 5) and (13, 3) have t = 1
     factor_of = coset_factors(q, p)
-    for coset, factor in coset_factor_schoolbook(q, p).items():
-        assert all(factor_of[k] == factor for k in coset)
+    schoolbook = coset_factor_schoolbook(q, p)
+    assert set(factor_of) == {coset[0] for coset in schoolbook}
+    for coset, factor in schoolbook.items():
+        assert factor_of[coset[0]] == factor
 
 
 def test_min_poly_known_answers():
@@ -391,13 +393,32 @@ def test_dual_is_the_family_partner(q, p, m):
 
 
 def test_dropped_coset_fails_the_factor_check(monkeypatch):
-    cosets = poly.cyclotomic_cosets
-    monkeypatch.setattr(poly, "cyclotomic_cosets",
-                        lambda q, p: cosets(q, p)[:-1])
+    # coset_factors reads the partition from _coset_sizes, cached apart
+    sizes = field_codes._coset_sizes
+    monkeypatch.setattr(field_codes, "_coset_sizes",
+                        lambda q, p: dict(list(sizes(q, p).items())[:-1]))
     message = r"coset factors do not multiply to x\*\*p - 1"
     for q, p in ((3, 13), (2, 89)):
         with pytest.raises(AssertionError, match=message):
             coset_factors.__wrapped__(q, p)
+
+
+@pytest.mark.parametrize("q,p,m", [(3, 13, 4), (2, 127, 9), (7, 19, 3),
+                                   (5, 31, 5), (11, 5, 2)])
+def test_cosets_are_keyed_by_least_member(q, p, m):
+    # the factors, the sizes and the cosets share one key, the least
+    # member; filing each leader under its class is the per-residue
+    # grouping, as q in Q_0 keeps a whole coset in one class
+    cosets = poly.cyclotomic_cosets(q, p)
+    factor_of = coset_factors(q, p)
+    sizes = field_codes._coset_sizes(q, p)
+    assert list(factor_of) == list(sizes) == [c[0] for c in cosets]
+    for coset in cosets:
+        assert len(factor_of[coset[0]]) - 1 == sizes[coset[0]] == len(coset)
+    system = build_residue_system(p, m)
+    leader = {k: c[0] for c in cosets for k in c}
+    assert field_codes._class_cosets(system, q) == tuple(
+        tuple(sorted({leader[k] for k in cls})) for cls in system.classes)
 
 
 @pytest.mark.parametrize("q,p,m", (

@@ -3,9 +3,12 @@ with the stdlib ast module: every imported name is used, every name the
 package exports exists, and every function, class and method of the
 package is referenced inside the package (a module-level one through
 its own module, an import of it or ``module.name``, a method through
-an attribute of anything but numpy; dunder hooks are exempt).  numpy stays off the cold path: no module but _kernels imports
-it (or _kernels) at module level, and a fresh interpreter that imports
-madics or runs a verb that does not scan ends without numpy in
+an attribute of anything but numpy; dunder hooks are exempt).  Every
+plain class constant (name = value in a class body) is read as an
+attribute, through its own class where another class's instances carry
+the name.  numpy stays off the cold path: no module but _kernels
+imports it (or _kernels) at module level, and a fresh interpreter that
+imports madics or runs a verb that does not scan ends without numpy in
 sys.modules.  Each verb loads only the layers it runs, and ``import
 madics`` loads none.  cli.main is the one writer of the environment:
 it sets OPENBLAS_NUM_THREADS to 1 unless the caller has, so a scanning
@@ -33,6 +36,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -159,6 +163,57 @@ def test_every_definition_is_referenced():
                         and not _overrides_stdlib(module, node.name, name)):
                     dead.append(f"{module}.{node.name}.{name}")
     assert not dead, f"defined but never referenced in src/madics: {dead}"
+
+
+def _instance_names(cls):
+    """The attribute names a class gives its instances: its __slots__,
+    its class-body names and methods, and every self.name it stores."""
+    names = {node.attr for node in ast.walk(cls)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Store)
+             and getattr(node.value, "id", None) == "self"}
+    for item in cls.body:
+        targets = getattr(item, "targets", [getattr(item, "target", item)])
+        for target in targets:
+            if getattr(target, "id", None) == "__slots__":
+                names.update(e.value for e in item.value.elts)
+            elif isinstance(target, ast.Name):
+                names.add(target.id)
+        if isinstance(item, ast.FunctionDef):
+            names.add(item.name)
+    return names
+
+
+def test_every_class_constant_is_read():
+    # a plain name = value in a class body must be read as an attribute
+    # in src/madics: as self.name in its own class, as Class.name, or as
+    # x.name when no other class gives its instances that name, so that
+    # ring.zero cannot keep a dead FieldCtx.zero alive.  Annotated
+    # dataclass fields are left out: cli reads the DistanceReport fields
+    # by string through getattr
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    owners = Counter(name for cls in classes for name in _instance_names(cls))
+
+    def reads(tree):
+        return {(node.attr, getattr(node.value, "id", None))
+                for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)}
+
+    everywhere = set().union(*map(reads, trees))
+    dead = []
+    for cls in classes:
+        own = reads(cls)
+        dead.extend(
+            f"{cls.name}.{t.id}" for item in cls.body
+            if isinstance(item, ast.Assign) for t in item.targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")
+            and (t.id, "self") not in own
+            and not any(attr == t.id and (on == cls.name or owners[attr] == 1)
+                        for attr, on in everywhere))
+    assert classes
+    assert not dead, f"class constants never read in src/madics: {dead}"
 
 
 def test_poly_imports_only_errors():

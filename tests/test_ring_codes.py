@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from madics import field_codes, poly, ring_codes
 from madics.analysis import min_distance_ring_exhaustive
 from madics.errors import BadSlotIndex, MultiplierNotCyclic, NotCoprime
-from madics.ffield import make_prime_field
+from madics.ffield import make_extension, make_prime_field
 from madics.field_codes import FAMILIES, family_codes
 from madics.identities import check_identities
 from madics.residues import build_residue_system
@@ -112,6 +112,22 @@ def test_one_shared_instance_per_code():
     assert type(code.alpha_exp) is int and code.alpha_exp == 2
     assert ring_code(R33, SYS134, "odd-I", (1, 2, 3)) is not code
     assert ring_code(R33, SYS134, "even-I", (1, 2, 3), 2) is not code
+
+
+def test_contexts_are_their_constructors_objects():
+    # fields and rings compare by identity: each is the one object its
+    # cached constructor returns, GF(q) alike from either constructor
+    assert make_extension(7, 1) is make_prime_field(7)
+    assert field_codes.splitting_field(3, 13)[0] is make_extension(3, 3)
+    ring = make_ring(make_prime_field(3), 3)
+    assert make_ring(make_prime_field(3), 3) is ring
+    # an oracle ring is another key, so it gets its own instance of a
+    # code, which agrees with the shared one
+    code = ring_code(ring, SYS134, "odd-II", (1, 2, 3))
+    oracle_code = ring_code(VBasisRing(ring), SYS134, "odd-II", (1, 2, 3))
+    assert oracle_code is not code
+    assert oracle_code.generator == code.generator
+    assert oracle_code.idempotent == code.idempotent
 
 
 def test_true_slot_is_a_plain_one(cold_caches):
