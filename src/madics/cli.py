@@ -3,7 +3,10 @@
 Verbs: classes, field-code, ring-code, distance, griesmer, verify-paper,
 export.  Every verb takes --output json|text and echoes the fully
 resolved parameters (including defaulted b, a and the pinned splitting
-field) so runs are reproducible.  Exit codes: 0 success, 1 validation
+field) so runs are reproducible.  A record's JSON (a distance report,
+its cross-check, each verify-paper check and erratum) is its dataclass
+fields in field order, so a field added to the record reaches
+--output json unedited.  Exit codes: 0 success, 1 validation
 error or a reader that closed stdout early, 2 size cap exceeded (an
 enumeration past --cap, p past residues.P_CAP, a family past
 field_codes.FAMILY_COEFFS, s past ringalg.S_CAP, or a splitting field
@@ -42,6 +45,7 @@ import gc
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import poly
 from .errors import DEFAULT_CAP, MadicError, TooLarge
@@ -126,17 +130,6 @@ def _params_lines(params):
             + " ".join(f"{k}={v}" for k, v in params.items())]
 
 
-def _report_json(rep):
-    if rep is None:
-        return None
-    out = {"n": rep.n, "k": rep.k, "d_min": rep.d_min, "method": rep.method,
-           "enumerated": rep.enumerated}
-    for key in ("weight_distribution", "component_ranks", "component_dmins"):
-        value = getattr(rep, key)
-        out[key] = None if value is None else list(value)
-    return out
-
-
 def _field_code_json(code, params, index, report=None):
     return {
         "params": dict(params, family=code.family, index=index,
@@ -144,7 +137,7 @@ def _field_code_json(code, params, index, report=None):
         "generator": list(code.generator),
         "idempotent": list(code.idempotent),
         "components": None,
-        "distance_report": _report_json(report),
+        "distance_report": None if report is None else asdict(report),
     }
 
 
@@ -157,7 +150,7 @@ def _ring_code_json(code, params, report=None):
         "components": [
             _field_code_json(c, {"q": code.ring.q, "p": code.p}, slot)
             for c, slot in zip(code.components, code.slots)],
-        "distance_report": _report_json(report),
+        "distance_report": None if report is None else asdict(report),
     }
 
 
@@ -329,7 +322,7 @@ def cmd_distance(args):
     if report.component_dmins is not None:
         lines.append(f"component distances: {list(report.component_dmins)}")
     if cross is not None:
-        payload["cross_check"] = _report_json(cross)
+        payload["cross_check"] = asdict(cross)
         agree = cross.d_min == report.d_min
         payload["cross_check_agrees"] = agree
         lines.append(f"exhaustive cross-check: d_min = {cross.d_min} "
@@ -378,11 +371,8 @@ def cmd_verify_paper(args):
     payload = {
         "command": "verify-paper",
         "ok": report.ok,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in report.checks],
-        "errata": [{"name": e.name, "printed": e.printed,
-                    "computed": e.computed, "note": e.note}
-                   for e in report.errata],
+        "checks": list(map(asdict, report.checks)),
+        "errata": list(map(asdict, report.errata)),
     }
     lines = []
     for c in report.checks:

@@ -10,10 +10,12 @@ and ghat_i = prod_{k in Q_i} (x - alpha^k), the families are
 
 All four require q to be an m-adic residue mod p (q in Q_0); that is
 exactly the condition for the class products to have coefficients in
-F_q.  The irreducible factors of x**p - 1 over F_q belong to the
-q-cyclotomic cosets C, each the minimal polynomial of alpha**min(C),
-found by Berlekamp-Massey on the constant digits of its powers, so no
-polynomial over GF(q^t) is multiplied (MacWilliams & Sloane, ch. 4).
+F_q.  The q-cyclotomic cosets C mod p come from one ascending walk
+k -> q k mod p, which meets each coset first at its least member.  The
+irreducible factors of x**p - 1 over F_q belong to them, each the
+minimal polynomial of alpha**min(C), found by Berlekamp-Massey on the
+constant digits of its powers, so no polynomial over GF(q^t) is
+multiplied (MacWilliams & Sloane, ch. 4).
 
 A cyclic code is fixed by its nonzeros: the cosets C, by least member,
 whose roots alpha^k, k in C, are those of its check polynomial
@@ -219,8 +221,19 @@ def product(q, polys):
 
 @functools.lru_cache(maxsize=None)
 def _coset_sizes(q, p):
-    """{least member: size} of the q-cyclotomic cosets mod p, ascending."""
-    return {c[0]: len(c) for c in poly.cyclotomic_cosets(q, p)}
+    """{least member: size} of the q-cyclotomic cosets mod p, ascending:
+    the walk k -> q k mod p from each residue no earlier walk reached,
+    which is its coset's least member, as every smaller one was seen."""
+    seen = [False] * p
+    sizes = {}
+    for start in range(p):
+        if not seen[start]:
+            k, size = start, 0
+            while not seen[k]:
+                seen[k] = True
+                k, size = k * q % p, size + 1
+            sizes[start] = size
+    return sizes
 
 
 def _other_cosets(q, p, cosets):

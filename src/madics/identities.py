@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .field_codes import from_spectrum
+from .field_codes import FAMILIES, from_spectrum
 from .ring_codes import chain_source, ring_code, ring_mu_chain
 from .ringalg import format_ring_poly, ring_poly_combine
 
@@ -146,7 +146,7 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     es = [spectra(c) for c in orbit]
     eps, ds, dps = (
         [spectra(ring_code(ring, system, family, c.slots, u)) for c in orbit]
-        for family in ("odd-I", "even-II", "odd-II"))
+        for family in FAMILIES[1:])
 
     # every value below is a flat list of s spectra of length m + 1
     def const(at_one, elsewhere):

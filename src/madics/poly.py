@@ -22,11 +22,6 @@ read (GF(q^t) products mod the modulus, divides, gcd): rem is long
 division with lazy reduction, the running remainder reduced mod q only
 where a coefficient is read.  The module is pure Python and imports
 nothing but its errors.
-
-The module also holds the q-cyclotomic cosets mod p; the factors of
-x**p - 1 they index are minimal polynomials over the splitting field,
-found in field_codes, where the idempotent generators are built too
-(in closed form).
 """
 
 from __future__ import annotations
@@ -169,25 +164,6 @@ def gcd(q, a, b):
     while b:
         a, b = b, _monic(q, _rem_monic(q, a, b))
     return a
-
-
-def cyclotomic_cosets(q, p):
-    """Cosets of {0, ..., p-1} under multiplication by q mod p,
-    each sorted, ordered by smallest element ({0} first)."""
-    seen = [False] * p
-    cosets = []
-    for start in range(p):
-        if seen[start]:
-            continue
-        coset = []
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            coset.append(k)
-            k = k * q % p
-        cosets.append(tuple(sorted(coset)))
-    cosets.sort(key=lambda c: c[0])
-    return cosets
 
 
 # ---------------- text format ----------------

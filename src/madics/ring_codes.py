@@ -145,7 +145,7 @@ def _defining_spectrum(comp):
     true idempotents, comp.idempotent, take 0 and 1 there; the two agree
     exactly when p = 1 mod q (the class-II defect in ROADMAP.md)."""
     spec = comp.spectrum
-    if comp.family in ("even-II", "odd-II"):
+    if comp.family.endswith("II"):
         p, q = comp.p, comp.q
         return ((1 - p if comp.family == "even-II" else p) % q,) + spec[1:]
     return spec

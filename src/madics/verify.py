@@ -22,8 +22,9 @@ from .analysis import (
     min_distance_ring,
     min_distance_ring_exhaustive,
 )
+from .errors import DEFAULT_CAP
 from .ffield import make_prime_field
-from .field_codes import family_codes, product
+from .field_codes import FAMILIES, family_codes, product
 from .identities import IDENTITY_NAMES, check_identities
 from .residues import build_residue_system
 from .ringalg import format_ring_poly, make_ring, ring_poly_component
@@ -377,7 +378,7 @@ def _check_structure(checks, errata):
                 if poly.eval_poly(q, c.generator, 1):
                     ok = False
                     notes.append(f"(q={q},p={p},m={m}) {fam}: not even-like")
-        for fam in ("even-I", "odd-I", "even-II", "odd-II"):
+        for fam in FAMILIES:
             for c in family_codes(system, ctx, fam):
                 if ideal_generator(q, p, c.idempotent) != c.generator:
                     ok = False
@@ -392,7 +393,7 @@ def _check_structure(checks, errata):
     for (q, p, m, s) in ((3, 13, 4, 3), (3, 13, 2, 2)):
         system = build_residue_system(p, m)
         ring = make_ring(make_prime_field(q), s)
-        for fam in ("even-I", "odd-I", "even-II", "odd-II"):
+        for fam in FAMILIES:
             code = ring_code(ring, system, fam,
                              tuple(i % m for i in range(s)))
             if not all(component_consistency(code)):
@@ -403,7 +404,7 @@ def _check_structure(checks, errata):
         "p = 1 (mod q) instances"))
 
 
-def run_verification(cap=1 << 24):
+def run_verification(cap=DEFAULT_CAP):
     """Run every reference check; returns a VerifyReport."""
     checks, errata = [], []
     _check_classes(checks, errata)

@@ -20,14 +20,22 @@ def blas_threads_restored():
         os.environ["OPENBLAS_NUM_THREADS"] = before
 
 
+# the context constructors: each context is the one object its
+# constructor returns, and the caches key on that identity, so a
+# module-level F3 or R33 must stay the constructor's object
+CONTEXT_CONSTRUCTORS = {"make_prime_field", "make_extension", "make_ring"}
+
+
 @pytest.fixture
 def cold_caches():
-    """Empty every functools.lru_cache of the madics modules, so a test
-    that counts calls starts cold whatever ran before it."""
+    """Empty every functools.lru_cache of the madics modules but the
+    context constructors', so a test that counts calls starts cold
+    whatever ran before it."""
     for name, module in list(sys.modules.items()):
         if name == "madics" or name.startswith("madics."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
+            for key, obj in vars(module).items():
+                if (key not in CONTEXT_CONSTRUCTORS
+                        and callable(getattr(obj, "cache_clear", None))):
                     obj.cache_clear()
 
 

@@ -87,6 +87,11 @@ Euclidean algorithm gives u*g + w*gbar = 1, and u*g mod x^p - 1 is the
 idempotent generator of <g>.  It knows nothing of residue classes and
 works from the generator alone.
 
+cyclotomic_cosets_walked is the oracle of madics.field_codes._coset_sizes,
+which marks residues in one ascending walk and keeps only each coset's
+least member and size: it walks the coset of every residue on its own,
+so each coset is walked once per member, and sorts the member sets.
+
 coset_factor_schoolbook is the oracle of madics.field_codes.coset_factors,
 which finds each factor by Berlekamp-Massey over F_q: it
 multiplies out the linear terms x - alpha^k, k in the coset, with
@@ -107,7 +112,6 @@ from math import comb
 
 import numpy as np
 
-from madics import poly
 from madics.ffield import FieldCtx
 from madics.field_codes import splitting_field
 from madics.identities import IDENTITY_NAMES, IdentityOutcome
@@ -329,12 +333,26 @@ def product_schoolbook(dom, polys):
     return acc
 
 
+def cyclotomic_cosets_walked(q, p):
+    """The q-cyclotomic cosets mod p, each walked from each of its
+    members on its own and sorted, ordered by least member ((0,)
+    first)."""
+    cosets = set()
+    for start in range(p):
+        coset, k = {start}, start * q % p
+        while k != start:
+            coset.add(k)
+            k = k * q % p
+        cosets.add(tuple(sorted(coset)))
+    return sorted(cosets)
+
+
 def coset_factor_schoolbook(q, p):
     """{coset: prod_{k in coset} (x - alpha^k)} for the q-cyclotomic
     cosets mod p, multiplied out over the splitting field."""
     ext, alpha = splitting_field(q, p)
     out = {}
-    for coset in poly.cyclotomic_cosets(q, p):
+    for coset in cyclotomic_cosets_walked(q, p):
         prod = (1,)
         for k in coset:
             prod = mul_generic(ext, prod,

@@ -1,5 +1,6 @@
 """CLI behavior: verbs, output formats, exit codes, JSON round-trips."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -12,11 +13,17 @@ import numpy as np
 import pytest
 
 from madics import cli, field_codes
-from madics.analysis import generator_matrix, macwilliams
+from madics.analysis import (
+    DistanceReport,
+    generator_matrix,
+    macwilliams,
+    min_distance_field,
+)
 from madics.cli import main
 from madics.ffield import make_prime_field
 from madics.field_codes import family_codes
 from madics.residues import build_residue_system
+from madics.verify import CheckResult, Erratum
 from oracle import scan_numpy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -693,6 +700,33 @@ def test_verify_paper_exit_0(capsys):
     names = {e["name"] for e in doc["errata"]}
     assert "classes-context" in names
     assert "g2-g3-equal-claim" in names
+
+
+def test_record_json_is_the_record_fields(capsys):
+    # a distance report, its cross-check and each verify-paper check
+    # and erratum reach JSON as their dataclass fields, in field order
+    def names(record):
+        return [f.name for f in dataclasses.fields(record)]
+
+    _, doc, _ = run_json(capsys, "distance", "--q", "3", "--p", "13",
+                         "--m", "4", "--family", "even-I", "--index", "0")
+    code = family_codes(build_residue_system(13, 4), make_prime_field(3),
+                        "even-I")[0]
+    report = min_distance_field(code)
+    assert list(doc["code"]["distance_report"]) == names(DistanceReport)
+    assert doc["code"]["distance_report"] == dict(
+        dataclasses.asdict(report),
+        weight_distribution=list(report.weight_distribution))
+    _, doc, _ = run_json(capsys, "distance", "--q", "3", "--s", "3",
+                         "--p", "13", "--m", "4", "--a", "7",
+                         "--family", "even-I", "--slots", "1,2,3",
+                         "--method", "both")
+    assert list(doc["code"]["distance_report"]) == names(DistanceReport)
+    assert list(doc["cross_check"]) == names(DistanceReport)
+    _, doc, _ = run_json(capsys, "verify-paper")
+    assert doc["checks"] and doc["errata"]
+    assert all(list(c) == names(CheckResult) for c in doc["checks"])
+    assert all(list(e) == names(Erratum) for e in doc["errata"])
 
 
 def test_verify_paper_text(capsys):

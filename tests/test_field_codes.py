@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from madics import poly
 from madics.analysis import min_distance_field
@@ -26,6 +26,7 @@ from madics.residues import build_residue_system
 from oracle import (
     class_products_direct,
     coset_factor_schoolbook,
+    cyclotomic_cosets_walked,
     divmod_generic,
     eval_generic,
     gauss_periods_table,
@@ -197,7 +198,8 @@ def test_coset_factors_multiply_to_xp_minus_1():
         ctx = make_prime_field(q)
         factor_of = coset_factors(q, p)
         assert factor_of[0] == (q - 1, 1)
-        assert list(factor_of) == [c[0] for c in poly.cyclotomic_cosets(q, p)]
+        assert list(factor_of) == [c[0]
+                                   for c in cyclotomic_cosets_walked(q, p)]
         assert len(set(factor_of.values())) == len(factor_of)
         assert product_schoolbook(ctx, factor_of.values()) == \
             poly.xn_minus_1(q, p)
@@ -215,7 +217,7 @@ def test_coset_factor_product_tree_matches_schoolbook(q, p):
     ctx = make_prime_field(q)
     ext, alpha = splitting_field(q, p)
     factor_of = coset_factors(q, p)
-    for coset in poly.cyclotomic_cosets(q, p):
+    for coset in cyclotomic_cosets_walked(q, p):
         factor = factor_of[coset[0]]
         assert len(factor) == len(coset) + 1 and factor[-1] == 1
         assert all(eval_generic(ext, factor, ext.pow(alpha, k)) == 0
@@ -403,13 +405,46 @@ def test_dropped_coset_fails_the_factor_check(monkeypatch):
             coset_factors.__wrapped__(q, p)
 
 
+def test_cyclotomic_cosets_partition():
+    cosets = cyclotomic_cosets_walked(3, 13)
+    seen = sorted(x for c in cosets for x in c)
+    assert seen == list(range(13))
+    for c in cosets:
+        for x in c:
+            assert (3 * x) % 13 in c
+    assert field_codes._coset_sizes(3, 13) == {c[0]: len(c) for c in cosets}
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, p))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_primes_below(2000)), st.integers(2, 10 ** 6))
+def test_coset_sizes_walk_property(p, q):
+    # one ascending walk: keys ascending, each key the least member of
+    # the coset walked from it, sizes summing to p, and every nonzero
+    # coset of size ord_p(q), the orbit length of q on the units
+    assume(q % p)
+    sizes = field_codes._coset_sizes.__wrapped__(q, p)
+    assert list(sizes) == sorted(sizes)
+    for leader, size in sizes.items():
+        walk = [leader * pow(q, j, p) % p for j in range(size + 1)]
+        assert walk[-1] == leader and len(set(walk)) == size
+        assert min(walk) == leader
+    assert sum(sizes.values()) == p
+    order = next(t for t in range(1, p) if pow(q, t, p) == 1)
+    assert sizes[0] == 1
+    assert all(size == order for leader, size in sizes.items() if leader)
+
+
 @pytest.mark.parametrize("q,p,m", [(3, 13, 4), (2, 127, 9), (7, 19, 3),
                                    (5, 31, 5), (11, 5, 2)])
 def test_cosets_are_keyed_by_least_member(q, p, m):
     # the factors, the sizes and the cosets share one key, the least
     # member; filing each leader under its class is the per-residue
     # grouping, as q in Q_0 keeps a whole coset in one class
-    cosets = poly.cyclotomic_cosets(q, p)
+    cosets = cyclotomic_cosets_walked(q, p)
     factor_of = coset_factors(q, p)
     sizes = field_codes._coset_sizes(q, p)
     assert list(factor_of) == list(sizes) == [c[0] for c in cosets]
@@ -543,7 +578,7 @@ def test_nonzeros_are_the_check_polynomial_roots(q, p, m):
     ctx = make_prime_field(q)
     xp1 = poly.xn_minus_1(q, p)
     factor_of = coset_factors(q, p)
-    leaders = {c[0] for c in poly.cyclotomic_cosets(q, p)}
+    leaders = {c[0] for c in cyclotomic_cosets_walked(q, p)}
     for family in FAMILIES:
         for u in (1, 2, -1):
             for code in family_codes(build_residue_system(p, m), ctx,

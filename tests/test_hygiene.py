@@ -189,8 +189,8 @@ def test_every_class_constant_is_read():
     # in src/madics: as self.name in its own class, as Class.name, or as
     # x.name when no other class gives its instances that name, so that
     # ring.zero cannot keep a dead FieldCtx.zero alive.  Annotated
-    # dataclass fields are left out: cli reads the DistanceReport fields
-    # by string through getattr
+    # dataclass fields are left out: cli writes the report records whole
+    # through dataclasses.asdict
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
     classes = [node for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]

@@ -171,15 +171,6 @@ def test_eval_poly():
     assert poly.eval_poly(3, a, 2) == (1 + 4 + 4) % 3
 
 
-def test_cyclotomic_cosets_partition():
-    cosets = poly.cyclotomic_cosets(3, 13)
-    seen = sorted(x for c in cosets for x in c)
-    assert seen == list(range(13))
-    for c in cosets:
-        for x in c:
-            assert (3 * x) % 13 in c
-
-
 def test_idempotent_of_cyclic_properties():
     ctx = F3
     p = 13

@@ -36,6 +36,7 @@ from oracle import (
 
 SYS134 = build_residue_system(13, 4, a=7)
 R33 = make_ring(make_prime_field(3), 3)
+EXT33 = make_extension(3, 3)
 V33 = VBasisRing(R33)
 SYS196 = build_residue_system(19, 6)
 R73 = make_ring(make_prime_field(7), 3)
@@ -128,6 +129,14 @@ def test_contexts_are_their_constructors_objects():
     assert oracle_code is not code
     assert oracle_code.generator == code.generator
     assert oracle_code.idempotent == code.idempotent
+
+
+def test_cold_caches_keep_the_contexts(cold_caches):
+    # the fixture empties the caches keyed on contexts, not the context
+    # constructors, so the module-level contexts are still theirs
+    assert make_prime_field(3) is R33.field
+    assert make_ring(make_prime_field(3), 3) is R33
+    assert field_codes.splitting_field(3, 13)[0] is EXT33
 
 
 def test_true_slot_is_a_plain_one(cold_caches):
