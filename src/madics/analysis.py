@@ -44,7 +44,6 @@ does not load numpy; it loads on the first scan only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DEFAULT_CAP, BackendUnavailable, InvalidParameter, TooLarge
@@ -197,11 +196,6 @@ def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
     return DistanceReport(n, k, best, "macwilliams", total, dist)
 
 
-def _component_sizes(code):
-    q = code.ring.q
-    return [q**c.dimension for c in code.components]
-
-
 def min_distance_ring(code, cap=DEFAULT_CAP, use_numba=None):
     """Exact ring distance as the minimum over CRT component distances."""
     _kernel_only(use_numba)
@@ -227,8 +221,8 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
     """
     from . import _kernels
 
-    n, q = code.p, code.ring.q
-    total = math.prod(_component_sizes(code))
+    n, q, ranks = code.p, code.ring.q, code.component_ranks
+    total = q**sum(ranks)
     if total > cap:
         raise TooLarge(
             f"enumerating {total} component-message tuples exceeds the cap "
@@ -237,7 +231,6 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
     check = product(q, factors) if factors else None
     d, counts = _kernels.scan_union(
         [generator_matrix(c) for c in code.components], q, check)
-    ranks = tuple(c.dimension for c in code.components)
     return DistanceReport(n, sum(ranks), d, "exhaustive", total,
                           tuple(int(c) for c in counts),
                           ranks, None)

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Verbs: classes, field-code, ring-code, distance, griesmer, verify-paper,
-export.  Every verb takes --output json|text and echoes the fully
-resolved parameters (including defaulted b, a and the pinned splitting
-field) so runs are reproducible.  A record's JSON (a distance report,
-its cross-check, each verify-paper check and erratum) is its dataclass
-fields in field order, so a field added to the record reaches
+export.  Every verb takes --output json|text, declared once for all in
+build_parser, and echoes the fully resolved parameters (including
+defaulted b, a and the pinned splitting field) so runs are
+reproducible.  The four code verbs build their {command, parameters,
+code} JSON in one function, _code_payload.  A record's JSON (a distance
+report, its cross-check, each verify-paper check and erratum) is its
+dataclass fields in field order, so a field added to the record reaches
 --output json unedited.  Exit codes: 0 success, 1 validation
 error or a reader that closed stdout early, 2 size cap exceeded (an
 enumeration past --cap, p past residues.P_CAP, a family past
@@ -184,10 +186,7 @@ def _build_field(args):
 
 def cmd_field_code(args):
     code = _build_field(args)
-    params, code_json = _code_payload(code, args)
-    payload = {"command": "field-code", "parameters": params,
-               "code": code_json}
-    lines = _params_lines(params)
+    payload, lines = _code_payload(code, args)
     lines.append(f"family {code.family} index {args.index}: "
                  f"[{code.p}, {code.dimension}] over GF({code.q})")
     lines.append(f"generator  = {poly.format_poly(code.generator)}")
@@ -208,10 +207,7 @@ def cmd_ring_code(args):
 
     code = _build_ring(args)
     ring, system = code.ring, code.system
-    params, code_json = _code_payload(code, args)
-    payload = {"command": "ring-code", "parameters": params,
-               "code": code_json}
-    lines = _params_lines(params)
+    payload, lines = _code_payload(code, args)
     lines.append(f"family {code.family} slots {list(code.slots)}: length "
                  f"{code.p} over GF({ring.q})[v]/(v^{ring.s} - v), "
                  f"component ranks {list(code.component_ranks)}")
@@ -299,23 +295,25 @@ def _analyze(code, args):
 
 
 def _code_payload(code, args, report=None):
-    """Resolved params and the JSON form of a field or ring code, under
-    the labels of args."""
+    """The payload of the code verb args.command on a field or ring code,
+    under the labels of args, and its resolved-parameters line."""
     if isinstance(code, CyclicCode):
         params = _resolved_params(code.system, code.q,
                                   alpha_exp=args.alpha_exp)
-        return params, _field_code_json(code, params, args.index, report)
-    params = _resolved_params(code.system, code.ring.q, code.ring,
-                              args.alpha_exp)
-    return params, _ring_code_json(code, params, report)
+        code_json = _field_code_json(code, params, args.index, report)
+    else:
+        params = _resolved_params(code.system, code.ring.q, code.ring,
+                                  args.alpha_exp)
+        code_json = _ring_code_json(code, params, report)
+    payload = {"command": args.command, "parameters": params,
+               "code": code_json}
+    return payload, _params_lines(params)
 
 
 def cmd_distance(args):
     code = _distance_target(args)
     report, cross = _analyze(code, args)
-    params, code_json = _code_payload(code, args, report)
-    payload = {"command": "distance", "parameters": params, "code": code_json}
-    lines = _params_lines(params)
+    payload, lines = _code_payload(code, args, report)
     lines.append(f"[{report.n}, {report.k}] d_min = {report.d_min} "
                  f"({report.method}, {report.enumerated} codewords "
                  "enumerated)")
@@ -355,8 +353,7 @@ def cmd_export(args):
     report = None
     if not args.skip_distance:
         report, _ = _analyze(code, args)
-    params, code_json = _code_payload(code, args, report)
-    payload = {"command": "export", "parameters": params, "code": code_json}
+    payload, _ = _code_payload(code, args, report)
     text = json.dumps(payload, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -393,10 +390,6 @@ def cmd_verify_paper(args):
     return payload, lines
 
 
-def _add_common(sub):
-    sub.add_argument("--output", choices=("text", "json"), default="text")
-
-
 def _add_system_flags(sub, required=True):
     sub.add_argument("--p", type=int, required=required, help="prime length")
     sub.add_argument("--m", type=int, required=required, help="class count")
@@ -425,10 +418,6 @@ def _add_code_source_flags(sub, from_help):
     src.add_argument("--index", type=int, default=None)
     src.add_argument("--s", type=int, default=None)
     src.add_argument("--slots", type=_slots, default=None)
-    _add_analysis_flags(sub)
-
-
-def _add_analysis_flags(sub):
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
                      help="maximum enumeration size")
     sub.add_argument("--method",
@@ -447,7 +436,6 @@ def build_parser():
 
     sp = subs.add_parser("classes", help="residue classes Q_i")
     _add_system_flags(sp)
-    _add_common(sp)
     sp.set_defaults(func=cmd_classes)
 
     sp = subs.add_parser("field-code", help="one code of a field family")
@@ -455,7 +443,6 @@ def build_parser():
     _add_field_flags(sp)
     sp.add_argument("--index", type=int, required=True,
                     help="class index of the code")
-    _add_common(sp)
     sp.set_defaults(func=cmd_field_code)
 
     sp = subs.add_parser("ring-code", help="one code over GF(q)[v]/(v^s - v)")
@@ -467,12 +454,10 @@ def build_parser():
                     help="comma-separated class index per CRT slot")
     sp.add_argument("--chain", action="store_true",
                     help="also emit the full multiplier orbit")
-    _add_common(sp)
     sp.set_defaults(func=cmd_ring_code)
 
     sp = subs.add_parser("distance", help="exact minimum distance")
     _add_code_source_flags(sp, "re-analyze an exported JSON code")
-    _add_common(sp)
     sp.set_defaults(func=cmd_distance)
 
     sp = subs.add_parser("griesmer", help="Griesmer bound check")
@@ -480,14 +465,12 @@ def build_parser():
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    _add_common(sp)
     sp.set_defaults(func=cmd_griesmer)
 
     sp = subs.add_parser("verify-paper",
                          help="check computed values against the published "
                          "reference values and list errata")
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_common(sp)
     sp.set_defaults(func=cmd_verify_paper)
 
     sp = subs.add_parser("export", help="emit a code as a JSON document")
@@ -496,9 +479,11 @@ def build_parser():
                     help="omit the distance report")
     sp.add_argument("--out", default=None, metavar="FILE",
                     help="write to a file instead of stdout")
-    _add_common(sp)
     sp.set_defaults(func=cmd_export)
 
+    # last, so it closes every verb's flags and help
+    for sp in subs.choices.values():
+        sp.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 
 

@@ -58,7 +58,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import BadSlotIndex, MultiplierNotCyclic, NotCoprime
-from .field_codes import FAMILIES, family_codes, from_spectrum
+from .field_codes import family_codes, from_spectrum
 from .residues import ResidueSystem
 from .ringalg import RingCtx, ring_poly_combine
 
@@ -112,14 +112,12 @@ def ring_code(ring, system, family, slots, alpha_exp=1):
     """The ring code family member for a slot assignment: one shared
     RingCode per code.
 
-    The arguments are checked first, so a refused call raises every
-    time and nothing is cached for it.  Slots are then normalised to
-    ints and alpha_exp is reduced mod p, so equal codes share one
-    instance whatever form the caller passed, and the code stores the
-    normalised values.
+    The slots are checked here and the family by family_codes; a
+    refused call raises every time and caches nothing, since a cache
+    stores no exception.  Slots are normalised to ints and alpha_exp is
+    reduced mod p, so equal codes share one instance whatever form the
+    caller passed, and the code stores the normalised values.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     slots = tuple(map(operator.index, slots))
     if len(slots) != ring.s:
         raise BadSlotIndex(

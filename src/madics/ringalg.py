@@ -157,7 +157,7 @@ def ring_poly_combine(ring, components):
     return tuple(out)
 
 
-def format_ring_poly(ring, rp, var="x"):
+def format_ring_poly(ring, rp):
     """Text form with v-polynomial coefficients, e.g. ``1+(1+2*v)*x+v*x^2``."""
     terms = []
     for i, c in enumerate(rp):
@@ -168,7 +168,7 @@ def format_ring_poly(ring, rp, var="x"):
         if i == 0:
             terms.append(inner if scalar else f"({inner})")
             continue
-        xpart = var if i == 1 else f"{var}^{i}"
+        xpart = "x" if i == 1 else f"x^{i}"
         if c == ring.one:
             terms.append(xpart)
         elif scalar:

@@ -767,6 +767,49 @@ def test_verbs_call_the_cli_module_names(monkeypatch, capsys, name, argv):
     assert calls
 
 
+LABELS = ("--q", "3", "--p", "13", "--m", "4", "--family", "even-I",
+          "--alpha-exp", "2")
+
+
+@pytest.mark.parametrize("build,source", [
+    ("field-code", ("--index", "1")),
+    ("ring-code", ("--s", "3", "--slots", "1,2,3"))], ids=["field", "ring"])
+def test_code_verbs_share_one_payload(capsys, build, source):
+    # the four code verbs emit the payload of cli._code_payload: only the
+    # verb and distance's report set them apart
+    docs = {}
+    for verb, extra in ((build, ()), ("export", ("--skip-distance",)),
+                        ("distance", ())):
+        code, doc, _ = run_json(capsys, verb, *LABELS, *source, *extra)
+        assert code == 0
+        assert list(doc) == ["command", "parameters", "code"]
+        assert doc["command"] == verb
+        docs[verb] = doc
+    assert docs["distance"]["code"]["distance_report"] is not None
+    first = docs[build]
+    for doc in docs.values():
+        assert doc["parameters"] == first["parameters"]
+        assert dict(doc["code"], distance_report=None) == first["code"]
+
+
+@pytest.mark.parametrize("verb,argv", [
+    ("classes", ("--p", "13", "--m", "4")),
+    ("field-code", (*LABELS, "--index", "1")),
+    ("ring-code", (*LABELS, "--s", "3", "--slots", "1,2,3")),
+    ("distance", (*LABELS, "--index", "1")),
+    ("griesmer", ("--n", "13", "--k", "3", "--d", "9", "--q", "3")),
+    ("verify-paper", ()),
+    ("export", ("--from", "code.json")),
+])
+def test_every_verb_takes_output_last(capsys, verb, argv):
+    args = cli.build_parser().parse_args([verb, *argv, "--output", "json"])
+    assert (args.command, args.output) == (verb, "json")
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.endswith(" [--output {text,json}]")
+
+
 def test_missing_from_file(capsys):
     code, _, err = run_cli(capsys, "distance", "--from", "/no/such/file.json")
     assert code == 1

@@ -17,8 +17,10 @@ user of the gc module, and the madics script and ``python -m
 madics.cli`` both enter through it.  One scan kernel:
 numpy's popcount and bincount appear only in _kernels._distance_counts,
 and _kernels calls no np.unique or sort, whose first call pages in
-numpy code that the peak resident size of a scan run would show.  One orbit labeler: only
-_kernels._orbit_words calls _least_labels.  One generator
+numpy code that the peak resident size of a scan run would show.  One
+code payload: only cli._code_payload builds a code verb's {command,
+parameters, code} dict, and one add_argument declares --output.  One
+orbit labeler: only _kernels._orbit_words calls _least_labels.  One generator
 construction: only CyclicCode.generator, check_factors and
 gauss_periods read field_codes.coset_factors, so a code's dual is its
 family partner and not a second product of factors.  One
@@ -516,6 +518,25 @@ def test_one_scan_kernel():
                 stray.append(f"{path.stem}.{where}: {name}")
     assert not stray, f"popcount or bincount outside the kernel: {stray}"
     assert sorted(kernel) == ["bincount", "bitwise_count"]
+
+
+def test_one_code_payload():
+    # the four code verbs take their {command, parameters, code} payload
+    # from cli._code_payload, and build_parser gives every verb the one
+    # --output flag, so neither can drift apart verb by verb
+    tree = ast.parse((ROOT / "src" / "madics" / "cli.py").read_text(
+        encoding="utf-8"))
+    builders = [getattr(top, "name", None) for top in tree.body
+                for node in ast.walk(top) if isinstance(node, ast.Dict)
+                and any(isinstance(key, ast.Constant) and key.value == "code"
+                        for key in node.keys)]
+    outputs = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "add_argument"
+               and any(isinstance(arg, ast.Constant) and arg.value == "--output"
+                       for arg in node.args)]
+    assert builders == ["_code_payload"]
+    assert len(outputs) == 1, outputs
 
 
 def test_one_orbit_labeler():

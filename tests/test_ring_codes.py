@@ -158,6 +158,16 @@ def test_invalid_slots_raise_on_every_call(slots):
     assert ring_codes._shared_ring_code.cache_info().currsize == cached
 
 
+def test_unknown_family_raises_on_every_call():
+    # family_codes refuses the family inside the cached builder, and a
+    # cache stores no exception
+    cached = ring_codes._shared_ring_code.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="unknown family"):
+            ring_code(R33, SYS134, "even-III", (0, 1, 2))
+    assert ring_codes._shared_ring_code.cache_info().currsize == cached
+
+
 def test_mu_chain_checks_every_step(monkeypatch):
     # the chain's step comparison is not cached: a wrong step is caught
     # on a warm second call
