@@ -299,9 +299,10 @@ def _classes_of_negatives(system):
     return tuple(map(neg.__getitem__, range(1, system.p)))
 
 
+@functools.lru_cache(maxsize=None)
 def from_spectrum(system, q, spec):
-    """The class-constant polynomial f with sigma(f) = spec, read
-    straight off the Gauss periods."""
+    """The class-constant polynomial f with sigma(f) = spec, a tuple,
+    read straight off the Gauss periods once per spec."""
     return _inverse(system, q, gauss_periods(system, q), spec)
 
 

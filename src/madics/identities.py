@@ -1,17 +1,21 @@
 """Algebraic identity checks for the ring code families.
 
-Over a full mu_a orbit E_0, ..., E_{L-1} (L = m for gcd(j, m) = 1) the
-checks cover, mod x**p - 1 over R:
+Over a full mu_a orbit (length L = m for gcd(j, m) = 1) the checks
+cover, mod x**p - 1 over R, the same four relations for each of the
+four families, one row each:
 
-    E idempotency              E_r**2 = E_r, and mu_a(E_r) idempotent
-    orbit products             E_r * E_t = 0 for r != t
-    orbit sum                  sum E_r = 1 - h
-    odd-like I                 E'_r**2 = E'_r, mu chain,
-                               E'_i + E'_j - E'_i E'_j = 1, prod E'_r = h
-    even-like II               D_r**2 = D_r, mu chain,
-                               D_i + D_j - D_i D_j = 1 - h, prod D_r = 0
-    odd-like II                D'_r**2 = D'_r, mu chain,
-                               D'_i D'_j = h, sum D'_r = 1 - (s-1) h
+    family        orbit   pairwise law, r != t          orbit fold
+    even-like I   E_r     E_r E_t = 0                   sum E_r = 1 - h
+    odd-like I    E'_r    E'_r + E'_t - E'_r E'_t = 1   prod E'_r = h
+    even-like II  D_r     D_r + D_t - D_r D_t = 1 - h   prod D_r = 0
+    odd-like II   D'_r    D'_r D'_t = h                 sum D'_r = 1 - (s-1) h
+
+and on every row idempotency, x_r**2 = x_r, and the mu chain,
+mu_a(x_r) = x_{r+1}.  The even-I orbit is the chain ring_mu_chain
+builds and checks, so that row records instead that mu_a(E_r) is
+idempotent and that the orbit closes.  check_identities runs this
+table: per row, idempotency, chain, pairwise law and fold, in that
+order.
 
 Some of these hold only under arithmetic side conditions on (q, p)
 (notably p = 1 mod q); the suite evaluates each one exactly and reports
@@ -32,19 +36,18 @@ The spectra are relative to alpha, so the suite at base slots b under
 the labeling u = alpha_exp is the suite at slots b + c(u) under alpha.
 
 On spectra, idempotency is "every value is 0 or 1", since v**2 = v
-only for those in a field.  Each pairwise identity is written as
-"a_r a_t = c for every r < t" with a_r = x_r or 1 - x_r:
+only for those in a field.  Each pairwise law is written as "a_r a_t = c
+for every r < t": a_r = x_r with c = 0 and h on the even-I and odd-II
+rows, a_r = 1 - x_r with c = 0 and h on odd-I and even-II, as
+x_r + x_t - x_r x_t = 1 - (1 - x_r)(1 - x_t).  pairwise_products_equal
+checks that form in O(L) per spectral coordinate, not with the
+L(L-1)/2 products.
 
-    E_r E_t = 0                       x_r x_t = 0
-    E'_i + E'_j - E'_i E'_j = 1       (1 - x_r)(1 - x_t) = 0
-    D_i + D_j - D_i D_j = 1 - h       (1 - x_r)(1 - x_t) = h
-    D'_i D'_j = h                     x_r x_t = h
-
-and pairwise_products_equal checks that form in O(L) per spectral
-coordinate, not with the L(L-1)/2 products.
-
-Every identity is evaluated on every call.  A refuted identity's two
-sides are shown through _shown, cached per spectrum: it inverts each
+Every identity is evaluated on every call.  A refuted identity shows
+its two sides: x_0**2 against x_0, the pairwise law as printed at the
+first pair (x_0 x_1 against c, or x_0 + x_1 - x_0 x_1 against 1 - c),
+the fold against its expected value, and 0 against 0 for a chain.
+_shown makes each side's text, cached per spectrum: it inverts each
 component spectrum with from_spectrum, combines the components and
 formats the v-basis form, so each distinct side is formatted once and
 a warm call formats nothing.
@@ -129,7 +132,8 @@ def pairwise_products_equal(q, values, target):
 
 def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     """Evaluate every identity over the mu_a orbit of the even-I ring
-    code at base_slots, labeled by alpha_exp; returns {name: outcome}."""
+    code at base_slots, labeled by alpha_exp; returns {name: outcome}
+    in IDENTITY_NAMES order."""
     p, m, s, q = system.p, system.m, ring.s, ring.q
     if base_slots is None:
         base_slots = tuple(i % m for i in range(s))
@@ -138,25 +142,19 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
 
     base = ring_code(ring, system, "even-I", base_slots, alpha_exp)
     orbit = ring_mu_chain(base, a)
-    u = base.alpha_exp
+    # each family's orbit as flat lists of s spectra of length m + 1;
+    # the even-I row is the orbit itself
+    es, eps, ds, dps = ([
+        [v for spec in ring_code(ring, system, family, c.slots,
+                                 base.alpha_exp).spectra for v in spec]
+        for c in orbit] for family in FAMILIES)
 
-    def spectra(code):
-        return [v for spec in code.spectra for v in spec]
-
-    es = [spectra(c) for c in orbit]
-    eps, ds, dps = (
-        [spectra(ring_code(ring, system, family, c.slots, u)) for c in orbit]
-        for family in FAMILIES[1:])
-
-    # every value below is a flat list of s spectra of length m + 1
     def const(at_one, elsewhere):
         return ([at_one % q] + [elsewhere] * m) * s
 
     one = const(1, 1)
     zero = const(0, 0)
     hs = const(p, 0)
-    one_minus_h = const(1 - p, 1)
-    dp_expected = const(1 - (s - 1) * p, 1)
     source = chain_source(m, system.class_of(a))
     moved = [o + i for o in range(0, s * (m + 1), m + 1) for i in source]
 
@@ -172,31 +170,6 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     def step(x):
         return [x[i] for i in moved]
 
-    def sq_ok(elems):
-        return all(max(e) < 2 for e in elems)
-
-    def chain_ok(elems):
-        n = len(elems)
-        return all(step(elems[r]) == elems[(r + 1) % n] for r in range(n))
-
-    def total(elems):
-        acc = zero
-        for e in elems:
-            acc = add(acc, e)
-        return acc
-
-    def product(elems):
-        acc = one
-        for e in elems:
-            acc = mm(acc, e)
-        return acc
-
-    def pair_sum(x, y):
-        return sub(add(x, y), mm(x, y))
-
-    def complements(elems):
-        return [sub(one, e) for e in elems]
-
     out = {}
 
     def record(name, holds, computed=zero, expected=zero):
@@ -205,34 +178,32 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
                                      _shown(ring, system, tuple(computed)),
                                      _shown(ring, system, tuple(expected))))
 
-    record("E_idempotent", sq_ok(es))
-    record("mu_E_idempotent", sq_ok([step(e) for e in es]))
+    record("mu_E_idempotent", all(max(step(e)) < 2 for e in es))
     record("orbit_closes", step(es[-1]) == es[0])
-    record("E_products_zero", pairwise_products_equal(q, es, zero))
-    e_sum = total(es)
-    record("E_sum_is_1_minus_h", e_sum == one_minus_h, e_sum, one_minus_h)
+    # one row per family (module docstring): name prefix, orbit,
+    # whether the pairwise law is on 1 - x, its target c and name, and
+    # the orbit fold with its expected value and name
+    table = (
+        ("E", es, False, zero, "E_products_zero",
+         add, const(1 - p, 1), "E_sum_is_1_minus_h"),
+        ("Ep", eps, True, zero, "Ep_pair_identity",
+         mm, hs, "Ep_product_is_h"),
+        ("D", ds, True, hs, "D_pair_identity", mm, zero, "D_product_zero"),
+        ("Dp", dps, False, hs, "Dp_pair_is_h",
+         add, const(1 - (s - 1) * p, 1), "Dp_sum_identity"),
+    )
+    for pre, xs, complement, c, pair_name, fold, expected, fold_name in table:
+        record(pre + "_idempotent", all(max(x) < 2 for x in xs),
+               mm(xs[0], xs[0]), xs[0])
+        if pre != "E":
+            record(pre + "_mu_chain", all(
+                step(x) == y for x, y in zip(xs, xs[1:] + xs[:1])))
+        terms = [sub(one, x) for x in xs] if complement else xs
+        # shown as printed: x_0 x_1 = c, or x_0 + x_1 - x_0 x_1 = 1 - c
+        sides = [mm(terms[0], terms[1 % len(terms)]), c]
+        record(pair_name, pairwise_products_equal(q, terms, c),
+               *([sub(one, v) for v in sides] if complement else sides))
+        value = functools.reduce(fold, xs)
+        record(fold_name, value == expected, value, expected)
 
-    record("Ep_idempotent", sq_ok(eps))
-    record("Ep_mu_chain", chain_ok(eps))
-    record("Ep_pair_identity",
-           pairwise_products_equal(q, complements(eps), zero))
-    ep_prod = product(eps)
-    record("Ep_product_is_h", ep_prod == hs, ep_prod, hs)
-
-    record("D_idempotent", sq_ok(ds), mm(ds[0], ds[0]), ds[0])
-    record("D_mu_chain", chain_ok(ds))
-    record("D_pair_identity",
-           pairwise_products_equal(q, complements(ds), hs),
-           pair_sum(ds[0], ds[1 % len(ds)]), one_minus_h)
-    d_prod = product(ds)
-    record("D_product_zero", d_prod == zero, d_prod, zero)
-
-    record("Dp_idempotent", sq_ok(dps), mm(dps[0], dps[0]), dps[0])
-    record("Dp_mu_chain", chain_ok(dps))
-    record("Dp_pair_is_h", pairwise_products_equal(q, dps, hs),
-           mm(dps[0], dps[1 % len(dps)]), hs)
-    dp_sum = total(dps)
-    record("Dp_sum_identity", dp_sum == dp_expected, dp_sum, dp_expected)
-
-    assert set(out) == set(IDENTITY_NAMES)
-    return out
+    return {name: out[name] for name in IDENTITY_NAMES}

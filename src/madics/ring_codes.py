@@ -33,10 +33,10 @@ Each code is built once.  ring_code returns one shared RingCode per
 identity suite, component_consistency, verify-paper and the CLI all
 reuse one instance, and its v-basis forms are built at most once per
 process.  A slot's spectrum is its component code's cached spectrum,
-or that tuple with one entry changed for class II; a slot holding the
-component's own spectrum reads the component's cached idempotent, so
-an orbit inverts each of those once.  No cache holds a verdict:
-ring_mu_chain still compares every step.
+or that tuple with one entry changed for class II, and from_spectrum
+inverts each distinct spectrum once, so all the ring codes of a family
+share at most m inversions.  No cache holds a verdict: ring_mu_chain
+still compares every step.
 
 The multiplier mu_a sends the exponent set Q_r to Q_{r+j}, with j the
 class index of a.  On polynomial coefficients the chain therefore
@@ -74,9 +74,10 @@ class RingCode:
 
     ``spectra[k]`` is sigma of the family's defining element on slot k
     (e, 1-e, 1-h-e or h+e) and ``idempotent`` is the CRT combination of
-    their inverses.  For class-II codes this element is a true
-    idempotent exactly when p = 1 mod q; the verification suite checks
-    and reports this rather than hiding it.
+    their inverses (from_spectrum, cached per spectrum).  For class-II
+    codes this element is a true idempotent exactly when p = 1 mod q;
+    the verification suite checks and reports this rather than hiding
+    it.
     """
 
     ring: RingCtx
@@ -90,9 +91,8 @@ class RingCode:
     @functools.cached_property
     def idempotent(self):
         return ring_poly_combine(self.ring, [
-            comp.idempotent if spec is comp.spectrum
-            else from_spectrum(self.system, self.ring.q, spec)
-            for spec, comp in zip(self.spectra, self.components)])
+            from_spectrum(self.system, self.ring.q, spec)
+            for spec in self.spectra])
 
     @functools.cached_property
     def generator(self):

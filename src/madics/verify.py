@@ -292,6 +292,38 @@ def _check_ring_example(checks, errata, cap):
         "every chain code attains the Griesmer bound 9 + 3 + 1 = 13"))
 
 
+# (identity, erratum, printed, computed, note): the erratum is reported
+# when its identity is refuted on the grid, its computed text filled in
+# from the first such point's q, p, m, s and outcome o
+IDENTITY_ERRATA = (
+    ("E_sum_is_1_minus_h", "sum-even-like-I",
+     "sum of the even-like class-I chain equals 1 - h",
+     "the sum equals 1 - (p^-1 mod q) h; at (q={q},p={p}) it is "
+     "{o.computed}",
+     "agreement requires p = 1 (mod q); h is the all-ones polynomial"),
+    ("Ep_product_is_h", "product-odd-like-I",
+     "product of the odd-like class-I chain equals h",
+     "the product equals (p^-1 mod q) h; at (q={q},p={p}) it is "
+     "{o.computed}",
+     "agreement requires p = 1 (mod q)"),
+    ("D_idempotent", "class-II-idempotency",
+     "1 - h - E and h + E are called idempotent for all valid parameters",
+     "both square to themselves exactly when p = 1 (mod q); at "
+     "(q={q},p={p}) they do not, and the components of 1 - h - E "
+     "generate the odd-like class-I ideals instead of the even-like "
+     "class-II ones",
+     "spectral value at x=1 is 1-p resp. p, idempotent only if "
+     "p = 1 (mod q)"),
+    ("Dp_sum_identity", "sum-odd-like-II",
+     "sum of the odd-like class-II chain equals 1 - (s-1) h",
+     "the sum equals 1 + (L - p^-1 mod q) h with L the orbit length; at "
+     "(q={q},p={p},m={m},s={s}) computed {o.computed}, printed form "
+     "evaluates to {o.expected}",
+     "holds exactly when (L + s - 1) p = 1 (mod q), which no grid "
+     "instance meets, p = 1 (mod q) ones included"),
+)
+
+
 def _check_identities(checks, errata):
     lines = []
     all_ok = True
@@ -311,48 +343,14 @@ def _check_identities(checks, errata):
             f"(q={q},p={p},m={m},s={s}): p mod q = {p % q}; "
             f"failing = {sorted(failed) or 'none'}; matches expectation: {ok}")
         for name in failed:
-            ref_examples.setdefault(name, (q, p, m, s, outcomes[name]))
+            ref_examples.setdefault(name, dict(q=q, p=p, m=m, s=s,
+                                               o=outcomes[name]))
     checks.append(CheckResult(
         "identity-suite", all_ok, "; ".join(lines)))
-
-    if "E_sum_is_1_minus_h" in ref_examples:
-        q, p, m, s, o = ref_examples["E_sum_is_1_minus_h"]
-        errata.append(Erratum(
-            "sum-even-like-I",
-            "sum of the even-like class-I chain equals 1 - h",
-            f"the sum equals 1 - (p^-1 mod q) h; at (q={q},p={p}) it is "
-            f"{o.computed}",
-            "agreement requires p = 1 (mod q); h is the all-ones "
-            "polynomial"))
-    if "Ep_product_is_h" in ref_examples:
-        q, p, m, s, o = ref_examples["Ep_product_is_h"]
-        errata.append(Erratum(
-            "product-odd-like-I",
-            "product of the odd-like class-I chain equals h",
-            f"the product equals (p^-1 mod q) h; at (q={q},p={p}) it is "
-            f"{o.computed}",
-            "agreement requires p = 1 (mod q)"))
-    if "D_idempotent" in ref_examples:
-        q, p, m, s, _ = ref_examples["D_idempotent"]
-        errata.append(Erratum(
-            "class-II-idempotency",
-            "1 - h - E and h + E are called idempotent for all valid "
-            "parameters",
-            f"both square to themselves exactly when p = 1 (mod q); at "
-            f"(q={q},p={p}) they do not, and the components of 1 - h - E "
-            "generate the odd-like class-I ideals instead of the "
-            "even-like class-II ones",
-            "spectral value at x=1 is 1-p resp. p, idempotent only if "
-            "p = 1 (mod q)"))
-    q, p, m, s, o = ref_examples["Dp_sum_identity"]
-    errata.append(Erratum(
-        "sum-odd-like-II",
-        "sum of the odd-like class-II chain equals 1 - (s-1) h",
-        f"the sum equals 1 + (L - p^-1 mod q) h with L the orbit "
-        f"length; at (q={q},p={p},m={m},s={s}) computed {o.computed}, "
-        f"printed form evaluates to {o.expected}",
-        "holds exactly when (L + s - 1) p = 1 (mod q), which no grid "
-        "instance meets, p = 1 (mod q) ones included"))
+    errata.extend(Erratum(name, printed, computed.format(**ref_examples[i]),
+                          note)
+                  for i, name, printed, computed, note in IDENTITY_ERRATA
+                  if i in ref_examples)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 import numpy as np
@@ -18,8 +19,13 @@ from madics.analysis import (
     min_distance_ring,
     min_distance_ring_exhaustive,
 )
-from madics.errors import BackendUnavailable, InvalidParameter, TooLarge
-from madics.ffield import make_prime_field
+from madics.errors import (
+    BackendUnavailable,
+    FieldTooLarge,
+    InvalidParameter,
+    TooLarge,
+)
+from madics.ffield import is_prime, make_prime_field
 from madics.field_codes import FAMILIES, CyclicCode, family_codes
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
@@ -234,6 +240,60 @@ def test_griesmer_large_prime_q_is_immediate():
     assert time.perf_counter() - t0 < 0.1
     with pytest.raises(InvalidParameter, match="prime power"):
         griesmer_check(13, 3, 9, (2**61 - 1) * (2**31 - 1))
+
+
+# (q, p) of the census whose splitting field GF(q^t) is past SIZE_CAP
+CENSUS_FIELD_TOO_LARGE = {(3, 47), (3, 59), (5, 29), (5, 41), (5, 59),
+                          (5, 61), (7, 31), (7, 47), (7, 53), (7, 59)}
+# the census's Griesmer-optimal [n, k, d]_q, as (n, k, d, q), with the
+# number of distinct codes that attain each
+CENSUS_GRIESMER_ATTAINED = {
+    (7, 3, 4, 2): 2, (7, 4, 3, 2): 2, (31, 5, 16, 2): 6,
+    (31, 6, 15, 2): 6, (11, 5, 6, 3): 2, (11, 6, 5, 3): 2,
+    (13, 3, 9, 3): 4, (11, 5, 6, 5): 2, (31, 3, 25, 5): 10,
+    (3, 1, 3, 7): 2, (3, 2, 2, 7): 2, (19, 3, 15, 7): 6,
+}
+
+
+def test_field_griesmer_census():
+    # every distinct nonzero family code, by generator, over q in
+    # {2, 3, 5, 7}, primes p < 64 and every m with q in Q_0, under
+    # alpha_exp = 1: each scan under DEFAULT_CAP accounts for all q**k
+    # words, and the codes that attain the Griesmer bound are pinned
+    too_large, codes = set(), {}
+    for q in (2, 3, 5, 7):
+        for p in filter(is_prime, range(2, 64)):
+            for m in range(2, p):
+                if p == q or (p - 1) % m:
+                    continue
+                system = build_residue_system(p, m)
+                if not system.is_madic_residue(q % p):
+                    continue
+                for family in FAMILIES:
+                    for code in family_codes(system, make_prime_field(q),
+                                             family, 1):
+                        try:
+                            gen = code.generator
+                        except FieldTooLarge:
+                            too_large.add((q, p))
+                            break
+                        if code.dimension:
+                            codes.setdefault((q, p, gen), code)
+    assert too_large == CENSUS_FIELD_TOO_LARGE
+    assert len(codes) == 360
+    refused, attained = 0, Counter()
+    for code in codes.values():
+        n, k, q = code.p, code.dimension, code.q
+        try:
+            rep = min_distance_field(code, DEFAULT_CAP)
+        except TooLarge:
+            refused += 1
+            continue
+        assert sum(rep.weight_distribution) == q**k
+        if griesmer_check(n, k, rep.d_min, q)[1]:
+            attained[n, k, rep.d_min, q] += 1
+    assert refused == 52
+    assert attained == CENSUS_GRIESMER_ATTAINED
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])

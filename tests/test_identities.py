@@ -172,6 +172,20 @@ def test_outcomes_cover_all_names():
 
 
 @pytest.mark.parametrize("alpha_exp", (1, 2))
+@pytest.mark.parametrize("q,p,m,s", [
+    (q, p, m, s) for q, p, m, s in IDENTITY_GRID
+    if build_residue_system(p, m).is_madic_residue(q % p)])
+def test_outcomes_in_name_order(q, p, m, s, alpha_exp):
+    # the suite returns IDENTITY_NAMES' order, each name once; dict
+    # equality, as in the oracle comparisons, would not see the order
+    outcomes = check_identities(make_ring(make_prime_field(q), s),
+                                build_residue_system(p, m),
+                                alpha_exp=alpha_exp)
+    assert tuple(outcomes) == IDENTITY_NAMES
+    assert [o.name for o in outcomes.values()] == list(IDENTITY_NAMES)
+
+
+@pytest.mark.parametrize("alpha_exp", (1, 2))
 @pytest.mark.parametrize("q,p,m,s", IDENTITY_GRID + ((7, 19, 3, 3),))
 def test_suite_matches_vbasis_oracle(q, p, m, s, alpha_exp):
     system = build_residue_system(p, m)

@@ -397,6 +397,33 @@ def test_v_basis_forms_built_on_first_read(cold_caches, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("family", ("even-II", "odd-II"))
+def test_class_ii_orbit_inverts_each_spectrum_once(cold_caches,
+                                                   monkeypatch, family):
+    # every slot reads from_spectrum, cached per spectrum: a class-II
+    # orbit at p != 1 (mod q) inverts its m distinct slot spectra once
+    # each, plus the Gauss periods' own check of e_0, whatever the
+    # number of codes and slots (m codes of s = 5 slots here)
+    calls = []
+    inverse = field_codes._inverse
+
+    def counting(*args):
+        calls.append(args[-1])
+        return inverse(*args)
+
+    monkeypatch.setattr(field_codes, "_inverse", counting)
+    system = build_residue_system(31, 5)
+    ring = make_ring(make_prime_field(5), 5)
+    orbit = ring_mu_chain(ring_code(ring, system, family, (0, 1, 2, 3, 4)))
+    idempotents = [c.idempotent for c in orbit]
+    assert len(calls) <= system.m + 1
+    assert len(calls) == len(set(calls))
+    monkeypatch.undo()
+    assert idempotents == [ring_poly_combine(ring, [
+        inverse(system, 5, field_codes.gauss_periods(system, 5), spec)
+        for spec in c.spectra]) for c in orbit]
+
+
 def test_component_ranks():
     code = ring_code(R33, SYS134, "even-I", (1, 2, 3))
     assert code.component_ranks == (3, 3, 3)
