@@ -28,14 +28,19 @@ measured two ways: the component-min method takes the minimum of the
 CRT component distances, which is exact because a ring codeword's
 support is the union of its component supports and the components are
 independent; the exhaustive method counts every tuple of component
-messages and is used as a cross-check on small instances.  A union
-weight depends on the component supports alone, so its scan visits one
-row per distinct support of each later component, weighed by the number
-of messages with that support.  Every component is cyclic, so the first
-one is reduced, as in a split field scan, to one word per orbit of the
-cyclic shift (x mod its check polynomial) and the scalars, folded by
-support and weighed by the orbit sizes (see _kernels); its enumerated
-count and its cap stay the full tuple count.
+messages and is used as a cross-check on small instances.  A ring
+code's components are members of one family_codes tuple, which a
+multiplier mu_b, b in Q_1, permutes cyclically, so they share one
+weight distribution: component-min scans the first alone and reports
+its rank (k) and distance for all s, and enumerated stays the sum of
+the s components' word counts.  A union weight depends on the component
+supports alone, so its scan visits one row per distinct support of
+each later component, weighed by the number of messages with that
+support.  Every component is cyclic, so the first one is reduced, as in
+a split field scan, to one word per orbit of the cyclic shift (x mod
+its check polynomial) and the scalars, folded by support and weighed
+by the orbit sizes (see _kernels); its enumerated count and its cap
+stay the full tuple count.
 
 numpy and the scan kernel (_kernels) are imported inside the functions
 that build a generator matrix or scan, so importing madics or its CLI
@@ -64,10 +69,9 @@ class DistanceReport:
 
     k is the rank of the enumeration basis: the code dimension for a
     field code, the sum of component ranks for an exhaustive ring run,
-    and the common component rank (or None when ranks differ) for the
-    component-min method.  weight_distribution is A_0..A_n (Python
-    ints) when the method accounts for every word, else None.  The zero
-    code reports d_min = 0.
+    and the common component rank for component-min.  weight_distribution
+    is A_0..A_n (Python ints) when the method accounts for every word,
+    else None.  The zero code reports d_min = 0.
 
     method is "exhaustive" when the scan ran over the code itself (or,
     for a ring code, over every tuple of component messages),
@@ -75,11 +79,11 @@ class DistanceReport:
     MacWilliams identity, and "component-min" for the minimum over the
     CRT components.  enumerated is the number of words whose weights
     were counted: q**k, the dual's q**(n-k), the tuple count, or the
-    sum over the components.
+    sum over the s components, each counted as if scanned.
     """
 
     n: int
-    k: int | None
+    k: int
     d_min: int
     method: str
     enumerated: int
@@ -197,17 +201,13 @@ def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
 
 
 def min_distance_ring(code, cap=DEFAULT_CAP, use_numba=None):
-    """Exact ring distance as the minimum over CRT component distances."""
-    _kernel_only(use_numba)
-    reports = [min_distance_field(c, cap) for c in code.components]
-    ranks = tuple(r.k for r in reports)
-    dmins = tuple(r.d_min for r in reports)
-    live = [d for d in dmins if d > 0]
-    d = min(live) if live else 0
-    common = ranks[0] if len(set(ranks)) == 1 else None
-    return DistanceReport(code.p, common, d, "component-min",
-                          sum(r.enumerated for r in reports),
-                          None, ranks, dmins)
+    """Exact ring distance as the minimum over CRT component distances,
+    which all equal the first one's (module docstring)."""
+    rep = min_distance_field(code.components[0], cap, use_numba)
+    s = len(code.components)
+    return DistanceReport(code.p, rep.k, rep.d_min, "component-min",
+                          s * rep.enumerated, None, (rep.k,) * s,
+                          (rep.d_min,) * s)
 
 
 def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):

@@ -283,20 +283,25 @@ def _distance_target(args):
 
 
 def _analyze(code, args):
+    """The report of code under args.method and its exhaustive
+    cross-check, None unless --method both, which must agree."""
     if isinstance(code, CyclicCode):
         return min_distance_field(code, args.cap), None
     if args.method == "exhaustive":
         return min_distance_ring_exhaustive(code, args.cap), None
     report = min_distance_ring(code, args.cap)
-    if args.method == "both":
-        cross = min_distance_ring_exhaustive(code, args.cap)
-        return report, cross
-    return report, None
+    if args.method != "both":
+        return report, None
+    cross = min_distance_ring_exhaustive(code, args.cap)
+    if cross.d_min != report.d_min:
+        raise MadicError("component-min and exhaustive distances differ")
+    return report, cross
 
 
-def _code_payload(code, args, report=None):
+def _code_payload(code, args, report=None, cross=None):
     """The payload of the code verb args.command on a field or ring code,
-    under the labels of args, and its resolved-parameters line."""
+    under the labels of args, with its distance report and exhaustive
+    cross-check when given, and its resolved-parameters line."""
     if isinstance(code, CyclicCode):
         params = _resolved_params(code.system, code.q,
                                   alpha_exp=args.alpha_exp)
@@ -307,27 +312,24 @@ def _code_payload(code, args, report=None):
         code_json = _ring_code_json(code, params, report)
     payload = {"command": args.command, "parameters": params,
                "code": code_json}
+    if cross is not None:
+        payload["cross_check"] = asdict(cross)
+        payload["cross_check_agrees"] = cross.d_min == report.d_min
     return payload, _params_lines(params)
 
 
 def cmd_distance(args):
     code = _distance_target(args)
     report, cross = _analyze(code, args)
-    payload, lines = _code_payload(code, args, report)
+    payload, lines = _code_payload(code, args, report, cross)
     lines.append(f"[{report.n}, {report.k}] d_min = {report.d_min} "
                  f"({report.method}, {report.enumerated} codewords "
                  "enumerated)")
     if report.component_dmins is not None:
         lines.append(f"component distances: {list(report.component_dmins)}")
     if cross is not None:
-        payload["cross_check"] = asdict(cross)
-        agree = cross.d_min == report.d_min
-        payload["cross_check_agrees"] = agree
         lines.append(f"exhaustive cross-check: d_min = {cross.d_min} "
-                     f"({cross.enumerated} words) "
-                     f"{'agrees' if agree else 'DISAGREES'}")
-        if not agree:
-            raise MadicError("component-min and exhaustive distances differ")
+                     f"({cross.enumerated} words) agrees")
     if report.weight_distribution is not None and report.n <= 32:
         lines.append("weight distribution: "
                      f"{list(report.weight_distribution)}")
@@ -350,10 +352,9 @@ def cmd_griesmer(args):
 
 def cmd_export(args):
     code = _distance_target(args)
-    report = None
-    if not args.skip_distance:
-        report, _ = _analyze(code, args)
-    payload, _ = _code_payload(code, args, report)
+    report, cross = ((None, None) if args.skip_distance
+                     else _analyze(code, args))
+    payload, _ = _code_payload(code, args, report, cross)
     text = json.dumps(payload, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -30,36 +30,43 @@ lies in A: e_i, 1 - e_i, 1 - h - e_i, h + e_i, 1, h, their sums and
 products and their chain steps.  So a product is a pointwise product of
 spectra, a sum a pointwise sum, and an identity holds exactly when it
 holds pointwise.  A ring code holds its component spectra
-(``RingCode.spectra``), and a ring element is the flat list of them.
-The chain step is ring_codes.chain_source, the one the chains check.
-The spectra are relative to alpha, so the suite at base slots b under
-the labeling u = alpha_exp is the suite at slots b + c(u) under alpha.
+(``RingCode.spectra``), and a ring element is the flat tuple of them.
+The orbit is read once: one ring_code call validates the base slots,
+and the E', D and D' rows are the codes at the even-I orbit's slots in
+the shared-code cache behind ring_code.  The chain step is
+ring_codes.chain_source, the one the chains check.  The spectra are
+relative to alpha, so the suite at base slots b under the labeling u =
+alpha_exp is the suite at slots b + c(u) under alpha.
 
 On spectra, idempotency is "every value is 0 or 1", since v**2 = v
 only for those in a field.  Each pairwise law is written as "a_r a_t = c
 for every r < t": a_r = x_r with c = 0 and h on the even-I and odd-II
 rows, a_r = 1 - x_r with c = 0 and h on odd-I and even-II, as
 x_r + x_t - x_r x_t = 1 - (1 - x_r)(1 - x_t).  pairwise_products_equal
-checks that form in O(L) per spectral coordinate, not with the
-L(L-1)/2 products.
+takes the x_r and forms 1 - x_r itself, and checks the law in O(L) per
+spectral coordinate, not with the L(L-1)/2 products.  A fold is a sum
+or product mod q over each spectral column of the orbit.
 
 Every identity is evaluated on every call.  A refuted identity shows
-its two sides: x_0**2 against x_0, the pairwise law as printed at the
-first pair (x_0 x_1 against c, or x_0 + x_1 - x_0 x_1 against 1 - c),
-the fold against its expected value, and 0 against 0 for a chain.
-_shown makes each side's text, cached per spectrum: it inverts each
-component spectrum with from_spectrum, combines the components and
-formats the v-basis form, so each distinct side is formatted once and
-a warm call formats nothing.
+its two sides, built only once it is refuted: x_0**2 against x_0, the
+pairwise law as printed at the first pair (x_0 x_1 against c, or x_0 +
+x_1 - x_0 x_1 against 1 - c), the fold against its expected value, and
+0 against 0 for a chain.  _shown makes each side's text, cached per
+spectrum: it inverts each component spectrum with from_spectrum,
+combines the components and formats the v-basis form, so each distinct
+side is formatted once and a warm call formats nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 from .field_codes import FAMILIES, from_spectrum
-from .ring_codes import chain_source, ring_code, ring_mu_chain
+from .ring_codes import (_shared_ring_code, chain_source, ring_code,
+                         ring_mu_chain)
 from .ringalg import format_ring_poly, ring_poly_combine
 
 IDENTITY_NAMES = (
@@ -106,10 +113,10 @@ def _shown(ring, system, spectra):
     return format_ring_poly(ring, ring_poly_combine(ring, comps))
 
 
-def pairwise_products_equal(q, values, target):
-    """Does values[r] * values[t] == target hold pointwise over F_q for
-    every r < t?  All arguments are spectra of one length, with entries
-    in [0, q).
+def pairwise_products_equal(q, values, target, complement=False):
+    """Does a_r * a_t == target hold pointwise over F_q for every r < t,
+    with a_r = values[r], or 1 - values[r] when complement?  All
+    arguments are spectra of one length, with entries in [0, q).
 
     Per coordinate, with c the target entry and a_r the values there:
     for c = 0, at most one a_r is nonzero; for L = 2 values, the one
@@ -119,6 +126,8 @@ def pairwise_products_equal(q, values, target):
     if len(values) < 2:
         return True
     for c, *col in zip(target, *values):
+        if complement:
+            col = [(1 - v) % q for v in col]
         if c == 0:
             if len(col) - col.count(0) > 1:
                 return False
@@ -139,44 +148,31 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
         base_slots = tuple(i % m for i in range(s))
     if a is None:
         a = system.a
-
-    base = ring_code(ring, system, "even-I", base_slots, alpha_exp)
-    orbit = ring_mu_chain(base, a)
-    # each family's orbit as flat lists of s spectra of length m + 1;
-    # the even-I row is the orbit itself
-    es, eps, ds, dps = ([
-        [v for spec in ring_code(ring, system, family, c.slots,
-                                 base.alpha_exp).spectra for v in spec]
+    orbit = ring_mu_chain(
+        ring_code(ring, system, "even-I", base_slots, alpha_exp), a)
+    # each family's orbit as flat tuples of s spectra of length m + 1:
+    # the even-I row is the orbit itself, the others share its slots
+    es, eps, ds, dps = ([sum(_shared_ring_code(
+        ring, system, family, c.slots, c.alpha_exp).spectra, ())
         for c in orbit] for family in FAMILIES)
 
     def const(at_one, elsewhere):
-        return ([at_one % q] + [elsewhere] * m) * s
+        return ((at_one % q,) + (elsewhere,) * m) * s
 
-    one = const(1, 1)
-    zero = const(0, 0)
-    hs = const(p, 0)
+    zero, hs = const(0, 0), const(p, 0)
     source = chain_source(m, system.class_of(a))
-    moved = [o + i for o in range(0, s * (m + 1), m + 1) for i in source]
+    step = operator.itemgetter(
+        *[o + i for o in range(0, s * (m + 1), m + 1) for i in source])
 
-    def mm(x, y):
-        return [v * w % q for v, w in zip(x, y)]
-
-    def add(x, y):
-        return [(v + w) % q for v, w in zip(x, y)]
-
-    def sub(x, y):
-        return [(v - w) % q for v, w in zip(x, y)]
-
-    def step(x):
-        return [x[i] for i in moved]
+    def columns(fold, *xs):
+        return tuple(fold(col) % q for col in zip(*xs))
 
     out = {}
 
-    def record(name, holds, computed=zero, expected=zero):
+    def record(name, holds, sides=lambda: (zero, zero)):
         out[name] = (IdentityOutcome(name, True) if holds else
-                     IdentityOutcome(name, False,
-                                     _shown(ring, system, tuple(computed)),
-                                     _shown(ring, system, tuple(expected))))
+                     IdentityOutcome(name, False, *(
+                         _shown(ring, system, side) for side in sides())))
 
     record("mu_E_idempotent", all(max(step(e)) < 2 for e in es))
     record("orbit_closes", step(es[-1]) == es[0])
@@ -185,25 +181,27 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
     # the orbit fold with its expected value and name
     table = (
         ("E", es, False, zero, "E_products_zero",
-         add, const(1 - p, 1), "E_sum_is_1_minus_h"),
+         sum, const(1 - p, 1), "E_sum_is_1_minus_h"),
         ("Ep", eps, True, zero, "Ep_pair_identity",
-         mm, hs, "Ep_product_is_h"),
-        ("D", ds, True, hs, "D_pair_identity", mm, zero, "D_product_zero"),
+         math.prod, hs, "Ep_product_is_h"),
+        ("D", ds, True, hs, "D_pair_identity",
+         math.prod, zero, "D_product_zero"),
         ("Dp", dps, False, hs, "Dp_pair_is_h",
-         add, const(1 - (s - 1) * p, 1), "Dp_sum_identity"),
+         sum, const(1 - (s - 1) * p, 1), "Dp_sum_identity"),
     )
     for pre, xs, complement, c, pair_name, fold, expected, fold_name in table:
-        record(pre + "_idempotent", all(max(x) < 2 for x in xs),
-               mm(xs[0], xs[0]), xs[0])
+        x, y = xs[0], xs[1 % len(xs)]
+        record(pre + "_idempotent", all(max(v) < 2 for v in xs),
+               lambda: (columns(math.prod, x, x), x))
         if pre != "E":
             record(pre + "_mu_chain", all(
-                step(x) == y for x, y in zip(xs, xs[1:] + xs[:1])))
-        terms = [sub(one, x) for x in xs] if complement else xs
+                step(v) == w for v, w in zip(xs, xs[1:] + xs[:1])))
         # shown as printed: x_0 x_1 = c, or x_0 + x_1 - x_0 x_1 = 1 - c
-        sides = [mm(terms[0], terms[1 % len(terms)]), c]
-        record(pair_name, pairwise_products_equal(q, terms, c),
-               *([sub(one, v) for v in sides] if complement else sides))
-        value = functools.reduce(fold, xs)
-        record(fold_name, value == expected, value, expected)
+        record(pair_name, pairwise_products_equal(q, xs, c, complement),
+               lambda: (columns(lambda v: sum(v) - math.prod(v), x, y),
+                        columns(lambda v: 1 - v[0], c)) if complement
+               else (columns(math.prod, x, y), c))
+        value = columns(fold, *xs)
+        record(fold_name, value == expected, lambda: (value, expected))
 
     return {name: out[name] for name in IDENTITY_NAMES}

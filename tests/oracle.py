@@ -68,6 +68,13 @@ planes as the kernel does.  Both return (d_min, counts) with the zero
 word in counts[0], but scan_union holds every tuple in memory at once,
 so keep its inputs small.
 
+min_distance_ring_per_component is the oracle of
+madics.analysis.min_distance_ring, which scans the first component
+alone because a family's members share one weight distribution: it
+scans every component with min_distance_field, takes the minimum
+nonzero distance, and reports the common rank or None when the ranks
+differ.
+
 griesmer_bound_naive is the oracle of madics.analysis.griesmer_check:
 the sum of ceil(d / q**i) over every i < k, one power at a time.
 
@@ -112,6 +119,8 @@ from math import comb
 
 import numpy as np
 
+from madics.analysis import DistanceReport, min_distance_field
+from madics.errors import DEFAULT_CAP
 from madics.ffield import FieldCtx
 from madics.field_codes import splitting_field
 from madics.identities import IDENTITY_NAMES, IdentityOutcome
@@ -458,6 +467,19 @@ def scan_union(gmats, q):
     counts = np.bincount(weights, minlength=n + 1)
     nonzero = weights[weights > 0]
     return (int(nonzero.min()) if nonzero.size else 0), counts
+
+
+def min_distance_ring_per_component(code, cap=DEFAULT_CAP):
+    """Component-min ring distance with every component scanned."""
+    reports = [min_distance_field(c, cap) for c in code.components]
+    ranks = tuple(r.k for r in reports)
+    dmins = tuple(r.d_min for r in reports)
+    live = [d for d in dmins if d > 0]
+    common = ranks[0] if len(set(ranks)) == 1 else None
+    return DistanceReport(code.p, common, min(live) if live else 0,
+                          "component-min",
+                          sum(r.enumerated for r in reports), None, ranks,
+                          dmins)
 
 
 def griesmer_bound_naive(k, d, q):

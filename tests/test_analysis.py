@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from madics import _kernels, analysis, poly
 from madics.analysis import (
@@ -34,6 +34,7 @@ from oracle import (
     divmod_generic,
     griesmer_bound_naive,
     macwilliams_naive,
+    min_distance_ring_per_component,
     monic_generic,
     scan_numpy,
     scan_union,
@@ -156,11 +157,18 @@ def test_ring_common_rank():
 
 
 def test_weight_enumerator_invariant_on_mu_orbit():
-    # codes in one family are permutation-equivalent
-    for fam in ("even-I", "odd-II"):
-        dists = {min_distance_field(c).weight_distribution
-                 for c in family_codes(SYS134, F3, fam)}
-        assert len(dists) == 1
+    # codes in one family are permutation-equivalent (mu_b, b in Q_1,
+    # maps member i to member i + 1), so all m members share one weight
+    # distribution: what min_distance_ring's single scan relies on
+    for q, p, m in [(3, 13, 4)] + FIELD_CASES:
+        system = build_residue_system(p, m)
+        for fam in FAMILIES:
+            for u in (1, 2):
+                codes = family_codes(system, make_prime_field(q), fam, u)
+                assert len(codes) == m
+                dists = {min_distance_field(c).weight_distribution
+                         for c in codes}
+                assert len(dists) == 1, (q, p, m, fam, u)
 
 
 def test_singleton_bound():
@@ -545,9 +553,14 @@ def ring_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(ring_cases())
+# a repeated slot in each class II family, beside the random draws
+@example(ring_code(make_ring(make_prime_field(2), 2),
+                   build_residue_system(7, 2), "even-II", (1, 1)))
+@example(ring_code(make_ring(F3, 2), SYS134, "odd-II", (3, 3)))
 def test_ring_exhaustive_matches_oracle_property(code):
     rep = min_distance_ring_exhaustive(code)
     d, counts = scan_union([generator_matrix(c) for c in code.components],
                            code.ring.q)
     assert rep.weight_distribution == tuple(int(c) for c in counts)
     assert rep.d_min == d == min_distance_ring(code).d_min
+    assert min_distance_ring(code) == min_distance_ring_per_component(code)

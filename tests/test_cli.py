@@ -266,6 +266,28 @@ def test_distance_ring_both_methods(capsys):
     assert doc["cross_check_agrees"] is True
 
 
+def test_both_verbs_share_the_cross_check(tmp_path, capsys, monkeypatch):
+    # export --method both writes the cross-check distance writes, and
+    # a disagreeing exhaustive scan fails both verbs with exit 1
+    ring = ("--q", "3", "--s", "3", "--p", "13", "--m", "4", "--a", "7",
+            "--family", "even-I", "--slots", "1,2,3", "--method", "both")
+    _, dist, _ = run_json(capsys, "distance", *ring)
+    out = tmp_path / "code.json"
+    code, _, _ = run_cli(capsys, "export", *ring, "--out", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["cross_check"] == dist["cross_check"]
+    assert doc["cross_check_agrees"] is True
+    exhaustive = cli.min_distance_ring_exhaustive
+    monkeypatch.setattr(cli, "min_distance_ring_exhaustive",
+                        lambda *args: dataclasses.replace(
+                            exhaustive(*args), d_min=8))
+    for verb in ("distance", "export"):
+        code, out_text, err = run_cli(capsys, verb, *ring)
+        assert (code, out_text) == (1, "")
+        assert "component-min and exhaustive distances differ" in err
+
+
 def test_distance_cap_exit_2(capsys):
     code, _, err = run_cli(capsys, "distance", "--q", "3", "--s", "3",
                            "--p", "13", "--m", "4", "--a", "7",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from madics import identities, poly
-from madics.errors import QNotResidue
+from madics.errors import BadSlotIndex, QNotResidue
 from madics.ffield import SIZE_CAP, is_prime, make_prime_field
 from madics.field_codes import FAMILIES, from_spectrum
 from madics.identities import (
@@ -259,6 +259,27 @@ def test_refuted_sides_formatted_once(cold_caches, monkeypatch):
         make_ring(make_prime_field(7), 3), build_residue_system(19, 6))
 
 
+@pytest.mark.parametrize("q,p,m,s", GRID)
+def test_suite_reads_the_orbit_once(monkeypatch, q, p, m, s):
+    # ring_code validates the base slots once; the chain and the other
+    # three rows read the shared codes at the orbit's slots
+    system = build_residue_system(p, m)
+    ring = make_ring(make_prime_field(q), s)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ring_code(*args)
+
+    monkeypatch.setattr(identities, "ring_code", counting)
+    outcomes = check_identities(ring, system)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert outcomes == check_identities_vbasis(ring, system)
+    with pytest.raises(BadSlotIndex):
+        check_identities(ring, system, (m,) + (0,) * (s - 1))
+
+
 # (q, p, m, s) with q an m-adic residue mod p, p small enough that the
 # v-basis oracle stays cheap
 SUITE_CASES = [
@@ -386,21 +407,26 @@ def test_chain_step_is_a_class_shift_property(inputs):
 @pytest.mark.parametrize("q,length", [
     (q, length) for q in (2, 3, 5, 7) for length in (1, 2, 3, 4)])
 def test_pairwise_check_exhaustive_one_coordinate(q, length):
-    # every column of values and every target at one coordinate
+    # every column of values and every target at one coordinate (0 and
+    # h's entry among them), as given and in the 1 - x form
     for col in itertools.product(range(q), repeat=length):
         values = [(v,) for v in col]
+        complements = [((1 - v) % q,) for v in col]
         for c in range(q):
             assert pairwise_products_equal(q, values, (c,)) == \
                 pairwise_products_all_pairs(q, values, (c,)), (col, c)
+            assert pairwise_products_equal(q, values, (c,), True) == \
+                pairwise_products_all_pairs(q, complements, (c,)), (col, c)
 
 
 @st.composite
 def pairwise_inputs(draw):
-    """(q, values, target): L = 1..10 spectra of one length, columns
-    drawn at random, all equal, or with one nonzero entry, each maybe
-    with one entry changed; the target zero, the product of each
-    column's first and last value (the one product when L = 2, v**2
-    when the column is all v) or random."""
+    """(q, values, target, complement): L = 1..10 spectra of one
+    length, columns drawn at random, all equal, or with one nonzero
+    entry, each maybe with one entry changed; the target zero, h (p at
+    the first entry, 0 elsewhere), the product of each column's first
+    and last value (the one product when L = 2, v**2 when the column is
+    all v) or random; complement, whether the law is on 1 - x."""
     q = draw(st.sampled_from((2, 3, 5, 7)))
     length = draw(st.integers(1, 10))
     width = draw(st.integers(1, 8))
@@ -418,20 +444,25 @@ def pairwise_inputs(draw):
         if draw(st.integers(0, 3)) == 0:
             col[draw(st.integers(0, length - 1))] = draw(value)
         cols.append(col)
-    kind = draw(st.sampled_from(("zero", "product", "random")))
+    kind = draw(st.sampled_from(("zero", "h", "product", "random")))
     if kind == "zero":
         target = (0,) * width
+    elif kind == "h":
+        target = (draw(st.sampled_from((5, 7, 11, 13))) % q,) + \
+            (0,) * (width - 1)
     elif kind == "product":
         target = tuple(col[0] * col[-1] % q for col in cols)
     else:
         target = tuple(draw(value) for _ in range(width))
     values = [tuple(col[r] for col in cols) for r in range(length)]
-    return q, values, target
+    return q, values, target, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(pairwise_inputs())
 def test_pairwise_check_matches_all_pairs_property(inputs):
-    q, values, target = inputs
-    assert pairwise_products_equal(q, values, target) == \
-        pairwise_products_all_pairs(q, values, target)
+    q, values, target, complement = inputs
+    terms = ([tuple((1 - v) % q for v in x) for x in values] if complement
+             else values)
+    assert pairwise_products_equal(q, values, target, complement) == \
+        pairwise_products_all_pairs(q, terms, target)
