@@ -36,16 +36,17 @@ scan's high table holds one word per orbit of a group acting on the
 messages of its rows, keyed by the orbit size, and its low table is a
 code L that the group maps onto itself, kept whole (mult_low = [1]).
 Then hist(g h + L) = hist(g (h + L)) = hist(h + L) for each g of the
-group, so one word stands for its orbit (_orbit_words).  Two groups
-are used:
+group, so one word stands for its orbit.  _orbit_words builds every
+such table, the word of each orbit's least message with the orbit
+sizes, for one of two groups:
 
-    scalars      without a split: the low table is the span of the
+    scalars      without check: the low table is the span of the
                  lower half of G's rows, the high table the zero word
                  and one word per projective point of the upper half,
                  the messages whose most significant nonzero base-q
-                 digit is 1, the rows [q**j, 2 q**j) of the _words
-                 order (_points): 1 + (q**k - 1)/(q - 1) rows instead
-                 of q**k, keyed [1, q - 1].
+                 digit is 1, read off directly as the rows [q**j,
+                 2 q**j) of the _words order: 1 + (q**k - 1)/(q - 1)
+                 rows instead of q**k, sizes 1 and q - 1.
     <x, scalars> with check = f_A: G's rows span a cyclic code
                  C = A + B, two ideals, where A has check polynomial
                  f_A and its rows x**i a come last.  The low table is
@@ -56,22 +57,23 @@ are used:
                  unless the word is fixed, so [127,15]_2 visits 4 x 128
                  pairs where the scalar orbits visit 128 x 256.
 
-The orbits are labeled in message space: each generator is a
-k x k matrix acting on base-q digit vectors, _words of its rows
-tabulates every image in message order, and _least_labels doubles the
-power of the generator each step, leaving the least message of each
-cycle.
+The orbits of <x, scalars> are labeled in message space: each
+generator is a k x k matrix acting on base-q digit vectors, _words of
+its rows tabulates every image in message order, and _least_labels
+doubles the power of the generator each step, leaving the least
+message of each cycle.
 
-scan_union works on support classes.  A component's table holds each
-distinct support of its words once, with the number of messages that
-have it (_supports folds words by support and sums their counts).  A
-later component's table, and the first one's without check, folds the
-zero word, counted once, and one word per projective point, counted
-q - 1 times (_classes).  Different points can share a support, and in
-a rank-deficient matrix a point can have the empty one.  A low row's
-key indexes the last table's distinct counts, mult_low; a high row's
-key indexes the distinct products of its classes' counts, mult_high,
-each at most the message count the caller's cap bounds.
+scan_union works on support classes.  Every component's table is
+_supports of its _orbit_words: each distinct support of the orbit
+words once, with the summed sizes of the orbits that have it, the
+number of messages with that support.  A later component's table, and
+the first one's without check, folds the scalar orbits: the zero word,
+counted once, and one word per projective point, counted q - 1 times.
+Different points can share a support, and in a rank-deficient matrix
+a point can have the empty one.  A low row's key indexes the last
+table's distinct counts, mult_low; a high row's key indexes the
+distinct products of its classes' counts, mult_high, each at most the
+message count the caller's cap bounds.
 
 A simultaneous cyclic shift of every component permutes the tuples,
 and the scalars keep every support.  So when every later component
@@ -79,12 +81,12 @@ spans a cyclic code, the histogram H(c) of union weights over the later
 components, given the first component's word c, is the same for every
 word of c's orbit under <x, scalars>.  With check = f, the first
 matrix's rows are x**i a for the ideal with check polynomial f, as in
-scan, and its table folds _orbit_words by support: one word per orbit,
-weighed by the orbit size.  Two orbits whose supports are rotations
-of each other keep a row each, so the table can hold more rows than
-there are rotation classes of supports: (5, 11, 2, 2) even-I visits
-39 x 343 pairs, (3, 11, 2, 3) 12 x 122 x 122.  The caller vouches for
-the cyclic codes; without check any matrices scan exactly, ungrouped.
+scan, and its table folds the orbits of <x, scalars> instead.  Two
+orbits whose supports are rotations of each other keep a row each, so
+the table can hold more rows than there are rotation classes of
+supports: (5, 11, 2, 2) even-I visits 39 x 343 pairs, (3, 11, 2, 3)
+12 x 122 x 122.  The caller vouches for the cyclic codes; without
+check any matrices scan exactly, grouped by the scalars alone.
 Tables deduplicate on the bytes of their packed rows in dicts, without
 a sort: the first np.unique or np.sort call of a process pages in
 numpy code that the peak resident size of a run would show.
@@ -92,11 +94,13 @@ numpy code that the peak resident size of a run would show.
 A block's largest temporary, pairs x words per plane x 8 bytes, is kept
 to BLOCK_BYTES (one high row at least), and is freed before bincount
 copies the block's bins to intp, so the two are never held at once.
-Tables are sized by q**ceil(k/2) words (scalar-only field scans), by
-the caller's bound on B and q**dim(A) labels (split field scans:
-analysis.SPLIT_LOW_ROWS), or by each component's support classes and
-the first one's q**k labels (ring), never by the total word or tuple
-count.  counts[0] includes the zero word.
+_orbit_words holds at most 2 q**(k-1) words without check and q**k
+labels with it, k its matrix's rows, so tables are sized by
+q**ceil(k/2) words (scalar-only field scans), by the caller's bound on
+B and q**dim(A) labels (split field scans: analysis.SPLIT_LOW_ROWS),
+or by 2 q**(k-1) words per later component and the first one's q**k
+labels (ring), never by the total word or tuple count.  counts[0]
+includes the zero word.
 """
 
 from __future__ import annotations
@@ -124,16 +128,6 @@ def _planes(table, bits):
     (bits, rows, words)."""
     masks = np.array([1 << b for b in range(bits)], dtype=table.dtype)
     return _pack(table & masks[:, None, None])
-
-
-def _points(gmat, q):
-    """The zero word and one word per projective point of gmat's code:
-    the rows 0 and [q**j, 2 q**j), j < k, of the _words order, each g_j
-    plus a word of the rows below it.  The last row enters with digits
-    0 and 1 only, so the table stops at 2 q**(k-1) rows."""
-    words = _words(gmat, q, 2)
-    return np.concatenate([words[:1]] + [words[q**j:2 * q**j]
-                                         for j in range(len(gmat))])
 
 
 def _distance_counts(high, n_high, low, low_keys, n, op, mult_high,
@@ -206,15 +200,25 @@ def _least_labels(label, perm, steps):
     return label
 
 
-def _orbit_words(gmat, q, check):
-    """One word per orbit of <x mod f, scalars> (module docstring), f =
-    check, on the q**k messages of gmat's k rows: the word of the
-    orbit's least message in the _words order, with the orbit sizes.
-    The group is generated by the shift m -> x m mod f, the companion
-    matrix of f, and a primitive root mod q times the identity; it is
-    abelian, so _least_labels over each generator in turn leaves the
-    least message of each orbit."""
+def _orbit_words(gmat, q, check=None):
+    """One word per orbit of a group on the q**k messages of gmat's k
+    rows, the word of the orbit's least message in the _words order,
+    with the orbit sizes (module docstring).  Without check the group is
+    the scalars, whose orbits' least messages are 0 and those with most
+    significant nonzero digit 1: the rows 0 and [q**j, 2 q**j), j < k,
+    each g_j plus a word of the rows below it, sizes 1 and q - 1.  The
+    last row enters with digits 0 and 1 only, so the table stops at
+    2 q**(k-1) rows.  With check = f the group is <x mod f, scalars>,
+    generated by the shift m -> x m mod f, the companion matrix of f,
+    and a primitive root mod q times the identity; it is abelian, so
+    _least_labels over each generator in turn leaves the least message
+    of each orbit."""
     k, n = gmat.shape
+    if check is None:
+        words = _words(gmat, q, 2)
+        points = np.concatenate([words[:1]] + [words[q**j:2 * q**j]
+                                               for j in range(k)])
+        return points, [1] + [q - 1] * (len(points) - 1)
     shift = np.eye(k, k, 1, dtype=np.int64)
     shift[-1] = np.negative(check[:k])
     root = make_prime_field(q).primitive_element
@@ -254,14 +258,8 @@ def scan(gmat, q, check=None):
     half = (k + 1) // 2 if check is None else k - (len(check) - 1)
     bits = (q - 1).bit_length()
     low = _planes(_words(gmat[:half], q), bits)
-    if check is None:
-        high = _points(gmat[half:], q)
-        # key 0 for the zero word (row 0), 1 for a point
-        keys = np.minimum(np.arange(len(high)), 1).astype(np.uint8)
-        mult_high = [1, q - 1]
-    else:
-        high, sizes = _orbit_words(gmat[half:], q, check)
-        keys, mult_high = _index(sizes)
+    high, sizes = _orbit_words(gmat[half:], q, check)
+    keys, mult_high = _index(sizes)
     high = _planes(high, bits)
     counts = _distance_counts(lambda idx: (high[:, idx], keys[idx]),
                               len(keys), low, None, n, np.bitwise_xor,
@@ -282,14 +280,6 @@ def _supports(words, sizes):
     return rows, list(sums.values())
 
 
-def _classes(gmat, q):
-    """_supports of the words of gmat's code, with the empty support in
-    row 0: the number of messages with each support, 1 for the zero
-    message and q - 1 for each projective point."""
-    points = _points(gmat, q)
-    return _supports(points, [1] + [q - 1] * (len(points) - 1))
-
-
 def _index(values):
     """The index of each value among the distinct values, and those
     values in order of first appearance."""
@@ -307,12 +297,11 @@ def scan_union(gmats, q, check=None):
     k, for a word a of the ideal with check polynomial f, and every
     later matrix must span a cyclic code (module docstring)."""
     n = gmats[-1].shape[1]
-    first, *rest = gmats
-    first = (_classes(first, q) if check is None
-             else _supports(*_orbit_words(first, q, check)))
+    checks = [check] + [None] * (len(gmats) - 1)
     # a row's key indexes its table's distinct counts
     *high_tables, (last, last_keys, mult_low) = [
-        (r, *_index(m)) for r, m in [first] + [_classes(g, q) for g in rest]]
+        (rows, *_index(sizes)) for rows, sizes in
+        (_supports(*_orbit_words(g, q, c)) for g, c in zip(gmats, checks))]
     # a high key indexes the distinct products of its classes' counts,
     # so the key count grows with those products, not with the number
     # of components: steps[i][a * len(vals) + b] is the key of product

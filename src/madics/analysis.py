@@ -19,9 +19,10 @@ C = A + B: A takes the factors whose degrees sum to the most that is at
 most ceil(dim/2), and the kernel tabulates every word of B against one
 word of A per orbit of the group generated by the cyclic shift and the
 scalars, weighed by the orbit size (see _kernels).  The scan has no
-split, and groups by scalars alone, for an irreducible check
-polynomial or a dim A below 2, a B of more than SPLIT_LOW_ROWS words
-(its low table), or fewer than SPLIT_MIN_WORDS words in all.  The
+split for an irreducible check polynomial or a dim A below 2, a B of
+more than SPLIT_LOW_ROWS words (its low table), or fewer than
+SPLIT_MIN_WORDS words in all; then the same orbit builder groups the
+upper half of the rows by the scalars alone.  The
 exhaustive ring method holds its tuple count, the product of the
 component word counts, to the same cap.  Ring codes are
 measured two ways: the component-min method takes the minimum of the

@@ -168,10 +168,11 @@ def cmd_classes(args):
 
 
 def _code_system(args):
-    """The residue system of the code flags.  Reduces args.alpha_exp mod
-    p, so equal labelings echo one value."""
+    """The residue system of the code flags.  Resolves args.alpha_exp,
+    1 when not given, mod p, so equal labelings echo one value."""
     system = build_residue_system(args.p, args.m, args.b, args.a)
-    args.alpha_exp %= system.p
+    u = 1 if args.alpha_exp is None else args.alpha_exp
+    args.alpha_exp = u % system.p
     return system
 
 
@@ -252,8 +253,8 @@ def _exported_params(doc):
 
 
 def _load_exported(args):
-    """Replace the code flags of args by the params of the export
-    document args.from_file; returns the document's code object."""
+    """Set the code flags of args to the params of the export document
+    args.from_file; returns the document's code object."""
     with open(args.from_file, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -271,7 +272,7 @@ def _load_exported(args):
 
 def _distance_target(args):
     """The code of the flags, or of an export document's params, which
-    replace the flags and must rebuild the document's generator."""
+    take the place of the flags and must rebuild its generator."""
     code_doc = _load_exported(args) if args.from_file else None
     code = _build_ring(args) if args.slots is not None else _build_field(args)
     if code_doc is not None and code_doc["generator"] != json.loads(
@@ -403,7 +404,7 @@ def _add_system_flags(sub, required=True):
 def _add_field_flags(sub, required=True):
     sub.add_argument("--q", type=int, required=required, help="field size")
     sub.add_argument("--family", choices=FAMILIES, required=required)
-    sub.add_argument("--alpha-exp", type=int, default=1, dest="alpha_exp",
+    sub.add_argument("--alpha-exp", type=int, default=None, dest="alpha_exp",
                      help="label class i by beta = alpha^ALPHA_EXP, alpha "
                      "the pinned p-th root; outputs echo the labels given")
 
@@ -491,15 +492,23 @@ def build_parser():
 def _validate_args(args):
     if getattr(args, "cap", 1) < 1:
         raise MadicError(f"--cap must be a positive integer, got {args.cap}")
-    if not hasattr(args, "from_file") or args.from_file:
+    if not hasattr(args, "from_file"):
+        return
+    if args.from_file:
+        given = [f"--{name.replace('_', '-')}" for name in
+                 ("p", "m", "b", "a", "q", "family", "alpha_exp", "index",
+                  "s", "slots") if getattr(args, name) is not None]
+        if given:
+            raise MadicError(f"--from cannot be given with {', '.join(given)}")
         return
     for name in ("p", "m", "q", "family"):
-        if getattr(args, name, None) is None:
+        if getattr(args, name) is None:
             raise MadicError(f"--{name} is required unless --from is given")
-    if args.slots is not None:
-        if args.s is None:
-            raise MadicError("--slots requires --s")
-    elif args.index is None:
+    if (args.s is None) != (args.slots is None):
+        raise MadicError("--s and --slots must be given together")
+    if args.slots is not None and args.index is not None:
+        raise MadicError("give --index or --slots, not both")
+    if args.slots is None and args.index is None:
         raise MadicError(
             "give --index (field code), --s/--slots (ring code) or --from")
 

@@ -82,6 +82,15 @@ macwilliams_naive is the oracle of madics.analysis.macwilliams: the
 same transform with each Krawtchouk value summed from its binomial
 definition instead of the three-term recurrence.
 
+distribution_certificate checks a weight distribution against
+conditions that hold for every cyclic, scalar-closed code, whatever
+scanned it: the MacWilliams transform must divide exactly (where
+madics.analysis.macwilliams floors) and give a nonnegative dual
+distribution, the counts below weight p must fill whole orbits of the
+shift and the scalars, and the first Pless moment must hold.  It
+expands the transformed weight enumerator as polynomials in z and
+shares no code with the scans or with macwilliams.
+
 product_schoolbook is the oracle of madics.poly.mul and of
 madics.field_codes.product, the pairwise tree of packed products that
 checks the coset factors and multiplies each code's generator: it
@@ -498,6 +507,40 @@ def macwilliams_naive(dual_counts, n, q):
         sum(b * krawtchouk(w, i, n, q) for i, b in enumerate(dual_counts))
         // size
         for w in range(n + 1))
+
+
+def distribution_certificate(A, n, words, alphabet, p, q):
+    """Assert what every weight distribution A of a code with the given
+    number of words, length n over an alphabet of that many symbols,
+    cyclic of prime length p and closed under the nonzero scalars of
+    GF(q), must satisfy: A_0 = 1 and sum A = words; the MacWilliams
+    transform, words * B(z) = sum_w A_w (1 + (alphabet - 1) z)**(n - w)
+    (1 - z)**w, divides by words exactly, with B >= 0, B_0 = 1 and
+    sum B * words = alphabet**n; A_w = 0 mod p (q - 1) for 0 < w < p,
+    since the shift and the scalars act freely on words of those
+    weights; and the first Pless moment, alphabet * sum w A_w =
+    words ((alphabet - 1) n - B_1)."""
+    A = [int(a) for a in A]
+    assert len(A) == n + 1 and A[0] == 1 and sum(A) == words, "A_0 or sum A"
+    powers = [[1]]  # (1 + (alphabet - 1) z)**j, coefficients low first
+    for _ in range(n):
+        prev = powers[-1]
+        powers.append([a + (alphabet - 1) * b
+                       for a, b in zip(prev + [0], [0] + prev)])
+    # Horner in 1 - z: acc_w = A_w powers[n - w] + (1 - z) acc_(w+1)
+    acc = []
+    for w in range(n, -1, -1):
+        acc = [a - b + A[w] * c
+               for a, b, c in zip(acc + [0], [0] + acc, powers[n - w])]
+    assert all(c % words == 0 for c in acc), \
+        "the MacWilliams transform does not divide by the word count"
+    B = [c // words for c in acc]
+    assert B[0] == 1 and min(B) >= 0 and sum(B) * words == alphabet**n, \
+        "the dual distribution B"
+    assert all(A[w] % (p * (q - 1)) == 0 for w in range(1, min(p, n + 1))), \
+        "A_w not a multiple of p (q - 1) for some 0 < w < p"
+    assert alphabet * sum(w * a for w, a in enumerate(A)) == \
+        words * ((alphabet - 1) * n - B[1]), "the first Pless moment"
 
 
 def is_prime_trial(n):

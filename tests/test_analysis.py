@@ -31,6 +31,7 @@ from madics.residues import build_residue_system
 from madics.ringalg import make_ring
 from madics.ring_codes import ring_code, ring_mu_chain
 from oracle import (
+    distribution_certificate,
     divmod_generic,
     griesmer_bound_naive,
     macwilliams_naive,
@@ -95,11 +96,20 @@ def test_generator_matrix_shape():
     assert list(gm[1][1:]) == list(gm[0][:-1])
 
 
+def ring_certificate(code, rep):
+    """distribution_certificate of a ring code's exhaustive report: q**s
+    symbols and q**(sum of ranks) words."""
+    q, s = code.ring.q, code.ring.s
+    distribution_certificate(rep.weight_distribution, code.p,
+                             q ** sum(code.component_ranks), q**s, code.p, q)
+
+
 def test_ring_distance_component_min_equals_exhaustive():
     base = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     for code in ring_mu_chain(base, 7):
         rep = min_distance_ring(code)
         cross = min_distance_ring_exhaustive(code)
+        ring_certificate(code, cross)
         assert rep.d_min == cross.d_min == 9
         assert rep.component_dmins == (9, 9, 9)
         assert cross.enumerated == 3 ** 9
@@ -136,6 +146,7 @@ def test_ring_exhaustive_counts_every_tuple(monkeypatch):
         total = math.prod(q ** c.dimension for c in code.components)
         assert total == q ** (5 * s)
         rep = min_distance_ring_exhaustive(code, cap=total)
+        ring_certificate(code, rep)
         assert seen.pop() == work
         assert rep.enumerated == total
         assert sum(rep.weight_distribution) == total
@@ -297,11 +308,24 @@ def test_field_griesmer_census():
         except TooLarge:
             refused += 1
             continue
-        assert sum(rep.weight_distribution) == q**k
+        distribution_certificate(rep.weight_distribution, n, q**k, q, n, q)
         if griesmer_check(n, k, rep.d_min, q)[1]:
             attained[n, k, rep.d_min, q] += 1
     assert refused == 52
     assert attained == CENSUS_GRIESMER_ATTAINED
+
+
+def test_certificate_catches_a_moved_count():
+    # [13, 3, 9]_3, A_0 = 1 and A_9 = 26, passes; one word of weight 9
+    # moved to weight 10 keeps A_0 and the sum but changes 27 B_1 by -3,
+    # which 27 does not divide
+    code = family_codes(SYS134, F3, "even-I")[0]
+    dist = list(min_distance_field(code).weight_distribution)
+    distribution_certificate(dist, 13, 27, 3, 13, 3)
+    dist[9] -= 1
+    dist[10] += 1
+    with pytest.raises(AssertionError, match="does not divide"):
+        distribution_certificate(dist, 13, 27, 3, 13, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -543,6 +567,17 @@ RING_CASES = [
 ]
 
 
+@pytest.mark.parametrize("q,p,m,s,family", RING_CASES)
+def test_ring_grid_certificates(q, p, m, s, family):
+    # every ring code of the grid whose tuple count stays at most 2**17,
+    # on the slots i, 0 and 2i + 1 mod m
+    ring, system = make_ring(make_prime_field(q), s), build_residue_system(p, m)
+    for slots in ([i % m for i in range(s)], [0] * s,
+                  [(2 * i + 1) % m for i in range(s)]):
+        code = ring_code(ring, system, family, slots)
+        ring_certificate(code, min_distance_ring_exhaustive(code))
+
+
 @st.composite
 def ring_cases(draw):
     q, p, m, s, family = draw(st.sampled_from(RING_CASES))
@@ -559,6 +594,7 @@ def ring_cases(draw):
 @example(ring_code(make_ring(F3, 2), SYS134, "odd-II", (3, 3)))
 def test_ring_exhaustive_matches_oracle_property(code):
     rep = min_distance_ring_exhaustive(code)
+    ring_certificate(code, rep)
     d, counts = scan_union([generator_matrix(c) for c in code.components],
                            code.ring.q)
     assert rep.weight_distribution == tuple(int(c) for c in counts)

@@ -467,6 +467,44 @@ def test_distance_needs_source(capsys):
     assert "--index" in err
 
 
+FIELD_FLAGS = ("--q", "3", "--p", "13", "--m", "4", "--family", "even-I")
+
+
+def test_distance_s_without_slots_exit_1(capsys):
+    # --s alone names no ring code: it must not fall back to the field
+    # code of --index
+    code, out, err = run_cli(capsys, "distance", *FIELD_FLAGS, "--index", "0",
+                             "--s", "3")
+    assert (code, out) == (1, "")
+    assert "MadicError" in err and "--s and --slots" in err
+
+
+def test_distance_index_beside_slots_exit_1(capsys):
+    # a ring code has slots, not an index: --index must not be dropped
+    code, out, err = run_cli(capsys, "distance", *FIELD_FLAGS, "--index", "2",
+                             "--s", "3", "--slots", "0,1,2")
+    assert (code, out) == (1, "")
+    assert "MadicError" in err and "--index or --slots" in err
+
+
+@pytest.mark.parametrize("flag", (
+    ("--p", "19"), ("--m", "6"), ("--b", "2"), ("--a", "7"), ("--q", "7"),
+    ("--family", "odd-I"), ("--alpha-exp", "1"), ("--index", "0"),
+    ("--s", "3"), ("--slots", "0,1,2")))
+@pytest.mark.parametrize("verb", ("distance", "export"))
+def test_code_flag_beside_from_exit_1(tmp_path, capsys, verb, flag):
+    # the document names the code, so a code flag beside --from would be
+    # replaced by its params unseen
+    path = tmp_path / "field.json"
+    assert main(["export", *FIELD_FLAGS, "--index", "0", "--skip-distance",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, verb, "--from", str(path), *flag)
+    assert (code, out) == (1, "")
+    assert "MadicError" in err
+    assert f"--from cannot be given with {flag[0]}" in err
+
+
 def test_export_round_trip(tmp_path, capsys):
     path = tmp_path / "code.json"
     code, _, _ = run_cli(capsys, "export", "--q", "3", "--s", "3",

@@ -20,8 +20,10 @@ and _kernels calls no np.unique or sort, whose first call pages in
 numpy code that the peak resident size of a scan run would show.  One
 code payload: only cli._code_payload builds a code verb's {command,
 parameters, code} dict, and one add_argument declares --output.  One
-orbit labeler: only _kernels._orbit_words calls _least_labels.  One generator
-construction: only CyclicCode.generator, check_factors and
+orbit labeler: only _kernels._orbit_words calls _least_labels.  One
+table builder: scan and scan_union take every grouped table from
+_kernels._orbit_words, and only it and scan's low table call _words.
+One generator construction: only CyclicCode.generator, check_factors and
 gauss_periods read field_codes.coset_factors, so a code's dual is its
 family partner and not a second product of factors.  One
 arithmetic for the splitting field: field_codes.coset_factors makes at
@@ -539,19 +541,45 @@ def test_one_code_payload():
     assert len(outputs) == 1, outputs
 
 
+def _callers(name):
+    """module.function, for each top-level function of the package, once
+    per call it makes to name, as a plain or attribute call."""
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found.extend(
+                f"{path.stem}.{getattr(top, 'name', None)}"
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None),
+                             getattr(node.func, "attr", None)))
+    return found
+
+
 def test_one_orbit_labeler():
     # every orbit is labeled in message space by _kernels._orbit_words,
     # the one caller of _least_labels, so a second orbit mechanism (a
     # rotation of packed supports) cannot come back unnoticed
-    callers = []
-    for path in SOURCES:
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            callers.extend(
-                f"{path.stem}.{getattr(top, 'name', None)}"
-                for node in ast.walk(top) if isinstance(node, ast.Call)
-                and "_least_labels" in (getattr(node.func, "id", None),
-                                        getattr(node.func, "attr", None)))
-    assert callers == ["_kernels._orbit_words"]
+    assert _callers("_least_labels") == ["_kernels._orbit_words"]
+
+
+def test_one_table_builder():
+    # every grouped table, the scalar orbits (projective points) and the
+    # orbits of <x, scalars> alike, comes from _kernels._orbit_words: scan
+    # and scan_union call it once each, scan_union folds nothing but its
+    # tables by support, and only it and scan's low table tabulate
+    # _words, so a second builder of points or classes cannot come back
+    assert _callers("_orbit_words") == ["_kernels.scan",
+                                        "_kernels.scan_union"]
+    assert sorted(set(_callers("_words"))) == ["_kernels._orbit_words",
+                                               "_kernels.scan"]
+    assert _callers("_words").count("_kernels.scan") == 1
+    tree = ast.parse((ROOT / "src" / "madics" / "_kernels.py").read_text(
+        encoding="utf-8"))
+    folds = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_supports"]
+    assert _callers("_supports") == ["_kernels.scan_union"]
+    assert folds == ["_supports(*_orbit_words(g, q, c))"]
 
 
 def test_one_generator_construction():

@@ -376,11 +376,12 @@ def test_scan_pairs_visited(monkeypatch, q, k):
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_points_built_directly_match_oracle(q):
-    # _points builds the rows [q**j, 2 q**j) as g_j plus the words of the
-    # rows before it, without the full q**k table: the rows must be the
-    # words of the messages 0 and q**j + i, in that order, and the scans
-    # that read them must match the oracles, also for rank-deficient and
-    # zero matrices and k = 0, 1
+    # _orbit_words without check builds the rows [q**j, 2 q**j) as g_j
+    # plus the words of the rows before it, without the full q**k table:
+    # the rows must be the words of the messages 0 and q**j + i, in that
+    # order, with sizes 1 and q - 1, and the scans that read them must
+    # match the oracles, also for rank-deficient and zero matrices and
+    # k = 0, 1
     n = 13
     deficient = rand_gmat(4, n, q)
     deficient[2] = (q - 1) * deficient[0] % q
@@ -391,9 +392,10 @@ def test_points_built_directly_match_oracle(q):
         msgs = [0] + [m for j in range(k) for m in range(q**j, 2 * q**j)]
         digits = np.array([[m // q**i % q for i in range(k)] for m in msgs],
                           dtype=np.int64).reshape(len(msgs), k)
-        got = _kernels._points(gmat, q)
+        got, sizes = _kernels._orbit_words(gmat, q)
         assert len(got) == projective_rows(k, q)
         assert np.array_equal(got, digits @ gmat % q)
+        assert sizes == [1] + [q - 1] * (len(msgs) - 1)
         assert np.array_equal(scan(gmat, q)[1], scan_numpy(gmat, q)[1])
         union_matches_oracle([gmat, cases[2]], q)
         union_matches_oracle([cases[3], gmat], q)
@@ -495,7 +497,8 @@ def test_union_cyclic_rank_deficient():
     q, n = 3, 13
     (gmat,), check = family_gmats(q, n, 4, "even-I", [0])
     deficient = np.vstack([gmat, gmat[:1], np.zeros((1, n), np.int64)])
-    assert _kernels._classes(deficient, q)[1][0] == q ** 2
+    assert _kernels._supports(*_kernels._orbit_words(
+        deficient, q))[1][0] == q ** 2
     for gmats in ([deficient, gmat], [gmat, deficient],
                   [deficient, deficient, gmat]):
         union_matches_oracle(gmats, q)

@@ -28,6 +28,7 @@ from oracle import (
     _step_vbasis,
     add_generic,
     component_consistency_uncached,
+    distribution_certificate,
     mod_xn_minus_1,
     mul_mod_schoolbook,
     spectrum_direct,
@@ -496,7 +497,11 @@ def test_class_i_elements_idempotent_property(code):
 @settings(max_examples=25, deadline=None)
 @given(ring_codes_from(SMALL_CASES))
 def test_chain_weight_distribution_invariant_property(code):
-    # one mu_a step permutes the coordinates of every component alike
+    # one mu_a step permutes the coordinates of every component alike,
+    # and each member's distribution passes the certificate
+    q, s = code.ring.q, code.ring.s
     dists = {min_distance_ring_exhaustive(c).weight_distribution
              for c in ring_mu_chain(code)}
     assert len(dists) == 1
+    distribution_certificate(dists.pop(), code.p,
+                             q ** sum(code.component_ranks), q**s, code.p, q)
