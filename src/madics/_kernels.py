@@ -7,17 +7,16 @@ ceil(n/64) uint64 words with entry j at bit j % 64 of word j // 64.
 ``_distance_counts`` is the one kernel: for a block of high rows
 against the whole low table it ORs op(h_b, l_b) over the planes, counts
 set bits with ``np.bitwise_count`` and folds the weights into counts
-with bincount.  Every row has a key, an index into a small table of
-message counts, mult_high for the high rows and mult_low for the low
-ones.  The kernel histograms (high key a, low key b, weight w) and folds
-A_w = sum_ab mult_high[a] mult_low[b] counts[a, b, w] with one int64
-product.  The fold counts messages, not words, so it is exact for zero
-components and rank-deficient matrices too: counts[0] counts every
-message that maps to the zero word.  The index (a len(mult_low) + b)
-(n + 1) + w is built in the least unsigned type that holds its largest
-value and the scalar len(mult_low) (n + 1) it is built from, which is
-the larger when there is one high key.  Its callers differ in the tables,
-the counts and op:
+with bincount.  Every high row carries a weight, the int64 number of
+messages it stands for, and every low row a key, an index into a small
+table of message counts, mult_low.  The kernel histograms each block
+per (high row i, low key b, weight w) and folds A_w = sum_ib
+weight[i] mult_low[b] counts[i, b, w] with one int64 product.  The
+fold counts messages, not words, so it is exact for zero components
+and rank-deficient matrices too: counts[0] counts every message that
+maps to the zero word.  The index (i len(mult_low) + b) (n + 1) + w is
+built in the least unsigned type that holds the block's largest one.
+Its callers differ in the tables, the counts and op:
 
     scan         field code: the tables hold words spanned by two
                  sets of G's rows, so each codeword is one h + l.  The
@@ -33,8 +32,8 @@ the counts and op:
                  component's.
 
 scan's high table holds one word per orbit of a group acting on the
-messages of its rows, keyed by the orbit size, and its low table is a
-code L that the group maps onto itself, kept whole (mult_low = [1]).
+messages of its rows, weighed by the orbit size, and its low table is
+a code L that the group maps onto itself, kept whole (mult_low = [1]).
 Then hist(g h + L) = hist(g (h + L)) = hist(h + L) for each g of the
 group, so one word stands for its orbit.  _orbit_words builds every
 such table, the word of each orbit's least message with the orbit
@@ -71,9 +70,9 @@ the first one's without check, folds the scalar orbits: the zero word,
 counted once, and one word per projective point, counted q - 1 times.
 Different points can share a support, and in a rank-deficient matrix
 a point can have the empty one.  A low row's key indexes the last
-table's distinct counts, mult_low; a high row's key indexes the
-distinct products of its classes' counts, mult_high, each at most the
-message count the caller's cap bounds.
+table's distinct counts, mult_low; a high row, a tuple of classes of
+the other tables gathered per block, weighs the product of their
+counts, at most the message count the caller's cap bounds.
 
 A simultaneous cyclic shift of every component permutes the tuples,
 and the scalars keep every support.  So when every later component
@@ -91,9 +90,11 @@ Tables deduplicate on the bytes of their packed rows in dicts, without
 a sort: the first np.unique or np.sort call of a process pages in
 numpy code that the peak resident size of a run would show.
 
-A block's largest temporary, pairs x words per plane x 8 bytes, is kept
-to BLOCK_BYTES (one high row at least), and is freed before bincount
-copies the block's bins to intp, so the two are never held at once.
+A block's pair table, pairs x words per plane x 8 bytes, and its
+per-row histograms, rows x len(mult_low) (n + 1) x 8 bytes, are each
+kept to BLOCK_BYTES (one high row at least), and the pair table is
+freed before bincount copies the block's indices to intp, so those two
+are never held at once.
 _orbit_words holds at most 2 q**(k-1) words without check and q**k
 labels with it, k its matrix's rows, so tables are sized by
 q**ceil(k/2) words (scalar-only field scans), by the caller's bound on
@@ -130,45 +131,41 @@ def _planes(table, bits):
     return _pack(table & masks[:, None, None])
 
 
-def _distance_counts(high, n_high, low, low_keys, n, op, mult_high,
-                     mult_low):
-    """counts[w] = the sum of mult_high[a] * mult_low[b] over the pairs
+def _distance_counts(high, n_high, low, low_keys, mult_low, n, op):
+    """counts[w] = the sum of weight(i) * mult_low[b] over the pairs
     (i, j), i < n_high, where the OR over planes of op(high row i, low
-    row j) has w set bits, a is the key of row i and b that of row j.
-    low has shape (planes, rows, words) and low_keys one key per low
-    row, or None when every low key is 0; high(idx) returns the rows, in
-    the same layout, and the keys of the high rows idx.  Every product
-    of multiplicities is at most the message count the caller's cap
-    bounds, so it fits int64."""
-    mult = [a * b for a in mult_high for b in mult_low]
-    keyed = min(mult) < max(mult)  # else every pair weighs mult[0]
-    n_keys = len(mult) if keyed else 1
+    row j) has w set bits and b is the key of low row j.  low has shape
+    (planes, rows, words) and low_keys one key per low row, read only
+    when mult_low has more than one entry; high(start, stop) returns the
+    high rows [start, stop), in the same layout, and their int64
+    weights.  Every weight times mult_low[b] is at most the message
+    count the caller's cap bounds, so the fold fits int64."""
     planes, n_low, width = low.shape
-    step = max(1, BLOCK_BYTES // (n_low * width * 8))
-    bins = n + 1
-    # the indices and, keyed, the scalar len(mult_low) * bins fit atype
-    atype = np.min_scalar_type(max(n_keys * bins - 1,
-                                   len(mult_low) * bins if keyed else 0))
-    low_at = (np.multiply(low_keys, bins, dtype=atype)
-              if keyed and low_keys is not None else None)
-    hist = np.zeros(n_keys * bins, dtype=np.int64)
+    bins = len(mult_low) * (n + 1)  # one histogram per high row
+    step = min(n_high, max(1, BLOCK_BYTES // (max(n_low * width, bins) * 8)))
+    atype = np.min_scalar_type(step * bins - 1)  # the block's indices
+    # block row i against low row j counts into i bins + key(j) (n + 1)
+    rows = (np.arange(step) * bins).astype(atype)[:, None]
+    low_at = ((np.asarray(low_keys, np.intp) * (n + 1)).astype(atype)
+              if len(mult_low) > 1 else None)
+    mult_low = np.array(mult_low, dtype=np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, n_high, step):
-        block, keys = high(np.arange(start, min(start + step, n_high)))
+        block, weights = high(start, min(start + step, n_high))
         diff = op(block[0][:, None], low[0])
         for b in range(1, planes):
             diff |= op(block[b][:, None], low[b])
         ones = np.bitwise_count(diff)
         del diff  # freed before bincount makes its own intp copy of at
-        at = ones[..., 0].astype(atype)
+        at = ones[..., 0] + rows[:len(weights)]
         for w in range(1, width):  # a word slice at a time: few words
             at += ones[..., w]
         del ones
-        if keyed:
-            if low_at is not None:
-                at += low_at
-            at += np.multiply(keys, len(mult_low) * bins, dtype=atype)[:, None]
-        hist += np.bincount(at.ravel(), minlength=len(hist))
-    return np.array(mult[:n_keys], dtype=np.int64) @ hist.reshape(n_keys, bins)
+        if low_at is not None:
+            at += low_at
+        hist = np.bincount(at.ravel(), minlength=len(weights) * bins)
+        counts += np.outer(weights, mult_low).ravel() @ hist.reshape(-1, n + 1)
+    return counts
 
 
 def _words(gmat, q, last=None):
@@ -259,11 +256,10 @@ def scan(gmat, q, check=None):
     bits = (q - 1).bit_length()
     low = _planes(_words(gmat[:half], q), bits)
     high, sizes = _orbit_words(gmat[half:], q, check)
-    keys, mult_high = _index(sizes)
-    high = _planes(high, bits)
-    counts = _distance_counts(lambda idx: (high[:, idx], keys[idx]),
-                              len(keys), low, None, n, np.bitwise_xor,
-                              mult_high, [1])
+    high, sizes = _planes(high, bits), np.array(sizes, dtype=np.int64)
+    counts = _distance_counts(
+        lambda start, stop: (high[:, start:stop], sizes[start:stop]),
+        len(sizes), low, None, [1], n, np.bitwise_xor)
     return min_weight(counts), counts
 
 
@@ -298,32 +294,25 @@ def scan_union(gmats, q, check=None):
     later matrix must span a cyclic code (module docstring)."""
     n = gmats[-1].shape[1]
     checks = [check] + [None] * (len(gmats) - 1)
-    # a row's key indexes its table's distinct counts
-    *high_tables, (last, last_keys, mult_low) = [
-        (rows, *_index(sizes)) for rows, sizes in
-        (_supports(*_orbit_words(g, q, c)) for g, c in zip(gmats, checks))]
-    # a high key indexes the distinct products of its classes' counts,
-    # so the key count grows with those products, not with the number
-    # of components: steps[i][a * len(vals) + b] is the key of product
-    # mult_high[a] * vals[b]
-    mult_high, steps = [1], []
-    for _, _, vals in reversed(high_tables):
-        step, mult_high = _index([a * b for a in mult_high for b in vals])
-        steps.append(step)
-    # the high side of a one-component scan is the zero word alone
-    empty = (np.zeros_like(last[:1]), np.zeros(1, np.uint8))
+    *high_tables, (last, last_sizes) = [
+        _supports(*_orbit_words(g, q, c)) for g, c in zip(gmats, checks)]
+    high_tables = [(rows, np.array(sizes, dtype=np.int64))
+                   for rows, sizes in reversed(high_tables)]
 
-    def high(idx):
-        rows, keys = empty
-        for (table, table_keys, vals), step in zip(reversed(high_tables),
-                                                    steps):
+    def high(start, stop):
+        # row i's digits in the tables' mixed radix pick one class of
+        # each, weighed by the product of their message counts; with one
+        # component the high side is the zero word alone
+        idx = np.arange(start, stop)
+        rows = np.zeros_like(last[:1])
+        weights = np.ones(len(idx), dtype=np.int64)
+        for table, sizes in high_tables:
             idx, digit = np.divmod(idx, len(table))
             rows = rows | table[digit]
-            keys = step[np.multiply(keys, len(vals), dtype=np.intp)
-                        + table_keys[digit]]
-        return rows[None], keys
+            weights *= sizes[digit]
+        return rows[None], weights
 
-    n_high = math.prod(len(t) for t, _, _ in high_tables)
-    counts = _distance_counts(high, n_high, last[None], last_keys, n,
-                              np.bitwise_or, mult_high, mult_low)
+    n_high = math.prod(len(t) for t, _ in high_tables)
+    counts = _distance_counts(high, n_high, last[None], *_index(last_sizes),
+                              n, np.bitwise_or)
     return min_weight(counts), counts

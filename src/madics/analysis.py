@@ -1,47 +1,54 @@
 """Exact minimum distances, weight distributions and Griesmer checks.
 
-A field code of dimension k is measured by enumerating whichever of C
-and its dual is smaller.  When n - k >= k the scan runs over the q**k
-messages of C; when n - k < k it runs over the q**(n-k) messages of
-C.dual, the family partner of field_codes (the code whose nonzeros are
-the negated zeros of C), and the MacWilliams identity turns the dual's
-weight distribution B into C's, A_w = q**-(n-k) sum_i B_i K_w(i), with
-the Krawtchouk values K_w(i) exact Python ints from their three-term
+One function, _smaller_side, measures a field code and the exhaustive
+ring method alike.  Through the CRT a ring code over
+F_q[v]/(v**s - v) is the product C_0 x ... x C_{s-1} of its component
+codes, an additive code of length n over the alphabet F_q**s whose
+Hamming weight is the ring weight; a field code is the case s = 1.
+Under the sum of the component dot products its dual is C_0.dual x ...
+x C_{s-1}.dual, each C_k.dual the family partner of field_codes (the
+code whose nonzeros are the negated zeros of C_k).  With k the sum of
+the component ranks, the scan runs over the q**k messages of the code
+when s n - k >= k, and over the q**(s n - k) messages of the dual when
+s n - k < k; then the MacWilliams identity with q**s symbols (Delsarte
+1973; MacWilliams & Sloane, ch. 5) turns the dual's weight distribution
+B into the code's, A_w = q**-(s n - k) sum_i B_i K_w(i), with the
+Krawtchouk values K_w(i) exact Python ints from their three-term
 recurrence.  Either way the counts are Python ints (past the cap A_w
 exceeds int64), and the cap (default DEFAULT_CAP = 2**24) bounds the
-words actually scanned, min(q**k, q**(n-k)): a larger scan is refused
-with TooLarge.  The zero code scans its one word like any other.
+messages actually scanned, min(q**k, q**(s n - k)): a larger scan is
+refused with TooLarge, whose text names both sides.  The zero code
+scans its one word like any other.
 
-The scanned code, C or C.dual, is cyclic, so its check polynomial
-factors into the coset factors of its nonzeros (CyclicCode.nonzeros,
-field_codes.check_factors).  _split divides them between two ideals,
-C = A + B: A takes the factors whose degrees sum to the most that is at
-most ceil(dim/2), and the kernel tabulates every word of B against one
-word of A per orbit of the group generated by the cyclic shift and the
-scalars, weighed by the orbit size (see _kernels).  The scan has no
-split for an irreducible check polynomial or a dim A below 2, a B of
-more than SPLIT_LOW_ROWS words (its low table), or fewer than
-SPLIT_MIN_WORDS words in all; then the same orbit builder groups the
-upper half of the rows by the scalars alone.  The
-exhaustive ring method holds its tuple count, the product of the
-component word counts, to the same cap.  Ring codes are
-measured two ways: the component-min method takes the minimum of the
-CRT component distances, which is exact because a ring codeword's
-support is the union of its component supports and the components are
-independent; the exhaustive method counts every tuple of component
-messages and is used as a cross-check on small instances.  A ring
-code's components are members of one family_codes tuple, which a
-multiplier mu_b, b in Q_1, permutes cyclically, so they share one
-weight distribution: component-min scans the first alone and reports
-its rank (k) and distance for all s, and enumerated stays the sum of
-the s components' word counts.  A union weight depends on the component
-supports alone, so its scan visits one row per distinct support of
-each later component, weighed by the number of messages with that
-support.  Every component is cyclic, so the first one is reduced, as in
-a split field scan, to one word per orbit of the cyclic shift (x mod
-its check polynomial) and the scalars, folded by support and weighed
-by the orbit sizes (see _kernels); its enumerated count and its cap
-stay the full tuple count.
+A field code's scanned side, C or C.dual, is cyclic, so its check
+polynomial factors into the coset factors of its nonzeros
+(CyclicCode.nonzeros, field_codes.check_factors).  _split divides them
+between two ideals, C = A + B: A takes the factors whose degrees sum to
+the most that is at most ceil(dim/2), and the kernel tabulates every
+word of B against one word of A per orbit of the group generated by the
+cyclic shift and the scalars, weighed by the orbit size (see _kernels).
+The scan has no split for an irreducible check polynomial or a dim A
+below 2, a B of more than SPLIT_LOW_ROWS words (its low table), or
+fewer than SPLIT_MIN_WORDS words in all; then the same orbit builder
+groups the upper half of the rows by the scalars alone.
+
+Ring codes are measured two ways: the component-min method takes the
+minimum of the CRT component distances, which is exact because a ring
+codeword's support is the union of its component supports and the
+components are independent; the exhaustive method above counts every
+tuple of component messages on the smaller side and is used as a
+cross-check.  A ring code's components are members of one family_codes
+tuple, which a multiplier mu_b, b in Q_1, permutes cyclically, so they
+share one weight distribution: component-min scans the first alone and
+reports its rank (k) and distance for all s, and enumerated stays the
+sum of the s components' word counts.  A union weight depends on the
+component supports alone, so the exhaustive scan visits one row per
+distinct support of each later component, weighed by the number of
+messages with that support.  Every component of either side is cyclic,
+so the first one is reduced, as in a split field scan, to one word per
+orbit of the cyclic shift (x mod its check polynomial) and the scalars,
+folded by support and weighed by the orbit sizes (see _kernels); its
+enumerated count and its cap stay the scanned side's full tuple count.
 
 numpy and the scan kernel (_kernels) are imported inside the functions
 that build a generator matrix or scan, so importing madics or its CLI
@@ -68,19 +75,21 @@ SPLIT_MIN_WORDS = 1 << 14
 class DistanceReport:
     """Outcome of one distance computation.
 
-    k is the rank of the enumeration basis: the code dimension for a
-    field code, the sum of component ranks for an exhaustive ring run,
+    k is the code's rank, whichever side was scanned: the dimension of
+    a field code, the sum of component ranks for an exhaustive ring run,
     and the common component rank for component-min.  weight_distribution
     is A_0..A_n (Python ints) when the method accounts for every word,
     else None.  The zero code reports d_min = 0.
 
-    method is "exhaustive" when the scan ran over the code itself (or,
-    for a ring code, over every tuple of component messages),
-    "macwilliams" when it ran over the dual code and A came from the
-    MacWilliams identity, and "component-min" for the minimum over the
-    CRT components.  enumerated is the number of words whose weights
-    were counted: q**k, the dual's q**(n-k), the tuple count, or the
-    sum over the s components, each counted as if scanned.
+    method is "exhaustive" when the scan ran over the code itself (for
+    a ring code, over every tuple of component messages), "macwilliams"
+    when it ran over the dual code (for a ring code, every tuple of dual
+    component messages) and A came from the MacWilliams identity, and
+    "component-min" for the minimum over the CRT components.  enumerated
+    is the number of words whose weights were counted: the scanned
+    side's q**k or q**(n-k) for a field code, its tuple count for an
+    exhaustive ring run, or the sum over the s components, each counted
+    as if scanned.
     """
 
     n: int
@@ -177,28 +186,47 @@ def _kernel_only(use_numba):
             "only the numpy scan kernel exists; pass use_numba=None")
 
 
+def _smaller_side(codes, cap):
+    """Exact distance and weight distribution of C_0 x ... x C_{s-1},
+    one cyclic code of length n over GF(q) for a field code and s
+    components for a ring code, by enumerating the messages of whichever
+    of it and its dual, C_0.dual x ... x C_{s-1}.dual, has fewer (module
+    docstring)."""
+    from . import _kernels
+
+    n, q, s = codes[0].p, codes[0].q, len(codes)
+    ranks = tuple(c.dimension for c in codes)
+    k = sum(ranks)
+    dual = s * n - k < k
+    scanned = [c.dual for c in codes] if dual else codes
+    total = q**min(k, s * n - k)
+    if total > cap:
+        raise TooLarge(
+            f"enumerating {total} "
+            f"{'codewords' if s == 1 else 'component-message tuples'}, the "
+            f"smaller of the code ({q}^{k}) and its dual ({q}^{s * n - k}), "
+            f"exceeds the cap {cap}; raise the cap to proceed")
+    if s == 1:
+        gmat, check = _scan_matrix(scanned[0])
+        best, counts = _kernels.scan(gmat, q, check)
+    else:
+        factors = check_factors(scanned[0])  # of its check polynomial
+        best, counts = _kernels.scan_union(
+            [generator_matrix(c) for c in scanned], q,
+            product(q, factors) if factors else None)
+    counts = tuple(int(c) for c in counts)
+    if dual:
+        counts = macwilliams(counts, n, q**s)
+        best = next((w for w in range(1, n + 1) if counts[w]), 0)
+    return DistanceReport(n, k, best, "macwilliams" if dual else "exhaustive",
+                          total, counts, ranks if s > 1 else None)
+
+
 def min_distance_field(code, cap=DEFAULT_CAP, use_numba=None):
     """Exact distance and weight distribution of a field code, by
     enumerating the smaller of the code and its dual."""
-    from . import _kernels
-
     _kernel_only(use_numba)
-    n, k, q = code.p, code.dimension, code.q
-    scanned = code.dual if n - k < k else code
-    total = q**scanned.dimension
-    if total > cap:
-        raise TooLarge(
-            f"enumerating {total} codewords, the smaller of the code "
-            f"({q}^{k}) and its dual ({q}^{n - k}), exceeds the cap {cap}; "
-            "raise the cap to proceed")
-    gmat, check = _scan_matrix(scanned)
-    best, counts = _kernels.scan(gmat, q, check)
-    counts = [int(c) for c in counts]
-    if scanned is code:
-        return DistanceReport(n, k, best, "exhaustive", total, tuple(counts))
-    dist = macwilliams(counts, n, q)
-    best = next((w for w in range(1, n + 1) if dist[w]), 0)
-    return DistanceReport(n, k, best, "macwilliams", total, dist)
+    return _smaller_side([code], cap)
 
 
 def min_distance_ring(code, cap=DEFAULT_CAP, use_numba=None):
@@ -212,29 +240,10 @@ def min_distance_ring(code, cap=DEFAULT_CAP, use_numba=None):
 
 
 def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
-    """Exact ring distance by enumerating every component-message tuple.
-
-    The support of a ring word is the union of the component supports,
-    so the kernel folds 0/1 support tables across components, one row
-    per distinct support of each (of its shift-and-scalar orbits for
-    the first), weighed by its message count; enumerated is the full
-    tuple count.
-    """
-    from . import _kernels
-
-    n, q, ranks = code.p, code.ring.q, code.component_ranks
-    total = q**sum(ranks)
-    if total > cap:
-        raise TooLarge(
-            f"enumerating {total} component-message tuples exceeds the cap "
-            f"{cap}; raise the cap to proceed")
-    factors = check_factors(code.components[0])  # of its check polynomial
-    check = product(q, factors) if factors else None
-    d, counts = _kernels.scan_union(
-        [generator_matrix(c) for c in code.components], q, check)
-    return DistanceReport(n, sum(ranks), d, "exhaustive", total,
-                          tuple(int(c) for c in counts),
-                          ranks, None)
+    """Exact ring distance and weight distribution by enumerating every
+    tuple of component messages of the smaller of the code and its dual;
+    enumerated is that side's tuple count (module docstring)."""
+    return _smaller_side(code.components, cap)
 
 
 def griesmer_check(n, k, d, q):

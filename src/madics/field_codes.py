@@ -173,6 +173,13 @@ def coset_factors(q, p):
     that of the sequence u_{min(C) j mod p}, the constant digits of the
     beta^j, which starts at u_0 = 1.  Returns {min(C): factor},
     ascending, so 0 maps to x - 1.
+
+    The factors are proved, not multiplied out.  Each digit sequence is
+    nonzero (u_0 = 1) and its minimal polynomial divides beta's, which
+    is irreducible of degree |C|: so alpha's recurrence, of degree t,
+    and each factor, of degree |C|, is the minimal polynomial of its
+    root.  As alpha**p = 1, each divides x**p - 1, which is squarefree,
+    and distinct ones whose degrees sum to p are its factorization.
     """
     ext, alpha = splitting_field(q, p)
     power, u = 1, []
@@ -182,9 +189,12 @@ def coset_factors(q, p):
     recurrence = [-c % q for c in _min_poly(q, u)[:-1]]
     for k in range(len(u), p):
         u.append(sum(map(operator.mul, recurrence, u[k - ext.t:k])) % q)
+    sizes = _coset_sizes(q, p)
     factor_of = {g: _min_poly(q, [u[g * j % p] for j in range(2 * size)])
-                 for g, size in _coset_sizes(q, p).items()}
-    if product(q, factor_of.values()) != poly.xn_minus_1(q, p):
+                 for g, size in sizes.items()}
+    if (len(recurrence) != ext.t or sum(sizes.values()) != p
+            or len(set(factor_of.values())) < len(factor_of)
+            or any(len(f) - 1 != sizes[g] for g, f in factor_of.items())):
         raise AssertionError("coset factors do not multiply to x**p - 1")
     return factor_of
 

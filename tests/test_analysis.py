@@ -159,6 +159,28 @@ def test_ring_exhaustive_counts_every_tuple(monkeypatch):
         min_distance_ring_exhaustive(base, cap=3 ** 9 - 1)
 
 
+@pytest.mark.parametrize("q,p,m,s,family,k,d,dual_k", [
+    (3, 13, 4, 3, "even-II", 27, 3, 12),
+    (7, 19, 6, 2, "odd-I", 32, 3, 6),
+    (2, 31, 3, 2, "even-II", 40, 6, 22)])
+def test_ring_exhaustive_reaches_by_the_dual(q, p, m, s, family, k, d,
+                                             dual_k):
+    # q**k tuples, 2**42.8, 2**89.8 and 2**40, are past any cap, while
+    # the dual components span q**dual_k: the dual side is scanned and
+    # MacWilliams over q**s symbols gives the exact distribution
+    code = ring_code(make_ring(make_prime_field(q), s),
+                     build_residue_system(p, m), family, list(range(s)))
+    rep = min_distance_ring_exhaustive(code)
+    assert (rep.n, rep.k, rep.d_min, rep.method, rep.enumerated) == (
+        p, k, d, "macwilliams", q**dual_k)
+    assert rep.component_ranks == (k // s,) * s
+    ring_certificate(code, rep)
+    assert min_distance_ring(code).d_min == d
+    with pytest.raises(TooLarge, match=rf"the smaller of the code "
+                       rf"\({q}\^{k}\) and its dual \({q}\^{dual_k}\)"):
+        min_distance_ring_exhaustive(code, cap=q**dual_k - 1)
+
+
 def test_ring_common_rank():
     base = ring_code(make_ring(F3, 3), SYS134, "even-I", (1, 2, 3))
     rep = min_distance_ring(base)
@@ -313,6 +335,73 @@ def test_field_griesmer_census():
             attained[n, k, rep.d_min, q] += 1
     assert refused == 52
     assert attained == CENSUS_GRIESMER_ATTAINED
+
+
+# the ring census's points that attain the field form of the Griesmer
+# bound at their common component rank, as (n, k, d, q), with the number
+# of (p, m, s, family) points that attain each
+RING_CENSUS_FIELD_FORM = {
+    (7, 3, 4, 2): 2, (7, 4, 3, 2): 2, (31, 5, 16, 2): 1,
+    (31, 6, 15, 2): 1, (11, 5, 6, 3): 4, (11, 6, 5, 3): 4,
+    (13, 3, 9, 3): 2, (11, 5, 6, 5): 6, (31, 3, 25, 5): 3,
+    (3, 1, 3, 7): 8, (3, 2, 2, 7): 8, (19, 3, 15, 7): 4,
+}
+# and those that attain the form with alphabet q**s, as (n, k, d, q, s)
+RING_CENSUS_QS_FORM = {
+    (3, k, 4 - k, 7, s): 2 for k in (1, 2) for s in (2, 3, 4, 7)}
+
+
+def test_ring_griesmer_census():
+    # the ring half of the optimality check: member 0 of each family at
+    # slots i mod m over q in {2, 3, 5, 7}, primes p < 64, every m with
+    # q in Q_0 and every s <= q with (s - 1) | (q - 1).  Through the CRT
+    # the code is free of rank k with [n, k, d]_q components, so the
+    # field bound at rank k holds for it; the q**s form, the shape of
+    # Shiromoto & Storme's bound over a quasi-Frobenius ring, is weaker.
+    # Every point whose smaller side fits DEFAULT_CAP gives component-
+    # min's distance exhaustively, half of them by MacWilliams over q**s
+    points, refused, field_form, qs_form = 0, 0, Counter(), Counter()
+    methods = Counter()
+    for q in (2, 3, 5, 7):
+        field = make_prime_field(q)
+        for p in filter(is_prime, range(2, 64)):
+            for m in range(2, p):
+                if p == q or (p - 1) % m:
+                    continue
+                system = build_residue_system(p, m)
+                if not system.is_madic_residue(q % p):
+                    continue
+                for s in range(2, q + 1):
+                    if (q - 1) % (s - 1):
+                        continue
+                    ring = make_ring(field, s)
+                    for family in FAMILIES:
+                        code = ring_code(ring, system, family,
+                                         [i % m for i in range(s)])
+                        try:
+                            rep = min_distance_ring(code)
+                        except TooLarge:
+                            refused += 1
+                            continue
+                        points += 1
+                        n, k, d = rep.n, rep.k, rep.d_min
+                        if griesmer_check(n, k, d, q)[1]:
+                            field_form[n, k, d, q] += 1
+                        if griesmer_check(n, k, d, q**s)[1]:
+                            qs_form[n, k, d, q, s] += 1
+                        try:
+                            cross = min_distance_ring_exhaustive(code)
+                        except TooLarge:
+                            continue
+                        ring_certificate(code, cross)
+                        assert cross.d_min == d
+                        methods[cross.method] += 1
+    assert (points, refused) == (224, 228)
+    assert field_form == RING_CENSUS_FIELD_FORM
+    assert sum(field_form.values()) == 45
+    assert qs_form == RING_CENSUS_QS_FORM
+    assert sum(qs_form.values()) == 16
+    assert methods == {"exhaustive": 37, "macwilliams": 37}
 
 
 def test_certificate_catches_a_moved_count():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -296,6 +297,20 @@ def test_distance_cap_exit_2(capsys):
     assert code == 2
     assert "TooLarge" in err
 
+
+
+def test_distance_ring_by_its_dual_side(capsys):
+    # (7, 19, 6, 2) odd-I has 7**32 component-message tuples, about
+    # 2**89.8, past any cap, and its dual 7**6: the exhaustive
+    # cross-check scans the dual side and agrees with component-min
+    code, doc, _ = run_json(capsys, "distance", "--q", "7", "--p", "19",
+                            "--m", "6", "--family", "odd-I", "--s", "2",
+                            "--slots", "0,1", "--method", "both")
+    assert code == 0
+    assert doc["code"]["distance_report"]["d_min"] == 3
+    cross = doc["cross_check"]
+    assert (cross["d_min"], cross["method"], cross["enumerated"]) == (
+        3, "macwilliams", 7**6)
 
 def gf2_rank(rows):
     """Rank over GF(2) of rows given as int bit masks."""
@@ -796,6 +811,19 @@ def test_verify_paper_text(capsys):
     assert "errata" in out
     assert "result: ok" in out
 
+
+
+@pytest.mark.parametrize("output,digest", [
+    ("json", "d1937bb3a260587956f7f16a24b7ffd3"),
+    ("text", "acf15331a467357a379d3a40673c86a6")])
+def test_verify_paper_output_is_pinned(capsys, output, digest):
+    """verify-paper's whole stdout, every check, value and erratum, is
+    pinned by its md5.  Making the class-II defining elements true
+    idempotents (ROADMAP direction 1) changes the checks and errata it
+    reports, and is expected to re-pin both digests."""
+    code, out, _ = run_cli(capsys, "verify-paper", "--output", output)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
 
 RING = ("--q", "3", "--s", "3", "--p", "13", "--m", "4", "--a", "7",
         "--family", "even-I", "--slots", "1,2,3")

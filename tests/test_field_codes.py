@@ -223,6 +223,7 @@ def test_coset_factor_product_tree_matches_schoolbook(q, p):
         assert all(eval_generic(ext, factor, ext.pow(alpha, k)) == 0
                    for k in coset)
     factors = list(factor_of.values())
+    assert product(q, factors) == poly.xn_minus_1(q, p)
     for i in range(len(factors) + 1):
         assert product(q, factors[:i]) == \
             product_schoolbook(ctx, factors[:i])
@@ -403,6 +404,46 @@ def test_dropped_coset_fails_the_factor_check(monkeypatch):
     for q, p in ((3, 13), (2, 89)):
         with pytest.raises(AssertionError, match=message):
             coset_factors.__wrapped__(q, p)
+
+
+FACTOR_CHECK = r"coset factors do not multiply to x\*\*p - 1"
+
+
+def test_factor_of_wrong_degree_fails_the_factor_check(monkeypatch):
+    # the last coset's factor one degree short is not the minimal
+    # polynomial of its root, and the product of the factors, the test
+    # oracle, is then no longer x**p - 1
+    min_poly = field_codes._min_poly
+    for q, p in ((3, 13), (2, 89)):
+        factors = list(coset_factors(q, p).values())
+        last = factors[-1]
+        factors[-1] = last[1:]
+        assert product_schoolbook(make_prime_field(q), factors) != \
+            poly.xn_minus_1(q, p)
+
+        def short(q_, seq, last=last):
+            f = min_poly(q_, seq)
+            return f[1:] if f == last else f
+
+        monkeypatch.setattr(field_codes, "_min_poly", short)
+        with pytest.raises(AssertionError, match=FACTOR_CHECK):
+            coset_factors.__wrapped__(q, p)
+        monkeypatch.undo()
+
+
+def test_repeated_coset_leader_fails_the_factor_check(monkeypatch):
+    # a member of coset 1 other than 1 listed as a leader of its own
+    # gives coset 1's factor twice
+    sizes = field_codes._coset_sizes
+    for q, p in ((3, 13), (2, 89)):
+        real = sizes(q, p)
+        member = q % p  # in the coset of 1, and not its leader
+        assert member not in real
+        monkeypatch.setattr(field_codes, "_coset_sizes",
+                            lambda q_, p_: {**real, member: real[1]})
+        with pytest.raises(AssertionError, match=FACTOR_CHECK):
+            coset_factors.__wrapped__(q, p)
+        monkeypatch.undo()
 
 
 def test_cyclotomic_cosets_partition():

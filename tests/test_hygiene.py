@@ -23,11 +23,15 @@ parameters, code} dict, and one add_argument declares --output.  One
 orbit labeler: only _kernels._orbit_words calls _least_labels.  One
 table builder: scan and scan_union take every grouped table from
 _kernels._orbit_words, and only it and scan's low table call _words.
-One generator construction: only CyclicCode.generator, check_factors and
-gauss_periods read field_codes.coset_factors, so a code's dual is its
-family partner and not a second product of factors.  One
-arithmetic for the splitting field: field_codes.coset_factors makes at
-most 2t products over GF(q^t).  One arithmetic for the ring layer:
+One exact-distance path: only analysis._smaller_side calls
+_kernels.scan, _kernels.scan_union and macwilliams, reads a dual and
+raises TooLarge in analysis, so field and ring codes share one side
+choice and one cap check.  One generator construction: only
+CyclicCode.generator, check_factors and gauss_periods read
+field_codes.coset_factors, so a code's dual is its family partner and
+not a second product of factors.  One arithmetic for the splitting
+field: field_codes.coset_factors makes at most 2t products over
+GF(q^t).  One arithmetic for the ring layer:
 ring_codes and identities work on class-algebra spectra and reference
 no poly function.  No division where codes are built and
 measured: field_codes and analysis get every generator and check
@@ -580,6 +584,22 @@ def test_one_table_builder():
              and getattr(node.func, "id", None) == "_supports"]
     assert _callers("_supports") == ["_kernels.scan_union"]
     assert folds == ["_supports(*_orbit_words(g, q, c))"]
+
+
+def test_one_exact_distance_path():
+    # field codes and exhaustive ring runs reach both scan kernels and
+    # the MacWilliams transform through analysis._smaller_side alone,
+    # which reads the duals, picks the smaller side and checks the cap
+    # once for both, so a second side choice or cap cannot come back
+    for name in ("scan", "scan_union", "macwilliams"):
+        assert _callers(name) == ["analysis._smaller_side"], name
+    assert [c for c in _callers("TooLarge")
+            if c.startswith("analysis.")] == ["analysis._smaller_side"]
+    tree = ast.parse((ROOT / "src" / "madics" / "analysis.py").read_text(
+        encoding="utf-8"))
+    duals = [top.name for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr == "dual"]
+    assert duals == ["_smaller_side"]
 
 
 def test_one_generator_construction():

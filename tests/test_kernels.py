@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -219,22 +220,45 @@ def test_union_many_zero_components_fold_in_int64():
     assert_same(got, scan(one, q))
 
 
-def test_union_high_keys_are_distinct_products(monkeypatch):
-    # twelve k = 1 components over GF(3), each with counts [1, 2]: a
-    # high key indexes the 12 distinct products 2**j, j <= 11, of the
-    # first eleven tables' counts, not their 2**11 combinations
+def test_union_high_weights_fold_exactly(monkeypatch):
+    # twelve k = 1 components over GF(3), each with supports of counts
+    # [1, 2]: the high rows are the 2**11 tuples of classes of the first
+    # eleven, each weighing the product of its classes' counts, so the
+    # weights sum to the 3**11 messages they stand for and the fold
+    # matches the oracle's count of every 3**12 tuples
     q, n = 3, 5
     gmats = [systematic_gmat(1, n, q) for _ in range(12)]
-    seen = []
+    weights = []
     kernel = _kernels._distance_counts
 
-    def spy(*args):
-        seen.append((args[-2], args[-1]))
-        return kernel(*args)
+    def spy(high, n_high, *args):
+        def seen(start, stop):
+            rows, w = high(start, stop)
+            weights.extend(w.tolist())
+            return rows, w
+        return kernel(seen, n_high, *args)
 
     monkeypatch.setattr(_kernels, "_distance_counts", spy)
     union_matches_oracle(gmats, q)
-    assert seen == [([2 ** j for j in range(12)], [1, 2])]
+    assert Counter(weights) == {2**j: math.comb(11, j) for j in range(12)}
+    assert sum(weights) == q**11
+
+
+def test_union_histograms_fit_the_block_bound():
+    # a 12 x 127 matrix over GF(2) beside a zero component: 4,096 high
+    # rows against one low row, so the pair table is small and the 128
+    # bins of each high row's histogram bound the block instead; one
+    # block of them all would hold 4 MB of histograms
+    gmats = [rand_gmat(12, 127, 2), np.zeros((0, 127), np.int64)]
+    scan_union(gmats, 2)  # numpy's first-call setup outside the trace
+    tracemalloc.start()
+    try:
+        got = scan_union(gmats, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got[1], scan_union_oracle(gmats, 2)[1])
+    assert peak < 2 << 20, peak
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
