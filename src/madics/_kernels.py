@@ -100,8 +100,9 @@ labels with it, k its matrix's rows, so tables are sized by
 q**ceil(k/2) words (scalar-only field scans), by the caller's bound on
 B and q**dim(A) labels (split field scans: analysis.SPLIT_LOW_ROWS),
 or by 2 q**(k-1) words per later component and the first one's q**k
-labels (ring), never by the total word or tuple count.  counts[0]
-includes the zero word.
+labels (ring), never by the total word or tuple count.  scan and
+scan_union return the counts alone: analysis._smaller_side checks them
+and reads d_min.
 """
 
 from __future__ import annotations
@@ -235,32 +236,21 @@ def _orbit_words(gmat, q, check=None):
     return words.astype(np.min_scalar_type(q - 1)), sizes[reps].tolist()
 
 
-def min_weight(counts):
-    """Least weight of a nonzero message: 0 when one maps to the zero
-    word (counts[0] > 1), else the least w >= 1 with counts[w] > 0 (0
-    when there is none)."""
-    live = np.flatnonzero(counts[1:])
-    if counts[0] > 1 or not live.size:
-        return 0
-    return int(live[0]) + 1
-
-
 def scan(gmat, q, check=None):
     """Weight distribution of all q**k messages of the k x n matrix
-    gmat; returns (min_weight(counts), counts).  With check = f, a
-    monic divisor of x**n - 1 of degree j, the last j rows must be
-    x**i a, i < j, for a word a of the ideal A with check polynomial f,
-    and the others must span a cyclic code B (module docstring)."""
+    gmat, as int64 counts.  With check = f, a monic divisor of x**n - 1
+    of degree j, the last j rows must be x**i a, i < j, for a word a of
+    the ideal A with check polynomial f, and the others must span a
+    cyclic code B (module docstring)."""
     k, n = gmat.shape
     half = (k + 1) // 2 if check is None else k - (len(check) - 1)
     bits = (q - 1).bit_length()
     low = _planes(_words(gmat[:half], q), bits)
     high, sizes = _orbit_words(gmat[half:], q, check)
     high, sizes = _planes(high, bits), np.array(sizes, dtype=np.int64)
-    counts = _distance_counts(
+    return _distance_counts(
         lambda start, stop: (high[:, start:stop], sizes[start:stop]),
         len(sizes), low, None, [1], n, np.bitwise_xor)
-    return min_weight(counts), counts
 
 
 def _supports(words, sizes):
@@ -287,11 +277,11 @@ def _index(values):
 
 def scan_union(gmats, q, check=None):
     """Weight distribution of the unions of supports, one word from each
-    matrix's code, over every tuple of messages; returns
-    (min_weight(counts), counts).  With check = f, a monic divisor of
-    x**n - 1 of degree k, the first matrix's k rows must be x**i a, i <
-    k, for a word a of the ideal with check polynomial f, and every
-    later matrix must span a cyclic code (module docstring)."""
+    matrix's code, over every tuple of messages, as int64 counts.  With
+    check = f, a monic divisor of x**n - 1 of degree k, the first
+    matrix's k rows must be x**i a, i < k, for a word a of the ideal
+    with check polynomial f, and every later matrix must span a cyclic
+    code (module docstring)."""
     n = gmats[-1].shape[1]
     checks = [check] + [None] * (len(gmats) - 1)
     *high_tables, (last, last_sizes) = [
@@ -313,6 +303,5 @@ def scan_union(gmats, q, check=None):
         return rows[None], weights
 
     n_high = math.prod(len(t) for t, _ in high_tables)
-    counts = _distance_counts(high, n_high, last[None], *_index(last_sizes),
-                              n, np.bitwise_or)
-    return min_weight(counts), counts
+    return _distance_counts(high, n_high, last[None], *_index(last_sizes),
+                            n, np.bitwise_or)

@@ -14,7 +14,10 @@ s n - k < k; then the MacWilliams identity with q**s symbols (Delsarte
 1973; MacWilliams & Sloane, ch. 5) turns the dual's weight distribution
 B into the code's, A_w = q**-(s n - k) sum_i B_i K_w(i), with the
 Krawtchouk values K_w(i) exact Python ints from their three-term
-recurrence.  Either way the counts are Python ints (past the cap A_w
+recurrence, which raises where the division is not exact.  The kernel
+only counts: _smaller_side checks one zero word (every generator matrix
+has full rank) and one count per scanned message, and reads d_min off
+A on either side.  The counts are Python ints (past the cap A_w
 exceeds int64), and the cap (default DEFAULT_CAP = 2**24) bounds the
 messages actually scanned, min(q**k, q**(s n - k)): a larger scan is
 refused with TooLarge, whose text names both sides.  The zero code
@@ -79,7 +82,8 @@ class DistanceReport:
     a field code, the sum of component ranks for an exhaustive ring run,
     and the common component rank for component-min.  weight_distribution
     is A_0..A_n (Python ints) when the method accounts for every word,
-    else None.  The zero code reports d_min = 0.
+    else None.  d_min, read by _smaller_side, is the least w >= 1 with
+    A_w > 0, and 0 for the zero code.
 
     method is "exhaustive" when the scan ran over the code itself (for
     a ring code, over every tuple of component messages), "macwilliams"
@@ -164,8 +168,9 @@ def macwilliams(dual_counts, n, q):
     """Weight distribution A of a linear code of length n over GF(q)
     from the weight distribution B of its dual: A_w = sum_i B_i K_w(i)
     / sum_i B_i, where (w + 1) K_{w+1}(i) = ((q-1)(n-w) + w - q i)
-    K_w(i) - (q-1)(n-w+1) K_{w-1}(i), K_0 = 1.  Exact in Python ints;
-    K is evaluated only at weights i with B_i != 0."""
+    K_w(i) - (q-1)(n-w+1) K_{w-1}(i), K_0 = 1.  Exact in Python ints,
+    with AssertionError on a remainder; K is evaluated only at weights i
+    with B_i != 0."""
     acc = [0] * (n + 1)
     for i, b in enumerate(dual_counts):
         if not b:
@@ -176,6 +181,8 @@ def macwilliams(dual_counts, n, q):
             prev, cur = cur, (((q - 1) * (n - w) + w - q * i) * cur
                               - (q - 1) * (n - w + 1) * prev) // (w + 1)
     size = sum(dual_counts)
+    if any(a % size for a in acc):
+        raise AssertionError(f"{size} does not divide the transform {acc}")
     return tuple(a // size for a in acc)
 
 
@@ -208,17 +215,19 @@ def _smaller_side(codes, cap):
             f"exceeds the cap {cap}; raise the cap to proceed")
     if s == 1:
         gmat, check = _scan_matrix(scanned[0])
-        best, counts = _kernels.scan(gmat, q, check)
+        counts = _kernels.scan(gmat, q, check)
     else:
         factors = check_factors(scanned[0])  # of its check polynomial
-        best, counts = _kernels.scan_union(
+        counts = _kernels.scan_union(
             [generator_matrix(c) for c in scanned], q,
             product(q, factors) if factors else None)
-    counts = tuple(int(c) for c in counts)
+    counts = tuple(map(int, counts))
+    if counts[0] != 1 or sum(counts) != total:
+        raise AssertionError(f"the scan of {total} messages gave {counts}")
     if dual:
         counts = macwilliams(counts, n, q**s)
-        best = next((w for w in range(1, n + 1) if counts[w]), 0)
-    return DistanceReport(n, k, best, "macwilliams" if dual else "exhaustive",
+    d_min = next((w for w in range(1, n + 1) if counts[w]), 0)
+    return DistanceReport(n, k, d_min, "macwilliams" if dual else "exhaustive",
                           total, counts, ranks if s > 1 else None)
 
 

@@ -272,8 +272,12 @@ def _load_exported(args):
 
 def _distance_target(args):
     """The code of the flags, or of an export document's params, which
-    take the place of the flags and must rebuild its generator."""
+    take the place of the flags and must rebuild its generator.  A field
+    code refuses --method: it is always measured on its smaller side."""
     code_doc = _load_exported(args) if args.from_file else None
+    if args.slots is None and args.method is not None:
+        raise MadicError("--method applies to ring codes only; a field "
+                         "code is measured exhaustively on its smaller side")
     code = _build_ring(args) if args.slots is not None else _build_field(args)
     if code_doc is not None and code_doc["generator"] != json.loads(
             json.dumps(code.generator)):
@@ -284,8 +288,9 @@ def _distance_target(args):
 
 
 def _analyze(code, args):
-    """The report of code under args.method and its exhaustive
-    cross-check, None unless --method both, which must agree."""
+    """The report of code under args.method, component-min unless given
+    for a ring code, and its exhaustive cross-check, None unless
+    --method both, which must agree."""
     if isinstance(code, CyclicCode):
         return min_distance_field(code, args.cap), None
     if args.method == "exhaustive":
@@ -319,18 +324,25 @@ def _code_payload(code, args, report=None, cross=None):
     return payload, _params_lines(params)
 
 
+def _enumerated(report):
+    """The method of report and what it enumerated: component-message
+    tuples for an exhaustive ring run on either side, else codewords."""
+    unit = ("component-message tuples" if report.component_ranks is not None
+            and report.method != "component-min" else "codewords")
+    return f"{report.method}, {report.enumerated} {unit} enumerated"
+
+
 def cmd_distance(args):
     code = _distance_target(args)
     report, cross = _analyze(code, args)
     payload, lines = _code_payload(code, args, report, cross)
     lines.append(f"[{report.n}, {report.k}] d_min = {report.d_min} "
-                 f"({report.method}, {report.enumerated} codewords "
-                 "enumerated)")
+                 f"({_enumerated(report)})")
     if report.component_dmins is not None:
         lines.append(f"component distances: {list(report.component_dmins)}")
     if cross is not None:
-        lines.append(f"exhaustive cross-check: d_min = {cross.d_min} "
-                     f"({cross.enumerated} words) agrees")
+        lines.append(f"cross-check: d_min = {cross.d_min} "
+                     f"({_enumerated(cross)}) agrees")
     if report.weight_distribution is not None and report.n <= 32:
         lines.append("weight distribution: "
                      f"{list(report.weight_distribution)}")
@@ -424,9 +436,10 @@ def _add_code_source_flags(sub, from_help):
                      help="maximum enumeration size")
     sub.add_argument("--method",
                      choices=("component-min", "exhaustive", "both"),
-                     default="component-min",
-                     help="ring distance method (field codes always "
-                     "enumerate exhaustively)")
+                     default=None,
+                     help="ring distance method (default component-min); "
+                     "refused on a field code, which is always measured "
+                     "exhaustively on its smaller side")
 
 
 def build_parser():

@@ -304,9 +304,7 @@ def gauss_periods(system, q):
 @functools.lru_cache(maxsize=None)
 def _classes_of_negatives(system):
     """c(-k), the class of -k, for k = 1, ..., p - 1."""
-    neg = {system.p - k: i for i, cls in enumerate(system.classes)
-           for k in cls}
-    return tuple(map(neg.__getitem__, range(1, system.p)))
+    return tuple(map(system.class_of, range(-1, -system.p, -1)))
 
 
 @functools.lru_cache(maxsize=None)

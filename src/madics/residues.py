@@ -3,16 +3,19 @@
 For m | (p - 1) the m-th powers Q_0 = {x**m mod p} form a subgroup of
 index m in the multiplicative group, and Q_i = b**i * Q_0 for a
 primitive root b are its cosets: a partition of {1, ..., p-1} into m
-classes of size (p - 1)/m.  The multiplier mu_a : i -> a*i mod p
-permutes exponents; when the class index j of a is coprime to m it
-cyclically shifts the classes, Q_i -> Q_{i+j}.  Ring codes apply it
-per CRT component, as a shift of each component's class-algebra
-spectrum (ring_codes.chain_source).
+classes of size (p - 1)/m.  As Q_i = {b**k : k = i mod m}, one walk of
+the powers of b labels every residue with its class, and one ascending
+pass over the residues fills the classes in order.  The multiplier
+mu_a : i -> a*i mod p permutes exponents; when the class index j of a
+is coprime to m it cyclically shifts the classes, Q_i -> Q_{i+j}.
+Ring codes apply it per CRT component, as a shift of each component's
+class-algebra spectrum (ring_codes.chain_source).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,10 +29,10 @@ from .errors import (
 )
 from .ffield import is_prime, make_prime_field
 
-# Largest p build_residue_system accepts.  A system keeps about 82 bytes
-# per residue (the class_of dict and the class tuples; 107 at the peak
-# of the build), so 2**20 residues hold about 85 MB and peak near
-# 110 MB (measured with tracemalloc at p = 1000003, CPython 3.11).
+# Largest p build_residue_system accepts.  A system keeps about 48 bytes
+# per residue (the class_of list and the class tuples; 56 at the peak
+# of the build), so 2**20 residues hold about 50 MB and peak near
+# 59 MB (measured with tracemalloc at p = 1000003, CPython 3.11).
 P_CAP = 1 << 20
 
 
@@ -46,7 +49,7 @@ class ResidueSystem:
     a: int
     a_class_index: int = field(compare=False)
     classes: tuple = field(compare=False)
-    _class_of: dict = field(repr=False, compare=False, hash=False, default=None)
+    _class_of: list = field(repr=False, compare=False, hash=False, default=None)
 
     def class_of(self, x):
         """Index i with x mod p in Q_i; raises for x = 0 mod p."""
@@ -89,17 +92,17 @@ def build_residue_system(p, m, b=None, a=None):
         raise NotPrimitiveRoot(f"{b} is not a primitive root mod {p}")
     b %= p
 
-    q0 = sorted({pow(x, m, p) for x in range(1, p)})
-    classes = [tuple(q0)]
-    for i in range(1, m):
-        shift = pow(b, i, p)
-        classes.append(tuple(sorted(x * shift % p for x in q0)))
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = i
-    if len(class_of) != p - 1:
-        raise AssertionError("classes do not partition {1, ..., p-1}")
+    # b**k lies in Q_(k mod m); cycle reuses its m index objects
+    class_of, x = [None] * p, 1
+    for i in itertools.islice(itertools.cycle(range(m)), p - 1):
+        class_of[x] = i
+        x = x * b % p
+    if x != 1 or class_of.count(None) != 1:
+        raise AssertionError("the powers of b do not walk {1, ..., p-1}")
+    classes = [[] for _ in range(m)]
+    for x in range(1, p):
+        classes[class_of[x]].append(x)
+    classes = tuple(map(tuple, classes))
 
     given = classes[1][0] if a is None else a
     a = given % p
@@ -109,5 +112,5 @@ def build_residue_system(p, m, b=None, a=None):
     if math.gcd(j, m) != 1:
         raise MultiplierNotCyclic(
             f"multiplier {given} lies in Q_{j} and gcd({j}, {m}) != 1")
-    return ResidueSystem(p, m, b, a, j, tuple(classes), class_of)
+    return ResidueSystem(p, m, b, a, j, classes, class_of)
 

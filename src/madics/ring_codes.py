@@ -161,8 +161,8 @@ def ring_mu_chain(code, a=None):
     """The mu_a orbit of a ring code, starting at the code itself.
 
     Each step shifts every slot index by the class index j of a; the
-    orbit has length m/gcd(j, m), which is m when mu_a cyclically
-    permutes the classes (gcd(j, m) = 1).  On every component, each
+    orbit has length m, since gcd(j, m) = 1 is checked, so mu_a
+    cyclically permutes the classes.  On every component, each
     returned code's defining spectrum equals the chain step applied to
     the previous one.
     """
@@ -175,11 +175,10 @@ def ring_mu_chain(code, a=None):
     if math.gcd(j, system.m) != 1:
         raise MultiplierNotCyclic(
             f"multiplier {a} lies in Q_{j} and gcd({j}, {system.m}) != 1")
-    length = system.m // math.gcd(j, system.m)
     step = operator.itemgetter(*chain_source(system.m, j))
     orbit = [code]
     slots = code.slots
-    for _ in range(length - 1):
+    for _ in range(system.m - 1):
         slots = tuple((i + j) % system.m for i in slots)
         nxt = _shared_ring_code(code.ring, system, code.family, slots,
                                 code.alpha_exp)

@@ -65,8 +65,10 @@ each block of message indices into base-q digits and multiplies by G.
 scan_union builds the full 0/1 support table of every component and
 ORs it across all tuples.  Neither splits G or packs words into bit
 planes as the kernel does.  Both return (d_min, counts) with the zero
-word in counts[0], but scan_union holds every tuple in memory at once,
-so keep its inputs small.
+word in counts[0], where the kernels return the counts alone; the
+oracles' d_min is an independent read for the one in
+madics.analysis._smaller_side.  scan_union holds every tuple in memory
+at once, so keep its inputs small.
 
 min_distance_ring_per_component is the oracle of
 madics.analysis.min_distance_ring, which scans the first component
@@ -84,8 +86,8 @@ definition instead of the three-term recurrence.
 
 distribution_certificate checks a weight distribution against
 conditions that hold for every cyclic, scalar-closed code, whatever
-scanned it: the MacWilliams transform must divide exactly (where
-madics.analysis.macwilliams floors) and give a nonnegative dual
+scanned it: the MacWilliams transform must divide exactly (which
+madics.analysis.macwilliams also checks) and give a nonnegative dual
 distribution, the counts below weight p must fill whole orbits of the
 shift and the scalars, and the first Pless moment must hold.  It
 expands the transformed weight enumerator as polynomials in z and
@@ -119,11 +121,18 @@ which reads each period off the coset factors: it sums the powers
 beta**k, k in Q_r, in the splitting field and checks that each sum
 lies in F_q.  At u it is madics' periods rotated by c(u).
 
+residue_classes_by_powers is the oracle of
+madics.residues.build_residue_system, which labels every residue in
+one walk of the powers of b: it forms Q_0 as the set of m-th powers,
+each Q_i as the sorted shift b**i Q_0, and the class of each residue
+from a dict over the classes.
+
 is_prime_trial and is_prime_power_trial are the oracles of
 madics.ffield.is_prime (Miller-Rabin) and is_prime_power (integer
 roots): trial division up to sqrt(n), for small n only.
 """
 
+import functools
 from math import comb
 
 import numpy as np
@@ -541,6 +550,24 @@ def distribution_certificate(A, n, words, alphabet, p, q):
         "A_w not a multiple of p (q - 1) for some 0 < w < p"
     assert alphabet * sum(w * a for w, a in enumerate(A)) == \
         words * ((alphabet - 1) * n - B[1]), "the first Pless moment"
+
+
+@functools.lru_cache(maxsize=1)
+def mth_powers(p, m):
+    """Q_0 = {x**m mod p}, sorted; kept for the next base b at (p, m)."""
+    return sorted({pow(x, m, p) for x in range(1, p)})
+
+
+def residue_classes_by_powers(p, m, b):
+    """(classes, {x: class of x}): Q_0 the m-th powers mod p and Q_i =
+    b**i Q_0, each sorted."""
+    classes = []
+    for i in range(m):
+        shift = pow(b, i, p)
+        classes.append(tuple(sorted(x * shift % p for x in mth_powers(p, m))))
+    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    assert len(class_of) == p - 1, "classes do not partition {1, ..., p-1}"
+    return tuple(classes), class_of
 
 
 def is_prime_trial(n):

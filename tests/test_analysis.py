@@ -34,6 +34,7 @@ from oracle import (
     distribution_certificate,
     divmod_generic,
     griesmer_bound_naive,
+    krawtchouk,
     macwilliams_naive,
     min_distance_ring_per_component,
     monic_generic,
@@ -417,13 +418,68 @@ def test_certificate_catches_a_moved_count():
         distribution_certificate(dist, 13, 27, 3, 13, 3)
 
 
+def test_macwilliams_catches_a_moved_count():
+    # the same moved count leaves 27 B_1 - 3 for macwilliams to divide
+    # by 27: it raises where it used to floor
+    code = family_codes(SYS134, F3, "even-I")[0]
+    dist = list(min_distance_field(code).weight_distribution)
+    assert macwilliams(dist, 13, 3) == \
+        min_distance_field(code.dual).weight_distribution
+    dist[9] -= 1
+    dist[10] += 1
+    with pytest.raises(AssertionError, match="does not divide"):
+        macwilliams(dist, 13, 3)
+
+
+@pytest.mark.parametrize("family", ["even-I", "odd-I"])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("fault", ["moved to weight 0", "one too many"])
+def test_smaller_side_checks_the_kernel_counts(monkeypatch, family, s,
+                                               fault):
+    # a code side (even-I) and a dual side (odd-I) at (3, 13, 4), as a
+    # field code through scan and a ring code through scan_union: a count
+    # of the least nonzero weight moved into counts[0], or one count too
+    # many, fails the check before macwilliams or the d_min read
+    if s == 1:
+        code = family_codes(SYS134, F3, family)[0]
+        measure, kernel = min_distance_field, "scan"
+    else:
+        code = ring_code(make_ring(F3, 2), SYS134, family, (0, 1))
+        measure, kernel = min_distance_ring_exhaustive, "scan_union"
+    assert measure(code).weight_distribution[0] == 1
+    real = getattr(_kernels, kernel)
+
+    def faulty(*args):
+        counts = real(*args)
+        w = np.flatnonzero(counts[1:])[0] + 1
+        counts[w] -= fault == "moved to weight 0"
+        counts[0 if fault == "moved to weight 0" else w] += 1
+        return counts
+
+    monkeypatch.setattr(_kernels, kernel, faulty)
+    with pytest.raises(AssertionError, match="messages gave"):
+        measure(code)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_macwilliams_recurrence_matches_binomial_sums(q):
+    # a random draw is rarely a dual distribution: macwilliams must raise
+    # where a binomial sum leaves a remainder, and agree where none does;
+    # with B_0 set so that sum_i B_i = 1 every division is exact, and the
+    # recurrence must meet the binomial sums unfloored
     for n in (1, 2, 7, 20, 41):
         for _ in range(5):
             dual = [rng.randrange(4) * rng.randrange(10**rng.randrange(6))
                     for _ in range(n + 1)]
             dual[rng.randrange(n + 1)] += 1
+            sums = [sum(b * krawtchouk(w, i, n, q) for i, b in enumerate(dual))
+                    for w in range(n + 1)]
+            if any(a % sum(dual) for a in sums):
+                with pytest.raises(AssertionError, match="does not divide"):
+                    macwilliams(dual, n, q)
+            else:
+                assert macwilliams(dual, n, q) == macwilliams_naive(dual, n, q)
+            dual[0] += 1 - sum(dual)
             assert macwilliams(dual, n, q) == macwilliams_naive(dual, n, q)
 
 
@@ -543,10 +599,9 @@ def assert_split_scan_exact(code, oracle_words):
     gmat, check = analysis._scan_matrix(code)
     got = _kernels.scan(gmat, q, check)
     plain = scalar_only_matrix(code)
-    ref = (scan_numpy(plain, q) if q ** len(plain) <= oracle_words
+    ref = (scan_numpy(plain, q)[1] if q ** len(plain) <= oracle_words
            else _kernels.scan(plain, q))
-    assert got[0] == ref[0]
-    assert np.array_equal(got[1], ref[1])
+    assert np.array_equal(got, ref)
     return check is not None
 
 

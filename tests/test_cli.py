@@ -312,6 +312,61 @@ def test_distance_ring_by_its_dual_side(capsys):
     assert (cross["d_min"], cross["method"], cross["enumerated"]) == (
         3, "macwilliams", 7**6)
 
+
+def test_distance_text_names_the_methods_that_ran(capsys):
+    # the cross-check ran macwilliams over 7**6 dual tuples, and the main
+    # line counts the codewords of the two components component-min read
+    code, out, _ = run_cli(capsys, "distance", "--q", "7", "--p", "19",
+                           "--m", "6", "--family", "odd-I", "--s", "2",
+                           "--slots", "0,1", "--method", "both")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "[19, 16] d_min = 3 (component-min, 686 codewords enumerated)",
+        "component distances: [3, 3]",
+        "cross-check: d_min = 3 (macwilliams, 117649 component-message "
+        "tuples enumerated) agrees"]
+    # an exhaustive ring run counts tuples, a field scan codewords
+    code, out, _ = run_cli(capsys, "distance", *_RING_3_13, "--method",
+                           "exhaustive")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "[13, 9] d_min = 9 (exhaustive, 19683 component-message tuples "
+        "enumerated)")
+    code, out, _ = run_cli(capsys, "distance", "--q", "2", "--p", "89",
+                           "--m", "8", "--family", "odd-I", "--index", "0")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "[89, 78] d_min = 4 (macwilliams, 2048 codewords enumerated)")
+
+
+@pytest.mark.parametrize("method", ["component-min", "exhaustive", "both"])
+def test_method_on_a_field_code_exit_1(tmp_path, capsys, method):
+    # a field code is always measured on its smaller side, so --method,
+    # given by flags or beside a field export loaded with --from, is
+    # refused rather than ignored; on a ring export it is honoured
+    refusal = "--method applies to ring codes only"
+    field = ("--q", "3", "--p", "13", "--m", "4", "--family", "even-I",
+             "--index", "0")
+    path = tmp_path / "field.json"
+    assert main(["export", *field, "--skip-distance", "--out",
+                 str(path)]) == 0
+    ring = tmp_path / "ring.json"
+    assert main(["export", *_RING_3_13, "--skip-distance", "--out",
+                 str(ring)]) == 0
+    capsys.readouterr()
+    for verb in ("distance", "export"):
+        for source in (field, ("--from", str(path))):
+            code, out, err = run_cli(capsys, verb, *source, "--method",
+                                     method)
+            assert (code, out) == (1, "")
+            assert f"error: MadicError: {refusal}" in err
+        code, doc, _ = run_json(capsys, verb, "--from", str(ring),
+                                "--method", method)
+        assert code == 0
+        assert doc["code"]["distance_report"]["method"] == (
+            "exhaustive" if method == "exhaustive" else "component-min")
+
+
 def gf2_rank(rows):
     """Rank over GF(2) of rows given as int bit masks."""
     basis = []

@@ -26,7 +26,10 @@ _kernels._orbit_words, and only it and scan's low table call _words.
 One exact-distance path: only analysis._smaller_side calls
 _kernels.scan, _kernels.scan_union and macwilliams, reads a dual and
 raises TooLarge in analysis, so field and ring codes share one side
-choice and one cap check.  One generator construction: only
+choice and one cap check.  One distance reader: _kernels.scan and
+scan_union return their counts alone, and d_min is read off a
+distribution once, in analysis._smaller_side; every other
+DistanceReport copies a report's d_min.  One generator construction: only
 CyclicCode.generator, check_factors and gauss_periods read
 field_codes.coset_factors, so a code's dual is its family partner and
 not a second product of factors.  One arithmetic for the splitting
@@ -600,6 +603,53 @@ def test_one_exact_distance_path():
     duals = [top.name for top in tree.body for node in ast.walk(top)
              if isinstance(node, ast.Attribute) and node.attr == "dual"]
     assert duals == ["_smaller_side"]
+
+
+def _own_returns(func):
+    """The return statements of func outside the functions it nests."""
+    todo, found = list(func.body), []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return):
+            found.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_one_distance_reader():
+    # _kernels.scan and scan_union return the kernel's counts alone, and
+    # every DistanceReport takes its d_min from the one read of a
+    # distribution in analysis._smaller_side or copies another report's,
+    # so a second reader (a kernel-side minimum, a second read after
+    # MacWilliams) cannot come back
+    kernels = ast.parse((ROOT / "src" / "madics" / "_kernels.py").read_text(
+        encoding="utf-8"))
+    returns = {top.name: [ast.unparse(node.value.func)
+                          for node in _own_returns(top)]
+               for top in kernels.body if isinstance(top, ast.FunctionDef)
+               and top.name in ("scan", "scan_union")}
+    assert returns == {"scan": ["_distance_counts"],
+                       "scan_union": ["_distance_counts"]}
+    readers = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "DistanceReport"):
+                    d_min = node.args[2]
+                    if getattr(d_min, "attr", None) != "d_min":
+                        readers.append(f"{path.stem}.{top.name}: "
+                                       f"{ast.unparse(d_min)}")
+                    if isinstance(d_min, ast.Name):
+                        readers.extend(
+                            ast.unparse(n.value) for n in ast.walk(top)
+                            if isinstance(n, ast.Assign) and any(
+                                getattr(t, "id", None) == d_min.id
+                                for t in n.targets))
+    assert readers == [
+        "analysis._smaller_side: d_min",
+        "next((w for w in range(1, n + 1) if counts[w]), 0)"]
 
 
 def test_one_generator_construction():

@@ -14,9 +14,10 @@ from madics.errors import (
     NotPrimitiveRoot,
     TooLarge,
 )
+from madics import field_codes
 from madics.ffield import is_prime, make_prime_field
 from madics.residues import P_CAP, build_residue_system
-from oracle import _step_vbasis
+from oracle import _step_vbasis, is_prime_trial, residue_classes_by_powers
 
 rng = random.Random(0x2E5)
 
@@ -67,6 +68,33 @@ def test_class_of_and_membership():
     assert not system.is_madic_residue(2)
     with pytest.raises(ValueError):
         system.class_of(0)
+
+
+def test_classes_match_the_powers_oracle():
+    # every prime p < 2000 and every m >= 2 dividing p - 1, with the
+    # least primitive root and the next one: the classes, and the class
+    # of every residue as field_codes reads it, c(-k), against the m-th
+    # powers and their sorted shifts; built uncached, so the 6,637
+    # systems are freed one by one
+    build = build_residue_system.__wrapped__
+    systems = 0
+    for p in filter(is_prime_trial, range(3, 2000)):
+        field = make_prime_field(p)
+        least = field.primitive_element
+        other = next(filter(field.is_primitive, range(least + 1, p)), None)
+        bases = (least,) if other is None else (least, other)  # p = 3
+        for m in range(2, p):
+            if (p - 1) % m:
+                continue
+            for b in bases:
+                system = build(p, m, b)
+                classes, class_of = residue_classes_by_powers(p, m, b)
+                assert system.classes == classes, (p, m, b)
+                # c(-k) reads class_of at every nonzero residue
+                assert field_codes._classes_of_negatives.__wrapped__(
+                    system) == tuple(map(class_of.get, range(p - 1, 0, -1)))
+                systems += 1
+    assert systems == 6637
 
 
 def test_default_multiplier_in_q1():
