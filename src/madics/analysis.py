@@ -62,7 +62,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_CAP, BackendUnavailable, InvalidParameter, TooLarge
+from .errors import (DEFAULT_CAP, BackendUnavailable, InternalCheckFailed,
+                     InvalidParameter, TooLarge)
 from .ffield import is_prime_power
 from .field_codes import check_factors, product
 
@@ -169,7 +170,7 @@ def macwilliams(dual_counts, n, q):
     from the weight distribution B of its dual: A_w = sum_i B_i K_w(i)
     / sum_i B_i, where (w + 1) K_{w+1}(i) = ((q-1)(n-w) + w - q i)
     K_w(i) - (q-1)(n-w+1) K_{w-1}(i), K_0 = 1.  Exact in Python ints,
-    with AssertionError on a remainder; K is evaluated only at weights i
+    with InternalCheckFailed on a remainder; K is evaluated only at weights i
     with B_i != 0."""
     acc = [0] * (n + 1)
     for i, b in enumerate(dual_counts):
@@ -182,7 +183,8 @@ def macwilliams(dual_counts, n, q):
                               - (q - 1) * (n - w + 1) * prev) // (w + 1)
     size = sum(dual_counts)
     if any(a % size for a in acc):
-        raise AssertionError(f"{size} does not divide the transform {acc}")
+        raise InternalCheckFailed(
+            f"{size} does not divide the transform {acc}")
     return tuple(a // size for a in acc)
 
 
@@ -223,7 +225,8 @@ def _smaller_side(codes, cap):
             product(q, factors) if factors else None)
     counts = tuple(map(int, counts))
     if counts[0] != 1 or sum(counts) != total:
-        raise AssertionError(f"the scan of {total} messages gave {counts}")
+        raise InternalCheckFailed(
+            f"the scan of {total} messages gave {counts}")
     if dual:
         counts = macwilliams(counts, n, q**s)
     d_min = next((w for w in range(1, n + 1) if counts[w]), 0)

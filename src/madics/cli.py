@@ -13,7 +13,9 @@ error or a reader that closed stdout early, 2 size cap exceeded (an
 enumeration past --cap, p past residues.P_CAP, a family past
 field_codes.FAMILY_COEFFS, s past ringalg.S_CAP, or a splitting field
 past ffield.SIZE_CAP = 2^31, refused with FieldTooLarge when a verb
-first builds it).  A field distance checks its scan cap before it builds
+first builds it), 3 a failed internal check (InternalCheckFailed, a
+fault in madics, such as a scan whose counts do not sum to its message
+count).  A field distance checks its scan cap before it builds
 the field, so at (q, p, m) = (3, 47, 2), GF(3^23), field-code names
 FieldTooLarge and distance TooLarge.
 
@@ -50,7 +52,7 @@ import sys
 from dataclasses import asdict
 
 from . import poly
-from .errors import DEFAULT_CAP, MadicError, TooLarge
+from .errors import DEFAULT_CAP, InternalCheckFailed, MadicError, TooLarge
 from .ffield import make_prime_field
 from .field_codes import FAMILIES, CyclicCode, family_codes, splitting_field
 from .residues import build_residue_system
@@ -507,6 +509,9 @@ def _validate_args(args):
         raise MadicError(f"--cap must be a positive integer, got {args.cap}")
     if not hasattr(args, "from_file"):
         return
+    if getattr(args, "skip_distance", False) and args.method is not None:
+        raise MadicError("--method cannot be given with --skip-distance, "
+                         "which measures no distance")
     if args.from_file:
         given = [f"--{name.replace('_', '-')}" for name in
                  ("p", "m", "b", "a", "q", "family", "alpha_exp", "index",
@@ -536,7 +541,8 @@ def main(argv=None):
         payload, lines = args.func(args)
     except (MadicError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, TooLarge) else 1
+        return (2 if isinstance(exc, TooLarge) else
+                3 if isinstance(exc, InternalCheckFailed) else 1)
     try:
         # chunk by chunk: an unbuffered stdout would drop the tail of one
         # large write cut short by a closed pipe without raising

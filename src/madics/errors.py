@@ -2,6 +2,9 @@
 
 Every domain error raised by the library derives from MadicError so
 callers (and the CLI) can distinguish validation failures from bugs.
+A failed internal check, a bug, is InternalCheckFailed: a MadicError, so
+the CLI names it and exits 3, and an AssertionError, as InvalidParameter
+is a ValueError, so a caller that catches either keeps working.
 Plain ZeroDivisionError is reused for inversion of zero, matching the
 built-in semantics.
 """
@@ -73,3 +76,9 @@ class FieldTooLarge(TooLarge):
 class BackendUnavailable(MadicError):
     """A codeword-scan backend other than the numpy kernel was requested
     (a truthy use_numba argument; that backend no longer exists)."""
+
+
+class InternalCheckFailed(MadicError, AssertionError):
+    """A value that madics proves or checks as it computes is wrong: a
+    walk, a factorization, a spectrum or a fold of scan counts.  It
+    signals a fault in madics, not in the input."""

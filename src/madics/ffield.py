@@ -25,7 +25,7 @@ import functools
 from itertools import product
 
 from . import poly
-from .errors import FieldTooLarge, NonPrimeModulus
+from .errors import FieldTooLarge, InternalCheckFailed, NonPrimeModulus
 
 SIZE_CAP = 2 ** 31
 
@@ -257,5 +257,5 @@ def make_extension(q, t):
         if _is_irreducible(q, modulus, t):
             break
     else:
-        raise AssertionError(f"no irreducible of degree {t} over GF({q})")
+        raise InternalCheckFailed(f"no irreducible of degree {t} over GF({q})")
     return _pin_primitive(FieldCtx(q, t, modulus))

@@ -88,7 +88,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import poly
-from .errors import NonPrimeModulus, NotCoprime, QNotResidue, TooLarge
+from .errors import (InternalCheckFailed, NonPrimeModulus, NotCoprime,
+                     QNotResidue, TooLarge)
 from .ffield import make_extension, make_prime_field
 from .residues import ResidueSystem
 
@@ -195,7 +196,9 @@ def coset_factors(q, p):
     if (len(recurrence) != ext.t or sum(sizes.values()) != p
             or len(set(factor_of.values())) < len(factor_of)
             or any(len(f) - 1 != sizes[g] for g, f in factor_of.items())):
-        raise AssertionError("coset factors do not multiply to x**p - 1")
+        raise InternalCheckFailed(
+            "coset factors fail their degree proof: a degree is not t or "
+            "|C|, the sizes do not sum to p, or two factors coincide")
     return factor_of
 
 
@@ -294,10 +297,10 @@ def gauss_periods(system, q):
     etas = tuple(-sum(factor_of[r][-2] for r in cosets) % q
                  for cosets in _class_cosets(system, q))
     if sum(etas) % q != q - 1:
-        raise AssertionError("the Gauss periods do not sum to -1")
+        raise InternalCheckFailed("the Gauss periods do not sum to -1")
     e_0 = _inverse(system, q, etas, (0, 1) + (0,) * (system.m - 1))
     if poly.mul_mod(q, e_0, e_0, system.p) != e_0:
-        raise AssertionError("e_0 * e_0 != e_0")
+        raise InternalCheckFailed("e_0 * e_0 != e_0")
     return etas
 
 

@@ -11,11 +11,11 @@ four families, one row each:
     odd-like II   D'_r    D'_r D'_t = h                 sum D'_r = 1 - (s-1) h
 
 and on every row idempotency, x_r**2 = x_r, and the mu chain,
-mu_a(x_r) = x_{r+1}.  The even-I orbit is the chain ring_mu_chain
-builds and checks, so that row records instead that mu_a(E_r) is
-idempotent and that the orbit closes.  check_identities runs this
-table: per row, idempotency, chain, pairwise law and fold, in that
-order.
+mu_a(x_r) = x_{r+1} with r + 1 taken mod L.  The even-I orbit is the
+chain ring_mu_chain builds and checks, so there the chain adds only
+the step that closes the orbit.  IDENTITY_TABLE is this table, and
+IDENTITY_NAMES its four names a row; check_identities runs it: per
+row, idempotency, chain, pairwise law and fold, in that order.
 
 Some of these hold only under arithmetic side conditions on (q, p)
 (notably p = 1 mod q); the suite evaluates each one exactly and reports
@@ -69,25 +69,18 @@ from .ring_codes import (_shared_ring_code, chain_source, ring_code,
                          ring_mu_chain)
 from .ringalg import format_ring_poly, ring_poly_combine
 
-IDENTITY_NAMES = (
-    "E_idempotent",
-    "mu_E_idempotent",
-    "orbit_closes",
-    "E_products_zero",
-    "E_sum_is_1_minus_h",
-    "Ep_idempotent",
-    "Ep_mu_chain",
-    "Ep_pair_identity",
-    "Ep_product_is_h",
-    "D_idempotent",
-    "D_mu_chain",
-    "D_pair_identity",
-    "D_product_zero",
-    "Dp_idempotent",
-    "Dp_mu_chain",
-    "Dp_pair_is_h",
-    "Dp_sum_identity",
+# a row per family in FAMILIES order (module docstring): name prefix,
+# pairwise law on 1 - x or not, pair name, orbit fold and fold name
+IDENTITY_TABLE = (
+    ("E", False, "E_products_zero", sum, "E_sum_is_1_minus_h"),
+    ("Ep", True, "Ep_pair_identity", math.prod, "Ep_product_is_h"),
+    ("D", True, "D_pair_identity", math.prod, "D_product_zero"),
+    ("Dp", False, "Dp_pair_is_h", sum, "Dp_sum_identity"),
 )
+
+IDENTITY_NAMES = tuple(
+    name for pre, _, pair_name, _, fold_name in IDENTITY_TABLE
+    for name in (pre + "_idempotent", pre + "_mu_chain", pair_name, fold_name))
 
 
 @dataclass(frozen=True)
@@ -152,9 +145,9 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
         ring_code(ring, system, "even-I", base_slots, alpha_exp), a)
     # each family's orbit as flat tuples of s spectra of length m + 1:
     # the even-I row is the orbit itself, the others share its slots
-    es, eps, ds, dps = ([sum(_shared_ring_code(
+    orbits = [[sum(_shared_ring_code(
         ring, system, family, c.slots, c.alpha_exp).spectra, ())
-        for c in orbit] for family in FAMILIES)
+        for c in orbit] for family in FAMILIES]
 
     def const(at_one, elsewhere):
         return ((at_one % q,) + (elsewhere,) * m) * s
@@ -174,28 +167,16 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
                      IdentityOutcome(name, False, *(
                          _shown(ring, system, side) for side in sides())))
 
-    record("mu_E_idempotent", all(max(step(e)) < 2 for e in es))
-    record("orbit_closes", step(es[-1]) == es[0])
-    # one row per family (module docstring): name prefix, orbit,
-    # whether the pairwise law is on 1 - x, its target c and name, and
-    # the orbit fold with its expected value and name
-    table = (
-        ("E", es, False, zero, "E_products_zero",
-         sum, const(1 - p, 1), "E_sum_is_1_minus_h"),
-        ("Ep", eps, True, zero, "Ep_pair_identity",
-         math.prod, hs, "Ep_product_is_h"),
-        ("D", ds, True, hs, "D_pair_identity",
-         math.prod, zero, "D_product_zero"),
-        ("Dp", dps, False, hs, "Dp_pair_is_h",
-         sum, const(1 - (s - 1) * p, 1), "Dp_sum_identity"),
-    )
-    for pre, xs, complement, c, pair_name, fold, expected, fold_name in table:
+    # what depends on the point: each row's target c and fold value
+    targets = (zero, zero, hs, hs)
+    expects = (const(1 - p, 1), hs, zero, const(1 - (s - 1) * p, 1))
+    for (pre, complement, pair_name, fold, fold_name), xs, c, expected in zip(
+            IDENTITY_TABLE, orbits, targets, expects):
         x, y = xs[0], xs[1 % len(xs)]
         record(pre + "_idempotent", all(max(v) < 2 for v in xs),
                lambda: (columns(math.prod, x, x), x))
-        if pre != "E":
-            record(pre + "_mu_chain", all(
-                step(v) == w for v, w in zip(xs, xs[1:] + xs[:1])))
+        record(pre + "_mu_chain", all(
+            step(v) == w for v, w in zip(xs, xs[1:] + xs[:1])))
         # shown as printed: x_0 x_1 = c, or x_0 + x_1 - x_0 x_1 = 1 - c
         record(pair_name, pairwise_products_equal(q, xs, c, complement),
                lambda: (columns(lambda v: sum(v) - math.prod(v), x, y),
@@ -203,5 +184,4 @@ def check_identities(ring, system, base_slots=None, a=None, alpha_exp=1):
                else (columns(math.prod, x, y), c))
         value = columns(fold, *xs)
         record(fold_name, value == expected, lambda: (value, expected))
-
-    return {name: out[name] for name in IDENTITY_NAMES}
+    return out

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
+    InternalCheckFailed,
     InvalidM,
     MultiplierNotCyclic,
     NonPrimeModulus,
@@ -70,21 +71,22 @@ def build_residue_system(p, m, b=None, a=None):
     cached per (p, m, b, a) like make_prime_field; a refused input
     raises on every call.
 
-    p is refused with TooLarge above P_CAP, before any residue is built.
+    p is refused with TooLarge above P_CAP first, before its primality
+    test (which takes seconds at thousands of digits) or any residue.
 
     b (default: the smallest primitive root mod p) and a (default: the
     smallest element of Q_1) are reduced mod p; an error names a as
     given.  The class index j of a must satisfy gcd(j, m) = 1, so that
     mu_a cycles the classes.
     """
-    if not is_prime(p):
-        raise NonPrimeModulus(f"{p} is not prime")
-    if m < 2 or (p - 1) % m != 0:
-        raise InvalidM(f"m={m} must be >= 2 and divide p-1={p - 1}")
     if p > P_CAP:
         raise TooLarge(
             f"p={p} exceeds the residue-system cap {P_CAP}: the classes "
             f"would hold {p - 1} residues in memory")
+    if not is_prime(p):
+        raise NonPrimeModulus(f"{p} is not prime")
+    if m < 2 or (p - 1) % m != 0:
+        raise InvalidM(f"m={m} must be >= 2 and divide p-1={p - 1}")
     gf_p = make_prime_field(p)
     if b is None:
         b = gf_p.primitive_element
@@ -98,7 +100,7 @@ def build_residue_system(p, m, b=None, a=None):
         class_of[x] = i
         x = x * b % p
     if x != 1 or class_of.count(None) != 1:
-        raise AssertionError("the powers of b do not walk {1, ..., p-1}")
+        raise InternalCheckFailed("the powers of b do not walk {1, ..., p-1}")
     classes = [[] for _ in range(m)]
     for x in range(1, p):
         classes[class_of[x]].append(x)

@@ -57,7 +57,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import BadSlotIndex, MultiplierNotCyclic, NotCoprime
+from .errors import (BadSlotIndex, InternalCheckFailed, MultiplierNotCyclic,
+                     NotCoprime)
 from .field_codes import family_codes, from_spectrum
 from .residues import ResidueSystem
 from .ringalg import RingCtx, ring_poly_combine
@@ -183,7 +184,8 @@ def ring_mu_chain(code, a=None):
         nxt = _shared_ring_code(code.ring, system, code.family, slots,
                                 code.alpha_exp)
         if tuple(map(step, orbit[-1].spectra)) != nxt.spectra:
-            raise AssertionError("mu step does not match the shifted slots")
+            raise InternalCheckFailed(
+                "mu step does not match the shifted slots")
         orbit.append(nxt)
     return orbit
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import functools
 
 from . import poly
-from .errors import IncompatibleS, NonPrimeModulus, TooLarge
+from .errors import (IncompatibleS, InternalCheckFailed, NonPrimeModulus,
+                     TooLarge)
 from .ffield import FieldCtx
 
 # Largest s that make_ring builds: _validate_ring evaluates each of the
@@ -91,7 +92,7 @@ def make_ring(ctx: FieldCtx, s: int) -> RingCtx:
 
     zeta = ctx.pow(ctx.primitive_element, (q - 1) // (s - 1))
     if ctx.multiplicative_order(zeta) != s - 1:
-        raise AssertionError("zeta does not have order s - 1")
+        raise InternalCheckFailed("zeta does not have order s - 1")
 
     eta0 = [1] + [0] * (s - 1)
     eta0[s - 1] = (q - 1) % q  # 1 - v^(s-1)
@@ -118,10 +119,10 @@ def _validate_ring(ring):
     f, s = ring.field, ring.s
     points = ring.crt_points
     if len(set(points)) != s or any(f.pow(pt, s) != pt for pt in points):
-        raise AssertionError("CRT points are not the s roots of v^s - v")
+        raise InternalCheckFailed("CRT points are not the s roots of v^s - v")
     for i, ei in enumerate(ring.eta):
         if ring.crt(ei) != (0,) * i + (1,) + (0,) * (s - 1 - i):
-            raise AssertionError(f"eta_{i} has wrong CRT components")
+            raise InternalCheckFailed(f"eta_{i} has wrong CRT components")
 
 
 # ---------------- polynomials over R ----------------

@@ -367,6 +367,23 @@ def test_method_on_a_field_code_exit_1(tmp_path, capsys, method):
             "exhaustive" if method == "exhaustive" else "component-min")
 
 
+@pytest.mark.parametrize("form", ["field", "ring", "from"])
+def test_method_beside_skip_distance_exit_1(tmp_path, capsys, form):
+    # --skip-distance measures nothing, so --method beside it is refused
+    # for every code source rather than ignored
+    path = tmp_path / "ring.json"
+    assert main(["export", *_RING_3_13, "--skip-distance", "--out",
+                 str(path)]) == 0
+    source = {"field": (*FIELD_FLAGS, "--index", "0"), "ring": _RING_3_13,
+              "from": ("--from", str(path))}[form]
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "export", *source, "--skip-distance",
+                             "--method", "both", "--output", "json")
+    assert (code, out) == (1, "")
+    assert err == ("error: MadicError: --method cannot be given with "
+                   "--skip-distance, which measures no distance\n")
+
+
 def gf2_rank(rows):
     """Rank over GF(2) of rows given as int bit masks."""
     basis = []
@@ -427,6 +444,38 @@ def test_classes_p_cap_exit_2(capsys):
                              "--m", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: TooLarge: p=1000000000039 exceeds")
+
+
+def test_classes_p_cap_before_primality_exit_2(capsys):
+    # the cap is checked before the Miller-Rabin test, which took about
+    # 6 s at this 4,001-digit composite before refusing it as not prime
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "classes", "--p", str(10**4000 + 1),
+                             "--m", "2")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: TooLarge: p=1000")
+
+
+def test_failed_internal_check_exit_3(capsys, monkeypatch):
+    # a kernel fault caught by the fold check of the scan counts is a
+    # named error with its own exit code, not a traceback
+    from madics import _kernels
+
+    scan = _kernels.scan
+
+    def off_by_one(*args):
+        counts = scan(*args)
+        counts[0] += 1
+        return counts
+
+    monkeypatch.setattr(_kernels, "scan", off_by_one)
+    code, out, err = run_cli(capsys, "distance", "--q", "3", "--p", "13",
+                             "--m", "4", "--family", "even-I", "--index",
+                             "0")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: InternalCheckFailed: the scan of ")
 
 
 def test_family_coefficient_cap_exit_2():

@@ -39,7 +39,10 @@ ring_codes and identities work on class-algebra spectra and reference
 no poly function.  No division where codes are built and
 measured: field_codes and analysis get every generator and check
 polynomial as a product of coset factors and call no
-polynomial division, remainder or gcd of poly."""
+polynomial division, remainder or gcd of poly.  No bare AssertionError:
+a failed internal check raises errors.InternalCheckFailed, which the
+CLI names with its own exit code, and no src/ line has an assert
+statement or raises AssertionError itself."""
 
 import ast
 import importlib
@@ -789,3 +792,12 @@ def test_coset_factors_multiply_nothing_over_the_extension(monkeypatch, q, p):
     monkeypatch.setattr(FieldCtx, "mul", counted)
     field_codes.coset_factors.__wrapped__(q, p)
     assert len(calls) <= 2 * ext.t
+
+
+def test_no_bare_assertion_error():
+    bare = [f"{path.name}:{node.lineno}" for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+            or isinstance(node, ast.Raise) and "AssertionError" in {
+                n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}]
+    assert bare == []

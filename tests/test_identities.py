@@ -51,8 +51,7 @@ P_DEPENDENT = {
 
 ALWAYS_TRUE = {
     "E_idempotent",
-    "mu_E_idempotent",
-    "orbit_closes",
+    "E_mu_chain",
     "E_products_zero",
     "Ep_idempotent",
     "Ep_mu_chain",
@@ -74,6 +73,22 @@ def test_identity_names_partition():
     assert P_DEPENDENT | ALWAYS_TRUE | {"Dp_sum_identity"} == \
         set(IDENTITY_NAMES)
     assert not P_DEPENDENT & ALWAYS_TRUE
+
+
+def test_table_rows_record_four_relations():
+    # a row per family in FAMILIES order, recording its idempotency, its
+    # mu chain, its pair and its fold, and IDENTITY_NAMES no other name
+    prefix = {"even-I": "E", "odd-I": "Ep", "even-II": "D", "odd-II": "Dp"}
+    table = identities.IDENTITY_TABLE
+    assert [row[0] for row in table] == [prefix[f] for f in FAMILIES]
+    names = []
+    for pre, _, pair_name, _, fold_name in table:
+        assert pair_name.startswith(pre + "_")
+        assert fold_name.startswith(pre + "_")
+        names += [pre + "_idempotent", pre + "_mu_chain", pair_name,
+                  fold_name]
+    assert tuple(names) == IDENTITY_NAMES
+    assert len(set(IDENTITY_NAMES)) == 16
 
 
 @pytest.mark.parametrize("q,p,m,s", GRID)
