@@ -62,9 +62,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DEFAULT_CAP, BackendUnavailable, InternalCheckFailed,
-                     InvalidParameter, TooLarge)
-from .ffield import is_prime_power
+from .errors import (DEFAULT_CAP, BackendUnavailable, FieldTooLarge,
+                     InternalCheckFailed, InvalidParameter, TooLarge,
+                     int_text)
+from .ffield import S_CAP, SIZE_CAP, is_prime_power
 from .field_codes import check_factors, product
 
 # Most words of the ideal B that a split scan tabulates whole (its low
@@ -211,10 +212,10 @@ def _smaller_side(codes, cap):
     total = q**min(k, s * n - k)
     if total > cap:
         raise TooLarge(
-            f"enumerating {total} "
+            f"enumerating {int_text(total)} "
             f"{'codewords' if s == 1 else 'component-message tuples'}, the "
             f"smaller of the code ({q}^{k}) and its dual ({q}^{s * n - k}), "
-            f"exceeds the cap {cap}; raise the cap to proceed")
+            f"exceeds the cap {int_text(cap)}; raise the cap to proceed")
     if s == 1:
         gmat, check = _scan_matrix(scanned[0])
         counts = _kernels.scan(gmat, q, check)
@@ -261,18 +262,26 @@ def min_distance_ring_exhaustive(code, cap=DEFAULT_CAP):
 def griesmer_check(n, k, d, q):
     """Bound n >= sum ceil(d / q**i) for i < k; returns (bound, attained).
 
-    q must be a prime power, the order of some GF(q).  Every term with
-    q**i >= d is 1, so the sum runs explicitly only up to the first
-    such i and adds the remaining terms as their count.
+    q must be a prime power, the order of some GF(q).  A q past the
+    largest alphabet madics builds, SIZE_CAP**S_CAP = 2**1984 (ffield),
+    is refused with FieldTooLarge before the prime-power test, which
+    takes seconds at thousands of digits.  Every term with q**i >= d is
+    1, so the sum runs explicitly only up to the first such i and adds
+    the remaining terms as their count.
     """
     if n < 1 or k < 1 or d < 1 or q < 2:
         raise InvalidParameter(
-            f"griesmer check needs n, k, d >= 1 and q >= 2, got n={n}, "
-            f"k={k}, d={d}, q={q}")
+            "griesmer check needs n, k, d >= 1 and q >= 2, got "
+            f"n={int_text(n)}, k={int_text(k)}, d={int_text(d)}, "
+            f"q={int_text(q)}")
+    if q > SIZE_CAP**S_CAP:
+        raise FieldTooLarge(
+            f"q of {q.bit_length()} bits exceeds the largest alphabet "
+            f"madics builds, SIZE_CAP**S_CAP = {SIZE_CAP}**{S_CAP}")
     if not is_prime_power(q):
         raise InvalidParameter(
             "griesmer check needs a prime power q, the order of a field; "
-            f"got q={q}")
+            f"got q={int_text(q)}")
     bound, i, qi = 0, 0, 1
     while i < k and qi < d:
         bound += -(-d // qi)

@@ -10,10 +10,11 @@ report, its cross-check, each verify-paper check and erratum) is its
 dataclass fields in field order, so a field added to the record reaches
 --output json unedited.  Exit codes: 0 success, 1 validation
 error or a reader that closed stdout early, 2 size cap exceeded (an
-enumeration past --cap, p past residues.P_CAP, a family past
-field_codes.FAMILY_COEFFS, s past ringalg.S_CAP, or a splitting field
-past ffield.SIZE_CAP = 2^31, refused with FieldTooLarge when a verb
-first builds it), 3 a failed internal check (InternalCheckFailed, a
+enumeration past --cap, p past residues.P_CAP, a family, or the m ring
+generators of a --chain, past field_codes.FAMILY_COEFFS coefficients,
+s past ffield.S_CAP, a splitting field past ffield.SIZE_CAP = 2^31,
+refused with FieldTooLarge when a verb first builds it, or a griesmer
+q past SIZE_CAP**S_CAP), 3 a failed internal check (InternalCheckFailed, a
 fault in madics, such as a scan whose counts do not sum to its message
 count).  A field distance checks its scan cap before it builds
 the field, so at (q, p, m) = (3, 47, 2), GF(3^23), field-code names
@@ -51,8 +52,9 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import poly
-from .errors import DEFAULT_CAP, InternalCheckFailed, MadicError, TooLarge
+from . import field_codes, poly
+from .errors import (DEFAULT_CAP, InternalCheckFailed, MadicError, TooLarge,
+                     int_text)
 from .ffield import make_prime_field
 from .field_codes import FAMILIES, CyclicCode, family_codes, splitting_field
 from .residues import build_residue_system
@@ -210,6 +212,13 @@ def cmd_ring_code(args):
 
     code = _build_ring(args)
     ring, system = code.ring, code.system
+    # the chain writes m ring generators of up to p * s coefficients
+    coeffs = system.m * code.p * ring.s
+    if args.chain and coeffs > field_codes.FAMILY_COEFFS:
+        raise TooLarge(
+            f"a chain of {system.m} ring codes of length {code.p} over "
+            f"s={ring.s} components holds {coeffs} coefficients, past the "
+            f"cap {field_codes.FAMILY_COEFFS}")
     payload, lines = _code_payload(code, args)
     lines.append(f"family {code.family} slots {list(code.slots)}: length "
                  f"{code.p} over GF({ring.q})[v]/(v^{ring.s} - v), "
@@ -506,7 +515,8 @@ def build_parser():
 
 def _validate_args(args):
     if getattr(args, "cap", 1) < 1:
-        raise MadicError(f"--cap must be a positive integer, got {args.cap}")
+        raise MadicError(
+            f"--cap must be a positive integer, got {int_text(args.cap)}")
     if not hasattr(args, "from_file"):
         return
     if getattr(args, "skip_distance", False) and args.method is not None:

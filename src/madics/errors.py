@@ -6,10 +6,18 @@ A failed internal check, a bug, is InternalCheckFailed: a MadicError, so
 the CLI names it and exits 3, and an AssertionError, as InvalidParameter
 is a ValueError, so a caller that catches either keeps working.
 Plain ZeroDivisionError is reused for inversion of zero, matching the
-built-in semantics.
+built-in semantics.  A message names an input through int_text, so a
+huge one is named by its bit length.
 """
 
 DEFAULT_CAP = 1 << 24  # the enumeration size past which TooLarge is raised
+
+
+def int_text(n):
+    """n in decimal below 10**30, else its bit length: a message naming
+    an input stays short, and never converts an int past Python's
+    4,300-digit limit for int-to-str conversion."""
+    return str(n) if abs(n) < 10**30 else f"<{n.bit_length()}-bit int>"
 
 
 class MadicError(Exception):

@@ -275,10 +275,10 @@ def _class_cosets(system, q):
         raise QNotResidue(
             f"q={q} is not an m-adic residue mod {p}; "
             "class products do not descend to the base field")
-    cosets = [[] for _ in system.classes]
+    cosets = [[] for _ in range(system.m)]
     for r in _coset_sizes(q, p):
         if r:
-            cosets[system.class_of(r)].append(r)
+            cosets[system.class_table[r]].append(r)
     return tuple(map(tuple, cosets))
 
 
@@ -305,12 +305,6 @@ def gauss_periods(system, q):
 
 
 @functools.lru_cache(maxsize=None)
-def _classes_of_negatives(system):
-    """c(-k), the class of -k, for k = 1, ..., p - 1."""
-    return tuple(map(system.class_of, range(-1, -system.p, -1)))
-
-
-@functools.lru_cache(maxsize=None)
 def from_spectrum(system, q, spec):
     """The class-constant polynomial f with sigma(f) = spec, a tuple,
     read straight off the Gauss periods once per spec."""
@@ -325,7 +319,8 @@ def _inverse(system, q, etas, spec):
     p_inv = pow(p, -1, q)
     scaled = [p_inv * (spec[0] + s) % q for s in _correlate(etas, spec[1:])]
     head = p_inv * (spec[0] + (p - 1) // m * sum(spec[1:])) % q
-    coeffs = [head, *map(scaled.__getitem__, _classes_of_negatives(system))]
+    # c(-k) for k = 1, ..., p - 1 is the class table reversed
+    coeffs = [head, *map(scaled.__getitem__, system.class_table[:0:-1])]
     return poly.trim(q, coeffs)
 
 

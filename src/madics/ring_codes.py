@@ -53,12 +53,10 @@ is m for the required gcd(j, m) = 1.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
-from .errors import (BadSlotIndex, InternalCheckFailed, MultiplierNotCyclic,
-                     NotCoprime)
+from .errors import BadSlotIndex, InternalCheckFailed
 from .field_codes import family_codes, from_spectrum
 from .residues import ResidueSystem
 from .ringalg import RingCtx, ring_poly_combine
@@ -168,14 +166,7 @@ def ring_mu_chain(code, a=None):
     the previous one.
     """
     system = code.system
-    if a is None:
-        a = system.a
-    if math.gcd(a, system.p) != 1:
-        raise NotCoprime(f"multiplier {a} is not coprime to {system.p}")
-    j = system.class_of(a)
-    if math.gcd(j, system.m) != 1:
-        raise MultiplierNotCyclic(
-            f"multiplier {a} lies in Q_{j} and gcd({j}, {system.m}) != 1")
+    j = system.multiplier_class(system.a if a is None else a)
     step = operator.itemgetter(*chain_source(system.m, j))
     orbit = [code]
     slots = code.slots

@@ -27,14 +27,8 @@ import functools
 
 from . import poly
 from .errors import (IncompatibleS, InternalCheckFailed, NonPrimeModulus,
-                     TooLarge)
-from .ffield import FieldCtx
-
-# Largest s that make_ring builds: _validate_ring evaluates each of the
-# s idempotents, s coefficients each, at the s CRT points, s**3 steps.
-# make_ring took 18 ms at s = 64 (q = 127) and 133 ms at s = 129
-# (q = 257) on an Intel Xeon with CPython 3.11.
-S_CAP = 64
+                     TooLarge, int_text)
+from .ffield import S_CAP, FieldCtx
 
 
 class RingCtx:
@@ -76,15 +70,16 @@ class RingCtx:
 def make_ring(ctx: FieldCtx, s: int) -> RingCtx:
     """Construct F_q[v]/(v**s - v); requires prime q and (s-1) | (q-1).
 
-    s is refused with TooLarge above S_CAP, before zeta or any eta_k is
-    computed."""
+    s is refused with TooLarge above S_CAP (ffield, where its cost is
+    stated), before zeta or any eta_k is computed."""
     if ctx.t != 1:
         raise NonPrimeModulus("the coefficient field of R must be prime")
     if s < 2:
         raise IncompatibleS("s must be >= 2")
     q = ctx.q
     if (q - 1) % (s - 1) != 0:
-        raise IncompatibleS(f"(s-1)={s - 1} must divide (q-1)={q - 1}")
+        raise IncompatibleS(
+            f"(s-1)={int_text(s - 1)} must divide (q-1)={q - 1}")
     if s > S_CAP:
         raise TooLarge(
             f"s={s} exceeds the ring cap {S_CAP}: checking the CRT "

@@ -25,7 +25,7 @@ from madics.errors import (
     InvalidParameter,
     TooLarge,
 )
-from madics.ffield import is_prime, make_prime_field
+from madics.ffield import S_CAP, SIZE_CAP, is_prime, make_prime_field
 from madics.field_codes import FAMILIES, CyclicCode, family_codes
 from madics.residues import build_residue_system
 from madics.ringalg import make_ring
@@ -240,11 +240,13 @@ def test_griesmer_values():
 
 
 def test_griesmer_rejects_degenerate():
-    # InvalidParameter is a MadicError and a ValueError
+    # InvalidParameter is a MadicError and a ValueError; a q of 5,001
+    # digits, which Python cannot write in decimal, is named by its bits
     for n, k, d, q in ((13, 0, 9, 3), (13, 3, 0, 3), (13, 3, 9, 0),
                        (13, 3, 9, 1), (13, 3, 9, -3), (0, 3, 9, 3),
                        (-1, 3, 9, 3), (13, 3, 9, 6), (13, 3, 9, 10),
-                       (13, 3, 9, 12), (13, 3, 9, 100)):
+                       (13, 3, 9, 12), (13, 3, 9, 100),
+                       (0, 1, 1, 10**5000 + 3)):
         with pytest.raises(InvalidParameter, match="griesmer check needs"):
             griesmer_check(n, k, d, q)
 
@@ -282,6 +284,27 @@ def test_griesmer_large_prime_q_is_immediate():
     assert time.perf_counter() - t0 < 0.1
     with pytest.raises(InvalidParameter, match="prime power"):
         griesmer_check(13, 3, 9, (2**61 - 1) * (2**31 - 1))
+
+
+def test_griesmer_q_bounded_by_the_largest_alphabet():
+    # the largest alphabet madics builds is GF(q) to SIZE_CAP, to the
+    # power S_CAP in a ring: q up to 2^1984 is tested, in well under a
+    # second, and any larger q is refused before the prime-power test,
+    # which took 22-27 s at a 4,001-digit q
+    top = SIZE_CAP**S_CAP
+    assert top == 2**1984
+    t0 = time.perf_counter()
+    assert griesmer_check(13, 3, 9, top) == (11, False)
+    assert griesmer_check(13, 3, 9, (2**61 - 1) ** 32) == (11, False)
+    with pytest.raises(InvalidParameter, match="prime power"):
+        griesmer_check(13, 3, 9, top - 1)
+    assert time.perf_counter() - t0 < 1
+    t0 = time.perf_counter()
+    for q in (top + 1, 2**3217 - 1, 10**4000 + 1):
+        with pytest.raises(FieldTooLarge,
+                           match=f"q of {q.bit_length()} bits exceeds"):
+            griesmer_check(1, 1, 1, q)
+    assert time.perf_counter() - t0 < 0.1
 
 
 # (q, p) of the census whose splitting field GF(q^t) is past SIZE_CAP

@@ -221,6 +221,32 @@ def test_ring_code_json(capsys):
     assert walked == [[1, 2, 3], [0, 1, 2], [3, 0, 1], [2, 3, 0]]
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_ring_code_chain_coefficient_cap(capsys, monkeypatch, output):
+    # the chain's m ring generators, m * p * s coefficients, are bounded
+    # by FAMILY_COEFFS before any is built: (2, 8191, 630, s = 2) holds
+    # 10.3 M and wrote 238 MB of JSON in about a minute
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "ring-code", "--q", "2", "--p", "8191",
+                             "--m", "630", "--s", "2", "--slots", "0,1",
+                             "--family", "even-I", "--chain",
+                             "--output", output)
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (2, "")
+    assert err == ("error: TooLarge: a chain of 630 ring codes of length "
+                   "8191 over s=2 components holds 10320660 coefficients, "
+                   "past the cap 8388608\n")
+    # (3, 13, 4, s = 3) holds 156: refused one under, built at the bound
+    flags = ("ring-code", "--q", "3", "--p", "13", "--m", "4", "--s", "3",
+             "--slots", "1,2,3", "--family", "even-I", "--chain",
+             "--output", output)
+    monkeypatch.setattr(field_codes, "FAMILY_COEFFS", 4 * 13 * 3 - 1)
+    assert run_cli(capsys, *flags)[:2] == (2, "")
+    monkeypatch.setattr(field_codes, "FAMILY_COEFFS", 4 * 13 * 3)
+    code, out, _ = run_cli(capsys, *flags)
+    assert code == 0 and "chain" in out
+
+
 def test_ring_code_incompatible_s(capsys):
     code, _, err = run_cli(capsys, "ring-code", "--q", "3", "--s", "4",
                            "--p", "13", "--m", "4", "--family", "even-I",
@@ -443,18 +469,20 @@ def test_classes_p_cap_exit_2(capsys):
     code, out, err = run_cli(capsys, "classes", "--p", "1000000000039",
                              "--m", "2")
     assert code == 2 and out == ""
-    assert err.startswith("error: TooLarge: p=1000000000039 exceeds")
+    assert err.startswith("error: TooLarge: p of 40 bits exceeds")
 
 
 def test_classes_p_cap_before_primality_exit_2(capsys):
     # the cap is checked before the Miller-Rabin test, which took about
-    # 6 s at this 4,001-digit composite before refusing it as not prime
+    # 6 s at this 4,001-digit composite before refusing it as not prime;
+    # the refusal names p's bit length, not its digits
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "classes", "--p", str(10**4000 + 1),
                              "--m", "2")
     assert time.perf_counter() - t0 < 0.5
     assert code == 2 and out == ""
-    assert err.startswith("error: TooLarge: p=1000")
+    assert err.startswith("error: TooLarge: p of 13288 bits exceeds")
+    assert len(err.encode()) <= 200
 
 
 def test_failed_internal_check_exit_3(capsys, monkeypatch):
@@ -856,6 +884,18 @@ def test_griesmer_verb(capsys):
                                 "--d", "9", "--q", q)
         assert code == 0
         assert doc["bound"] == bound
+
+
+def test_griesmer_q_past_every_alphabet_exit_2(capsys):
+    # q past SIZE_CAP**S_CAP = 2^1984 is refused before the prime-power
+    # test, which took 22-27 s at this 4,001-digit q
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "griesmer", "--n", "1", "--k", "1",
+                             "--d", "1", "--q", str(10**4000 + 1))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: FieldTooLarge: q of 13288 bits exceeds")
+    assert len(err.encode()) <= 200
 
 
 @pytest.mark.parametrize("n, q", [("13", "0"), ("13", "1"), ("13", "-2"),

@@ -1,6 +1,7 @@
 """Field context tests: prime fields, extensions, orders and inverses."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -110,6 +111,12 @@ def test_field_size_cap():
     with pytest.raises(FieldTooLarge):
         make_prime_field(4611686018427394499)
     assert make_prime_field(2**31 - 1).primitive_element == 7
+    # the cap comes before the primality test, which takes about 5 s at
+    # this 4,001-digit q, and the refusal names q by its bit length
+    t0 = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match="field size <13288-bit int>"):
+        make_prime_field(10**4000 + 1)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def _order_by_steps(ext, a):

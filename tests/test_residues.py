@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,6 @@ from madics.errors import (
     NotPrimitiveRoot,
     TooLarge,
 )
-from madics import field_codes
 from madics.ffield import is_prime, make_prime_field
 from madics.residues import P_CAP, build_residue_system
 from oracle import (
@@ -85,10 +85,9 @@ POWERS_SPOT_CHECK = (3, 5, 7, 13, 1999)
 def test_classes_match_the_log_oracle():
     # every prime p < 2000 and every m >= 2 dividing p - 1, with the
     # least primitive root and the next one: the classes, and the class
-    # of every residue as field_codes reads it, c(-k), against one
-    # discrete-log table per p of the largest primitive root g, shared
-    # by every m; built uncached, so the 6,637 systems are freed one by
-    # one
+    # table every layer reads, against one discrete-log table per p of
+    # the largest primitive root g, shared by every m; built uncached,
+    # so the 6,637 systems are freed one by one
     build = build_residue_system.__wrapped__
     systems = 0
     for p in filter(is_prime_trial, range(3, 2000)):
@@ -108,9 +107,8 @@ def test_classes_match_the_log_oracle():
                 assert system.classes == classes, (p, m, b)
                 if p in POWERS_SPOT_CHECK:
                     assert classes == residue_classes_by_powers(p, m, b)[0]
-                # c(-k) reads class_of at every nonzero residue
-                assert field_codes._classes_of_negatives.__wrapped__(
-                    system) == tuple(class_of[p - 1:0:-1])
+                # the table every layer reads, at every nonzero residue
+                assert system.class_table[1:] == tuple(class_of[1:])
                 systems += 1
     assert systems == 6637
 
@@ -130,14 +128,47 @@ def test_multiplier_class_must_be_coprime_to_m():
 
 
 def test_p_cap_refuses_before_building():
-    # the cap comes first: a composite p past it, or one of 4,001
-    # digits, is refused before its primality test, which takes seconds
+    # the cap comes first: a composite p past it, or one of 4,001 or
+    # 5,001 digits, is refused before its primality test, which takes
+    # seconds; the message names p's bit length, as past 4,300 digits
+    # an int has no decimal text in Python
     above = next(p for p in range(P_CAP + 1, 2 * P_CAP) if is_prime(p))
     t0 = time.perf_counter()
-    for p in (above, 1000000000039, 1000000000038, 10**4000 + 1):
-        with pytest.raises(TooLarge, match=f"p={p} exceeds"):
+    for p in (above, 1000000000039, 1000000000038, 10**4000 + 1,
+              10**5000 + 3):
+        with pytest.raises(TooLarge,
+                           match=f"p of {p.bit_length()} bits exceeds"):
             build_residue_system(p, 2)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_huge_inputs_named_by_their_bits():
+    # every refusal of a 5,001-digit m, b or a is a MadicError
+    huge = 10**5000 + 3
+    bits = f"<{huge.bit_length()}-bit int>"
+    with pytest.raises(InvalidM, match=f"m={bits} must"):
+        build_residue_system(13, huge)
+    with pytest.raises(NotPrimitiveRoot, match=f"{bits} is not"):
+        build_residue_system(13, 4, huge)
+    with pytest.raises(MultiplierNotCyclic, match=f"multiplier {bits} lies"):
+        build_residue_system(13, 4, None, huge)
+
+
+def test_system_holds_one_table():
+    # a system stores its class table alone, about 8 bytes a residue
+    # (a tuple slot), and about 16 at the peak of the build; it stored
+    # the walk's list and the classes too, 48 bytes a residue; the
+    # classes are listed only when read
+    p = 65537
+    tracemalloc.start()
+    try:
+        system = build_residue_system.__wrapped__(p, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 10 * p and peak < 20 * p, (held / p, peak / p)
+    assert "classes" not in vars(system)
+    assert sum(map(len, system.classes)) == p - 1
 
 
 def test_validation_errors():
@@ -166,12 +197,12 @@ def test_system_built_once_per_arguments():
 
 
 def test_system_identified_by_p_m_b_a():
-    # the classes and a's class index are functions of (p, m, b, a), so
-    # equality and hashing, and so every cache keyed on a system, read
-    # those four ints alone: an unhashable classes list changes neither
+    # the class table is a function of (p, m, b, a), so equality and
+    # hashing, and so every cache keyed on a system, read those four
+    # ints alone: an unhashable table list changes neither
     system = build_residue_system(19, 6, 2, 10)
-    stripped = dataclasses.replace(system, a_class_index=None,
-                                   classes=list(system.classes))
+    stripped = dataclasses.replace(system,
+                                   class_table=list(system.class_table))
     assert stripped == system and hash(stripped) == hash(system)
     for name in ("p", "m", "b", "a"):
         moved = {name: getattr(system, name) + 1}
