@@ -120,7 +120,7 @@ def _edited(rng, doc):
         params.pop(rng.choice(sorted(params)))
     elif edit == 1:
         params[rng.choice(sorted(params))] = rng.choice(
-            (rng.choice(INTS[:-1]), "13", True, None, [1, 2], 2.5))
+            (rng.choice(INTS), "13", True, None, [1, 2], 2.5))
     elif edit == 2:
         doc["code"]["generator"] = [1] * rng.randrange(1, 5)
     elif edit == 3:
