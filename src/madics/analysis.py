@@ -20,7 +20,10 @@ has full rank) and one count per scanned message, and reads d_min off
 A on either side.  The counts are Python ints (past the cap A_w
 exceeds int64), and the cap (default DEFAULT_CAP = 2**24) bounds the
 messages actually scanned, min(q**k, q**(s n - k)): a larger scan is
-refused with TooLarge, whose text names both sides.  The zero code
+refused with TooLarge, whose text names both sides.  That count is
+compared with the cap before it is formed (ffield.power_exceeds), and
+named as q^e from 10**30 on (errors.power_text), so a refusal at
+(q, p) = (2**31 - 1, 1048573) costs no 32-Mbit power.  The zero code
 scans its one word like any other.
 
 A field code's scanned side, C or C.dual, is cyclic, so its check
@@ -64,8 +67,8 @@ from dataclasses import dataclass
 
 from .errors import (DEFAULT_CAP, BackendUnavailable, FieldTooLarge,
                      InternalCheckFailed, InvalidParameter, TooLarge,
-                     int_text)
-from .ffield import S_CAP, SIZE_CAP, is_prime_power
+                     int_text, power_text)
+from .ffield import S_CAP, SIZE_CAP, is_prime_power, power_exceeds
 from .field_codes import check_factors, product
 
 # Most words of the ideal B that a split scan tabulates whole (its low
@@ -209,13 +212,14 @@ def _smaller_side(codes, cap):
     k = sum(ranks)
     dual = s * n - k < k
     scanned = [c.dual for c in codes] if dual else codes
-    total = q**min(k, s * n - k)
-    if total > cap:
+    e = min(k, s * n - k)
+    if power_exceeds(q, e, cap):
         raise TooLarge(
-            f"enumerating {int_text(total)} "
+            f"enumerating {power_text(q, e)} "
             f"{'codewords' if s == 1 else 'component-message tuples'}, the "
             f"smaller of the code ({q}^{k}) and its dual ({q}^{s * n - k}), "
             f"exceeds the cap {int_text(cap)}; raise the cap to proceed")
+    total = q**e
     if s == 1:
         gmat, check = _scan_matrix(scanned[0])
         counts = _kernels.scan(gmat, q, check)

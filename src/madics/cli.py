@@ -4,21 +4,22 @@ Verbs: classes, field-code, ring-code, distance, griesmer, verify-paper,
 export.  Every verb takes --output json|text, declared once for all in
 build_parser, and echoes the fully resolved parameters (including
 defaulted b, a and the pinned splitting field) so runs are
-reproducible.  The four code verbs build their {command, parameters,
-code} JSON in one function, _code_payload.  A record's JSON (a distance
-report, its cross-check, each verify-paper check and erratum) is its
-dataclass fields in field order, so a field added to the record reaches
---output json unedited.  Exit codes: 0 success, 1 validation
-error or a reader that closed stdout early, 2 size cap exceeded (an
-enumeration past --cap, p past residues.P_CAP, a family, or the m ring
-generators of a --chain, past field_codes.FAMILY_COEFFS coefficients,
-s past ffield.S_CAP, a splitting field past ffield.SIZE_CAP = 2^31,
-refused with FieldTooLarge when a verb first builds it, or a griesmer
-q past SIZE_CAP**S_CAP), 3 a failed internal check (InternalCheckFailed, a
-fault in madics, such as a scan whose counts do not sum to its message
-count).  A field distance checks its scan cap before it builds
-the field, so at (q, p, m) = (3, 47, 2), GF(3^23), field-code names
-FieldTooLarge and distance TooLarge.
+reproducible.  The four code verbs resolve their field or ring code,
+from flags or --from, in one function, _build, and build their
+{command, parameters, code} JSON in one, _code_payload.  A record's
+JSON (a distance report, its cross-check, each verify-paper check and
+erratum) is its dataclass fields in field order, so a field added to
+the record reaches --output json unedited.  Exit codes: 0 success, 1
+validation error or a reader that closed stdout early, 2 size cap
+exceeded (an enumeration past --cap, p past residues.P_CAP, a family,
+or the m ring generators of a --chain, past field_codes.FAMILY_COEFFS
+coefficients, s past ffield.S_CAP, a splitting field past
+ffield.SIZE_CAP = 2^31, refused with FieldTooLarge when a verb first
+builds it, or a griesmer q past SIZE_CAP**S_CAP), 3 a failed internal
+check (InternalCheckFailed, a fault in madics, such as a scan whose
+counts do not sum to its message count).  A field distance checks its
+scan cap before it builds the field, so at (q, p, m) = (3, 47, 2),
+GF(3^23), field-code names FieldTooLarge and distance TooLarge.
 
 main sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
 any verb runs.  The scanning verbs import numpy, which would otherwise
@@ -49,6 +50,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -56,7 +58,7 @@ from . import field_codes, poly
 from .errors import (DEFAULT_CAP, InternalCheckFailed, MadicError, TooLarge,
                      int_text)
 from .ffield import make_prime_field
-from .field_codes import FAMILIES, CyclicCode, family_codes, splitting_field
+from .field_codes import FAMILIES, family_codes, splitting_field
 from .residues import build_residue_system
 
 
@@ -102,9 +104,15 @@ def _slots(text):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad arguments; remap to the validation
-    exit code."""
+    exit code.  The message echoes an argument past 64 characters by its
+    head and length, and ends at 300 characters, so with the usage line
+    a parser error stays under 1 KB however long the argv."""
 
     def error(self, message):
+        message = re.sub(r"[^\s']{65,}", lambda m: f"{m[0][:48]}... "
+                         f"({len(m[0])} characters)", message)
+        if len(message) > 300:
+            message = message[:297] + "..."
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -171,26 +179,8 @@ def cmd_classes(args):
     return payload, lines
 
 
-def _code_system(args):
-    """The residue system of the code flags.  Resolves args.alpha_exp,
-    1 when not given, mod p, so equal labelings echo one value."""
-    system = build_residue_system(args.p, args.m, args.b, args.a)
-    u = 1 if args.alpha_exp is None else args.alpha_exp
-    args.alpha_exp = u % system.p
-    return system
-
-
-def _build_field(args):
-    system = _code_system(args)
-    if not 0 <= args.index < system.m:
-        raise MadicError(f"index must lie in [0, {system.m})")
-    codes = family_codes(system, make_prime_field(args.q), args.family,
-                         args.alpha_exp)
-    return codes[args.index]
-
-
 def cmd_field_code(args):
-    code = _build_field(args)
+    code = _build(args)
     payload, lines = _code_payload(code, args)
     lines.append(f"family {code.family} index {args.index}: "
                  f"[{code.p}, {code.dimension}] over GF({code.q})")
@@ -199,18 +189,10 @@ def cmd_field_code(args):
     return payload, lines
 
 
-def _build_ring(args):
-    from .ringalg import make_ring
-
-    system = _code_system(args)
-    ring = make_ring(make_prime_field(args.q), args.s)
-    return ring_code(ring, system, args.family, args.slots, args.alpha_exp)
-
-
 def cmd_ring_code(args):
     from .ringalg import format_ring_poly
 
-    code = _build_ring(args)
+    code = _build(args)
     ring, system = code.ring, code.system
     # the chain writes m ring generators of up to p * s coefficients
     coeffs = system.m * code.p * ring.s
@@ -238,16 +220,22 @@ def cmd_ring_code(args):
     return payload, lines
 
 
-def _exported_params(doc):
-    """The code object and params of an export document, or MadicError
-    naming what is malformed."""
+def _load_exported(args):
+    """Set the code flags of args to the params of the export document
+    args.from_file; returns the document's code object, or raises
+    MadicError naming what is malformed."""
+    with open(args.from_file, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise MadicError("export file nests too deeply") from None
     code_doc = doc.get("code", doc) if isinstance(doc, dict) else None
     params = code_doc.get("params") if isinstance(code_doc, dict) else None
     if not isinstance(params, dict) or "generator" not in code_doc:
         raise MadicError("not an exported code: expected an object with "
                          "'params' and 'generator'")
-    ints = ("p", "m", "b", "a", "q") + (
-        ("s",) if "slots" in params else ("index",))
+    ring = "slots" in params
+    ints = ("p", "m", "b", "a", "q") + (("s",) if ring else ("index",))
     missing = [key for key in ints + ("family",) if key not in params]
     if missing:
         raise MadicError(f"exported params lack {', '.join(missing)}")
@@ -260,36 +248,37 @@ def _exported_params(doc):
             and all(type(x) is int for x in slots)):
         raise MadicError("exported params have the wrong types: integers, "
                          "a family name and a list of integer slots")
-    return code_doc, params
-
-
-def _load_exported(args):
-    """Set the code flags of args to the params of the export document
-    args.from_file; returns the document's code object."""
-    with open(args.from_file, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise MadicError("export file nests too deeply") from None
-    code_doc, params = _exported_params(doc)
-    slots = params.get("slots")
     vars(args).update(
         alpha_exp=params.get("alpha_exp", 1),
-        slots=None if slots is None else tuple(slots),
+        slots=tuple(slots) if ring else None,
         **{key: params.get(key)
            for key in ("p", "m", "b", "a", "q", "family", "index", "s")})
     return code_doc
 
 
-def _distance_target(args):
-    """The code of the flags, or of an export document's params, which
-    take the place of the flags and must rebuild its generator.  A field
-    code refuses --method: it is always measured on its smaller side."""
+def _build(args):
+    """The code that the flags of args name, a ring code when args.slots
+    is given, else a field code, or that the export document
+    args.from_file names, whose params replace the flags and must
+    rebuild its generator.  Resolves args.alpha_exp, 1 when not given,
+    mod p, so equal labelings echo one value.  A field code refuses
+    --method: it is always measured on its smaller side."""
     code_doc = _load_exported(args) if args.from_file else None
     if args.slots is None and args.method is not None:
         raise MadicError("--method applies to ring codes only; a field "
                          "code is measured exhaustively on its smaller side")
-    code = _build_ring(args) if args.slots is not None else _build_field(args)
+    system = build_residue_system(args.p, args.m, args.b, args.a)
+    u = 1 if args.alpha_exp is None else args.alpha_exp
+    args.alpha_exp = u % system.p
+    if args.slots is None:
+        if not 0 <= args.index < system.m:
+            raise MadicError(f"index must lie in [0, {system.m})")
+        code = family_codes(system, make_prime_field(args.q), args.family,
+                            args.alpha_exp)[args.index]
+    else:
+        from .ringalg import make_ring
+        code = ring_code(make_ring(make_prime_field(args.q), args.s),
+                         system, args.family, args.slots, args.alpha_exp)
     if code_doc is not None and code_doc["generator"] != json.loads(
             json.dumps(code.generator)):
         raise MadicError(
@@ -302,7 +291,7 @@ def _analyze(code, args):
     """The report of code under args.method, component-min unless given
     for a ring code, and its exhaustive cross-check, None unless
     --method both, which must agree."""
-    if isinstance(code, CyclicCode):
+    if args.slots is None:
         return min_distance_field(code, args.cap), None
     if args.method == "exhaustive":
         return min_distance_ring_exhaustive(code, args.cap), None
@@ -319,7 +308,7 @@ def _code_payload(code, args, report=None, cross=None):
     """The payload of the code verb args.command on a field or ring code,
     under the labels of args, with its distance report and exhaustive
     cross-check when given, and its resolved-parameters line."""
-    if isinstance(code, CyclicCode):
+    if args.slots is None:
         params = _resolved_params(code.system, code.q,
                                   alpha_exp=args.alpha_exp)
         code_json = _field_code_json(code, params, args.index, report)
@@ -344,7 +333,7 @@ def _enumerated(report):
 
 
 def cmd_distance(args):
-    code = _distance_target(args)
+    code = _build(args)
     report, cross = _analyze(code, args)
     payload, lines = _code_payload(code, args, report, cross)
     lines.append(f"[{report.n}, {report.k}] d_min = {report.d_min} "
@@ -375,7 +364,7 @@ def cmd_griesmer(args):
 
 
 def cmd_export(args):
-    code = _distance_target(args)
+    code = _build(args)
     report, cross = ((None, None) if args.skip_distance
                      else _analyze(code, args))
     payload, _ = _code_payload(code, args, report, cross)
@@ -469,7 +458,9 @@ def build_parser():
     _add_field_flags(sp)
     sp.add_argument("--index", type=int, required=True,
                     help="class index of the code")
-    sp.set_defaults(func=cmd_field_code)
+    # the source flags it does not declare, as _build reads them
+    sp.set_defaults(func=cmd_field_code, from_file=None, method=None,
+                    s=None, slots=None)
 
     sp = subs.add_parser("ring-code", help="one code over GF(q)[v]/(v^s - v)")
     _add_system_flags(sp)
@@ -480,7 +471,8 @@ def build_parser():
                     help="comma-separated class index per CRT slot")
     sp.add_argument("--chain", action="store_true",
                     help="also emit the full multiplier orbit")
-    sp.set_defaults(func=cmd_ring_code)
+    sp.set_defaults(func=cmd_ring_code, from_file=None, method=None,
+                    index=None)
 
     sp = subs.add_parser("distance", help="exact minimum distance")
     _add_code_source_flags(sp, "re-analyze an exported JSON code")

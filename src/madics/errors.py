@@ -7,7 +7,8 @@ the CLI names it and exits 3, and an AssertionError, as InvalidParameter
 is a ValueError, so a caller that catches either keeps working.
 Plain ZeroDivisionError is reused for inversion of zero, matching the
 built-in semantics.  A message names an input through int_text, so a
-huge one is named by its bit length.
+huge one is named by its bit length, and a power q**e through
+power_text, so a huge one is named as q^e and never formed.
 """
 
 DEFAULT_CAP = 1 << 24  # the enumeration size past which TooLarge is raised
@@ -18,6 +19,15 @@ def int_text(n):
     an input stays short, and never converts an int past Python's
     4,300-digit limit for int-to-str conversion."""
     return str(n) if abs(n) < 10**30 else f"<{n.bit_length()}-bit int>"
+
+
+def power_text(q, e):
+    """q**e in decimal below 10**30, else as q^e, for q >= 2 and e >= 0;
+    q**e is formed only below 2**200, as q**e >= 2**((b - 1) * e) for b
+    the bit length of q."""
+    if (q.bit_length() - 1) * e < 100 and q**e < 10**30:
+        return str(q**e)
+    return f"{q}^{e}"
 
 
 class MadicError(Exception):

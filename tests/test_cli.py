@@ -581,6 +581,60 @@ def test_large_prime_q_exit_2_promptly(capsys, shape):
                           "4611686018427394499 exceeds")
 
 
+_HUGE_SPLIT = ("--q", "2147483647", "--p", "1048573", "--m", "2",
+               "--family", "even-I")
+
+
+@pytest.mark.parametrize("rest,refusal", [
+    (("field-code", "--index", "0"),
+     "FieldTooLarge: field size 2147483647^524286 exceeds cap"),
+    (("distance", "--index", "0"),
+     "TooLarge: enumerating 2147483647^524286 codewords, the smaller"),
+    (("distance", "--s", "2", "--slots", "0,1", "--method", "exhaustive"),
+     "TooLarge: enumerating 2147483647^1048572 component-message tuples")],
+    ids=["field-code", "distance", "ring-exhaustive"])
+def test_cap_is_compared_before_the_power(capsys, rest, refusal):
+    # GF(q^t), t = 524286, and the q^k words of either scan are compared
+    # with their caps by bit length first: forming q**t took 3 s, and
+    # the ring count, a 32.5-Mbit int, 10 s, before each refusal; a
+    # count past 10**30 is named as q^e
+    verb, *flags = rest
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, verb, *_HUGE_SPLIT, *flags)
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {refusal}")
+
+
+@pytest.mark.parametrize("argv,prefix,length", [
+    (("classes", "--p", "1" + "0" * 5000, "--m", "2"),
+     "madics classes: error: argument --p: invalid int value: '1000", 5001),
+    (("field-code", "--q", "3", "--p", "13", "--m", "4", "--index", "0",
+      "--family", "x" * 5000),
+     "madics field-code: error: argument --family: invalid choice: 'xxx",
+     5000),
+    (("ring-code", "--q", "3", "--p", "13", "--m", "4", "--family",
+      "even-I", "--s", "3", "--slots", "1," + "x" * 5000),
+     "madics ring-code: error: argument --slots: slots must be", 5002),
+    (("classes", "--p", "13", "--m", "2", "--bogus", "x" * 5000),
+     "madics: error: unrecognized arguments: --bogus xxx", 5000),
+    (("classes", "--p", "13", "--m", "2", *map(str, range(3000))),
+     "madics: error: unrecognized arguments: 0 1 2 3", None)],
+    ids=["int", "choice", "slots", "unrecognized", "many"])
+def test_parser_error_stays_under_1_kb(capsys, argv, prefix, length):
+    # argparse echoes a bad argument in full, so a 5,000-character one
+    # made a 5.1-5.3 KB error; the echo keeps its head and its length,
+    # and the message ends at 300 characters
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert len(err.encode()) < 1024
+    assert err.splitlines()[-1].startswith(prefix)
+    if length is not None:
+        assert f"... ({length} characters)" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 @pytest.mark.parametrize("verb", [
     ("distance", "--q", "3", "--p", "13", "--m", "4", "--family", "even-I",

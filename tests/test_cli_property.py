@@ -3,9 +3,10 @@
 From one fixed seed it generates argv for every verb, valid and not,
 over a pool of values that holds the edge cases (0, negatives, a
 composite p, a q that is no m-adic residue, primes and composites past
-each size cap, a 4,001-digit integer) and the inputs that once cost
-seconds or printed kilobytes: classes --p 10**4000+1, griesmer --q
-10**4000+1 and ring-code --chain at (q, p, m, s) = (2, 8191, 630, 2).
+each size cap, a 4,001-digit integer, a 5,001-digit token) and the
+inputs that once cost seconds or printed kilobytes: classes --p
+10**4000+1, griesmer --q 10**4000+1 and ring-code --chain at
+(q, p, m, s) = (2, 8191, 630, 2).
 It also feeds distance and export --from documents that an export
 wrote and an edit then broke.  Every call, run in process through
 cli.main, must exit 0, 1, 2 or 3, print no traceback and at most one
@@ -27,8 +28,12 @@ DOCUMENTS = 40
 PER_CALL_S = 1.0
 
 HUGE = 10**4000 + 1
+# 5,001 digits, past the 4,300-digit limit of int(), so argparse refuses
+# it and echoes it in the parser error
+LONG = "1" + "0" * 5000
 INTS = (0, 1, 2, 3, 4, 5, 6, 7, 13, 19, 31, -1, -13, 15, 630, 8191,
-        2**31 - 1, 4611686018427394499, 1000000000039, 2**1984 + 1, HUGE)
+        2**31 - 1, 4611686018427394499, 1000000000039, 2**1984 + 1, HUGE,
+        LONG)
 VERBS = ("classes", "field-code", "ring-code", "distance", "griesmer",
          "verify-paper", "export")
 # small points that build, so a share of the calls exit 0

@@ -7,13 +7,15 @@ from itertools import product
 import pytest
 
 from madics import ffield, poly
-from madics.errors import FieldTooLarge, NonPrimeModulus
+from madics.errors import FieldTooLarge, NonPrimeModulus, power_text
 from madics.ffield import (
     is_prime,
     is_prime_power,
     make_extension,
     make_prime_field,
+    power_exceeds,
 )
+from madics.field_codes import splitting_field
 from oracle import (
     field_add,
     field_neg,
@@ -117,6 +119,37 @@ def test_field_size_cap():
     with pytest.raises(FieldTooLarge, match="field size <13288-bit int>"):
         make_prime_field(10**4000 + 1)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_extension_cap_before_primality_and_power():
+    # GF(q) comes first, so a q past SIZE_CAP is refused before its
+    # primality test (6.1 s here) and named by its bit length; q**t is
+    # compared with the cap before it is formed (3 s at t = 524286)
+    for build, args, message in (
+            (splitting_field, (10**4000 + 1, 13),
+             "field size <13288-bit int> exceeds cap 2147483648"),
+            (make_extension, (2147483647, 524286),
+             "field size 2147483647^524286 exceeds cap 2147483648")):
+        t0 = time.perf_counter()
+        with pytest.raises(FieldTooLarge) as exc:
+            build(*args)
+        assert time.perf_counter() - t0 < 0.1
+        assert str(exc.value) == message
+
+
+def test_power_exceeds_matches_the_power():
+    # the bit-length shortcut agrees with forming q**e, at and around
+    # each cap, and errors.power_text names the power in decimal below
+    # 10**30 and as q^e from there on
+    for q in (2, 3, 4, 7, 255, 256, 257, 2**31 - 1):
+        for e in range(0, 80):
+            power = q**e
+            for cap in (1, 2, 1000, 2**24, 2**31, power - 1, power,
+                        power + 1, 10**30):
+                if cap >= 1:
+                    assert power_exceeds(q, e, cap) == (power > cap)
+            assert power_text(q, e) == (
+                str(power) if power < 10**30 else f"{q}^{e}")
 
 
 def _order_by_steps(ext, a):

@@ -20,6 +20,8 @@ and _kernels calls no np.unique or sort, whose first call pages in
 numpy code that the peak resident size of a scan run would show.  One
 code payload: only cli._code_payload builds a code verb's {command,
 parameters, code} dict, and one add_argument declares --output.  One
+code resolver: in cli only _build calls family_codes, make_ring,
+ring_code and _load_exported, and cli names neither code class.  One
 orbit labeler: only _kernels._orbit_words calls _least_labels.  One
 table builder: scan and scan_union take every grouped table from
 _kernels._orbit_words, and only it and scan's low table call _words.
@@ -549,6 +551,24 @@ def test_one_code_payload():
                        for arg in node.args)]
     assert builders == ["_code_payload"]
     assert len(outputs) == 1, outputs
+
+
+def test_one_code_resolver():
+    # the four code verbs take their field or ring code, from flags or
+    # a --from document, from cli._build alone, so a second build path
+    # cannot come back; the ring_code wrapper's call is its own lazy
+    # import.  cli.py names no code class: args.slots tells the kinds
+    # apart
+    for name in ("family_codes", "make_ring", "ring_code", "_load_exported"):
+        callers = [c for c in _callers(name)
+                   if c.startswith("cli.") and c != f"cli.{name}"]
+        assert callers == ["cli._build"], (name, callers)
+    tree = ast.parse((ROOT / "src" / "madics" / "cli.py").read_text(
+        encoding="utf-8"))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {a.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not named & {"CyclicCode", "RingCode"}
 
 
 def _callers(name):
